@@ -10,8 +10,10 @@ use vmq_filters::{
 };
 use vmq_nn::ops::{conv2d_forward, matmul, ConvSpec};
 use vmq_nn::{KernelBackend, Tensor};
-use vmq_query::{CascadeConfig, FilterCascade, Query, QueryExecutor, SpatialRelation};
-use vmq_video::{Dataset, DatasetProfile, RasterConfig};
+use vmq_query::ast::CountOp;
+use vmq_query::plan::AtomTable;
+use vmq_query::{CascadeConfig, ObjectRef, Query, QueryExecutor, SpatialRelation};
+use vmq_video::{Dataset, DatasetProfile, ObjectClass, RasterConfig};
 
 fn bench_nn_kernels(c: &mut Criterion) {
     let a = Tensor::full(vec![64, 64], 0.5);
@@ -130,9 +132,49 @@ fn bench_query_paths(c: &mut Criterion) {
     let ds = Dataset::generate(&profile, 8, 64, 7);
     let frame = ds.test()[0].clone();
     let cal = CalibratedFilter::new(profile.class_list(), 14, CalibrationProfile::od_like(), 1);
-    let estimate = cal.estimate(&frame);
-    let cascade = FilterCascade::new(Query::paper_q5(), CascadeConfig::tolerant());
-    c.bench_function("query/cascade decision (q5)", |bench| bench.iter(|| cascade.passes(black_box(&estimate), 0.5)));
+    // The cascade decision as the shared runtime runs it: statements compile
+    // into one atom table, a 32-frame batch (the pipeline default) of
+    // estimates is evaluated once, and each statement ANDs its atom bits.
+    // One q5, then 50 members of the q3/q5-shaped family `standing_many`
+    // registers (2 car-count × 4 person-count atoms, with and without a
+    // spatial atom): the second row should cost far less than 50× the first.
+    let estimates = cal.estimate_batch(&ds.test()[..32]);
+    let passed = |table: &AtomTable, statements: &[Box<[u32]>]| {
+        let verdicts = table.evaluate(black_box(&estimates));
+        statements
+            .iter()
+            .map(|atoms| (0..estimates.len()).filter(|&i| verdicts.passes(i, atoms)).count())
+            .sum::<usize>()
+    };
+    let mut one = AtomTable::new();
+    let q5 = [one.compile_select(&Query::paper_q5(), CascadeConfig::tolerant(), cal.threshold())];
+    c.bench_function("query/cascade decision (q5)", |bench| bench.iter(|| passed(&one, &q5)));
+
+    let mut family = Vec::new();
+    for (car_op, cars) in [(CountOp::Exactly, 1), (CountOp::AtMost, 1)] {
+        for (person_op, people) in
+            [(CountOp::AtLeast, 1), (CountOp::AtLeast, 2), (CountOp::AtMost, 2), (CountOp::AtMost, 3)]
+        {
+            let base = Query::new("member").class_count(ObjectClass::Car, car_op, cars).class_count(
+                ObjectClass::Person,
+                person_op,
+                people,
+            );
+            family.push(base.clone());
+            for relation in SpatialRelation::ALL {
+                let (car, person) = (ObjectRef::class(ObjectClass::Car), ObjectRef::class(ObjectClass::Person));
+                family.push(base.clone().spatial(car, relation, person));
+            }
+            family.push(base.clone().in_region(ObjectRef::class(ObjectClass::Car), "lower-right", 1));
+            family.push(base.in_region(ObjectRef::class(ObjectClass::Person), "upper-left", 1));
+        }
+    }
+    let mut shared = AtomTable::new();
+    let fifty: Vec<Box<[u32]>> = family[..50]
+        .iter()
+        .map(|query| shared.compile_select(query, CascadeConfig::tolerant(), cal.threshold()))
+        .collect();
+    c.bench_function("query/cascade fan-out (50 statements)", |bench| bench.iter(|| passed(&shared, &fifty)));
 
     let left = ClassGrid::from_boxes(56, &[vmq_video::BoundingBox::new(0.1, 0.4, 0.1, 0.1)]);
     let right = ClassGrid::from_boxes(56, &[vmq_video::BoundingBox::new(0.7, 0.4, 0.1, 0.1)]);

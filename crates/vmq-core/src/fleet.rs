@@ -470,20 +470,24 @@ impl<'a> FleetRuntime<'a> {
         self.shed_level = level;
     }
 
-    /// Ends the fleet pass: finishes every camera's plan (settling the
-    /// fleet-global detector attribution), assembles per-statement outcomes
-    /// in fleet registration order, and rolls the shared bill up per camera
-    /// and per tenant.
+    /// Ends the fleet pass: finishes every camera's plan, settles the
+    /// fleet-global detector attribution once, assembles per-statement
+    /// outcomes in fleet registration order, and rolls the shared bill up
+    /// per camera and per tenant.
     pub fn finish(mut self) -> FleetOutcome {
         assert!(!self.statements.is_empty(), "register at least one statement before finishing");
         self.drain();
         let mut runs: Vec<Option<QueryRun>> = (0..self.statements.len()).map(|_| None).collect();
         for state in &mut self.cameras {
             let gids: Vec<usize> = state.plan.user_ids().to_vec();
-            for (q, run) in state.plan.finish().into_iter().enumerate() {
+            for (q, run) in state.plan.finish_unsettled().into_iter().enumerate() {
                 runs[gids[q]] = Some(run);
             }
         }
+        // Every plan shares the one cache and ledger, and a settlement
+        // replaces the previous one, so one walk over the cache here equals
+        // a walk per camera.
+        self.cache.attribute_detections(&self.global, self.detector.stage());
         let statements: Vec<FleetStatementOutcome> = self
             .statements
             .iter()
@@ -698,6 +702,81 @@ mod tests {
         let total_a: f64 = a.shared.queries.iter().map(|q| q.attributed_ms).sum();
         let total_b: f64 = b.shared.queries.iter().map(|q| q.attributed_ms).sum();
         assert!((total_a - total_b).abs() < 1e-9, "attributed bills diverged: {total_a} vs {total_b}");
+    }
+
+    /// The fleet settles detector attribution once per finish; every plan
+    /// settling the shared cache for itself — what `SharedStreamPlan::finish`
+    /// does — must produce the identical `FleetOutcome`.
+    #[test]
+    fn one_settlement_per_fleet_finish_equals_per_plan_settlement() {
+        let (outcome, _) = run_fleet_with_budget(0);
+
+        // The same fleet by hand: per-camera plans over one cache and one
+        // ledger, fed the same batches in the same interleaving, each
+        // finished through the settling `finish`.
+        let oracle = OracleDetector::perfect();
+        let filters: Vec<CalibratedFilter> = (0..2).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
+        let mut estimators: Vec<WindowedAggregator> = (0..2).map(estimator_for).collect();
+        let cache = DetectionCache::with_byte_budget(FleetConfig::default().cache_bytes);
+        let global = CostLedger::paper();
+        let mut ledgers = Vec::new();
+        let mut plans = Vec::new();
+        for (c, (filter, estimator)) in filters.iter().zip(estimators.iter_mut()).enumerate() {
+            let mut plan =
+                SharedStreamPlan::new(&oracle, cache.clone(), global.clone(), PipelineConfig::with_batch_size(24))
+                    .with_workers(2);
+            let b = plan.add_backend(filter);
+            ledgers.extend([CostLedger::paper(), CostLedger::paper()]);
+            let q = plan.register_select(Query::paper_q3(), CascadeConfig::strict(), Some(b), ledgers[2 * c].clone());
+            plan.alias_user(q, 2 * c);
+            let q = plan.register_aggregate(
+                Query::paper_a1(),
+                AggregateSpec::hopping_seconds(1.0, 1.0),
+                &[b],
+                estimator,
+                ledgers[2 * c + 1].clone(),
+            );
+            plan.alias_user(q, 2 * c + 1);
+            plans.push(plan);
+        }
+        let mut scenes: Vec<Scene> = (0..2).map(scene_for).collect();
+        for _ in 0..4 {
+            let batches: Vec<Vec<Frame>> =
+                scenes.iter_mut().map(|scene| (0..FRAMES_PER_CAMERA / 4).map(|_| scene.step()).collect()).collect();
+            for (plan, batch) in plans.iter_mut().zip(&batches) {
+                plan.push_batch(batch);
+            }
+        }
+        let runs: Vec<QueryRun> = plans.iter_mut().flat_map(|plan| plan.finish()).collect();
+        let names = ["q3", "a1", "q3", "a1"];
+        let shares: Vec<(String, f64)> =
+            names.iter().zip(&ledgers).map(|(name, ledger)| (name.to_string(), ledger.total_ms())).collect();
+        let shared = global.shared_cost(&shares);
+        let by_camera = shared.rollup(|i| format!("camera-{:04}", i / 2));
+        let by_tenant = shared.rollup(|i| if i < 2 { "acme".to_string() } else { "globex".to_string() });
+
+        assert_eq!(outcome.statements.len(), runs.len());
+        for (statement, run) in outcome.statements.iter().zip(&runs) {
+            assert_eq!(statement.run.matched_frames, run.matched_frames, "{}", statement.name);
+            assert_eq!(statement.run.frames_detected, run.frames_detected, "{}", statement.name);
+            assert_eq!(statement.run.virtual_ms.to_bits(), run.virtual_ms.to_bits(), "{}", statement.name);
+        }
+        assert_eq!(outcome.shared.shared_total_ms.to_bits(), shared.shared_total_ms.to_bits());
+        assert_eq!(outcome.shared.isolated_total_ms.to_bits(), shared.isolated_total_ms.to_bits());
+        for (a, b) in outcome.shared.queries.iter().zip(&shared.queries) {
+            assert_eq!(
+                (&a.query, a.attributed_ms.to_bits(), a.isolated_ms.to_bits()),
+                (&b.query, b.attributed_ms.to_bits(), b.isolated_ms.to_bits())
+            );
+        }
+        for (fleet, by_hand) in [(&outcome.by_camera, &by_camera), (&outcome.by_tenant, &by_tenant)] {
+            assert_eq!(fleet.len(), by_hand.len());
+            for (a, b) in fleet.iter().zip(by_hand) {
+                assert_eq!((&a.group, a.statements), (&b.group, b.statements));
+                assert_eq!(a.attributed_ms.to_bits(), b.attributed_ms.to_bits(), "{}", a.group);
+                assert_eq!(a.isolated_ms.to_bits(), b.isolated_ms.to_bits(), "{}", a.group);
+            }
+        }
     }
 
     #[test]

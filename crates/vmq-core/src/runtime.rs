@@ -7,8 +7,8 @@
 //! pass of the engine's stream:
 //!
 //! * queries naming the same filter backend share one inference per
-//!   `(backend, frame)`, with per-query tolerance checks fanned out from the
-//!   shared estimates;
+//!   `(backend, frame)`, and each distinct tolerance check of their cascades
+//!   is evaluated once per frame and fanned out to the queries sharing it;
 //! * the expensive detector runs at most once per frame, deduplicated
 //!   through a [`DetectionCache`] — a frame escalated by query A and reused
 //!   by query B (or re-sampled by an aggregate trial) is detected once and

@@ -22,6 +22,10 @@
 //! accuracy exactly as Sec. IV does (exact/±1/±2 counts, F1 at Manhattan
 //! distance 0/1/2).
 //!
+//! What the query layer's cascade check reads from an estimate — rounded
+//! counts and thresholded grids, bit-packed one machine word per row — is
+//! [`occupancy::OccupancySummary`], computed once per `(backend, frame)`.
+//!
 //! A [`backend::CalibratedFilter`] is also provided: it emulates a trained
 //! filter with configurable error rates, so the query and aggregate layers
 //! can be tested quickly and independently of training time. All experiment
@@ -39,6 +43,7 @@ pub mod grid;
 pub mod ic;
 pub mod label;
 pub mod metrics;
+pub mod occupancy;
 pub mod od;
 pub mod quantized;
 pub mod train;
@@ -50,6 +55,7 @@ pub use estimate::{FilterEstimate, FilterKind, FilterProfile, FrameFilter};
 pub use grid::ClassGrid;
 pub use ic::IcFilter;
 pub use metrics::{ClfMetrics, CountMetrics};
+pub use occupancy::{BitGrid, CountEstimate, OccupancyLayer, OccupancySummary, SummarySpec};
 pub use od::OdFilter;
 pub use quantized::{QuantizedCofFilter, QuantizedIcFilter, QuantizedOdFilter};
 pub use train::TrainedFilters;

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use vmq_filters::{
-    CalibratedFilter, CalibrationProfile, ClassGrid, ClfMetrics, CofFilter, CountMetrics, FilterConfig, FilterEstimate,
-    FrameFilter, IcFilter, OdFilter, QuantizedCofFilter, QuantizedIcFilter, QuantizedOdFilter,
+    BitGrid, CalibratedFilter, CalibrationProfile, ClassGrid, ClfMetrics, CofFilter, CountMetrics, FilterConfig,
+    FilterEstimate, FrameFilter, IcFilter, OdFilter, QuantizedCofFilter, QuantizedIcFilter, QuantizedOdFilter,
 };
 use vmq_video::{BoundingBox, Color, Frame, ObjectClass, SceneObject};
 
@@ -91,6 +91,45 @@ proptest! {
         prop_assert!(masked.occupied() <= grid.occupied());
         let full = grid.masked_by_region(&BoundingBox::full_frame());
         prop_assert_eq!(full.occupied(), grid.occupied());
+    }
+
+    /// The bit-packed grid is the `ClassGrid` reference cell for cell:
+    /// thresholding, dilation by masked shifts ≡ the Manhattan-ball scan,
+    /// and the separable region mask ≡ `masked_by_region` — on every grid
+    /// side in use plus the 1×1 and full-word extremes, with the last row
+    /// and column (where a shift could wrap) always occupied.
+    #[test]
+    fn bit_grid_matches_class_grid_reference(
+        g_idx in 0usize..6,
+        cells in prop::collection::vec((0usize..64, 0usize..64, 0.0f32..1.0), 0..10),
+        t in 0.0f32..1.0,
+        d in 0usize..4,
+        region in (-0.2f32..1.0, -0.2f32..1.0, 0.0f32..1.2, 0.0f32..1.2),
+    ) {
+        let g = [1usize, 5, 8, 14, 56, 64][g_idx];
+        let mut grid = ClassGrid::empty(g);
+        grid.set(g - 1, g - 1, 1.0);
+        for &(r, c, v) in &cells {
+            grid.set(r % g, c % g, v);
+        }
+        let mut bits = BitGrid::default();
+        prop_assert!(bits.assign_threshold(&grid, t));
+        let reference = grid.threshold(t);
+        prop_assert_eq!(bits.to_class_grid(), reference.clone());
+        prop_assert_eq!(bits.occupied(), reference.occupied());
+        prop_assert_eq!(bits.dilate(d).to_class_grid(), reference.dilate(d), "dilate({}) on {}x{}", d, g, g);
+
+        let region = BoundingBox { x: region.0, y: region.1, w: region.2, h: region.3 };
+        let mask = BitGrid::from_region(g, &region);
+        let mut full = ClassGrid::empty(g);
+        for row in 0..g {
+            for col in 0..g {
+                full.set(row, col, 1.0);
+            }
+        }
+        prop_assert_eq!(mask.to_class_grid(), full.masked_by_region(&region), "region {:?} on {}x{}", region, g, g);
+        prop_assert_eq!(bits.count_in(&mask), reference.masked_by_region(&region).occupied());
+        prop_assert_eq!(bits.intersects(&mask), !reference.masked_by_region(&region).is_empty());
     }
 
     /// CLF metrics are monotone in the Manhattan tolerance and bounded by 1.

@@ -39,8 +39,9 @@
 //!
 //! *Shared multi-query* execution ([`SharedStreamPlan`]) registers N select
 //! and aggregate queries against **one** stream pass: queries are grouped by
-//! filter backend so backend inference runs once per `(backend, frame)` with
-//! per-query tolerance checks fanned out from the shared raw estimates, the
+//! filter backend so backend inference runs once per `(backend, frame)`, every
+//! distinct cascade atom is evaluated once per frame out of a per-backend
+//! [`AtomTable`] and fanned out to the statements subscribing to it, the
 //! expensive detector is deduplicated through a
 //! [`DetectionCache`](vmq_detect::DetectionCache) (invoked once per frame in
 //! the union any query escalates, sharded across a scoped-thread worker
@@ -52,7 +53,7 @@
 use crate::ast::Query;
 use crate::drift::{DriftMonitor, DriftSetup};
 use crate::exec::{ExecutionMode, QueryRun};
-use crate::plan::{CascadeConfig, FilterCascade};
+use crate::plan::{AtomId, AtomTable, AtomVerdicts, CascadeConfig, FilterCascade, IndicatorId};
 use crate::planner::{plan_cascade, CalibrationReport};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -191,7 +192,11 @@ impl FrameIndicators {
     /// derive their indicator columns through this one function — that
     /// single code path is part of what keeps the two bit-identical.
     pub fn from_estimate(cascade: &FilterCascade, estimate: &FilterEstimate, threshold: f32) -> Self {
-        let indicators = cascade.cv_indicators(estimate, threshold);
+        Self::from_controls(cascade.cv_indicators(estimate, threshold))
+    }
+
+    /// Assembles the row from the per-predicate controls.
+    fn from_controls(indicators: Vec<f64>) -> Self {
         let pass: f64 = indicators.iter().product();
         let mut predicates = indicators;
         if predicates.len() > 1 {
@@ -429,8 +434,7 @@ impl Operator for CascadeFilterOp<'_> {
     fn process(&mut self, mut batch: FrameBatch, ctx: &mut ExecContext) -> FrameBatch {
         ctx.ledger.charge(self.filter.kind().stage(), batch.len() as u64);
         let estimates = self.filter.estimate_batch_sharded(&batch.frames, self.workers);
-        let threshold = self.filter.threshold();
-        let keep: Vec<bool> = estimates.iter().map(|estimate| self.cascade.passes(estimate, threshold)).collect();
+        let keep = self.cascade.passes_batch(&estimates, self.filter.threshold());
         batch.retain_rows(&keep);
         batch
     }
@@ -1067,6 +1071,8 @@ impl<'a> PhysicalPlan<'a> {
 struct SharedWall {
     source_ms: f64,
     detect_ms: f64,
+    /// Exact predicate evaluation of every select, on the shared annotations.
+    eval_ms: f64,
 }
 
 /// Accumulated mid-stream state of an incremental shared pass: built lazily
@@ -1079,7 +1085,39 @@ struct ExecState {
     backend_users: Vec<Vec<usize>>,
     frames_total: usize,
     wall: SharedWall,
+    /// Per backend: inference plus the one evaluation of its atom table.
     backend_wall: Vec<f64>,
+}
+
+/// One bit per `(frame, query)`: which statements subscribe to which batch
+/// positions.
+struct Subscribers {
+    words_per_frame: usize,
+    bits: Vec<u64>,
+}
+
+impl Subscribers {
+    fn new(frames: usize, queries: usize) -> Self {
+        let words_per_frame = queries.div_ceil(64);
+        Subscribers { words_per_frame, bits: vec![0; frames * words_per_frame] }
+    }
+
+    fn insert(&mut self, frame: usize, q: usize) {
+        self.bits[frame * self.words_per_frame + q / 64] |= 1 << (q % 64);
+    }
+
+    fn contains(&self, frame: usize, q: usize) -> bool {
+        self.bits[frame * self.words_per_frame + q / 64] >> (q % 64) & 1 == 1
+    }
+
+    /// The queries subscribed to `frame`, ascending.
+    fn of(&self, frame: usize) -> impl Iterator<Item = usize> + '_ {
+        let words = &self.bits[frame * self.words_per_frame..][..self.words_per_frame];
+        words.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors((word != 0).then_some(word), |rest| Some(rest & (rest - 1)).filter(|&r| r != 0))
+                .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+        })
+    }
 }
 
 /// A batch mid-flight through the shared pass: the cheap phases (decode
@@ -1090,10 +1128,10 @@ struct ExecState {
 /// may pool many plans' missing frames into one coalesced detector dispatch.
 pub struct PreparedBatch<'f> {
     frames: &'f [Frame],
-    /// Batch position → the local query indices that escalated it.
-    escalations: Vec<Vec<usize>>,
-    /// `(query, batch position)` pairs escalated by the audit channel.
-    audit_marks: std::collections::BTreeSet<(usize, usize)>,
+    /// Batch position → the local queries that escalated it.
+    escalations: Subscribers,
+    /// The escalations the audit channel added.
+    audits: Subscribers,
     /// Batch position → shared annotations, filled for cache hits; the
     /// missing positions are completed by `complete_batch`.
     resolved: Vec<Option<std::sync::Arc<FrameDetections>>>,
@@ -1119,11 +1157,11 @@ enum SharedQueryKind<'a> {
     Select {
         /// `None` runs brute force (every frame escalates).
         backend: Option<usize>,
-        cascade: FilterCascade,
+        query: Query,
+        /// The cascade, compiled into `backend`'s atom table: the statement
+        /// passes a frame when all of these hold. Empty for brute force.
+        atoms: Box<[AtomId]>,
         survivors: usize,
-        /// Wall spent in this query's tolerance checks + predicate eval.
-        check_wall_ms: f64,
-        eval_wall_ms: f64,
         /// Online drift monitor (audit channel + rolling recalibration);
         /// `None` keeps the one-shot committed plan forever.
         drift: Option<DriftMonitor>,
@@ -1131,15 +1169,15 @@ enum SharedQueryKind<'a> {
     /// A windowed aggregate: window-wide indicators → per-window estimation.
     Aggregate {
         backends: Vec<usize>,
-        cascade: FilterCascade,
-        /// Indicator threshold per listed backend.
-        thresholds: Vec<f32>,
+        /// Per listed backend: the query's control-variate indicators,
+        /// compiled into that backend's atom table.
+        indicators: Vec<Box<[IndicatorId]>>,
         estimator: &'a mut dyn WindowEstimator,
         /// Buffered indicator rows from stream offset `indicator_start`
         /// onwards (one inner entry per listed backend). The frames
         /// themselves live once in the plan's shared stream buffer, not per
         /// query.
-        indicators: Vec<Vec<FrameIndicators>>,
+        rows: Vec<Vec<FrameIndicators>>,
         indicator_start: usize,
         next_window_start: usize,
         /// Timestamp the next time-based window starts at (seconds mode).
@@ -1180,6 +1218,13 @@ struct SharedQueryState<'a> {
 /// and sharded across `workers` scoped threads with a deterministic,
 /// position-keyed merge.
 ///
+/// The fan-out itself is shared too. Registration compiles each statement's
+/// cascade into ids in its backend's [`AtomTable`], keyed by what a check
+/// depends on, so the statements of a family built from a few count and
+/// spatial predicates share a few atoms; per batch each backend's table is
+/// evaluated once per frame and a select's decision is an AND over its atom
+/// bits.
+///
 /// Cost accounting is two-tier: each query's private [`CostLedger`] is
 /// charged exactly as an isolated run would charge it (so per-query
 /// [`QueryRun`]s — matches, detector counts, virtual time — are
@@ -1193,6 +1238,8 @@ pub struct SharedStreamPlan<'a> {
     config: PipelineConfig,
     workers: usize,
     backends: Vec<&'a dyn FrameFilter>,
+    /// Per backend: the compiled atoms of every statement reading it.
+    atoms: Vec<AtomTable>,
     queries: Vec<SharedQueryState<'a>>,
     /// Global attribution user id per query (parallel to `queries`).
     /// Identity by default; a fleet scheduler running many plans against
@@ -1227,6 +1274,7 @@ impl<'a> SharedStreamPlan<'a> {
             config,
             workers: 1,
             backends: Vec::new(),
+            atoms: Vec::new(),
             queries: Vec::new(),
             user_ids: Vec::new(),
             stream_frames: Vec::new(),
@@ -1252,6 +1300,7 @@ impl<'a> SharedStreamPlan<'a> {
     /// instances are interchangeable, so one registration serves them all).
     pub fn add_backend(&mut self, filter: &'a dyn FrameFilter) -> usize {
         self.backends.push(filter);
+        self.atoms.push(AtomTable::new());
         self.backends.len() - 1
     }
 
@@ -1266,9 +1315,8 @@ impl<'a> SharedStreamPlan<'a> {
         backend: Option<usize>,
         ledger: CostLedger,
     ) -> usize {
-        let fc = FilterCascade::new(query.clone(), cascade);
         let mode_label = match backend {
-            Some(b) => fc.label(self.backends[b]),
+            Some(b) => cascade.label_for(&query, self.backends[b]),
             None => "brute-force".to_string(),
         };
         self.register_select_with(query, cascade, backend, ledger, mode_label, None)
@@ -1289,24 +1337,24 @@ impl<'a> SharedStreamPlan<'a> {
         if let Some(b) = backend {
             assert!(b < self.backends.len(), "unknown backend index {b}");
         }
-        let fc = FilterCascade::new(query.clone(), cascade);
+        let atoms = self.compile_select(&query, cascade, backend);
         self.queries.push(SharedQueryState {
             name: query.name.clone(),
             mode_label,
             ledger,
             calibration,
             matched: Vec::new(),
-            kind: SharedQueryKind::Select {
-                backend,
-                cascade: fc,
-                survivors: 0,
-                check_wall_ms: 0.0,
-                eval_wall_ms: 0.0,
-                drift: None,
-            },
+            kind: SharedQueryKind::Select { backend, query, atoms, survivors: 0, drift: None },
         });
         self.user_ids.push(self.queries.len() - 1);
         self.queries.len() - 1
+    }
+
+    /// Resolves a select's cascade to atom ids in its backend's table
+    /// (brute force has no cascade to resolve).
+    fn compile_select(&mut self, query: &Query, cascade: CascadeConfig, backend: Option<usize>) -> Box<[AtomId]> {
+        backend
+            .map_or_else(Box::default, |b| self.atoms[b].compile_select(query, cascade, self.backends[b].threshold()))
     }
 
     /// Like [`SharedStreamPlan::register_select_with`], additionally
@@ -1364,9 +1412,12 @@ impl<'a> SharedStreamPlan<'a> {
         for &b in backends {
             assert!(b < self.backends.len(), "unknown backend index {b}");
         }
-        let thresholds: Vec<f32> = backends
+        let indicators = backends
             .iter()
-            .map(|&b| spec.indicator_threshold.unwrap_or_else(|| self.backends[b].threshold()))
+            .map(|&b| {
+                let threshold = spec.indicator_threshold.unwrap_or_else(|| self.backends[b].threshold());
+                self.atoms[b].compile_indicators(&query, spec.cascade, threshold)
+            })
             .collect();
         let names: Vec<&str> = backends.iter().map(|&b| self.backends[b].kind().name()).collect();
         let mode_label = match spec.seconds {
@@ -1381,10 +1432,9 @@ impl<'a> SharedStreamPlan<'a> {
             matched: Vec::new(),
             kind: SharedQueryKind::Aggregate {
                 backends: backends.to_vec(),
-                cascade: FilterCascade::new(query.clone(), spec.cascade),
-                thresholds,
+                indicators,
                 estimator,
-                indicators: Vec::new(),
+                rows: Vec::new(),
                 indicator_start: 0,
                 next_window_start: 0,
                 next_window_time: 0.0,
@@ -1599,11 +1649,20 @@ impl<'a> SharedStreamPlan<'a> {
     /// would have. The pass state is consumed; a subsequent `push_batch`
     /// starts a fresh pass over the same registrations.
     pub fn finish(&mut self) -> Vec<QueryRun> {
-        self.ensure_exec();
-        let st = self.exec.take().expect("exec state built");
         // Settle the detector attribution: every cached frame's single
         // global charge splits equally among the queries that used it.
         self.cache.attribute_detections(&self.global, self.detector.stage());
+        self.finish_unsettled()
+    }
+
+    /// [`SharedStreamPlan::finish`] without the attribution settlement, for
+    /// a scheduler that runs many plans against one cache and global ledger:
+    /// settling walks the whole cache, so such a scheduler finishes every
+    /// plan through this and settles once
+    /// ([`DetectionCache::attribute_detections`](vmq_detect::DetectionCache::attribute_detections)).
+    pub fn finish_unsettled(&mut self) -> Vec<QueryRun> {
+        self.ensure_exec();
+        let st = self.exec.take().expect("exec state built");
         self.finalize(st.frames_total, &st.wall, &st.backend_wall)
     }
 
@@ -1628,8 +1687,11 @@ impl<'a> SharedStreamPlan<'a> {
             state.ledger.charge(Stage::Decode, n as u64);
         }
 
-        // Phase 2 — shared backend inference: once per (backend, frame).
+        // Phase 2 — shared backend inference, once per (backend, frame),
+        // and on its heels the one evaluation of the backend's atom table:
+        // every distinct cascade atom and indicator, once per frame.
         let mut estimates: Vec<Option<Vec<FilterEstimate>>> = vec![None; self.backends.len()];
+        let mut verdicts: Vec<Option<AtomVerdicts>> = self.backends.iter().map(|_| None).collect();
         for (b, users) in backend_users.iter().enumerate() {
             if users.is_empty() {
                 continue;
@@ -1644,32 +1706,32 @@ impl<'a> SharedStreamPlan<'a> {
             // the per-backend wall attribution stat; estimates and charges
             // are already fixed.
             let start = Instant::now();
-            estimates[b] = Some(filter.estimate_batch_sharded(frames, self.workers));
+            let batch = filter.estimate_batch_sharded(frames, self.workers);
+            verdicts[b] = Some(self.atoms[b].evaluate(&batch));
+            estimates[b] = Some(batch);
             backend_wall[b] += start.elapsed().as_secs_f64() * 1000.0;
         }
 
-        // Phase 3 — per-query fan-out from the shared estimates: select
-        // cascades mark escalations, aggregates attach indicator rows. The
-        // frames themselves are buffered once for all aggregates.
+        // Phase 3 — per-query fan-out from the shared verdicts: a select
+        // escalates the frames on which all of its atoms hold, aggregates
+        // read their indicator rows. The frames themselves are buffered once
+        // for all aggregates.
         if self.queries.iter().any(|state| matches!(state.kind, SharedQueryKind::Aggregate { .. })) {
             self.stream_frames.extend(frames.iter().cloned());
         }
-        let mut escalations: Vec<Vec<usize>> = vec![Vec::new(); n];
-        // Escalations the audit channel added (query, batch position):
-        // detected like survivors, but billed through the ledger's audit
-        // phase and fed back to the drift monitor as ground truth.
-        let mut audit_marks: std::collections::BTreeSet<(usize, usize)> = std::collections::BTreeSet::new();
+        let mut escalations = Subscribers::new(n, self.queries.len());
+        // Escalations the audit channel added: detected like survivors, but
+        // billed through the ledger's audit phase and fed back to the drift
+        // monitor as ground truth.
+        let mut audits = Subscribers::new(n, self.queries.len());
         for (q, state) in self.queries.iter_mut().enumerate() {
             match &mut state.kind {
-                SharedQueryKind::Select { backend, cascade, survivors, check_wall_ms, drift, .. } => {
-                    // vmq-lint: allow(no-wallclock-in-result-paths) --
-                    // feeds only the query's `check_wall_ms` stat.
-                    let start = Instant::now();
+                SharedQueryKind::Select { backend, atoms, survivors, drift, .. } => {
                     let mut passes: Vec<bool> = Vec::new();
                     match backend {
                         None => {
-                            for users in escalations.iter_mut() {
-                                users.push(q);
+                            for i in 0..n {
+                                escalations.insert(i, q);
                             }
                             *survivors += n;
                             if drift.is_some() {
@@ -1677,20 +1739,17 @@ impl<'a> SharedStreamPlan<'a> {
                             }
                         }
                         Some(b) => {
-                            let ests = estimates[*b].as_ref().expect("backend inference ran for its users");
-                            let threshold = self.backends[*b].threshold();
-                            for (i, (est, users)) in ests.iter().zip(escalations.iter_mut()).enumerate() {
-                                let pass = cascade.passes(est, threshold);
+                            let verdicts = verdicts[*b].as_ref().expect("backend inference ran for its users");
+                            for (i, frame) in frames.iter().enumerate() {
+                                let pass = verdicts.passes(i, atoms);
                                 if pass {
-                                    users.push(q);
+                                    escalations.insert(i, q);
                                     *survivors += 1;
-                                } else if let Some(monitor) = drift.as_ref() {
+                                } else if drift.as_ref().is_some_and(|monitor| monitor.audits(frame)) {
                                     // Audit tap: a seeded fraction of rejected
                                     // frames goes to the detector anyway.
-                                    if monitor.audits(&frames[i]) {
-                                        users.push(q);
-                                        audit_marks.insert((q, i));
-                                    }
+                                    escalations.insert(i, q);
+                                    audits.insert(i, q);
                                 }
                                 if drift.is_some() {
                                     passes.push(pass);
@@ -1708,20 +1767,20 @@ impl<'a> SharedStreamPlan<'a> {
                             monitor.observe(frame, row, passes[i]);
                         }
                     }
-                    *check_wall_ms += start.elapsed().as_secs_f64() * 1000.0;
                 }
-                SharedQueryKind::Aggregate { backends, cascade, thresholds, indicators, .. } => {
-                    for i in 0..n {
-                        let row: Vec<FrameIndicators> = backends
+                SharedQueryKind::Aggregate { backends, indicators, rows, .. } => {
+                    rows.extend((0..n).map(|i| {
+                        backends
                             .iter()
-                            .zip(thresholds.iter())
-                            .map(|(&b, &threshold)| {
-                                let ests = estimates[b].as_ref().expect("backend inference ran for its users");
-                                FrameIndicators::from_estimate(cascade, &ests[i], threshold)
+                            .zip(indicators.iter())
+                            .map(|(&b, ids)| {
+                                let verdicts = verdicts[b].as_ref().expect("backend inference ran for its users");
+                                FrameIndicators::from_controls(
+                                    ids.iter().map(|&id| verdicts.indicator(i, id)).collect(),
+                                )
                             })
-                            .collect();
-                        indicators.push(row);
-                    }
+                            .collect()
+                    }));
                 }
             }
         }
@@ -1734,12 +1793,13 @@ impl<'a> SharedStreamPlan<'a> {
         let start = Instant::now();
         let mut resolved: Vec<Option<std::sync::Arc<FrameDetections>>> = vec![None; n];
         let mut missing: Vec<usize> = Vec::new();
-        for (i, users) in escalations.iter().enumerate() {
-            let Some(&first) = users.first() else { continue };
-            match self.cache.get(&frames[i], self.user_ids[first]) {
+        for (i, frame) in frames.iter().enumerate() {
+            let mut users = escalations.of(i);
+            let Some(first) = users.next() else { continue };
+            match self.cache.get(frame, self.user_ids[first]) {
                 Some(hit) => {
-                    for &u in &users[1..] {
-                        let _ = self.cache.get(&frames[i], self.user_ids[u]);
+                    for u in users {
+                        let _ = self.cache.get(frame, self.user_ids[u]);
                     }
                     resolved[i] = Some(hit);
                 }
@@ -1747,7 +1807,7 @@ impl<'a> SharedStreamPlan<'a> {
             }
         }
         wall.detect_ms += start.elapsed().as_secs_f64() * 1000.0;
-        PreparedBatch { frames, escalations, audit_marks, resolved, missing }
+        PreparedBatch { frames, escalations, audits, resolved, missing }
     }
 
     /// Detection install plus phases 5–6 of the shared pass, given the
@@ -1758,7 +1818,7 @@ impl<'a> SharedStreamPlan<'a> {
         detections: Vec<FrameDetections>,
         wall: &mut SharedWall,
     ) {
-        let PreparedBatch { frames, escalations, audit_marks, mut resolved, missing } = pending;
+        let PreparedBatch { frames, escalations, audits, mut resolved, missing } = pending;
         assert_eq!(detections.len(), missing.len(), "one detection per missing frame");
 
         // Phase 4 (second half) — install the fresh detections: one global
@@ -1773,9 +1833,10 @@ impl<'a> SharedStreamPlan<'a> {
             self.global.charge(self.detector.stage(), missing.len() as u64);
             for (i, d) in missing.into_iter().zip(detections) {
                 let arc = std::sync::Arc::new(d);
-                let users = &escalations[i];
-                self.cache.insert(&frames[i], std::sync::Arc::clone(&arc), self.user_ids[users[0]]);
-                for &u in &users[1..] {
+                let mut users = escalations.of(i);
+                let first = users.next().expect("a missing frame was escalated");
+                self.cache.insert(&frames[i], std::sync::Arc::clone(&arc), self.user_ids[first]);
+                for u in users {
                     let _ = self.cache.get(&frames[i], self.user_ids[u]);
                 }
                 resolved[i] = Some(arc);
@@ -1783,48 +1844,48 @@ impl<'a> SharedStreamPlan<'a> {
         }
         wall.detect_ms += start.elapsed().as_secs_f64() * 1000.0;
 
-        // Phase 5 — per-query exact evaluation on the shared annotations;
-        // each private ledger pays its own escalations in full.
-        let detector_stage = self.detector.stage();
-        for (q, state) in self.queries.iter_mut().enumerate() {
-            let SharedQueryState { kind, matched, ledger, .. } = state;
-            let SharedQueryKind::Select { cascade, eval_wall_ms, drift, .. } = kind else { continue };
-            // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds only
-            // the query's `eval_wall_ms` stat.
-            let start = Instant::now();
-            let mut detected = 0u64;
-            let mut audited = 0u64;
-            for (i, users) in escalations.iter().enumerate() {
-                if !users.contains(&q) {
-                    continue;
-                }
-                if audit_marks.contains(&(q, i)) {
-                    audited += 1;
+        // Phase 5 — exact evaluation on the shared annotations, for exactly
+        // the subscribers of each frame; each private ledger pays its own
+        // escalations in full.
+        // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds only the
+        // `eval_ms` wall attribution stat.
+        let start = Instant::now();
+        let mut detected = vec![0u64; self.queries.len()];
+        let mut audited = vec![0u64; self.queries.len()];
+        for (i, frame) in frames.iter().enumerate() {
+            for q in escalations.of(i) {
+                let SharedQueryState { kind, matched, .. } = &mut self.queries[q];
+                let SharedQueryKind::Select { query, drift, .. } = kind else { unreachable!("only selects escalate") };
+                if audits.contains(i, q) {
+                    audited[q] += 1;
                 } else {
-                    detected += 1;
+                    detected[q] += 1;
                 }
                 let detections = resolved[i].as_ref().expect("escalated frames are detected");
-                let truth = cascade.query().matches_detections(detections);
+                let truth = query.matches_detections(detections);
                 if truth {
                     // Audit sentinels double as corrections: a true frame the
                     // committed plan rejected still reaches the result set.
-                    matched.push(frames[i].frame_id);
+                    matched.push(frame.frame_id);
                 }
                 if let Some(monitor) = drift.as_mut() {
-                    monitor.record_truth(frames[i].frame_id, truth);
+                    monitor.record_truth(frame.frame_id, truth);
                 }
             }
+        }
+        let detector_stage = self.detector.stage();
+        for (state, (&detected, &audited)) in self.queries.iter_mut().zip(detected.iter().zip(&audited)) {
             if detected > 0 {
-                ledger.charge(detector_stage, detected);
+                state.ledger.charge(detector_stage, detected);
             }
             if audited > 0 {
-                ledger.charge_audit(detector_stage, audited);
-                if let Some(monitor) = drift.as_mut() {
+                state.ledger.charge_audit(detector_stage, audited);
+                if let SharedQueryKind::Select { drift: Some(monitor), .. } = &mut state.kind {
                     monitor.note_audited(audited);
                 }
             }
-            *eval_wall_ms += start.elapsed().as_secs_f64() * 1000.0;
         }
+        wall.eval_ms += start.elapsed().as_secs_f64() * 1000.0;
 
         // Phase 6 — aggregate sinks emit every completed hopping window.
         self.emit_ready_windows();
@@ -1842,12 +1903,12 @@ impl<'a> SharedStreamPlan<'a> {
         let model = self.global.model().clone();
         for (q, state) in self.queries.iter_mut().enumerate() {
             let SharedQueryState { kind, matched, ledger, mode_label, .. } = state;
-            let SharedQueryKind::Select { backend, cascade, drift, .. } = kind else { continue };
+            let SharedQueryKind::Select { backend, query, atoms, drift, .. } = kind else { continue };
             let Some(monitor) = drift.as_mut() else { continue };
             if !monitor.should_attempt() {
                 continue;
             }
-            let report = monitor.plan(cascade.query(), &self.backends, detector_stage, &model);
+            let report = monitor.plan(query, &self.backends, detector_stage, &model);
             let choice = &report.choice;
             let new_backend =
                 if choice.brute_force { None } else { Some(monitor.monitored_backends()[choice.backend_index]) };
@@ -1857,14 +1918,12 @@ impl<'a> SharedStreamPlan<'a> {
                 // evidence changes the window's verdict.
                 continue;
             }
-            let query = cascade.query().clone();
-            let new_cascade = FilterCascade::new(query.clone(), choice.cascade);
             // Catch-up repair over the still-windowed history.
             let targets = match new_backend {
-                Some(_) => monitor.catchup_targets(
+                Some(b) => monitor.catchup_targets(
                     choice.backend_index,
-                    &new_cascade,
-                    self.backends[monitor.monitored_backends()[choice.backend_index]].threshold(),
+                    &FilterCascade::new(query.clone(), choice.cascade),
+                    self.backends[b].threshold(),
                 ),
                 None => monitor.catchup_targets_brute(),
             };
@@ -1891,12 +1950,15 @@ impl<'a> SharedStreamPlan<'a> {
             if !targets.is_empty() {
                 ledger.charge_audit(detector_stage, targets.len() as u64);
             }
-            // Commit the swap: subsequent batches run the new plan.
+            // Commit the swap: subsequent batches run the new plan, whose
+            // cascade resolves to atoms of the new backend's table.
             let label = choice.label.clone();
             *mode_label = format!("adaptive {label}");
             monitor.commit(new_backend, choice.cascade, label, stream_offset, choice.expected_cost);
             *backend = new_backend;
-            *cascade = new_cascade;
+            *atoms = new_backend.map_or_else(Box::default, |b| {
+                self.atoms[b].compile_select(query, choice.cascade, self.backends[b].threshold())
+            });
         }
     }
 
@@ -1939,7 +2001,7 @@ impl<'a> SharedStreamPlan<'a> {
             let SharedQueryKind::Aggregate {
                 backends,
                 estimator,
-                indicators,
+                rows: indicators,
                 indicator_start,
                 next_window_start,
                 next_window_time,
@@ -2088,7 +2150,7 @@ impl<'a> SharedStreamPlan<'a> {
                             .with_workers(if sharded { workers } else { 1 })
                     };
                 match &state.kind {
-                    SharedQueryKind::Select { backend, survivors, check_wall_ms, eval_wall_ms, drift, .. } => {
+                    SharedQueryKind::Select { backend, survivors, drift, .. } => {
                         let survivors = *survivors;
                         let audit_frames = drift.as_ref().map_or(0, |m| m.audit_frames());
                         let detected = survivors + audit_frames as usize;
@@ -2110,7 +2172,7 @@ impl<'a> SharedStreamPlan<'a> {
                         let mut filter_wall_ms = 0.0;
                         if let Some(b) = backend {
                             let stage = self.backends[*b].kind().stage();
-                            filter_wall_ms = backend_wall[*b] + check_wall_ms;
+                            filter_wall_ms = backend_wall[*b];
                             stage_metrics.push(
                                 row(
                                     "cascade-filter",
@@ -2152,7 +2214,7 @@ impl<'a> SharedStreamPlan<'a> {
                             detected as u64,
                             wall.detect_ms,
                         ));
-                        stage_metrics.push(row("predicate-eval", None, detected, matched, 0, *eval_wall_ms));
+                        stage_metrics.push(row("predicate-eval", None, detected, matched, 0, wall.eval_ms));
                         stage_metrics.push(row("sink", None, matched, matched, 0, 0.0));
                         QueryRun {
                             query: state.name.clone(),
@@ -2814,6 +2876,183 @@ mod tests {
         // RecordingEstimator's direct (uncached) detector probes aside, the
         // global detector bill equals the stream length.
         assert_eq!(global.invocations(Stage::MaskRcnn), ds.test().len() as u64);
+    }
+
+    /// The q3/q5-shaped statement family of the `standing_many` benchmark:
+    /// a car-count atom × a person-count atom × (nothing | an `ORDER`
+    /// relation | an `IN` quadrant for either class).
+    fn select_family() -> Vec<Query> {
+        use crate::ast::{CountOp, ObjectRef};
+        use crate::spatial::SpatialRelation;
+        use vmq_video::ObjectClass::{Car, Person};
+        let mut family = Vec::new();
+        for (car_op, car) in [(CountOp::Exactly, 1), (CountOp::AtMost, 1)] {
+            for (person_op, people) in
+                [(CountOp::AtLeast, 1), (CountOp::AtLeast, 2), (CountOp::AtMost, 2), (CountOp::AtMost, 3)]
+            {
+                let base = Query::new("member").class_count(Car, car_op, car).class_count(Person, person_op, people);
+                family.push(base.clone());
+                for relation in SpatialRelation::ALL {
+                    family.push(base.clone().spatial(ObjectRef::class(Car), relation, ObjectRef::class(Person)));
+                }
+                for quadrant in ["upper-left", "upper-right", "lower-left", "lower-right"] {
+                    family.push(base.clone().in_region(ObjectRef::class(Car), quadrant, 1));
+                    family.push(base.clone().in_region(ObjectRef::class(Person), quadrant, 1));
+                }
+            }
+        }
+        family
+    }
+
+    /// 104 statements, 18 distinct checks: 2 car-count, 4 person-count,
+    /// 4 `ORDER` and 8 `IN` atoms — and the same predicates at another
+    /// tolerance are other atoms.
+    #[test]
+    fn an_overlapping_statement_family_compiles_to_its_distinct_atoms() {
+        let (_ds, filter, oracle) = setup();
+        let mut plan = SharedStreamPlan::new(
+            &oracle,
+            vmq_detect::DetectionCache::new(),
+            CostLedger::paper(),
+            PipelineConfig::default(),
+        );
+        let b = plan.add_backend(&filter);
+        let family = select_family();
+        assert_eq!(family.len(), 104);
+        for query in &family {
+            plan.register_select(query.clone(), CascadeConfig::tolerant(), Some(b), CostLedger::paper());
+        }
+        assert_eq!(plan.atoms[b].atom_count(), 18);
+        plan.register_select(family[5].clone(), CascadeConfig::loose(), Some(b), CostLedger::paper());
+        assert_eq!(plan.atoms[b].atom_count(), 19, "same counts, one new spatial atom at tolerance 2");
+        plan.register_select(family[5].clone(), CascadeConfig::strict(), Some(b), CostLedger::paper());
+        assert_eq!(plan.atoms[b].atom_count(), 22, "tolerance (0, 0) shares nothing with (1, 1)");
+    }
+
+    /// A mid-stream drift replan swaps the cascade, so the statement's atom
+    /// ids are re-resolved against the newly committed (backend, cascade).
+    #[test]
+    fn a_drift_replan_re_resolves_the_statements_atoms() {
+        use crate::drift::DriftConfig;
+        let profile = DatasetProfile::jackson();
+        let ds = Dataset::generate(&profile, 20, 400, 29);
+        let oracle = OracleDetector::perfect();
+        let filter = fresh_filter(17);
+        let query = Query::paper_q4();
+        let mut plan = SharedStreamPlan::new(
+            &oracle,
+            vmq_detect::DetectionCache::new(),
+            CostLedger::paper(),
+            PipelineConfig::default(),
+        );
+        let b = plan.add_backend(&filter);
+        let setup = DriftSetup {
+            config: DriftConfig::new(1.0).with_window(96).with_min_truth(8),
+            candidate_backends: vec![b],
+            tolerances: CascadeConfig::lattice(),
+        };
+        let q = plan.register_select_drifted(
+            query.clone(),
+            CascadeConfig::strict(),
+            Some(b),
+            CostLedger::paper(),
+            "adaptive OD-CCF".to_string(),
+            None,
+            setup,
+        );
+        let atoms_of = |plan: &SharedStreamPlan<'_>| match &plan.queries[q].kind {
+            SharedQueryKind::Select { backend, atoms, drift, .. } => {
+                (*backend, atoms.clone(), drift.as_ref().expect("monitor attached").committed())
+            }
+            SharedQueryKind::Aggregate { .. } => unreachable!(),
+        };
+        let (_, before, _) = atoms_of(&plan);
+        // Every rejected frame is audited, so the noisy strict cascade is
+        // caught dropping a true frame within a few batches.
+        let mut batches = ds.test().chunks(32);
+        while atoms_of(&plan).2 == (Some(b), CascadeConfig::strict()) {
+            plan.push_batch(batches.next().expect("a replan before the stream ends"));
+        }
+
+        let (backend, after, (committed_backend, committed_cascade)) = atoms_of(&plan);
+        assert_eq!(backend, committed_backend);
+        let expected = match backend {
+            Some(b) => plan.atoms[b].clone().compile_select(&query, committed_cascade, filter.threshold()),
+            None => Box::default(),
+        };
+        assert_eq!(after, expected, "atoms resolve to the committed cascade");
+        assert_ne!(after, before);
+        assert_eq!(plan.finish()[0].replans.len(), 1);
+    }
+
+    /// Injects non-finite outputs into an otherwise perfect filter: NaN and
+    /// infinite counts, NaN and infinite grid cells, in rotation.
+    struct Corrupting<'a>(&'a CalibratedFilter);
+
+    impl FrameFilter for Corrupting<'_> {
+        fn estimate(&self, frame: &Frame) -> FilterEstimate {
+            let mut estimate = self.0.estimate(frame);
+            let slot = frame.frame_id as usize % estimate.counts.len();
+            match frame.frame_id % 5 {
+                0 => estimate.counts[slot] = f32::NAN,
+                1 => estimate.counts[slot] = f32::INFINITY,
+                2 => estimate.grids[slot].set(0, 0, f32::NAN),
+                3 => estimate.grids[slot].set(13, 13, f32::NEG_INFINITY),
+                _ => {}
+            }
+            estimate
+        }
+        fn kind(&self) -> vmq_filters::FilterKind {
+            self.0.kind()
+        }
+        fn grid_size(&self) -> usize {
+            self.0.grid_size()
+        }
+        fn threshold(&self) -> f32 {
+            self.0.threshold()
+        }
+        fn classes(&self) -> &[vmq_video::ObjectClass] {
+            self.0.classes()
+        }
+    }
+
+    /// A non-finite filter output escalates the frame instead of dropping
+    /// it: behind a filter that is perfect wherever it is finite, every
+    /// select keeps recall 1.0 — through the shared plan and through the
+    /// single-statement plan alike.
+    #[test]
+    fn non_finite_filter_outputs_never_drop_a_true_frame() {
+        let profile = DatasetProfile::jackson();
+        let ds = Dataset::generate(&profile, 20, 600, 31);
+        let oracle = OracleDetector::perfect();
+        let perfect = CalibratedFilter::new(profile.class_list(), 14, CalibrationProfile::perfect(), 5);
+        let filter = Corrupting(&perfect);
+        let queries = [Query::paper_q3(), Query::paper_q4(), Query::paper_q5(), Query::paper_a1(), Query::paper_a2()];
+        let truth = |query: &Query| -> Vec<u64> {
+            ds.test().iter().filter(|f| query.matches_ground_truth(f)).map(|f| f.frame_id).collect()
+        };
+
+        let mut plan = SharedStreamPlan::new(
+            &oracle,
+            vmq_detect::DetectionCache::new(),
+            CostLedger::paper(),
+            PipelineConfig::default(),
+        );
+        let b = plan.add_backend(&filter);
+        for query in &queries {
+            plan.register_select(query.clone(), CascadeConfig::strict(), Some(b), CostLedger::paper());
+        }
+        let runs = plan.execute_slice(ds.test());
+        for (query, run) in queries.iter().zip(&runs) {
+            let expected = truth(query);
+            assert!(expected.len() >= 5, "{} has true frames to lose", query.name);
+            assert_eq!(run.matched_frames, expected, "{} through the shared plan", query.name);
+            assert!(run.frames_detected < ds.test().len(), "{} still filters the finite frames", query.name);
+
+            let isolated =
+                QueryExecutor::new(query.clone()).run_filtered(ds.test(), &filter, &oracle, CascadeConfig::strict());
+            assert_eq!(isolated.matched_frames, expected, "{} through the single-statement plan", query.name);
+        }
     }
 
     #[test]

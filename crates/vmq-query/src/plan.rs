@@ -7,10 +7,20 @@
 //! constraints with a 2-cell location tolerance. [`CascadeConfig`] carries
 //! those tolerances and [`FilterCascade`] performs the approximate check; a
 //! frame that fails is dropped without ever reaching the expensive detector.
+//!
+//! The check itself is compiled. An [`AtomTable`] holds every *distinct*
+//! check ("atom") of the statements registered against one filter backend,
+//! keyed by what its verdict depends on; per frame the estimate is reduced
+//! once to a bit-packed [`OccupancySummary`] and each atom is evaluated at
+//! most once, so N statements built from the same few predicates cost those
+//! few atoms plus one AND each. A [`FilterCascade`] is a table holding a
+//! single statement.
 
 use crate::ast::{CountOp, CountTarget, Predicate, Query};
+use crate::catalog::RegionCatalog;
+use crate::spatial::SpatialRelation;
 use serde::{Deserialize, Serialize};
-use vmq_filters::{FilterEstimate, FrameFilter};
+use vmq_filters::{BitGrid, CountEstimate, FilterEstimate, FrameFilter, OccupancySummary, SummarySpec};
 
 /// Tolerances of the approximate cascade check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,6 +67,17 @@ impl CascadeConfig {
         configs
     }
 
+    /// A Table III style label for running `query` under these tolerances
+    /// behind `filter`, e.g. "OD-CCF-1/OD-CLF-2" for an OD filter.
+    pub fn label_for(&self, query: &Query, filter: &dyn FrameFilter) -> String {
+        let prefix = filter.kind().name();
+        self.label(query.has_spatial_constraints())
+            .split('/')
+            .map(|part| format!("{prefix}-{part}"))
+            .collect::<Vec<_>>()
+            .join("/")
+    }
+
     /// A short name in the style of Table III, e.g. "CCF-1/CLF-2".
     pub fn label(&self, has_spatial: bool) -> String {
         let ccf = if self.count_tolerance == 0 { "CCF".to_string() } else { format!("CCF-{}", self.count_tolerance) };
@@ -79,18 +100,394 @@ impl Default for CascadeConfig {
     }
 }
 
+/// Index of a compiled cascade atom in its [`AtomTable`].
+pub type AtomId = u32;
+/// Index of a compiled control-variate indicator in its [`AtomTable`].
+pub type IndicatorId = u32;
+
+/// Which count estimate a count atom reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum CountSlot {
+    Total,
+    /// A slot of the table's [`SummarySpec`].
+    Class(usize),
+}
+
+/// One distinct approximate check, keyed by exactly what its verdict depends
+/// on, so equal predicates of different statements — or of one statement at
+/// the same tolerance — compile to the same atom. Layers and masks are
+/// slots of the table's [`SummarySpec`].
+#[derive(Debug, Clone, PartialEq)]
+enum Atom {
+    /// Nothing the filter sees can refute the predicate (a colour-blind
+    /// upper bound, `min_count = 0`).
+    Always,
+    Count {
+        slot: CountSlot,
+        op: CountOp,
+        value: i64,
+        tolerance: i64,
+    },
+    Spatial {
+        first: usize,
+        second: usize,
+        relation: SpatialRelation,
+        tolerance: usize,
+    },
+    /// Presence inside a region; `mask` is `None` for a region name the
+    /// catalogue does not know, which no frame can satisfy.
+    Region {
+        layer: usize,
+        mask: Option<usize>,
+    },
+}
+
+/// One distinct graded control of [`FilterCascade::cv_indicators`].
+#[derive(Debug, Clone, PartialEq)]
+enum Indicator {
+    /// The cascade atom's verdict as `0.0` / `1.0`.
+    Atom(AtomId),
+    CountExactly {
+        slot: CountSlot,
+        value: i64,
+        tolerance: i64,
+    },
+    Spatial {
+        first: usize,
+        second: usize,
+        relation: SpatialRelation,
+    },
+    Region {
+        layer: usize,
+        mask: usize,
+        min_count: u32,
+    },
+}
+
+/// Every distinct cascade atom and control-variate indicator compiled
+/// against one filter backend.
+///
+/// Statements compile into ids ([`AtomTable::compile_select`],
+/// [`AtomTable::compile_indicators`]); [`AtomTable::evaluate`] then reduces
+/// each estimate to an [`OccupancySummary`] once and evaluates every atom at
+/// most once per frame, however many statements subscribe to it. Verdicts on
+/// finite estimates equal the per-statement threshold → dilate → scan check
+/// bit for bit (indicators by `f64::to_bits`); a count or grid the filter
+/// reports as NaN or infinite makes the atoms reading it *possible*, exactly
+/// like a class the filter was never trained on, so a broken estimate can
+/// escalate a frame but never drop one.
+#[derive(Debug, Clone, Default)]
+pub struct AtomTable {
+    thresholds: Vec<f32>,
+    spec: SummarySpec,
+    atoms: Vec<Atom>,
+    indicators: Vec<Indicator>,
+}
+
+/// Per-frame verdicts of one [`AtomTable`] over a batch of estimates.
+#[derive(Debug)]
+pub struct AtomVerdicts {
+    atoms: usize,
+    indicators: usize,
+    bits: Vec<bool>,
+    values: Vec<f64>,
+}
+
+impl AtomVerdicts {
+    /// Verdict of one atom on the batch's `frame`-th estimate.
+    pub fn atom(&self, frame: usize, id: AtomId) -> bool {
+        self.bits[frame * self.atoms + id as usize]
+    }
+
+    /// True when every listed atom holds on the batch's `frame`-th estimate:
+    /// the cascade decision of the statement the ids were compiled for.
+    pub fn passes(&self, frame: usize, atoms: &[AtomId]) -> bool {
+        atoms.iter().all(|&id| self.atom(frame, id))
+    }
+
+    /// Value of one indicator on the batch's `frame`-th estimate.
+    pub fn indicator(&self, frame: usize, id: IndicatorId) -> f64 {
+        self.values[frame * self.indicators + id as usize]
+    }
+}
+
+fn intern<T: PartialEq>(items: &mut Vec<T>, item: T) -> u32 {
+    let index = items.iter().position(|known| *known == item).unwrap_or_else(|| {
+        items.push(item);
+        items.len() - 1
+    });
+    u32::try_from(index).expect("fewer than 2^32 distinct atoms")
+}
+
+fn count_possible(op: CountOp, estimated: i64, value: i64, tolerance: i64) -> bool {
+    match op {
+        CountOp::Exactly => (estimated - value).abs() <= tolerance,
+        CountOp::AtLeast => estimated >= value - tolerance,
+        CountOp::AtMost => estimated <= value + tolerance,
+    }
+}
+
+/// [`SpatialRelation::pair_fraction`] on bit grids: the fraction of occupied
+/// cell pairs `(x, y)` with `index(x) < index(y)` along the chosen axis.
+fn ordered_pair_fraction(x: &BitGrid, y: &BitGrid, by_col: bool) -> f64 {
+    let (hx, hy) = (x.axis_counts(by_col), y.axis_counts(by_col));
+    let (tx, ty) = (hx.iter().sum::<u64>(), hy.iter().sum::<u64>());
+    if tx == 0 || ty == 0 {
+        return 0.0;
+    }
+    let mut pairs = 0u64;
+    let mut x_before = 0u64;
+    for i in 1..x.size() {
+        x_before += hx[i - 1];
+        pairs += x_before * hy[i];
+    }
+    pairs as f64 / (tx as f64 * ty as f64)
+}
+
+impl AtomTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of distinct cascade atoms compiled so far.
+    pub fn atom_count(&self) -> usize {
+        self.atoms.len()
+    }
+
+    fn count_slot(&mut self, target: &CountTarget) -> CountSlot {
+        match target {
+            CountTarget::Total => CountSlot::Total,
+            CountTarget::Class(class) | CountTarget::ClassColor(class, _) => {
+                CountSlot::Class(self.spec.count_slot(*class))
+            }
+        }
+    }
+
+    /// Compiles a predicate's cascade check; grids are binarised at the
+    /// threshold in `slot`.
+    fn atom_for(&mut self, predicate: &Predicate, catalog: &RegionCatalog, config: CascadeConfig, slot: usize) -> Atom {
+        match predicate {
+            Predicate::Count { target, op, value } => {
+                let op = match (target, op) {
+                    // Filters are colour-blind: the class count upper-bounds
+                    // the coloured count, so only a lower bound can be
+                    // refuted.
+                    (CountTarget::ClassColor(..), CountOp::AtMost) => return Atom::Always,
+                    (CountTarget::ClassColor(..), _) => CountOp::AtLeast,
+                    (_, op) => *op,
+                };
+                Atom::Count {
+                    slot: self.count_slot(target),
+                    op,
+                    value: i64::from(*value),
+                    tolerance: i64::from(config.count_tolerance),
+                }
+            }
+            Predicate::Spatial { first, relation, second } => Atom::Spatial {
+                first: self.spec.layer_slot(first.class, slot),
+                second: self.spec.layer_slot(second.class, slot),
+                relation: *relation,
+                tolerance: config.location_tolerance,
+            },
+            Predicate::Region { object, region, min_count } => {
+                let layer = self.spec.layer_slot(object.class, slot);
+                match catalog.get(region) {
+                    None => Atom::Region { layer, mask: None },
+                    Some(_) if *min_count == 0 => Atom::Always,
+                    // A grid cannot count objects inside the region
+                    // reliably, so the cascade only requires presence (an
+                    // occupied cell within the location tolerance of the
+                    // region) — a conservative, no-false-drop check for any
+                    // min_count ≥ 1.
+                    Some(r) => Atom::Region { layer, mask: Some(self.spec.mask_slot(r, config.location_tolerance)) },
+                }
+            }
+        }
+    }
+
+    fn threshold_slot(&mut self, threshold: f32) -> usize {
+        intern(&mut self.thresholds, threshold) as usize
+    }
+
+    /// Compiles the cascade of `query` under `config`, with grids binarised
+    /// at `threshold`: one atom id per predicate, in declaration order. The
+    /// statement passes a frame when all of them hold
+    /// ([`AtomVerdicts::passes`]).
+    pub fn compile_select(&mut self, query: &Query, config: CascadeConfig, threshold: f32) -> Box<[AtomId]> {
+        let slot = self.threshold_slot(threshold);
+        query
+            .predicates
+            .iter()
+            .map(|predicate| {
+                let atom = self.atom_for(predicate, &query.catalog, config, slot);
+                intern(&mut self.atoms, atom)
+            })
+            .collect()
+    }
+
+    /// Compiles the control-variate indicators of `query` (see
+    /// [`FilterCascade::cv_indicators`]): one indicator id per predicate, in
+    /// declaration order.
+    pub fn compile_indicators(&mut self, query: &Query, config: CascadeConfig, threshold: f32) -> Box<[IndicatorId]> {
+        let slot = self.threshold_slot(threshold);
+        query
+            .predicates
+            .iter()
+            .map(|predicate| {
+                let indicator = match predicate {
+                    Predicate::Region { object, region, min_count } if *min_count > 0 => {
+                        query.catalog.get(region).map(|r| Indicator::Region {
+                            layer: self.spec.layer_slot(object.class, slot),
+                            // No dilation: tolerance is a conservativeness
+                            // mechanism a control does not need.
+                            mask: self.spec.mask_slot(r, 0),
+                            min_count: *min_count,
+                        })
+                    }
+                    Predicate::Spatial { first, relation, second } => Some(Indicator::Spatial {
+                        first: self.spec.layer_slot(first.class, slot),
+                        second: self.spec.layer_slot(second.class, slot),
+                        relation: *relation,
+                    }),
+                    Predicate::Count {
+                        target: target @ (CountTarget::Total | CountTarget::Class(_)),
+                        op: CountOp::Exactly,
+                        value,
+                    } => Some(Indicator::CountExactly {
+                        slot: self.count_slot(target),
+                        value: i64::from(*value),
+                        tolerance: i64::from(config.count_tolerance),
+                    }),
+                    _ => None,
+                };
+                let indicator = indicator.unwrap_or_else(|| {
+                    let atom = self.atom_for(predicate, &query.catalog, config, slot);
+                    Indicator::Atom(intern(&mut self.atoms, atom))
+                });
+                intern(&mut self.indicators, indicator)
+            })
+            .collect()
+    }
+
+    /// Evaluates every atom and indicator once per estimate, in batch order.
+    pub fn evaluate(&self, estimates: &[FilterEstimate]) -> AtomVerdicts {
+        self.evaluate_at(&self.thresholds, estimates, true)
+    }
+
+    /// [`AtomTable::evaluate`] with the binarisation thresholds supplied by
+    /// the caller (slot order), optionally skipping the indicators.
+    fn evaluate_at(&self, thresholds: &[f32], estimates: &[FilterEstimate], graded: bool) -> AtomVerdicts {
+        let (atoms, indicators) = (self.atoms.len(), if graded { self.indicators.len() } else { 0 });
+        let mut bits = Vec::with_capacity(estimates.len() * atoms);
+        let mut values = Vec::with_capacity(estimates.len() * indicators);
+        // One summary for the batch: its buffers and the region masks
+        // (which depend only on the grid side) carry over from frame to
+        // frame.
+        let mut summary = OccupancySummary::default();
+        for estimate in estimates {
+            summary.load(estimate, &self.spec, thresholds);
+            let row = bits.len();
+            bits.extend(self.atoms.iter().map(|atom| atom.holds(&summary)));
+            if graded {
+                let frame = &bits[row..];
+                values.extend(self.indicators.iter().map(|indicator| indicator.grade(frame, &summary)));
+            }
+        }
+        AtomVerdicts { atoms, indicators, bits, values }
+    }
+}
+
+impl CountSlot {
+    fn read(self, summary: &OccupancySummary) -> Option<CountEstimate> {
+        match self {
+            CountSlot::Total => summary.total(),
+            CountSlot::Class(slot) => summary.count(slot),
+        }
+    }
+}
+
+impl Atom {
+    /// Whether the frame could satisfy the atom's predicate. An unknown
+    /// count or layer (untrained class, non-finite output) cannot rule the
+    /// frame out.
+    fn holds(&self, summary: &OccupancySummary) -> bool {
+        match *self {
+            Atom::Always => true,
+            Atom::Count { slot, op, value, tolerance } => {
+                slot.read(summary).is_none_or(|count| count_possible(op, count.rounded, value, tolerance))
+            }
+            Atom::Spatial { first, second, relation, tolerance } => {
+                let (Some(a), Some(b)) = (summary.layer(first), summary.layer(second)) else { return true };
+                let (x, y, by_col) = relation.ordered(a, b);
+                let (x, y) = if by_col { (x.cols, y.cols) } else { (x.rows, y.rows) };
+                let (Some((x_first, _)), Some((_, y_last))) = (x, y) else { return false };
+                // Dilating by Manhattan radius `t` moves an extent out by
+                // exactly `t` cells, clamped to the grid.
+                x_first.saturating_sub(tolerance) < y_last.saturating_add(tolerance).min(summary.side() - 1)
+            }
+            Atom::Region { layer, mask } => {
+                let Some(layer) = summary.layer(layer) else { return true };
+                // The mask, not the occupancy, carries the dilation: a cell
+                // within the tolerance of the region ⇔ the dilated occupancy
+                // meets it.
+                mask.is_some_and(|mask| layer.bits.intersects(summary.mask(mask)))
+            }
+        }
+    }
+}
+
+impl Indicator {
+    /// The graded control on one frame; `bits` are the frame's atom
+    /// verdicts.
+    fn grade(&self, bits: &[bool], summary: &OccupancySummary) -> f64 {
+        let boolean = |b: bool| if b { 1.0 } else { 0.0 };
+        let blend = |b: bool, score: f64| (boolean(b) + score) / 2.0;
+        match *self {
+            Indicator::Atom(id) => boolean(bits[id as usize]),
+            Indicator::CountExactly { slot, value, tolerance } => match slot.read(summary) {
+                Some(count) => {
+                    let d = count.raw as f64 - value as f64;
+                    blend(count_possible(CountOp::Exactly, count.rounded, value, tolerance), 1.0 / (1.0 + d * d))
+                }
+                None => 1.0,
+            },
+            Indicator::Spatial { first, second, relation } => {
+                let (Some(a), Some(b)) = (summary.layer(first), summary.layer(second)) else { return 1.0 };
+                let (x, y, by_col) = relation.ordered(&a.bits, &b.bits);
+                let fraction = ordered_pair_fraction(x, y, by_col);
+                blend(fraction > 0.0, fraction)
+            }
+            Indicator::Region { layer, mask, min_count } => {
+                let Some(layer) = summary.layer(layer) else { return 1.0 };
+                let occupied = layer.bits.count_in(summary.mask(mask));
+                blend(occupied >= min_count as usize, (occupied as f64 / min_count as f64).min(1.0))
+            }
+        }
+    }
+}
+
 /// A planned cascade: the query plus the tolerances to apply to a filter's
-/// estimates.
+/// estimates, compiled into an [`AtomTable`] of its own — the same evaluator
+/// the shared runtime fans N statements out of, holding one.
 #[derive(Debug, Clone)]
 pub struct FilterCascade {
     query: Query,
     config: CascadeConfig,
+    table: AtomTable,
+    atoms: Box<[AtomId]>,
+    indicators: Box<[IndicatorId]>,
 }
 
 impl FilterCascade {
     /// Plans a cascade for a query.
     pub fn new(query: Query, config: CascadeConfig) -> Self {
-        FilterCascade { query, config }
+        // The binarisation threshold arrives with each estimate, so the
+        // table's single threshold slot is a placeholder.
+        let mut table = AtomTable::new();
+        let atoms = table.compile_select(&query, config, 0.0);
+        let indicators = table.compile_indicators(&query, config, 0.0);
+        FilterCascade { query, config, table, atoms, indicators }
     }
 
     /// The cascade configuration.
@@ -105,26 +502,31 @@ impl FilterCascade {
 
     /// A Table III style label, e.g. "OD-CCF-1/OD-CLF-2" for an OD filter.
     pub fn label(&self, filter: &dyn FrameFilter) -> String {
-        let prefix = filter.kind().name();
-        self.config
-            .label(self.query.has_spatial_constraints())
-            .split('/')
-            .map(|part| format!("{prefix}-{part}"))
-            .collect::<Vec<_>>()
-            .join("/")
+        self.config.label_for(&self.query, filter)
+    }
+
+    fn verdicts(&self, estimate: &FilterEstimate, threshold: f32, graded: bool) -> AtomVerdicts {
+        self.table.evaluate_at(&[threshold], std::slice::from_ref(estimate), graded)
     }
 
     /// Decides whether the frame could satisfy the query, given only the
     /// filter estimate. Returning `false` means the frame is safely dropped;
     /// returning `true` sends it to the expensive detector.
     pub fn passes(&self, estimate: &FilterEstimate, threshold: f32) -> bool {
-        self.query.predicates.iter().all(|p| self.predicate_possible(p, estimate, threshold))
+        self.verdicts(estimate, threshold, false).passes(0, &self.atoms)
+    }
+
+    /// [`FilterCascade::passes`] for every estimate of a batch, in order.
+    pub fn passes_batch(&self, estimates: &[FilterEstimate], threshold: f32) -> Vec<bool> {
+        let verdicts = self.table.evaluate_at(&[threshold], estimates, false);
+        (0..estimates.len()).map(|frame| verdicts.passes(frame, &self.atoms)).collect()
     }
 
     /// Per-predicate approximate indicators (one boolean per query predicate,
     /// in declaration order). Their conjunction equals [`FilterCascade::passes`].
     pub fn predicate_indicators(&self, estimate: &FilterEstimate, threshold: f32) -> Vec<bool> {
-        self.query.predicates.iter().map(|p| self.predicate_possible(p, estimate, threshold)).collect()
+        let verdicts = self.verdicts(estimate, threshold, false);
+        self.atoms.iter().map(|&id| verdicts.atom(0, id)).collect()
     }
 
     /// Per-predicate *control-variate* indicators (one value in `[0, 1]` per
@@ -165,104 +567,8 @@ impl FilterCascade {
     /// * Everything else (`AtLeast`/`AtMost`, colour-blind class-colour
     ///   counts) — the cascade boolean as `0.0`/`1.0`.
     pub fn cv_indicators(&self, estimate: &FilterEstimate, threshold: f32) -> Vec<f64> {
-        let boolean = |b: bool| if b { 1.0 } else { 0.0 };
-        let blend = |b: bool, score: f64| (boolean(b) + score) / 2.0;
-        self.query
-            .predicates
-            .iter()
-            .map(|p| match p {
-                Predicate::Region { object, region, min_count } => {
-                    let Some(grid) = estimate.binary_grid_for(object.class, threshold) else { return 1.0 };
-                    let Some(r) = self.query.catalog.get(region) else { return 0.0 };
-                    if *min_count == 0 {
-                        return 1.0;
-                    }
-                    let occupied = grid.masked_by_region(&r).occupied();
-                    blend(occupied >= *min_count as usize, (occupied as f64 / *min_count as f64).min(1.0))
-                }
-                Predicate::Spatial { first, relation, second } => {
-                    let (Some(a), Some(b)) = (
-                        estimate.binary_grid_for(first.class, threshold),
-                        estimate.binary_grid_for(second.class, threshold),
-                    ) else {
-                        return 1.0;
-                    };
-                    let fraction = relation.pair_fraction(&a, &b);
-                    blend(fraction > 0.0, fraction)
-                }
-                Predicate::Count { target, op: CountOp::Exactly, value } => {
-                    let est = match target {
-                        CountTarget::Total => Some((estimate.total_count(), estimate.total_count_rounded())),
-                        CountTarget::Class(c) => estimate.count_for(*c).zip(estimate.count_for_rounded(*c)),
-                        CountTarget::ClassColor(..) => None,
-                    };
-                    match est {
-                        Some((est, rounded)) => {
-                            let d = est as f64 - *value as f64;
-                            blend(self.count_possible(CountOp::Exactly, rounded, *value as i64), 1.0 / (1.0 + d * d))
-                        }
-                        None => boolean(self.predicate_possible(p, estimate, threshold)),
-                    }
-                }
-                other => boolean(self.predicate_possible(other, estimate, threshold)),
-            })
-            .collect()
-    }
-
-    fn count_possible(&self, op: CountOp, estimated: i64, value: i64) -> bool {
-        let tol = self.config.count_tolerance as i64;
-        match op {
-            CountOp::Exactly => (estimated - value).abs() <= tol,
-            CountOp::AtLeast => estimated >= value - tol,
-            CountOp::AtMost => estimated <= value + tol,
-        }
-    }
-
-    fn predicate_possible(&self, predicate: &Predicate, estimate: &FilterEstimate, threshold: f32) -> bool {
-        match predicate {
-            Predicate::Count { target, op, value } => match target {
-                CountTarget::Total => self.count_possible(*op, estimate.total_count_rounded(), *value as i64),
-                CountTarget::Class(c) => match estimate.count_for_rounded(*c) {
-                    Some(est) => self.count_possible(*op, est, *value as i64),
-                    None => true, // the filter cannot rule the frame out
-                },
-                CountTarget::ClassColor(c, _) => match estimate.count_for_rounded(*c) {
-                    // Filters are colour-blind: the class count upper-bounds
-                    // the coloured count, so only lower-bound requirements can
-                    // be refuted.
-                    Some(est) => match op {
-                        CountOp::Exactly | CountOp::AtLeast => {
-                            est >= *value as i64 - self.config.count_tolerance as i64
-                        }
-                        CountOp::AtMost => true,
-                    },
-                    None => true,
-                },
-            },
-            Predicate::Spatial { first, relation, second } => {
-                let (Some(a), Some(b)) = (
-                    estimate.binary_grid_for(first.class, threshold),
-                    estimate.binary_grid_for(second.class, threshold),
-                ) else {
-                    return true;
-                };
-                let a = a.dilate(self.config.location_tolerance);
-                let b = b.dilate(self.config.location_tolerance);
-                relation.holds_grids(&a, &b)
-            }
-            Predicate::Region { object, region, min_count } => {
-                let Some(grid) = estimate.binary_grid_for(object.class, threshold) else { return true };
-                let Some(r) = self.query.catalog.get(region) else { return false };
-                if *min_count == 0 {
-                    return true;
-                }
-                // A grid cannot count objects inside the region reliably, so
-                // the cascade only requires presence (≥ 1 occupied cell after
-                // dilation and masking) — a conservative, no-false-drop check
-                // for any min_count ≥ 1.
-                !grid.dilate(self.config.location_tolerance).masked_by_region(&r).is_empty()
-            }
-        }
+        let verdicts = self.verdicts(estimate, threshold, true);
+        self.indicators.iter().map(|&id| verdicts.indicator(0, id)).collect()
     }
 }
 

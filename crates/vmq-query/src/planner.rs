@@ -35,7 +35,7 @@
 //! parity guarantee the executor relies on).
 
 use crate::ast::Query;
-use crate::plan::{CascadeConfig, FilterCascade};
+use crate::plan::{AtomTable, CascadeConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use vmq_detect::{CostLedger, CostModel, Detector, Stage};
@@ -264,12 +264,18 @@ pub fn plan_cascade_from_profiles(
     for (backend_index, (&filter, profile)) in backends.iter().zip(profiles).enumerate() {
         assert_eq!(profile.estimates.len(), prefix_len, "profile must cover the prefix");
         calibration_ms += profile.virtual_ms_per_frame * prefix_len as f64;
-        for &cascade in tolerances {
-            let fc = FilterCascade::new(query.clone(), cascade);
+        // Every tolerance of the lattice compiles into one atom table, so
+        // each prefix estimate is summarised once and each distinct atom
+        // evaluated once, whatever the lattice size.
+        let mut table = AtomTable::new();
+        let compiled: Vec<_> =
+            tolerances.iter().map(|&cascade| table.compile_select(query, cascade, filter.threshold())).collect();
+        let verdicts = table.evaluate(&profile.estimates);
+        for (&cascade, atoms) in tolerances.iter().zip(&compiled) {
             let mut passes = 0usize;
             let mut kept_true = 0usize;
-            for (estimate, &is_true) in profile.estimates.iter().zip(truth) {
-                if fc.passes(estimate, filter.threshold()) {
+            for (frame, &is_true) in truth.iter().enumerate() {
+                if verdicts.passes(frame, atoms) {
                     passes += 1;
                     if is_true {
                         kept_true += 1;
@@ -285,7 +291,7 @@ pub fn plan_cascade_from_profiles(
                 backend_index,
                 backend: filter.kind().name().to_string(),
                 cascade,
-                label: fc.label(filter),
+                label: cascade.label_for(query, filter),
                 pass_rate,
                 recall,
                 recall_certified: true_prefix_frames > 0,

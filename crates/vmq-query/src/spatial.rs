@@ -64,6 +64,8 @@ impl SpatialRelation {
     /// Evaluates the relation on two occupancy grids: true when *some*
     /// occupied cell of `a` stands in the relation to *some* occupied cell of
     /// `b` (existential semantics, matching the per-pair box evaluation).
+    /// The cascade decides this from column/row extents of bit-packed grids
+    /// ([`AtomTable`](crate::plan::AtomTable)); this scan is its reference.
     pub fn holds_grids(self, a: &ClassGrid, b: &ClassGrid) -> bool {
         match self {
             SpatialRelation::LeftOf => a.any_left_of(b),
@@ -79,21 +81,29 @@ impl SpatialRelation {
         first.iter().any(|a| second.iter().any(|b| self.holds_boxes(a, b)))
     }
 
+    /// Reduces the relation to "index(x) < index(y)" along one axis:
+    /// returns `(x, y, by_col)` with the operands swapped for the converse
+    /// relations and `by_col` telling whether the index is the column.
+    pub(crate) fn ordered<T>(self, a: T, b: T) -> (T, T, bool) {
+        match self {
+            SpatialRelation::LeftOf => (a, b, true),
+            SpatialRelation::RightOf => (b, a, true),
+            SpatialRelation::Above => (a, b, false),
+            SpatialRelation::Below => (b, a, false),
+        }
+    }
+
     /// Graded grid evaluation for control variates: the fraction of occupied
     /// cell pairs `(a, b)` standing in the relation, in `[0, 1]`. Strictly
     /// positive exactly when [`SpatialRelation::holds_grids`] is true, but
     /// continuous in how *robustly* the configuration satisfies the relation
     /// — on a busy scene where some pair nearly always exists, the boolean
     /// is a constant (a dead control) while this fraction still varies with
-    /// the layout and keeps its correlation with the detector verdict.
+    /// the layout and keeps its correlation with the detector verdict. (The
+    /// reference for the indicator [`AtomTable`](crate::plan::AtomTable)
+    /// computes from bit-packed grids.)
     pub fn pair_fraction(self, a: &ClassGrid, b: &ClassGrid) -> f64 {
-        // Reduce everything to "index(x) < index(y)" on one axis.
-        let (x, y, by_col) = match self {
-            SpatialRelation::LeftOf => (a, b, true),
-            SpatialRelation::RightOf => (b, a, true),
-            SpatialRelation::Above => (a, b, false),
-            SpatialRelation::Below => (b, a, false),
-        };
+        let (x, y, by_col) = self.ordered(a, b);
         assert_eq!(x.size(), y.size(), "grid size mismatch");
         let g = x.size();
         let mut hx = vec![0u64; g];

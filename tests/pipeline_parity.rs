@@ -361,6 +361,37 @@ fn paper_aggregates() -> Vec<Query> {
     vec![Query::paper_a1(), Query::paper_a2(), Query::paper_a3(), Query::paper_a4(), Query::paper_a5()]
 }
 
+/// A q3/q5-shaped family whose members overlap atom by atom: every pairing
+/// of two car-count and two person-count predicates, alone or with one of
+/// four spatial predicates — 20 statements over 8 distinct predicates.
+fn overlapping_family() -> Vec<Query> {
+    use vmq::query::ast::CountOp;
+    use vmq::query::{ObjectRef, SpatialRelation};
+    use vmq::video::ObjectClass::{Car, Person};
+    let mut family = Vec::new();
+    for (car_op, cars) in [(CountOp::Exactly, 1), (CountOp::AtMost, 1)] {
+        for (person_op, people) in [(CountOp::AtLeast, 1), (CountOp::AtMost, 2)] {
+            let base =
+                |name: String| Query::new(&name).class_count(Car, car_op, cars).class_count(Person, person_op, people);
+            let tag = format!("fam-{car_op:?}{cars}-{person_op:?}{people}");
+            family.push(base(tag.clone()));
+            family.push(base(format!("{tag}-left")).spatial(
+                ObjectRef::class(Car),
+                SpatialRelation::LeftOf,
+                ObjectRef::class(Person),
+            ));
+            family.push(base(format!("{tag}-above")).spatial(
+                ObjectRef::class(Car),
+                SpatialRelation::Above,
+                ObjectRef::class(Person),
+            ));
+            family.push(base(format!("{tag}-car-lr")).in_region(ObjectRef::class(Car), "lower-right", 1));
+            family.push(base(format!("{tag}-person-ul")).in_region(ObjectRef::class(Person), "upper-left", 1));
+        }
+    }
+    family
+}
+
 /// The acceptance criterion of the shared runtime: `run_many` over q1–q7
 /// invokes the expensive detector exactly `|union of frames any query
 /// escalates|` times. The union is recomputed independently from an
@@ -455,12 +486,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// `run_many` over a random subset of q1–q7 selects and a1–a5 windowed
-    /// aggregates yields per-query matches / estimates / virtual totals
-    /// bit-identical to isolated runs, for every worker count in {1, 2, 4}.
+    /// aggregates, plus members of an overlapping atom family at mixed
+    /// tolerances (so statements share atoms, and equal predicates at
+    /// different tolerances do not), yields per-query matches / estimates /
+    /// virtual totals bit-identical to isolated runs, for every worker count
+    /// in {1, 2, 4}.
     #[test]
     fn run_many_is_bit_identical_to_isolated_runs(
         seed in 0u64..40,
         subset in 1u32..4096,
+        members in prop::collection::vec((0usize..20, 0usize..3), 0..10),
         workers_idx in 0usize..3,
     ) {
         let engine = VmqEngine::new(
@@ -483,6 +518,11 @@ proptest! {
                     trials: 5,
                 });
             }
+        }
+        let family = overlapping_family();
+        for &(member, tolerance) in &members {
+            let cascade = [SharedCascade::strict(), SharedCascade::tolerant(), SharedCascade::loose()][tolerance];
+            statements.push(RuntimeQuery::Select { query: family[member].clone(), choice, cascade });
         }
         // `subset ∈ 1..4096` always sets at least one of the 12 bits, so
         // there is always at least one statement.
