@@ -212,7 +212,7 @@ impl AggregateEstimator {
         // Pass 2: repeated sampled estimation with the expensive detector,
         // through the trial engine shared with the streaming window path.
         let engine = TrialEngine { query: &self.query, sampler: &self.sampler, sample_size: self.sample_size, trials };
-        let (mut report, detector_frames) = engine.estimate_window(frames, &x_full, &z_full, detector, 0);
+        let (mut report, detector_frames) = engine.estimate_window(frames, &x_full, &z_full, detector, 0, &[]);
         self.ledger.charge(detector.stage(), detector_frames);
 
         let filter_cost = self.ledger.model().cost_ms(filter.kind().stage());
@@ -226,10 +226,10 @@ impl AggregateEstimator {
 
 /// The per-window trial loop shared by the legacy one-shot estimator and the
 /// streaming pipeline estimator: given the window's frames and its
-/// pre-computed indicator columns, repeatedly samples frames, evaluates the
-/// samples with the expensive detector and computes the plain / CV / MCV
-/// estimates. Both callers run *exactly* this code, which is what makes the
-/// single-window pipeline path bit-identical to `AggregateEstimator::run`.
+/// pre-computed indicator columns, repeatedly samples frames, looks up the
+/// expensive detector's verdict on the samples and computes the plain / CV /
+/// MCV estimates. Both callers run *exactly* this code, which is what makes
+/// the single-window pipeline path bit-identical to `AggregateEstimator::run`.
 pub(crate) struct TrialEngine<'a> {
     /// The frame-level query whose frequency is estimated.
     pub query: &'a Query,
@@ -242,13 +242,24 @@ pub(crate) struct TrialEngine<'a> {
 }
 
 impl TrialEngine<'_> {
-    /// Runs the trials over one window. `x_full` / `z_full` are the cascade
-    /// and per-predicate indicator columns over the whole window;
-    /// `trial_offset` disambiguates sampler keys between windows (0 for the
-    /// first / only window, `index << 32` for later ones, so one-shot runs
-    /// draw the historical sample sequence). Returns the report (cost and
-    /// provenance fields left for the caller) plus the number of detector
-    /// invocations performed.
+    /// Runs the trials over one non-empty window. `x_full` / `z_full` are
+    /// the cascade and per-predicate indicator columns over the whole
+    /// window; `trial_offset` disambiguates sampler keys between windows (0
+    /// for the first / only window, `index << 32` for later ones, so one-shot
+    /// runs draw the historical sample sequence). `known_prefix` holds the
+    /// detector's verdict on the window's leading frames where the caller
+    /// already paid for it (the adaptive calibration prefix; empty
+    /// otherwise). Returns the report (cost and provenance fields left for
+    /// the caller) plus the as-if-isolated detector bill, `trials ×
+    /// min(sample_size, n)`.
+    ///
+    /// The expensive variable `Y` is evaluated once per distinct sampled
+    /// frame: a per-window truth column is filled at a frame's first
+    /// sampling, so the detector sees exactly the union of the sampled
+    /// frames, in first-touch order, and never an unsampled one. A trial is
+    /// then a gather of `y` / `x` / `z` at the sampled indices — the same
+    /// operands in the same order as a per-trial detector call would
+    /// produce, hence bit-identical estimates.
     pub(crate) fn estimate_window(
         &self,
         frames: &[Frame],
@@ -256,34 +267,44 @@ impl TrialEngine<'_> {
         z_full: &[Vec<f64>],
         detector: &dyn Detector,
         trial_offset: u64,
+        known_prefix: &[bool],
     ) -> (AggregateReport, u64) {
-        assert!(!frames.is_empty(), "cannot estimate an aggregate over an empty window");
+        debug_assert!(!frames.is_empty(), "callers guard against empty windows");
         let n = frames.len();
-        let n_controls = z_full.len();
         let mu_x = x_full.iter().sum::<f64>() / n as f64;
         let mu_z: Vec<f64> = z_full.iter().map(|s| s.iter().sum::<f64>() / n as f64).collect();
 
         // Ground truth for reporting.
         let true_fraction = frames.iter().filter(|f| self.query.matches_ground_truth(f)).count() as f64 / n as f64;
 
+        // The detector's verdict per window frame; `None` until first sampled.
+        let mut truth: Vec<Option<bool>> = known_prefix.iter().map(|&verdict| Some(verdict)).collect();
+        truth.resize(n, None);
+
         let mut plain_means = Vec::with_capacity(self.trials);
         let mut cv_means = Vec::with_capacity(self.trials);
         let mut mcv_means = Vec::with_capacity(self.trials);
         let mut correlations = Vec::with_capacity(self.trials);
         let mut detector_frames = 0u64;
+        // Gather buffers, reused across trials.
+        let per_trial = self.sample_size.min(n);
+        let mut y = Vec::with_capacity(per_trial);
+        let mut x = Vec::with_capacity(per_trial);
+        let mut z: Vec<Vec<f64>> = vec![Vec::with_capacity(per_trial); z_full.len()];
         for trial in 0..self.trials {
             let idx = self.sampler.sample_indices(n, self.sample_size, trial_offset | trial as u64);
             detector_frames += idx.len() as u64;
-            let mut y = Vec::with_capacity(idx.len());
-            let mut x = Vec::with_capacity(idx.len());
-            let mut z: Vec<Vec<f64>> = vec![Vec::with_capacity(idx.len()); n_controls];
+            y.clear();
+            x.clear();
             for &i in &idx {
-                let detections = detector.detect(&frames[i]);
-                y.push(if self.query.matches_detections(&detections) { 1.0 } else { 0.0 });
+                let verdict =
+                    *truth[i].get_or_insert_with(|| self.query.matches_detections(&detector.detect(&frames[i])));
+                y.push(if verdict { 1.0 } else { 0.0 });
                 x.push(x_full[i]);
-                for k in 0..n_controls {
-                    z[k].push(z_full[k][i]);
-                }
+            }
+            for (series, full) in z.iter_mut().zip(z_full) {
+                series.clear();
+                series.extend(idx.iter().map(|&i| full[i]));
             }
             let cv = CvEstimate::from_pairs(&y, &x, mu_x);
             let mcv = McvEstimate::from_samples(&y, &z, &mu_z);
@@ -303,12 +324,12 @@ impl TrialEngine<'_> {
         // single CV" hold by construction rather than by luck. Single-control
         // windows are untouched (both fits are the same OLS there).
         let mcv_means =
-            if n_controls > 1 && variance(&mcv_means) > variance(&cv_means) { cv_means.clone() } else { mcv_means };
+            if z_full.len() > 1 && variance(&mcv_means) > variance(&cv_means) { cv_means.clone() } else { mcv_means };
 
         let report = AggregateReport {
             query: self.query.name.clone(),
             trials: self.trials,
-            sample_size: self.sample_size.min(n),
+            sample_size: per_trial,
             window_frames: n,
             true_fraction,
             plain_mean: mean(&plain_means),

@@ -33,21 +33,6 @@ impl FrameSampler {
         idx.sort_unstable();
         idx
     }
-
-    /// Systematic sampling: every `stride`-th frame starting at an offset
-    /// derived from the trial number. Useful as a lower-variance alternative
-    /// for strongly periodic streams.
-    pub fn sample_systematic(&self, n: usize, k: usize, trial: u64) -> Vec<usize> {
-        if n == 0 || k == 0 {
-            return Vec::new();
-        }
-        if k >= n {
-            return (0..n).collect();
-        }
-        let stride = n / k;
-        let offset = (self.seed.wrapping_add(trial) as usize) % stride.max(1);
-        (0..k).map(|i| (offset + i * stride).min(n - 1)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -77,16 +62,5 @@ mod tests {
         let s = FrameSampler::new(1);
         assert_eq!(s.sample_indices(5, 10, 0), vec![0, 1, 2, 3, 4]);
         assert!(s.sample_indices(0, 10, 0).is_empty());
-    }
-
-    #[test]
-    fn systematic_sampling_spacing() {
-        let s = FrameSampler::new(2);
-        let idx = s.sample_systematic(100, 10, 0);
-        assert_eq!(idx.len(), 10);
-        let gaps: Vec<usize> = idx.windows(2).map(|w| w[1] - w[0]).collect();
-        assert!(gaps.iter().all(|&g| g == 10));
-        assert!(s.sample_systematic(10, 0, 0).is_empty());
-        assert_eq!(s.sample_systematic(4, 9, 0).len(), 4);
     }
 }

@@ -77,6 +77,8 @@ impl WindowedAggregator {
     /// `[2, window size]` (a correlation needs at least two observations).
     /// A no-op while the plan carries a single backend.
     ///
+    /// Within a window the estimation trials reuse the prefix verdicts, so
+    /// a prefix frame that is later sampled is not detected again.
     /// Overlapping windows re-annotate the frames their prefixes share —
     /// the same honest-but-redundant accounting the adaptive query planner
     /// documents; caching annotations per stream offset is a candidate for
@@ -128,8 +130,16 @@ impl WindowEstimator for WindowedAggregator {
         detector: &dyn Detector,
         ledger: &CostLedger,
     ) -> WindowCharge {
-        // 1. Pick the control-variate backend for this window.
-        let mut calibration_frames = 0u64;
+        // An empty window has nothing to estimate: no detector call, no
+        // charge, no report (and no panic on input).
+        if window.frames.is_empty() {
+            return WindowCharge::default();
+        }
+
+        // 1. Pick the control-variate backend for this window. The prefix
+        //    verdicts the calibration paid for seed the trial engine's truth
+        //    column, so no frame is detected twice within this call.
+        let mut prefix_verdicts: Vec<bool> = Vec::new();
         let backend_index = match (window.backends.len(), self.calibration_prefix) {
             (n, Some(prefix)) if n > 1 => {
                 // At least two frames are needed for a correlation, and the
@@ -137,11 +147,9 @@ impl WindowEstimator for WindowedAggregator {
                 // one-frame windows do not panic the way `clamp(2, 1)`
                 // would).
                 let k = prefix.max(2).min(window.frames.len());
-                let truth: Vec<f64> = window.frames[..k]
-                    .iter()
-                    .map(|f| if self.query.matches_detections(&detector.detect(f)) { 1.0 } else { 0.0 })
-                    .collect();
-                calibration_frames = k as u64;
+                prefix_verdicts =
+                    window.frames[..k].iter().map(|f| self.query.matches_detections(&detector.detect(f))).collect();
+                let truth: Vec<f64> = prefix_verdicts.iter().map(|&v| if v { 1.0 } else { 0.0 }).collect();
                 let candidates: Vec<CvCandidate> = window
                     .backends
                     .iter()
@@ -169,15 +177,21 @@ impl WindowEstimator for WindowedAggregator {
             trials: self.trials,
         };
         let trial_offset = (window.index as u64) << 32;
-        let (mut report, estimation_frames) =
-            engine.estimate_window(window.frames, &columns.pass, &columns.predicates, detector, trial_offset);
+        let (mut report, estimation_frames) = engine.estimate_window(
+            window.frames,
+            &columns.pass,
+            &columns.predicates,
+            detector,
+            trial_offset,
+            &prefix_verdicts,
+        );
         report.window_index = window.index;
         report.window_start = window.start;
         report.backend = columns.backend.to_string();
         report.time_per_sample_ms = ledger.model().cost_ms(columns.stage) + ledger.model().cost_ms(detector.stage());
         self.reports.push(report);
 
-        WindowCharge { estimation_frames, calibration_frames }
+        WindowCharge { estimation_frames, calibration_frames: prefix_verdicts.len() as u64 }
     }
 
     fn set_shed_level(&mut self, level: u32) {

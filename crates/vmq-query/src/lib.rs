@@ -37,7 +37,6 @@ pub mod catalog;
 pub mod drift;
 pub mod exec;
 pub mod metrics;
-pub mod order;
 pub mod parser;
 pub mod pipeline;
 pub mod plan;
@@ -49,7 +48,6 @@ pub use catalog::RegionCatalog;
 pub use drift::{DriftConfig, DriftSetup, ReplanEvent};
 pub use exec::{run_streaming, ExecutionMode, QueryExecutor, QueryRun};
 pub use metrics::{QueryAccuracy, SpeedupReport};
-pub use order::{FilterOrdering, PredicateStats};
 pub use parser::{format_statement, format_where_clause, parse_statement, ParseError, ParsedStatement};
 pub use pipeline::{
     AggregateSpec, FrameBatch, FrameIndicators, FrameSource, Operator, PhysicalPlan, PipelineConfig, PreparedBatch,

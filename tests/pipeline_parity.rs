@@ -5,12 +5,13 @@
 //! monotone in the cascade tolerances.
 
 use proptest::prelude::*;
-use vmq::aggregate::{AggregateEstimator, WindowedAggregator};
-use vmq::detect::{CostLedger, Detector, Stage};
+use std::collections::BTreeSet;
+use vmq::aggregate::{AggregateEstimator, FrameSampler, WindowedAggregator};
+use vmq::detect::{CostLedger, DetectionCache, Detector, Stage};
 use vmq::filters::{CalibratedFilter, CalibrationProfile, FilterKind, FrameFilter};
 use vmq::query::plan::FilterCascade;
 use vmq::query::planner::PlanChoice;
-use vmq::query::{AggregateSpec, CascadeConfig, Query, QueryAccuracy, QueryExecutor};
+use vmq::query::{AggregateSpec, CascadeConfig, PipelineConfig, Query, QueryAccuracy, QueryExecutor, SharedStreamPlan};
 use vmq::video::{Dataset, DatasetKind, DatasetProfile, Frame};
 
 /// The eager reference semantics: the per-frame loop the seed's
@@ -308,6 +309,70 @@ fn single_window_aggregate_matches_legacy_estimator_bit_for_bit() {
         );
         assert_eq!(run.frames_detected as u64, exec.ledger().invocations(Stage::MaskRcnn));
     }
+
+    // The same estimators inside a shared plan — two aggregates plus a
+    // cascade select over one backend pass. Evaluating a frame's truth once
+    // per window changes how often an aggregate *asks* the cache, never what
+    // the cache and the global ledger record about it.
+    let filter = CalibratedFilter::new(profile.class_list(), 14, CalibrationProfile::od_like(), 5);
+    let global = CostLedger::paper();
+    // Few enough samples that some frames are never sampled, enough trials
+    // that some are sampled twice.
+    let (window, windows, sample_size, trials) = (100usize, 2usize, 10usize, 6usize);
+    let seeds = [seed, seed ^ 0x51];
+    let mut estimators = [
+        WindowedAggregator::new(Query::paper_a1(), sample_size, trials, seeds[0]),
+        WindowedAggregator::new(Query::paper_a2(), sample_size, trials, seeds[1]),
+    ];
+    let [first, second] = &mut estimators;
+    let mut plan = SharedStreamPlan::new(&oracle, DetectionCache::new(), global.clone(), PipelineConfig::default());
+    let backend = plan.add_backend(&filter);
+    let select = plan.register_select(Query::paper_q3(), CascadeConfig::strict(), Some(backend), CostLedger::paper());
+    let spec = AggregateSpec::new(window, window);
+    let aggregates = [
+        plan.register_aggregate(Query::paper_a1(), spec, &[backend], first, CostLedger::paper()),
+        plan.register_aggregate(Query::paper_a2(), spec, &[backend], second, CostLedger::paper()),
+    ];
+    let runs = plan.execute_slice(ds.test());
+    let frame_users = plan.cache().frame_users();
+    let lookups = plan.cache().hits() + plan.cache().misses();
+    drop(plan);
+
+    let users_of = |user: usize| -> BTreeSet<u64> {
+        frame_users.iter().filter(|(_, users)| users.contains(&user)).map(|((_, id), _)| *id).collect()
+    };
+    let mut union = users_of(select);
+    assert_eq!(union.len(), runs[select].frames_detected, "the select consumed exactly its escalations");
+    let mut distinct_samples = 0;
+    for (&aggregate, &sampler_seed) in aggregates.iter().zip(&seeds) {
+        // The frames this aggregate sampled, from the sampler alone.
+        let sampler = FrameSampler::new(sampler_seed);
+        let mut sampled = BTreeSet::new();
+        for w in 0..windows {
+            for trial in 0..trials {
+                let key = ((w as u64) << 32) | trial as u64;
+                sampled.extend(
+                    sampler
+                        .sample_indices(window, sample_size, key)
+                        .iter()
+                        .map(|&i| ds.test()[w * window + i].frame_id),
+                );
+            }
+        }
+        // Tumbling windows share no frame, so the set's size is the sum of
+        // the per-window distinct sampled frames.
+        distinct_samples += sampled.len();
+        assert_eq!(users_of(aggregate), sampled, "the cache lists the aggregate on every frame it sampled");
+        assert_eq!(runs[aggregate].frames_detected, windows * trials * sample_size, "as-if-isolated bill");
+        union.extend(sampled);
+    }
+    assert_eq!(global.invocations(Stage::MaskRcnn), union.len() as u64, "detector runs = |sampled ∪ escalated|");
+    // One lookup per escalated frame for the select and one per distinct
+    // sampled frame per window for each aggregate — not one per trial
+    // sample.
+    assert_eq!(lookups, (runs[select].frames_detected + distinct_samples) as u64);
+    assert!(distinct_samples < aggregates.len() * windows * window, "some frames are never sampled");
+    assert!(distinct_samples < aggregates.len() * windows * trials * sample_size, "some frames are sampled twice");
 }
 
 // ---------------------------------------------------------------------------
