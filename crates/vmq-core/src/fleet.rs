@@ -655,19 +655,18 @@ mod tests {
     /// Two cameras × two statements through the fleet with the given
     /// coalesce budget, interleaving ingest and polls.
     fn run_fleet_with_budget(budget: usize) -> (FleetOutcome, Vec<WindowedAggregator>) {
+        run_fleet(fleet_config(budget))
+    }
+
+    fn fleet_config(coalesce_budget: usize) -> FleetConfig {
+        FleetConfig { batch_size: 24, workers: 2, queue_capacity: 512, coalesce_budget, ..FleetConfig::default() }
+    }
+
+    fn run_fleet(config: FleetConfig) -> (FleetOutcome, Vec<WindowedAggregator>) {
         let oracle = OracleDetector::perfect();
         let filters: Vec<CalibratedFilter> = (0..2).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
         let mut estimators: Vec<WindowedAggregator> = (0..2).map(estimator_for).collect();
-        let mut fleet = FleetRuntime::new(
-            &oracle,
-            FleetConfig {
-                batch_size: 24,
-                workers: 2,
-                queue_capacity: 512,
-                coalesce_budget: budget,
-                ..FleetConfig::default()
-            },
-        );
+        let mut fleet = FleetRuntime::new(&oracle, config);
         for (c, (filter, estimator)) in filters.iter().zip(estimators.iter_mut()).enumerate() {
             let cam = fleet.add_camera(scene_for(c as u32));
             let b = fleet.add_backend(cam, filter);
@@ -800,6 +799,34 @@ mod tests {
                 assert_eq!(ra.mcv_mean.to_bits(), rb.mcv_mean.to_bits());
             }
         }
+    }
+
+    /// Fault injection: `cache_bytes: 0` starves the fleet-global cache down
+    /// to its most recent frame. Sampled frames are re-detected instead of
+    /// served, yet every statement and window answers as under the default
+    /// budget and the larger detector bill stays fully attributed.
+    #[test]
+    fn zero_cache_bytes_redetects_but_changes_no_answer() {
+        let (roomy, est_r) = run_fleet_with_budget(1024);
+        let (starved, est_s) = run_fleet(FleetConfig { cache_bytes: 0, ..fleet_config(1024) });
+        assert_eq!(roomy.cache_evictions, 0);
+        assert_eq!(starved.cache_evictions, starved.detector_invocations - 1, "one frame stays resident");
+        assert!(starved.detector_invocations > roomy.detector_invocations);
+        for (s, r) in starved.statements.iter().zip(&roomy.statements) {
+            assert_eq!(s.run.matched_frames, r.run.matched_frames, "{}", s.name);
+            assert_eq!(s.run.frames_detected, r.run.frames_detected, "{}", s.name);
+            assert_eq!(s.run.virtual_ms.to_bits(), r.run.virtual_ms.to_bits(), "{}", s.name);
+        }
+        for (es, er) in est_s.iter().zip(&est_r) {
+            assert_eq!(es.reports().len(), er.reports().len());
+            for (rs, rr) in es.reports().iter().zip(er.reports()) {
+                assert_eq!(rs.window_start, rr.window_start);
+                assert_eq!(rs.plain_mean.to_bits(), rr.plain_mean.to_bits());
+                assert_eq!(rs.mcv_mean.to_bits(), rr.mcv_mean.to_bits());
+            }
+        }
+        let attributed: f64 = starved.shared.queries.iter().map(|q| q.attributed_ms).sum();
+        assert!((attributed - starved.shared.shared_total_ms).abs() < 1e-6, "the split covers every re-detection");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::annotation::{Detection, FrameDetections};
 use crate::cost::{CostLedger, Stage};
 use crate::Detector;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use vmq_video::Frame;
 
@@ -35,8 +35,10 @@ type FrameKey = (u32, u64);
 pub const DEFAULT_ENTRY_BUDGET: usize = 1 << 20;
 
 /// Fixed per-entry overhead charged against the byte budget on top of the
-/// detections themselves: key, `Arc` header, and the three B-tree index
-/// slots (entries/stamps/recency) each resident frame occupies.
+/// detections themselves: key, `Arc` header, the index slot and the slab
+/// slot (consumer list and LRU links) each resident frame occupies. An
+/// accounting constant, not a measurement: every eviction point of a
+/// byte-budgeted cache depends on it.
 const ENTRY_OVERHEAD_BYTES: usize = 128;
 
 /// Bytes a cached frame is accounted at: fixed bookkeeping overhead plus its
@@ -45,22 +47,66 @@ fn entry_bytes(detections: &FrameDetections) -> usize {
     ENTRY_OVERHEAD_BYTES + detections.detections.len() * std::mem::size_of::<Detection>()
 }
 
+/// "No slot": the end of the LRU list in either direction.
+const NIL: usize = usize::MAX;
+
+/// One slab slot: a resident frame, or (with `detections` empty) a link of
+/// the free list.
+#[derive(Debug)]
+struct Slot {
+    key: FrameKey,
+    /// `None` only while the slot sits on the free list.
+    detections: Option<Arc<FrameDetections>>,
+    /// The frame's consumers, ascending and de-duplicated. Subscribers of a
+    /// shared plan arrive ascending, so recording is almost always a push.
+    users: Vec<usize>,
+    /// Intrusive LRU links (slab indices): `prev` is the next-older resident
+    /// frame, `next` the next-newer.
+    prev: usize,
+    next: usize,
+}
+
+impl Slot {
+    /// Records `user` as a consumer (idempotent, keeps `users` ascending).
+    fn record(&mut self, user: usize) {
+        if self.users.last().is_none_or(|&last| last < user) {
+            self.users.push(user);
+        } else if let Err(at) = self.users.binary_search(&user) {
+            self.users.insert(at, user);
+        }
+    }
+}
+
+/// What a cache call does for the first user of its batch; every further
+/// user is a recorded lookup of the (by then resident) frame.
+enum Access<'a> {
+    /// `get`: a hit when resident, nothing at all when absent.
+    Lookup,
+    /// `fetch`: a hit when resident, else the frame's one miss — detect and
+    /// install.
+    Detect(&'a dyn Detector, &'a Frame),
+    /// `insert`: the frame's one miss when absent; when resident only the
+    /// consumer and the touch are recorded.
+    Install(Arc<FrameDetections>),
+}
+
 #[derive(Debug)]
 struct CacheInner {
-    entries: BTreeMap<FrameKey, Arc<FrameDetections>>,
-    users: BTreeMap<FrameKey, BTreeSet<usize>>,
+    /// The one ordered index: key → slab slot of the resident frame.
+    index: BTreeMap<FrameKey, usize>,
+    /// Slab of resident frames threaded into one LRU list, plus freed slots
+    /// awaiting reuse (their `users` buffers keep their capacity).
+    slots: Vec<Slot>,
+    free: Vec<usize>,
+    /// Least- and most-recently-used resident slots ([`NIL`] when empty).
+    oldest: usize,
+    newest: usize,
     /// Per-user detector shares folded out of evicted keys: when a frame is
-    /// evicted its consumer set is settled into these exact aggregate
+    /// evicted its consumer list is settled into these exact aggregate
     /// counters (one unit split equally), so attribution stays correct while
-    /// resident maps stay bounded — a long-lived fleet must not keep one
-    /// `BTreeSet` per frame it ever detected.
+    /// the slab stays bounded — a long-lived fleet must not keep one
+    /// consumer list per frame it ever detected.
     settled: BTreeMap<usize, f64>,
-    /// LRU bookkeeping: a monotone access tick, the tick at which each
-    /// resident key was last touched, and the inverse map used to find the
-    /// least-recently-used key in `O(log n)`.
-    tick: u64,
-    stamps: BTreeMap<FrameKey, u64>,
-    recency: BTreeMap<u64, FrameKey>,
     budget: usize,
     byte_budget: usize,
     resident_bytes: usize,
@@ -73,12 +119,12 @@ struct CacheInner {
 impl Default for CacheInner {
     fn default() -> Self {
         CacheInner {
-            entries: BTreeMap::new(),
-            users: BTreeMap::new(),
+            index: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
             settled: BTreeMap::new(),
-            tick: 0,
-            stamps: BTreeMap::new(),
-            recency: BTreeMap::new(),
             budget: DEFAULT_ENTRY_BUDGET,
             byte_budget: usize::MAX,
             resident_bytes: 0,
@@ -91,52 +137,132 @@ impl Default for CacheInner {
 }
 
 impl CacheInner {
-    /// Marks `key` most-recently-used.
-    fn touch(&mut self, key: FrameKey) {
-        self.tick += 1;
-        if let Some(old) = self.stamps.insert(key, self.tick) {
-            self.recency.remove(&old);
+    /// Unlinks `slot` from the LRU list.
+    fn unlink(&mut self, slot: usize) {
+        let Slot { prev, next, .. } = self.slots[slot];
+        match prev {
+            NIL => self.oldest = next,
+            older => self.slots[older].next = next,
         }
-        self.recency.insert(self.tick, key);
+        match next {
+            NIL => self.newest = prev,
+            newer => self.slots[newer].prev = prev,
+        }
     }
 
-    /// Evicts the least-recently-used entry, folding its consumer set into
+    /// Links `slot` in as the most-recently-used.
+    fn link_newest(&mut self, slot: usize) {
+        self.slots[slot].prev = self.newest;
+        self.slots[slot].next = NIL;
+        match self.newest {
+            NIL => self.oldest = slot,
+            newest => self.slots[newest].next = slot,
+        }
+        self.newest = slot;
+    }
+
+    /// Marks `slot` most-recently-used: an O(1) splice. Any number of
+    /// consecutive touches of one slot leaves the same order as one.
+    fn touch(&mut self, slot: usize) {
+        if self.newest != slot {
+            self.unlink(slot);
+            self.link_newest(slot);
+        }
+    }
+
+    /// Evicts the least-recently-used entry, folding its consumer list into
     /// the `settled` per-user counters: the frame's one paid detector charge
     /// keeps being split among exactly the users recorded at eviction time.
     /// (If the frame is later re-detected, that is a *new* charge with its
-    /// own fresh consumer set — attributed units always equal charge events.)
+    /// own fresh consumer list — attributed units always equal charge events.)
     fn evict_lru(&mut self) {
-        let (&oldest_tick, &oldest_key) = self.recency.iter().next().expect("non-empty recency index");
-        self.recency.remove(&oldest_tick);
-        self.stamps.remove(&oldest_key);
-        if let Some(entry) = self.entries.remove(&oldest_key) {
+        let slot = self.oldest;
+        self.unlink(slot);
+        let Slot { key, detections, users, .. } = &mut self.slots[slot];
+        self.index.remove(key);
+        if let Some(entry) = detections.take() {
             self.resident_bytes = self.resident_bytes.saturating_sub(entry_bytes(&entry));
             self.evicted_bytes += entry_bytes(&entry) as u64;
         }
-        if let Some(users) = self.users.remove(&oldest_key) {
-            if !users.is_empty() {
-                let share = 1.0 / users.len() as f64;
-                for user in users {
-                    *self.settled.entry(user).or_insert(0.0) += share;
-                }
-            }
+        let share = 1.0 / users.len() as f64;
+        for user in users.drain(..) {
+            *self.settled.entry(user).or_insert(0.0) += share;
         }
+        self.free.push(slot);
         self.evictions += 1;
     }
 
-    /// Inserts `key → detections`, touching it and evicting least-recently-
-    /// used entries until both the entry budget and the byte budget are
-    /// respected (the most recent entry always stays resident, so a single
-    /// oversized frame cannot empty the cache).
-    fn insert_and_evict(&mut self, key: FrameKey, detections: Arc<FrameDetections>) {
+    /// Installs `key → detections` as the most-recently-used entry and
+    /// evicts least-recently-used entries until both the entry budget and
+    /// the byte budget are respected (the most recent entry always stays
+    /// resident, so a single oversized frame cannot empty the cache).
+    /// Returns the new entry's slot.
+    fn install(&mut self, key: FrameKey, detections: Arc<FrameDetections>) -> usize {
         self.resident_bytes += entry_bytes(&detections);
-        if let Some(old) = self.entries.insert(key, detections) {
-            self.resident_bytes = self.resident_bytes.saturating_sub(entry_bytes(&old));
-        }
-        self.touch(key);
-        while self.entries.len() > self.budget || (self.resident_bytes > self.byte_budget && self.entries.len() > 1) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot].key = key;
+                self.slots[slot].detections = Some(detections);
+                slot
+            }
+            None => {
+                self.slots.push(Slot { key, detections: Some(detections), users: Vec::new(), prev: NIL, next: NIL });
+                self.slots.len() - 1
+            }
+        };
+        self.index.insert(key, slot);
+        self.link_newest(slot);
+        while self.index.len() > self.budget || (self.resident_bytes > self.byte_budget && self.index.len() > 1) {
             self.evict_lru();
         }
+        slot
+    }
+
+    /// The one path behind every lookup and insert: serves `key` on behalf
+    /// of `users` with one index descent and one LRU touch, and is exactly
+    /// equivalent — counters, consumer list, LRU order — to issuing the
+    /// first user's `access` and then one recorded lookup per further user.
+    /// Returns the detections and whether this call was the frame's miss;
+    /// an empty batch, or a [`Access::Lookup`] of an absent frame, does
+    /// nothing.
+    fn serve(
+        &mut self,
+        key: FrameKey,
+        users: impl IntoIterator<Item = usize>,
+        access: Access<'_>,
+    ) -> Option<(Arc<FrameDetections>, bool)> {
+        let mut users = users.into_iter().peekable();
+        users.peek()?;
+        let installs = matches!(access, Access::Install(_));
+        let (slot, fresh) = match self.index.get(&key) {
+            Some(&slot) => {
+                self.touch(slot);
+                (slot, false)
+            }
+            None => {
+                let detections = match access {
+                    Access::Lookup => return None,
+                    Access::Detect(detector, frame) => Arc::new(detector.detect(frame)),
+                    Access::Install(detections) => detections,
+                };
+                self.misses += 1;
+                (self.install(key, detections), true)
+            }
+        };
+        // Every call but the one that installed (or re-inserted) is a hit.
+        let mut hits = 0;
+        for user in users {
+            self.slots[slot].record(user);
+            hits += 1;
+        }
+        self.hits += hits - u64::from(fresh || installs);
+        let detections = self.slots[slot].detections.as_ref().expect("an indexed slot is resident");
+        Some((Arc::clone(detections), fresh))
+    }
+
+    /// Resident frames' consumer lists in key order.
+    fn resident_users(&self) -> impl Iterator<Item = (FrameKey, &[usize])> {
+        self.index.iter().map(|(&key, &slot)| (key, self.slots[slot].users.as_slice()))
     }
 }
 
@@ -219,28 +345,22 @@ impl DetectionCache {
     /// counter, which can interleave with other users' misses.
     pub fn fetch(&self, detector: &dyn Detector, frame: &Frame, user: usize) -> (Arc<FrameDetections>, bool) {
         let key = (frame.camera_id, frame.frame_id);
-        let mut inner = self.inner.lock();
-        inner.users.entry(key).or_default().insert(user);
-        if let Some(hit) = inner.entries.get(&key).map(Arc::clone) {
-            inner.hits += 1;
-            inner.touch(key);
-            return (hit, false);
-        }
-        inner.misses += 1;
-        let detections = Arc::new(detector.detect(frame));
-        inner.insert_and_evict(key, Arc::clone(&detections));
-        (detections, true)
+        self.inner.lock().serve(key, [user], Access::Detect(detector, frame)).expect("a fetch always resolves")
     }
 
     /// Cached lookup without detection (records `user` and a hit on success).
     pub fn get(&self, frame: &Frame, user: usize) -> Option<Arc<FrameDetections>> {
+        self.get_for(frame, [user])
+    }
+
+    /// [`DetectionCache::get`] on behalf of every user in `users` under one
+    /// lock, one lookup and one LRU touch: exactly the `get`s issued one by
+    /// one (a hit per user, duplicates included), which is how a shared plan
+    /// records all of a frame's escalating statements at once. An empty
+    /// `users` looks nothing up.
+    pub fn get_for(&self, frame: &Frame, users: impl IntoIterator<Item = usize>) -> Option<Arc<FrameDetections>> {
         let key = (frame.camera_id, frame.frame_id);
-        let mut inner = self.inner.lock();
-        let hit = inner.entries.get(&key).map(Arc::clone)?;
-        inner.users.entry(key).or_default().insert(user);
-        inner.hits += 1;
-        inner.touch(key);
-        Some(hit)
+        self.inner.lock().serve(key, users, Access::Lookup).map(|(detections, _)| detections)
     }
 
     /// Inserts an externally computed detection of `frame` (the sharded
@@ -249,21 +369,23 @@ impl DetectionCache {
     /// inserting an already cached frame is a no-op for the entry but still
     /// records the user.
     pub fn insert(&self, frame: &Frame, detections: Arc<FrameDetections>, user: usize) {
+        self.insert_for(frame, detections, [user]);
+    }
+
+    /// [`DetectionCache::insert`] for the first of `users` followed by a
+    /// recorded [`DetectionCache::get`] for each of the rest, under one lock:
+    /// an install counts one miss and `users − 1` hits, so same-batch sharing
+    /// reads as cache hits exactly like cross-batch sharing does. An empty
+    /// `users` inserts nothing.
+    pub fn insert_for(&self, frame: &Frame, detections: Arc<FrameDetections>, users: impl IntoIterator<Item = usize>) {
         debug_assert_eq!(frame.frame_id, detections.frame_id, "detections must belong to the keyed frame");
         let key = (frame.camera_id, frame.frame_id);
-        let mut inner = self.inner.lock();
-        inner.users.entry(key).or_default().insert(user);
-        if inner.entries.contains_key(&key) {
-            inner.touch(key);
-            return;
-        }
-        inner.misses += 1;
-        inner.insert_and_evict(key, detections);
+        self.inner.lock().serve(key, users, Access::Install(detections));
     }
 
     /// True when `frame` is already cached.
     pub fn contains(&self, frame: &Frame) -> bool {
-        self.inner.lock().entries.contains_key(&(frame.camera_id, frame.frame_id))
+        self.inner.lock().index.contains_key(&(frame.camera_id, frame.frame_id))
     }
 
     /// Number of frames currently *resident*. With no evictions this equals
@@ -272,12 +394,12 @@ impl DetectionCache {
     /// `misses()` remains the invocation count while `len()` only counts
     /// what is still cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.lock().index.len()
     }
 
     /// True when nothing has been detected yet.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().entries.is_empty()
+        self.inner.lock().index.is_empty()
     }
 
     /// Lookups served from the cache.
@@ -298,15 +420,15 @@ impl DetectionCache {
         self.inner.lock().evictions
     }
 
-    /// Per-frame consumer sets of the *resident* (not yet evicted) frames,
-    /// in `(camera_id, frame_id)` order. The shared runtime turns this —
-    /// together with [`DetectionCache::settled_shares`] — into the per-query
-    /// detector-cost split: each frame's single charge divides equally among
-    /// its users. Evicted frames no longer appear here; their splits were
-    /// folded into the settled counters at eviction time, which is what
-    /// keeps a long-lived fleet's memory bounded.
+    /// Per-frame consumer lists of the *resident* (not yet evicted) frames,
+    /// in `(camera_id, frame_id)` order, users ascending — a deep copy for
+    /// tests and reporting; settlement itself
+    /// ([`DetectionCache::attribute_detections`]) walks the index in place.
+    /// Evicted frames no longer appear here; their splits were folded into
+    /// the settled counters ([`DetectionCache::settled_shares`]) at eviction
+    /// time, which is what keeps a long-lived fleet's memory bounded.
     pub fn frame_users(&self) -> Vec<((u32, u64), Vec<usize>)> {
-        self.inner.lock().users.iter().map(|(&key, users)| (key, users.iter().copied().collect())).collect()
+        self.inner.lock().resident_users().map(|(key, users)| (key, users.to_vec())).collect()
     }
 
     /// Per-user detector shares folded out of evicted frames, in user order.
@@ -319,8 +441,10 @@ impl DetectionCache {
 
     /// Splits every charged frame's detector cost equally among its recorded
     /// users, writing the fractions into `ledger`'s attribution table for
-    /// `stage`: resident frames from their live consumer sets, evicted
-    /// frames from the exact per-user counters folded at eviction time.
+    /// `stage`: resident frames from their live consumer lists — in key
+    /// order, users ascending, the order the f64 sums are defined by — then
+    /// evicted frames from the exact per-user counters folded at eviction
+    /// time.
     /// *Replaces* any attribution previously settled for `stage`, so
     /// re-settling — a plan executed twice, or several plans sharing one
     /// cache and global ledger — recomputes the split instead of
@@ -328,16 +452,14 @@ impl DetectionCache {
     /// that shares the cache.)
     pub fn attribute_detections(&self, ledger: &CostLedger, stage: Stage) {
         ledger.clear_attribution(stage);
-        for (_, users) in self.frame_users() {
-            if users.is_empty() {
-                continue;
-            }
+        let inner = self.inner.lock();
+        for (_, users) in inner.resident_users() {
             let share = 1.0 / users.len() as f64;
-            for user in users {
+            for &user in users {
                 ledger.attribute(stage, user, share);
             }
         }
-        for (user, share) in self.settled_shares() {
+        for (&user, &share) in &inner.settled {
             ledger.attribute(stage, user, share);
         }
     }

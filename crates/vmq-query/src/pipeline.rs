@@ -1794,15 +1794,12 @@ impl<'a> SharedStreamPlan<'a> {
         let mut resolved: Vec<Option<std::sync::Arc<FrameDetections>>> = vec![None; n];
         let mut missing: Vec<usize> = Vec::new();
         for (i, frame) in frames.iter().enumerate() {
-            let mut users = escalations.of(i);
-            let Some(first) = users.next() else { continue };
-            match self.cache.get(frame, self.user_ids[first]) {
-                Some(hit) => {
-                    for u in users {
-                        let _ = self.cache.get(frame, self.user_ids[u]);
-                    }
-                    resolved[i] = Some(hit);
-                }
+            let mut users = escalations.of(i).map(|q| self.user_ids[q]).peekable();
+            if users.peek().is_none() {
+                continue;
+            }
+            match self.cache.get_for(frame, users) {
+                Some(hit) => resolved[i] = Some(hit),
                 None => missing.push(i),
             }
         }
@@ -1823,9 +1820,10 @@ impl<'a> SharedStreamPlan<'a> {
 
         // Phase 4 (second half) — install the fresh detections: one global
         // charge per fresh frame (private ledgers pay per query in the
-        // evaluation phase), cache insert for the first escalator and
-        // recorded `get`s for the rest, so same-batch sharing counts as
-        // cache hits exactly like cross-batch sharing does.
+        // evaluation phase) and one cache insert on behalf of all its
+        // escalators — a miss for the first, recorded hits for the rest, so
+        // same-batch sharing counts as cache hits exactly like cross-batch
+        // sharing does.
         // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds only the
         // `detect_ms` wall attribution stat.
         let start = Instant::now();
@@ -1833,12 +1831,8 @@ impl<'a> SharedStreamPlan<'a> {
             self.global.charge(self.detector.stage(), missing.len() as u64);
             for (i, d) in missing.into_iter().zip(detections) {
                 let arc = std::sync::Arc::new(d);
-                let mut users = escalations.of(i);
-                let first = users.next().expect("a missing frame was escalated");
-                self.cache.insert(&frames[i], std::sync::Arc::clone(&arc), self.user_ids[first]);
-                for u in users {
-                    let _ = self.cache.get(&frames[i], self.user_ids[u]);
-                }
+                let users = escalations.of(i).map(|q| self.user_ids[q]);
+                self.cache.insert_for(&frames[i], std::sync::Arc::clone(&arc), users);
                 resolved[i] = Some(arc);
             }
         }

@@ -503,6 +503,140 @@ fn run_many_invokes_detector_once_per_escalation_union() {
     assert!((attributed - outcome.shared.shared_total_ms).abs() < 1e-6, "the split covers the whole bill");
 }
 
+/// What [`run_family_plan`] leaves behind.
+struct FamilyPass {
+    runs: Vec<vmq::query::QueryRun>,
+    /// The aggregate's window reports (empty without one).
+    reports: Vec<vmq::aggregate::AggregateReport>,
+    global: CostLedger,
+    /// Each statement's `(name, isolated ms)`, registration order.
+    isolated: Vec<(String, f64)>,
+}
+
+/// The first `selects` members of the overlapping family registered over one
+/// calibrated backend of a fresh plan on `cache`, plus (optionally) an a1
+/// aggregate on hopping windows that re-sample each other's frames.
+fn run_family_plan(ds: &Dataset, cache: DetectionCache, selects: usize, with_aggregate: bool) -> FamilyPass {
+    let oracle = vmq::detect::OracleDetector::perfect();
+    let filter = CalibratedFilter::new(ds.profile().class_list(), 14, CalibrationProfile::od_like(), 5);
+    let mut estimator = WindowedAggregator::new(Query::paper_a1(), 12, 6, 0xA66);
+    let global = CostLedger::paper();
+    let mut plan = SharedStreamPlan::new(&oracle, cache, global.clone(), PipelineConfig::with_batch_size(16));
+    let backend = plan.add_backend(&filter);
+    let mut isolated = Vec::new();
+    for query in overlapping_family().into_iter().take(selects) {
+        let ledger = CostLedger::paper();
+        isolated.push((query.name.clone(), ledger.clone()));
+        plan.register_select(query, CascadeConfig::tolerant(), Some(backend), ledger);
+    }
+    if with_aggregate {
+        let ledger = CostLedger::paper();
+        isolated.push(("a1".to_string(), ledger.clone()));
+        plan.register_aggregate(Query::paper_a1(), AggregateSpec::new(60, 30), &[backend], &mut estimator, ledger);
+    }
+    let runs = plan.execute_slice(ds.test());
+    drop(plan);
+    let isolated = isolated.into_iter().map(|(name, ledger)| (name, ledger.total_ms())).collect();
+    FamilyPass { runs, reports: estimator.into_reports(), global, isolated }
+}
+
+/// The accounting that recording a frame's consumers in one cache call must
+/// not move. For a 10-statement shared pass over an *evicting* cache, the
+/// (frame, subscriber) stream is recomputed from an identically-seeded
+/// replica of the filter pass and replayed through the single-user `get` /
+/// `insert` calls the plan used to make: lookups = Σ over frames of
+/// subscribers, misses = the escalation union, and every statement's
+/// `QueryCostShare` is the replay's to the bit — settled shares of evicted
+/// frames and key-ordered resident splits included.
+#[test]
+fn batched_consumer_recording_equals_a_single_user_replay() {
+    let ds = Dataset::generate(&DatasetProfile::jackson(), 30, 200, 23);
+    let budget = 24;
+    let cache = DetectionCache::with_entry_budget(budget);
+    let FamilyPass { runs, global, isolated, .. } = run_family_plan(&ds, cache.clone(), 10, false);
+
+    let oracle = vmq::detect::OracleDetector::perfect();
+    let replica = CalibratedFilter::new(ds.profile().class_list(), 14, CalibrationProfile::od_like(), 5);
+    let cascades: Vec<FilterCascade> =
+        overlapping_family().into_iter().take(10).map(|q| FilterCascade::new(q, CascadeConfig::tolerant())).collect();
+    let replay = DetectionCache::with_entry_budget(budget);
+    let (mut lookups, mut union, mut per_query) = (0u64, 0u64, vec![0usize; cascades.len()]);
+    for (frame, estimate) in ds.test().iter().zip(&replica.estimate_batch(ds.test())) {
+        let subscribers: Vec<usize> =
+            (0..cascades.len()).filter(|&q| cascades[q].passes(estimate, replica.threshold())).collect();
+        let Some((&first, rest)) = subscribers.split_first() else { continue };
+        lookups += subscribers.len() as u64;
+        union += 1;
+        assert!(replay.get(frame, first).is_none(), "a stream frame is escalated once");
+        replay.insert(frame, std::sync::Arc::new(oracle.detect(frame)), first);
+        for &user in rest {
+            assert!(replay.get(frame, user).is_some());
+        }
+        for &q in &subscribers {
+            per_query[q] += 1;
+        }
+    }
+    assert!(union < lookups, "the family overlaps: frames have several subscribers");
+    assert!(union > budget as u64, "the pass must evict");
+
+    assert_eq!(cache.hits() + cache.misses(), lookups, "one recorded lookup per (frame, subscriber)");
+    assert_eq!(cache.misses(), union, "one miss per frame of the escalation union");
+    assert_eq!(global.invocations(Stage::MaskRcnn), union);
+    for (run, &escalated) in runs.iter().zip(&per_query) {
+        assert_eq!(run.frames_detected, escalated, "each statement pays its own escalations");
+    }
+    let bits = |cache: &DetectionCache| -> Vec<(usize, u64)> {
+        cache.settled_shares().into_iter().map(|(user, share)| (user, share.to_bits())).collect()
+    };
+    assert_eq!(cache.hits(), replay.hits());
+    assert_eq!((cache.evictions(), cache.evicted_bytes()), (replay.evictions(), replay.evicted_bytes()));
+    assert_eq!(cache.frame_users(), replay.frame_users());
+    assert_eq!(bits(&cache), bits(&replay));
+
+    // Re-settling the plan's own global ledger from the replayed cache
+    // replaces only the detector split, so equal rows mean equal splits.
+    let batched = global.shared_cost(&isolated);
+    replay.attribute_detections(&global, Stage::MaskRcnn);
+    let replayed = global.shared_cost(&isolated);
+    for (a, b) in batched.queries.iter().zip(&replayed.queries) {
+        assert_eq!((&a.query, a.attributed_ms.to_bits()), (&b.query, b.attributed_ms.to_bits()));
+        assert!(a.attributed_ms > 0.0);
+    }
+}
+
+/// Fault injection for starved caches (one entry; a zero byte budget): eight
+/// selects and an aggregate on overlapping windows re-detect what a roomy
+/// cache would have served, but return the same matches and window reports,
+/// and every one of the extra detector charges stays attributed.
+#[test]
+fn starved_caches_cost_detector_work_but_change_no_answer() {
+    let ds = Dataset::generate(&DatasetProfile::jackson(), 30, 200, 23);
+    let roomy_cache = DetectionCache::new();
+    let roomy = run_family_plan(&ds, roomy_cache.clone(), 8, true);
+    assert!(!roomy.reports.is_empty() && roomy_cache.hits() > 0);
+    for starved_cache in [DetectionCache::with_entry_budget(1), DetectionCache::with_byte_budget(0)] {
+        let FamilyPass { runs, reports, global, .. } = run_family_plan(&ds, starved_cache.clone(), 8, true);
+        for (starved, roomy) in runs.iter().zip(&roomy.runs) {
+            assert_eq!(starved.matched_frames, roomy.matched_frames);
+            assert_eq!(starved.frames_detected, roomy.frames_detected);
+            assert_eq!(starved.virtual_ms.to_bits(), roomy.virtual_ms.to_bits());
+        }
+        assert_eq!(reports.len(), roomy.reports.len());
+        for (starved, roomy) in reports.iter().zip(&roomy.reports) {
+            assert_eq!(starved.window_start, roomy.window_start);
+            assert_eq!(starved.plain_mean.to_bits(), roomy.plain_mean.to_bits());
+            assert_eq!(starved.mcv_mean.to_bits(), roomy.mcv_mean.to_bits());
+            assert_eq!(starved.mcv_variance.to_bits(), roomy.mcv_variance.to_bits());
+        }
+        assert_eq!(starved_cache.len(), 1, "only the most recent frame stays resident");
+        assert_eq!(starved_cache.evictions(), starved_cache.misses() - 1);
+        assert!(starved_cache.misses() > roomy_cache.misses(), "overlapping windows re-detect evicted frames");
+        assert_eq!(global.invocations(Stage::MaskRcnn), starved_cache.misses());
+        let attributed: f64 = (0..runs.len()).map(|user| global.attributed_frames(Stage::MaskRcnn, user)).sum();
+        assert!((attributed - starved_cache.misses() as f64).abs() < 1e-6, "{attributed} units attributed");
+    }
+}
+
 /// Regression pin for the parallel filter stage: `run_many_sharded`'s
 /// worker knob now shards backend inference (not just detection), and the
 /// outcomes — selects with a cascade in front, an adaptively planned select
