@@ -10,7 +10,7 @@
 
 use crate::arch::build_trunk;
 use crate::config::FilterConfig;
-use crate::estimate::{image_to_tensor, shard_frames, FilterEstimate, FilterKind, FrameFilter};
+use crate::estimate::{image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter};
 use crate::label::FrameLabels;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -151,8 +151,7 @@ impl CofFilter {
     /// One shared-read inference pass with the read lock already held
     /// (bit-identical to the historical `&mut` forward path).
     fn infer_one(&self, net: &Sequential, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
-        let image = self.config.raster.render(frame);
-        ws.load_slice(&image.data, &[image.channels, image.height, image.width]);
+        rasterise_into(&self.config.raster, frame, ws);
         net.infer_ws(ws);
         let total = ws.data()[0].max(0.0);
         FilterEstimate {
@@ -178,7 +177,7 @@ impl CofFilter {
 impl FrameFilter for CofFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
         let net = self.net.read();
-        self.infer_one(&net, frame, &mut Workspace::new())
+        vmq_nn::with_thread_workspace(|ws| self.infer_one(&net, frame, ws))
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {

@@ -210,6 +210,13 @@ pub fn image_to_tensor(image: &Image) -> Tensor {
     Tensor::from_vec(image.data.clone(), vec![image.channels, image.height, image.width])
 }
 
+/// Rasterises `frame` straight into the workspace's current activation —
+/// the `[3, height, width]` input every learned filter's network starts
+/// from — without an intermediate [`Image`].
+pub(crate) fn rasterise_into(raster: &vmq_video::RasterConfig, frame: &Frame, ws: &mut vmq_nn::Workspace) {
+    raster.render_into(frame, ws.load_with(&[3, raster.height, raster.width]));
+}
+
 /// Shards a batch of frames across up to `workers` tasks on the persistent
 /// [`vmq_exec`] pool, each task running on a worker's thread-local inference
 /// [`Workspace`](vmq_nn::Workspace) (reused across batches, so steady-state

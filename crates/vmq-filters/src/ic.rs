@@ -16,7 +16,7 @@
 
 use crate::arch::build_trunk;
 use crate::config::FilterConfig;
-use crate::estimate::{image_to_tensor, shard_frames, FilterEstimate, FilterKind, FrameFilter};
+use crate::estimate::{image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter};
 use crate::grid::ClassGrid;
 use crate::label::{class_presence_counts, FrameLabels};
 use parking_lot::RwLock;
@@ -306,8 +306,7 @@ impl IcFilter {
     /// the per-frame, batched and sharded entry points — bit-identical to
     /// the historical `&mut` forward path.
     fn infer_one(&self, net: &IcNet, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
-        let image = self.config.raster.render(frame);
-        ws.load_slice(&image.data, &[image.channels, image.height, image.width]);
+        rasterise_into(&self.config.raster, frame, ws);
         net.trunk.infer_ws(ws);
         let g = self.config.grid;
         let n = self.config.num_classes();
@@ -344,7 +343,7 @@ impl IcFilter {
 impl FrameFilter for IcFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
         let net = self.net.read();
-        self.infer_one(&net, frame, &mut Workspace::new())
+        vmq_nn::with_thread_workspace(|ws| self.infer_one(&net, frame, ws))
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {

@@ -17,7 +17,7 @@
 
 use crate::arch::{build_branch, build_trunk};
 use crate::config::FilterConfig;
-use crate::estimate::{image_to_tensor, shard_frames, FilterEstimate, FilterKind, FrameFilter};
+use crate::estimate::{image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter};
 use crate::grid::ClassGrid;
 use crate::label::FrameLabels;
 use parking_lot::RwLock;
@@ -177,8 +177,7 @@ impl OdFilter {
     /// heads run in the same order as the `&mut` forward pass (their
     /// arithmetic is independent, so outputs are bit-identical to it).
     fn infer_one(&self, net: &OdNet, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
-        let image = self.config.raster.render(frame);
-        ws.load_slice(&image.data, &[image.channels, image.height, image.width]);
+        rasterise_into(&self.config.raster, frame, ws);
         net.trunk.infer_ws(ws);
         net.branch.infer_ws(ws);
         ws.stash();
@@ -222,7 +221,7 @@ impl OdFilter {
 impl FrameFilter for OdFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
         let net = self.net.read();
-        self.infer_one(&net, frame, &mut Workspace::new())
+        vmq_nn::with_thread_workspace(|ws| self.infer_one(&net, frame, ws))
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {

@@ -18,7 +18,7 @@
 //! reorder inside the quantized layers.
 
 use crate::config::FilterConfig;
-use crate::estimate::{shard_frames, FilterEstimate, FilterKind, FrameFilter};
+use crate::estimate::{rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter};
 use crate::grid::ClassGrid;
 use crate::ic::{CamCountHead, IcFilter};
 use crate::{CofFilter, OdFilter};
@@ -40,8 +40,7 @@ impl QuantizedIcFilter {
     }
 
     fn infer_one(&self, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
-        let image = self.config.raster.render(frame);
-        ws.load_slice(&image.data, &[image.channels, image.height, image.width]);
+        rasterise_into(&self.config.raster, frame, ws);
         self.trunk.infer_ws(ws);
         let g = self.config.grid;
         let n = self.config.num_classes();
@@ -64,7 +63,7 @@ impl QuantizedIcFilter {
 
 impl FrameFilter for QuantizedIcFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
-        self.infer_one(frame, &mut Workspace::new())
+        vmq_nn::with_thread_workspace(|ws| self.infer_one(frame, ws))
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {
@@ -112,8 +111,7 @@ impl QuantizedOdFilter {
 
     fn infer_one(&self, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
         let [trunk, branch, grid_head, count_head] = &self.nets;
-        let image = self.config.raster.render(frame);
-        ws.load_slice(&image.data, &[image.channels, image.height, image.width]);
+        rasterise_into(&self.config.raster, frame, ws);
         trunk.infer_ws(ws);
         branch.infer_ws(ws);
         ws.stash();
@@ -136,7 +134,7 @@ impl QuantizedOdFilter {
 
 impl FrameFilter for QuantizedOdFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
-        self.infer_one(frame, &mut Workspace::new())
+        vmq_nn::with_thread_workspace(|ws| self.infer_one(frame, ws))
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {
@@ -181,8 +179,7 @@ impl QuantizedCofFilter {
     }
 
     fn infer_one(&self, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
-        let image = self.config.raster.render(frame);
-        ws.load_slice(&image.data, &[image.channels, image.height, image.width]);
+        rasterise_into(&self.config.raster, frame, ws);
         self.net.infer_ws(ws);
         let total = ws.data()[0].max(0.0);
         FilterEstimate {
@@ -197,7 +194,7 @@ impl QuantizedCofFilter {
 
 impl FrameFilter for QuantizedCofFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
-        self.infer_one(frame, &mut Workspace::new())
+        vmq_nn::with_thread_workspace(|ws| self.infer_one(frame, ws))
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {

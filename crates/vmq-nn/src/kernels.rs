@@ -13,10 +13,10 @@
 //! are recorded under `VMQ_FORCE_SCALAR=1`. SIMD backends agree with the
 //! reference within a documented per-element tolerance, not bitwise:
 //!
-//! * **Matmul-shaped kernels** (`matmul_into`, the fused `conv2d_into`)
-//!   use FMA and register-blocked accumulation orders chosen for the
-//!   hardware, so individual elements may round differently from the
-//!   scalar loop. The contract is ≤ 128 ULP (or an absolute 10⁻⁶ near
+//! * **Matmul-shaped kernels** (`matmul_into`, the convolution inside
+//!   `conv2d_block_into` / `conv2d_into`) use FMA and register-blocked
+//!   accumulation orders chosen for the hardware, so individual elements
+//!   may round differently from the scalar loop. The contract is ≤ 128 ULP (or an absolute 10⁻⁶ near
 //!   zero) per element — in practice a relative ~1.5·10⁻⁵ — pinned by the
 //!   dispatch-parity tests below. Within one backend results are still
 //!   fully deterministic: the same inputs produce the same bits on every
@@ -25,6 +25,12 @@
 //!   `global_avg_pool`, `matvec`) keep the scalar accumulation order and
 //!   remain bit-identical on every backend (modulo the sign of zero for
 //!   ReLU, which compares equal).
+//!
+//! * **The conv block** (`conv2d_block_into`: convolution, then ReLU or
+//!   LeakyReLU, then an optional 2×2 max-pool) equals, on every backend and
+//!   bit for bit, that backend's convolution followed by its element-wise
+//!   activation and pool — fusing the three is an implementation choice of
+//!   a backend (AVX-512 does), never a change of result.
 //!
 //! Setting `VMQ_FORCE_SCALAR=1` in the environment pins dispatch to the
 //! scalar reference for the whole process (decided once, at first use).
@@ -278,18 +284,119 @@ pub fn global_avg_pool_into_with(
     }
 }
 
-/// Fused 2-D convolution: `out = weight (m × c·k²) ⊛ input (c × h × w)`
-/// plus bias, via the chosen backend.
+/// What a conv block does to each convolution output before storing it:
+/// the element-wise activations the filter trunks use, or nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BlockAct {
+    /// Store the convolution output as is.
+    Identity,
+    /// [`relu_in_place_with`]'s arithmetic.
+    Relu,
+    /// [`leaky_relu_in_place_with`]'s arithmetic with the given slope.
+    LeakyRelu(f32),
+}
+
+impl BlockAct {
+    /// The element-wise kernel this epilogue stands for, on `backend`.
+    fn apply_in_place_with(self, backend: KernelBackend, data: &mut [f32]) {
+        match self {
+            BlockAct::Identity => {}
+            BlockAct::Relu => relu_in_place_with(backend, data),
+            BlockAct::LeakyRelu(slope) => leaky_relu_in_place_with(backend, data, slope),
+        }
+    }
+}
+
+/// One conv block, `out = pool(act(weight (m × c·k²) ⊛ input (c × h × w) +
+/// bias))`, via the chosen backend: the convolution, an element-wise
+/// [`BlockAct`] and, when `pool` is set, a 2×2 max-pool (which needs even
+/// output dims, like [`ops::maxpool2d_into`]).
 ///
-/// The scalar reference is the composition the conv layer always ran —
-/// `im2col_into` + `matmul_into` + a bias pass — with `scratch` holding the
-/// column matrix. The AVX2 backend replaces the whole composition for the
-/// 3×3 / stride-1 / pad-1 shape every filter trunk uses: it copies the
-/// input into a zero-padded image (`scratch`, a fraction of the column
-/// matrix's size) and runs a register-blocked FMA kernel straight off it,
-/// bias folded into the accumulator init. Non-3×3 specs fall back to
-/// im2col + the backend's matmul.
+/// The contract is the output: on every backend it equals, bit for bit,
+/// that backend's plain convolution followed by its element-wise activation
+/// kernel and its max-pool. The scalar reference convolution is the
+/// composition the conv layer always ran — `im2col_into` + `matmul_into` +
+/// a bias pass — with `scratch` holding the column matrix; AVX2 replaces it
+/// for the 3×3 / stride-1 / pad-1 shape every filter trunk uses with a
+/// register-blocked FMA kernel over a zero-padded copy of the input
+/// (`scratch`, a fraction of the column matrix's size). Those backends run
+/// the block as exactly that composition. AVX-512 runs the 3×3 shape as one
+/// pass (`avx512::conv3x3_block_into`): activation and pool happen in the
+/// accumulator registers and only the final map is stored.
+///
+/// `scratch` and `out` are overwritten, never read: whatever a previous
+/// call of any shape left in them does not matter, and `scratch`'s contents
+/// afterwards are unspecified.
 #[allow(unsafe_code)]
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_block_into_with(
+    backend: KernelBackend,
+    input: &[f32],
+    h: usize,
+    w: usize,
+    spec: &ConvSpec,
+    weight: &[f32],
+    bias: &[f32],
+    act: BlockAct,
+    pool: bool,
+    scratch: &mut Vec<f32>,
+    out: &mut Vec<f32>,
+) {
+    debug_assert_eq!(weight.len(), spec.out_channels * spec.in_channels * spec.kernel * spec.kernel);
+    debug_assert_eq!(bias.len(), spec.out_channels);
+    let (oh, ow) = spec.out_size(h, w);
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 if backend.is_supported() && spec.is_3x3_same() => {
+            // SAFETY: `is_supported()` confirmed AVX-512F at runtime (the
+            // callee's `target_feature` contract); the 3×3/stride-1/pad-1
+            // guard pins the shape the kernel's padded-scratch indexing
+            // assumes, and slice sizes are debug-asserted above.
+            unsafe {
+                avx512::conv3x3_block_into(
+                    input,
+                    spec.in_channels,
+                    h,
+                    w,
+                    weight,
+                    spec.out_channels,
+                    bias,
+                    act,
+                    pool,
+                    scratch,
+                    out,
+                )
+            };
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: same contract as the AVX-512 arm with AVX2+FMA confirmed
+        // by `is_supported()`.
+        KernelBackend::Avx2 if backend.is_supported() && spec.is_3x3_same() => unsafe {
+            avx2::conv3x3_into(input, spec.in_channels, h, w, weight, spec.out_channels, bias, scratch, out)
+        },
+        _ => {
+            let ckk = spec.in_channels * spec.kernel * spec.kernel;
+            im2col_into_with(backend, input, h, w, spec, scratch);
+            matmul_into_with(backend, weight, spec.out_channels, ckk, scratch, oh * ow, out);
+            for (co, &b) in bias.iter().enumerate() {
+                for v in &mut out[co * oh * ow..(co + 1) * oh * ow] {
+                    *v += b;
+                }
+            }
+        }
+    }
+    act.apply_in_place_with(backend, out);
+    if pool {
+        // The convolution is done with `scratch`, so it takes the pooled
+        // map and the two buffers trade places.
+        maxpool2d_into_with(backend, out, spec.out_channels, oh, ow, 2, scratch);
+        std::mem::swap(scratch, out);
+    }
+}
+
+/// Plain fused 2-D convolution plus bias: [`conv2d_block_into_with`] with
+/// the identity epilogue.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_into_with(
     backend: KernelBackend,
@@ -302,36 +409,7 @@ pub fn conv2d_into_with(
     scratch: &mut Vec<f32>,
     out: &mut Vec<f32>,
 ) {
-    debug_assert_eq!(weight.len(), spec.out_channels * spec.in_channels * spec.kernel * spec.kernel);
-    debug_assert_eq!(bias.len(), spec.out_channels);
-    #[cfg(target_arch = "x86_64")]
-    if backend.is_supported() && spec.kernel == 3 && spec.stride == 1 && spec.padding == 1 {
-        if backend == KernelBackend::Avx512 {
-            // SAFETY: `is_supported()` confirmed AVX-512F/BW at runtime
-            // (the callee's `target_feature` contract); the 3×3/stride-1/
-            // pad-1 guard pins the shape the kernel's padded-scratch
-            // indexing assumes, and slice sizes are debug-asserted above.
-            unsafe {
-                avx512::conv3x3_into(input, spec.in_channels, h, w, weight, spec.out_channels, bias, scratch, out)
-            };
-            return;
-        }
-        if backend == KernelBackend::Avx2 {
-            // SAFETY: same contract as the AVX-512 arm with AVX2+FMA
-            // confirmed by `is_supported()`.
-            unsafe { avx2::conv3x3_into(input, spec.in_channels, h, w, weight, spec.out_channels, bias, scratch, out) };
-            return;
-        }
-    }
-    let (oh, ow) = spec.out_size(h, w);
-    let ckk = spec.in_channels * spec.kernel * spec.kernel;
-    im2col_into_with(backend, input, h, w, spec, scratch);
-    matmul_into_with(backend, weight, spec.out_channels, ckk, scratch, oh * ow, out);
-    for (co, &b) in bias.iter().enumerate() {
-        for v in &mut out[co * oh * ow..(co + 1) * oh * ow] {
-            *v += b;
-        }
-    }
+    conv2d_block_into_with(backend, input, h, w, spec, weight, bias, BlockAct::Identity, false, scratch, out);
 }
 
 /// In-place ReLU (`x.max(0.0)`) via the chosen backend. Output values are
@@ -343,7 +421,7 @@ pub fn relu_in_place_with(backend: KernelBackend, data: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: guard confirmed AVX-512F at runtime (the callee's
         // `target_feature` requirement).
-        KernelBackend::Avx512 if backend.is_supported() => unsafe { avx512::relu_in_place(data) },
+        KernelBackend::Avx512 if backend.is_supported() => unsafe { avx512::activate_in_place(data, BlockAct::Relu) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: guard confirmed AVX2 at runtime.
         KernelBackend::Avx2 if backend.is_supported() => unsafe { avx2::relu_in_place(data) },
@@ -364,7 +442,9 @@ pub fn leaky_relu_in_place_with(backend: KernelBackend, data: &mut [f32], slope:
         #[cfg(target_arch = "x86_64")]
         // SAFETY: guard confirmed AVX-512F at runtime (the callee's
         // `target_feature` requirement).
-        KernelBackend::Avx512 if backend.is_supported() => unsafe { avx512::leaky_relu_in_place(data, slope) },
+        KernelBackend::Avx512 if backend.is_supported() => unsafe {
+            avx512::activate_in_place(data, BlockAct::LeakyRelu(slope))
+        },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: guard confirmed AVX2 at runtime.
         KernelBackend::Avx2 if backend.is_supported() => unsafe { avx2::leaky_relu_in_place(data, slope) },
@@ -381,6 +461,23 @@ pub fn leaky_relu_in_place_with(backend: KernelBackend, data: &mut [f32], slope:
 // ---------------------------------------------------------------------------
 // Auto-dispatched wrappers: what the layers call.
 // ---------------------------------------------------------------------------
+
+/// [`conv2d_block_into_with`] through the process-wide active backend.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_block_into(
+    input: &[f32],
+    h: usize,
+    w: usize,
+    spec: &ConvSpec,
+    weight: &[f32],
+    bias: &[f32],
+    act: BlockAct,
+    pool: bool,
+    scratch: &mut Vec<f32>,
+    out: &mut Vec<f32>,
+) {
+    conv2d_block_into_with(KernelBackend::active(), input, h, w, spec, weight, bias, act, pool, scratch, out);
+}
 
 /// [`conv2d_into_with`] through the process-wide active backend.
 #[allow(clippy::too_many_arguments)]
@@ -1028,6 +1125,7 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
+    use super::BlockAct;
     use std::arch::x86_64::*;
 
     // Safety: every function requires AVX-512F; the dispatch layer only
@@ -1178,20 +1276,76 @@ mod avx512 {
         }
     }
 
-    /// Fused 3×3 / stride-1 / pad-1 convolution with bias — the zmm twin
-    /// of [`super::avx2::conv3x3_into`]. Works from a zero-padded input
-    /// copy (16 floats of slack for full-width tail loads) and blocks
-    /// eight output channels of the fused conv per pass: 32- and 16-pixel
-    /// tiles plus a masked tail, so the whole output is written by vector
-    /// stores.
+    /// One element-wise activation step on a vector: the arithmetic of the
+    /// in-place kernels below and of the conv block's epilogue, so the two
+    /// agree bit for bit. ReLU is `max_ps(v, 0)` (see the AVX2 twin for the
+    /// NaN / sign-of-zero notes); LeakyReLU mask-selects `slope * x` under
+    /// `x` on a `>= 0` compare — the scalar branch's exact per-element
+    /// arithmetic.
+    // SAFETY: caller must guarantee AVX-512F; pure register arithmetic, no
+    // memory access.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn activate(v: __m512, act: BlockAct) -> __m512 {
+        match act {
+            BlockAct::Identity => v,
+            BlockAct::Relu => _mm512_max_ps(v, _mm512_setzero_ps()),
+            BlockAct::LeakyRelu(slope) => {
+                let ge = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, _mm512_setzero_ps());
+                _mm512_mask_blend_ps(ge, _mm512_mul_ps(v, _mm512_set1_ps(slope)), v)
+            }
+        }
+    }
+
+    /// What one conv-block call hands its tile loops: the padded input, the
+    /// parameters and the output map as raw pointers plus their geometry.
+    struct Block3x3 {
+        /// Zero-padded input, `c` planes of `phpw = (h + 2) * pw` floats and
+        /// 16 floats of slack.
+        padded: *const f32,
+        c: usize,
+        h: usize,
+        w: usize,
+        pw: usize,
+        phpw: usize,
+        /// `m` rows of `c * 9` weights, and `m` biases.
+        weight: *const f32,
+        bias: *const f32,
+        act: BlockAct,
+        pool: bool,
+        /// Output map, `m` planes of `oh * ow` floats (`h × w`, halved when
+        /// pooling).
+        out: *mut f32,
+        oh: usize,
+        ow: usize,
+    }
+
+    /// One conv block for the 3×3 / stride-1 / pad-1 shape every filter
+    /// trunk and branch conv uses: convolution + bias, [`BlockAct`] and an
+    /// optional 2×2 max-pool in a single pass. Works from a zero-padded
+    /// input copy (16 floats of slack for full-width tail loads) in tiles
+    /// of two output rows × eight output channels × 16 pixels — 16 zmm
+    /// accumulators fed by 2 loads + 8 broadcasts per 16 FMAs at every
+    /// width — with a one-row tile for an odd last row and one-channel tiles
+    /// for `m % 8`. Each output element starts from its bias and takes its
+    /// `c * 9` FMAs in ascending `(channel, ky, kx)` order whatever tile it
+    /// falls in; the activation is [`activate`] on the accumulators and the
+    /// pool visits `(0,0),(0,1),(1,0),(1,1)` with the keep-first `>` compare
+    /// from `-∞` of the element-wise kernel, so the stored map equals conv →
+    /// activation → pool run as three passes, bit for bit.
+    ///
+    /// Neither buffer is cleared: `resize` without `clear` leaves whatever a
+    /// previous call wrote, which is sound because the padded image's
+    /// interior is copied over, its border and slack are zeroed here, and
+    /// every element of `out` is stored by exactly one tile before anything
+    /// reads it.
     // SAFETY: caller must guarantee AVX-512F (dispatch checks
-    // `is_supported()`); slice sizes are debug-asserted, `out` is resized
-    // to `m * h * w` before any raw store, and `padded` carries 16 floats
-    // of slack past the image so full-width tail loads stay inside the
-    // allocation.
+    // `is_supported()`); slice sizes are debug-asserted, `out` is sized to
+    // `m * oh * ow` and `padded` to `c * phpw + 16` before any raw access,
+    // and the tile loops below stay inside both (see `tiles`).
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn conv3x3_into(
+    pub unsafe fn conv3x3_block_into(
         input: &[f32],
         c: usize,
         h: usize,
@@ -1199,268 +1353,164 @@ mod avx512 {
         weight: &[f32],
         m: usize,
         bias: &[f32],
+        act: BlockAct,
+        pool: bool,
         padded: &mut Vec<f32>,
         out: &mut Vec<f32>,
     ) {
-        debug_assert_eq!(input.len(), c * h * w, "conv3x3_into input size mismatch");
-        debug_assert_eq!(weight.len(), m * c * 9, "conv3x3_into weight size mismatch");
-        debug_assert_eq!(bias.len(), m, "conv3x3_into bias size mismatch");
-        let (ph, pw) = (h + 2, w + 2);
-        let phpw = ph * pw;
-        padded.clear();
+        debug_assert_eq!(input.len(), c * h * w, "conv3x3_block_into input size mismatch");
+        debug_assert_eq!(weight.len(), m * c * 9, "conv3x3_block_into weight size mismatch");
+        debug_assert_eq!(bias.len(), m, "conv3x3_block_into bias size mismatch");
+        assert!(
+            !pool || (h.is_multiple_of(2) && w.is_multiple_of(2)),
+            "maxpool2d requires divisible spatial dims ({}x{} by 2)",
+            h,
+            w
+        );
+        let pw = w + 2;
+        let phpw = (h + 2) * pw;
         padded.resize(c * phpw + 16, 0.0);
-        for ch in 0..c {
-            for y in 0..h {
-                let dst = ch * phpw + (y + 1) * pw + 1;
-                padded[dst..dst + w].copy_from_slice(&input[ch * h * w + y * w..ch * h * w + (y + 1) * w]);
+        for (plane, rows) in padded.chunks_exact_mut(phpw).zip(input.chunks_exact(h * w)) {
+            plane[..pw].fill(0.0);
+            for (dst, src) in plane[pw..].chunks_exact_mut(pw).zip(rows.chunks_exact(w)) {
+                dst[0] = 0.0;
+                dst[1..=w].copy_from_slice(src);
+                dst[w + 1] = 0.0;
             }
+            plane[(h + 1) * pw..].fill(0.0);
         }
-        out.clear();
-        out.resize(m * h * w, 0.0);
-        let pp = padded.as_ptr();
-        let op = out.as_mut_ptr();
+        padded[c * phpw..].fill(0.0);
+        let (oh, ow) = if pool { (h / 2, w / 2) } else { (h, w) };
+        out.resize(m * oh * ow, 0.0);
+        let block = Block3x3 {
+            padded: padded.as_ptr(),
+            c,
+            h,
+            w,
+            pw,
+            phpw,
+            weight: weight.as_ptr(),
+            bias: bias.as_ptr(),
+            act,
+            pool,
+            out: out.as_mut_ptr(),
+            oh,
+            ow,
+        };
         let mut o = 0;
         while o + 8 <= m {
-            conv3x3_rows8(pp, c, h, w, pw, phpw, weight, bias, o, op);
+            channels::<8>(&block, o);
             o += 8;
         }
         while o < m {
-            conv3x3_rows1(pp, c, h, w, pw, phpw, weight, bias, o, op);
+            channels::<1>(&block, o);
             o += 1;
         }
     }
 
-    /// Eight output channels of the fused conv (`o..o+8`).
-    // SAFETY: caller (`conv3x3_into`) guarantees AVX-512F, `o + 8 <= m`,
-    // `pp` points at the padded image with 16 floats of slack (full-width
-    // loads past a column tail stay in the allocation), and `op` has
-    // `m * h * w` floats; tail-column stores are masked to `rem` lanes.
+    /// Output channels `o..o + CH`, every row: two rows per tile, then the
+    /// odd last row on its own.
+    // SAFETY: caller (`conv3x3_block_into`) guarantees AVX-512F and
+    // `o + CH <= m`; the row ranges handed on stay below `h`.
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn conv3x3_rows8(
-        pp: *const f32,
-        c: usize,
-        h: usize,
-        w: usize,
-        pw: usize,
-        phpw: usize,
-        weight: &[f32],
-        bias: &[f32],
-        o: usize,
-        op: *mut f32,
-    ) {
-        let k = c * 9;
-        let wp = weight.as_ptr().add(o * k);
-        let ob = op.add(o * h * w);
-        for y in 0..h {
-            let orow = y * w;
-            let mut x = 0;
-            // 8 channels × 32 pixels: 16 accumulators, FMA-bound.
-            while x + 32 <= w {
-                let mut x0a = _mm512_set1_ps(bias[o]);
-                let mut x0b = _mm512_set1_ps(bias[o]);
-                let mut x1a = _mm512_set1_ps(bias[o + 1]);
-                let mut x1b = _mm512_set1_ps(bias[o + 1]);
-                let mut x2a = _mm512_set1_ps(bias[o + 2]);
-                let mut x2b = _mm512_set1_ps(bias[o + 2]);
-                let mut x3a = _mm512_set1_ps(bias[o + 3]);
-                let mut x3b = _mm512_set1_ps(bias[o + 3]);
-                let mut x4a = _mm512_set1_ps(bias[o + 4]);
-                let mut x4b = _mm512_set1_ps(bias[o + 4]);
-                let mut x5a = _mm512_set1_ps(bias[o + 5]);
-                let mut x5b = _mm512_set1_ps(bias[o + 5]);
-                let mut x6a = _mm512_set1_ps(bias[o + 6]);
-                let mut x6b = _mm512_set1_ps(bias[o + 6]);
-                let mut x7a = _mm512_set1_ps(bias[o + 7]);
-                let mut x7b = _mm512_set1_ps(bias[o + 7]);
-                let mut r = 0;
-                for ch in 0..c {
-                    let rf = pp.add(ch * phpw + y * pw + x);
-                    for ky in 0..3 {
-                        for kx in 0..3 {
-                            let off = ky * pw + kx;
-                            let ba = _mm512_loadu_ps(rf.add(off));
-                            let bb = _mm512_loadu_ps(rf.add(off + 16));
-                            let c0 = _mm512_set1_ps(*wp.add(r));
-                            x0a = _mm512_fmadd_ps(c0, ba, x0a);
-                            x0b = _mm512_fmadd_ps(c0, bb, x0b);
-                            let c1 = _mm512_set1_ps(*wp.add(k + r));
-                            x1a = _mm512_fmadd_ps(c1, ba, x1a);
-                            x1b = _mm512_fmadd_ps(c1, bb, x1b);
-                            let c2 = _mm512_set1_ps(*wp.add(2 * k + r));
-                            x2a = _mm512_fmadd_ps(c2, ba, x2a);
-                            x2b = _mm512_fmadd_ps(c2, bb, x2b);
-                            let c3 = _mm512_set1_ps(*wp.add(3 * k + r));
-                            x3a = _mm512_fmadd_ps(c3, ba, x3a);
-                            x3b = _mm512_fmadd_ps(c3, bb, x3b);
-                            let c4 = _mm512_set1_ps(*wp.add(4 * k + r));
-                            x4a = _mm512_fmadd_ps(c4, ba, x4a);
-                            x4b = _mm512_fmadd_ps(c4, bb, x4b);
-                            let c5 = _mm512_set1_ps(*wp.add(5 * k + r));
-                            x5a = _mm512_fmadd_ps(c5, ba, x5a);
-                            x5b = _mm512_fmadd_ps(c5, bb, x5b);
-                            let c6 = _mm512_set1_ps(*wp.add(6 * k + r));
-                            x6a = _mm512_fmadd_ps(c6, ba, x6a);
-                            x6b = _mm512_fmadd_ps(c6, bb, x6b);
-                            let c7 = _mm512_set1_ps(*wp.add(7 * k + r));
-                            x7a = _mm512_fmadd_ps(c7, ba, x7a);
-                            x7b = _mm512_fmadd_ps(c7, bb, x7b);
-                            r += 1;
-                        }
-                    }
-                }
-                let hw = h * w;
-                _mm512_storeu_ps(ob.add(orow + x), x0a);
-                _mm512_storeu_ps(ob.add(orow + x + 16), x0b);
-                _mm512_storeu_ps(ob.add(hw + orow + x), x1a);
-                _mm512_storeu_ps(ob.add(hw + orow + x + 16), x1b);
-                _mm512_storeu_ps(ob.add(2 * hw + orow + x), x2a);
-                _mm512_storeu_ps(ob.add(2 * hw + orow + x + 16), x2b);
-                _mm512_storeu_ps(ob.add(3 * hw + orow + x), x3a);
-                _mm512_storeu_ps(ob.add(3 * hw + orow + x + 16), x3b);
-                _mm512_storeu_ps(ob.add(4 * hw + orow + x), x4a);
-                _mm512_storeu_ps(ob.add(4 * hw + orow + x + 16), x4b);
-                _mm512_storeu_ps(ob.add(5 * hw + orow + x), x5a);
-                _mm512_storeu_ps(ob.add(5 * hw + orow + x + 16), x5b);
-                _mm512_storeu_ps(ob.add(6 * hw + orow + x), x6a);
-                _mm512_storeu_ps(ob.add(6 * hw + orow + x + 16), x6b);
-                _mm512_storeu_ps(ob.add(7 * hw + orow + x), x7a);
-                _mm512_storeu_ps(ob.add(7 * hw + orow + x + 16), x7b);
-                x += 32;
-            }
-            // 8 channels × ≤16 pixels (full or masked).
-            while x < w {
-                let rem = (w - x).min(16);
-                let mask = prefix_mask(rem);
-                let mut x0 = _mm512_set1_ps(bias[o]);
-                let mut x1 = _mm512_set1_ps(bias[o + 1]);
-                let mut x2 = _mm512_set1_ps(bias[o + 2]);
-                let mut x3 = _mm512_set1_ps(bias[o + 3]);
-                let mut x4 = _mm512_set1_ps(bias[o + 4]);
-                let mut x5 = _mm512_set1_ps(bias[o + 5]);
-                let mut x6 = _mm512_set1_ps(bias[o + 6]);
-                let mut x7 = _mm512_set1_ps(bias[o + 7]);
-                let mut r = 0;
-                for ch in 0..c {
-                    let rf = pp.add(ch * phpw + y * pw + x);
-                    for ky in 0..3 {
-                        for kx in 0..3 {
-                            // Full-width load; lanes past `rem` read the
-                            // padded buffer's slack and are masked away at
-                            // the store.
-                            let bv = _mm512_loadu_ps(rf.add(ky * pw + kx));
-                            x0 = _mm512_fmadd_ps(_mm512_set1_ps(*wp.add(r)), bv, x0);
-                            x1 = _mm512_fmadd_ps(_mm512_set1_ps(*wp.add(k + r)), bv, x1);
-                            x2 = _mm512_fmadd_ps(_mm512_set1_ps(*wp.add(2 * k + r)), bv, x2);
-                            x3 = _mm512_fmadd_ps(_mm512_set1_ps(*wp.add(3 * k + r)), bv, x3);
-                            x4 = _mm512_fmadd_ps(_mm512_set1_ps(*wp.add(4 * k + r)), bv, x4);
-                            x5 = _mm512_fmadd_ps(_mm512_set1_ps(*wp.add(5 * k + r)), bv, x5);
-                            x6 = _mm512_fmadd_ps(_mm512_set1_ps(*wp.add(6 * k + r)), bv, x6);
-                            x7 = _mm512_fmadd_ps(_mm512_set1_ps(*wp.add(7 * k + r)), bv, x7);
-                            r += 1;
-                        }
-                    }
-                }
-                let hw = h * w;
-                _mm512_mask_storeu_ps(ob.add(orow + x), mask, x0);
-                _mm512_mask_storeu_ps(ob.add(hw + orow + x), mask, x1);
-                _mm512_mask_storeu_ps(ob.add(2 * hw + orow + x), mask, x2);
-                _mm512_mask_storeu_ps(ob.add(3 * hw + orow + x), mask, x3);
-                _mm512_mask_storeu_ps(ob.add(4 * hw + orow + x), mask, x4);
-                _mm512_mask_storeu_ps(ob.add(5 * hw + orow + x), mask, x5);
-                _mm512_mask_storeu_ps(ob.add(6 * hw + orow + x), mask, x6);
-                _mm512_mask_storeu_ps(ob.add(7 * hw + orow + x), mask, x7);
-                x += rem;
-            }
+    unsafe fn channels<const CH: usize>(b: &Block3x3, o: usize) {
+        let mut y = 0;
+        while y + 2 <= b.h {
+            tiles::<CH, 2>(b, o, y);
+            y += 2;
+        }
+        if y < b.h {
+            tiles::<CH, 1>(b, o, y);
         }
     }
 
-    /// One remaining output channel of the fused conv (`m % 8` tail).
-    // SAFETY: caller (`conv3x3_into`) guarantees AVX-512F, `pp` points at
-    // the padded image with 16 floats of slack, and `op` has `m * h * w`
-    // floats; stores are masked to `rem` lanes.
+    /// Output channels `o..o + CH` × rows `y..y + ROWS`, all columns, in
+    /// 16-pixel tiles (the last one masked).
+    // SAFETY: caller guarantees AVX-512F, `o + CH <= m` and `y + ROWS <= h`.
+    // Loads are full-width from padded rows `y..y + ROWS + 2 <= h + 2` at
+    // columns `x + kx .. x + kx + 16` with `x < w`, so they end at most 16
+    // floats past the last plane — inside the slack; lanes at or past `rem`
+    // hold neighbouring rows or slack and never reach memory, because every
+    // store is masked to `rem` lanes (`rem / 2` pooled lanes, each reading
+    // only lanes below `rem`). Stores land in plane `o + oc`, row `y + r`
+    // (`y / 2` pooled), columns `x..x + rem` (`x / 2..` pooled) of `out`.
+    // Across a call the tiles partition the output map, so every element is
+    // written exactly once.
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn conv3x3_rows1(
-        pp: *const f32,
-        c: usize,
-        h: usize,
-        w: usize,
-        pw: usize,
-        phpw: usize,
-        weight: &[f32],
-        bias: &[f32],
-        o: usize,
-        op: *mut f32,
-    ) {
-        let k = c * 9;
-        let w0 = weight.as_ptr().add(o * k);
-        let o0 = op.add(o * h * w);
-        for y in 0..h {
-            let orow = y * w;
-            let mut x = 0;
-            while x < w {
-                let rem = (w - x).min(16);
-                let mask = prefix_mask(rem);
-                let mut acc = _mm512_set1_ps(bias[o]);
-                let mut r = 0;
-                for ch in 0..c {
-                    let rf = pp.add(ch * phpw + y * pw + x);
-                    for ky in 0..3 {
-                        for kx in 0..3 {
-                            let bv = _mm512_loadu_ps(rf.add(ky * pw + kx));
-                            acc = _mm512_fmadd_ps(_mm512_set1_ps(*w0.add(r)), bv, acc);
-                            r += 1;
+    unsafe fn tiles<const CH: usize, const ROWS: usize>(b: &Block3x3, o: usize, y: usize) {
+        debug_assert!(!b.pool || ROWS == 2, "pooling needs both rows of the window in one tile");
+        let k = b.c * 9;
+        let wp = b.weight.add(o * k);
+        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 0, 0, 0, 0, 0, 0, 0, 0);
+        let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 0, 0, 0, 0, 0, 0, 0, 0);
+        let mut x = 0;
+        while x < b.w {
+            let rem = (b.w - x).min(16);
+            let mut acc = [[_mm512_setzero_ps(); ROWS]; CH];
+            for (oc, rows) in acc.iter_mut().enumerate() {
+                *rows = [_mm512_set1_ps(*b.bias.add(o + oc)); ROWS];
+            }
+            let mut r = 0;
+            for ch in 0..b.c {
+                // Top-left of the receptive field for output (y, x) in the
+                // padded image.
+                let rf = b.padded.add(ch * b.phpw + y * b.pw + x);
+                for ky in 0..3 {
+                    for kx in 0..3 {
+                        let mut px = [_mm512_setzero_ps(); ROWS];
+                        for (row, p) in px.iter_mut().enumerate() {
+                            *p = _mm512_loadu_ps(rf.add((row + ky) * b.pw + kx));
                         }
+                        for (oc, rows) in acc.iter_mut().enumerate() {
+                            let wv = _mm512_set1_ps(*wp.add(oc * k + r));
+                            for (a, &p) in rows.iter_mut().zip(&px) {
+                                *a = _mm512_fmadd_ps(wv, p, *a);
+                            }
+                        }
+                        r += 1;
                     }
                 }
-                _mm512_mask_storeu_ps(o0.add(orow + x), mask, acc);
-                x += rem;
             }
+            for (oc, rows) in acc.iter().enumerate() {
+                let plane = b.out.add((o + oc) * b.oh * b.ow);
+                if b.pool {
+                    let (top, bottom) = (activate(rows[0], b.act), activate(rows[ROWS - 1], b.act));
+                    let mut best = _mm512_set1_ps(f32::NEG_INFINITY);
+                    for v in [
+                        _mm512_permutexvar_ps(even, top),
+                        _mm512_permutexvar_ps(odd, top),
+                        _mm512_permutexvar_ps(even, bottom),
+                        _mm512_permutexvar_ps(odd, bottom),
+                    ] {
+                        let gt = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, best);
+                        best = _mm512_mask_blend_ps(gt, best, v);
+                    }
+                    _mm512_mask_storeu_ps(plane.add(y / 2 * b.ow + x / 2), prefix_mask(rem / 2), best);
+                } else {
+                    for (row, &a) in rows.iter().enumerate() {
+                        _mm512_mask_storeu_ps(plane.add((y + row) * b.ow + x), prefix_mask(rem), activate(a, b.act));
+                    }
+                }
+            }
+            x += rem;
         }
     }
 
-    /// In-place ReLU; see the AVX2 twin for the NaN / sign-of-zero notes.
+    /// In-place [`activate`] over a buffer (ReLU and LeakyReLU).
     // SAFETY: caller must guarantee AVX-512F; full-width access only
     // while `i + 16 <= n`, the tail masked to the remaining lanes.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn relu_in_place(data: &mut [f32]) {
-        let z = _mm512_setzero_ps();
+    pub unsafe fn activate_in_place(data: &mut [f32], act: BlockAct) {
         let n = data.len();
         let p = data.as_mut_ptr();
         let mut i = 0;
         while i + 16 <= n {
-            _mm512_storeu_ps(p.add(i), _mm512_max_ps(_mm512_loadu_ps(p.add(i)), z));
+            _mm512_storeu_ps(p.add(i), activate(_mm512_loadu_ps(p.add(i)), act));
             i += 16;
         }
         if i < n {
             let mask = prefix_mask(n - i);
-            _mm512_mask_storeu_ps(p.add(i), mask, _mm512_max_ps(_mm512_maskz_loadu_ps(mask, p.add(i)), z));
-        }
-    }
-
-    /// In-place LeakyReLU: mask-selects `slope * x` under `x` on a `>= 0`
-    /// compare — the scalar branch's exact per-element arithmetic.
-    // SAFETY: caller must guarantee AVX-512F; full-width access only
-    // while `i + 16 <= n`, the tail masked to the remaining lanes.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn leaky_relu_in_place(data: &mut [f32], slope: f32) {
-        let z = _mm512_setzero_ps();
-        let vs = _mm512_set1_ps(slope);
-        let n = data.len();
-        let p = data.as_mut_ptr();
-        let mut i = 0;
-        while i + 16 <= n {
-            let v = _mm512_loadu_ps(p.add(i));
-            let ge = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, z);
-            _mm512_storeu_ps(p.add(i), _mm512_mask_blend_ps(ge, _mm512_mul_ps(v, vs), v));
-            i += 16;
-        }
-        if i < n {
-            let mask = prefix_mask(n - i);
-            let v = _mm512_maskz_loadu_ps(mask, p.add(i));
-            let ge = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, z);
-            _mm512_mask_storeu_ps(p.add(i), mask, _mm512_mask_blend_ps(ge, _mm512_mul_ps(v, vs), v));
+            _mm512_mask_storeu_ps(p.add(i), mask, activate(_mm512_maskz_loadu_ps(mask, p.add(i)), act));
         }
     }
 }
@@ -1643,6 +1693,49 @@ mod tests {
                 let mut out = vec![f32::NAN; 2];
                 conv2d_into_with(backend, &input, h, w, &spec, &weight, &bias, &mut scratch, &mut out);
                 assert_within_contract(backend, &out, &reference, &format!("conv2d {c}ch {h}x{w} k{kernel}s{stride}"));
+            }
+            // The block's epilogues are 1-Lipschitz, so the same contract
+            // holds for the whole block against the scalar block.
+            let pools: &[bool] = if oh.is_multiple_of(2) && ow.is_multiple_of(2) { &[false, true] } else { &[false] };
+            for act in [BlockAct::Relu, BlockAct::LeakyRelu(0.1)] {
+                for &pool in pools {
+                    let scalar = KernelBackend::Scalar;
+                    conv2d_block_into_with(
+                        scalar,
+                        &input,
+                        h,
+                        w,
+                        &spec,
+                        &weight,
+                        &bias,
+                        act,
+                        pool,
+                        &mut scratch,
+                        &mut reference,
+                    );
+                    for backend in KernelBackend::supported() {
+                        let mut out = vec![f32::NAN; 2];
+                        conv2d_block_into_with(
+                            backend,
+                            &input,
+                            h,
+                            w,
+                            &spec,
+                            &weight,
+                            &bias,
+                            act,
+                            pool,
+                            &mut scratch,
+                            &mut out,
+                        );
+                        assert_within_contract(
+                            backend,
+                            &out,
+                            &reference,
+                            &format!("block {c}ch {h}x{w} {act:?} pool={pool}"),
+                        );
+                    }
+                }
             }
         }
     }

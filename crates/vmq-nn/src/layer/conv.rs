@@ -1,7 +1,7 @@
 //! 2-D convolution layer built on the im2col kernels in [`crate::ops`].
 
 use crate::init::{kaiming_uniform, seeded_rng};
-use crate::kernels::conv2d_into;
+use crate::kernels::{conv2d_block_into, BlockAct};
 use crate::layer::Layer;
 use crate::net::Param;
 use crate::ops::{conv2d_backward, conv2d_forward, ConvSpec};
@@ -66,6 +66,30 @@ impl Conv2d {
     pub fn bias(&self) -> &crate::tensor::Tensor {
         &self.bias.value
     }
+
+    /// Inference for this convolution together with the activation and the
+    /// 2×2 max-pool that follow it, as one [`conv2d_block_into`] call — what
+    /// [`crate::net::Sequential::infer_ws`] resolves a `Conv2d → Activation
+    /// [→ MaxPool2d(2)]` run into. [`Layer::infer`] is the block with
+    /// nothing after the convolution.
+    pub(crate) fn infer_block(&self, ws: &mut Workspace, act: BlockAct, pool: bool) {
+        debug_assert_eq!(ws.shape().len(), 3, "Conv2d expects CHW input");
+        debug_assert_eq!(ws.shape()[0], self.spec.in_channels, "Conv2d channel mismatch");
+        let (h, w) = (ws.shape()[1], ws.shape()[2]);
+        let (mut oh, mut ow) = self.spec.out_size(h, w);
+        {
+            // The kernel uses `cols` as its padded-image scratch on the
+            // direct 3×3 path and as the column matrix on the im2col
+            // fallback.
+            let (input, out, cols) = ws.split();
+            let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
+            conv2d_block_into(input, h, w, &self.spec, weight, bias, act, pool, cols, out);
+        }
+        if pool {
+            (oh, ow) = (oh / 2, ow / 2);
+        }
+        ws.commit(&[self.spec.out_channels, oh, ow]);
+    }
 }
 
 impl Layer for Conv2d {
@@ -79,18 +103,7 @@ impl Layer for Conv2d {
     }
 
     fn infer(&self, ws: &mut Workspace) {
-        debug_assert_eq!(ws.shape().len(), 3, "Conv2d expects CHW input");
-        debug_assert_eq!(ws.shape()[0], self.spec.in_channels, "Conv2d channel mismatch");
-        let (h, w) = (ws.shape()[1], ws.shape()[2]);
-        let (oh, ow) = self.spec.out_size(h, w);
-        {
-            // The fused kernel uses `cols` as its padded-image scratch on
-            // the direct 3×3 path and as the column matrix on the im2col
-            // fallback.
-            let (input, out, cols) = ws.split();
-            conv2d_into(input, h, w, &self.spec, self.weight.value.data(), self.bias.value.data(), cols, out);
-        }
-        ws.commit(&[self.spec.out_channels, oh, ow]);
+        self.infer_block(ws, BlockAct::Identity, false);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

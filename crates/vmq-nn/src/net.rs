@@ -1,6 +1,7 @@
 //! Trainable parameters and the sequential network container.
 
-use crate::layer::Layer;
+use crate::kernels::BlockAct;
+use crate::layer::{Act, Activation, Conv2d, Layer, MaxPool2d};
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
@@ -81,13 +82,27 @@ impl Sequential {
     }
 
     /// Shared-read inference over the activation already loaded into `ws`
-    /// (see [`Workspace::load`]): each layer's [`Layer::infer`] runs in turn,
-    /// leaving the network output in the workspace. No `&mut self`, no lock,
-    /// no steady-state allocation — and bit-identical to
-    /// [`Sequential::forward`].
+    /// (see [`Workspace::load`]), leaving the network output in the
+    /// workspace. No `&mut self`, no lock, no steady-state allocation.
+    ///
+    /// A `Conv2d → Activation(Relu | LeakyRelu) [→ MaxPool2d(2)]` run — the
+    /// block every filter trunk and branch is made of — executes as one
+    /// conv-block kernel call (found by looking ahead from the convolution;
+    /// nothing is cached). Every other layer runs its own [`Layer::infer`]
+    /// in turn, and the result is bit-identical to doing so for all of them.
     pub fn infer_ws(&self, ws: &mut Workspace) {
-        for layer in &self.layers {
-            layer.infer(ws);
+        let mut rest = &self.layers[..];
+        while let Some((layer, after)) = rest.split_first() {
+            rest = match conv_block(layer.as_ref(), after, ws.shape()) {
+                Some((conv, act, pool)) => {
+                    conv.infer_block(ws, act, pool);
+                    &after[1 + usize::from(pool)..]
+                }
+                None => {
+                    layer.infer(ws);
+                    after
+                }
+            };
         }
     }
 
@@ -169,6 +184,29 @@ impl Sequential {
     }
 }
 
+/// The conv block starting at `layer`, if there is one: a 3×3 / stride-1 /
+/// pad-1 convolution, the ReLU or LeakyReLU right after it, and whether a
+/// 2×2 max-pool follows that (fused only for the even `[_, h, w]` input it
+/// accepts, so an odd one still reaches [`MaxPool2d`]'s own check).
+fn conv_block<'a>(
+    layer: &'a dyn Layer,
+    after: &[Box<dyn Layer>],
+    in_shape: &[usize],
+) -> Option<(&'a Conv2d, BlockAct, bool)> {
+    let conv = layer.as_any().downcast_ref::<Conv2d>()?;
+    if !conv.spec().is_3x3_same() {
+        return None;
+    }
+    let act = match after.first()?.as_any().downcast_ref::<Activation>()?.act() {
+        Act::Relu => BlockAct::Relu,
+        Act::LeakyRelu(slope) => BlockAct::LeakyRelu(slope),
+        Act::Sigmoid | Act::Tanh => return None,
+    };
+    let pool = after.get(1).and_then(|l| l.as_any().downcast_ref::<MaxPool2d>()).is_some_and(|p| p.size() == 2)
+        && in_shape[1..].iter().all(|d| d.is_multiple_of(2));
+    Some((conv, act, pool))
+}
+
 impl std::fmt::Debug for Sequential {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Sequential{:?}", self.layer_names())
@@ -178,7 +216,7 @@ impl std::fmt::Debug for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{Act, Activation, Dense};
+    use crate::layer::Dense;
 
     #[test]
     fn param_zero_grad() {
@@ -223,7 +261,7 @@ mod tests {
     /// relative bound holds either way.
     #[test]
     fn infer_matches_forward_within_kernel_tolerance_and_reuses_buffers() {
-        use crate::layer::{Conv2d, Flatten, GlobalAvgPool, MaxPool2d};
+        use crate::layer::{Flatten, GlobalAvgPool};
         let mut net = Sequential::new(vec![
             Box::new(Conv2d::same(2, 4, 3)),
             Box::new(Activation::new(Act::LeakyRelu(0.1))),

@@ -225,6 +225,13 @@ impl ConvSpec {
         let ow = (w + 2 * self.padding - self.kernel) / self.stride + 1;
         (oh, ow)
     }
+
+    /// True for the 3×3 / stride-1 / pad-1 shape every filter trunk and
+    /// branch convolution uses ([`crate::layer::Conv2d::same`]) — the one
+    /// the direct (im2col-free) kernels and the conv block cover.
+    pub fn is_3x3_same(&self) -> bool {
+        (self.kernel, self.stride, self.padding) == (3, 1, 1)
+    }
 }
 
 /// Unfolds an input `[C, H, W]` into a `[C*k*k, OH*OW]` matrix (im2col).

@@ -60,10 +60,19 @@ impl Workspace {
     /// Loads raw data with an explicit shape as the current activation.
     pub fn load_slice(&mut self, data: &[f32], shape: &[usize]) {
         debug_assert_eq!(data.len(), shape.iter().product::<usize>(), "workspace load shape mismatch");
-        self.cur.clear();
-        self.cur.extend_from_slice(data);
+        self.load_with(shape).extend_from_slice(data);
+    }
+
+    /// Declares the current activation's shape and hands out its buffer,
+    /// emptied, for a producer that writes the input in place (a rasteriser
+    /// rendering straight into the workspace) instead of building it
+    /// elsewhere and copying it in through [`Workspace::load_slice`]. The
+    /// caller must leave exactly `shape`'s element count in it.
+    pub fn load_with(&mut self, shape: &[usize]) -> &mut Vec<f32> {
         self.shape.clear();
         self.shape.extend_from_slice(shape);
+        self.cur.clear();
+        &mut self.cur
     }
 
     /// The current activation data.

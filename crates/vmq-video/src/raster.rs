@@ -86,43 +86,58 @@ impl RasterConfig {
 
     /// Renders a frame into an image.
     pub fn render(&self, frame: &Frame) -> Image {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ frame.frame_id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut img = Image::zeros(3, self.height, self.width);
+        let mut data = Vec::new();
+        self.render_into(frame, &mut data);
+        Image { channels: 3, height: self.height, width: self.width, data }
+    }
 
-        self.paint_background(&mut img, &mut rng);
+    /// Renders a frame into `out` as `3 × height × width` values in `CHW`
+    /// order — [`RasterConfig::render`] without the [`Image`], for callers
+    /// that own the destination buffer (previous contents are discarded,
+    /// capacity is reused).
+    pub fn render_into(&self, frame: &Frame, out: &mut Vec<f32>) {
+        let mut rng = StdRng::seed_from_u64(self.seed ^ frame.frame_id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        out.clear();
+        out.resize(3 * self.height * self.width, 0.0);
+
+        self.paint_background(out, &mut rng);
         for _ in 0..self.clutter {
-            self.paint_clutter(&mut img, &mut rng);
+            self.paint_clutter(out, &mut rng);
         }
         // Draw objects back-to-front by vertical position so overlaps look
         // consistent frame to frame.
         let mut objs: Vec<&SceneObject> = frame.objects.iter().collect();
         objs.sort_by(|a, b| a.bbox.y.partial_cmp(&b.bbox.y).unwrap_or(std::cmp::Ordering::Equal));
         for obj in objs {
-            self.paint_object(&mut img, obj);
+            self.paint_object(out, obj);
         }
         if self.noise > 0.0 {
-            for v in &mut img.data {
+            for v in out.iter_mut() {
                 let n: f32 = rng.gen_range(-1.0..1.0f32) * self.noise;
                 *v = (*v + n).clamp(0.0, 1.0);
             }
         }
-        img
     }
 
-    fn paint_background(&self, img: &mut Image, rng: &mut StdRng) {
+    /// Index of channel `c`, row `y`, column `x` in a rendered buffer.
+    fn at(&self, c: usize, y: usize, x: usize) -> usize {
+        c * self.height * self.width + y * self.width + x
+    }
+
+    fn paint_background(&self, img: &mut [f32], rng: &mut StdRng) {
         let base = [0.35f32, 0.38, 0.36];
         let tilt: f32 = rng.gen_range(-0.05..0.05);
         for y in 0..self.height {
             let grad = 0.08 * (y as f32 / self.height.max(1) as f32) + tilt;
             for x in 0..self.width {
                 for (c, b) in base.iter().enumerate() {
-                    *img.get_mut(c, y, x) = (b + grad).clamp(0.0, 1.0);
+                    img[self.at(c, y, x)] = (b + grad).clamp(0.0, 1.0);
                 }
             }
         }
     }
 
-    fn paint_clutter(&self, img: &mut Image, rng: &mut StdRng) {
+    fn paint_clutter(&self, img: &mut [f32], rng: &mut StdRng) {
         let cx = rng.gen_range(0..self.width);
         let cy = rng.gen_range(0..self.height);
         let r = rng.gen_range(1..(self.width / 10).max(2));
@@ -130,14 +145,14 @@ impl RasterConfig {
         for y in cy.saturating_sub(r)..(cy + r).min(self.height) {
             for x in cx.saturating_sub(r)..(cx + r).min(self.width) {
                 for c in 0..3 {
-                    let v = img.get(c, y, x) + tint;
-                    *img.get_mut(c, y, x) = v.clamp(0.0, 1.0);
+                    let v = &mut img[self.at(c, y, x)];
+                    *v = (*v + tint).clamp(0.0, 1.0);
                 }
             }
         }
     }
 
-    fn paint_object(&self, img: &mut Image, obj: &SceneObject) {
+    fn paint_object(&self, img: &mut [f32], obj: &SceneObject) {
         let rgb = obj.color.rgb();
         let x0 = (obj.bbox.x * self.width as f32).floor().max(0.0) as usize;
         let y0 = (obj.bbox.y * self.height as f32).floor().max(0.0) as usize;
@@ -151,7 +166,7 @@ impl RasterConfig {
                 let (fy, fx) = ((y - y0) as f32 / (y1 - y0) as f32, (x - x0) as f32 / (x1 - x0) as f32);
                 let shade = self.class_texture(obj.class, fx, fy);
                 for (c, &channel) in rgb.iter().enumerate() {
-                    *img.get_mut(c, y, x) = (channel * shade).clamp(0.0, 1.0);
+                    img[self.at(c, y, x)] = (channel * shade).clamp(0.0, 1.0);
                 }
             }
         }
@@ -271,6 +286,35 @@ mod tests {
         let mut f2 = f.clone();
         f2.frame_id = 8;
         assert_ne!(cfg.render(&f), cfg.render(&f2), "different frames get different noise");
+    }
+
+    /// `render_into` into a reused buffer (dirty, and sized for a larger
+    /// raster) produces `render`'s pixels bit for bit: same values, same RNG
+    /// draw order, nothing read from the previous contents.
+    #[test]
+    fn render_into_reused_buffer_matches_render_by_bits() {
+        use crate::{Dataset, DatasetProfile};
+        let stock = DatasetProfile::jackson();
+        let mut dense = DatasetProfile::jackson();
+        dense.mean_objects = 3.5;
+        dense.std_objects = 1.2;
+        let mut buf = vec![f32::NAN; 3 * 64 * 64];
+        for profile in [stock, dense] {
+            let ds = Dataset::generate(&profile, 24, 8, 5);
+            for cfg in [RasterConfig::default(), RasterConfig { noise: 0.0, clutter: 0, ..RasterConfig::default() }] {
+                for frame in ds.train() {
+                    let img = cfg.render(frame);
+                    cfg.render_into(frame, &mut buf);
+                    assert_eq!((img.channels, img.height, img.width), (3, cfg.height, cfg.width));
+                    assert_eq!(buf.len(), img.data.len());
+                    assert!(
+                        buf.iter().zip(&img.data).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "render_into differs from render on frame {}",
+                        frame.frame_id
+                    );
+                }
+            }
+        }
     }
 
     #[test]
