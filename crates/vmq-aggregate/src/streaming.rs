@@ -1,12 +1,13 @@
 //! Streaming hopping-window aggregate estimation through the batched
-//! operator pipeline.
+//! executor.
 //!
-//! [`WindowedAggregator`] is the `vmq-aggregate` side of the pipeline's
-//! aggregate execution mode: it implements
-//! [`WindowEstimator`](vmq_query::WindowEstimator), so an aggregate
-//! [`PhysicalPlan`](vmq_query::PhysicalPlan) (`Source → WindowFilter →
-//! AggregateSink`) hands it every completed hopping window together with the
-//! window-wide filter indicator columns. Per window it optionally picks the
+//! [`WindowedAggregator`] is the `vmq-aggregate` side of an aggregate
+//! statement: it implements [`WindowEstimator`](vmq_query::WindowEstimator),
+//! so a [`SharedStreamPlan`](vmq_query::SharedStreamPlan) it is registered
+//! on (`source → window-filter → aggregate-sink`; alone, through
+//! [`QueryExecutor::run_aggregate`](vmq_query::QueryExecutor::run_aggregate))
+//! hands it every completed hopping window together with the window-wide
+//! filter indicator columns. Per window it optionally picks the
 //! control-variate backend from a calibration prefix (the adaptive planner's
 //! aggregate extension, [`vmq_query::select_cv_backend`]), then runs the
 //! same trial loop as the legacy one-shot [`crate::AggregateEstimator`] —
@@ -15,7 +16,7 @@
 //!
 //! The estimator never touches the cost ledger itself: it reports its
 //! detector work (sampled estimation and calibration annotation separately)
-//! back to the sink, which charges it, keeping the pipeline's
+//! back to the plan, which charges it, keeping the
 //! sum-of-stage-rows-equals-ledger-total invariant intact.
 
 use crate::queries::{AggregateReport, TrialEngine};
@@ -23,8 +24,8 @@ use crate::sampler::FrameSampler;
 use vmq_detect::{CostLedger, Detector};
 use vmq_query::{select_cv_backend, CvBackendChoice, CvCandidate, Query, WindowCharge, WindowData, WindowEstimator};
 
-/// Streaming per-window aggregate estimator: consumes completed hopping
-/// windows from an aggregate physical plan and produces one
+/// Streaming per-window aggregate estimator: consumes an aggregate
+/// statement's completed hopping windows and produces one
 /// [`AggregateReport`] per window.
 ///
 /// With a single filter backend (or without

@@ -199,16 +199,7 @@ pub fn run_drift_scenario_seeded(workers: usize, drift: Option<DriftConfig>, see
     let mut plan = SharedStreamPlan::new(&oracle, cache, global, PipelineConfig::default()).with_workers(workers);
     let b0 = plan.add_backend(&filter);
     let mode_label = format!("adaptive {}", report.choice.label);
-    let calibrate_row = Some(vmq_query::StageMetrics {
-        operator: "calibrate".to_string(),
-        stage: None,
-        frames_in: report.prefix_frames,
-        frames_out: report.prefix_frames,
-        virtual_ms: report.calibration_ms,
-        wall_ms: report.calibration_wall_ms,
-        workers: 1,
-        kernel_backend: None,
-    });
+    let calibrate_row = Some(vmq_query::StageMetrics::calibrate(&report));
     match drift.filter(|config| config.enabled()) {
         Some(config) => {
             plan.register_select_drifted(

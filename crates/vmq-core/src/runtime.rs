@@ -24,7 +24,9 @@
 //! **bit-identical** to running that statement alone through
 //! [`VmqEngine::run_query`] / [`VmqEngine::run_adaptive`] /
 //! [`VmqEngine::run_aggregate_windows`] — which are themselves thin
-//! single-statement registrations of this runtime.
+//! single-statement registrations of this runtime, just as
+//! [`QueryExecutor`](vmq_query::QueryExecutor)'s `run_*` are registrations on
+//! a [`SharedStreamPlan`] of one.
 
 use crate::config::{CalibrationConfig, FilterChoice};
 use crate::engine::{AdaptiveOutcome, QueryOutcome, VmqEngine, WindowedAggregateOutcome};
@@ -399,16 +401,7 @@ impl<'e> StreamRuntime<'e> {
                     // detector, exactly like an isolated brute run.
                     let backend = if report.choice.brute_force { None } else { Some(plan_backends[*chosen]) };
                     let mode_label = format!("adaptive {}", report.choice.label);
-                    let calibrate_row = Some(StageMetrics {
-                        operator: "calibrate".to_string(),
-                        stage: None,
-                        frames_in: report.prefix_frames,
-                        frames_out: report.prefix_frames,
-                        virtual_ms: report.calibration_ms,
-                        wall_ms: report.calibration_wall_ms,
-                        workers: 1,
-                        kernel_backend: None,
-                    });
+                    let calibrate_row = Some(StageMetrics::calibrate(report));
                     match drift.as_ref().filter(|config| config.enabled()) {
                         Some(config) => {
                             plan.register_select_drifted(

@@ -1,35 +1,25 @@
 //! Query execution entry points.
 //!
-//! All execution modes — brute force, filtered and streaming — are thin
-//! front-ends over the batched operator pipeline of [`crate::pipeline`]: the
-//! executor compiles the query and mode into a
-//! [`PhysicalPlan`](crate::pipeline::PhysicalPlan)
-//! (`Source → CascadeFilter → Detect → PredicateEval → Sink`) and drains a
-//! frame source through it. Every operator charges whole batches to the
-//! virtual-time [`CostLedger`] with the paper's per-frame costs, and the run
-//! reports unified per-operator [`StageMetrics`].
+//! There is one executor: [`SharedStreamPlan`]'s `prepare_batch →
+//! detect_pending → complete_batch` pass. Every entry point here — brute
+//! force, filtered, adaptive, windowed aggregate, streaming — registers its
+//! single statement on a plan of one (the executor's ledger is the
+//! statement's private as-if-isolated ledger) and drains the frames through
+//! it, so a statement run alone and the same statement run among N others
+//! execute the same code. The plan charges whole batches to the virtual-time
+//! [`CostLedger`] with the paper's per-frame costs, and the run reports
+//! unified per-operator [`StageMetrics`].
 
 use crate::ast::Query;
 use crate::drift::ReplanEvent;
 use crate::metrics::QueryAccuracy;
-use crate::pipeline::{
-    AggregateSpec, IterSource, PhysicalPlan, PipelineConfig, SharedStreamPlan, StageMetrics, WindowEstimator,
-};
+use crate::pipeline::{AggregateSpec, IterSource, PipelineConfig, SharedStreamPlan, StageMetrics, WindowEstimator};
 use crate::plan::CascadeConfig;
-use crate::planner::CalibrationReport;
+use crate::planner::{plan_cascade, CalibrationReport};
 use serde::{Deserialize, Serialize};
 use vmq_detect::{CostLedger, DetectionCache, Detector};
 use vmq_filters::FrameFilter;
 use vmq_video::Frame;
-
-/// How a query is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Run the expensive detector on every frame (the baseline of Table III).
-    BruteForce,
-    /// Run the filter cascade first and the detector only on survivors.
-    Filtered(CascadeConfig),
-}
 
 /// The result of running a query over a set of frames.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -87,30 +77,38 @@ pub struct QueryExecutor {
     query: Query,
     ledger: CostLedger,
     pipeline: PipelineConfig,
+    workers: usize,
 }
 
 impl QueryExecutor {
+    /// Batches of detections a plan of one keeps resident. A lone select
+    /// looks every frame up once, so the cache only has to outlive the
+    /// batch in flight; a few batches of slack let an aggregate's
+    /// overlapping windows re-sample recent frames without re-detecting.
+    const CACHE_BATCHES: usize = 4;
+
     /// Creates an executor for a query with the paper's cost model.
     pub fn new(query: Query) -> Self {
-        QueryExecutor { query, ledger: CostLedger::paper(), pipeline: PipelineConfig::default() }
+        Self::with_ledger(query, CostLedger::paper())
     }
 
     /// Creates an executor with a custom cost ledger.
     pub fn with_ledger(query: Query, ledger: CostLedger) -> Self {
-        QueryExecutor { query, ledger, pipeline: PipelineConfig::default() }
+        QueryExecutor { query, ledger, pipeline: PipelineConfig::default(), workers: 1 }
     }
 
-    /// Overrides the pipeline's batch size (other pipeline knobs keep their
-    /// current values).
+    /// Overrides the plan's batch size.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.pipeline.batch_size = batch_size.max(1);
+        self.pipeline = PipelineConfig::with_batch_size(batch_size);
         self
     }
 
-    /// Overrides the filter-stage worker count (bit-identical results for
-    /// any value; purely a wall-clock knob).
+    /// Overrides the plan's worker count
+    /// ([`SharedStreamPlan::with_workers`]: filter inference and detection
+    /// shard over it; bit-identical results for any value, purely a
+    /// wall-clock knob).
     pub fn with_filter_workers(mut self, workers: usize) -> Self {
-        self.pipeline = self.pipeline.with_filter_workers(workers);
+        self.workers = workers.max(1);
         self
     }
 
@@ -124,24 +122,27 @@ impl QueryExecutor {
         &self.ledger
     }
 
-    /// Compiles the physical plan for this executor's query under `mode` and
-    /// runs it over `frames`. `filter` is required for
-    /// [`ExecutionMode::Filtered`]; `detector` should not carry its own
-    /// ledger (the pipeline does the charging).
-    pub fn run(
-        &self,
-        frames: &[Frame],
-        filter: Option<&dyn FrameFilter>,
-        detector: &dyn Detector,
-        mode: ExecutionMode,
-    ) -> QueryRun {
-        PhysicalPlan::new(&self.query, mode, filter, detector, self.ledger.clone(), self.pipeline).execute_slice(frames)
+    /// The empty plan every `run_*` registers its one statement on: a fresh
+    /// global ledger over this executor's cost model (nothing is shared, so
+    /// its deduplicated bill is not reported) and a detection cache bounded
+    /// to [`Self::CACHE_BATCHES`] batches — statement answers and private
+    /// ledgers do not depend on the cache size, and an arbitrarily long
+    /// stream stays O(batch) in memory. Registrations pass
+    /// `self.ledger.clone()` as the private ledger so repeated runs keep
+    /// accumulating into it.
+    fn plan_of_one<'a>(&self, detector: &'a dyn Detector) -> SharedStreamPlan<'a> {
+        let cache = DetectionCache::with_entry_budget(Self::CACHE_BATCHES * self.pipeline.batch_size);
+        SharedStreamPlan::new(detector, cache, CostLedger::new(self.ledger.model().clone()), self.pipeline)
+            .with_workers(self.workers)
     }
 
     /// Runs the query in brute-force mode: the expensive detector evaluates
-    /// every frame.
+    /// every frame. `detector` should not carry its own ledger (the plan
+    /// does the charging).
     pub fn run_brute_force(&self, frames: &[Frame], detector: &dyn Detector) -> QueryRun {
-        self.run(frames, None, detector, ExecutionMode::BruteForce)
+        let mut plan = self.plan_of_one(detector);
+        plan.register_select(self.query.clone(), CascadeConfig::strict(), None, self.ledger.clone());
+        plan.execute_slice(frames).remove(0)
     }
 
     /// Runs the query with a filter cascade in front of the detector.
@@ -152,15 +153,21 @@ impl QueryExecutor {
         detector: &dyn Detector,
         config: CascadeConfig,
     ) -> QueryRun {
-        self.run(frames, Some(filter), detector, ExecutionMode::Filtered(config))
+        let mut plan = self.plan_of_one(detector);
+        let backend = plan.add_backend(filter);
+        plan.register_select(self.query.clone(), config, Some(backend), self.ledger.clone());
+        plan.execute_slice(frames).remove(0)
     }
 
     /// Runs the query *adaptively*: the first `prefix_frames` frames form a
     /// calibration prefix on which every `(backend × tolerance)` candidate
-    /// is profiled; the cheapest combination that kept 100 % recall on the
-    /// prefix is then executed over **all** of `frames` (prefix included)
-    /// through the standard pipeline. The run's virtual time includes the
-    /// calibration cost, and its stage metrics carry a `calibrate` row.
+    /// is profiled (charging the calibration work to this executor's
+    /// ledger); the cheapest combination that kept 100 % recall on the
+    /// prefix is then executed over **all** of `frames` (prefix included).
+    /// When no lossless cascade beats `decode + detector` on the prefix the
+    /// planner ships the brute-force floor, so the run costs at most brute
+    /// force plus the calibration bill. The run's virtual time includes the
+    /// calibration cost, and its stage metrics lead with a `calibrate` row.
     pub fn run_adaptive(
         &self,
         frames: &[Frame],
@@ -170,26 +177,32 @@ impl QueryExecutor {
         detector: &dyn Detector,
     ) -> (QueryRun, CalibrationReport) {
         let prefix = &frames[..prefix_frames.min(frames.len())];
-        let (mut plan, report) = PhysicalPlan::new_adaptive(
-            &self.query,
-            prefix,
-            backends,
-            tolerances,
-            detector,
+        let report =
+            plan_cascade(&self.query, prefix, backends, tolerances, detector, &self.ledger, self.pipeline.batch_size);
+        let choice = &report.choice;
+        let mut plan = self.plan_of_one(detector);
+        let backend = (!choice.brute_force).then(|| plan.add_backend(backends[choice.backend_index]));
+        plan.register_select_with(
+            self.query.clone(),
+            choice.cascade,
+            backend,
             self.ledger.clone(),
-            self.pipeline,
+            format!("adaptive {}", choice.label),
+            Some(StageMetrics::calibrate(&report)),
         );
-        (plan.execute_slice(frames), report)
+        (plan.execute_slice(frames).remove(0), report)
     }
 
     /// Runs the query as a *windowed aggregate*: every frame is decoded and
-    /// filtered window-wide (one `window-filter` operator per candidate
-    /// backend), and `estimator` receives each completed hopping window of
+    /// filtered window-wide (one `window-filter` row per candidate backend),
+    /// and `estimator` receives each completed hopping window of
     /// `spec.window` frames, running the expensive detector on sampled
-    /// frames only. Aggregate reports accumulate inside the estimator; the
-    /// returned [`QueryRun`] carries the pipeline's stage metrics (an empty
-    /// answer set — aggregates estimate fractions, they do not select
-    /// frames).
+    /// frames only. This is how a parsed `WINDOW HOPPING` statement
+    /// executes: the parser's `(size, advance)` goes into
+    /// [`AggregateSpec::window`] and the estimator emits one aggregate
+    /// report per window. Reports accumulate inside the estimator; the
+    /// returned [`QueryRun`] carries the stage metrics (an empty answer set
+    /// — aggregates estimate fractions, they do not select frames).
     pub fn run_aggregate(
         &self,
         frames: &[Frame],
@@ -198,16 +211,10 @@ impl QueryExecutor {
         detector: &dyn Detector,
         estimator: &mut dyn WindowEstimator,
     ) -> QueryRun {
-        let mut plan = PhysicalPlan::new_aggregate(
-            &self.query,
-            spec,
-            backends,
-            detector,
-            estimator,
-            self.ledger.clone(),
-            self.pipeline,
-        );
-        plan.execute_slice(frames)
+        let mut plan = self.plan_of_one(detector);
+        let backends: Vec<usize> = backends.iter().map(|&filter| plan.add_backend(filter)).collect();
+        plan.register_aggregate(self.query.clone(), spec, &backends, estimator, self.ledger.clone());
+        plan.execute_slice(frames).remove(0)
     }
 
     /// Ground-truth answer set of the query over a set of frames.
@@ -223,10 +230,10 @@ impl QueryExecutor {
 
 /// Runs a query over a frame *stream* using a bounded producer/consumer
 /// pipeline: a producer thread pushes frames into a bounded channel while
-/// the caller's thread drains it through the shared batched runtime
-/// ([`SharedStreamPlan`] with a single registration) — the same code path
-/// multi-query execution uses, so there is exactly one batched executor.
-/// This mirrors how a continuously arriving camera stream is consumed.
+/// the caller's thread drains it through the same plan of one as
+/// [`QueryExecutor::run_filtered`]. This mirrors how a continuously arriving
+/// camera stream is consumed; the plan's bounded detection cache keeps the
+/// pass O(batch) in memory however long the stream runs.
 pub fn run_streaming<I>(
     query: &Query,
     frames: I,
@@ -240,15 +247,14 @@ where
     I::IntoIter: Send,
 {
     let (tx, rx) = std::sync::mpsc::sync_channel::<Frame>(channel_capacity.max(1));
-    let ledger = CostLedger::paper();
-    let mut plan =
-        SharedStreamPlan::new(detector, DetectionCache::new(), CostLedger::paper(), PipelineConfig::default());
+    let exec = QueryExecutor::new(query.clone());
+    let mut plan = exec.plan_of_one(detector);
     let backend = plan.add_backend(filter);
     plan.register_select_with(
-        query.clone(),
+        exec.query,
         config,
         Some(backend),
-        ledger,
+        exec.ledger,
         format!("streaming {}", config.label(query.has_spatial_constraints())),
         None,
     );
@@ -347,6 +353,54 @@ mod tests {
         assert_eq!(stream_run.frames_total, ds.test().len());
         assert_eq!(stream_run.matched_frames, batch.matched_frames);
         assert!(stream_run.mode.contains("streaming"));
+    }
+
+    /// A plan of one holds O(batch) detections however long the stream runs:
+    /// through 5 000 frames the cache never exceeds its budget, and the
+    /// brute-force and streaming entry points answer exactly as a plan whose
+    /// cache retains the whole stream.
+    #[test]
+    fn plan_of_one_cache_stays_within_budget_on_a_long_stream() {
+        let profile = DatasetProfile::jackson();
+        let ds = Dataset::generate(&profile, 20, 5000, 33);
+        let oracle = OracleDetector::perfect();
+        let query = Query::paper_q4();
+        let fresh = || CalibratedFilter::new(profile.class_list(), 14, CalibrationProfile::od_like(), 9);
+        let budget = QueryExecutor::CACHE_BATCHES * PipelineConfig::DEFAULT_BATCH_SIZE;
+        let tolerant = CascadeConfig::tolerant();
+
+        for filtered in [false, true] {
+            let (bounded_filter, retaining_filter) = (fresh(), fresh());
+            let exec = QueryExecutor::new(query.clone());
+            let mut bounded = exec.plan_of_one(&oracle);
+            assert_eq!(bounded.cache().entry_budget(), budget);
+            let mut retaining =
+                SharedStreamPlan::new(&oracle, DetectionCache::new(), CostLedger::paper(), PipelineConfig::default());
+            let backend = filtered.then(|| bounded.add_backend(&bounded_filter));
+            bounded.register_select(query.clone(), tolerant, backend, CostLedger::paper());
+            let backend = filtered.then(|| retaining.add_backend(&retaining_filter));
+            retaining.register_select(query.clone(), tolerant, backend, CostLedger::paper());
+
+            for batch in ds.test().chunks(PipelineConfig::DEFAULT_BATCH_SIZE) {
+                bounded.push_batch(batch);
+                assert!(bounded.cache().len() <= budget, "{} entries resident", bounded.cache().len());
+            }
+            let bounded_run = bounded.finish().remove(0);
+            let retaining_run = retaining.execute_slice(ds.test()).remove(0);
+            assert!(bounded.cache().evictions() > 0, "the stream outgrew the budget");
+            assert_eq!(retaining.cache().len(), retaining_run.frames_detected, "the reference retains everything");
+
+            let entry_point = if filtered {
+                run_streaming(&query, ds.test().to_vec(), &fresh(), &oracle, tolerant, 8)
+            } else {
+                exec.run_brute_force(ds.test(), &oracle)
+            };
+            for run in [&bounded_run, &entry_point] {
+                assert_eq!(run.matched_frames, retaining_run.matched_frames);
+                assert_eq!(run.frames_detected, retaining_run.frames_detected);
+                assert_eq!(run.virtual_ms.to_bits(), retaining_run.virtual_ms.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //!   `(backend × tolerance)` candidate on a calibration prefix and picks the
 //!   cheapest combination that keeps 100 % recall, reproducing Table III's
 //!   per-query choice automatically.
-//! * [`pipeline`] — the batched physical operator pipeline
-//!   (`Source → CascadeFilter → Detect → PredicateEval → Sink`): the single
-//!   execution path every mode runs on, with per-operator [`StageMetrics`].
-//! * [`exec`] — the execution front-ends (brute-force, filtered, streaming),
-//!   all thin wrappers compiling a [`PhysicalPlan`] and draining a frame
-//!   source through it, with every stage charged to the virtual-time cost
-//!   ledger.
+//! * [`pipeline`] — the one batched executor, [`SharedStreamPlan`]: N
+//!   registered statements, one stream pass (`prepare_batch →
+//!   detect_pending → complete_batch`), with per-operator [`StageMetrics`]
+//!   (`source → cascade-filter → detect → predicate-eval → sink`).
+//! * [`exec`] — the single-statement front-ends (brute-force, filtered,
+//!   adaptive, aggregate, streaming), each a registration on a plan of one,
+//!   with every stage charged to the virtual-time cost ledger.
 //! * [`metrics`] — accuracy / F1 against ground truth and speedup
 //!   vs. brute-force evaluation.
 
@@ -46,12 +46,12 @@ pub mod spatial;
 pub use ast::{CountTarget, ObjectRef, Predicate, Query};
 pub use catalog::RegionCatalog;
 pub use drift::{DriftConfig, DriftSetup, ReplanEvent};
-pub use exec::{run_streaming, ExecutionMode, QueryExecutor, QueryRun};
+pub use exec::{run_streaming, QueryExecutor, QueryRun};
 pub use metrics::{QueryAccuracy, SpeedupReport};
 pub use parser::{format_statement, format_where_clause, parse_statement, ParseError, ParsedStatement};
 pub use pipeline::{
-    AggregateSpec, FrameBatch, FrameIndicators, FrameSource, Operator, PhysicalPlan, PipelineConfig, PreparedBatch,
-    SharedStreamPlan, StageMetrics, WindowBackendColumns, WindowCharge, WindowData, WindowEstimator,
+    AggregateSpec, FrameIndicators, FrameSource, PipelineConfig, PreparedBatch, SharedStreamPlan, StageMetrics,
+    WindowBackendColumns, WindowCharge, WindowData, WindowEstimator,
 };
 pub use plan::{CascadeConfig, FilterCascade};
 pub use planner::{

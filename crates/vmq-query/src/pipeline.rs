@@ -1,97 +1,88 @@
-//! The batched physical operator pipeline.
+//! The batched stream executor.
 //!
-//! Every execution mode — brute force, filtered, streaming — runs the same
-//! physical plan: frames are pulled from a [`FrameSource`] in
-//! [`FrameBatch`]es of a configurable size and pushed through a chain of
-//! [`Operator`]s:
-//!
-//! ```text
-//! Source ──▶ CascadeFilter ──▶ Detect ──▶ PredicateEval ──▶ Sink
-//! (decode)   (batched filter    (expensive  (exact query       (collect
-//!  charge)    inference +        detector    evaluation on      matched
-//!             tolerance check)   on          detections)        frame ids)
-//!                                survivors)
-//! ```
-//!
-//! Brute force is the same plan without the `CascadeFilter` stage. Each
-//! operator charges its whole batch to the virtual-time
-//! [`CostLedger`](vmq_detect::CostLedger) in one call — byte-identical to
-//! per-frame charging because the ledger derives totals from frame counts —
-//! and the driver records per-operator [`StageMetrics`] (frames in/out,
-//! virtual and wall-clock milliseconds) that the engine and reports consume.
-//!
-//! *Aggregate* queries (`WINDOW HOPPING` statements, Sec. III) run a third
-//! plan shape through the same driver:
+//! There is one executor, [`SharedStreamPlan`]: N select and aggregate
+//! statements registered against **one** pass over a stream — and a single
+//! statement ([`QueryExecutor`](crate::exec::QueryExecutor),
+//! [`run_streaming`](crate::exec::run_streaming)) is the plan of one. Frames
+//! arrive in batches of [`PipelineConfig::batch_size`] (from a slice, a
+//! [`FrameSource`], or pushed by a fleet scheduler) and every batch goes
+//! through three calls:
 //!
 //! ```text
-//! Source ──▶ WindowFilter(×backend) ──▶ AggregateSink
-//! (decode)   (window-wide batched       (hopping-window state; completed
-//!  charge)    indicator inference,       windows go to a WindowEstimator,
-//!             never drops a frame)       which samples frames for the
-//!                                        expensive detector)
+//! prepare_batch                       detect_pending          complete_batch
+//! 1 decode charge                     the detector over       4b install detections (cache insert,
+//! 2 backend inference once per          the batch's missing      one global charge per fresh frame)
+//!   (backend, frame) + one atom-       frames, sharded        5 exact predicate evaluation for each
+//!   table evaluation                    across the worker        frame's subscribers
+//! 3 per-statement fan-out:              pool (a fleet         6 aggregates emit completed hopping
+//!   selects escalate, aggregates        scheduler pools          windows to their WindowEstimator
+//!   take indicator rows                 many plans' frames    · drift monitors replan at the batch
+//! 4a detection-cache probe              into one dispatch)       boundary
 //! ```
 //!
-//! The filter runs on *every* frame (its window-wide indicator mean is what
-//! powers the control-variate variance reduction) while the detector runs
-//! only on the frames the estimator samples — the sink reports exactly that
-//! sampled work as its charged frames, so stage metrics keep the two cost
-//! classes honest and separate.
-//!
-//! *Shared multi-query* execution ([`SharedStreamPlan`]) registers N select
-//! and aggregate queries against **one** stream pass: queries are grouped by
-//! filter backend so backend inference runs once per `(backend, frame)`, every
-//! distinct cascade atom is evaluated once per frame out of a per-backend
-//! [`AtomTable`] and fanned out to the statements subscribing to it, the
-//! expensive detector is deduplicated through a
+//! Statements are grouped by filter backend so inference runs once per
+//! `(backend, frame)`; every distinct cascade atom is evaluated once per
+//! frame out of a per-backend [`AtomTable`] and fanned out to the statements
+//! subscribing to it; the expensive detector is deduplicated through a
 //! [`DetectionCache`](vmq_detect::DetectionCache) (invoked once per frame in
-//! the union any query escalates, sharded across a scoped-thread worker
-//! pool), and every query keeps a private as-if-isolated [`CostLedger`] while
-//! the global ledger charges shared work once and splits it in a
-//! [`SharedCost`](vmq_detect::SharedCost) attribution. Results are
-//! bit-identical to isolated runs and to any worker count.
+//! the union any statement escalates). A select escalates the frames its
+//! cascade passes (brute force: every frame) and keeps those whose detections
+//! satisfy the query exactly. An aggregate (`WINDOW HOPPING` statements,
+//! Sec. III) never drops a frame: the filter runs on *every* frame (its
+//! window-wide indicator mean is what powers the control-variate variance
+//! reduction) while the detector runs only on the frames the estimator
+//! samples.
+//!
+//! Each phase charges its whole batch to the virtual-time [`CostLedger`] in
+//! one call — byte-identical to per-frame charging because the ledger derives
+//! totals from frame counts. Every statement keeps a private as-if-isolated
+//! ledger while the global ledger charges shared work once and splits it in
+//! a [`SharedCost`](vmq_detect::SharedCost) attribution, so a statement's
+//! [`QueryRun`] is bit-identical whether it ran alone or among N others, and
+//! for any worker count. A run reports per-operator [`StageMetrics`] rows
+//! (frames in/out, virtual and wall-clock milliseconds) under the operator
+//! names of the logical plan:
+//!
+//! ```text
+//! select:     [calibrate] source → [cascade-filter] → detect → predicate-eval → sink
+//! aggregate:  source → window-filter (× backend) → aggregate-sink
+//! ```
+//!
+//! The `aggregate-sink` row bills exactly the estimator's sampled (and
+//! calibration) detector work, so stage metrics keep the window-wide filter
+//! cost and the sampled detector cost honest and separate.
 
 use crate::ast::Query;
 use crate::drift::{DriftMonitor, DriftSetup};
-use crate::exec::{ExecutionMode, QueryRun};
+use crate::exec::QueryRun;
 use crate::plan::{AtomId, AtomTable, AtomVerdicts, CascadeConfig, FilterCascade, IndicatorId};
-use crate::planner::{plan_cascade, CalibrationReport};
+use crate::planner::CalibrationReport;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use vmq_detect::{CostLedger, Detector, FrameDetections, Stage};
 use vmq_filters::{FilterEstimate, FrameFilter};
 use vmq_video::Frame;
 
-/// Tuning knobs of the physical pipeline.
+/// Tuning knobs of the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineConfig {
-    /// Maximum number of frames per [`FrameBatch`].
+    /// Maximum number of frames per batch.
     pub batch_size: usize,
-    /// Scoped worker threads the filter stages shard batch inference over
-    /// (via [`FrameFilter::estimate_batch_sharded`]). Purely a wall-clock
-    /// knob — results are bit-identical for any value; 1 (the default) runs
-    /// the batch on the calling thread.
-    pub filter_workers: usize,
 }
 
 impl PipelineConfig {
-    /// Default batch size of the operator pipeline.
+    /// Default batch size of the executor.
     pub const DEFAULT_BATCH_SIZE: usize = 32;
 
     /// Config with a custom batch size (clamped to at least one frame).
     pub fn with_batch_size(batch_size: usize) -> Self {
-        PipelineConfig { batch_size: batch_size.max(1), filter_workers: 1 }
-    }
-
-    /// Overrides the filter-stage worker count (clamped to at least one).
-    pub fn with_filter_workers(mut self, workers: usize) -> Self {
-        self.filter_workers = workers.max(1);
-        self
+        PipelineConfig { batch_size: batch_size.max(1) }
     }
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig { batch_size: Self::DEFAULT_BATCH_SIZE, filter_workers: 1 }
+        PipelineConfig { batch_size: Self::DEFAULT_BATCH_SIZE }
     }
 }
 
@@ -163,9 +154,9 @@ impl AggregateSpec {
     }
 }
 
-/// Per-frame control-variate indicator row attached by a `window-filter`
-/// operator: the cheap filter's approximate verdicts on one frame, the raw
-/// material of the control-variate estimators of Sec. III.
+/// Per-frame control-variate indicator row of an aggregate statement: the
+/// cheap filter's approximate verdicts on one frame, the raw material of the
+/// control-variate estimators of Sec. III.
 #[derive(Debug, Clone)]
 pub struct FrameIndicators {
     /// `1.0` when every control-variate indicator held on the frame (the
@@ -188,9 +179,10 @@ impl FrameIndicators {
     /// feature; including it guarantees MCV explains at least as much
     /// variance as the single-CV control).
     ///
-    /// Both the `window-filter` operator and the legacy one-shot estimator
-    /// derive their indicator columns through this one function — that
-    /// single code path is part of what keeps the two bit-identical.
+    /// The legacy one-shot estimator derives its indicator columns through
+    /// this function; the plan assembles the same row from its backend's
+    /// [`AtomTable`] indicators — both end in one private assembly step, which
+    /// is part of what keeps the two bit-identical.
     pub fn from_estimate(cascade: &FilterCascade, estimate: &FilterEstimate, threshold: f32) -> Self {
         Self::from_controls(cascade.cv_indicators(estimate, threshold))
     }
@@ -206,63 +198,14 @@ impl FrameIndicators {
     }
 }
 
-/// A batch of frames flowing through the pipeline, with the per-frame
-/// artefacts operators attach along the way (columnar so the filter stage
-/// can hand the whole frame column to `FrameFilter::estimate_batch`).
-#[derive(Debug, Clone, Default)]
-pub struct FrameBatch {
-    /// The frames, in stream order.
-    pub frames: Vec<Frame>,
-    /// Detections attached by the `Detect` operator (parallel to `frames`;
-    /// `None` upstream of that operator).
-    pub detections: Vec<Option<FrameDetections>>,
-    /// Control-variate indicator rows attached by `window-filter` operators
-    /// (parallel to `frames`; one inner entry per candidate backend, in
-    /// operator order; empty upstream of those operators).
-    pub indicators: Vec<Vec<FrameIndicators>>,
-}
-
-impl FrameBatch {
-    /// Wraps raw frames into a batch with no attached artefacts.
-    pub fn from_frames(frames: Vec<Frame>) -> Self {
-        let n = frames.len();
-        FrameBatch {
-            frames,
-            detections: (0..n).map(|_| None).collect(),
-            indicators: (0..n).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Number of frames in the batch.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// True when the batch carries no frames.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Keeps only the rows whose flag in `keep` is true (all columns stay
-    /// parallel).
-    fn retain_rows(&mut self, keep: &[bool]) {
-        debug_assert_eq!(keep.len(), self.len());
-        let mut it = keep.iter();
-        self.frames.retain(|_| *it.next().unwrap());
-        let mut it = keep.iter();
-        self.detections.retain(|_| *it.next().unwrap());
-        let mut it = keep.iter();
-        self.indicators.retain(|_| *it.next().unwrap());
-    }
-}
-
 /// Per-operator execution metrics, the unified currency of reporting:
 /// `QueryRun`, the engine's `QueryOutcome` and the Table III harnesses all
 /// derive their numbers from these.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StageMetrics {
-    /// Operator name (`source`, `cascade-filter`, `detect`,
-    /// `predicate-eval`, `sink`).
+    /// Operator name (`calibrate`, `source`, `cascade-filter`,
+    /// `drift-monitor`, `detect`, `predicate-eval`, `sink`, `window-filter`,
+    /// `aggregate-sink`).
     pub operator: String,
     /// The cost-model stage the operator charges, if any.
     pub stage: Option<Stage>,
@@ -295,7 +238,7 @@ pub struct StageMetrics {
 impl StageMetrics {
     /// Builds a row whose virtual charge is `charged × per-frame stage cost`
     /// (zero for uncharged operators). The one constructor behind every
-    /// synthesised stage row — shared-plan finalisation and the runtime's
+    /// stage row — the plan's finalisation and the runtime's synthesised
     /// brute-force baseline — so the cost formula cannot drift between them.
     pub fn charged_row(
         operator: &str,
@@ -313,6 +256,23 @@ impl StageMetrics {
             frames_out,
             virtual_ms: stage.map_or(0.0, |s| model.cost_ms(s) * charged as f64),
             wall_ms,
+            workers: 1,
+            kernel_backend: None,
+        }
+    }
+
+    /// The pre-pass `calibrate` row of an adaptively planned select: the
+    /// planner's prefix and its calibration bill (already charged to the
+    /// statement's ledger), so calibration cost shows up in the same
+    /// per-operator report as execution cost.
+    pub fn calibrate(report: &CalibrationReport) -> Self {
+        StageMetrics {
+            operator: "calibrate".to_string(),
+            stage: None,
+            frames_in: report.prefix_frames,
+            frames_out: report.prefix_frames,
+            virtual_ms: report.calibration_ms,
+            wall_ms: report.calibration_wall_ms,
             workers: 1,
             kernel_backend: None,
         }
@@ -340,170 +300,8 @@ impl StageMetrics {
     }
 }
 
-/// Mutable state shared by the operators of one plan execution.
-pub struct ExecContext {
-    /// The (shared) virtual-time ledger operators charge batches to.
-    pub ledger: CostLedger,
-    /// Frame ids the sink has accepted so far, in stream order.
-    pub matched: Vec<u64>,
-}
-
-/// A physical operator: transforms one batch at a time.
-pub trait Operator {
-    /// Operator name used in [`StageMetrics`].
-    fn name(&self) -> &'static str;
-
-    /// The cost-model stage this operator charges per frame, if any.
-    fn stage(&self) -> Option<Stage> {
-        None
-    }
-
-    /// Frames the operator actually charged to its stage so far, when that
-    /// differs from the frames that entered it. The default (`None`) means
-    /// "charged exactly `frames_in`", which holds for every per-frame
-    /// operator; the aggregate sink overrides it because it charges only the
-    /// *sampled* detector work, not every frame it buffers.
-    fn charged_frames(&self) -> Option<u64> {
-        None
-    }
-
-    /// Worker threads the operator shards its per-batch work over (1 for
-    /// sequential operators); recorded in the operator's [`StageMetrics`].
-    fn workers(&self) -> usize {
-        1
-    }
-
-    /// The compute kernel backend the operator's inference runs on, if it
-    /// runs filter inference at all; recorded in the operator's
-    /// [`StageMetrics`] so bench rows carry the dispatch choice.
-    fn kernel_backend(&self) -> Option<&'static str> {
-        None
-    }
-
-    /// Processes one batch, returning the surviving rows.
-    fn process(&mut self, batch: FrameBatch, ctx: &mut ExecContext) -> FrameBatch;
-}
-
-/// `Source`: accounts for frame acquisition, charging the decode cost for
-/// the whole batch.
-struct SourceOp;
-
-impl Operator for SourceOp {
-    fn name(&self) -> &'static str {
-        "source"
-    }
-
-    fn stage(&self) -> Option<Stage> {
-        Some(Stage::Decode)
-    }
-
-    fn process(&mut self, batch: FrameBatch, ctx: &mut ExecContext) -> FrameBatch {
-        ctx.ledger.charge(Stage::Decode, batch.len() as u64);
-        batch
-    }
-}
-
-/// `CascadeFilter`: batched filter inference plus the tolerance-based
-/// cascade decision; frames that cannot satisfy the query are dropped
-/// before the expensive detector sees them. Inference shards across
-/// `workers` scoped threads ([`FrameFilter::estimate_batch_sharded`]) with
-/// the same bit-identical worker-invariance guarantee as the detect stage.
-struct CascadeFilterOp<'a> {
-    filter: &'a dyn FrameFilter,
-    cascade: FilterCascade,
-    workers: usize,
-}
-
-impl Operator for CascadeFilterOp<'_> {
-    fn name(&self) -> &'static str {
-        "cascade-filter"
-    }
-
-    fn stage(&self) -> Option<Stage> {
-        Some(self.filter.kind().stage())
-    }
-
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn kernel_backend(&self) -> Option<&'static str> {
-        Some(self.filter.kernel_backend())
-    }
-
-    fn process(&mut self, mut batch: FrameBatch, ctx: &mut ExecContext) -> FrameBatch {
-        ctx.ledger.charge(self.filter.kind().stage(), batch.len() as u64);
-        let estimates = self.filter.estimate_batch_sharded(&batch.frames, self.workers);
-        let keep = self.cascade.passes_batch(&estimates, self.filter.threshold());
-        batch.retain_rows(&keep);
-        batch
-    }
-}
-
-/// `Detect`: runs the expensive detector on every surviving frame and
-/// attaches its detections.
-struct DetectOp<'a> {
-    detector: &'a dyn Detector,
-}
-
-impl Operator for DetectOp<'_> {
-    fn name(&self) -> &'static str {
-        "detect"
-    }
-
-    fn stage(&self) -> Option<Stage> {
-        Some(self.detector.stage())
-    }
-
-    fn process(&mut self, mut batch: FrameBatch, ctx: &mut ExecContext) -> FrameBatch {
-        ctx.ledger.charge(self.detector.stage(), batch.len() as u64);
-        for (frame, slot) in batch.frames.iter().zip(batch.detections.iter_mut()) {
-            *slot = Some(self.detector.detect(frame));
-        }
-        batch
-    }
-}
-
-/// `PredicateEval`: exact query evaluation on the detector's output.
-struct PredicateEvalOp {
-    query: Query,
-}
-
-impl Operator for PredicateEvalOp {
-    fn name(&self) -> &'static str {
-        "predicate-eval"
-    }
-
-    fn process(&mut self, mut batch: FrameBatch, _ctx: &mut ExecContext) -> FrameBatch {
-        let keep: Vec<bool> = batch
-            .detections
-            .iter()
-            .map(|detections| {
-                let detections = detections.as_ref().expect("predicate-eval requires the detect operator upstream");
-                self.query.matches_detections(detections)
-            })
-            .collect();
-        batch.retain_rows(&keep);
-        batch
-    }
-}
-
-/// `Sink`: collects the ids of frames that satisfied the query.
-struct SinkOp;
-
-impl Operator for SinkOp {
-    fn name(&self) -> &'static str {
-        "sink"
-    }
-
-    fn process(&mut self, batch: FrameBatch, ctx: &mut ExecContext) -> FrameBatch {
-        ctx.matched.extend(batch.frames.iter().map(|f| f.frame_id));
-        batch
-    }
-}
-
 /// One candidate backend's control-variate indicator columns over a
-/// completed window, assembled by the aggregate sink for the window
+/// completed window, assembled by the plan's window emission for the window
 /// estimator.
 #[derive(Debug, Clone)]
 pub struct WindowBackendColumns {
@@ -534,10 +332,10 @@ pub struct WindowData<'a> {
 }
 
 /// Detector work performed by a window estimator for one window, reported
-/// back to the aggregate sink, which charges it to the cost ledger and
-/// carries it in its stage metrics. Keeping the charging in the sink means
-/// the honest-accounting invariant — the sum of per-operator `virtual_ms`
-/// rows equals the ledger total — holds for aggregate plans too.
+/// back to the plan, which charges it to the statement's ledger and carries
+/// it in the `aggregate-sink` stage row. Keeping the charging in the plan
+/// means the honest-accounting invariant — the sum of per-operator
+/// `virtual_ms` rows equals the ledger total — holds for aggregates too.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WindowCharge {
     /// Sampled detector invocations performed for the estimation trials.
@@ -549,20 +347,20 @@ pub struct WindowCharge {
 }
 
 impl WindowCharge {
-    /// Total detector invocations the sink charges for the window.
+    /// Total detector invocations charged for the window.
     pub fn total(&self) -> u64 {
         self.estimation_frames + self.calibration_frames
     }
 }
 
-/// Consumer of completed hopping windows inside an aggregate plan.
+/// Consumer of an aggregate statement's completed hopping windows.
 ///
 /// Implemented by `vmq-aggregate`'s streaming estimator: per window it picks
 /// a control-variate backend (optionally from a calibration prefix), samples
 /// frames, runs the expensive detector on the samples only and computes the
 /// plain / CV / MCV estimates. The estimator must *not* charge the ledger
 /// itself; it reports its detector work in the returned [`WindowCharge`] and
-/// the sink does the charging.
+/// the plan does the charging.
 pub trait WindowEstimator {
     /// Processes one completed window, using `detector` for sampled (and
     /// calibration) inference and `ledger` for cost-model prices only.
@@ -578,204 +376,11 @@ pub trait WindowEstimator {
     fn set_shed_level(&mut self, _level: u32) {}
 }
 
-/// `WindowFilter`: window-wide batched filter inference for aggregate
-/// estimation. Unlike `CascadeFilter` it never drops a frame — aggregate
-/// estimators need the cheap indicator on *every* frame of the window (that
-/// window-wide control mean is where the variance reduction comes from) —
-/// it only attaches the backend's [`FrameIndicators`] column and charges the
-/// filter stage for the whole batch.
-struct WindowFilterOp<'a> {
-    filter: &'a dyn FrameFilter,
-    cascade: FilterCascade,
-    threshold: f32,
-    workers: usize,
-}
-
-impl Operator for WindowFilterOp<'_> {
-    fn name(&self) -> &'static str {
-        "window-filter"
-    }
-
-    fn stage(&self) -> Option<Stage> {
-        Some(self.filter.kind().stage())
-    }
-
-    fn workers(&self) -> usize {
-        self.workers
-    }
-
-    fn kernel_backend(&self) -> Option<&'static str> {
-        Some(self.filter.kernel_backend())
-    }
-
-    fn process(&mut self, mut batch: FrameBatch, ctx: &mut ExecContext) -> FrameBatch {
-        ctx.ledger.charge(self.filter.kind().stage(), batch.len() as u64);
-        let estimates = self.filter.estimate_batch_sharded(&batch.frames, self.workers);
-        for (estimate, row) in estimates.iter().zip(batch.indicators.iter_mut()) {
-            row.push(FrameIndicators::from_estimate(&self.cascade, estimate, self.threshold));
-        }
-        batch
-    }
-}
-
-/// `AggregateSink`: maintains hopping-window state over the indicator-carrying
-/// stream and hands every *completed* window (the `HoppingWindow::windows`
-/// semantics: partial trailing windows are discarded) to the window
-/// estimator. Charges the estimator's sampled-detector work to the ledger
-/// and reports it — not the buffered frame count — as its charged frames, so
-/// stage metrics prove the detector ran on samples only while the filter ran
-/// window-wide.
-struct AggregateSinkOp<'a> {
-    detector: &'a dyn Detector,
-    estimator: &'a mut dyn WindowEstimator,
-    size: usize,
-    advance: usize,
-    /// Time-based `(size, advance)` in seconds; overrides the frame-count
-    /// fields when set (see [`AggregateSpec::seconds`]).
-    seconds: Option<(f64, f64)>,
-    backends: Vec<(&'static str, Stage)>,
-    /// Buffered rows from stream offset `buffer_start` onwards.
-    frames: Vec<Frame>,
-    indicators: Vec<Vec<FrameIndicators>>,
-    buffer_start: usize,
-    next_window_start: usize,
-    /// Timestamp the next time-based window starts at (seconds mode only).
-    next_window_time: f64,
-    window_index: usize,
-    detector_frames: u64,
-}
-
-impl AggregateSinkOp<'_> {
-    /// Hands buffered rows `lo..hi` to the estimator as one completed window
-    /// and charges its reported detector work.
-    fn emit_window(&mut self, lo: usize, hi: usize, ctx: &mut ExecContext) {
-        let columns: Vec<WindowBackendColumns> = self
-            .backends
-            .iter()
-            .enumerate()
-            .map(|(b, &(backend, stage))| {
-                let rows = &self.indicators[lo..hi];
-                let n_predicates = rows.first().map_or(0, |r| r[b].predicates.len());
-                WindowBackendColumns {
-                    backend,
-                    stage,
-                    pass: rows.iter().map(|r| r[b].pass).collect(),
-                    predicates: (0..n_predicates).map(|p| rows.iter().map(|r| r[b].predicates[p]).collect()).collect(),
-                }
-            })
-            .collect();
-        let window = WindowData {
-            index: self.window_index,
-            start: self.buffer_start + lo,
-            frames: &self.frames[lo..hi],
-            backends: &columns,
-        };
-        let charge = self.estimator.estimate_window(window, self.detector, &ctx.ledger);
-        if charge.estimation_frames > 0 {
-            ctx.ledger.charge(self.detector.stage(), charge.estimation_frames);
-        }
-        if charge.calibration_frames > 0 {
-            ctx.ledger.charge_calibration(self.detector.stage(), charge.calibration_frames);
-        }
-        self.detector_frames += charge.total();
-        self.window_index += 1;
-    }
-
-    fn emit_ready_windows(&mut self, ctx: &mut ExecContext) {
-        match self.seconds {
-            None => {
-                while self.next_window_start + self.size <= self.buffer_start + self.frames.len() {
-                    let lo = self.next_window_start - self.buffer_start;
-                    self.emit_window(lo, lo + self.size, ctx);
-                    self.next_window_start += self.advance;
-                }
-            }
-            Some((size_s, advance_s)) => loop {
-                // A time window is complete once a frame at or past its end
-                // timestamp arrives (timestamps are monotone per stream);
-                // like the frame-count mode, a partial trailing window never
-                // emits.
-                let end = self.next_window_time + size_s;
-                let Some(last) = self.frames.last() else { break };
-                if last.timestamp < end {
-                    break;
-                }
-                let lo = self.frames.partition_point(|f| f.timestamp < self.next_window_time);
-                let hi = self.frames.partition_point(|f| f.timestamp < end);
-                if hi > lo {
-                    self.emit_window(lo, hi, ctx);
-                } else {
-                    // Empty windows skip the estimator but keep their index,
-                    // so window k means the same wall-clock interval on
-                    // every camera.
-                    self.window_index += 1;
-                }
-                self.next_window_time += advance_s;
-                self.next_window_start =
-                    self.buffer_start + self.frames.partition_point(|f| f.timestamp < self.next_window_time);
-            },
-        }
-        // Evict rows no future window can reach.
-        let evict = self.next_window_start.saturating_sub(self.buffer_start).min(self.frames.len());
-        if evict > 0 {
-            self.frames.drain(..evict);
-            self.indicators.drain(..evict);
-            self.buffer_start += evict;
-        }
-    }
-}
-
-impl Operator for AggregateSinkOp<'_> {
-    fn name(&self) -> &'static str {
-        "aggregate-sink"
-    }
-
-    fn stage(&self) -> Option<Stage> {
-        Some(self.detector.stage())
-    }
-
-    fn charged_frames(&self) -> Option<u64> {
-        Some(self.detector_frames)
-    }
-
-    fn process(&mut self, batch: FrameBatch, ctx: &mut ExecContext) -> FrameBatch {
-        self.frames.extend(batch.frames.iter().cloned());
-        self.indicators.extend(batch.indicators.iter().cloned());
-        self.emit_ready_windows(ctx);
-        batch
-    }
-}
-
-/// Pull-based frame supply for the pipeline driver.
+/// Pull-based frame supply for [`SharedStreamPlan::execute`].
 pub trait FrameSource {
     /// Returns the next batch of at most `max` frames, or `None` at end of
     /// stream.
     fn next_batch(&mut self, max: usize) -> Option<Vec<Frame>>;
-}
-
-/// Source over an in-memory slice of frames (batch execution).
-pub struct SliceSource<'a> {
-    frames: &'a [Frame],
-    pos: usize,
-}
-
-impl<'a> SliceSource<'a> {
-    /// Wraps a slice of frames.
-    pub fn new(frames: &'a [Frame]) -> Self {
-        SliceSource { frames, pos: 0 }
-    }
-}
-
-impl FrameSource for SliceSource<'_> {
-    fn next_batch(&mut self, max: usize) -> Option<Vec<Frame>> {
-        if self.pos >= self.frames.len() {
-            return None;
-        }
-        let end = (self.pos + max.max(1)).min(self.frames.len());
-        let batch = self.frames[self.pos..end].to_vec();
-        self.pos = end;
-        Some(batch)
-    }
 }
 
 /// Source over an arbitrary frame iterator (streaming execution: the
@@ -806,264 +411,8 @@ impl<I: Iterator<Item = Frame>> FrameSource for IterSource<I> {
     }
 }
 
-/// Accumulated per-operator counters (turned into [`StageMetrics`] when the
-/// run finishes).
-#[derive(Debug, Default, Clone, Copy)]
-struct OperatorAccum {
-    frames_in: usize,
-    frames_out: usize,
-    wall_ms: f64,
-}
-
-/// A compiled physical plan: the operator chain for one query and execution
-/// mode. Every public execution entry point — `QueryExecutor::run_*` and
-/// `exec::run_streaming` — is a thin front-end over this.
-pub struct PhysicalPlan<'a> {
-    query_name: String,
-    mode_label: String,
-    config: PipelineConfig,
-    ledger: CostLedger,
-    operators: Vec<Box<dyn Operator + 'a>>,
-    /// Pseudo-stage metrics of the adaptive planner's calibration phase,
-    /// prepended to every execution's stage metrics so calibration cost shows
-    /// up in the same per-operator reports as execution cost.
-    calibration: Option<StageMetrics>,
-}
-
-impl<'a> PhysicalPlan<'a> {
-    /// Builds the plan for a query under an execution mode.
-    ///
-    /// `filter` is required for [`ExecutionMode::Filtered`] and ignored for
-    /// brute force. The `ledger` is shared: charges accumulate into it (the
-    /// executor passes its own so repeated runs keep accumulating, exactly
-    /// like the eager executor did).
-    pub fn new(
-        query: &Query,
-        mode: ExecutionMode,
-        filter: Option<&'a dyn FrameFilter>,
-        detector: &'a dyn Detector,
-        ledger: CostLedger,
-        config: PipelineConfig,
-    ) -> Self {
-        let mut operators: Vec<Box<dyn Operator + 'a>> = vec![Box::new(SourceOp)];
-        let mode_label = match mode {
-            ExecutionMode::BruteForce => "brute-force".to_string(),
-            ExecutionMode::Filtered(cascade_config) => {
-                let filter = filter.expect("ExecutionMode::Filtered requires a filter");
-                let cascade = FilterCascade::new(query.clone(), cascade_config);
-                let label = cascade.label(filter);
-                operators.push(Box::new(CascadeFilterOp { filter, cascade, workers: config.filter_workers.max(1) }));
-                label
-            }
-        };
-        operators.push(Box::new(DetectOp { detector }));
-        operators.push(Box::new(PredicateEvalOp { query: query.clone() }));
-        operators.push(Box::new(SinkOp));
-        PhysicalPlan { query_name: query.name.clone(), mode_label, config, ledger, operators, calibration: None }
-    }
-
-    /// Builds an *adaptive* filtered plan: profiles every `(backend ×
-    /// tolerance)` candidate on the calibration prefix (charging the
-    /// calibration work to the shared `ledger`), selects the cheapest
-    /// combination that kept 100 % recall on the prefix, and compiles the
-    /// chosen cascade into the standard operator chain. The returned
-    /// [`CalibrationReport`] records every candidate profile and the choice;
-    /// executions of the plan prepend a `calibrate` pseudo-operator row to
-    /// their stage metrics carrying the calibration cost.
-    pub fn new_adaptive(
-        query: &Query,
-        calibration_prefix: &[Frame],
-        backends: &[&'a dyn FrameFilter],
-        tolerances: &[CascadeConfig],
-        detector: &'a dyn Detector,
-        ledger: CostLedger,
-        config: PipelineConfig,
-    ) -> (Self, CalibrationReport) {
-        let report =
-            plan_cascade(query, calibration_prefix, backends, tolerances, detector, &ledger, config.batch_size);
-        // The planner may choose the brute-force floor (no lossless cascade
-        // beat `decode + detector` on the prefix): compile a plan without a
-        // cascade stage, so the adaptive run costs at most brute force plus
-        // the calibration bill.
-        let mut plan = if report.choice.brute_force {
-            PhysicalPlan::new(query, ExecutionMode::BruteForce, None, detector, ledger, config)
-        } else {
-            let filter = backends[report.choice.backend_index];
-            PhysicalPlan::new(
-                query,
-                ExecutionMode::Filtered(report.choice.cascade),
-                Some(filter),
-                detector,
-                ledger,
-                config,
-            )
-        };
-        plan.mode_label = format!("adaptive {}", report.choice.label);
-        plan.calibration = Some(StageMetrics {
-            operator: "calibrate".to_string(),
-            stage: None,
-            frames_in: report.prefix_frames,
-            frames_out: report.prefix_frames,
-            virtual_ms: report.calibration_ms,
-            wall_ms: report.calibration_wall_ms,
-            workers: 1,
-            kernel_backend: None,
-        });
-        (plan, report)
-    }
-
-    /// Builds an *aggregate* plan: `Source → WindowFilter(×backend) →
-    /// AggregateSink`. Every frame is decoded and filtered (window-wide
-    /// indicator computation, one `window-filter` operator per candidate
-    /// backend, each charging its own stage), and the sink assembles hopping
-    /// windows of `spec.window` frames, handing each completed window to
-    /// `estimator`, which runs the expensive detector on *sampled* frames
-    /// only. This is how a parsed `WINDOW HOPPING` statement executes: the
-    /// parser's `(size, advance)` goes into [`AggregateSpec::window`] and the
-    /// estimator emits one aggregate report per window.
-    pub fn new_aggregate(
-        query: &Query,
-        spec: AggregateSpec,
-        backends: &[&'a dyn FrameFilter],
-        detector: &'a dyn Detector,
-        estimator: &'a mut dyn WindowEstimator,
-        ledger: CostLedger,
-        config: PipelineConfig,
-    ) -> Self {
-        let (size, advance) = spec.window;
-        if spec.seconds.is_none() {
-            assert!(size > 0, "aggregate window size must be positive");
-            assert!(advance > 0, "aggregate window advance must be positive");
-        }
-        assert!(!backends.is_empty(), "aggregate plans need at least one filter backend");
-        let mut operators: Vec<Box<dyn Operator + 'a>> = vec![Box::new(SourceOp)];
-        for &filter in backends {
-            operators.push(Box::new(WindowFilterOp {
-                filter,
-                cascade: FilterCascade::new(query.clone(), spec.cascade),
-                threshold: spec.indicator_threshold.unwrap_or_else(|| filter.threshold()),
-                workers: config.filter_workers.max(1),
-            }));
-        }
-        operators.push(Box::new(AggregateSinkOp {
-            detector,
-            estimator,
-            size,
-            advance,
-            seconds: spec.seconds,
-            backends: backends.iter().map(|f| (f.kind().name(), f.kind().stage())).collect(),
-            frames: Vec::new(),
-            indicators: Vec::new(),
-            buffer_start: 0,
-            next_window_start: 0,
-            next_window_time: 0.0,
-            window_index: 0,
-            detector_frames: 0,
-        }));
-        let names: Vec<&str> = backends.iter().map(|f| f.kind().name()).collect();
-        let mode_label = match spec.seconds {
-            Some((s, a)) => format!("aggregate {} window {s}s/{a}s", names.join("+")),
-            None => format!("aggregate {} window {size}/{advance}", names.join("+")),
-        };
-        PhysicalPlan { query_name: query.name.clone(), mode_label, config, ledger, operators, calibration: None }
-    }
-
-    /// Human-readable execution-mode label (e.g. `brute-force` or
-    /// `OD-CCF-1/OD-CLF-2`).
-    pub fn mode_label(&self) -> &str {
-        &self.mode_label
-    }
-
-    /// Executes the plan over an in-memory slice of frames.
-    pub fn execute_slice(&mut self, frames: &[Frame]) -> QueryRun {
-        self.execute(&mut SliceSource::new(frames))
-    }
-
-    /// Executes the plan, draining `source` batch by batch.
-    pub fn execute(&mut self, source: &mut dyn FrameSource) -> QueryRun {
-        let mut ctx = ExecContext { ledger: self.ledger.clone(), matched: Vec::new() };
-        let mut accum = vec![OperatorAccum::default(); self.operators.len()];
-        let mut frames_total = 0usize;
-
-        while let Some(frames) = source.next_batch(self.config.batch_size) {
-            frames_total += frames.len();
-            let mut batch = FrameBatch::from_frames(frames);
-            for (op, acc) in self.operators.iter_mut().zip(accum.iter_mut()) {
-                let frames_in = batch.len();
-                // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds
-                // only the operator's `wall_ms` stat; batches flow on
-                // regardless of the measured span.
-                let start = Instant::now();
-                batch = op.process(batch, &mut ctx);
-                acc.wall_ms += start.elapsed().as_secs_f64() * 1000.0;
-                acc.frames_in += frames_in;
-                acc.frames_out += batch.len();
-                if batch.is_empty() {
-                    break;
-                }
-            }
-        }
-
-        let stage_metrics: Vec<StageMetrics> = self
-            .calibration
-            .iter()
-            .cloned()
-            .chain(self.operators.iter().zip(&accum).map(|(op, acc)| {
-                let stage = op.stage();
-                let charged = op.charged_frames().unwrap_or(acc.frames_in as u64);
-                let virtual_ms = stage.map_or(0.0, |s| self.ledger.model().cost_ms(s) * charged as f64);
-                StageMetrics {
-                    operator: op.name().to_string(),
-                    stage,
-                    frames_in: acc.frames_in,
-                    frames_out: acc.frames_out,
-                    virtual_ms,
-                    wall_ms: acc.wall_ms,
-                    workers: op.workers(),
-                    kernel_backend: op.kernel_backend().map(str::to_string),
-                }
-            }))
-            .collect();
-
-        let metric = |name: &str| stage_metrics.iter().find(|m| m.operator == name);
-        let frames_passed_filter = metric("cascade-filter").map_or(frames_total, |m| m.frames_out);
-        // Detector work: the `detect` operator evaluates every entering
-        // frame; the aggregate sink evaluates only the frames it charged
-        // (sampled estimation plus calibration-prefix annotation).
-        let frames_detected = metric("detect").map_or_else(
-            || {
-                self.operators
-                    .iter()
-                    .filter(|op| op.name() == "aggregate-sink")
-                    .filter_map(|op| op.charged_frames())
-                    .sum::<u64>() as usize
-            },
-            |m| m.frames_in,
-        );
-        let filter_wall_ms = stage_metrics
-            .iter()
-            .filter(|m| m.operator == "cascade-filter" || m.operator == "window-filter")
-            .map(|m| m.wall_ms)
-            .sum();
-
-        QueryRun {
-            query: self.query_name.clone(),
-            mode: self.mode_label.clone(),
-            matched_frames: ctx.matched,
-            frames_total,
-            frames_passed_filter,
-            frames_detected,
-            virtual_ms: self.ledger.total_ms(),
-            filter_wall_ms,
-            stage_metrics,
-            replans: Vec::new(),
-            audit_frames: 0,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Shared multi-query execution
+// The executor
 // ---------------------------------------------------------------------------
 
 /// Per-batch wall-clock accumulators of the shared pass's phases.
@@ -1390,11 +739,11 @@ impl<'a> SharedStreamPlan<'a> {
 
     /// Registers a windowed-aggregate query over the listed backends (its
     /// candidate control-variate columns, in order) with a private `ledger`.
-    /// The estimator receives every completed hopping window exactly as the
-    /// single-query aggregate plan would hand it over; its sampled detector
-    /// work should be routed through a
-    /// [`CachedDetector`](vmq_detect::CachedDetector) so it participates in
-    /// the shared dedup.
+    /// The estimator receives every completed hopping window (partial
+    /// trailing windows never emit); its sampled detector work is routed
+    /// through a
+    /// [`CachedDetector`](vmq_detect::CachedDetector) over the plan's cache,
+    /// so it participates in the shared dedup.
     pub fn register_aggregate(
         &mut self,
         query: Query,
@@ -1451,20 +800,10 @@ impl<'a> SharedStreamPlan<'a> {
         self.queries.len() - 1
     }
 
-    /// Number of registered queries.
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
-    }
-
     /// The detection cache (clones share state; inspect after execution for
     /// hit/miss accounting).
     pub fn cache(&self) -> &vmq_detect::DetectionCache {
         &self.cache
-    }
-
-    /// The global (shared-charge) ledger.
-    pub fn global_ledger(&self) -> &CostLedger {
-        &self.global
     }
 
     /// Re-addresses query `q`'s *global* attribution — shared-ledger charge
@@ -1505,19 +844,23 @@ impl<'a> SharedStreamPlan<'a> {
         }
     }
 
-    /// Executes the shared pass over an in-memory slice of frames.
+    /// Executes the shared pass over an in-memory slice of frames, batch by
+    /// batch; the runs are those of [`SharedStreamPlan::execute`].
     pub fn execute_slice(&mut self, frames: &[Frame]) -> Vec<QueryRun> {
-        self.execute(&mut SliceSource::new(frames))
+        for batch in frames.chunks(self.config.batch_size) {
+            self.push_batch(batch);
+        }
+        self.finish()
     }
 
     /// Executes the shared pass, draining `source` batch by batch, and
     /// returns one [`QueryRun`] per registered query (registration order).
     /// Each run is bit-identical — matched frames, detector counts, virtual
-    /// time — to executing that query alone through [`PhysicalPlan`];
-    /// wall-clock columns report the *shared* phase times instead of
-    /// per-query ones. Afterwards the global ledger carries the deduplicated
-    /// bill with per-query attribution settled (detections split equally
-    /// among each frame's users).
+    /// time — to executing that query alone on a plan of one; wall-clock
+    /// columns report the *shared* phase times instead of per-query ones.
+    /// Afterwards the global ledger carries the deduplicated bill with
+    /// per-query attribution settled (detections split equally among each
+    /// frame's users).
     pub fn execute(&mut self, source: &mut dyn FrameSource) -> Vec<QueryRun> {
         self.ensure_exec();
         loop {
@@ -1985,9 +1328,9 @@ impl<'a> SharedStreamPlan<'a> {
     }
 
     /// Hands every completed hopping window of every aggregate query to its
-    /// estimator (same emission rule as the single-query aggregate sink:
-    /// partial trailing windows never emit), charging the reported detector
-    /// work to the query's private ledger.
+    /// estimator (the `HoppingWindow::windows` semantics: partial trailing
+    /// windows never emit), charging the reported detector work to the
+    /// query's private ledger.
     fn emit_ready_windows(&mut self) {
         let detector_stage = self.detector.stage();
         for (q, state) in self.queries.iter_mut().enumerate() {
@@ -2126,9 +1469,9 @@ impl<'a> SharedStreamPlan<'a> {
         }
     }
 
-    /// Builds the per-query [`QueryRun`]s (synthesised stage metrics mirror
-    /// the single-query operator chain; virtual columns derive from each
-    /// private ledger, wall columns report the shared phase times).
+    /// Builds the per-query [`QueryRun`]s: one stage row per operator of the
+    /// statement's logical plan, virtual columns from its private ledger's
+    /// prices and frame counts, wall columns from the shared phase times.
     fn finalize(&mut self, frames_total: usize, wall: &SharedWall, backend_wall: &[f64]) -> Vec<QueryRun> {
         let model = self.global.model().clone();
         let detector_stage = self.detector.stage();
@@ -2297,18 +1640,15 @@ mod tests {
     fn adaptive_plan_prepends_calibrate_row_and_stays_cost_honest() {
         let (ds, filter, oracle) = setup();
         let backends: Vec<&dyn FrameFilter> = vec![&filter];
-        let (mut plan, report) = PhysicalPlan::new_adaptive(
-            &Query::paper_q3(),
-            &ds.test()[..20],
+        let (run, report) = QueryExecutor::new(Query::paper_q3()).run_adaptive(
+            ds.test(),
+            20,
             &backends,
             &CascadeConfig::lattice(),
             &oracle,
-            CostLedger::paper(),
-            PipelineConfig::default(),
         );
-        assert!(plan.mode_label().starts_with("adaptive "), "mode {}", plan.mode_label());
+        assert!(run.mode.starts_with("adaptive "), "mode {}", run.mode);
         assert!(report.calibration_ms > 0.0);
-        let run = plan.execute_slice(ds.test());
         assert_eq!(run.stage_metrics[0].operator, "calibrate");
         assert_eq!(run.stage_metrics[0].frames_in, 20);
         assert!((run.stage_metrics[0].virtual_ms - report.calibration_ms).abs() < 1e-9);
@@ -2330,15 +1670,7 @@ mod tests {
     #[test]
     fn brute_force_plan_has_no_cascade_stage() {
         let (ds, _filter, oracle) = setup();
-        let mut plan = PhysicalPlan::new(
-            &Query::paper_q3(),
-            ExecutionMode::BruteForce,
-            None,
-            &oracle,
-            CostLedger::paper(),
-            PipelineConfig::default(),
-        );
-        let run = plan.execute_slice(ds.test());
+        let run = QueryExecutor::new(Query::paper_q3()).run_brute_force(ds.test(), &oracle);
         let names: Vec<&str> = run.stage_metrics.iter().map(|m| m.operator.as_str()).collect();
         assert_eq!(names, ["source", "detect", "predicate-eval", "sink"]);
         assert_eq!(run.frames_detected, ds.test().len());
@@ -2348,15 +1680,12 @@ mod tests {
     #[test]
     fn filtered_plan_metrics_are_consistent() {
         let (ds, filter, oracle) = setup();
-        let mut plan = PhysicalPlan::new(
-            &Query::paper_q3(),
-            ExecutionMode::Filtered(CascadeConfig::strict()),
-            Some(&filter),
+        let run = QueryExecutor::new(Query::paper_q3()).with_batch_size(7).run_filtered(
+            ds.test(),
+            &filter,
             &oracle,
-            CostLedger::paper(),
-            PipelineConfig::with_batch_size(7),
+            CascadeConfig::strict(),
         );
-        let run = plan.execute_slice(ds.test());
         let names: Vec<&str> = run.stage_metrics.iter().map(|m| m.operator.as_str()).collect();
         assert_eq!(names, ["source", "cascade-filter", "detect", "predicate-eval", "sink"]);
 
@@ -2397,15 +1726,12 @@ mod tests {
             .map(|&bs| {
                 let filter =
                     CalibratedFilter::new(DatasetProfile::jackson().class_list(), 14, CalibrationProfile::perfect(), 5);
-                let mut plan = PhysicalPlan::new(
-                    &query,
-                    ExecutionMode::Filtered(CascadeConfig::tolerant()),
-                    Some(&filter),
+                QueryExecutor::new(query.clone()).with_batch_size(bs).run_filtered(
+                    ds.test(),
+                    &filter,
                     &oracle,
-                    CostLedger::paper(),
-                    PipelineConfig::with_batch_size(bs),
-                );
-                plan.execute_slice(ds.test())
+                    CascadeConfig::tolerant(),
+                )
             })
             .collect();
         for run in &runs[1..] {
@@ -2471,18 +1797,14 @@ mod tests {
                 windows: Vec::new(),
                 pass_sums: Vec::new(),
             };
-            let mut plan = PhysicalPlan::new_aggregate(
-                &query,
+            let run = QueryExecutor::new(query.clone()).run_aggregate(
+                &frames,
                 AggregateSpec::hopping_seconds(2.0, 2.0),
                 &backends,
                 &oracle,
                 &mut est,
-                CostLedger::paper(),
-                PipelineConfig::default(),
             );
-            let run = plan.execute_slice(&frames);
             assert!(run.mode.contains("window 2s/2s"), "mode {}", run.mode);
-            drop(plan);
             est.windows.iter().map(|&(i, s, l, _)| (i, s, l)).collect()
         };
         // 15 fps, 100 frames (6.6 s): three complete 2 s windows of 30
@@ -2501,34 +1823,6 @@ mod tests {
             assert_eq!(start_s * 2, start_f);
             assert_eq!(len_s * 2, len_f);
         }
-
-        // The shared plan's window emission follows the same time
-        // segmentation bit-for-bit.
-        let frames = frames_at(15, 100);
-        let mut shared_est = RecordingEstimator {
-            samples_per_window: 0,
-            calibration_per_window: 0,
-            windows: Vec::new(),
-            pass_sums: Vec::new(),
-        };
-        let mut plan = SharedStreamPlan::new(
-            &oracle,
-            vmq_detect::DetectionCache::new(),
-            CostLedger::paper(),
-            PipelineConfig::default(),
-        );
-        let b = plan.add_backend(&filter);
-        plan.register_aggregate(
-            query.clone(),
-            AggregateSpec::hopping_seconds(2.0, 2.0),
-            &[b],
-            &mut shared_est,
-            CostLedger::paper(),
-        );
-        let _ = plan.execute_slice(&frames);
-        drop(plan);
-        let shared: Vec<(usize, usize, usize)> = shared_est.windows.iter().map(|&(i, s, l, _)| (i, s, l)).collect();
-        assert_eq!(shared, slow);
     }
 
     #[test]
@@ -2543,18 +1837,14 @@ mod tests {
         };
         let backends: Vec<&dyn FrameFilter> = vec![&filter];
         let ledger = CostLedger::paper();
-        let mut plan = PhysicalPlan::new_aggregate(
-            &query,
+        let run = QueryExecutor::with_ledger(query.clone(), ledger.clone()).with_batch_size(7).run_aggregate(
+            ds.test(),
             AggregateSpec::new(40, 20),
             &backends,
             &oracle,
             &mut estimator,
-            ledger.clone(),
-            PipelineConfig::with_batch_size(7),
         );
-        assert_eq!(plan.mode_label(), "aggregate CAL window 40/20");
-        let run = plan.execute_slice(ds.test());
-        drop(plan);
+        assert_eq!(run.mode, "aggregate CAL window 40/20");
 
         // 90 frames, size 40, advance 20 → complete windows start at 0, 20
         // and 40 (a 60-frame start would overflow the stream).
@@ -2600,17 +1890,13 @@ mod tests {
                 windows: Vec::new(),
                 pass_sums: Vec::new(),
             };
-            let mut plan = PhysicalPlan::new_aggregate(
-                &query,
+            let _ = QueryExecutor::new(query.clone()).with_batch_size(bs).run_aggregate(
+                ds.test(),
                 AggregateSpec::new(30, 30),
                 &backends,
                 &oracle,
                 &mut estimator,
-                CostLedger::paper(),
-                PipelineConfig::with_batch_size(bs),
             );
-            let _ = plan.execute_slice(ds.test());
-            drop(plan);
             sums.push(estimator.pass_sums);
         }
         assert_eq!(sums[0], sums[1]);
@@ -2628,16 +1914,13 @@ mod tests {
         };
         let backends: Vec<&dyn FrameFilter> = vec![&filter];
         let ledger = CostLedger::paper();
-        let mut plan = PhysicalPlan::new_aggregate(
-            &Query::paper_q3(),
+        let run = QueryExecutor::with_ledger(Query::paper_q3(), ledger.clone()).run_aggregate(
+            ds.test(),
             AggregateSpec::new(45, 45),
             &backends,
             &oracle,
             &mut estimator,
-            ledger.clone(),
-            PipelineConfig::default(),
         );
-        let run = plan.execute_slice(ds.test());
         // 90 frames, two tumbling 45-frame windows.
         assert_eq!(ledger.invocations(Stage::MaskRcnn), 2 * (5 + 8));
         assert_eq!(ledger.calibration_invocations(Stage::MaskRcnn), 2 * 8);
@@ -2656,66 +1939,19 @@ mod tests {
             pass_sums: Vec::new(),
         };
         let backends: Vec<&dyn FrameFilter> = vec![&filter];
-        let mut plan = PhysicalPlan::new_aggregate(
-            &Query::paper_q3(),
+        let run = QueryExecutor::new(Query::paper_q3()).run_aggregate(
+            ds.test(),
             AggregateSpec::new(500, 500),
             &backends,
             &oracle,
             &mut estimator,
-            CostLedger::paper(),
-            PipelineConfig::default(),
         );
-        let run = plan.execute_slice(ds.test());
-        drop(plan);
         assert!(estimator.windows.is_empty());
         assert_eq!(run.frames_detected, 0);
     }
 
     fn fresh_filter(seed: u64) -> CalibratedFilter {
         CalibratedFilter::new(DatasetProfile::jackson().class_list(), 14, CalibrationProfile::od_like(), seed)
-    }
-
-    /// A single registration through the shared plan is bit-identical to the
-    /// single-query [`PhysicalPlan`]: matched frames, detector counts and
-    /// the private ledger's virtual total.
-    #[test]
-    fn shared_plan_single_select_matches_physical_plan_bit_for_bit() {
-        let (ds, _filter, oracle) = setup();
-        for query in [Query::paper_q3(), Query::paper_q4()] {
-            let isolated_filter = fresh_filter(7);
-            let mut isolated = PhysicalPlan::new(
-                &query,
-                ExecutionMode::Filtered(CascadeConfig::strict()),
-                Some(&isolated_filter),
-                &oracle,
-                CostLedger::paper(),
-                PipelineConfig::with_batch_size(13),
-            );
-            let reference = isolated.execute_slice(ds.test());
-
-            let shared_filter = fresh_filter(7);
-            let mut plan = SharedStreamPlan::new(
-                &oracle,
-                vmq_detect::DetectionCache::new(),
-                CostLedger::paper(),
-                PipelineConfig::with_batch_size(13),
-            );
-            let backend = plan.add_backend(&shared_filter);
-            plan.register_select(query.clone(), CascadeConfig::strict(), Some(backend), CostLedger::paper());
-            let runs = plan.execute_slice(ds.test());
-
-            assert_eq!(runs.len(), 1);
-            assert_eq!(runs[0].matched_frames, reference.matched_frames);
-            assert_eq!(runs[0].frames_detected, reference.frames_detected);
-            assert_eq!(runs[0].frames_passed_filter, reference.frames_passed_filter);
-            assert_eq!(runs[0].virtual_ms.to_bits(), reference.virtual_ms.to_bits());
-            assert_eq!(runs[0].mode, reference.mode);
-            let names: Vec<&str> = runs[0].stage_metrics.iter().map(|m| m.operator.as_str()).collect();
-            assert_eq!(names, ["source", "cascade-filter", "detect", "predicate-eval", "sink"]);
-            // Honest accounting: stage rows sum to the private ledger total.
-            let sum: f64 = runs[0].stage_metrics.iter().map(|m| m.virtual_ms).sum();
-            assert!((sum - runs[0].virtual_ms).abs() < 1e-9);
-        }
     }
 
     /// Two overlapping selects on one backend: the filter runs once per
@@ -2803,8 +2039,8 @@ mod tests {
     }
 
     /// A select and an aggregate sharing one backend: the indicator columns
-    /// the aggregate sees through the shared pass equal the single-query
-    /// aggregate plan's, and the brute-force select needs no backend at all.
+    /// the aggregate sees through the shared pass equal those of the same
+    /// aggregate run alone, and the brute-force select needs no backend at all.
     #[test]
     fn shared_plan_mixes_selects_and_aggregates_over_one_backend_pass() {
         let (ds, _filter, oracle) = setup();
@@ -2819,17 +2055,13 @@ mod tests {
             windows: Vec::new(),
             pass_sums: Vec::new(),
         };
-        let mut reference_plan = PhysicalPlan::new_aggregate(
-            &query,
+        let reference_run = QueryExecutor::new(query.clone()).run_aggregate(
+            ds.test(),
             AggregateSpec::new(30, 15),
             &backends,
             &oracle,
             &mut reference_est,
-            CostLedger::paper(),
-            PipelineConfig::default(),
         );
-        let reference_run = reference_plan.execute_slice(ds.test());
-        drop(reference_plan);
 
         // Shared pass: brute-force select + the same aggregate.
         let shared_filter = fresh_filter(3);

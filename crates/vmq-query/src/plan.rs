@@ -500,11 +500,6 @@ impl FilterCascade {
         &self.query
     }
 
-    /// A Table III style label, e.g. "OD-CCF-1/OD-CLF-2" for an OD filter.
-    pub fn label(&self, filter: &dyn FrameFilter) -> String {
-        self.config.label_for(&self.query, filter)
-    }
-
     fn verdicts(&self, estimate: &FilterEstimate, threshold: f32, graded: bool) -> AtomVerdicts {
         self.table.evaluate_at(&[threshold], std::slice::from_ref(estimate), graded)
     }
@@ -514,12 +509,6 @@ impl FilterCascade {
     /// returning `true` sends it to the expensive detector.
     pub fn passes(&self, estimate: &FilterEstimate, threshold: f32) -> bool {
         self.verdicts(estimate, threshold, false).passes(0, &self.atoms)
-    }
-
-    /// [`FilterCascade::passes`] for every estimate of a batch, in order.
-    pub fn passes_batch(&self, estimates: &[FilterEstimate], threshold: f32) -> Vec<bool> {
-        let verdicts = self.table.evaluate_at(&[threshold], estimates, false);
-        (0..estimates.len()).map(|frame| verdicts.passes(frame, &self.atoms)).collect()
     }
 
     /// Per-predicate approximate indicators (one boolean per query predicate,

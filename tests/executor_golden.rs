@@ -15,11 +15,9 @@
 //! * of every window report: its position and every estimate by bit pattern.
 //!
 //! Wall-clock columns are the only fields left out. The snapshot
-//! (`tests/golden/executor_runs.txt`) was generated while `QueryExecutor`
-//! still compiled a separate single-statement operator chain and stayed
-//! byte-identical when it became a registration on a `SharedStreamPlan` of
-//! one, so it is the row-level proof that the one executor reproduces the
-//! chain it replaced.
+//! (`tests/golden/executor_runs.txt`) was generated from the
+//! single-statement operator chain that `QueryExecutor`'s plan of one
+//! replaced, so it pins the one executor to that chain's output row for row.
 //!
 //! Regenerate with `VMQ_UPDATE_GOLDEN=1 cargo test --test executor_golden`
 //! after an intentional change to a run's reported fields.

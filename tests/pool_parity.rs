@@ -10,9 +10,9 @@
 //! The execution mode is a process-global toggle; both paths compute
 //! identical results by contract, so flipping it around a run can never make
 //! a comparison fail spuriously — it only decides which path provides the
-//! sample under comparison. CI additionally runs the whole suite in a
-//! separate `VMQ_NO_POOL=1` process, which pins the reference path against
-//! every golden in the repository.
+//! sample under comparison. This file is the pool's whole parity gate — CI
+//! runs no separate `VMQ_NO_POOL=1` pass over the suite; the env var and the
+//! spawn path exist as the reference these tests compare against.
 
 use proptest::prelude::*;
 use vmq::detect::{CostLedger, DetectionCache, OracleDetector};
