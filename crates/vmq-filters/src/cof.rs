@@ -110,6 +110,11 @@ impl CofFilter {
         &self.history
     }
 
+    /// [`vmq_nn::net::param_digest`] over the network's parameters.
+    pub fn param_digest(&self) -> u64 {
+        vmq_nn::net::param_digest(&self.net.write().parameters())
+    }
+
     /// Trains the filter to predict the total object count with SmoothL1.
     pub fn train(&mut self, frames: &[Frame], labels: &[FrameLabels]) -> Vec<EpochStats> {
         assert_eq!(frames.len(), labels.len(), "frames and labels must be parallel");

@@ -242,6 +242,15 @@ impl IcFilter {
         &self.history
     }
 
+    /// [`vmq_nn::net::param_digest`] over the trunk's, then the head's,
+    /// parameters.
+    pub fn param_digest(&self) -> u64 {
+        let net = &mut *self.net.write();
+        let mut params = net.trunk.parameters();
+        params.extend(net.head.params());
+        vmq_nn::net::param_digest(&params)
+    }
+
     /// Trains the filter on rasterised frames and oracle labels, using the
     /// multi-task loss and schedule of Eq. 2 / Sec. II-A.
     pub fn train(&mut self, frames: &[Frame], labels: &[FrameLabels]) -> Vec<EpochStats> {

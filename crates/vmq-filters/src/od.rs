@@ -111,6 +111,12 @@ impl OdFilter {
         &self.history
     }
 
+    /// [`vmq_nn::net::param_digest`] over the trunk, branch, grid-head and
+    /// count-head parameters, in that order.
+    pub fn param_digest(&self) -> u64 {
+        vmq_nn::net::param_digest(&self.net.write().parameters())
+    }
+
     /// Trains the filter with the branch loss of Eq. 3.
     pub fn train(&mut self, frames: &[Frame], labels: &[FrameLabels]) -> Vec<EpochStats> {
         assert_eq!(frames.len(), labels.len(), "frames and labels must be parallel");

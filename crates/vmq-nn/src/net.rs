@@ -38,6 +38,17 @@ impl Param {
     }
 }
 
+/// FNV-1a over the bit pattern of every value of `params`, in order: two
+/// parameter sets share a digest exactly when they are bit-identical (up to
+/// hash collisions), which is what the trained-weights golden pins.
+pub fn param_digest(params: &[&mut Param]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in params.iter().flat_map(|p| p.value.data()).flat_map(|v| v.to_bits().to_le_bytes()) {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
 /// A plain stack of layers executed in order.
 ///
 /// `Sequential` is used both as a full network (for the count-only OD-COF
