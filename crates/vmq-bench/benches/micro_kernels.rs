@@ -8,8 +8,11 @@ use vmq_detect::{CachedDetector, CostLedger, DetectionCache, Detector, OracleDet
 use vmq_filters::{
     CalibratedFilter, CalibrationProfile, ClassGrid, FilterConfig, FrameFilter, IcFilter, OdFilter, QuantizedIcFilter,
 };
-use vmq_nn::ops::{conv2d_forward, matmul, ConvSpec};
-use vmq_nn::{KernelBackend, Tensor};
+use vmq_nn::grad::{conv2d_backward_input_into, conv2d_backward_params_into, conv2d_forward_into};
+use vmq_nn::kernels::{conv2d_into, matmul_into};
+use vmq_nn::ops::ConvSpec;
+use vmq_nn::optim::{Adam, Optimizer};
+use vmq_nn::{KernelBackend, Tensor, Workspace};
 use vmq_query::ast::CountOp;
 use vmq_query::plan::{AtomTable, FilterCascade};
 use vmq_query::{
@@ -19,15 +22,52 @@ use vmq_query::{
 use vmq_video::{Dataset, DatasetProfile, ObjectClass, RasterConfig};
 
 fn bench_nn_kernels(c: &mut Criterion) {
-    let a = Tensor::full(vec![64, 64], 0.5);
-    let b = Tensor::full(vec![64, 64], 0.25);
-    c.bench_function("nn/matmul 64x64", |bench| bench.iter(|| matmul(black_box(&a), black_box(&b))));
+    let (a, b) = (vec![0.5f32; 64 * 64], vec![0.25f32; 64 * 64]);
+    let mut out = Vec::new();
+    c.bench_function("nn/matmul 64x64", |bench| {
+        bench.iter(|| matmul_into(black_box(&a), 64, 64, black_box(&b), 64, &mut out))
+    });
 
     let spec = ConvSpec { in_channels: 8, out_channels: 16, kernel: 3, stride: 1, padding: 1 };
-    let input = Tensor::full(vec![8, 28, 28], 0.1);
-    let weight = Tensor::full(vec![16, 8 * 9], 0.01);
+    let input = vec![0.1f32; 8 * 28 * 28];
+    let weight = vec![0.01f32; 16 * 8 * 9];
+    let mut scratch = Vec::new();
     c.bench_function("nn/conv2d 8->16 @28x28", |bench| {
-        bench.iter(|| conv2d_forward(black_box(&input), black_box(&weight), &[0.0; 16], &spec))
+        bench.iter(|| {
+            conv2d_into(black_box(&input), 28, 28, &spec, black_box(&weight), &[0.0; 16], &mut scratch, &mut out)
+        })
+    });
+
+    // The same layer through the training kernels: forward once for the
+    // padded input copy, then weight/bias and input gradients per iteration.
+    let mut xpad = Vec::new();
+    conv2d_forward_into(&input, 28, 28, &spec, &weight, &[0.0; 16], &mut xpad, &mut scratch, &mut out);
+    let grad_out = vec![0.01f32; 16 * 28 * 28];
+    let (mut dw, mut db) = (vec![0.0f32; weight.len()], vec![0.0f32; 16]);
+    c.bench_function("nn/conv_backward 8->16 @28x28", |bench| {
+        bench.iter(|| {
+            conv2d_backward_params_into(&xpad, 28, 28, &spec, black_box(&grad_out), &mut scratch, &mut dw, &mut db);
+            conv2d_backward_input_into(black_box(&weight), 28, 28, &spec, &grad_out, &mut scratch, &mut out);
+        })
+    });
+
+    // One sample through the experiment-size trunk: forward, backward
+    // (no input gradient, as filter training runs it) and an Adam step.
+    let config = FilterConfig::experiment(vec![ObjectClass::Car, ObjectClass::Person]);
+    let mut trunk = vmq_filters::arch::build_trunk(&config, vmq_nn::Act::Relu, 7);
+    let image = vec![0.3f32; 3 * config.raster.height * config.raster.width];
+    let grad = Tensor::full(vec![config.feature_channels(), config.grid, config.grid], 0.01);
+    let mut opt = Adam::new(1e-3);
+    let mut ws = Workspace::new();
+    c.bench_function("nn/train_step experiment trunk", |bench| {
+        bench.iter(|| {
+            ws.load_slice(black_box(&image), &[3, config.raster.height, config.raster.width]);
+            trunk.forward_ws(&mut ws);
+            ws.load(&grad);
+            trunk.backward_ws(&mut ws, false);
+            opt.step(&mut trunk.parameters());
+            trunk.zero_grad();
+        })
     });
 }
 

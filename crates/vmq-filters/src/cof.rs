@@ -10,7 +10,9 @@
 
 use crate::arch::build_trunk;
 use crate::config::FilterConfig;
-use crate::estimate::{image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter};
+use crate::estimate::{
+    image_to_tensor, rasterise_all, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter,
+};
 use crate::label::FrameLabels;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -122,8 +124,12 @@ impl CofFilter {
             return Vec::new();
         }
         let schedule = self.config.schedule;
-        let inputs: Vec<Tensor> = frames.iter().map(|f| image_to_tensor(&self.config.raster.render(f))).collect();
+        let raster = &self.config.raster;
+        let inputs = rasterise_all(raster, frames);
+        let input_shape = [3, raster.height, raster.width];
+        let input_len: usize = input_shape.iter().product();
         let targets: Vec<Tensor> = labels.iter().map(|l| Tensor::from_vec(vec![l.total_count()], vec![1])).collect();
+        let mut ws = Workspace::new();
         let mut rng = seeded_rng(self.config.seed.wrapping_add(0xC0F));
         let mut opt = Adam::with_weight_decay(schedule.learning_rate, schedule.weight_decay);
         let mut history = Vec::with_capacity(schedule.epochs);
@@ -133,11 +139,14 @@ impl CofFilter {
             let mut epoch_loss = 0.0f64;
             for batch in batches(&order, schedule.batch_size) {
                 net.zero_grad();
-                for &i in &batch {
-                    let pred = net.forward(&inputs[i]);
-                    let (loss, grad) = smooth_l1_loss(&pred, &targets[i]);
+                for &i in batch {
+                    ws.load_slice(&inputs[i * input_len..(i + 1) * input_len], &input_shape);
+                    net.forward_ws(&mut ws);
+                    let (loss, grad) = smooth_l1_loss(&ws.output(), &targets[i]);
                     epoch_loss += loss as f64;
-                    net.backward(&grad.scale(1.0 / batch.len() as f32));
+                    ws.load(&grad.scale(1.0 / batch.len() as f32));
+                    // Nothing consumes the gradient w.r.t. the raster.
+                    net.backward_ws(&mut ws, false);
                 }
                 opt.step(&mut net.parameters());
             }

@@ -217,6 +217,19 @@ pub(crate) fn rasterise_into(raster: &vmq_video::RasterConfig, frame: &Frame, ws
     raster.render_into(frame, ws.load_with(&[3, raster.height, raster.width]));
 }
 
+/// Rasterises every frame into one flat buffer of back-to-back `[3, height,
+/// width]` images (frame `i` at `i * len..(i + 1) * len`) — the training
+/// set, rendered once through one reused image buffer.
+pub(crate) fn rasterise_all(raster: &vmq_video::RasterConfig, frames: &[Frame]) -> Vec<f32> {
+    let mut all = Vec::with_capacity(frames.len() * 3 * raster.height * raster.width);
+    let mut image = Vec::new();
+    for frame in frames {
+        raster.render_into(frame, &mut image);
+        all.extend_from_slice(&image);
+    }
+    all
+}
+
 /// Shards a batch of frames across up to `workers` tasks on the persistent
 /// [`vmq_exec`] pool, each task running on a worker's thread-local inference
 /// [`Workspace`](vmq_nn::Workspace) (reused across batches, so steady-state

@@ -16,15 +16,18 @@
 
 use crate::arch::build_trunk;
 use crate::config::FilterConfig;
-use crate::estimate::{image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter};
+use crate::estimate::{
+    image_to_tensor, rasterise_all, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter,
+};
 use crate::grid::ClassGrid;
 use crate::label::{class_presence_counts, FrameLabels};
 use parking_lot::RwLock;
+use vmq_nn::grad::global_avg_pool_backward_into;
 use vmq_nn::init::seeded_rng;
 use vmq_nn::layer::Act;
 use vmq_nn::loss::{class_weights_from_presence, multi_task_loss};
 use vmq_nn::net::{Param, Sequential};
-use vmq_nn::ops::{global_avg_pool, global_avg_pool_backward, matvec};
+use vmq_nn::ops::{global_avg_pool_into, matvec_into};
 use vmq_nn::optim::{Adam, Optimizer};
 use vmq_nn::train::{batches, sample_order, EpochStats};
 use vmq_nn::{Tensor, Workspace};
@@ -38,6 +41,7 @@ pub struct CamCountHead {
     d: usize,
     cached_gap: Vec<f32>,
     cached_pre: Vec<f32>,
+    cached_hw: (usize, usize),
 }
 
 impl CamCountHead {
@@ -46,24 +50,24 @@ impl CamCountHead {
         let mut rng = seeded_rng(seed.wrapping_mul(31).wrapping_add(5));
         let weight = Param::new(vmq_nn::init::xavier_uniform(vec![n_classes, d], d, n_classes, &mut rng));
         let bias = Param::new(Tensor::zeros(vec![n_classes]));
-        CamCountHead { weight, bias, n_classes, d, cached_gap: Vec::new(), cached_pre: Vec::new() }
+        CamCountHead { weight, bias, n_classes, d, cached_gap: Vec::new(), cached_pre: Vec::new(), cached_hw: (0, 0) }
     }
 
-    /// Forward pass: returns `(counts [n], cams [n, g, g])`.
-    pub fn forward(&mut self, fm: &Tensor) -> (Tensor, Tensor) {
-        assert_eq!(fm.shape()[0], self.d, "feature channel mismatch");
-        let (g_h, g_w) = (fm.shape()[1], fm.shape()[2]);
-        let gap = global_avg_pool(fm);
-        let mut pre = matvec(&self.weight.value, gap.data());
+    /// The head's arithmetic, once, for training and inference alike, over a
+    /// feature map stored as a flat `[d, g_h, g_w]` slice: leaves the pooled
+    /// features in `gap` and the count pre-activations in `pre`, returns the
+    /// class activation maps `[n, g_h, g_w]`.
+    fn eval(&self, fm: &[f32], g_h: usize, g_w: usize, gap: &mut Vec<f32>, pre: &mut Vec<f32>) -> Vec<f32> {
+        let cell_count = g_h * g_w;
+        assert_eq!(fm.len(), self.d * cell_count, "feature channel mismatch");
+        let wd = self.weight.value.data();
+        global_avg_pool_into(fm, self.d, g_h, g_w, gap);
+        matvec_into(wd, self.n_classes, self.d, gap, pre);
         for (p, b) in pre.iter_mut().zip(self.bias.value.data()) {
             *p += b;
         }
-        let counts: Vec<f32> = pre.iter().map(|&v| v.max(0.0)).collect();
         // CAMs: M_c(i,j) = sum_k w[c][k] * fm[k][i][j]
-        let mut cams = vec![0.0f32; self.n_classes * g_h * g_w];
-        let wd = self.weight.value.data();
-        let fmd = fm.data();
-        let cell_count = g_h * g_w;
+        let mut cams = vec![0.0f32; self.n_classes * cell_count];
         for c in 0..self.n_classes {
             let cam = &mut cams[c * cell_count..(c + 1) * cell_count];
             for k in 0..self.d {
@@ -71,14 +75,23 @@ impl CamCountHead {
                 if w == 0.0 {
                     continue;
                 }
-                let ch = &fmd[k * cell_count..(k + 1) * cell_count];
+                let ch = &fm[k * cell_count..(k + 1) * cell_count];
                 for (o, &v) in cam.iter_mut().zip(ch) {
                     *o += w * v;
                 }
             }
         }
-        self.cached_gap = gap.data().to_vec();
-        self.cached_pre = pre;
+        cams
+    }
+
+    /// Training forward pass over a flat `[d, g_h, g_w]` feature map:
+    /// [`CamCountHead::infer`] keeping what [`CamCountHead::backward`]
+    /// needs. Returns `(counts [n], cams [n, g_h, g_w])`.
+    pub fn forward(&mut self, fm: &[f32], g_h: usize, g_w: usize) -> (Tensor, Tensor) {
+        let (mut gap, mut pre) = (std::mem::take(&mut self.cached_gap), std::mem::take(&mut self.cached_pre));
+        let cams = self.eval(fm, g_h, g_w, &mut gap, &mut pre);
+        let counts = pre.iter().map(|&v| v.max(0.0)).collect();
+        (self.cached_gap, self.cached_pre, self.cached_hw) = (gap, pre, (g_h, g_w));
         (Tensor::from_vec(counts, vec![self.n_classes]), Tensor::from_vec(cams, vec![self.n_classes, g_h, g_w]))
     }
 
@@ -87,9 +100,10 @@ impl CamCountHead {
     /// `d_counts` is the loss gradient w.r.t. the count output and `d_cams`
     /// w.r.t. the activation maps. Following Sec. II-A, the map term only
     /// back-propagates into the feature map, not into the head weights.
-    /// Returns the gradient w.r.t. `fm`.
-    pub fn backward(&mut self, fm: &Tensor, d_counts: &Tensor, d_cams: &Tensor) -> Tensor {
-        let (g_h, g_w) = (fm.shape()[1], fm.shape()[2]);
+    /// Writes the gradient w.r.t. the feature map of the last
+    /// [`CamCountHead::forward`] into `d_fm` (`[d, g_h, g_w]`, overwritten).
+    pub fn backward(&mut self, d_counts: &Tensor, d_cams: &Tensor, d_fm: &mut Vec<f32>) {
+        let (g_h, g_w) = self.cached_hw;
         let cell_count = g_h * g_w;
         // Through the ReLU of the count head.
         let d_pre: Vec<f32> =
@@ -118,12 +132,11 @@ impl CamCountHead {
                 *dg += g * wd[c * self.d + k];
             }
         }
-        let mut d_fm = global_avg_pool_backward(&Tensor::from_vec(d_gap, vec![self.d]), fm.shape());
+        global_avg_pool_backward_into(&d_gap, g_h, g_w, d_fm);
         // Gradient into the feature map from the CAM term (weights fixed).
         let dcam = d_cams.data();
-        let dfm = d_fm.data_mut();
         for k in 0..self.d {
-            let out = &mut dfm[k * cell_count..(k + 1) * cell_count];
+            let out = &mut d_fm[k * cell_count..(k + 1) * cell_count];
             for c in 0..self.n_classes {
                 let w = wd[c * self.d + k];
                 if w == 0.0 {
@@ -135,45 +148,16 @@ impl CamCountHead {
                 }
             }
         }
-        d_fm
     }
 
     /// Shared-read inference pass over a feature map stored as a flat
     /// `[d, g_h, g_w]` slice: returns `(counts, cams)` as flat vectors.
-    ///
-    /// Bit-identical to [`CamCountHead::forward`] — same GAP accumulation,
-    /// same per-row dot-product order, same CAM loops — but without `&mut`
-    /// or the backward caches, so a trained head can serve many inference
-    /// threads concurrently.
+    /// No `&mut`, no backward caches, so a trained head can serve many
+    /// inference threads concurrently.
     pub fn infer(&self, fm: &[f32], g_h: usize, g_w: usize) -> (Vec<f32>, Vec<f32>) {
-        let cell_count = g_h * g_w;
-        debug_assert_eq!(fm.len(), self.d * cell_count, "feature channel mismatch");
-        let area = cell_count as f32;
-        let gap: Vec<f32> =
-            (0..self.d).map(|k| fm[k * cell_count..(k + 1) * cell_count].iter().sum::<f32>() / area).collect();
-        let wd = self.weight.value.data();
-        let mut pre: Vec<f32> = (0..self.n_classes)
-            .map(|c| wd[c * self.d..(c + 1) * self.d].iter().zip(&gap).map(|(a, b)| a * b).sum())
-            .collect();
-        for (p, b) in pre.iter_mut().zip(self.bias.value.data()) {
-            *p += b;
-        }
-        let counts: Vec<f32> = pre.iter().map(|&v| v.max(0.0)).collect();
-        let mut cams = vec![0.0f32; self.n_classes * cell_count];
-        for c in 0..self.n_classes {
-            let cam = &mut cams[c * cell_count..(c + 1) * cell_count];
-            for k in 0..self.d {
-                let w = wd[c * self.d + k];
-                if w == 0.0 {
-                    continue;
-                }
-                let ch = &fm[k * cell_count..(k + 1) * cell_count];
-                for (o, &v) in cam.iter_mut().zip(ch) {
-                    *o += w * v;
-                }
-            }
-        }
-        (counts, cams)
+        let (mut gap, mut pre) = (Vec::new(), Vec::new());
+        let cams = self.eval(fm, g_h, g_w, &mut gap, &mut pre);
+        (pre.iter().map(|&v| v.max(0.0)).collect(), cams)
     }
 
     /// Rebuilds a head from trained weight / bias copies. Used by the int8
@@ -191,6 +175,7 @@ impl CamCountHead {
             d,
             cached_gap: Vec::new(),
             cached_pre: Vec::new(),
+            cached_hw: (0, 0),
         }
     }
 
@@ -261,10 +246,14 @@ impl IcFilter {
         let schedule = self.config.schedule;
         let presence = class_presence_counts(labels);
         let class_weights = class_weights_from_presence(&presence, labels.len());
-        let inputs: Vec<Tensor> = frames.iter().map(|f| image_to_tensor(&self.config.raster.render(f))).collect();
+        let raster = &self.config.raster;
+        let inputs = rasterise_all(raster, frames);
+        let input_shape = [3, raster.height, raster.width];
+        let input_len: usize = input_shape.iter().product();
         let count_targets: Vec<Tensor> = labels.iter().map(|l| l.count_tensor()).collect();
         let map_targets: Vec<Tensor> = labels.iter().map(|l| l.maps_tensor()).collect();
 
+        let mut ws = Workspace::new();
         let mut rng = seeded_rng(self.config.seed.wrapping_add(0x1C));
         let mut opt = Adam::with_weight_decay(schedule.learning_rate, schedule.weight_decay);
         let mut history = Vec::with_capacity(schedule.epochs);
@@ -276,9 +265,11 @@ impl IcFilter {
             for batch in batches(&order, schedule.batch_size) {
                 net.trunk.zero_grad();
                 net.head.zero_grad();
-                for &i in &batch {
-                    let fm = net.trunk.forward(&inputs[i]);
-                    let (counts, cams) = net.head.forward(&fm);
+                for &i in batch {
+                    ws.load_slice(&inputs[i * input_len..(i + 1) * input_len], &input_shape);
+                    net.trunk.forward_ws(&mut ws);
+                    let fm_shape = [ws.shape()[0], ws.shape()[1], ws.shape()[2]];
+                    let (counts, cams) = net.head.forward(ws.data(), fm_shape[1], fm_shape[2]);
                     let (loss, d_counts, d_cams) = multi_task_loss(
                         &counts,
                         &count_targets[i],
@@ -290,8 +281,9 @@ impl IcFilter {
                     );
                     epoch_loss += loss as f64;
                     let scale = 1.0 / batch.len() as f32;
-                    let d_fm = net.head.backward(&fm, &d_counts.scale(scale), &d_cams.scale(scale));
-                    net.trunk.backward(&d_fm);
+                    net.head.backward(&d_counts.scale(scale), &d_cams.scale(scale), ws.load_with(&fm_shape));
+                    // Nothing consumes the gradient w.r.t. the raster.
+                    net.trunk.backward_ws(&mut ws, false);
                 }
                 let mut params = net.trunk.parameters();
                 params.extend(net.head.params());
@@ -399,7 +391,7 @@ mod tests {
     fn head_forward_shapes() {
         let mut head = CamCountHead::new(2, 4, 0);
         let fm = Tensor::full(vec![4, 3, 3], 0.5);
-        let (counts, cams) = head.forward(&fm);
+        let (counts, cams) = head.forward(fm.data(), 3, 3);
         assert_eq!(counts.shape(), &[2]);
         assert_eq!(cams.shape(), &[2, 3, 3]);
         assert!(counts.data().iter().all(|&v| v >= 0.0));
@@ -410,10 +402,10 @@ mod tests {
         // Loss = sum(counts): finite-difference check of head weight grads.
         let mut head = CamCountHead::new(2, 3, 1);
         let fm = Tensor::from_vec((0..3 * 4).map(|v| 0.2 + v as f32 * 0.05).collect(), vec![3, 2, 2]);
-        let (counts, cams) = head.forward(&fm);
+        let (counts, cams) = head.forward(fm.data(), 2, 2);
         let d_counts = Tensor::full(vec![2], 1.0);
         let d_cams = Tensor::zeros(cams.shape().to_vec());
-        let _ = head.backward(&fm, &d_counts, &d_cams);
+        head.backward(&d_counts, &d_cams, &mut Vec::new());
         let analytic = head.weight.grad.clone();
         let eps = 1e-3;
         let base: f32 = counts.sum();
@@ -421,9 +413,9 @@ mod tests {
         for idx in 0..head.weight.value.len() {
             let orig = head.weight.value.data()[idx];
             head.weight.value.data_mut()[idx] = orig + eps;
-            let (cp, _) = head.forward(&fm);
+            let (cp, _) = head.forward(fm.data(), 2, 2);
             head.weight.value.data_mut()[idx] = orig - eps;
-            let (cm, _) = head.forward(&fm);
+            let (cm, _) = head.forward(fm.data(), 2, 2);
             head.weight.value.data_mut()[idx] = orig;
             let numeric = (cp.sum() - cm.sum()) / (2.0 * eps);
             assert!((numeric - analytic.data()[idx]).abs() < 2e-2, "idx {idx}: {numeric} vs {}", analytic.data()[idx]);
@@ -434,14 +426,16 @@ mod tests {
     fn cam_gradient_reaches_feature_map_but_not_weights() {
         let mut head = CamCountHead::new(1, 2, 2);
         let fm = Tensor::full(vec![2, 2, 2], 1.0);
-        let (_counts, cams) = head.forward(&fm);
+        let (_counts, cams) = head.forward(fm.data(), 2, 2);
         let d_counts = Tensor::zeros(vec![1]);
         let d_cams = Tensor::full(cams.shape().to_vec(), 1.0);
-        let d_fm = head.backward(&fm, &d_counts, &d_cams);
+        let mut d_fm = Vec::new();
+        head.backward(&d_counts, &d_cams, &mut d_fm);
         // Weight gradients must stay zero (map term does not update the head).
         assert_eq!(head.weight.grad.norm(), 0.0);
         // Feature-map gradient must be nonzero.
-        assert!(d_fm.norm() > 0.0);
+        assert_eq!(d_fm.len(), fm.len());
+        assert!(d_fm.iter().any(|&v| v != 0.0));
     }
 
     #[test]

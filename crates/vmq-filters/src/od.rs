@@ -17,7 +17,9 @@
 
 use crate::arch::{build_branch, build_trunk};
 use crate::config::FilterConfig;
-use crate::estimate::{image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter};
+use crate::estimate::{
+    image_to_tensor, rasterise_all, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter,
+};
 use crate::grid::ClassGrid;
 use crate::label::FrameLabels;
 use parking_lot::RwLock;
@@ -38,20 +40,30 @@ struct OdNet {
 }
 
 impl OdNet {
-    fn forward(&mut self, input: &Tensor) -> (Tensor, Tensor, Tensor) {
-        let f = self.trunk.forward(input);
-        let b = self.branch.forward(&f);
-        let grids = self.grid_head.forward(&b);
-        let counts = self.count_head.forward(&b);
-        (counts, grids, b)
+    /// Training forward pass over the raster loaded into `ws`: returns
+    /// `(counts, grids)`, both heads reading the stashed branch output.
+    fn forward(&mut self, ws: &mut Workspace) -> (Tensor, Tensor) {
+        self.trunk.forward_ws(ws);
+        self.branch.forward_ws(ws);
+        ws.stash();
+        self.grid_head.forward_ws(ws);
+        let grids = ws.output();
+        ws.unstash();
+        self.count_head.forward_ws(ws);
+        (ws.output(), grids)
     }
 
-    fn backward(&mut self, d_counts: &Tensor, d_grids: &Tensor) {
-        let d_from_grid = self.grid_head.backward(d_grids);
-        let d_from_count = self.count_head.backward(d_counts);
-        let d_branch_out = d_from_grid.add(&d_from_count);
-        let d_f = self.branch.backward(&d_branch_out);
-        let _ = self.trunk.backward(&d_f);
+    fn backward(&mut self, d_counts: &Tensor, d_grids: &Tensor, ws: &mut Workspace) {
+        ws.load(d_counts);
+        self.count_head.backward_ws(ws, true);
+        ws.stash();
+        ws.load(d_grids);
+        self.grid_head.backward_ws(ws, true);
+        // The branch output fed both heads: its gradient is their sum.
+        ws.add_stashed();
+        self.branch.backward_ws(ws, true);
+        // Nothing consumes the gradient w.r.t. the raster.
+        self.trunk.backward_ws(ws, false);
     }
 
     fn zero_grad(&mut self) {
@@ -126,10 +138,14 @@ impl OdFilter {
         let schedule = self.config.schedule;
         let n = self.config.num_classes();
         let g2 = self.config.grid * self.config.grid;
-        let inputs: Vec<Tensor> = frames.iter().map(|f| image_to_tensor(&self.config.raster.render(f))).collect();
+        let raster = &self.config.raster;
+        let inputs = rasterise_all(raster, frames);
+        let input_shape = [3, raster.height, raster.width];
+        let input_len: usize = input_shape.iter().product();
         let count_targets: Vec<Tensor> = labels.iter().map(|l| l.count_tensor()).collect();
         let map_targets: Vec<Tensor> = labels.iter().map(|l| l.maps_tensor()).collect();
 
+        let mut ws = Workspace::new();
         let mut rng = seeded_rng(self.config.seed.wrapping_add(0x0D));
         let mut opt = Adam::with_weight_decay(schedule.learning_rate, schedule.weight_decay);
         let mut history = Vec::with_capacity(schedule.epochs);
@@ -143,8 +159,9 @@ impl OdFilter {
             let mut epoch_loss = 0.0f64;
             for batch in batches(&order, schedule.batch_size) {
                 net.zero_grad();
-                for &i in &batch {
-                    let (counts, grids, _b) = net.forward(&inputs[i]);
+                for &i in batch {
+                    ws.load_slice(&inputs[i * input_len..(i + 1) * input_len], &input_shape);
+                    let (counts, grids) = net.forward(&mut ws);
                     // Count term.
                     let (l_count, d_counts) = smooth_l1_loss(&counts, &count_targets[i]);
                     // Grid term, per class, with the obj/noobj masks of Eq. 3.
@@ -161,7 +178,7 @@ impl OdFilter {
                     }
                     epoch_loss += (schedule.alpha * l_count + lambda_grid * l_grid) as f64;
                     let scale = 1.0 / batch.len() as f32;
-                    net.backward(&d_counts.scale(schedule.alpha * scale), &d_grids.scale(scale));
+                    net.backward(&d_counts.scale(schedule.alpha * scale), &d_grids.scale(scale), &mut ws);
                 }
                 opt.step(&mut net.parameters());
             }

@@ -992,7 +992,8 @@ mod avx2 {
                 _mm256_setr_epi32(0, stride, 2 * stride, 3 * stride, 4 * stride, 5 * stride, 6 * stride, 7 * stride);
             while i + 8 <= m {
                 let base = ap.add(i * k);
-                let mut acc = _mm256_setzero_ps();
+                // The scalar reference's `Sum` folds from -0.0.
+                let mut acc = _mm256_set1_ps(-0.0);
                 for (kk, &xv) in x.iter().enumerate() {
                     let col = _mm256_i32gather_ps::<4>(base.add(kk), vindex);
                     acc = _mm256_add_ps(acc, _mm256_mul_ps(col, _mm256_set1_ps(xv)));
@@ -1097,7 +1098,8 @@ mod avx2 {
             let varea = _mm256_set1_ps(area);
             while ch + 8 <= c {
                 let base = ip.add(ch * hw);
-                let mut acc = _mm256_setzero_ps();
+                // The scalar reference's `Sum` folds from -0.0.
+                let mut acc = _mm256_set1_ps(-0.0);
                 for i in 0..hw {
                     acc = _mm256_add_ps(acc, _mm256_i32gather_ps::<4>(base.add(i), vindex));
                 }

@@ -2,7 +2,6 @@
 
 use crate::layer::Layer;
 use crate::ops::sigmoid;
-use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
 /// Supported activation functions.
@@ -58,14 +57,15 @@ impl Act {
 /// An element-wise activation layer.
 pub struct Activation {
     act: Act,
-    cached_input: Option<Tensor>,
-    cached_output: Option<Tensor>,
+    /// What the derivative is a function of: the last forward *input* for
+    /// ReLU / LeakyReLU (its sign), the *output* for Sigmoid / Tanh.
+    cached: Vec<f32>,
 }
 
 impl Activation {
     /// Creates an activation layer.
     pub fn new(act: Act) -> Self {
-        Activation { act, cached_input: None, cached_output: None }
+        Activation { act, cached: Vec::new() }
     }
 
     /// The activation function used.
@@ -73,38 +73,45 @@ impl Activation {
         self.act
     }
 
-    fn apply(&self, x: f32) -> f32 {
-        self.act.apply(x)
+    fn caches_input(&self) -> bool {
+        matches!(self.act, Act::Relu | Act::LeakyRelu(_))
     }
 
-    fn derivative(&self, x: f32, y: f32) -> f32 {
+    /// The derivative at a cached value.
+    fn derivative(&self, cached: f32) -> f32 {
         match self.act {
             Act::Relu => {
-                if x > 0.0 {
+                if cached > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
             Act::LeakyRelu(slope) => {
-                if x >= 0.0 {
+                if cached >= 0.0 {
                     1.0
                 } else {
                     slope
                 }
             }
-            Act::Sigmoid => y * (1.0 - y),
-            Act::Tanh => 1.0 - y * y,
+            Act::Sigmoid => cached * (1.0 - cached),
+            Act::Tanh => 1.0 - cached * cached,
         }
     }
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = input.map(|v| self.apply(v));
-        self.cached_input = Some(input.clone());
-        self.cached_output = Some(out.clone());
-        out
+    fn forward(&mut self, ws: &mut Workspace) {
+        self.cached.clear();
+        if self.caches_input() {
+            self.cached.extend_from_slice(ws.data());
+        }
+        for v in ws.data_mut() {
+            *v = self.act.apply(*v);
+        }
+        if !self.caches_input() {
+            self.cached.extend_from_slice(ws.data());
+        }
     }
 
     fn infer(&self, ws: &mut Workspace) {
@@ -112,17 +119,15 @@ impl Layer for Activation {
         self.act.apply_slice(ws.data_mut());
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("Activation::backward before forward");
-        let output = self.cached_output.as_ref().expect("Activation::backward before forward");
-        assert_eq!(grad_out.shape(), input.shape());
-        let data: Vec<f32> = grad_out
-            .data()
-            .iter()
-            .zip(input.data().iter().zip(output.data()))
-            .map(|(&g, (&x, &y))| g * self.derivative(x, y))
-            .collect();
-        Tensor::from_vec(data, input.shape().to_vec())
+    fn backward(&mut self, ws: &mut Workspace, _input_grad: bool) {
+        assert_eq!(ws.data().len(), self.cached.len(), "Activation::backward before forward");
+        for (g, &c) in ws.data_mut().iter_mut().zip(&self.cached) {
+            *g *= self.derivative(c);
+        }
+    }
+
+    fn cache_bytes(&self) -> usize {
+        std::mem::size_of::<f32>() * self.cached.capacity()
     }
 
     fn name(&self) -> &'static str {
@@ -137,14 +142,16 @@ impl Layer for Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward, forward};
+    use crate::tensor::Tensor;
 
     #[test]
     fn relu_forward_backward() {
         let mut a = Activation::new(Act::Relu);
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0], vec![3]);
-        let y = a.forward(&x);
+        let y = forward(&mut a, &x);
         assert_eq!(y.data(), &[0.0, 0.5, 2.0]);
-        let g = a.backward(&Tensor::full(vec![3], 1.0));
+        let g = backward(&mut a, &Tensor::full(vec![3], 1.0));
         assert_eq!(g.data(), &[0.0, 1.0, 1.0]);
     }
 
@@ -152,10 +159,10 @@ mod tests {
     fn leaky_relu_negative_slope() {
         let mut a = Activation::new(Act::LeakyRelu(0.1));
         let x = Tensor::from_vec(vec![-2.0, 3.0], vec![2]);
-        let y = a.forward(&x);
+        let y = forward(&mut a, &x);
         assert!((y.data()[0] + 0.2).abs() < 1e-6);
         assert_eq!(y.data()[1], 3.0);
-        let g = a.backward(&Tensor::full(vec![2], 2.0));
+        let g = backward(&mut a, &Tensor::full(vec![2], 2.0));
         assert!((g.data()[0] - 0.2).abs() < 1e-6);
         assert_eq!(g.data()[1], 2.0);
     }
@@ -164,8 +171,8 @@ mod tests {
     fn sigmoid_gradient_check() {
         let mut a = Activation::new(Act::Sigmoid);
         let x = Tensor::from_vec(vec![0.3, -1.2, 2.0], vec![3]);
-        let _ = a.forward(&x);
-        let g = a.backward(&Tensor::full(vec![3], 1.0));
+        let _ = forward(&mut a, &x);
+        let g = backward(&mut a, &Tensor::full(vec![3], 1.0));
         let eps = 1e-3;
         for i in 0..3 {
             let fp = sigmoid(x.data()[i] + eps);
@@ -179,8 +186,8 @@ mod tests {
     fn tanh_gradient_check() {
         let mut a = Activation::new(Act::Tanh);
         let x = Tensor::from_vec(vec![0.5, -0.5], vec![2]);
-        let _ = a.forward(&x);
-        let g = a.backward(&Tensor::full(vec![2], 1.0));
+        let _ = forward(&mut a, &x);
+        let g = backward(&mut a, &Tensor::full(vec![2], 1.0));
         let eps = 1e-3;
         for i in 0..2 {
             let numeric = ((x.data()[i] + eps).tanh() - (x.data()[i] - eps).tanh()) / (2.0 * eps);

@@ -1,10 +1,12 @@
-//! 2-D convolution layer built on the im2col kernels in [`crate::ops`].
+//! 2-D convolution layer: trains on the direct kernels in [`crate::grad`],
+//! infers through the dispatched conv block in [`crate::kernels`].
 
+use crate::grad::{conv2d_backward_input_into, conv2d_backward_params_into, conv2d_forward_into};
 use crate::init::{kaiming_uniform, seeded_rng};
 use crate::kernels::{conv2d_block_into, BlockAct};
 use crate::layer::Layer;
 use crate::net::Param;
-use crate::ops::{conv2d_backward, conv2d_forward, ConvSpec};
+use crate::ops::ConvSpec;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
@@ -16,7 +18,8 @@ pub struct Conv2d {
     spec: ConvSpec,
     weight: Param,
     bias: Param,
-    cached_cols: Option<Tensor>,
+    /// Zero-padded copy of the last forward input, read by `backward`.
+    cached_xpad: Vec<f32>,
     cached_in_hw: (usize, usize),
 }
 
@@ -37,7 +40,7 @@ impl Conv2d {
         let mut rng = seeded_rng(seed.wrapping_mul(0x51_7C_C1_B7).wrapping_add(3));
         let weight = Param::new(kaiming_uniform(vec![out_channels, fan_in], fan_in, &mut rng));
         let bias = Param::new(Tensor::zeros(vec![out_channels]));
-        Conv2d { spec, weight, bias, cached_cols: None, cached_in_hw: (0, 0) }
+        Conv2d { spec, weight, bias, cached_xpad: Vec::new(), cached_in_hw: (0, 0) }
     }
 
     /// Convenience constructor for the common 3×3 / stride-1 / pad-1 shape,
@@ -93,28 +96,36 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().len(), 3, "Conv2d expects CHW input");
-        assert_eq!(input.shape()[0], self.spec.in_channels, "Conv2d channel mismatch");
-        self.cached_in_hw = (input.shape()[1], input.shape()[2]);
-        let (out, cols) = conv2d_forward(input, &self.weight.value, self.bias.value.data(), &self.spec);
-        self.cached_cols = Some(cols);
-        out
+    fn forward(&mut self, ws: &mut Workspace) {
+        assert_eq!(ws.shape().len(), 3, "Conv2d expects CHW input");
+        assert_eq!(ws.shape()[0], self.spec.in_channels, "Conv2d channel mismatch");
+        let (h, w) = (ws.shape()[1], ws.shape()[2]);
+        self.cached_in_hw = (h, w);
+        let (input, out, scratch) = ws.split();
+        let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
+        conv2d_forward_into(input, h, w, &self.spec, weight, bias, &mut self.cached_xpad, scratch, out);
+        let (oh, ow) = self.spec.out_size(h, w);
+        ws.commit(&[self.spec.out_channels, oh, ow]);
     }
 
     fn infer(&self, ws: &mut Workspace) {
         self.infer_block(ws, BlockAct::Identity, false);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cols = self.cached_cols.as_ref().expect("Conv2d::backward called before forward");
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
+        assert!(!self.cached_xpad.is_empty(), "Conv2d::backward called before forward");
         let (h, w) = self.cached_in_hw;
-        let (grad_in, grad_w, grad_b) = conv2d_backward(grad_out, &self.weight.value, cols, &self.spec, h, w);
-        self.weight.grad.add_scaled(&grad_w, 1.0);
-        for (g, gb) in self.bias.grad.data_mut().iter_mut().zip(&grad_b) {
-            *g += gb;
+        let (grad_out, grad_in, scratch) = ws.split();
+        let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+        conv2d_backward_params_into(&self.cached_xpad, h, w, &self.spec, grad_out, scratch, dw, db);
+        if input_grad {
+            conv2d_backward_input_into(self.weight.value.data(), h, w, &self.spec, grad_out, scratch, grad_in);
+            ws.commit(&[self.spec.in_channels, h, w]);
         }
-        grad_in
+    }
+
+    fn cache_bytes(&self) -> usize {
+        std::mem::size_of::<f32>() * self.cached_xpad.capacity()
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -133,12 +144,13 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward, forward};
 
     #[test]
     fn same_conv_preserves_shape() {
         let mut c = Conv2d::same(2, 4, 0);
         let x = Tensor::full(vec![2, 8, 8], 1.0);
-        let y = c.forward(&x);
+        let y = forward(&mut c, &x);
         assert_eq!(y.shape(), &[4, 8, 8]);
     }
 
@@ -146,7 +158,7 @@ mod tests {
     fn stride_two_halves_spatial_dims() {
         let mut c = Conv2d::new(1, 3, 3, 2, 1, 0);
         let x = Tensor::full(vec![1, 8, 8], 1.0);
-        let y = c.forward(&x);
+        let y = forward(&mut c, &x);
         assert_eq!(y.shape(), &[3, 4, 4]);
     }
 
@@ -155,17 +167,17 @@ mod tests {
         // L = sum(conv(x)); finite-difference check of a few weight entries.
         let mut c = Conv2d::new(1, 2, 3, 1, 1, 5);
         let x = Tensor::from_vec((0..16).map(|v| (v as f32 * 0.21).sin()).collect(), vec![1, 4, 4]);
-        let _y = c.forward(&x);
+        let _y = forward(&mut c, &x);
         let gout = Tensor::full(vec![2, 4, 4], 1.0);
-        let gx = c.backward(&gout);
+        let gx = backward(&mut c, &gout);
         let analytic_w = c.weight.grad.clone();
         let eps = 1e-3;
         for idx in [0usize, 3, 7, 12, 17] {
             let orig = c.weight.value.data()[idx];
             c.weight.value.data_mut()[idx] = orig + eps;
-            let lp = c.forward(&x).sum();
+            let lp = forward(&mut c, &x).sum();
             c.weight.value.data_mut()[idx] = orig - eps;
-            let lm = c.forward(&x).sum();
+            let lm = forward(&mut c, &x).sum();
             c.weight.value.data_mut()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
@@ -180,8 +192,8 @@ mod tests {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let lp = c.forward(&xp).sum();
-            let lm = c.forward(&xm).sum();
+            let lp = forward(&mut c, &xp).sum();
+            let lm = forward(&mut c, &xm).sum();
             let numeric = (lp - lm) / (2.0 * eps);
             assert!((numeric - gx.data()[i]).abs() < 2e-2, "x[{i}] {numeric} vs {}", gx.data()[i]);
         }
@@ -191,8 +203,8 @@ mod tests {
     fn bias_gradient_accumulates_over_cells() {
         let mut c = Conv2d::new(1, 1, 1, 1, 0, 0);
         let x = Tensor::full(vec![1, 3, 3], 1.0);
-        let _ = c.forward(&x);
-        let _ = c.backward(&Tensor::full(vec![1, 3, 3], 1.0));
+        let _ = forward(&mut c, &x);
+        let _ = backward(&mut c, &Tensor::full(vec![1, 3, 3], 1.0));
         // 9 output cells each contribute 1 to the single bias gradient.
         assert_eq!(c.bias.grad.data()[0], 9.0);
     }

@@ -4,7 +4,6 @@ use crate::init::{kaiming_uniform, seeded_rng};
 use crate::kernels::matvec_into;
 use crate::layer::Layer;
 use crate::net::Param;
-use crate::ops::matvec;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
@@ -18,7 +17,7 @@ pub struct Dense {
     bias: Param,
     in_dim: usize,
     out_dim: usize,
-    cached_input: Option<Tensor>,
+    cached_input: Vec<f32>,
 }
 
 impl Dense {
@@ -27,7 +26,7 @@ impl Dense {
         let mut rng = seeded_rng(seed.wrapping_mul(0x9E37_79B9).wrapping_add(17));
         let weight = Param::new(kaiming_uniform(vec![out_dim, in_dim], in_dim, &mut rng));
         let bias = Param::new(Tensor::zeros(vec![out_dim]));
-        Dense { weight, bias, in_dim, out_dim, cached_input: None }
+        Dense { weight, bias, in_dim, out_dim, cached_input: Vec::new() }
     }
 
     /// Input dimensionality.
@@ -53,14 +52,18 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.len(), self.in_dim, "Dense expected input of length {}, got {:?}", self.in_dim, input.shape());
-        self.cached_input = Some(input.reshape(vec![self.in_dim]));
-        let mut y = matvec(&self.weight.value, input.data());
-        for (v, b) in y.iter_mut().zip(self.bias.value.data()) {
-            *v += b;
-        }
-        Tensor::from_vec(y, vec![self.out_dim])
+    fn forward(&mut self, ws: &mut Workspace) {
+        assert_eq!(
+            ws.data().len(),
+            self.in_dim,
+            "Dense expected input of length {}, got {:?}",
+            self.in_dim,
+            ws.shape()
+        );
+        self.cached_input.clear();
+        self.cached_input.extend_from_slice(ws.data());
+        // `matvec_into` keeps the scalar order on every backend.
+        self.infer(ws);
     }
 
     fn infer(&self, ws: &mut Workspace) {
@@ -75,35 +78,46 @@ impl Layer for Dense {
         ws.commit(&[self.out_dim]);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
+        assert_eq!(self.cached_input.len(), self.in_dim, "Dense::backward called before forward");
+        let (grad_out, grad_in, _scratch) = ws.split();
         assert_eq!(grad_out.len(), self.out_dim);
-        let input = self.cached_input.as_ref().expect("Dense::backward called before forward");
         // dW[o][i] += g[o] * x[i]
         let gw = self.weight.grad.data_mut();
-        for (o, &g) in grad_out.data().iter().enumerate() {
+        for (o, &g) in grad_out.iter().enumerate() {
             if g == 0.0 {
                 continue;
             }
             let row = &mut gw[o * self.in_dim..(o + 1) * self.in_dim];
-            for (w, &x) in row.iter_mut().zip(input.data()) {
+            for (w, &x) in row.iter_mut().zip(&self.cached_input) {
                 *w += g * x;
             }
         }
         // db += g
-        self.bias.grad.add_scaled(grad_out, 1.0);
+        for (b, &g) in self.bias.grad.data_mut().iter_mut().zip(grad_out) {
+            *b += g;
+        }
+        if !input_grad {
+            return;
+        }
         // dx[i] = sum_o g[o] * W[o][i]
         let wd = self.weight.value.data();
-        let mut gx = vec![0.0f32; self.in_dim];
-        for (o, &g) in grad_out.data().iter().enumerate() {
+        grad_in.clear();
+        grad_in.resize(self.in_dim, 0.0);
+        for (o, &g) in grad_out.iter().enumerate() {
             if g == 0.0 {
                 continue;
             }
             let row = &wd[o * self.in_dim..(o + 1) * self.in_dim];
-            for (x, &w) in gx.iter_mut().zip(row) {
+            for (x, &w) in grad_in.iter_mut().zip(row) {
                 *x += g * w;
             }
         }
-        Tensor::from_vec(gx, vec![self.in_dim])
+        ws.commit(&[self.in_dim]);
+    }
+
+    fn cache_bytes(&self) -> usize {
+        std::mem::size_of::<f32>() * self.cached_input.capacity()
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -122,6 +136,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{backward, forward};
 
     #[test]
     fn forward_matches_manual() {
@@ -129,7 +144,7 @@ mod tests {
         // overwrite with known weights
         d.weight.value = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]);
         d.bias.value = Tensor::from_vec(vec![0.5, -0.5], vec![2]);
-        let y = d.forward(&Tensor::from_vec(vec![1.0, 1.0], vec![2]));
+        let y = forward(&mut d, &Tensor::from_vec(vec![1.0, 1.0], vec![2]));
         assert_eq!(y.data(), &[3.5, 6.5]);
     }
 
@@ -138,16 +153,16 @@ mod tests {
         // finite-difference check of dL/dW for L = sum(y)
         let mut d = Dense::new(3, 2, 1);
         let x = Tensor::from_vec(vec![0.3, -0.7, 1.2], vec![3]);
-        let _ = d.forward(&x);
-        let _ = d.backward(&Tensor::full(vec![2], 1.0));
+        let _ = forward(&mut d, &x);
+        let _ = backward(&mut d, &Tensor::full(vec![2], 1.0));
         let analytic = d.weight.grad.clone();
         let eps = 1e-3;
         for idx in 0..d.weight.value.len() {
             let orig = d.weight.value.data()[idx];
             d.weight.value.data_mut()[idx] = orig + eps;
-            let lp = d.forward(&x).sum();
+            let lp = forward(&mut d, &x).sum();
             d.weight.value.data_mut()[idx] = orig - eps;
-            let lm = d.forward(&x).sum();
+            let lm = forward(&mut d, &x).sum();
             d.weight.value.data_mut()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!((numeric - analytic.data()[idx]).abs() < 1e-2, "idx {idx}: {numeric} vs {}", analytic.data()[idx]);
@@ -158,16 +173,16 @@ mod tests {
     fn gradient_check_input() {
         let mut d = Dense::new(3, 2, 2);
         let x = Tensor::from_vec(vec![0.1, 0.2, -0.3], vec![3]);
-        let _ = d.forward(&x);
-        let gx = d.backward(&Tensor::full(vec![2], 1.0));
+        let _ = forward(&mut d, &x);
+        let gx = backward(&mut d, &Tensor::full(vec![2], 1.0));
         let eps = 1e-3;
         for i in 0..3 {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let lp = d.forward(&xp).sum();
-            let lm = d.forward(&xm).sum();
+            let lp = forward(&mut d, &xp).sum();
+            let lm = forward(&mut d, &xm).sum();
             let numeric = (lp - lm) / (2.0 * eps);
             assert!((numeric - gx.data()[i]).abs() < 1e-2);
         }

@@ -1,8 +1,10 @@
 //! Neural-network layers with explicit forward / backward passes.
 //!
-//! Every layer caches whatever it needs from the forward pass (inputs, column
-//! matrices, pooling indices) so the subsequent backward call can compute
-//! parameter and input gradients without a general autograd graph.
+//! Every layer caches whatever it needs from the forward pass (inputs,
+//! pooling indices) in buffers it keeps across samples, so the subsequent
+//! backward call can compute parameter and input gradients without a general
+//! autograd graph — and, like inference, without allocating: activations and
+//! gradients both travel through a caller-owned [`Workspace`].
 
 mod activation;
 mod conv;
@@ -15,7 +17,6 @@ pub use dense::Dense;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 
 use crate::net::Param;
-use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
 /// A differentiable layer.
@@ -26,22 +27,40 @@ use crate::workspace::Workspace;
 /// threads — and, through the shared-read [`Layer::infer`] path, serve many
 /// inference threads concurrently without a lock.
 pub trait Layer: Send + Sync {
-    /// Computes the layer output for `input`, caching anything needed by
-    /// [`Layer::backward`].
-    fn forward(&mut self, input: &Tensor) -> Tensor;
+    /// Training forward pass: reads the current activation from `ws` and
+    /// leaves the layer output there, caching anything needed by
+    /// [`Layer::backward`] in the layer's own buffers (which keep their
+    /// capacity, so steady-state training allocates nothing here).
+    ///
+    /// Runs one fixed scalar accumulation order whatever backend inference
+    /// dispatches to, so trained weights are backend-invariant.
+    fn forward(&mut self, ws: &mut Workspace);
 
     /// Inference-only forward pass: reads the current activation from `ws`
     /// and leaves the layer output there, using only the workspace's
     /// caller-owned scratch buffers — no `&mut self` (so a trained net can
     /// be shared across threads) and no heap allocation in steady state.
     ///
-    /// Must be bit-identical to [`Layer::forward`]; the filter pipeline's
-    /// eager/batched/sharded parity guarantees depend on it.
+    /// Bit-identical to [`Layer::forward`] under the scalar backend
+    /// (`VMQ_FORCE_SCALAR=1`); a SIMD backend may differ per element within
+    /// the ULP tolerance documented in [`crate::kernels`]. Within one backend
+    /// it is deterministic, which is what the filter pipeline's
+    /// eager/batched/sharded parity guarantees depend on.
     fn infer(&self, ws: &mut Workspace);
 
-    /// Given the gradient of the loss w.r.t. the layer output, accumulates
-    /// parameter gradients and returns the gradient w.r.t. the layer input.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Reads the gradient of the loss w.r.t. the layer output from `ws`,
+    /// accumulates parameter gradients and — when `input_grad` is set —
+    /// leaves the gradient w.r.t. the layer input there. A caller with no
+    /// consumer for the input gradient (the first layer of a network) clears
+    /// `input_grad`, and the workspace's contents are then unspecified.
+    fn backward(&mut self, ws: &mut Workspace, input_grad: bool);
+
+    /// Heap bytes held by the buffers [`Layer::forward`] caches for
+    /// [`Layer::backward`]. Flat once an input shape has been seen — the
+    /// training twin of [`Workspace::capacity_bytes`].
+    fn cache_bytes(&self) -> usize {
+        0
+    }
 
     /// Mutable references to the layer's trainable parameters (empty for
     /// parameter-free layers).
@@ -77,17 +96,18 @@ impl Default for Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.in_shape = input.shape().to_vec();
-        input.reshape(vec![input.len()])
+    fn forward(&mut self, ws: &mut Workspace) {
+        self.in_shape.clear();
+        self.in_shape.extend_from_slice(ws.shape());
+        self.infer(ws);
     }
 
     fn infer(&self, ws: &mut Workspace) {
         ws.set_shape(&[ws.data().len()]);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.reshape(self.in_shape.clone())
+    fn backward(&mut self, ws: &mut Workspace, _input_grad: bool) {
+        ws.set_shape(&self.in_shape);
     }
 
     fn name(&self) -> &'static str {
@@ -100,16 +120,33 @@ impl Layer for Flatten {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::tensor::Tensor;
+
+    /// One training forward pass of a single layer over a fresh workspace.
+    pub(crate) fn forward(layer: &mut dyn Layer, input: &Tensor) -> Tensor {
+        let mut ws = Workspace::new();
+        ws.load(input);
+        layer.forward(&mut ws);
+        ws.output()
+    }
+
+    /// One backward pass of a single layer (input gradient included).
+    pub(crate) fn backward(layer: &mut dyn Layer, grad_out: &Tensor) -> Tensor {
+        let mut ws = Workspace::new();
+        ws.load(grad_out);
+        layer.backward(&mut ws, true);
+        ws.output()
+    }
 
     #[test]
     fn flatten_roundtrip() {
         let mut f = Flatten::new();
         let x = Tensor::from_vec((0..12).map(|v| v as f32).collect(), vec![3, 2, 2]);
-        let y = f.forward(&x);
+        let y = forward(&mut f, &x);
         assert_eq!(y.shape(), &[12]);
-        let gx = f.backward(&y);
+        let gx = backward(&mut f, &y);
         assert_eq!(gx.shape(), &[3, 2, 2]);
         assert_eq!(gx.data(), x.data());
         assert_eq!(f.name(), "Flatten");

@@ -5,8 +5,9 @@
 //!
 //! * a dense [`Tensor`] type with shape tracking ([`tensor`]),
 //! * the numeric kernels (matmul, im2col convolution, pooling) ([`ops`]),
-//!   with runtime-dispatched SIMD variants behind [`kernels`] and an int8
-//!   post-training-quantized inference mode in [`quant`],
+//!   with runtime-dispatched SIMD variants behind [`kernels`], the direct
+//!   convolution forward / backward kernels training runs ([`grad`]) and an
+//!   int8 post-training-quantized inference mode in [`quant`],
 //! * layer types with explicit forward/backward passes ([`layer`]),
 //! * the losses used by the paper — SmoothL1 for counts, MSE for class
 //!   activation maps, and the masked grid loss of Eq. 3 ([`loss`]),
@@ -48,6 +49,7 @@
 // which need `std::arch` intrinsics (see the equivalence contract there).
 #![deny(unsafe_code)]
 
+pub mod grad;
 pub mod init;
 pub mod kernels;
 pub mod layer;

@@ -55,17 +55,20 @@ pub fn param_digest(params: &[&mut Param]) -> u64 {
 /// head) and as the shared trunk of the multi-head IC / OD filter networks.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    /// Workspace of the tensor-in / tensor-out [`Sequential::forward`] and
+    /// [`Sequential::backward`] wrappers.
+    scratch: Workspace,
 }
 
 impl Sequential {
     /// Builds a sequential network from a list of layers.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
-        Sequential { layers }
+        Sequential { layers, scratch: Workspace::new() }
     }
 
     /// An empty network (identity function).
     pub fn empty() -> Self {
-        Sequential { layers: Vec::new() }
+        Sequential::new(Vec::new())
     }
 
     /// Appends a layer.
@@ -83,13 +86,25 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Runs the forward pass, caching intermediates inside each layer.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
+    /// Training forward pass over the activation already loaded into `ws`,
+    /// leaving the network output there and caching intermediates inside
+    /// each layer ([`Layer::forward`]): no steady-state allocation, and one
+    /// scalar accumulation order on every backend.
+    pub fn forward_ws(&mut self, ws: &mut Workspace) {
         for layer in &mut self.layers {
-            x = layer.forward(&x);
+            layer.forward(ws);
         }
-        x
+    }
+
+    /// Convenience wrapper over [`Sequential::forward_ws`] on the network's
+    /// own workspace: loads `input` and copies the output out as a tensor.
+    pub fn forward(&mut self, input: &Tensor) -> Tensor {
+        let mut ws = std::mem::take(&mut self.scratch);
+        ws.load(input);
+        self.forward_ws(&mut ws);
+        let out = ws.output();
+        self.scratch = ws;
+        out
     }
 
     /// Shared-read inference over the activation already loaded into `ws`
@@ -155,14 +170,34 @@ impl Sequential {
         out.into_iter().map(|t| t.expect("every input inferred")).collect()
     }
 
-    /// Runs the backward pass given the gradient of the loss w.r.t. the
-    /// network output, returning the gradient w.r.t. the input.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+    /// Backward pass over the gradient of the loss w.r.t. the network
+    /// output loaded into `ws`: accumulates every parameter gradient and,
+    /// when `input_grad` is set, leaves the gradient w.r.t. the network input
+    /// in `ws`. A network that starts the model (a filter trunk) has no
+    /// consumer for that gradient, and clearing `input_grad` saves its first
+    /// layer computing it; the workspace's contents are then unspecified.
+    pub fn backward_ws(&mut self, ws: &mut Workspace, input_grad: bool) {
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            layer.backward(ws, i > 0 || input_grad);
         }
-        g
+    }
+
+    /// Convenience wrapper over [`Sequential::backward_ws`] on the network's
+    /// own workspace, returning the gradient w.r.t. the input.
+    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let mut ws = std::mem::take(&mut self.scratch);
+        ws.load(grad_out);
+        self.backward_ws(&mut ws, true);
+        let out = ws.output();
+        self.scratch = ws;
+        out
+    }
+
+    /// Heap bytes the layers hold in forward-pass caches
+    /// ([`Layer::cache_bytes`]); with the workspace's
+    /// [`Workspace::capacity_bytes`], everything a training pass can grow.
+    pub fn cache_bytes(&self) -> usize {
+        self.layers.iter().map(|l| l.cache_bytes()).sum()
     }
 
     /// Mutable references to every trainable parameter in layer order.
@@ -306,6 +341,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every buffer a training pass touches — the workspace's and the
+    /// layers' forward caches — reaches its high-water mark on the first
+    /// sample; the epochs after it allocate nothing.
+    #[test]
+    fn training_grows_no_buffer_after_the_first_sample() {
+        use crate::layer::{Flatten, GlobalAvgPool};
+        let mut net = Sequential::new(vec![
+            Box::new(Conv2d::same(2, 4, 3)),
+            Box::new(Activation::new(Act::LeakyRelu(0.1))),
+            Box::new(MaxPool2d::new(2)),
+            Box::new(Conv2d::new(4, 3, 1, 1, 1, 9)),
+            Box::new(Activation::new(Act::Sigmoid)),
+            Box::new(GlobalAvgPool::new()),
+            Box::new(Flatten::new()),
+            Box::new(Dense::new(3, 2, 4)),
+            Box::new(Activation::new(Act::Relu)),
+        ]);
+        let samples: Vec<Vec<f32>> =
+            (0..6).map(|s| (0..2 * 8 * 8).map(|v| ((v + s * 131) as f32 * 0.173).sin()).collect()).collect();
+        let mut ws = crate::workspace::Workspace::new();
+        let epoch = |net: &mut Sequential, ws: &mut crate::workspace::Workspace| {
+            for (i, x) in samples.iter().enumerate() {
+                ws.load_slice(x, &[2, 8, 8]);
+                net.forward_ws(ws);
+                assert_eq!(ws.shape(), &[2]);
+                ws.load_slice(&[0.5, -0.25], &[2]);
+                // Both backward forms: with and without the input gradient.
+                net.backward_ws(ws, i % 2 == 0);
+            }
+            (ws.capacity_bytes(), net.cache_bytes())
+        };
+        let warm = epoch(&mut net, &mut ws);
+        assert!(warm.0 > 0 && warm.1 > 0);
+        for _ in 0..3 {
+            assert_eq!(epoch(&mut net, &mut ws), warm, "a later epoch grew a training buffer");
+        }
+        assert!(net.parameters().iter().all(|p| p.grad.norm() > 0.0));
     }
 
     #[test]

@@ -1,114 +1,16 @@
-//! Numeric kernels: matrix multiplication, im2col convolution and pooling.
+//! Scalar reference kernels: matrix multiplication, im2col and pooling, all
+//! writing into caller-owned buffers that keep their capacity across calls.
 //!
-//! These are the hot loops of filter training and inference. They are written
-//! with a cache-friendly `i-k-j` loop order and flat slices so the compiler
-//! can vectorise them; no unsafe code is used here. The scalar `_into`
-//! kernels below are the bit-exact reference the runtime-dispatched SIMD
-//! variants in [`crate::kernels`] are held to.
+//! These are the bit-exact reference the runtime-dispatched SIMD variants in
+//! [`crate::kernels`] are held to, and what inference runs on under
+//! `VMQ_FORCE_SCALAR=1`. Training's convolution kernels live in
+//! [`crate::grad`]; its other layers run the kernels below. No unsafe code
+//! is used here.
 
-use crate::tensor::Tensor;
-
-/// `C = A (m×k) * B (k×n)`, row-major, returning an `[m, n]` tensor.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape().len(), 2, "matmul lhs must be 2-D");
-    assert_eq!(b.shape().len(), 2, "matmul rhs must be 2-D");
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "matmul inner dimension mismatch: {} vs {}", k, k2);
-    let mut out = vec![0.0f32; m * n];
-    let ad = a.data();
-    let bd = b.data();
-    for i in 0..m {
-        let a_row = &ad[i * k..(i + 1) * k];
-        let o_row = &mut out[i * n..(i + 1) * n];
-        for (kk, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let b_row = &bd[kk * n..(kk + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                *o += aik * bv;
-            }
-        }
-    }
-    Tensor::from_vec(out, vec![m, n])
-}
-
-/// `C = Aᵀ (k×m)ᵀ * B (k×n)` computed without materialising the transpose.
-pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape().len(), 2);
-    assert_eq!(b.shape().len(), 2);
-    let (k, m) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "matmul_at_b inner dimension mismatch");
-    let mut out = vec![0.0f32; m * n];
-    let ad = a.data();
-    let bd = b.data();
-    for kk in 0..k {
-        let a_row = &ad[kk * m..(kk + 1) * m];
-        let b_row = &bd[kk * n..(kk + 1) * n];
-        for (i, &aki) in a_row.iter().enumerate() {
-            if aki == 0.0 {
-                continue;
-            }
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                *o += aki * bv;
-            }
-        }
-    }
-    Tensor::from_vec(out, vec![m, n])
-}
-
-/// `C = A (m×k) * Bᵀ (n×k)ᵀ` computed without materialising the transpose.
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape().len(), 2);
-    assert_eq!(b.shape().len(), 2);
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (n, k2) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "matmul_a_bt inner dimension mismatch");
-    let mut out = vec![0.0f32; m * n];
-    let ad = a.data();
-    let bd = b.data();
-    for i in 0..m {
-        let a_row = &ad[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &bd[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (x, y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            out[i * n + j] = acc;
-        }
-    }
-    Tensor::from_vec(out, vec![m, n])
-}
-
-/// Matrix–vector product `y = A (m×k) * x (k)`.
-pub fn matvec(a: &Tensor, x: &[f32]) -> Vec<f32> {
-    assert_eq!(a.shape().len(), 2);
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    assert_eq!(x.len(), k, "matvec dimension mismatch");
-    let ad = a.data();
-    (0..m).map(|i| ad[i * k..(i + 1) * k].iter().zip(x).map(|(a, b)| a * b).sum()).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Allocation-free inference kernels
-//
-// The `_into` variants below are the inference twins of the functions above:
-// identical loop structure and accumulation order (so outputs are
-// bit-identical to the allocating path — the pipeline's parity pins depend
-// on that), but writing into caller-owned buffers that keep their capacity
-// across calls. They are what [`crate::workspace::Workspace`]-based layer
-// inference runs on.
-// ---------------------------------------------------------------------------
-
-/// [`matmul`] writing into a caller-owned buffer: `out = A (m×k) * B (k×n)`,
-/// all operands flat row-major slices. Bit-identical to [`matmul`]: every
+/// `out = A (m×k) * B (k×n)`, all operands flat row-major slices. Every
 /// output element accumulates `a[i][kk] * b[kk][j]` in ascending-`kk` order
-/// with zero coefficients skipped, exactly like the allocating kernel. The
-/// 2×4 register blocking below — two output rows sharing each streamed quad
+/// from +0.0, mul then add, with zero coefficients skipped. The 2×4 register
+/// blocking below — two output rows sharing each streamed quad
 /// of `B` rows — only changes memory traffic, never the per-element
 /// addition sequence.
 pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut Vec<f32>) {
@@ -172,7 +74,7 @@ pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
         }
         i += 2;
     }
-    // Odd trailing row: the plain skip-zero passes of `matmul`.
+    // Odd trailing row: plain skip-zero passes.
     if i < m {
         let a_row = &a[i * k..(i + 1) * k];
         let o_row = &mut out[i * n..(i + 1) * n];
@@ -182,8 +84,7 @@ pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
     }
 }
 
-/// One `o += coeff * b_row` pass, skipping zero coefficients (matching
-/// [`matmul`]'s skip-zero semantics exactly).
+/// One `o += coeff * b_row` pass, skipping zero coefficients.
 #[inline]
 fn accumulate_row(o_row: &mut [f32], coeff: f32, b_row: &[f32]) {
     if coeff == 0.0 {
@@ -194,8 +95,8 @@ fn accumulate_row(o_row: &mut [f32], coeff: f32, b_row: &[f32]) {
     }
 }
 
-/// [`matvec`] writing into a caller-owned buffer. Bit-identical to
-/// [`matvec`]: same per-row dot-product accumulation order.
+/// Matrix–vector product `out = A (m×k) * x (k)`: one sequential
+/// ascending-`k` dot product per row.
 pub fn matvec_into(a: &[f32], m: usize, k: usize, x: &[f32], out: &mut Vec<f32>) {
     debug_assert_eq!(a.len(), m * k, "matvec_into size mismatch");
     debug_assert_eq!(x.len(), k, "matvec_into dimension mismatch");
@@ -234,46 +135,10 @@ impl ConvSpec {
     }
 }
 
-/// Unfolds an input `[C, H, W]` into a `[C*k*k, OH*OW]` matrix (im2col).
-pub fn im2col(input: &Tensor, spec: &ConvSpec) -> Tensor {
-    assert_eq!(input.shape().len(), 3, "im2col expects CHW input");
-    let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    assert_eq!(c, spec.in_channels, "im2col channel mismatch");
-    let (oh, ow) = spec.out_size(h, w);
-    let k = spec.kernel;
-    let rows = c * k * k;
-    let cols = oh * ow;
-    let mut out = vec![0.0f32; rows * cols];
-    let data = input.data();
-    for ch in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = ch * k * k + ky * k + kx;
-                let out_row = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        out_row[oy * ow + ox] = data[ch * h * w + iy * w + ix as usize];
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, vec![rows, cols])
-}
-
-/// [`im2col`] writing into a caller-owned buffer. Bit-identical to
-/// [`im2col`]: the buffer is zero-filled and the same cells receive the
-/// same values — the stride-1 fast path below just writes each in-bounds
-/// row span with one slice copy instead of a branchy per-element loop.
+/// Unfolds an input `[C, H, W]` into a `[C*k*k, OH*OW]` column matrix
+/// (zero where a tap falls into the padding). The stride-1 fast path writes
+/// each in-bounds row span with one slice copy instead of a branchy
+/// per-element loop.
 pub fn im2col_into(input: &[f32], h: usize, w: usize, spec: &ConvSpec, out: &mut Vec<f32>) {
     let c = spec.in_channels;
     debug_assert_eq!(input.len(), c * h * w, "im2col_into input size mismatch");
@@ -328,132 +193,27 @@ pub fn im2col_into(input: &[f32], h: usize, w: usize, spec: &ConvSpec, out: &mut
     }
 }
 
-/// Folds a `[C*k*k, OH*OW]` column matrix back into a `[C, H, W]` tensor,
-/// accumulating overlapping contributions (the adjoint of [`im2col`]).
-pub fn col2im(cols_t: &Tensor, spec: &ConvSpec, h: usize, w: usize) -> Tensor {
-    let c = spec.in_channels;
-    let k = spec.kernel;
-    let (oh, ow) = spec.out_size(h, w);
-    let cols = oh * ow;
-    assert_eq!(cols_t.shape(), &[c * k * k, cols], "col2im shape mismatch");
-    let mut out = Tensor::zeros(vec![c, h, w]);
-    let src = cols_t.data();
-    let dst = out.data_mut();
-    for ch in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = ch * k * k + ky * k + kx;
-                let src_row = &src[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        dst[ch * h * w + iy * w + ix as usize] += src_row[oy * ow + ox];
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// 2-D convolution via im2col + matmul.
-///
-/// `input` is `[C_in, H, W]`, `weight` is `[C_out, C_in*k*k]`, `bias` is
-/// `[C_out]`; the result is `[C_out, OH, OW]`. The column matrix is also
-/// returned so the backward pass can reuse it.
-pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &[f32], spec: &ConvSpec) -> (Tensor, Tensor) {
-    let (h, w) = (input.shape()[1], input.shape()[2]);
-    let (oh, ow) = spec.out_size(h, w);
-    let cols = im2col(input, spec);
-    let mut out = matmul(weight, &cols); // [C_out, OH*OW]
-    let od = out.data_mut();
-    for (co, &b) in bias.iter().enumerate() {
-        for v in &mut od[co * oh * ow..(co + 1) * oh * ow] {
-            *v += b;
-        }
-    }
-    (out.reshape(vec![spec.out_channels, oh, ow]), cols)
-}
-
-/// Backward pass of [`conv2d_forward`].
-///
-/// Returns `(grad_input, grad_weight, grad_bias)` given the upstream gradient
-/// `grad_out` (`[C_out, OH, OW]`) and the cached column matrix.
-pub fn conv2d_backward(
-    grad_out: &Tensor,
-    weight: &Tensor,
-    cols: &Tensor,
-    spec: &ConvSpec,
-    in_h: usize,
-    in_w: usize,
-) -> (Tensor, Tensor, Vec<f32>) {
-    let (co, oh, ow) = (grad_out.shape()[0], grad_out.shape()[1], grad_out.shape()[2]);
-    assert_eq!(co, spec.out_channels);
-    let g2 = grad_out.reshape(vec![co, oh * ow]);
-    // grad_weight = grad_out (co × ohow) * colsᵀ (ohow × ckk)
-    let grad_weight = matmul_a_bt(&g2, cols);
-    // grad_bias = row sums of grad_out
-    let gd = g2.data();
-    let grad_bias: Vec<f32> = (0..co).map(|c| gd[c * oh * ow..(c + 1) * oh * ow].iter().sum()).collect();
-    // grad_cols = weightᵀ (ckk × co) * grad_out (co × ohow)
-    let grad_cols = matmul_at_b(weight, &g2);
-    let grad_input = col2im(&grad_cols, spec, in_h, in_w);
-    (grad_input, grad_weight, grad_bias)
-}
-
-/// 2×2 (or general square) max pooling over a `CHW` tensor.
-///
-/// Returns the pooled tensor and the flat argmax indices used for backward.
-pub fn maxpool2d_forward(input: &Tensor, size: usize) -> (Tensor, Vec<usize>) {
-    assert_eq!(input.shape().len(), 3);
-    let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    assert!(
-        h.is_multiple_of(size) && w.is_multiple_of(size),
-        "maxpool2d requires divisible spatial dims ({}x{} by {})",
-        h,
-        w,
-        size
-    );
-    let (oh, ow) = (h / size, w / size);
-    let mut out = Tensor::zeros(vec![c, oh, ow]);
-    let mut idx = vec![0usize; c * oh * ow];
-    let data = input.data();
-    let od = out.data_mut();
-    for ch in 0..c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_i = 0usize;
-                for dy in 0..size {
-                    for dx in 0..size {
-                        let i = ch * h * w + (oy * size + dy) * w + ox * size + dx;
-                        if data[i] > best {
-                            best = data[i];
-                            best_i = i;
-                        }
-                    }
-                }
-                let o = ch * oh * ow + oy * ow + ox;
-                od[o] = best;
-                idx[o] = best_i;
-            }
-        }
-    }
-    (out, idx)
-}
-
-/// Inference-only [`maxpool2d_forward`]: writes the pooled values into a
-/// caller-owned buffer and skips the argmax bookkeeping (only backward needs
-/// it). Bit-identical pooled values — same scan order, same `>` comparison.
+/// Square, non-overlapping max pooling (window == stride) of a `[c, h, w]`
+/// map: [`maxpool2d_argmax_into`] without the argmax bookkeeping only
+/// training needs.
 pub fn maxpool2d_into(input: &[f32], c: usize, h: usize, w: usize, size: usize, out: &mut Vec<f32>) {
+    maxpool2d_argmax_into(input, c, h, w, size, out, None);
+}
+
+/// [`maxpool2d_into`] that also records, when `argmax` is given, the flat
+/// input index each pooled value came from. A window is scanned row-major
+/// with a strict `>` from `-inf`; the argmax starts at the window's first
+/// cell, so a window with nothing above `-inf` (all NaN, or all `-inf`)
+/// still routes its gradient into itself.
+pub fn maxpool2d_argmax_into(
+    input: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    size: usize,
+    out: &mut Vec<f32>,
+    mut argmax: Option<&mut Vec<usize>>,
+) {
     debug_assert_eq!(input.len(), c * h * w, "maxpool2d_into input size mismatch");
     assert!(
         h.is_multiple_of(size) && w.is_multiple_of(size),
@@ -465,66 +225,41 @@ pub fn maxpool2d_into(input: &[f32], c: usize, h: usize, w: usize, size: usize, 
     let (oh, ow) = (h / size, w / size);
     out.clear();
     out.resize(c * oh * ow, 0.0);
+    if let Some(idx) = argmax.as_deref_mut() {
+        idx.clear();
+        idx.resize(c * oh * ow, 0);
+    }
     for ch in 0..c {
         for oy in 0..oh {
             for ox in 0..ow {
                 let mut best = f32::NEG_INFINITY;
+                let mut best_i = ch * h * w + oy * size * w + ox * size;
                 for dy in 0..size {
                     for dx in 0..size {
                         let i = ch * h * w + (oy * size + dy) * w + ox * size + dx;
                         if input[i] > best {
                             best = input[i];
+                            best_i = i;
                         }
                     }
                 }
-                out[ch * oh * ow + oy * ow + ox] = best;
+                let o = ch * oh * ow + oy * ow + ox;
+                out[o] = best;
+                if let Some(idx) = argmax.as_deref_mut() {
+                    idx[o] = best_i;
+                }
             }
         }
     }
 }
 
-/// Backward pass of [`maxpool2d_forward`].
-pub fn maxpool2d_backward(grad_out: &Tensor, idx: &[usize], in_shape: &[usize]) -> Tensor {
-    let mut grad_in = Tensor::zeros(in_shape.to_vec());
-    let gi = grad_in.data_mut();
-    for (o, &i) in idx.iter().enumerate() {
-        gi[i] += grad_out.data()[o];
-    }
-    grad_in
-}
-
-/// Global average pooling of a `[C, H, W]` tensor into a `[C]` vector.
-pub fn global_avg_pool(input: &Tensor) -> Tensor {
-    assert_eq!(input.shape().len(), 3);
-    let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let area = (h * w) as f32;
-    let data = input.data();
-    let out: Vec<f32> = (0..c).map(|ch| data[ch * h * w..(ch + 1) * h * w].iter().sum::<f32>() / area).collect();
-    Tensor::from_vec(out, vec![c])
-}
-
-/// [`global_avg_pool`] writing into a caller-owned buffer. Bit-identical:
-/// same per-channel sum and division.
+/// Global average pooling of a `[c, h, w]` map into `c` values: one
+/// sequential per-channel sum, then the division by `h * w`.
 pub fn global_avg_pool_into(input: &[f32], c: usize, h: usize, w: usize, out: &mut Vec<f32>) {
     debug_assert_eq!(input.len(), c * h * w, "global_avg_pool_into input size mismatch");
     let area = (h * w) as f32;
     out.clear();
     out.extend((0..c).map(|ch| input[ch * h * w..(ch + 1) * h * w].iter().sum::<f32>() / area));
-}
-
-/// Backward pass of [`global_avg_pool`]: spreads each channel gradient evenly.
-pub fn global_avg_pool_backward(grad_out: &Tensor, in_shape: &[usize]) -> Tensor {
-    let (c, h, w) = (in_shape[0], in_shape[1], in_shape[2]);
-    let area = (h * w) as f32;
-    let mut grad_in = Tensor::zeros(vec![c, h, w]);
-    let gi = grad_in.data_mut();
-    for ch in 0..c {
-        let g = grad_out.data()[ch] / area;
-        for v in &mut gi[ch * h * w..(ch + 1) * h * w] {
-            *v = g;
-        }
-    }
-    grad_in
 }
 
 /// Numerically stable softmax over a flat vector.
@@ -543,147 +278,110 @@ pub fn sigmoid(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grad::{conv2d_forward_into, global_avg_pool_backward_into, maxpool2d_backward_into};
 
-    fn t(v: Vec<f32>, s: Vec<usize>) -> Tensor {
-        Tensor::from_vec(v, s)
+    /// Convolution output through the training kernel (scratch discarded).
+    fn conv(input: &[f32], h: usize, w: usize, spec: &ConvSpec, weight: &[f32], bias: &[f32]) -> Vec<f32> {
+        let (mut xpad, mut scratch, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        conv2d_forward_into(input, h, w, spec, weight, bias, &mut xpad, &mut scratch, &mut out);
+        out
     }
 
     #[test]
     fn matmul_small() {
-        let a = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vec![2, 3]);
-        let b = t(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], vec![3, 2]);
-        let c = matmul(&a, &b);
-        assert_eq!(c.shape(), &[2, 2]);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_transposed_variants_agree() {
-        let a = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vec![2, 3]);
-        let b = t(vec![1.0, 0.5, -1.0, 2.0, 0.0, 3.0], vec![3, 2]);
-        let reference = matmul(&a, &b);
-        // A^T has shape [3,2]; matmul_at_b(Aᵀ-storage, B) should equal A*B when
-        // we pass A stored transposed.
-        let a_t = t(vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0], vec![3, 2]);
-        let via_at = matmul_at_b(&a_t, &b);
-        assert_eq!(via_at.data(), reference.data());
-        // B^T stored as [2,3]
-        let b_t = t(vec![1.0, -1.0, 0.0, 0.5, 2.0, 3.0], vec![2, 3]);
-        let via_bt = matmul_a_bt(&a, &b_t);
-        assert_eq!(via_bt.data(), reference.data());
+        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let b = [7.0, 8.0, 9.0, 10.0, 11.0, 12.0];
+        let mut c = vec![99.0; 1]; // stale content must be cleared
+        matmul_into(&a, 2, 3, &b, 2, &mut c);
+        assert_eq!(c, [58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
     fn matvec_matches_matmul() {
-        let a = t(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]);
-        let y = matvec(&a, &[5.0, 6.0]);
-        assert_eq!(y, vec![17.0, 39.0]);
+        let a = [1.0, 2.0, 3.0, 4.0];
+        let (mut y, mut as_matmul) = (Vec::new(), Vec::new());
+        matvec_into(&a, 2, 2, &[5.0, 6.0], &mut y);
+        matmul_into(&a, 2, 2, &[5.0, 6.0], 1, &mut as_matmul);
+        assert_eq!(y, [17.0, 39.0]);
+        assert_eq!(y, as_matmul);
     }
 
     #[test]
     fn conv_identity_kernel() {
         // 1x1 kernel with weight 1 reproduces the input.
         let spec = ConvSpec { in_channels: 1, out_channels: 1, kernel: 1, stride: 1, padding: 0 };
-        let input = t((1..=9).map(|v| v as f32).collect(), vec![1, 3, 3]);
-        let weight = t(vec![1.0], vec![1, 1]);
-        let (out, _) = conv2d_forward(&input, &weight, &[0.0], &spec);
-        assert_eq!(out.data(), input.data());
+        let input: Vec<f32> = (1..=9).map(|v| v as f32).collect();
+        assert_eq!(conv(&input, 3, 3, &spec, &[1.0], &[0.0]), input);
     }
 
     #[test]
     fn conv_known_values() {
         // 2x2 average-ish kernel on a 3x3 input, no padding.
         let spec = ConvSpec { in_channels: 1, out_channels: 1, kernel: 2, stride: 1, padding: 0 };
-        let input = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], vec![1, 3, 3]);
-        let weight = t(vec![1.0, 1.0, 1.0, 1.0], vec![1, 4]);
-        let (out, _) = conv2d_forward(&input, &weight, &[0.0], &spec);
-        assert_eq!(out.shape(), &[1, 2, 2]);
-        assert_eq!(out.data(), &[12.0, 16.0, 24.0, 28.0]);
+        let input = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
+        assert_eq!(spec.out_size(3, 3), (2, 2));
+        assert_eq!(conv(&input, 3, 3, &spec, &[1.0; 4], &[0.0]), [12.0, 16.0, 24.0, 28.0]);
     }
 
     #[test]
     fn conv_padding_preserves_size() {
         let spec = ConvSpec { in_channels: 2, out_channels: 3, kernel: 3, stride: 1, padding: 1 };
-        let input = Tensor::full(vec![2, 5, 5], 1.0);
-        let weight = Tensor::full(vec![3, 2 * 9], 0.1);
-        let (out, _) = conv2d_forward(&input, &weight, &[0.0; 3], &spec);
-        assert_eq!(out.shape(), &[3, 5, 5]);
+        let out = conv(&[1.0; 2 * 5 * 5], 5, 5, &spec, &[0.1; 3 * 2 * 9], &[0.0; 3]);
+        assert_eq!(out.len(), 3 * 5 * 5);
         // centre cell sees all 18 inputs => 1.8
-        assert!((out.at3(0, 2, 2) - 1.8).abs() < 1e-5);
+        assert!((out[2 * 5 + 2] - 1.8).abs() < 1e-5);
         // corner cell sees 8 inputs => 0.8
-        assert!((out.at3(0, 0, 0) - 0.8).abs() < 1e-5);
-    }
-
-    #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random-ish x, y.
-        let spec = ConvSpec { in_channels: 2, out_channels: 1, kernel: 3, stride: 1, padding: 1 };
-        let x = t((0..2 * 4 * 4).map(|v| (v as f32 * 0.37).sin()).collect(), vec![2, 4, 4]);
-        let cols = im2col(&x, &spec);
-        let y = t((0..cols.len()).map(|v| (v as f32 * 0.11).cos()).collect(), cols.shape().to_vec());
-        let lhs: f32 = cols.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
-        let back = col2im(&y, &spec, 4, 4);
-        let rhs: f32 = x.data().iter().zip(back.data()).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-3, "lhs={lhs} rhs={rhs}");
+        assert!((out[0] - 0.8).abs() < 1e-5);
     }
 
     #[test]
     fn maxpool_forward_backward() {
-        let input = t(
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0],
-            vec![1, 4, 4],
-        );
-        let (out, idx) = maxpool2d_forward(&input, 2);
-        assert_eq!(out.data(), &[6.0, 8.0, 14.0, 16.0]);
-        let grad_out = t(vec![1.0, 2.0, 3.0, 4.0], vec![1, 2, 2]);
-        let grad_in = maxpool2d_backward(&grad_out, &idx, input.shape());
-        assert_eq!(grad_in.data()[5], 1.0);
-        assert_eq!(grad_in.data()[7], 2.0);
-        assert_eq!(grad_in.data()[13], 3.0);
-        assert_eq!(grad_in.data()[15], 4.0);
-        assert_eq!(grad_in.sum(), 10.0);
+        let input: Vec<f32> = (1..=16).map(|v| v as f32).collect();
+        let (mut out, mut idx, mut grad_in) = (Vec::new(), Vec::new(), Vec::new());
+        maxpool2d_argmax_into(&input, 1, 4, 4, 2, &mut out, Some(&mut idx));
+        assert_eq!(out, [6.0, 8.0, 14.0, 16.0]);
+        maxpool2d_backward_into(&[1.0, 2.0, 3.0, 4.0], &idx, input.len(), &mut grad_in);
+        assert_eq!(grad_in[5], 1.0);
+        assert_eq!(grad_in[7], 2.0);
+        assert_eq!(grad_in[13], 3.0);
+        assert_eq!(grad_in[15], 4.0);
+        assert_eq!(grad_in.iter().sum::<f32>(), 10.0);
+    }
+
+    #[test]
+    fn maxpool_argmax_stays_inside_a_window_with_nothing_above_neg_infinity() {
+        // Channel 0 is ordinary; channel 1 is NaN-poisoned except for one
+        // all-`-inf` window. No comparison against `-inf` succeeds there, and
+        // the gradient of those windows must still land in channel 1, in the
+        // window's own first cell — not in cell 0 of channel 0.
+        let mut input: Vec<f32> = (0..16).map(|v| v as f32).collect();
+        input.extend([f32::NAN; 16]);
+        for i in [16 + 10, 16 + 11, 16 + 14, 16 + 15] {
+            input[i] = f32::NEG_INFINITY;
+        }
+        let (mut out, mut idx, mut grad_in) = (Vec::new(), Vec::new(), Vec::new());
+        maxpool2d_argmax_into(&input, 2, 4, 4, 2, &mut out, Some(&mut idx));
+        assert_eq!(&out[..4], [5.0, 7.0, 13.0, 15.0]);
+        assert!(out[4..].iter().all(|&v| v == f32::NEG_INFINITY), "pooled values are unchanged by the fix");
+        assert_eq!(&idx[4..], [16, 16 + 2, 16 + 8, 16 + 10]);
+        maxpool2d_backward_into(&[1.0; 8], &idx, input.len(), &mut grad_in);
+        assert_eq!(grad_in[0], 0.0, "channel 0 receives only its own windows' gradient");
+        assert_eq!(grad_in[..16].iter().sum::<f32>(), 4.0);
+        assert_eq!(grad_in[16..].iter().sum::<f32>(), 4.0);
+        // The values-only kernel pools identically.
+        let mut values_only = Vec::new();
+        maxpool2d_into(&input, 2, 4, 4, 2, &mut values_only);
+        assert_eq!(values_only, out);
     }
 
     #[test]
     fn gap_forward_backward() {
-        let input = t(vec![1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0], vec![2, 2, 2]);
-        let out = global_avg_pool(&input);
-        assert_eq!(out.data(), &[2.5, 10.0]);
-        let grad = global_avg_pool_backward(&Tensor::from_vec(vec![4.0, 8.0], vec![2]), input.shape());
-        assert_eq!(grad.data(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn into_kernels_are_bit_identical_to_allocating_twins() {
-        // The inference path's parity guarantee rests on these comparisons.
-        let a = t((0..6).map(|v| (v as f32 * 0.37).sin()).collect(), vec![2, 3]);
-        let b = t((0..12).map(|v| (v as f32 * 0.11).cos()).collect(), vec![3, 4]);
-        let reference = matmul(&a, &b);
-        let mut out = vec![99.0; 1]; // stale content must be cleared
-        matmul_into(a.data(), 2, 3, b.data(), 4, &mut out);
-        assert_eq!(out, reference.data());
-
-        let x = [0.3f32, -0.7, 1.2];
-        let mut mv = Vec::new();
-        matvec_into(a.data(), 2, 3, &x, &mut mv);
-        assert_eq!(mv, matvec(&a, &x));
-
-        let spec = ConvSpec { in_channels: 2, out_channels: 1, kernel: 3, stride: 1, padding: 1 };
-        let input = t((0..2 * 4 * 4).map(|v| (v as f32 * 0.21).sin()).collect(), vec![2, 4, 4]);
-        let cols_ref = im2col(&input, &spec);
-        let mut cols = vec![7.0; 3];
-        im2col_into(input.data(), 4, 4, &spec, &mut cols);
-        assert_eq!(cols, cols_ref.data());
-
-        let (pooled_ref, _) = maxpool2d_forward(&input, 2);
-        let mut pooled = Vec::new();
-        maxpool2d_into(input.data(), 2, 4, 4, 2, &mut pooled);
-        assert_eq!(pooled, pooled_ref.data());
-
-        let gap_ref = global_avg_pool(&input);
-        let mut gap = Vec::new();
-        global_avg_pool_into(input.data(), 2, 4, 4, &mut gap);
-        assert_eq!(gap, gap_ref.data());
+        let input = [1.0, 2.0, 3.0, 4.0, 10.0, 10.0, 10.0, 10.0];
+        let (mut out, mut grad) = (Vec::new(), Vec::new());
+        global_avg_pool_into(&input, 2, 2, 2, &mut out);
+        assert_eq!(out, [2.5, 10.0]);
+        global_avg_pool_backward_into(&[4.0, 8.0], 2, 2, &mut grad);
+        assert_eq!(grad, [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -691,13 +389,19 @@ mod tests {
         // kernel 8 on a 4-wide input with padding 2 is a valid spec
         // (output 1×1) whose rightmost kernel columns lie entirely past the
         // padded row: the fast path's span arithmetic must saturate, not
-        // underflow.
+        // underflow. With one output cell, column `(ky, kx)` is the input
+        // cell `(ky - 2, kx - 2)` or the padding's zero.
         let spec = ConvSpec { in_channels: 1, out_channels: 1, kernel: 8, stride: 1, padding: 2 };
-        let input = t((0..16).map(|v| v as f32 + 1.0).collect(), vec![1, 4, 4]);
-        let reference = im2col(&input, &spec);
-        let mut cols = Vec::new();
-        im2col_into(input.data(), 4, 4, &spec, &mut cols);
-        assert_eq!(cols, reference.data());
+        let input: Vec<f32> = (0..16).map(|v| v as f32 + 1.0).collect();
+        let mut cols = vec![7.0; 3]; // stale content must be cleared
+        im2col_into(&input, 4, 4, &spec, &mut cols);
+        let expected: Vec<f32> = (0..64)
+            .map(|kk| match (kk / 8, kk % 8) {
+                (ky @ 2..6, kx @ 2..6) => input[(ky - 2) * 4 + kx - 2],
+                _ => 0.0,
+            })
+            .collect();
+        assert_eq!(cols, expected);
     }
 
     #[test]

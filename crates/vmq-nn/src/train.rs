@@ -52,9 +52,9 @@ pub fn sample_order(n: usize, shuffle: bool, rng: &mut StdRng) -> Vec<usize> {
 }
 
 /// Splits an index permutation into batches of at most `batch_size`.
-pub fn batches(order: &[usize], batch_size: usize) -> Vec<Vec<usize>> {
+pub fn batches(order: &[usize], batch_size: usize) -> std::slice::Chunks<'_, usize> {
     assert!(batch_size > 0, "batch size must be positive");
-    order.chunks(batch_size).map(|c| c.to_vec()).collect()
+    order.chunks(batch_size)
 }
 
 /// Trains `net` on `(input, target)` pairs with the given loss.
@@ -78,7 +78,7 @@ pub fn fit(
         let mut epoch_loss = 0.0f64;
         for batch in batches(&order, config.batch_size) {
             net.zero_grad();
-            for &i in &batch {
+            for &i in batch {
                 let (x, y) = &data[i];
                 let pred = net.forward(x);
                 let (loss, grad) = loss_fn(&pred, y);
@@ -119,10 +119,10 @@ mod tests {
     #[test]
     fn batches_cover_all_indices() {
         let order: Vec<usize> = (0..10).collect();
-        let bs = batches(&order, 3);
+        let bs: Vec<&[usize]> = batches(&order, 3).collect();
         assert_eq!(bs.len(), 4);
         assert_eq!(bs.iter().map(|b| b.len()).sum::<usize>(), 10);
-        assert_eq!(bs[3], vec![9]);
+        assert_eq!(bs[3], [9]);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Caller-owned scratch buffers for allocation-free inference.
 //!
-//! The training path ([`crate::net::Sequential::forward`]) allocates freely:
-//! every layer materialises its output and caches intermediates for the
-//! backward pass. Inference needs neither the caches nor the allocations —
-//! the filter hot path runs the same small network on thousands of frames,
-//! and a heap allocation per convolution (the im2col column matrix alone is
-//! tens of kilobytes) dominates the per-frame cost.
+//! The filter hot path runs the same small network on thousands of frames,
+//! and a heap allocation per layer (an im2col column matrix alone is tens of
+//! kilobytes) would dominate the per-frame cost. Training has the same shape
+//! — thousands of samples through one network — and travels through a
+//! workspace too ([`crate::net::Sequential::forward_ws`] /
+//! [`crate::net::Sequential::backward_ws`]), each layer keeping what its
+//! backward pass needs in buffers of its own.
 //!
-//! A [`Workspace`] holds the handful of buffers one inference pass needs:
+//! A [`Workspace`] holds the handful of buffers one pass needs:
 //!
 //! * two ping-pong activation buffers (`cur` / `nxt`) that layers read from
 //!   and write into,
@@ -135,6 +136,15 @@ impl Workspace {
     pub fn unstash(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.stash_buf);
         std::mem::swap(&mut self.shape, &mut self.stash_shape);
+    }
+
+    /// Adds the stashed activation element-wise into the current one (how
+    /// training sums the gradients two heads send back to a shared branch).
+    pub fn add_stashed(&mut self) {
+        debug_assert_eq!(self.shape, self.stash_shape, "workspace add_stashed shape mismatch");
+        for (a, &b) in self.cur.iter_mut().zip(&self.stash_buf) {
+            *a += b;
+        }
     }
 
     /// Copies the current activation out as a tensor (the one allocation of

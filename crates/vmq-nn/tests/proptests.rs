@@ -1,9 +1,8 @@
 //! Property-based tests of the tensor and kernel layer.
 
 use proptest::prelude::*;
-use vmq_nn::ops::{
-    conv2d_forward, global_avg_pool, matmul, matmul_a_bt, matmul_at_b, maxpool2d_forward, softmax, ConvSpec,
-};
+use vmq_nn::grad::conv2d_forward_into;
+use vmq_nn::ops::{global_avg_pool_into, matmul_into, maxpool2d_argmax_into, softmax, ConvSpec};
 use vmq_nn::Tensor;
 
 fn tensor_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -16,46 +15,13 @@ proptest! {
     /// Matrix multiplication distributes over scalar multiplication.
     #[test]
     fn matmul_scales_linearly(data_a in tensor_strategy(12), data_b in tensor_strategy(12), k in -3.0f32..3.0) {
-        let a = Tensor::from_vec(data_a, vec![3, 4]);
-        let b = Tensor::from_vec(data_b, vec![4, 3]);
-        let scaled = matmul(&a.scale(k), &b);
-        let reference = matmul(&a, &b).scale(k);
-        for (x, y) in scaled.data().iter().zip(reference.data()) {
+        let scaled_a: Vec<f32> = data_a.iter().map(|v| v * k).collect();
+        let (mut scaled, mut reference) = (Vec::new(), Vec::new());
+        matmul_into(&scaled_a, 3, 4, &data_b, 3, &mut scaled);
+        matmul_into(&data_a, 3, 4, &data_b, 3, &mut reference);
+        for (x, y) in scaled.iter().zip(&reference) {
+            let y = y * k;
             prop_assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()));
-        }
-    }
-
-    /// The transposed-operand variants agree with plain matmul.
-    #[test]
-    fn transposed_matmuls_agree(data_a in tensor_strategy(6), data_b in tensor_strategy(6)) {
-        let a = Tensor::from_vec(data_a.clone(), vec![2, 3]);
-        let b = Tensor::from_vec(data_b, vec![3, 2]);
-        let reference = matmul(&a, &b);
-        // a stored transposed: [3, 2] with element (i,j) = a(j,i)
-        let mut at = vec![0.0f32; 6];
-        for i in 0..2 {
-            for j in 0..3 {
-                at[j * 2 + i] = data_a[i * 3 + j];
-            }
-        }
-        let via_at = matmul_at_b(&Tensor::from_vec(at, vec![3, 2]), &b);
-        for (x, y) in via_at.data().iter().zip(reference.data()) {
-            prop_assert!((x - y).abs() < 1e-3);
-        }
-        // b stored transposed
-        let bt_data: Vec<f32> = {
-            let bd = b.data();
-            let mut t = vec![0.0f32; 6];
-            for i in 0..3 {
-                for j in 0..2 {
-                    t[j * 3 + i] = bd[i * 2 + j];
-                }
-            }
-            t
-        };
-        let via_bt = matmul_a_bt(&a, &Tensor::from_vec(bt_data, vec![2, 3]));
-        for (x, y) in via_bt.data().iter().zip(reference.data()) {
-            prop_assert!((x - y).abs() < 1e-3);
         }
     }
 
@@ -64,11 +30,13 @@ proptest! {
     #[test]
     fn conv_shape_and_bias(channels in 1usize..4, size in 4usize..9, bias in -2.0f32..2.0) {
         let spec = ConvSpec { in_channels: channels, out_channels: 2, kernel: 3, stride: 1, padding: 1 };
-        let input = Tensor::zeros(vec![channels, size, size]);
-        let weight = Tensor::full(vec![2, channels * 9], 0.3);
-        let (out, _) = conv2d_forward(&input, &weight, &[bias, -bias], &spec);
-        prop_assert_eq!(out.shape(), &[2, size, size]);
-        for v in &out.data()[..size * size] {
+        let input = vec![0.0; channels * size * size];
+        let weight = vec![0.3; 2 * channels * 9];
+        let (mut xpad, mut scratch, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        conv2d_forward_into(&input, size, size, &spec, &weight, &[bias, -bias], &mut xpad, &mut scratch, &mut out);
+        prop_assert_eq!(spec.out_size(size, size), (size, size));
+        prop_assert_eq!(out.len(), 2 * size * size);
+        for v in &out[..size * size] {
             prop_assert!((v - bias).abs() < 1e-6);
         }
     }
@@ -76,11 +44,11 @@ proptest! {
     /// Global average pooling preserves total mass per channel.
     #[test]
     fn gap_is_channel_mean(data in tensor_strategy(2 * 4 * 4)) {
-        let t = Tensor::from_vec(data, vec![2, 4, 4]);
-        let pooled = global_avg_pool(&t);
+        let mut pooled = Vec::new();
+        global_avg_pool_into(&data, 2, 4, 4, &mut pooled);
         for c in 0..2 {
-            let manual: f32 = t.data()[c * 16..(c + 1) * 16].iter().sum::<f32>() / 16.0;
-            prop_assert!((pooled.data()[c] - manual).abs() < 1e-4);
+            let manual: f32 = data[c * 16..(c + 1) * 16].iter().sum::<f32>() / 16.0;
+            prop_assert!((pooled[c] - manual).abs() < 1e-4);
         }
     }
 
@@ -88,13 +56,14 @@ proptest! {
     /// produces something smaller than the input mean.
     #[test]
     fn maxpool_upper_bound(data in tensor_strategy(16)) {
-        let t = Tensor::from_vec(data, vec![1, 4, 4]);
-        let (out, idx) = maxpool2d_forward(&t, 2);
+        let (mut out, mut idx) = (Vec::new(), Vec::new());
+        maxpool2d_argmax_into(&data, 1, 4, 4, 2, &mut out, Some(&mut idx));
         prop_assert_eq!(out.len(), 4);
         prop_assert_eq!(idx.len(), 4);
-        for (&o, &i) in out.data().iter().zip(&idx) {
-            prop_assert_eq!(o, t.data()[i]);
+        for (&o, &i) in out.iter().zip(&idx) {
+            prop_assert_eq!(o, data[i]);
         }
+        let (t, out) = (Tensor::from_vec(data, vec![16]), Tensor::from_vec(out, vec![4]));
         prop_assert!(out.max() <= t.max() + 1e-6);
         prop_assert!(out.min() >= t.min() - 1e-6);
     }

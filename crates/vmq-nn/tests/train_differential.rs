@@ -1,0 +1,346 @@
+//! Differential tests of the training kernels (ROADMAP 13) and of the
+//! remaining SIMD tail paths (ROADMAP 4e).
+//!
+//! [`vmq_nn::grad`] promises an arithmetic order, not just a value: the one
+//! the im2col → matmul / a·bᵀ / aᵀ·b → col2im composition summed in. That
+//! composition — the allocating kernels training ran on before the direct
+//! family — lives on below as the naive reference, and every direct kernel
+//! must equal it by `to_bits` for any (channels, size, kernel, stride,
+//! padding), with exact-zero weights (the skip rule), `±0.0` / NaN / `±inf`
+//! gradients, non-zero gradients to accumulate onto, and scratch buffers
+//! holding a previous larger shape's leftovers. (Where both sides are NaN
+//! the payload is not compared: which of two NaN operands an addition
+//! returns is the compiler's operand order, not part of the contract.)
+//!
+//! The second half holds `matmul_into`, `matvec_into` and
+//! `global_avg_pool_into` on every SIMD backend to the scalar reference over
+//! the same shape ranges, so each vector-tail path is hit.
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use vmq_nn::grad::{conv2d_backward_input_into, conv2d_backward_params_into, conv2d_forward_into};
+use vmq_nn::kernels::{
+    global_avg_pool_into_with, matmul_into_with, matvec_into_with, KernelBackend, ABS_TOLERANCE, ULP_TOLERANCE,
+};
+use vmq_nn::ops::{self, ConvSpec};
+
+// ---------------------------------------------------------------------------
+// The naive reference: im2col, three matmuls, col2im.
+// ---------------------------------------------------------------------------
+
+/// `[c·k·k, oh·ow]` column matrix, zero where a tap falls into the padding.
+fn im2col(input: &[f32], h: usize, w: usize, spec: &ConvSpec) -> Vec<f32> {
+    let (oh, ow) = spec.out_size(h, w);
+    let (k, cols) = (spec.kernel, oh * ow);
+    let mut out = vec![0.0f32; spec.in_channels * k * k * cols];
+    for_each_tap_cell(h, w, spec, |row, col, cell| out[row * cols + col] = input[cell]);
+    out
+}
+
+/// Adjoint of [`im2col`]: folds the column matrix back, accumulating overlaps.
+fn col2im(cols_t: &[f32], h: usize, w: usize, spec: &ConvSpec) -> Vec<f32> {
+    let (oh, ow) = spec.out_size(h, w);
+    let cols = oh * ow;
+    let mut out = vec![0.0f32; spec.in_channels * h * w];
+    for_each_tap_cell(h, w, spec, |row, col, cell| out[cell] += cols_t[row * cols + col]);
+    out
+}
+
+/// Visits `(column-matrix row, column, input cell)` for every in-bounds tap,
+/// rows `(ch, ky, kx)` ascending, columns `(oy, ox)` ascending within a row.
+fn for_each_tap_cell(h: usize, w: usize, spec: &ConvSpec, mut visit: impl FnMut(usize, usize, usize)) {
+    let (oh, ow) = spec.out_size(h, w);
+    let k = spec.kernel;
+    for ch in 0..spec.in_channels {
+        for ky in 0..k {
+            for kx in 0..k {
+                for oy in 0..oh {
+                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    for ox in 0..ow {
+                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                        if ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        visit(ch * k * k + ky * k + kx, oy * ow + ox, ch * h * w + iy as usize * w + ix as usize);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `A (m×k) · B (k×n)`, i-k-j, zero coefficients skipped.
+fn matmul(a: &[f32], m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for kk in 0..k {
+            let aik = a[i * k + kk];
+            if aik == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                out[i * n + j] += aik * b[kk * n + j];
+            }
+        }
+    }
+    out
+}
+
+/// `Aᵀ · B` for `A (k×m)`, `B (k×n)`: k outermost, zero coefficients skipped.
+fn matmul_at_b(a: &[f32], k: usize, m: usize, b: &[f32], n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for kk in 0..k {
+        for i in 0..m {
+            let aki = a[kk * m + i];
+            if aki == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                out[i * n + j] += aki * b[kk * n + j];
+            }
+        }
+    }
+    out
+}
+
+/// `A · Bᵀ` for `A (m×k)`, `B (n×k)`: one sequential dot product per cell.
+fn matmul_a_bt(a: &[f32], m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a[i * k + kk] * b[j * k + kk];
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+struct Reference {
+    out: Vec<f32>,
+    grad_weight: Vec<f32>,
+    grad_bias: Vec<f32>,
+    grad_input: Vec<f32>,
+}
+
+/// Forward and backward of one convolution as training used to run them.
+fn reference(input: &[f32], h: usize, w: usize, spec: &ConvSpec, weight: &[f32], bias: &[f32], g: &[f32]) -> Reference {
+    let (oh, ow) = spec.out_size(h, w);
+    let (m, ckk, p) = (spec.out_channels, spec.in_channels * spec.kernel * spec.kernel, oh * ow);
+    let cols = im2col(input, h, w, spec);
+    let mut out = matmul(weight, m, ckk, &cols, p);
+    for (co, &b) in bias.iter().enumerate() {
+        for v in &mut out[co * p..(co + 1) * p] {
+            *v += b;
+        }
+    }
+    let grad_weight = matmul_a_bt(g, m, p, &cols, ckk);
+    let grad_bias = (0..m).map(|co| g[co * p..(co + 1) * p].iter().sum()).collect();
+    let grad_input = col2im(&matmul_at_b(weight, m, ckk, g, p), h, w, spec);
+    Reference { out, grad_weight, grad_bias, grad_input }
+}
+
+// ---------------------------------------------------------------------------
+// Direct kernels vs the reference.
+// ---------------------------------------------------------------------------
+
+/// Values in `±scale` with exact `0.0` mixed in (one in five).
+fn values_with_zeros(len: usize, scale: f32, rng: &mut StdRng) -> Vec<f32> {
+    (0..len).map(|_| if rng.gen_range(0..5u32) == 0 { 0.0 } else { rng.gen_range(-1.0..1.0f32) * scale }).collect()
+}
+
+/// Gradient values with `±0.0` and, when `wild`, NaN and `±inf` mixed in.
+fn gradient_values(len: usize, wild: bool, rng: &mut StdRng) -> Vec<f32> {
+    (0..len)
+        .map(|_| match rng.gen_range(0..40u32) {
+            0 | 1 => 0.0,
+            2 | 3 => -0.0,
+            4 if wild => f32::NAN,
+            5 if wild => f32::INFINITY,
+            6 if wild => f32::NEG_INFINITY,
+            _ => rng.gen_range(-1.0..1.0f32),
+        })
+        .collect()
+}
+
+#[track_caller]
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()), "{what} [{i}]: got {g:?}, want {w:?}");
+    }
+}
+
+/// Scratch that a previous, larger call left behind.
+fn stale(len: usize) -> Vec<f32> {
+    vec![f32::NAN; len]
+}
+
+/// One convolution — `shape = [c, m, h, w]`, `conv = (kernel, stride,
+/// padding)` — through the direct kernels and through the reference.
+fn check_conv(shape: [usize; 4], conv: (usize, usize, usize), wild: bool, seed: u64) {
+    let [c, m, h, w] = shape;
+    let (kernel, stride, padding) = conv;
+    let spec = ConvSpec { in_channels: c, out_channels: m, kernel, stride, padding };
+    let (oh, ow) = spec.out_size(h, w);
+    let ckk = c * kernel * kernel;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let input = values_with_zeros(c * h * w, 1.0, &mut rng);
+    let weight = values_with_zeros(m * ckk, 0.5, &mut rng);
+    let bias = values_with_zeros(m, 0.2, &mut rng);
+    let g = gradient_values(m * oh * ow, wild, &mut rng);
+    let what = format!("{c}->{m} {h}x{w} k{kernel} s{stride} p{padding} wild={wild} seed={seed}");
+    let want = reference(&input, h, w, &spec, &weight, &bias, &g);
+
+    let big = (c.max(m) + 1) * (h + 2 * padding + 2) * (w + 2 * padding + 2) * 2 + 64;
+    let (mut xpad, mut scratch, mut out) = (stale(big), stale(big), stale(big));
+    conv2d_forward_into(&input, h, w, &spec, &weight, &bias, &mut xpad, &mut scratch, &mut out);
+    assert_same_bits(&out, &want.out, &format!("{what}: forward"));
+
+    // Gradients accumulate onto whatever the batch has gathered so far.
+    let dw0 = values_with_zeros(m * ckk, 1.0, &mut rng);
+    let db0 = values_with_zeros(m, 1.0, &mut rng);
+    let (mut dw, mut db) = (dw0.clone(), db0.clone());
+    conv2d_backward_params_into(&xpad, h, w, &spec, &g, &mut scratch, &mut dw, &mut db);
+    let want_dw: Vec<f32> = dw0.iter().zip(&want.grad_weight).map(|(a, b)| a + b).collect();
+    let want_db: Vec<f32> = db0.iter().zip(&want.grad_bias).map(|(a, b)| a + b).collect();
+    assert_same_bits(&dw, &want_dw, &format!("{what}: dW"));
+    assert_same_bits(&db, &want_db, &format!("{what}: db"));
+
+    let mut dx = stale(big);
+    conv2d_backward_input_into(&weight, h, w, &spec, &g, &mut scratch, &mut dx);
+    assert_same_bits(&dx, &want.grad_input, &format!("{what}: dX"));
+}
+
+/// The shapes filter training runs: the IC / OD trunks and branch (3×3,
+/// pad 1), the OD grid head (1×1) and the OD-COF branch of Table I (1×1 with
+/// pad 1, 3×3, 1×1, 1×1 with pad 3), plus a strided and an even kernel.
+#[test]
+fn filter_shapes_match_the_im2col_reference_bit_for_bit() {
+    for (i, &(shape, conv)) in [
+        ([3usize, 8usize, 56usize, 56usize], (3usize, 1usize, 1usize)),
+        ([8, 16, 28, 28], (3, 1, 1)),
+        ([16, 16, 14, 14], (3, 1, 1)),
+        ([3, 6, 28, 28], (3, 1, 1)),
+        ([6, 12, 14, 14], (3, 1, 1)),
+        ([16, 2, 14, 14], (1, 1, 0)),
+        ([16, 16, 7, 7], (1, 1, 1)),
+        ([16, 8, 9, 9], (3, 1, 1)),
+        ([8, 16, 9, 9], (1, 1, 0)),
+        ([16, 16, 9, 9], (1, 1, 3)),
+        ([1, 3, 8, 8], (3, 2, 1)),
+        ([2, 5, 9, 7], (2, 2, 0)),
+        ([2, 3, 4, 4], (5, 1, 2)),
+    ]
+    .iter()
+    .enumerate()
+    {
+        check_conv(shape, conv, false, i as u64);
+        check_conv(shape, conv, true, 100 + i as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Any channel counts (1–17: full lane groups and their tails), any
+    /// height and width (1–35), kernels 1–3, strides 1–2, paddings 0–2.
+    #[test]
+    fn any_shape_matches_the_im2col_reference_bit_for_bit(
+        (c, m) in (1usize..=17, 1usize..=17),
+        (h, w) in (1usize..=35, 1usize..=35),
+        (kernel, stride, padding) in (1usize..=3, 1usize..=2, 0usize..=2),
+        wild in 0usize..3,
+        seed in 0u64..1 << 32,
+    ) {
+        if h + 2 * padding >= kernel && w + 2 * padding >= kernel {
+            check_conv([c, m, h, w], (kernel, stride, padding), wild == 0, seed);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// SIMD tail paths of matmul / matvec / GAP vs the scalar reference (4e).
+// ---------------------------------------------------------------------------
+
+/// The equivalence contract of `vmq_nn::kernels` for matmul-shaped kernels.
+#[track_caller]
+fn assert_within_contract(backend: KernelBackend, got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{} {what}: length", backend.name());
+    if !backend.is_simd() {
+        assert_same_bits(got, want, &format!("{} {what}", backend.name()));
+        return;
+    }
+    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+        let ulps = (g.to_bits() as i64 - w.to_bits() as i64).unsigned_abs();
+        let close = g == w || (g - w).abs() <= ABS_TOLERANCE || ulps <= ULP_TOLERANCE;
+        assert!(close, "{} {what} [{i}]: got {g}, want {w} ({ulps} ulps)", backend.name());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Row quads and the odd rows after them (m 1–17), every column-vector
+    /// tail (n 1–35), any depth, zero coefficients included.
+    #[test]
+    fn matmul_tails_match_the_scalar_reference_on_every_backend(
+        (m, k, n) in (1usize..=17, 1usize..=35, 1usize..=35),
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = values_with_zeros(m * k, 1.0, &mut rng);
+        let b = values_with_zeros(k * n, 1.0, &mut rng);
+        let mut want = Vec::new();
+        ops::matmul_into(&a, m, k, &b, n, &mut want);
+        prop_assert_eq!(&want, &matmul(&a, m, k, &b, n));
+        for backend in KernelBackend::supported() {
+            let mut got = stale(3);
+            matmul_into_with(backend, &a, m, k, &b, n, &mut got);
+            assert_within_contract(backend, &got, &want, &format!("matmul {m}x{k}x{n}"));
+        }
+    }
+
+    /// Matvec keeps the scalar dot-product order on every backend: any row
+    /// count, any row length (vector body, tail, shorter than one vector).
+    #[test]
+    fn matvec_tails_match_the_scalar_reference_bit_for_bit_on_every_backend(
+        (m, k) in (1usize..=17, 1usize..=70),
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = values_with_zeros(m * k, 1.0, &mut rng);
+        let x = values_with_zeros(k, 1.0, &mut rng);
+        let mut want = Vec::new();
+        ops::matvec_into(&a, m, k, &x, &mut want);
+        for backend in KernelBackend::supported() {
+            let mut got = stale(3);
+            matvec_into_with(backend, &a, m, k, &x, &mut got);
+            assert_same_bits(&got, &want, &format!("{} matvec {m}x{k}", backend.name()));
+        }
+    }
+
+    /// Global average pooling keeps the sequential per-channel sum on every
+    /// backend: any channel count (lane groups and tails), any map size.
+    #[test]
+    fn gap_tails_match_the_scalar_reference_bit_for_bit_on_every_backend(
+        (c, h, w) in (1usize..=17, 1usize..=35, 1usize..=35),
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let input = values_with_zeros(c * h * w, 1.0, &mut rng);
+        let mut want = Vec::new();
+        ops::global_avg_pool_into(&input, c, h, w, &mut want);
+        for backend in KernelBackend::supported() {
+            let mut got = stale(3);
+            global_avg_pool_into_with(backend, &input, c, h, w, &mut got);
+            assert_same_bits(&got, &want, &format!("{} gap {c}x{h}x{w}", backend.name()));
+        }
+    }
+}
