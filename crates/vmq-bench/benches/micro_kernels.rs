@@ -101,14 +101,14 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
         });
     }
 
-    // Patch extraction: the f32 im2col (delegates to scalar on every
+    // Patch extraction: the f32 im2col (one scalar implementation for every
     // backend — it is memcpy-bound, documented in vmq_nn::kernels) and its
     // int8 patch-major counterpart.
     let spec = ConvSpec { in_channels: 8, out_channels: 16, kernel: 3, stride: 1, padding: 1 };
     let input_f32: Vec<f32> = (0..8 * 28 * 28).map(|i| (i % 17) as f32 * 0.05).collect();
     let mut cols_f32: Vec<f32> = Vec::new();
     c.bench_function("kernels/im2col 8ch 28x28 [scalar]", |bench| {
-        bench.iter(|| vmq_nn::kernels::im2col_into(black_box(&input_f32), 28, 28, &spec, &mut cols_f32))
+        bench.iter(|| vmq_nn::ops::im2col_into(black_box(&input_f32), 28, 28, &spec, &mut cols_f32))
     });
     let input_i8: Vec<i8> = (0..8 * 28 * 28).map(|i| (i % 251) as i8).collect();
     let mut cols_i8: Vec<i8> = Vec::new();

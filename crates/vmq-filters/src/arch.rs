@@ -56,26 +56,26 @@ mod tests {
     #[test]
     fn trunk_output_matches_grid() {
         let config = FilterConfig::fast_test(vec![ObjectClass::Car]);
-        let mut trunk = build_trunk(&config, Act::Relu, 1);
+        let trunk = build_trunk(&config, Act::Relu, 1);
         let x = Tensor::zeros(vec![3, config.raster.height, config.raster.width]);
-        let y = trunk.forward(&x);
+        let y = trunk.infer(&x, &mut vmq_nn::Workspace::new());
         assert_eq!(y.shape(), &[config.feature_channels(), config.grid, config.grid]);
     }
 
     #[test]
     fn trunk_with_two_pools() {
         let config = FilterConfig::experiment(vec![ObjectClass::Car, ObjectClass::Bus]);
-        let mut trunk = build_trunk(&config, Act::LeakyRelu(0.1), 2);
+        let trunk = build_trunk(&config, Act::LeakyRelu(0.1), 2);
         let x = Tensor::zeros(vec![3, 56, 56]);
-        let y = trunk.forward(&x);
+        let y = trunk.infer(&x, &mut vmq_nn::Workspace::new());
         assert_eq!(y.shape(), &[16, 14, 14]);
     }
 
     #[test]
     fn branch_preserves_spatial_size() {
-        let mut branch = build_branch(12, 16, 2, 3);
+        let branch = build_branch(12, 16, 2, 3);
         let x = Tensor::zeros(vec![12, 14, 14]);
-        let y = branch.forward(&x);
+        let y = branch.infer(&x, &mut vmq_nn::Workspace::new());
         assert_eq!(y.shape(), &[16, 14, 14]);
     }
 

@@ -37,6 +37,8 @@ struct OdNet {
     branch: Sequential,
     grid_head: Sequential,
     count_head: Sequential,
+    /// Training scratch: the count head's gradient w.r.t. the branch output.
+    d_branch: Vec<f32>,
 }
 
 impl OdNet {
@@ -56,11 +58,14 @@ impl OdNet {
     fn backward(&mut self, d_counts: &Tensor, d_grids: &Tensor, ws: &mut Workspace) {
         ws.load(d_counts);
         self.count_head.backward_ws(ws, true);
-        ws.stash();
+        self.d_branch.clear();
+        self.d_branch.extend_from_slice(ws.data());
         ws.load(d_grids);
         self.grid_head.backward_ws(ws, true);
         // The branch output fed both heads: its gradient is their sum.
-        ws.add_stashed();
+        for (from_grid, from_count) in ws.data_mut().iter_mut().zip(&self.d_branch) {
+            *from_grid += from_count;
+        }
         self.branch.backward_ws(ws, true);
         // Nothing consumes the gradient w.r.t. the raster.
         self.trunk.backward_ws(ws, false);
@@ -110,7 +115,11 @@ impl OdFilter {
             Box::new(Dense::new(bc, n, config.seed.wrapping_add(4000))),
             Box::new(Activation::new(Act::Relu)),
         ]);
-        OdFilter { config, net: RwLock::new(OdNet { trunk, branch, grid_head, count_head }), history: Vec::new() }
+        OdFilter {
+            config,
+            net: RwLock::new(OdNet { trunk, branch, grid_head, count_head, d_branch: Vec::new() }),
+            history: Vec::new(),
+        }
     }
 
     /// The filter configuration.

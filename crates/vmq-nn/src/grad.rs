@@ -1,69 +1,52 @@
 //! Training kernels: direct convolution forward / backward and the pooling
 //! gradients, all writing into caller-owned buffers.
 //!
-//! The three convolution kernels work from a zero-padded copy of the layer
-//! input (`[C, H+2p, W+2p]`, made by the forward kernel and kept by the
-//! layer for its backward pass); no `[C·k·k, OH·OW]` column matrix exists.
-//! Writing `x[kk, p]` for the padded input value under tap `kk = (ci, ky, kx)`
-//! at output position `p = (oy, ox)`, the arithmetic contract — the order
-//! the im2col → matmul composition these kernels replaced summed in, held
-//! to it by `tests/train_differential.rs` — is:
+//! The convolutions work from a zero-padded copy of the layer input (`[C,
+//! H+2p, W+2p]`, made by forward, kept by the layer for backward); no `[C·k·k,
+//! OH·OW]` column matrix exists. With `x[kk, p]` the padded input under tap
+//! `kk = (ci, ky, kx)` at output position `p`, the contract is the order of
+//! the im2col → matmul composition they replaced (`tests/train_differential.rs`):
 //!
 //! * **forward** `out[co][p] = (Σ_kk w[co][kk]·x[kk, p]) + bias[co]`, `kk`
 //!   ascending, zero weights skipped, mul then add, from +0.0;
 //! * **dW** `[co][kk] = Σ_p g[co][p]·x[kk, p]`, `p` ascending from +0.0,
-//!   mul then add, *including* the padded zeros (they are read from the
-//!   padded copy, never branched around);
+//!   mul then add, *including* the padded zeros (read from the padded copy,
+//!   never branched around);
 //! * **db** `[co] = Σ_p g[co][p]`, one sequential sum;
 //! * **dX** one tap at a time, `(ci, ky, kx)` ascending: `t[p] = Σ_co
 //!   w[co][kk]·g[co][p]` (`co` ascending, zero weights skipped, mul then
 //!   add, from +0.0), then `dX[ci][iy][ix] += t[p]`.
 //!
-//! Blocking only ever runs *independent* sums side by side — output
-//! positions in forward and dX, output channels in dW — so every sum keeps
-//! its sequence, and nothing here fuses a multiply into an add. Training
-//! therefore produces the same weights whatever backend [`crate::kernels`]
-//! dispatches inference to.
+//! Blocking only runs *independent* sums side by side — output positions in
+//! forward and dX, output channels in dW — and nothing fuses a multiply into
+//! an add, so training yields the same weights on every host and backend.
 
 use crate::ops::ConvSpec;
 
-/// Geometry of one convolution call.
+/// One convolution call: [`ConvSpec`], padded input `hp × wp`, output `oh × ow`.
 struct Geom {
     c: usize,
     m: usize,
     k: usize,
     s: usize,
     pad: usize,
-    /// Padded input height / width.
     hp: usize,
     wp: usize,
     oh: usize,
     ow: usize,
+    ckk: usize,
 }
 
 impl Geom {
     fn new(spec: &ConvSpec, h: usize, w: usize) -> Self {
+        let ConvSpec { in_channels: c, out_channels: m, kernel: k, stride: s, padding: pad } = *spec;
         let (oh, ow) = spec.out_size(h, w);
-        Geom {
-            c: spec.in_channels,
-            m: spec.out_channels,
-            k: spec.kernel,
-            s: spec.stride,
-            pad: spec.padding,
-            hp: h + 2 * spec.padding,
-            wp: w + 2 * spec.padding,
-            oh,
-            ow,
-        }
-    }
-
-    fn ckk(&self) -> usize {
-        self.c * self.k * self.k
+        Geom { c, m, k, s, pad, hp: h + 2 * pad, wp: w + 2 * pad, oh, ow, ckk: c * k * k }
     }
 }
 
-/// Positions computed side by side by the forward and dX kernels; the tail
-/// of a run falls back to [`SMALL_TILE`], then to one position at a time.
+/// Positions the forward and dX kernels compute side by side (run tails
+/// fall back to [`SMALL_TILE`], then to single positions).
 const TILE: usize = 32;
 const SMALL_TILE: usize = 8;
 
@@ -72,14 +55,15 @@ trait Tile {
     fn at<const T: usize>(&self, q: usize) -> [f32; T];
 }
 
-/// `out[q] = tile.at(q)` for every position, a tile at a time.
-fn fill_tiled(out: &mut [f32], tile: &impl Tile) {
+/// `out[q] = tile.at(q)` for every `q`: by tiles if `wide` (adjacent
+/// positions read adjacent cells), else singly.
+fn fill_tiled(out: &mut [f32], tile: &impl Tile, wide: bool) {
     let mut q = 0;
-    while q + TILE <= out.len() {
+    while wide && q + TILE <= out.len() {
         out[q..q + TILE].copy_from_slice(&tile.at::<TILE>(q));
         q += TILE;
     }
-    while q + SMALL_TILE <= out.len() {
+    while wide && q + SMALL_TILE <= out.len() {
         out[q..q + SMALL_TILE].copy_from_slice(&tile.at::<SMALL_TILE>(q));
         q += SMALL_TILE;
     }
@@ -89,9 +73,9 @@ fn fill_tiled(out: &mut [f32], tile: &impl Tile) {
     }
 }
 
-/// Convolution forward pass, `out = weight (m × c·k²) ⊛ input (c × h × w) +
-/// bias`, in the module-level order. `xpad` receives the zero-padded input
-/// copy the backward kernels read; `scratch` is overwritten.
+/// Forward pass `out = weight (m × c·k²) ⊛ input (c × h × w) + bias` in the
+/// module-level order; `xpad` receives the zero-padded input copy the
+/// backward kernels read, `scratch` is overwritten.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_forward_into(
     input: &[f32],
@@ -106,7 +90,7 @@ pub fn conv2d_forward_into(
 ) {
     let g = Geom::new(spec, h, w);
     debug_assert_eq!(input.len(), g.c * h * w, "conv2d_forward_into input size mismatch");
-    debug_assert_eq!(weight.len(), g.m * g.ckk(), "conv2d_forward_into weight size mismatch");
+    debug_assert_eq!(weight.len(), g.m * g.ckk, "conv2d_forward_into weight size mismatch");
     xpad.clear();
     xpad.resize(g.c * g.hp * g.wp, 0.0);
     for (ci, plane) in input.chunks_exact(h * w).enumerate() {
@@ -114,17 +98,16 @@ pub fn conv2d_forward_into(
             xpad[(ci * g.hp + y + g.pad) * g.wp + g.pad..][..w].copy_from_slice(row);
         }
     }
-    // One output channel at a time over the positions `q = oy·wp + ox` of a
-    // grid with the padded row pitch, where every tap is one shifted run of
-    // the padded input; the `wp - ow` wrapped positions per row are computed
-    // and dropped.
+    // One output channel at a time over positions `q = oy·wp + ox` — the
+    // padded row pitch, so every tap is one shifted run of `xpad`; the
+    // `wp - ow` wrapped positions per row are computed and dropped.
     let q_len = (g.oh - 1) * g.wp + g.ow;
     scratch.clear();
     scratch.resize(q_len, 0.0);
     out.clear();
     out.resize(g.m * g.oh * g.ow, 0.0);
-    for ((w_row, &b), o_map) in weight.chunks_exact(g.ckk()).zip(bias).zip(out.chunks_exact_mut(g.oh * g.ow)) {
-        fill_tiled(scratch, &ForwardTile { xpad, g: &g, w_row });
+    for ((w_row, &b), o_map) in weight.chunks_exact(g.ckk).zip(bias).zip(out.chunks_exact_mut(g.oh * g.ow)) {
+        fill_tiled(scratch, &ForwardTile { xpad, g: &g, w_row }, g.s == 1);
         for (o_row, s_row) in o_map.chunks_exact_mut(g.ow).zip(scratch.chunks(g.wp)) {
             for (o, &v) in o_row.iter_mut().zip(s_row) {
                 *o = v + b;
@@ -133,7 +116,7 @@ pub fn conv2d_forward_into(
     }
 }
 
-/// `Σ_kk w[kk]·x[kk, q..q+T]` for one output channel.
+/// `Σ_kk w[kk]·x[kk, q..q+T]` for one output channel (`T > 1`: unit stride only).
 struct ForwardTile<'a> {
     xpad: &'a [f32],
     g: &'a Geom,
@@ -143,37 +126,15 @@ struct ForwardTile<'a> {
 impl Tile for ForwardTile<'_> {
     #[inline(always)]
     fn at<const T: usize>(&self, q: usize) -> [f32; T] {
-        // The unit-stride form reads each tap as one contiguous run.
-        if self.g.s == 1 {
-            self.strided::<T, true>(q)
-        } else {
-            self.strided::<T, false>(q)
-        }
-    }
-}
-
-impl ForwardTile<'_> {
-    #[inline(always)]
-    fn strided<const T: usize, const UNIT: bool>(&self, q: usize) -> [f32; T] {
         let g = self.g;
         let mut acc = [0.0f32; T];
-        let s = if UNIT { 1 } else { g.s };
         for ci in 0..g.c {
             for ky in 0..g.k {
-                let row = &self.xpad[(ci * g.hp + ky) * g.wp + q * s..];
+                let row = &self.xpad[(ci * g.hp + ky) * g.wp + q * g.s..];
                 for kx in 0..g.k {
                     let wv = self.w_row[(ci * g.k + ky) * g.k + kx];
-                    if wv == 0.0 {
-                        continue;
-                    }
-                    if UNIT {
+                    if wv != 0.0 {
                         add_scaled(&mut acc, wv, &row[kx..]);
-                    } else {
-                        let mut l = 0;
-                        while l < T {
-                            acc[l] += wv * row[kx + l * s];
-                            l += 1;
-                        }
                     }
                 }
             }
@@ -182,10 +143,9 @@ impl ForwardTile<'_> {
     }
 }
 
-/// `acc[l] += coeff · src[l]`: one more term of `T` independent sums. (The
-/// inner loops of this module are counted `while`s, not iterator chains: the
-/// test suite trains its filters in debug builds, where every adaptor costs
-/// a call per element.)
+/// `acc[l] += coeff · src[l]`: one more term of `T` independent sums. (Inner
+/// loops here are counted `while`s: the test suite trains filters in debug
+/// builds, where an iterator adaptor costs a call per element.)
 #[inline(always)]
 fn add_scaled<const T: usize>(acc: &mut [f32; T], coeff: f32, src: &[f32]) {
     let src = &src[..T];
@@ -196,10 +156,9 @@ fn add_scaled<const T: usize>(acc: &mut [f32; T], coeff: f32, src: &[f32]) {
     }
 }
 
-/// Accumulates the convolution's parameter gradients, `dw += dW` and `db +=
-/// db` in the module-level order, from the forward pass's padded input copy
-/// and the output gradient `grad_out` (`[m, oh, ow]`). `scratch` is
-/// overwritten.
+/// Accumulates the parameter gradients `dw += dW`, `db += db` in the
+/// module-level order, from the forward pass's `xpad` and the output
+/// gradient `grad_out` (`[m, oh, ow]`); `scratch` is overwritten.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward_params_into(
     xpad: &[f32],
@@ -214,8 +173,8 @@ pub fn conv2d_backward_params_into(
     let g = Geom::new(spec, h, w);
     debug_assert_eq!(xpad.len(), g.c * g.hp * g.wp, "conv2d_backward_params_into: no matching forward pass");
     debug_assert_eq!(grad_out.len(), g.m * g.oh * g.ow, "conv2d_backward_params_into gradient size mismatch");
-    // Sixteen output-channel chains side by side keep the adders busy; a
-    // layer of eight channels or fewer would only carry zero lanes along.
+    // Sixteen chains side by side keep the adders busy; eight channels or
+    // fewer would only carry zero lanes along.
     if g.m > 8 {
         param_grads::<16>(xpad, &g, grad_out, scratch, dw, db);
     } else {
@@ -232,10 +191,9 @@ fn param_grads<const L: usize>(
     dw: &mut [f32],
     db: &mut [f32],
 ) {
-    // The gradient transposed to `[p][m]` (channels padded with zero lanes to
-    // a multiple of `L`): one position's channels are then contiguous, so `L`
-    // per-channel chains advance together, each still summing over ascending
-    // `p`.
+    // The gradient transposed to `[p][m]` (zero lanes pad `m` to a multiple
+    // of `L`): a position's channels are contiguous, so `L` per-channel
+    // chains advance together, each still summing over ascending `p`.
     let p = g.oh * g.ow;
     let mp = g.m.next_multiple_of(L);
     scratch.clear();
@@ -246,7 +204,6 @@ fn param_grads<const L: usize>(
             scratch[i * mp + co] = v;
         }
     }
-    let ckk = g.ckk();
     for ci in 0..g.c {
         for ky in 0..g.k {
             let x = &xpad[(ci * g.hp + ky) * g.wp..];
@@ -264,7 +221,7 @@ fn param_grads<const L: usize>(
                     };
                     for (t, sums) in acc.iter().take(taps).enumerate() {
                         for (l, &sum) in sums.iter().take(g.m - lane).enumerate() {
-                            dw[(lane + l) * ckk + kk + kx + t] += sum;
+                            dw[(lane + l) * g.ckk + kk + kx + t] += sum;
                         }
                     }
                     kx += taps;
@@ -274,10 +231,9 @@ fn param_grads<const L: usize>(
     }
 }
 
-/// `Σ_p g[co][p]·x[kk, p]` for `L` output channels × the first `K` (of up to
-/// 3) adjacent taps of one kernel row: `x` starts at the first tap's cell for
-/// output position 0, `gt` at the first channel's lane of the transposed
-/// gradient.
+/// `Σ_p g[co][p]·x[kk, p]` for `L` output channels × `K` (≤ 3) adjacent taps
+/// of a kernel row; `x` starts at the first tap's cell for position 0, `gt`
+/// at the first channel's lane of the transposed gradient.
 #[inline(always)]
 fn weight_grad_chains<const K: usize, const L: usize>(x: &[f32], gt: &[f32], mp: usize, g: &Geom) -> [[f32; L]; 3] {
     let mut acc = [[0.0f32; L]; 3];
@@ -299,9 +255,8 @@ fn weight_grad_chains<const K: usize, const L: usize>(x: &[f32], gt: &[f32], mp:
     acc
 }
 
-/// The convolution's input gradient `dx` (`[c, h, w]`, overwritten) in the
-/// module-level order, from the weights and the output gradient `grad_out`
-/// (`[m, oh, ow]`). `scratch` is overwritten.
+/// The input gradient `dx` (`[c, h, w]`) in the module-level order, from the
+/// weights and `grad_out` (`[m, oh, ow]`); `dx` and `scratch` are overwritten.
 pub fn conv2d_backward_input_into(
     weight: &[f32],
     h: usize,
@@ -314,14 +269,14 @@ pub fn conv2d_backward_input_into(
     let g = Geom::new(spec, h, w);
     let p = g.oh * g.ow;
     debug_assert_eq!(grad_out.len(), g.m * p, "conv2d_backward_input_into gradient size mismatch");
-    // `scratch` = one tap's `t[p]`, then dX over the padded input (taps that
-    // fall into the padding accumulate there and are dropped at the end).
+    // `scratch` = one tap's `t[p]`, then dX over the padded input (what lands
+    // in the padding is dropped at the end).
     scratch.clear();
     scratch.resize(p + g.c * g.hp * g.wp, 0.0);
     let (t, dx_pad) = scratch.split_at_mut(p);
-    for kk in 0..g.ckk() {
+    for kk in 0..g.ckk {
         let (ci, ky, kx) = (kk / (g.k * g.k), kk / g.k % g.k, kk % g.k);
-        fill_tiled(t, &InputGradTile { w_col: weight[kk..].iter().step_by(g.ckk()), grad_out, p });
+        fill_tiled(t, &InputGradTile { w_col: weight[kk..].iter().step_by(g.ckk), grad_out, p }, true);
         for (oy, t_row) in t.chunks_exact(g.ow).enumerate() {
             let dst = &mut dx_pad[(ci * g.hp + oy * g.s + ky) * g.wp + kx..];
             if g.s == 1 {
@@ -329,8 +284,8 @@ pub fn conv2d_backward_input_into(
                     *d += v;
                 }
             } else {
-                for (ox, &v) in t_row.iter().enumerate() {
-                    dst[ox * g.s] += v;
+                for (d, &v) in dst.iter_mut().step_by(g.s).zip(t_row) {
+                    *d += v;
                 }
             }
         }
@@ -343,8 +298,7 @@ pub fn conv2d_backward_input_into(
     }
 }
 
-/// `Σ_co w[co]·g[co][q..q+T]` for one tap, `w_col` yielding its weight per
-/// output channel.
+/// `Σ_co w[co]·g[co][q..q+T]` for one tap (`w_col`: its weight per channel).
 struct InputGradTile<'a> {
     w_col: std::iter::StepBy<std::slice::Iter<'a, f32>>,
     grad_out: &'a [f32],
@@ -364,9 +318,8 @@ impl Tile for InputGradTile<'_> {
     }
 }
 
-/// Max-pool backward: routes each pooled cell's gradient to the input cell
-/// [`crate::ops::maxpool2d_argmax_into`] recorded for it; `dx` (`in_len`
-/// cells) is overwritten.
+/// Max-pool backward: each pooled cell's gradient goes to the input cell
+/// [`crate::ops::maxpool2d_into`] recorded; `dx` (`in_len` cells) is overwritten.
 pub fn maxpool2d_backward_into(grad_out: &[f32], argmax: &[usize], in_len: usize, dx: &mut Vec<f32>) {
     debug_assert_eq!(grad_out.len(), argmax.len(), "maxpool2d_backward_into gradient size mismatch");
     dx.clear();
@@ -376,8 +329,7 @@ pub fn maxpool2d_backward_into(grad_out: &[f32], argmax: &[usize], in_len: usize
     }
 }
 
-/// Global-average-pool backward: spreads each channel's gradient evenly over
-/// its `h × w` cells; `dx` is overwritten.
+/// GAP backward: each channel's gradient spread evenly over its `h × w` cells.
 pub fn global_avg_pool_backward_into(grad_out: &[f32], h: usize, w: usize, dx: &mut Vec<f32>) {
     let area = (h * w) as f32;
     dx.clear();

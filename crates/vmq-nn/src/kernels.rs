@@ -37,7 +37,7 @@
 //!
 //! Two kernels deserve a note: `im2col` is pure data movement whose
 //! stride-1 span copies already lower to vectorised `memcpy`, so every
-//! backend shares the scalar implementation (the AVX2 fused conv avoids
+//! backend calls [`ops::im2col_into`] itself (the AVX2 fused conv avoids
 //! it entirely for the 3×3/stride-1/pad-1 shape every filter trunk uses,
 //! working from a zero-padded copy of the input instead); `maxpool2d` is
 //! vectorised for the 2×2 window the filter trunks use and falls back to
@@ -223,23 +223,6 @@ pub fn matvec_into_with(backend: KernelBackend, a: &[f32], m: usize, k: usize, x
     }
 }
 
-/// [`ops::im2col_into`] via the chosen backend.
-///
-/// All backends share the scalar implementation: im2col is pure data
-/// movement and its stride-1 fast path is already a sequence of `memcpy`
-/// span copies, which the portable code lowers to vectorised moves.
-pub fn im2col_into_with(
-    backend: KernelBackend,
-    input: &[f32],
-    h: usize,
-    w: usize,
-    spec: &ConvSpec,
-    out: &mut Vec<f32>,
-) {
-    let _ = backend;
-    ops::im2col_into(input, h, w, spec, out);
-}
-
 /// [`ops::maxpool2d_into`] via the chosen backend (2×2 windows are
 /// vectorised; other sizes use the scalar loop on every backend).
 #[allow(unsafe_code)]
@@ -259,7 +242,7 @@ pub fn maxpool2d_into_with(
         KernelBackend::Avx2 | KernelBackend::Avx512 if backend.is_supported() && size == 2 => unsafe {
             avx2::maxpool2d_2x2_into(input, c, h, w, out)
         },
-        _ => ops::maxpool2d_into(input, c, h, w, size, out),
+        _ => ops::maxpool2d_into(input, c, h, w, size, out, None),
     }
 }
 
@@ -377,7 +360,7 @@ pub fn conv2d_block_into_with(
         },
         _ => {
             let ckk = spec.in_channels * spec.kernel * spec.kernel;
-            im2col_into_with(backend, input, h, w, spec, scratch);
+            ops::im2col_into(input, h, w, spec, scratch);
             matmul_into_with(backend, weight, spec.out_channels, ckk, scratch, oh * ow, out);
             for (co, &b) in bias.iter().enumerate() {
                 for v in &mut out[co * oh * ow..(co + 1) * oh * ow] {
@@ -512,11 +495,6 @@ pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
 /// [`ops::matvec_into`] through the process-wide active backend.
 pub fn matvec_into(a: &[f32], m: usize, k: usize, x: &[f32], out: &mut Vec<f32>) {
     matvec_into_with(KernelBackend::active(), a, m, k, x, out);
-}
-
-/// [`ops::im2col_into`] through the process-wide active backend.
-pub fn im2col_into(input: &[f32], h: usize, w: usize, spec: &ConvSpec, out: &mut Vec<f32>) {
-    im2col_into_with(KernelBackend::active(), input, h, w, spec, out);
 }
 
 /// [`ops::maxpool2d_into`] through the process-wide active backend.
@@ -992,8 +970,7 @@ mod avx2 {
                 _mm256_setr_epi32(0, stride, 2 * stride, 3 * stride, 4 * stride, 5 * stride, 6 * stride, 7 * stride);
             while i + 8 <= m {
                 let base = ap.add(i * k);
-                // The scalar reference's `Sum` folds from -0.0.
-                let mut acc = _mm256_set1_ps(-0.0);
+                let mut acc = _mm256_set1_ps(-0.0); // the scalar `Sum`'s identity
                 for (kk, &xv) in x.iter().enumerate() {
                     let col = _mm256_i32gather_ps::<4>(base.add(kk), vindex);
                     acc = _mm256_add_ps(acc, _mm256_mul_ps(col, _mm256_set1_ps(xv)));
@@ -1098,8 +1075,7 @@ mod avx2 {
             let varea = _mm256_set1_ps(area);
             while ch + 8 <= c {
                 let base = ip.add(ch * hw);
-                // The scalar reference's `Sum` folds from -0.0.
-                let mut acc = _mm256_set1_ps(-0.0);
+                let mut acc = _mm256_set1_ps(-0.0); // the scalar `Sum`'s identity
                 for i in 0..hw {
                     acc = _mm256_add_ps(acc, _mm256_i32gather_ps::<4>(base.add(i), vindex));
                 }
@@ -1797,7 +1773,7 @@ mod tests {
                 *v = 0.0;
             }
             let mut reference = Vec::new();
-            ops::maxpool2d_into(&input, c, h, w, 2, &mut reference);
+            ops::maxpool2d_into(&input, c, h, w, 2, &mut reference, None);
             for backend in KernelBackend::supported() {
                 let mut out = vec![f32::NAN; 1];
                 maxpool2d_into_with(backend, &input, c, h, w, 2, &mut out);

@@ -126,10 +126,6 @@ impl Layer for Activation {
         }
     }
 
-    fn cache_bytes(&self) -> usize {
-        std::mem::size_of::<f32>() * self.cached.capacity()
-    }
-
     fn name(&self) -> &'static str {
         "Activation"
     }
@@ -199,5 +195,17 @@ mod tests {
     fn act_is_reported() {
         let a = Activation::new(Act::LeakyRelu(0.01));
         assert_eq!(a.act(), Act::LeakyRelu(0.01));
+    }
+
+    #[test]
+    fn forward_cache_stops_growing_after_the_first_sample() {
+        for act in [Act::Relu, Act::Sigmoid] {
+            let mut a = Activation::new(act);
+            let _ = forward(&mut a, &Tensor::full(vec![40], 1.0));
+            let warm = a.cached.capacity();
+            let _ = forward(&mut a, &Tensor::full(vec![40], -1.0));
+            let _ = backward(&mut a, &Tensor::full(vec![40], 1.0));
+            assert_eq!(a.cached.capacity(), warm);
+        }
     }
 }

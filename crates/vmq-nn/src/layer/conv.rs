@@ -54,11 +54,6 @@ impl Conv2d {
         &self.spec
     }
 
-    /// Number of trainable scalars in this layer.
-    pub fn num_weights(&self) -> usize {
-        self.weight.value.len() + self.bias.value.len()
-    }
-
     /// Read-only access to the `[out_channels, in_channels*k*k]` weight
     /// matrix (used by post-training quantization).
     pub fn weight(&self) -> &crate::tensor::Tensor {
@@ -122,10 +117,6 @@ impl Layer for Conv2d {
             conv2d_backward_input_into(self.weight.value.data(), h, w, &self.spec, grad_out, scratch, grad_in);
             ws.commit(&[self.spec.in_channels, h, w]);
         }
-    }
-
-    fn cache_bytes(&self) -> usize {
-        std::mem::size_of::<f32>() * self.cached_xpad.capacity()
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -207,5 +198,17 @@ mod tests {
         let _ = backward(&mut c, &Tensor::full(vec![1, 3, 3], 1.0));
         // 9 output cells each contribute 1 to the single bias gradient.
         assert_eq!(c.bias.grad.data()[0], 9.0);
+    }
+
+    #[test]
+    fn forward_cache_stops_growing_after_the_first_sample() {
+        let mut c = Conv2d::new(2, 3, 3, 1, 1, 0);
+        let _ = forward(&mut c, &Tensor::full(vec![2, 6, 6], 1.0));
+        let warm = c.cached_xpad.capacity();
+        for v in [0.5, -2.0] {
+            let _ = forward(&mut c, &Tensor::full(vec![2, 6, 6], v));
+            let _ = backward(&mut c, &Tensor::full(vec![3, 6, 6], v));
+        }
+        assert_eq!(c.cached_xpad.capacity(), warm);
     }
 }

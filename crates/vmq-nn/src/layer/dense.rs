@@ -53,13 +53,7 @@ impl Dense {
 
 impl Layer for Dense {
     fn forward(&mut self, ws: &mut Workspace) {
-        assert_eq!(
-            ws.data().len(),
-            self.in_dim,
-            "Dense expected input of length {}, got {:?}",
-            self.in_dim,
-            ws.shape()
-        );
+        assert_eq!(ws.data().len(), self.in_dim, "Dense input length mismatch");
         self.cached_input.clear();
         self.cached_input.extend_from_slice(ws.data());
         // `matvec_into` keeps the scalar order on every backend.
@@ -114,10 +108,6 @@ impl Layer for Dense {
             }
         }
         ws.commit(&[self.in_dim]);
-    }
-
-    fn cache_bytes(&self) -> usize {
-        std::mem::size_of::<f32>() * self.cached_input.capacity()
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -195,5 +185,15 @@ mod tests {
         assert_eq!(ps.len(), 2);
         assert_eq!(ps[0].value.shape(), &[3, 4]);
         assert_eq!(ps[1].value.shape(), &[3]);
+    }
+
+    #[test]
+    fn forward_cache_stops_growing_after_the_first_sample() {
+        let mut d = Dense::new(5, 2, 0);
+        let _ = forward(&mut d, &Tensor::full(vec![5], 1.0));
+        let warm = d.cached_input.capacity();
+        let _ = forward(&mut d, &Tensor::full(vec![5], -1.0));
+        let _ = backward(&mut d, &Tensor::full(vec![2], 1.0));
+        assert_eq!(d.cached_input.capacity(), warm);
     }
 }

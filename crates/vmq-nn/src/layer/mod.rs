@@ -1,10 +1,8 @@
 //! Neural-network layers with explicit forward / backward passes.
 //!
 //! Every layer caches whatever it needs from the forward pass (inputs,
-//! pooling indices) in buffers it keeps across samples, so the subsequent
-//! backward call can compute parameter and input gradients without a general
-//! autograd graph — and, like inference, without allocating: activations and
-//! gradients both travel through a caller-owned [`Workspace`].
+//! pooling indices) in buffers it keeps across samples: backward needs no
+//! autograd graph and, like inference over a [`Workspace`], no allocation.
 
 mod activation;
 mod conv;
@@ -27,13 +25,9 @@ use crate::workspace::Workspace;
 /// threads — and, through the shared-read [`Layer::infer`] path, serve many
 /// inference threads concurrently without a lock.
 pub trait Layer: Send + Sync {
-    /// Training forward pass: reads the current activation from `ws` and
-    /// leaves the layer output there, caching anything needed by
-    /// [`Layer::backward`] in the layer's own buffers (which keep their
-    /// capacity, so steady-state training allocates nothing here).
-    ///
-    /// Runs one fixed scalar accumulation order whatever backend inference
-    /// dispatches to, so trained weights are backend-invariant.
+    /// Training forward pass: [`Layer::infer`] that caches what
+    /// [`Layer::backward`] needs in buffers kept across samples and runs one
+    /// scalar accumulation order on every backend (backend-invariant weights).
     fn forward(&mut self, ws: &mut Workspace);
 
     /// Inference-only forward pass: reads the current activation from `ws`
@@ -43,24 +37,13 @@ pub trait Layer: Send + Sync {
     ///
     /// Bit-identical to [`Layer::forward`] under the scalar backend
     /// (`VMQ_FORCE_SCALAR=1`); a SIMD backend may differ per element within
-    /// the ULP tolerance documented in [`crate::kernels`]. Within one backend
-    /// it is deterministic, which is what the filter pipeline's
-    /// eager/batched/sharded parity guarantees depend on.
+    /// the ULP tolerance documented in [`crate::kernels`], deterministically.
     fn infer(&self, ws: &mut Workspace);
 
-    /// Reads the gradient of the loss w.r.t. the layer output from `ws`,
-    /// accumulates parameter gradients and — when `input_grad` is set —
-    /// leaves the gradient w.r.t. the layer input there. A caller with no
-    /// consumer for the input gradient (the first layer of a network) clears
-    /// `input_grad`, and the workspace's contents are then unspecified.
+    /// Reads the loss gradient w.r.t. the layer output from `ws`, accumulates
+    /// parameter gradients and, if `input_grad`, leaves the gradient w.r.t.
+    /// the layer input there (else — a model's first layer — unspecified).
     fn backward(&mut self, ws: &mut Workspace, input_grad: bool);
-
-    /// Heap bytes held by the buffers [`Layer::forward`] caches for
-    /// [`Layer::backward`]. Flat once an input shape has been seen — the
-    /// training twin of [`Workspace::capacity_bytes`].
-    fn cache_bytes(&self) -> usize {
-        0
-    }
 
     /// Mutable references to the layer's trainable parameters (empty for
     /// parameter-free layers).

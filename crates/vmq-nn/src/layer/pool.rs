@@ -3,8 +3,7 @@
 use crate::grad::{global_avg_pool_backward_into, maxpool2d_backward_into};
 use crate::kernels::{global_avg_pool_into, maxpool2d_into};
 use crate::layer::Layer;
-use crate::net::Param;
-use crate::ops::maxpool2d_argmax_into;
+use crate::ops;
 use crate::workspace::Workspace;
 
 /// Square, non-overlapping max pooling (window == stride).
@@ -33,7 +32,7 @@ impl Layer for MaxPool2d {
         let (c, h, w) = (ws.shape()[0], ws.shape()[1], ws.shape()[2]);
         self.cached_in_shape = [c, h, w];
         let (input, out, _scratch) = ws.split();
-        maxpool2d_argmax_into(input, c, h, w, self.size, out, Some(&mut self.cached_idx));
+        ops::maxpool2d_into(input, c, h, w, self.size, out, Some(&mut self.cached_idx));
         ws.commit(&[c, h / self.size, w / self.size]);
     }
 
@@ -51,14 +50,6 @@ impl Layer for MaxPool2d {
         let (grad_out, grad_in, _scratch) = ws.split();
         maxpool2d_backward_into(grad_out, &self.cached_idx, self.cached_in_shape.iter().product(), grad_in);
         ws.commit(&self.cached_in_shape);
-    }
-
-    fn cache_bytes(&self) -> usize {
-        std::mem::size_of::<usize>() * self.cached_idx.capacity()
-    }
-
-    fn params(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 
     fn name(&self) -> &'static str {
@@ -90,7 +81,6 @@ impl Default for GlobalAvgPool {
 
 impl Layer for GlobalAvgPool {
     fn forward(&mut self, ws: &mut Workspace) {
-        assert_eq!(ws.shape().len(), 3, "GlobalAvgPool expects CHW input");
         self.cached_in_hw = (ws.shape()[1], ws.shape()[2]);
         self.infer(ws);
     }
@@ -155,5 +145,15 @@ mod tests {
     #[should_panic(expected = "pool size")]
     fn zero_pool_size_rejected() {
         let _ = MaxPool2d::new(0);
+    }
+
+    #[test]
+    fn forward_cache_stops_growing_after_the_first_sample() {
+        let mut p = MaxPool2d::new(2);
+        let _ = forward(&mut p, &Tensor::full(vec![2, 6, 6], 1.0));
+        let warm = p.cached_idx.capacity();
+        let _ = forward(&mut p, &Tensor::full(vec![2, 6, 6], -1.0));
+        let _ = backward(&mut p, &Tensor::full(vec![2, 3, 3], 1.0));
+        assert_eq!(p.cached_idx.capacity(), warm);
     }
 }

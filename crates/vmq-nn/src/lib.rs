@@ -23,23 +23,26 @@
 //! ## Example
 //!
 //! ```
-//! use vmq_nn::{layer::Dense, net::Sequential, tensor::Tensor};
+//! use vmq_nn::{layer::Dense, net::Sequential, tensor::Tensor, Workspace};
 //! use vmq_nn::optim::{Adam, Optimizer};
 //! use vmq_nn::loss::mse_loss;
 //!
 //! // Learn y = 2x with a single linear layer on two training points.
 //! let mut net = Sequential::new(vec![Box::new(Dense::new(1, 1, 7))]);
 //! let mut opt = Adam::new(0.05);
+//! let mut ws = Workspace::new();
 //! for _ in 0..300 {
 //!     for &(x, y) in &[(1.5f32, 3.0f32), (-1.0, -2.0)] {
-//!         let out = net.forward(&Tensor::from_vec(vec![x], vec![1]));
-//!         let (_loss, grad) = mse_loss(&out, &Tensor::from_vec(vec![y], vec![1]));
-//!         net.backward(&grad);
+//!         ws.load_slice(&[x], &[1]);
+//!         net.forward_ws(&mut ws);
+//!         let (_loss, grad) = mse_loss(&ws.output(), &Tensor::from_vec(vec![y], vec![1]));
+//!         ws.load(&grad);
+//!         net.backward_ws(&mut ws, false);
 //!         opt.step(&mut net.parameters());
 //!         net.zero_grad();
 //!     }
 //! }
-//! let out = net.forward(&Tensor::from_vec(vec![2.0], vec![1]));
+//! let out = net.infer(&Tensor::from_vec(vec![2.0], vec![1]), &mut ws);
 //! assert!((out.data()[0] - 4.0).abs() < 0.2);
 //! ```
 

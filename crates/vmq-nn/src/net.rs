@@ -38,9 +38,8 @@ impl Param {
     }
 }
 
-/// FNV-1a over the bit pattern of every value of `params`, in order: two
-/// parameter sets share a digest exactly when they are bit-identical (up to
-/// hash collisions), which is what the trained-weights golden pins.
+/// FNV-1a over the bit pattern of every value of `params`, in order — what
+/// the trained-weights golden pins.
 pub fn param_digest(params: &[&mut Param]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in params.iter().flat_map(|p| p.value.data()).flat_map(|v| v.to_bits().to_le_bytes()) {
@@ -55,20 +54,17 @@ pub fn param_digest(params: &[&mut Param]) -> u64 {
 /// head) and as the shared trunk of the multi-head IC / OD filter networks.
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-    /// Workspace of the tensor-in / tensor-out [`Sequential::forward`] and
-    /// [`Sequential::backward`] wrappers.
-    scratch: Workspace,
 }
 
 impl Sequential {
     /// Builds a sequential network from a list of layers.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
-        Sequential { layers, scratch: Workspace::new() }
+        Sequential { layers }
     }
 
     /// An empty network (identity function).
     pub fn empty() -> Self {
-        Sequential::new(Vec::new())
+        Sequential { layers: Vec::new() }
     }
 
     /// Appends a layer.
@@ -86,25 +82,12 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Training forward pass over the activation already loaded into `ws`,
-    /// leaving the network output there and caching intermediates inside
-    /// each layer ([`Layer::forward`]): no steady-state allocation, and one
-    /// scalar accumulation order on every backend.
+    /// Training forward pass ([`Layer::forward`] per layer) over the
+    /// activation loaded into `ws`, leaving the network output there.
     pub fn forward_ws(&mut self, ws: &mut Workspace) {
         for layer in &mut self.layers {
             layer.forward(ws);
         }
-    }
-
-    /// Convenience wrapper over [`Sequential::forward_ws`] on the network's
-    /// own workspace: loads `input` and copies the output out as a tensor.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut ws = std::mem::take(&mut self.scratch);
-        ws.load(input);
-        self.forward_ws(&mut ws);
-        let out = ws.output();
-        self.scratch = ws;
-        out
     }
 
     /// Shared-read inference over the activation already loaded into `ws`
@@ -170,34 +153,14 @@ impl Sequential {
         out.into_iter().map(|t| t.expect("every input inferred")).collect()
     }
 
-    /// Backward pass over the gradient of the loss w.r.t. the network
-    /// output loaded into `ws`: accumulates every parameter gradient and,
-    /// when `input_grad` is set, leaves the gradient w.r.t. the network input
-    /// in `ws`. A network that starts the model (a filter trunk) has no
-    /// consumer for that gradient, and clearing `input_grad` saves its first
-    /// layer computing it; the workspace's contents are then unspecified.
+    /// Backward pass over the loss gradient w.r.t. the network output loaded
+    /// into `ws`: accumulates every parameter gradient and, if `input_grad`,
+    /// leaves the gradient w.r.t. the network input there. A filter trunk
+    /// passes `false`: nothing reads its first layer's input gradient.
     pub fn backward_ws(&mut self, ws: &mut Workspace, input_grad: bool) {
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             layer.backward(ws, i > 0 || input_grad);
         }
-    }
-
-    /// Convenience wrapper over [`Sequential::backward_ws`] on the network's
-    /// own workspace, returning the gradient w.r.t. the input.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = std::mem::take(&mut self.scratch);
-        ws.load(grad_out);
-        self.backward_ws(&mut ws, true);
-        let out = ws.output();
-        self.scratch = ws;
-        out
-    }
-
-    /// Heap bytes the layers hold in forward-pass caches
-    /// ([`Layer::cache_bytes`]); with the workspace's
-    /// [`Workspace::capacity_bytes`], everything a training pass can grow.
-    pub fn cache_bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.cache_bytes()).sum()
     }
 
     /// Mutable references to every trainable parameter in layer order.
@@ -280,20 +243,24 @@ mod tests {
             Box::new(Activation::new(Act::Relu)),
             Box::new(Dense::new(8, 2, 1)),
         ]);
-        let x = Tensor::full(vec![4], 0.5);
-        let y = net.forward(&x);
-        assert_eq!(y.shape(), &[2]);
-        let gx = net.backward(&Tensor::full(vec![2], 1.0));
-        assert_eq!(gx.shape(), &[4]);
+        let mut ws = Workspace::new();
+        ws.load(&Tensor::full(vec![4], 0.5));
+        net.forward_ws(&mut ws);
+        assert_eq!(ws.shape(), &[2]);
+        ws.load(&Tensor::full(vec![2], 1.0));
+        net.backward_ws(&mut ws, true);
+        assert_eq!(ws.shape(), &[4]);
         assert!(net.num_parameters() > 0);
     }
 
     #[test]
     fn zero_grad_clears_all() {
         let mut net = Sequential::new(vec![Box::new(Dense::new(2, 2, 0))]);
-        let x = Tensor::full(vec![2], 1.0);
-        let _ = net.forward(&x);
-        let _ = net.backward(&Tensor::full(vec![2], 1.0));
+        let mut ws = Workspace::new();
+        ws.load(&Tensor::full(vec![2], 1.0));
+        net.forward_ws(&mut ws);
+        ws.load(&Tensor::full(vec![2], 1.0));
+        net.backward_ws(&mut ws, false);
         assert!(net.parameters().iter().any(|p| p.grad.norm() > 0.0));
         net.zero_grad();
         assert!(net.parameters().iter().all(|p| p.grad.norm() == 0.0));
@@ -325,7 +292,9 @@ mod tests {
                 (0..2 * 8 * 8).map(|v| ((v + seed * 131) as f32 * 0.173).sin()).collect(),
                 vec![2, 8, 8],
             );
-            let reference = net.forward(&x);
+            ws.load(&x);
+            net.forward_ws(&mut ws);
+            let reference = ws.output();
             // The same workspace serves every pass (buffer reuse must not
             // leak stale state between frames).
             let inferred = net.infer(&x, &mut ws);
@@ -343,9 +312,9 @@ mod tests {
         }
     }
 
-    /// Every buffer a training pass touches — the workspace's and the
-    /// layers' forward caches — reaches its high-water mark on the first
-    /// sample; the epochs after it allocate nothing.
+    /// The workspace reaches its high-water mark on the first sample; the
+    /// epochs after it allocate nothing. (Each caching layer's own unit
+    /// tests check the same of its forward cache.)
     #[test]
     fn training_grows_no_buffer_after_the_first_sample() {
         use crate::layer::{Flatten, GlobalAvgPool};
@@ -372,10 +341,10 @@ mod tests {
                 // Both backward forms: with and without the input gradient.
                 net.backward_ws(ws, i % 2 == 0);
             }
-            (ws.capacity_bytes(), net.cache_bytes())
+            ws.capacity_bytes()
         };
         let warm = epoch(&mut net, &mut ws);
-        assert!(warm.0 > 0 && warm.1 > 0);
+        assert!(warm > 0);
         for _ in 0..3 {
             assert_eq!(epoch(&mut net, &mut ws), warm, "a later epoch grew a training buffer");
         }

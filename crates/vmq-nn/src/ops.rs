@@ -2,10 +2,9 @@
 //! writing into caller-owned buffers that keep their capacity across calls.
 //!
 //! These are the bit-exact reference the runtime-dispatched SIMD variants in
-//! [`crate::kernels`] are held to, and what inference runs on under
-//! `VMQ_FORCE_SCALAR=1`. Training's convolution kernels live in
-//! [`crate::grad`]; its other layers run the kernels below. No unsafe code
-//! is used here.
+//! [`crate::kernels`] are held to, what inference runs on under
+//! `VMQ_FORCE_SCALAR=1` and — next to the convolutions of [`crate::grad`] —
+//! what training runs on. No unsafe code is used here.
 
 /// `out = A (m×k) * B (k×n)`, all operands flat row-major slices. Every
 /// output element accumulates `a[i][kk] * b[kk][j]` in ascending-`kk` order
@@ -194,18 +193,11 @@ pub fn im2col_into(input: &[f32], h: usize, w: usize, spec: &ConvSpec, out: &mut
 }
 
 /// Square, non-overlapping max pooling (window == stride) of a `[c, h, w]`
-/// map: [`maxpool2d_argmax_into`] without the argmax bookkeeping only
-/// training needs.
-pub fn maxpool2d_into(input: &[f32], c: usize, h: usize, w: usize, size: usize, out: &mut Vec<f32>) {
-    maxpool2d_argmax_into(input, c, h, w, size, out, None);
-}
-
-/// [`maxpool2d_into`] that also records, when `argmax` is given, the flat
-/// input index each pooled value came from. A window is scanned row-major
-/// with a strict `>` from `-inf`; the argmax starts at the window's first
-/// cell, so a window with nothing above `-inf` (all NaN, or all `-inf`)
-/// still routes its gradient into itself.
-pub fn maxpool2d_argmax_into(
+/// map; training's `argmax` records the flat input index of each pooled
+/// value. A window is scanned row-major with a strict `>` from `-inf`, the
+/// argmax starting at its first cell — so a window with nothing above `-inf`
+/// (all NaN, or all `-inf`) still routes its gradient into itself.
+pub fn maxpool2d_into(
     input: &[f32],
     c: usize,
     h: usize,
@@ -338,7 +330,7 @@ mod tests {
     fn maxpool_forward_backward() {
         let input: Vec<f32> = (1..=16).map(|v| v as f32).collect();
         let (mut out, mut idx, mut grad_in) = (Vec::new(), Vec::new(), Vec::new());
-        maxpool2d_argmax_into(&input, 1, 4, 4, 2, &mut out, Some(&mut idx));
+        maxpool2d_into(&input, 1, 4, 4, 2, &mut out, Some(&mut idx));
         assert_eq!(out, [6.0, 8.0, 14.0, 16.0]);
         maxpool2d_backward_into(&[1.0, 2.0, 3.0, 4.0], &idx, input.len(), &mut grad_in);
         assert_eq!(grad_in[5], 1.0);
@@ -360,7 +352,7 @@ mod tests {
             input[i] = f32::NEG_INFINITY;
         }
         let (mut out, mut idx, mut grad_in) = (Vec::new(), Vec::new(), Vec::new());
-        maxpool2d_argmax_into(&input, 2, 4, 4, 2, &mut out, Some(&mut idx));
+        maxpool2d_into(&input, 2, 4, 4, 2, &mut out, Some(&mut idx));
         assert_eq!(&out[..4], [5.0, 7.0, 13.0, 15.0]);
         assert!(out[4..].iter().all(|&v| v == f32::NEG_INFINITY), "pooled values are unchanged by the fix");
         assert_eq!(&idx[4..], [16, 16 + 2, 16 + 8, 16 + 10]);
@@ -368,9 +360,9 @@ mod tests {
         assert_eq!(grad_in[0], 0.0, "channel 0 receives only its own windows' gradient");
         assert_eq!(grad_in[..16].iter().sum::<f32>(), 4.0);
         assert_eq!(grad_in[16..].iter().sum::<f32>(), 4.0);
-        // The values-only kernel pools identically.
+        // Without the argmax it pools identically.
         let mut values_only = Vec::new();
-        maxpool2d_into(&input, 2, 4, 4, 2, &mut values_only);
+        maxpool2d_into(&input, 2, 4, 4, 2, &mut values_only, None);
         assert_eq!(values_only, out);
     }
 

@@ -515,7 +515,7 @@ mod tests {
         // End-to-end: a conv net with the trunk's layer mix, quantized on a
         // calibration set, must stay close to the f32 net on held-out
         // inputs (int8 with per-channel scales is typically ≲1% off).
-        let mut net = Sequential::new(vec![
+        let net = Sequential::new(vec![
             Box::new(Conv2d::same(2, 8, 3)),
             Box::new(Activation::new(Act::LeakyRelu(0.1))),
             Box::new(MaxPool2d::new(2)),
@@ -537,7 +537,7 @@ mod tests {
         for s in 10..14 {
             let x =
                 Tensor::from_vec((0..2 * 8 * 8).map(|v| ((v + s * 31) as f32 * 0.211).sin()).collect(), vec![2, 8, 8]);
-            let reference = net.forward(&x);
+            let reference = net.infer(&x, &mut ws);
             let quantized = qnet.infer(&x, &mut ws);
             assert_eq!(quantized.shape(), reference.shape());
             let ref_scale = reference.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-3);
@@ -554,13 +554,12 @@ mod tests {
     fn quantized_inference_is_deterministic_across_workspaces() {
         // Exact integer accumulation: two fresh workspaces (and thus any
         // batch/worker split) produce bitwise identical outputs.
-        let mut net = Sequential::new(vec![
+        let net = Sequential::new(vec![
             Box::new(Conv2d::same(1, 4, 11)),
             Box::new(Activation::new(Act::Relu)),
             Box::new(GlobalAvgPool::new()),
         ]);
         let calib = vec![Tensor::from_vec((0..36).map(|v| (v as f32 * 0.37).cos()).collect(), vec![1, 6, 6])];
-        let _ = net.forward(&calib[0]);
         let qnet = QuantizedSequential::quantize(&net, &calib);
         let x = Tensor::from_vec((0..36).map(|v| (v as f32 * 0.59).sin()).collect(), vec![1, 6, 6]);
         let a = qnet.infer(&x, &mut Workspace::new());

@@ -53,11 +53,6 @@ impl Tensor {
         Tensor { data, shape }
     }
 
-    /// Creates a scalar tensor.
-    pub fn scalar(value: f32) -> Self {
-        Tensor { data: vec![value], shape: vec![] }
-    }
-
     /// The shape of the tensor.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -88,16 +83,6 @@ impl Tensor {
         self.data
     }
 
-    /// Returns a reshaped copy sharing the same data ordering.
-    ///
-    /// # Panics
-    /// Panics when the element count changes.
-    pub fn reshape(&self, shape: Vec<usize>) -> Tensor {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.data.len(), "cannot reshape {:?} to {:?}", self.shape, shape);
-        Tensor { data: self.data.clone(), shape }
-    }
-
     /// Reshapes in place (no data copy).
     pub fn reshape_in_place(&mut self, shape: Vec<usize>) {
         let n: usize = shape.iter().product();
@@ -105,31 +90,11 @@ impl Tensor {
         self.shape = shape;
     }
 
-    /// Element at a 2-D index for `[rows, cols]` tensors.
-    pub fn at2(&self, r: usize, c: usize) -> f32 {
-        debug_assert_eq!(self.shape.len(), 2);
-        self.data[r * self.shape[1] + c]
-    }
-
-    /// Mutable element at a 2-D index for `[rows, cols]` tensors.
-    pub fn at2_mut(&mut self, r: usize, c: usize) -> &mut f32 {
-        debug_assert_eq!(self.shape.len(), 2);
-        let cols = self.shape[1];
-        &mut self.data[r * cols + c]
-    }
-
     /// Element at a 3-D (`CHW`) index.
     pub fn at3(&self, c: usize, h: usize, w: usize) -> f32 {
         debug_assert_eq!(self.shape.len(), 3);
         let (hh, ww) = (self.shape[1], self.shape[2]);
         self.data[c * hh * ww + h * ww + w]
-    }
-
-    /// Mutable element at a 3-D (`CHW`) index.
-    pub fn at3_mut(&mut self, c: usize, h: usize, w: usize) -> &mut f32 {
-        debug_assert_eq!(self.shape.len(), 3);
-        let (hh, ww) = (self.shape[1], self.shape[2]);
-        &mut self.data[c * hh * ww + h * ww + w]
     }
 
     /// Element-wise addition producing a new tensor.
@@ -143,13 +108,6 @@ impl Tensor {
     pub fn sub(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape, other.shape, "shape mismatch in sub");
         let data = self.data.iter().zip(&other.data).map(|(a, b)| a - b).collect();
-        Tensor { data, shape: self.shape.clone() }
-    }
-
-    /// Element-wise (Hadamard) product producing a new tensor.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape, other.shape, "shape mismatch in mul");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
         Tensor { data, shape: self.shape.clone() }
     }
 
@@ -179,15 +137,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Arithmetic mean of all elements (0 for empty tensors).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
     /// Maximum element (negative infinity for empty tensors).
     pub fn max(&self) -> f32 {
         self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
@@ -198,24 +147,9 @@ impl Tensor {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// Index of the maximum element (0 for empty tensors).
-    pub fn argmax(&self) -> usize {
-        self.data
-            .iter()
-            .enumerate()
-            .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| if v > bv { (i, v) } else { (bi, bv) })
-            .0
-    }
-
     /// Euclidean (L2) norm of the flattened tensor.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// Applies a function element-wise, producing a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let data = self.data.iter().map(|&v| f(v)).collect();
-        Tensor { data, shape: self.shape.clone() }
     }
 
     /// Applies a function element-wise in place.
@@ -228,14 +162,6 @@ impl Tensor {
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
-    }
-
-    /// Returns a copy of channel `c` of a `CHW` tensor as an `[H, W]` matrix.
-    pub fn channel(&self, c: usize) -> Tensor {
-        assert_eq!(self.shape.len(), 3, "channel() requires a CHW tensor");
-        let (h, w) = (self.shape[1], self.shape[2]);
-        let start = c * h * w;
-        Tensor::from_vec(self.data[start..start + h * w].to_vec(), vec![h, w])
     }
 }
 
@@ -255,7 +181,7 @@ mod tests {
     #[test]
     fn from_vec_checks_shape() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]);
-        assert_eq!(t.at2(1, 0), 3.0);
+        assert_eq!((t.shape(), t.data()[2]), (&[2, 2][..], 3.0));
     }
 
     #[test]
@@ -270,7 +196,6 @@ mod tests {
         let b = Tensor::from_vec(vec![3.0, 5.0], vec![2]);
         assert_eq!(a.add(&b).data(), &[4.0, 7.0]);
         assert_eq!(b.sub(&a).data(), &[2.0, 3.0]);
-        assert_eq!(a.mul(&b).data(), &[3.0, 10.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
     }
 
@@ -287,34 +212,33 @@ mod tests {
     fn reductions() {
         let t = Tensor::from_vec(vec![1.0, -4.0, 3.0], vec![3]);
         assert_eq!(t.sum(), 0.0);
-        assert_eq!(t.mean(), 0.0);
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -4.0);
-        assert_eq!(t.argmax(), 2);
         assert!((t.norm() - (26.0f32).sqrt()).abs() < 1e-6);
     }
 
     #[test]
     fn reshape_roundtrip() {
         let t = Tensor::from_vec((0..12).map(|v| v as f32).collect(), vec![3, 4]);
-        let r = t.reshape(vec![2, 2, 3]);
+        let mut r = t.clone();
+        r.reshape_in_place(vec![2, 2, 3]);
         assert_eq!(r.at3(1, 1, 2), 11.0);
-        assert_eq!(r.reshape(vec![3, 4]), t);
+        r.reshape_in_place(vec![3, 4]);
+        assert_eq!(r, t);
     }
 
     #[test]
     fn chw_indexing_and_channel() {
         let t = Tensor::from_vec((0..24).map(|v| v as f32).collect(), vec![2, 3, 4]);
         assert_eq!(t.at3(1, 2, 3), 23.0);
-        let ch = t.channel(1);
-        assert_eq!(ch.shape(), &[3, 4]);
-        assert_eq!(ch.at2(0, 0), 12.0);
+        assert_eq!(t.at3(1, 0, 0), t.data()[12]);
     }
 
     #[test]
     fn map_and_non_finite() {
         let t = Tensor::from_vec(vec![-1.0, 2.0], vec![2]);
-        let r = t.map(|v| v.max(0.0));
+        let mut r = t.clone();
+        r.map_in_place(|v| v.max(0.0));
         assert_eq!(r.data(), &[0.0, 2.0]);
         assert!(!t.has_non_finite());
         let bad = Tensor::from_vec(vec![f32::NAN], vec![1]);

@@ -3,12 +3,12 @@
 //! The filter networks in `vmq-filters` have multi-head architectures with
 //! bespoke losses (Eq. 2 / Eq. 3) and therefore implement their own epoch
 //! loops, but they reuse the batching, shuffling and bookkeeping utilities
-//! defined here. The plain loop in [`fit`] is used by the count-only OD-COF
-//! filter and by tests.
+//! defined here next to the plain loop, [`fit`].
 
 use crate::net::Sequential;
 use crate::optim::Optimizer;
 use crate::tensor::Tensor;
+use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -73,6 +73,7 @@ pub fn fit(
     if data.is_empty() {
         return history;
     }
+    let mut ws = Workspace::new();
     for epoch in 0..config.epochs {
         let order = sample_order(data.len(), config.shuffle, rng);
         let mut epoch_loss = 0.0f64;
@@ -80,11 +81,13 @@ pub fn fit(
             net.zero_grad();
             for &i in batch {
                 let (x, y) = &data[i];
-                let pred = net.forward(x);
-                let (loss, grad) = loss_fn(&pred, y);
+                ws.load(x);
+                net.forward_ws(&mut ws);
+                let (loss, grad) = loss_fn(&ws.output(), y);
                 epoch_loss += loss as f64;
                 // average gradient over the batch
-                net.backward(&grad.scale(1.0 / batch.len() as f32));
+                ws.load(&grad.scale(1.0 / batch.len() as f32));
+                net.backward_ws(&mut ws, false);
             }
             opt.step(&mut net.parameters());
         }

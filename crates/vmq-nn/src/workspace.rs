@@ -2,11 +2,8 @@
 //!
 //! The filter hot path runs the same small network on thousands of frames,
 //! and a heap allocation per layer (an im2col column matrix alone is tens of
-//! kilobytes) would dominate the per-frame cost. Training has the same shape
-//! — thousands of samples through one network — and travels through a
-//! workspace too ([`crate::net::Sequential::forward_ws`] /
-//! [`crate::net::Sequential::backward_ws`]), each layer keeping what its
-//! backward pass needs in buffers of its own.
+//! kilobytes) would dominate the per-frame cost. Training travels through a
+//! workspace too, each layer keeping its backward caches in its own buffers.
 //!
 //! A [`Workspace`] holds the handful of buffers one pass needs:
 //!
@@ -136,15 +133,6 @@ impl Workspace {
     pub fn unstash(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.stash_buf);
         std::mem::swap(&mut self.shape, &mut self.stash_shape);
-    }
-
-    /// Adds the stashed activation element-wise into the current one (how
-    /// training sums the gradients two heads send back to a shared branch).
-    pub fn add_stashed(&mut self) {
-        debug_assert_eq!(self.shape, self.stash_shape, "workspace add_stashed shape mismatch");
-        for (a, &b) in self.cur.iter_mut().zip(&self.stash_buf) {
-            *a += b;
-        }
     }
 
     /// Copies the current activation out as a tensor (the one allocation of

@@ -75,7 +75,7 @@ fn check_block(backend: KernelBackend, shape: [usize; 4], act: BlockAct, pool: b
     }
     if pool {
         let activated = std::mem::take(&mut reference);
-        ops::maxpool2d_into(&activated, m, h, w, 2, &mut reference);
+        ops::maxpool2d_into(&activated, m, h, w, 2, &mut reference, None);
     }
 
     // The block, into buffers that hold a larger shape's worth of poison:

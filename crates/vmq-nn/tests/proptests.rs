@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use vmq_nn::grad::conv2d_forward_into;
-use vmq_nn::ops::{global_avg_pool_into, matmul_into, maxpool2d_argmax_into, softmax, ConvSpec};
+use vmq_nn::ops::{global_avg_pool_into, matmul_into, maxpool2d_into, softmax, ConvSpec};
 use vmq_nn::Tensor;
 
 fn tensor_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -57,7 +57,7 @@ proptest! {
     #[test]
     fn maxpool_upper_bound(data in tensor_strategy(16)) {
         let (mut out, mut idx) = (Vec::new(), Vec::new());
-        maxpool2d_argmax_into(&data, 1, 4, 4, 2, &mut out, Some(&mut idx));
+        maxpool2d_into(&data, 1, 4, 4, 2, &mut out, Some(&mut idx));
         prop_assert_eq!(out.len(), 4);
         prop_assert_eq!(idx.len(), 4);
         for (&o, &i) in out.iter().zip(&idx) {
