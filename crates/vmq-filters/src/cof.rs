@@ -11,7 +11,7 @@
 use crate::arch::build_trunk;
 use crate::config::FilterConfig;
 use crate::estimate::{
-    image_to_tensor, rasterise_all, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter,
+    image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter, Rasters,
 };
 use crate::label::FrameLabels;
 use parking_lot::RwLock;
@@ -124,10 +124,7 @@ impl CofFilter {
             return Vec::new();
         }
         let schedule = self.config.schedule;
-        let raster = &self.config.raster;
-        let inputs = rasterise_all(raster, frames);
-        let input_shape = [3, raster.height, raster.width];
-        let input_len: usize = input_shape.iter().product();
+        let inputs = Rasters::render(&self.config.raster, frames);
         let targets: Vec<Tensor> = labels.iter().map(|l| Tensor::from_vec(vec![l.total_count()], vec![1])).collect();
         let mut ws = Workspace::new();
         let mut rng = seeded_rng(self.config.seed.wrapping_add(0xC0F));
@@ -140,7 +137,7 @@ impl CofFilter {
             for batch in batches(&order, schedule.batch_size) {
                 net.zero_grad();
                 for &i in batch {
-                    ws.load_slice(&inputs[i * input_len..(i + 1) * input_len], &input_shape);
+                    inputs.load(i, &mut ws);
                     net.forward_ws(&mut ws);
                     let (loss, grad) = smooth_l1_loss(&ws.output(), &targets[i]);
                     epoch_loss += loss as f64;

@@ -217,17 +217,30 @@ pub(crate) fn rasterise_into(raster: &vmq_video::RasterConfig, frame: &Frame, ws
     raster.render_into(frame, ws.load_with(&[3, raster.height, raster.width]));
 }
 
-/// Rasterises every frame into one flat buffer of back-to-back `[3, height,
-/// width]` images (frame `i` at `i * len..(i + 1) * len`) — the training
-/// set, rendered once through one reused image buffer.
-pub(crate) fn rasterise_all(raster: &vmq_video::RasterConfig, frames: &[Frame]) -> Vec<f32> {
-    let mut all = Vec::with_capacity(frames.len() * 3 * raster.height * raster.width);
-    let mut image = Vec::new();
-    for frame in frames {
-        raster.render_into(frame, &mut image);
-        all.extend_from_slice(&image);
+/// A training set rendered once: every frame's `[3, height, width]` image,
+/// back to back in one buffer (filled through one reused image buffer).
+pub(crate) struct Rasters {
+    data: Vec<f32>,
+    shape: [usize; 3],
+}
+
+impl Rasters {
+    pub(crate) fn render(raster: &vmq_video::RasterConfig, frames: &[Frame]) -> Self {
+        let shape = [3, raster.height, raster.width];
+        let mut data = Vec::with_capacity(frames.len() * shape.iter().product::<usize>());
+        let mut image = Vec::new();
+        for frame in frames {
+            raster.render_into(frame, &mut image);
+            data.extend_from_slice(&image);
+        }
+        Rasters { data, shape }
     }
-    all
+
+    /// Loads frame `i`'s image as the workspace's current activation.
+    pub(crate) fn load(&self, i: usize, ws: &mut vmq_nn::Workspace) {
+        let len: usize = self.shape.iter().product();
+        ws.load_slice(&self.data[i * len..(i + 1) * len], &self.shape);
+    }
 }
 
 /// Shards a batch of frames across up to `workers` tasks on the persistent

@@ -17,7 +17,7 @@
 use crate::arch::build_trunk;
 use crate::config::FilterConfig;
 use crate::estimate::{
-    image_to_tensor, rasterise_all, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter,
+    image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter, Rasters,
 };
 use crate::grid::ClassGrid;
 use crate::label::{class_presence_counts, FrameLabels};
@@ -246,10 +246,8 @@ impl IcFilter {
         let schedule = self.config.schedule;
         let presence = class_presence_counts(labels);
         let class_weights = class_weights_from_presence(&presence, labels.len());
-        let raster = &self.config.raster;
-        let inputs = rasterise_all(raster, frames);
-        let input_shape = [3, raster.height, raster.width];
-        let input_len: usize = input_shape.iter().product();
+        let inputs = Rasters::render(&self.config.raster, frames);
+        let fm_shape = [self.config.feature_channels(), self.config.grid, self.config.grid];
         let count_targets: Vec<Tensor> = labels.iter().map(|l| l.count_tensor()).collect();
         let map_targets: Vec<Tensor> = labels.iter().map(|l| l.maps_tensor()).collect();
 
@@ -266,9 +264,8 @@ impl IcFilter {
                 net.trunk.zero_grad();
                 net.head.zero_grad();
                 for &i in batch {
-                    ws.load_slice(&inputs[i * input_len..(i + 1) * input_len], &input_shape);
+                    inputs.load(i, &mut ws);
                     net.trunk.forward_ws(&mut ws);
-                    let fm_shape = [ws.shape()[0], ws.shape()[1], ws.shape()[2]];
                     let (counts, cams) = net.head.forward(ws.data(), fm_shape[1], fm_shape[2]);
                     let (loss, d_counts, d_cams) = multi_task_loss(
                         &counts,

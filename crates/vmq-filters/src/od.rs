@@ -18,7 +18,7 @@
 use crate::arch::{build_branch, build_trunk};
 use crate::config::FilterConfig;
 use crate::estimate::{
-    image_to_tensor, rasterise_all, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter,
+    image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter, Rasters,
 };
 use crate::grid::ClassGrid;
 use crate::label::FrameLabels;
@@ -147,10 +147,7 @@ impl OdFilter {
         let schedule = self.config.schedule;
         let n = self.config.num_classes();
         let g2 = self.config.grid * self.config.grid;
-        let raster = &self.config.raster;
-        let inputs = rasterise_all(raster, frames);
-        let input_shape = [3, raster.height, raster.width];
-        let input_len: usize = input_shape.iter().product();
+        let inputs = Rasters::render(&self.config.raster, frames);
         let count_targets: Vec<Tensor> = labels.iter().map(|l| l.count_tensor()).collect();
         let map_targets: Vec<Tensor> = labels.iter().map(|l| l.maps_tensor()).collect();
 
@@ -169,7 +166,7 @@ impl OdFilter {
             for batch in batches(&order, schedule.batch_size) {
                 net.zero_grad();
                 for &i in batch {
-                    ws.load_slice(&inputs[i * input_len..(i + 1) * input_len], &input_shape);
+                    inputs.load(i, &mut ws);
                     let (counts, grids) = net.forward(&mut ws);
                     // Count term.
                     let (l_count, d_counts) = smooth_l1_loss(&counts, &count_targets[i]);
