@@ -5,7 +5,9 @@
 //! `strict`, `tolerant`, adaptive over `CascadeConfig::lattice()`} and the
 //! aggregates a1/a2 through `run_aggregate` with a [`WindowedAggregator`]
 //! (frame-count windows, per-window adaptive backend choice over two
-//! candidates, and a time-based window), and renders
+//! candidates, and a time-based window), plus one-window aggregates — a1/a2
+//! on the same stream and a3 on a sparsified DeTRAC stream — whose window
+//! spans the whole stream (the one-shot estimate), and renders
 //!
 //! * of every run: `mode`, `matched_frames`, `frames_total`,
 //!   `frames_passed_filter`, `frames_detected` and `virtual_ms` by bit
@@ -201,7 +203,75 @@ fn rendered() -> String {
         render_run(&mut out, &format!("{name} window 3s/2s"), &run);
         render_windows(&mut out, &agg);
     }
+
+    // One-window aggregates — the one-shot estimate: a window spanning the
+    // whole stream. a1/a2 on the Jackson stream, a3 on the sparsified DeTRAC
+    // profile the Table IV golden uses (at the paper's density "exactly
+    // three objects" never holds at this scale).
+    for (query, seed) in [(Query::paper_a1(), 7u64), (Query::paper_a2(), 8)] {
+        render_one_window(&mut out, frames, query, &|| od_filter(&profile), 24, 20, seed);
+    }
+    let mut detrac = DatasetProfile::detrac();
+    detrac.mean_objects = 3.0;
+    detrac.std_objects = 1.2;
+    detrac.classes[0].fraction = 0.58;
+    detrac.classes[1].fraction = 0.38;
+    detrac.classes[2].fraction = 0.04;
+    detrac.count_reversion = 0.5;
+    let sparse = Dataset::generate(&detrac, 32, 400, 31);
+    let filter = || CalibratedFilter::new(detrac.class_list(), 16, CalibrationProfile::od_like(), 9);
+    render_one_window(&mut out, sparse.test(), Query::paper_a3(), &filter, 60, 80, 13);
     out
+}
+
+/// Renders `query` estimated over one window spanning all of `frames`
+/// (`AggregateSpec::new(n, n)`), and asserts the report equals the legacy
+/// one-shot `AggregateEstimator::run` bit for bit.
+fn render_one_window(
+    out: &mut String,
+    frames: &[Frame],
+    query: Query,
+    filter: &dyn Fn() -> CalibratedFilter,
+    sample_size: usize,
+    trials: usize,
+    seed: u64,
+) {
+    let n = frames.len();
+    let oracle = OracleDetector::perfect();
+    let window_filter = filter();
+    let backends: Vec<&dyn FrameFilter> = vec![&window_filter];
+    let mut agg = WindowedAggregator::new(query.clone(), sample_size, trials, seed);
+    let run =
+        QueryExecutor::new(query.clone()).run_aggregate(frames, AggregateSpec::new(n, n), &backends, &oracle, &mut agg);
+    render_run(out, &format!("{} one-window {n}/{n}", query.name), &run);
+    render_windows(out, &agg);
+
+    let legacy = vmq::aggregate::AggregateEstimator::new(query.clone(), sample_size, seed).run(
+        frames,
+        &filter(),
+        &oracle,
+        trials,
+    );
+    let [report] = agg.reports() else { panic!("one window over the whole stream") };
+    let bits = |r: &vmq::aggregate::AggregateReport| {
+        [
+            r.true_fraction,
+            r.plain_mean,
+            r.plain_variance,
+            r.cv_mean,
+            r.cv_variance,
+            r.mcv_mean,
+            r.mcv_variance,
+            r.mean_correlation,
+            r.time_per_sample_ms,
+        ]
+        .map(f64::to_bits)
+    };
+    assert_eq!(bits(report), bits(&legacy), "{}: one window vs AggregateEstimator::run", query.name);
+    assert_eq!(
+        (report.window_frames, report.sample_size, report.trials, &report.backend),
+        (legacy.window_frames, legacy.sample_size, legacy.trials, &legacy.backend)
+    );
 }
 
 #[test]
