@@ -16,12 +16,11 @@
 //! * [`mcv`] — multiple control variates (`β* = Σ_ZZ⁻¹ Σ_YZ`, variance
 //!   `(1 − R²)·Var(Ȳ)`).
 //! * [`window`] — hopping windows (the `WINDOW HOPPING` clause).
-//! * [`queries`] — end-to-end aggregate estimation over frame collections,
-//!   including the paper's queries a1–a5.
-//! * [`streaming`] — the streaming per-window estimator that plugs into the
-//!   batched operator pipeline's aggregate execution mode (one
-//!   [`AggregateReport`] per completed hopping window, with per-window
-//!   adaptive control-variate backend selection).
+//! * [`queries`] — the per-window [`AggregateReport`] (one Table IV row).
+//! * [`streaming`] — the per-window estimator that plugs into the executor's
+//!   aggregate statements (one [`AggregateReport`] per completed hopping
+//!   window, with per-window adaptive control-variate backend selection); a
+//!   one-shot estimate is one window spanning the stream.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,7 +38,7 @@ pub use cv::CvEstimate;
 pub use estimate::SampleStats;
 pub use linalg::Matrix;
 pub use mcv::McvEstimate;
-pub use queries::{AggregateEstimator, AggregateReport};
+pub use queries::AggregateReport;
 pub use sampler::FrameSampler;
 pub use streaming::WindowedAggregator;
 pub use window::HoppingWindow;

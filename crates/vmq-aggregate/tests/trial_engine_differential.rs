@@ -143,7 +143,6 @@ fn naive_estimate_window(
         mcv_variance: variance(&mcv_means),
         mean_correlation: mean(&correlations),
         time_per_sample_ms: ledger.model().cost_ms(columns.stage) + ledger.model().cost_ms(detector.stage()),
-        filter_wall_ms: 0.0,
         window_index: window.index,
         window_start: window.start,
         backend: columns.backend.to_string(),
@@ -169,7 +168,6 @@ fn assert_bit_identical(got: &AggregateReport, want: &AggregateReport) {
         ("mcv_variance", got.mcv_variance, want.mcv_variance),
         ("mean_correlation", got.mean_correlation, want.mean_correlation),
         ("time_per_sample_ms", got.time_per_sample_ms, want.time_per_sample_ms),
-        ("filter_wall_ms", got.filter_wall_ms, want.filter_wall_ms),
     ] {
         assert_eq!(a.to_bits(), b.to_bits(), "{name}: {a} vs {b}");
     }

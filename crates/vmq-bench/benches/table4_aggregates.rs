@@ -2,8 +2,8 @@
 //!
 //! Estimates the paper's aggregate queries a1–a5 two ways, side by side:
 //!
-//! * **one-shot** — the legacy `AggregateEstimator` treating the whole test
-//!   split as a single window, and
+//! * **one-shot** — the whole test split as a single window
+//!   (`AggregateSpec::new(n, n)`), and
 //! * **windowed** — the same estimation streamed through the batched
 //!   operator pipeline's aggregate mode (`Source → WindowFilter →
 //!   AggregateSink`) over hopping windows of half the split advancing by a
@@ -20,7 +20,7 @@
 //! `BENCH_pipeline.json` carries the aggregate trajectory alongside the
 //! query one.
 
-use vmq_aggregate::{AggregateEstimator, AggregateReport, WindowedAggregator};
+use vmq_aggregate::{AggregateReport, WindowedAggregator};
 use vmq_bench::{aggregate_profile_for, DatasetExperiment, Scale};
 use vmq_core::Report;
 use vmq_detect::OracleDetector;
@@ -175,10 +175,17 @@ fn main() {
         let frames = exp.dataset.test();
         let reduction_str = |r: f64| if r.is_finite() { format!("{r:.1}x") } else { "inf".to_string() };
 
+        let backends: Vec<&dyn FrameFilter> = vec![filter];
+        let estimate = |spec: AggregateSpec| {
+            let mut agg = WindowedAggregator::new(query.clone(), sample_size, trials, 404);
+            let run = QueryExecutor::new(query.clone()).run_aggregate(frames, spec, &backends, &oracle, &mut agg);
+            (agg.into_reports(), run)
+        };
+
         // One-shot: the whole test split as a single window.
-        let estimator =
-            AggregateEstimator::new(query.clone(), sample_size, 404).with_indicator_threshold(indicator_threshold);
-        let oneshot = estimator.run(frames, filter, &oracle, trials);
+        let n = frames.len();
+        let (mut oneshot, _) = estimate(AggregateSpec::new(n, n).with_indicator_threshold(indicator_threshold));
+        let oneshot = oneshot.remove(0);
         report.row(&[
             query.name.clone(),
             exp.name().to_string(),
@@ -202,13 +209,9 @@ fn main() {
         // hopping windows (half the split, advancing by a quarter).
         let size = (frames.len() / 2).max(2);
         let advance = (frames.len() / 4).max(1);
-        let spec = AggregateSpec::new(size, advance).with_indicator_threshold(indicator_threshold);
-        let mut agg = WindowedAggregator::new(query.clone(), sample_size, trials, 404);
-        let backends: Vec<&dyn FrameFilter> = vec![filter];
-        let exec = QueryExecutor::new(query.clone());
-        let run = exec.run_aggregate(frames, spec, &backends, &oracle, &mut agg);
-        let windows = agg.reports().len().max(1);
-        for window in agg.reports() {
+        let (windowed, run) = estimate(AggregateSpec::new(size, advance).with_indicator_threshold(indicator_threshold));
+        let windows = windowed.len().max(1);
+        for window in &windowed {
             report.row(&[
                 query.name.clone(),
                 exp.name().to_string(),

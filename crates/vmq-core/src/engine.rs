@@ -1,18 +1,21 @@
-//! The engine: dataset + trained filters + query / aggregate execution.
+//! The engine: dataset + trained filters, and the statement outcome types.
+//!
+//! [`VmqEngine`] owns a stream (the dataset's test split), the oracle
+//! detector and the trained filters. It executes nothing itself: every
+//! statement — select, adaptive select, windowed aggregate — is registered
+//! on the [`StreamRuntime`] that [`VmqEngine::runtime`] returns and runs in
+//! its one shared pass, alone or among N others.
 
-use crate::config::{CalibrationConfig, EngineConfig, FilterChoice};
+use crate::config::{EngineConfig, FilterChoice};
 use crate::report::Report;
-use crate::runtime::{MultiQueryOutcome, RuntimeQuery, StatementOutcome, StreamRuntime};
-use vmq_aggregate::{AggregateReport, HoppingWindow};
+use crate::runtime::StreamRuntime;
+use vmq_aggregate::AggregateReport;
 use vmq_detect::OracleDetector;
 use vmq_filters::{CalibratedFilter, FrameFilter, TrainedFilters};
-use vmq_query::{
-    exec, CalibrationReport, CascadeConfig, CvBackendChoice, DriftConfig, ParsedStatement, PlanChoice, Query,
-    QueryAccuracy, QueryExecutor, QueryRun, ReplanEvent, SpeedupReport,
-};
+use vmq_query::{CalibrationReport, CvBackendChoice, PlanChoice, QueryAccuracy, QueryRun, ReplanEvent, SpeedupReport};
 use vmq_video::Dataset;
 
-/// The combined outcome of a filtered query run: the run itself, its accuracy
+/// The outcome of a fixed-cascade select: the run itself, its accuracy
 /// against ground truth and the speedup over brute force.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
@@ -42,8 +45,9 @@ impl QueryOutcome {
     }
 }
 
-/// The outcome of an adaptive query run: the standard [`QueryOutcome`] plus
-/// the calibration report describing how the plan was chosen.
+/// The outcome of an adaptively planned select: the standard
+/// [`QueryOutcome`] plus the calibration report describing how the plan was
+/// chosen.
 #[derive(Debug, Clone)]
 pub struct AdaptiveOutcome {
     /// The filtered-vs-brute-force outcome of executing the chosen plan.
@@ -79,17 +83,17 @@ impl AdaptiveOutcome {
     }
 }
 
-/// The outcome of a windowed aggregate run through the batched pipeline:
-/// one [`AggregateReport`] per completed hopping window plus the pipeline
-/// run whose stage metrics carry the cost accounting (window-wide filter
-/// inference vs sampled detector work as separate stages).
+/// The outcome of a windowed aggregate: one [`AggregateReport`] per
+/// completed hopping window plus the pipeline run whose stage metrics carry
+/// the cost accounting (window-wide filter inference vs sampled detector
+/// work as separate stages).
 #[derive(Debug, Clone)]
 pub struct WindowedAggregateOutcome {
     /// Per-window estimation reports, in window order.
     pub reports: Vec<AggregateReport>,
-    /// Per-window adaptive control-variate backend choices (empty unless
-    /// [`VmqEngine::run_aggregate_adaptive`] selected among several
-    /// backends).
+    /// Per-window adaptive control-variate backend choices (empty unless a
+    /// [`RuntimeQuery::AggregateAdaptive`](crate::RuntimeQuery::AggregateAdaptive)
+    /// statement selected among several backends).
     pub selections: Vec<CvBackendChoice>,
     /// The aggregate pipeline run (empty answer set; stage metrics and cost
     /// totals are what matter here).
@@ -188,188 +192,13 @@ impl VmqEngine {
         }
     }
 
-    /// Creates an empty [`StreamRuntime`] over this engine's stream:
-    /// register N statements (selects, adaptive selects, windowed
-    /// aggregates), then [`StreamRuntime::run`] drives them all through one
-    /// shared pass with deduplicated detection.
+    /// Creates an empty [`StreamRuntime`] over this engine's test split —
+    /// the one way to execute statements: register N statements (selects,
+    /// adaptive selects, windowed aggregates), then [`StreamRuntime::run`]
+    /// drives them all through one shared pass with deduplicated detection.
+    /// Learned filter choices need [`VmqEngine::train_filters`] first.
     pub fn runtime(&self) -> StreamRuntime<'_> {
         StreamRuntime::new(self)
-    }
-
-    /// Runs N statements through **one** shared stream pass: backend
-    /// inference once per `(backend, frame)`, the expensive detector once
-    /// per frame in the union any statement escalates (or samples), and a
-    /// combined [`SharedCost`](vmq_detect::SharedCost) report splitting the
-    /// deduplicated bill across the statements. Each per-statement outcome
-    /// is bit-identical to running that statement alone.
-    pub fn run_many(&self, statements: &[RuntimeQuery]) -> MultiQueryOutcome {
-        self.run_many_sharded(statements, 1)
-    }
-
-    /// [`VmqEngine::run_many`] with the detect stage sharded across
-    /// `workers` scoped threads (bit-identical results for any count).
-    pub fn run_many_sharded(&self, statements: &[RuntimeQuery], workers: usize) -> MultiQueryOutcome {
-        let mut runtime = self.runtime().with_workers(workers);
-        for statement in statements {
-            runtime.register(statement.clone());
-        }
-        runtime.run()
-    }
-
-    /// Runs a query over the test split: filtered execution plus the
-    /// brute-force baseline, with accuracy and speedup. A thin single-query
-    /// registration of the shared [`StreamRuntime`] (the baseline is the
-    /// synthesised brute-force run, bit-identical to executing it under the
-    /// engine's perfect oracle).
-    pub fn run_query(&self, query: &Query, choice: FilterChoice, cascade: CascadeConfig) -> QueryOutcome {
-        let outcome =
-            self.run_many(&[RuntimeQuery::Select { query: query.clone(), choice, cascade }]).outcomes.remove(0);
-        match outcome {
-            StatementOutcome::Select(outcome) => outcome,
-            _ => unreachable!("a Select statement yields a Select outcome"),
-        }
-    }
-
-    /// Runs a query over the test split *adaptively*: the leading
-    /// `calibration.prefix_frames` frames are annotated once with the
-    /// expensive detector, every candidate `(backend × tolerance)`
-    /// combination is profiled on them, and the cheapest combination that
-    /// kept 100 % recall on the prefix is executed over the whole split.
-    /// The filtered run's virtual time includes the calibration cost, so the
-    /// reported speedup is what a caller would actually observe. A thin
-    /// single-query registration of the shared [`StreamRuntime`].
-    pub fn run_adaptive(&self, query: &Query, calibration: &CalibrationConfig) -> AdaptiveOutcome {
-        let statement =
-            RuntimeQuery::SelectAdaptive { query: query.clone(), calibration: calibration.clone(), drift: None };
-        match self.run_many(&[statement]).outcomes.remove(0) {
-            StatementOutcome::Adaptive(outcome) => outcome,
-            _ => unreachable!("a SelectAdaptive statement yields an Adaptive outcome"),
-        }
-    }
-
-    /// Like [`VmqEngine::run_adaptive`], additionally attaching an online
-    /// drift monitor: a seeded fraction of filter-rejected frames is
-    /// escalated to the detector as a recall sentinel (billed through the
-    /// ledger's audit phase) and the plan is re-selected mid-stream when the
-    /// audit contradicts the committed calibration. With a disabled config
-    /// (`audit_fraction = 0`) the result is bit-identical to
-    /// [`VmqEngine::run_adaptive`].
-    pub fn run_adaptive_drifted(
-        &self,
-        query: &Query,
-        calibration: &CalibrationConfig,
-        drift: DriftConfig,
-    ) -> AdaptiveOutcome {
-        let statement =
-            RuntimeQuery::SelectAdaptive { query: query.clone(), calibration: calibration.clone(), drift: Some(drift) };
-        match self.run_many(&[statement]).outcomes.remove(0) {
-            StatementOutcome::Adaptive(outcome) => outcome,
-            _ => unreachable!("a SelectAdaptive statement yields an Adaptive outcome"),
-        }
-    }
-
-    /// Runs a query over the test split as a bounded producer/consumer
-    /// *stream* (the same batched operator pipeline as [`VmqEngine::run_query`],
-    /// fed by a producer thread), plus accuracy against ground truth.
-    pub fn run_streaming(
-        &self,
-        query: &Query,
-        choice: FilterChoice,
-        cascade: CascadeConfig,
-        channel_capacity: usize,
-    ) -> (QueryRun, QueryAccuracy) {
-        let frames = self.dataset.test();
-        let filter = self.resolve_filter(choice);
-        let run = exec::run_streaming(query, frames.to_vec(), filter.as_ref(), &self.oracle, cascade, channel_capacity);
-        let accuracy = QueryExecutor::new(query.clone()).accuracy(&run, frames);
-        (run, accuracy)
-    }
-
-    /// Runs a *windowed aggregate* through the batched operator pipeline:
-    /// the test split streams through `Source → WindowFilter →
-    /// AggregateSink`, the cheap filter computes control-variate indicators
-    /// on every frame, and each completed hopping window is estimated with
-    /// `trials` repetitions of `sample_size` detector-sampled frames —
-    /// one [`AggregateReport`] per window. This is how a parsed
-    /// `WINDOW HOPPING` statement executes end to end.
-    pub fn run_aggregate_windows(
-        &self,
-        query: &Query,
-        choice: FilterChoice,
-        window: HoppingWindow,
-        sample_size: usize,
-        trials: usize,
-    ) -> WindowedAggregateOutcome {
-        let statement = RuntimeQuery::Aggregate { query: query.clone(), choice, window, sample_size, trials };
-        match self.run_many(&[statement]).outcomes.remove(0) {
-            StatementOutcome::Aggregate(outcome) => outcome,
-            _ => unreachable!("an Aggregate statement yields an Aggregate outcome"),
-        }
-    }
-
-    /// Like [`VmqEngine::run_aggregate_windows`] but *adaptive*: every
-    /// candidate backend of `calibration` computes indicators window-wide,
-    /// and per window the leading `calibration.prefix_frames` frames are
-    /// annotated with the expensive detector (charged as calibration work)
-    /// so the backend whose indicator correlates best with the truth serves
-    /// that window's control variates — the aggregate extension of the
-    /// Table III cascade planner.
-    pub fn run_aggregate_adaptive(
-        &self,
-        query: &Query,
-        calibration: &CalibrationConfig,
-        window: HoppingWindow,
-        sample_size: usize,
-        trials: usize,
-    ) -> WindowedAggregateOutcome {
-        let statement = RuntimeQuery::AggregateAdaptive {
-            query: query.clone(),
-            calibration: calibration.clone(),
-            window,
-            sample_size,
-            trials,
-        };
-        match self.run_many(&[statement]).outcomes.remove(0) {
-            StatementOutcome::Aggregate(outcome) => outcome,
-            _ => unreachable!("an AggregateAdaptive statement yields an Aggregate outcome"),
-        }
-    }
-
-    /// Executes a parsed statement as a windowed aggregate: the statement's
-    /// `WINDOW HOPPING` clause supplies the hopping window (a statement
-    /// without one is treated as a single window spanning the whole test
-    /// split).
-    pub fn run_aggregate_statement(
-        &self,
-        statement: &ParsedStatement,
-        choice: FilterChoice,
-        sample_size: usize,
-        trials: usize,
-    ) -> WindowedAggregateOutcome {
-        let window = match statement.window {
-            Some((size, advance)) => HoppingWindow::new(size, advance),
-            None => HoppingWindow::tumbling(self.dataset.test().len()),
-        };
-        self.run_aggregate_windows(&statement.query, choice, window, sample_size, trials)
-    }
-
-    /// Estimates a one-window aggregate over the whole test split with
-    /// control variates; `sample_size` frames per trial, `trials`
-    /// repetitions. A thin wrapper over [`VmqEngine::run_aggregate_windows`]
-    /// with a single tumbling window — bit-identical (sampling, estimates,
-    /// variances) to the legacy eager estimator at equal seed, which the
-    /// workspace parity tests pin down.
-    pub fn estimate_aggregate(
-        &self,
-        query: &Query,
-        choice: FilterChoice,
-        sample_size: usize,
-        trials: usize,
-    ) -> AggregateReport {
-        let window = HoppingWindow::tumbling(self.dataset.test().len());
-        let mut outcome = self.run_aggregate_windows(query, choice, window, sample_size, trials);
-        assert_eq!(outcome.reports.len(), 1, "a split-sized tumbling window yields exactly one report");
-        outcome.reports.remove(0)
     }
 }
 
@@ -414,14 +243,48 @@ impl<F: FrameFilter> FrameFilter for EngineFilterRef<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CalibrationConfig;
+    use crate::runtime::{RuntimeQuery, StatementOutcome};
+    use vmq_aggregate::HoppingWindow;
     use vmq_filters::CalibrationProfile;
+    use vmq_query::{CascadeConfig, Query};
     use vmq_video::DatasetProfile;
+
+    /// Runs one statement alone on the engine's runtime.
+    fn run_one(engine: &VmqEngine, statement: RuntimeQuery) -> StatementOutcome {
+        let mut runtime = engine.runtime();
+        runtime.register(statement);
+        runtime.run().outcomes.remove(0)
+    }
+
+    fn select(engine: &VmqEngine, query: Query, choice: FilterChoice, cascade: CascadeConfig) -> QueryOutcome {
+        let StatementOutcome::Select(outcome) = run_one(engine, RuntimeQuery::Select { query, choice, cascade }) else {
+            panic!("a select yields a select outcome")
+        };
+        outcome
+    }
+
+    fn adaptive(engine: &VmqEngine, query: Query, calibration: CalibrationConfig) -> AdaptiveOutcome {
+        let statement = RuntimeQuery::SelectAdaptive { query, calibration, drift: None };
+        let StatementOutcome::Adaptive(outcome) = run_one(engine, statement) else {
+            panic!("an adaptive select yields an adaptive outcome")
+        };
+        outcome
+    }
+
+    fn aggregate(engine: &VmqEngine, statement: RuntimeQuery) -> WindowedAggregateOutcome {
+        let StatementOutcome::Aggregate(outcome) = run_one(engine, statement) else {
+            panic!("an aggregate yields an aggregate outcome")
+        };
+        outcome
+    }
 
     #[test]
     fn engine_runs_queries_with_calibrated_filter_without_training() {
         let engine = VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(40, 150));
-        let outcome = engine.run_query(
-            &Query::paper_q4(),
+        let outcome = select(
+            &engine,
+            Query::paper_q4(),
             FilterChoice::Calibrated(CalibrationProfile::perfect()),
             CascadeConfig::strict(),
         );
@@ -438,7 +301,7 @@ mod tests {
         assert!(engine.filters().is_none());
         engine.train_filters();
         assert!(engine.filters().is_some());
-        let outcome = engine.run_query(&Query::paper_q3(), FilterChoice::Od, CascadeConfig::tolerant());
+        let outcome = select(&engine, Query::paper_q3(), FilterChoice::Od, CascadeConfig::tolerant());
         // The learned filter may not be selective after two fast-test epochs;
         // the worst case is that it passes every frame, in which case the
         // filtered run costs at most ~1 % more than brute force (the filter's
@@ -458,7 +321,7 @@ mod tests {
         // The int8 twin is an explicit FilterChoice: it executes through the
         // same pipeline, labels its mode with its own kind and reports the
         // int8 kernel backend on its cascade rows.
-        let outcome = engine.run_query(&Query::paper_q3(), FilterChoice::OdInt8, CascadeConfig::tolerant());
+        let outcome = select(&engine, Query::paper_q3(), FilterChoice::OdInt8, CascadeConfig::tolerant());
         assert_eq!(outcome.run.frames_total, engine.dataset().test().len());
         assert!(outcome.run.mode.starts_with("OD-INT8"), "mode {}", outcome.run.mode);
         let cascade = outcome.run.stage_metrics.iter().find(|m| m.operator == "cascade-filter").expect("cascade stage");
@@ -468,32 +331,17 @@ mod tests {
 
         // And as adaptive candidates they flow through the same recall
         // calibration — the planner may pick them, never substitute them.
-        let adaptive = engine.run_adaptive(&Query::paper_q3(), &CalibrationConfig::learned_with_int8());
+        let adaptive = adaptive(&engine, Query::paper_q3(), CalibrationConfig::learned_with_int8());
         assert!(adaptive.outcome.accuracy.recall >= 0.0);
         assert!(adaptive.calibration.profiles.len() >= 4 * 9, "4 backends x 9 tolerances profiled");
     }
 
     #[test]
-    fn engine_streams_through_the_same_pipeline() {
-        let engine = VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(30, 100));
-        let (run, accuracy) = engine.run_streaming(
-            &Query::paper_q4(),
-            FilterChoice::Calibrated(CalibrationProfile::perfect()),
-            CascadeConfig::strict(),
-            8,
-        );
-        assert!(run.mode.contains("streaming"));
-        assert_eq!(run.frames_total, 100);
-        assert!(accuracy.is_perfect(), "perfect filter + strict cascade must stay exact: {accuracy:?}");
-        let operators: Vec<&str> = run.stage_metrics.iter().map(|m| m.operator.as_str()).collect();
-        assert_eq!(operators, ["source", "cascade-filter", "detect", "predicate-eval", "sink"]);
-    }
-
-    #[test]
     fn stage_report_renders_operator_rows() {
         let engine = VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(30, 80));
-        let outcome = engine.run_query(
-            &Query::paper_q3(),
+        let outcome = select(
+            &engine,
+            Query::paper_q3(),
             FilterChoice::Calibrated(CalibrationProfile::perfect()),
             CascadeConfig::strict(),
         );
@@ -515,7 +363,7 @@ mod tests {
         // 107 at this seed): a prefix with no true frame certifies no
         // cascade and the planner would rightly ship the brute-force floor.
         .with_prefix(120);
-        let outcome = engine.run_adaptive(&Query::paper_q3(), &calibration);
+        let outcome = adaptive(&engine, Query::paper_q3(), calibration);
         assert!(outcome.outcome.accuracy.is_perfect(), "perfect backends stay exact: {:?}", outcome.outcome.accuracy);
         // Identical estimates from both backends: the cheaper IC price wins.
         assert_eq!(outcome.plan().backend, "IC");
@@ -534,12 +382,19 @@ mod tests {
     #[test]
     fn engine_estimates_aggregates() {
         let engine = VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(40, 200));
-        let report = engine.estimate_aggregate(
-            &Query::paper_a1(),
-            FilterChoice::Calibrated(CalibrationProfile::od_like()),
-            25,
-            30,
+        // A one-shot estimate: one tumbling window spanning the split.
+        let mut outcome = aggregate(
+            &engine,
+            RuntimeQuery::Aggregate {
+                query: Query::paper_a1(),
+                choice: FilterChoice::Calibrated(CalibrationProfile::od_like()),
+                window: HoppingWindow::tumbling(200),
+                sample_size: 25,
+                trials: 30,
+            },
         );
+        assert_eq!(outcome.reports.len(), 1);
+        let report = outcome.reports.remove(0);
         assert_eq!(report.window_frames, 200);
         assert!(report.plain_variance >= 0.0);
         assert!((report.plain_mean - report.true_fraction).abs() < 0.15);
@@ -548,12 +403,15 @@ mod tests {
     #[test]
     fn engine_runs_windowed_aggregates_through_the_pipeline() {
         let engine = VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(40, 200));
-        let outcome = engine.run_aggregate_windows(
-            &Query::paper_a1(),
-            FilterChoice::Calibrated(CalibrationProfile::od_like()),
-            vmq_aggregate::HoppingWindow::new(100, 50),
-            20,
-            15,
+        let outcome = aggregate(
+            &engine,
+            RuntimeQuery::Aggregate {
+                query: Query::paper_a1(),
+                choice: FilterChoice::Calibrated(CalibrationProfile::od_like()),
+                window: HoppingWindow::new(100, 50),
+                sample_size: 20,
+                trials: 15,
+            },
         );
         // 200 frames, size 100, advance 50 → windows at 0, 50, 100.
         assert_eq!(outcome.reports.len(), 3);
@@ -581,12 +439,15 @@ mod tests {
             CalibrationProfile::perfect().emulating(FilterKind::Ic),
         ])
         .with_prefix(24);
-        let outcome = engine.run_aggregate_adaptive(
-            &Query::paper_a1(),
-            &calibration,
-            vmq_aggregate::HoppingWindow::tumbling(100),
-            20,
-            10,
+        let outcome = aggregate(
+            &engine,
+            RuntimeQuery::AggregateAdaptive {
+                query: Query::paper_a1(),
+                calibration,
+                window: HoppingWindow::tumbling(100),
+                sample_size: 20,
+                trials: 10,
+            },
         );
         assert_eq!(outcome.reports.len(), 2);
         assert_eq!(outcome.selections.len(), 2, "one backend choice per window");
@@ -619,23 +480,25 @@ mod tests {
              WINDOW HOPPING (SIZE 80, ADVANCE BY 40)",
         )
         .expect("parse");
-        let outcome =
-            engine.run_aggregate_statement(&statement, FilterChoice::Calibrated(CalibrationProfile::od_like()), 15, 10);
-        // 200 frames, size 80, advance 40 → windows at 0, 40, 80, 120.
-        assert_eq!(outcome.reports.len(), 4);
-        assert!(outcome.reports.iter().all(|r| r.window_frames == 80));
-        // Without a window clause the whole split is one window.
         let plain = parse_statement("flat", "SELECT x FROM v WHERE COUNT(car) >= 1").expect("parse");
-        let outcome =
-            engine.run_aggregate_statement(&plain, FilterChoice::Calibrated(CalibrationProfile::od_like()), 15, 10);
-        assert_eq!(outcome.reports.len(), 1);
-        assert_eq!(outcome.reports[0].window_frames, 200);
+        let choice = FilterChoice::Calibrated(CalibrationProfile::od_like());
+        let mut runtime = engine.runtime();
+        runtime.register_statement(&statement, choice, CascadeConfig::tolerant(), 15, 10);
+        runtime.register_statement(&plain, choice, CascadeConfig::tolerant(), 15, 10);
+        let outcome = runtime.run();
+        // 200 frames, size 80, advance 40 → windows at 0, 40, 80, 120.
+        let hop = outcome.outcomes[0].as_aggregate().expect("WINDOW HOPPING runs as an aggregate");
+        assert_eq!(hop.reports.len(), 4);
+        assert!(hop.reports.iter().all(|r| r.window_frames == 80));
+        // Without a window clause the statement is a select over the split.
+        let flat = outcome.outcomes[1].as_select().expect("a plain statement runs as a select");
+        assert_eq!(flat.run.frames_total, 200);
     }
 
     #[test]
     #[should_panic(expected = "train_filters() first")]
     fn learned_filter_without_training_panics() {
         let engine = VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(30, 30));
-        let _ = engine.run_query(&Query::paper_q1(), FilterChoice::Ic, CascadeConfig::strict());
+        let _ = select(&engine, Query::paper_q1(), FilterChoice::Ic, CascadeConfig::strict());
     }
 }

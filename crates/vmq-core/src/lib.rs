@@ -5,19 +5,25 @@
 //! 1. register a video source (a dataset profile → simulated stream),
 //! 2. train the approximate filters on its training split (labels produced by
 //!    the expensive oracle detector, as in the paper),
-//! 3. run monitoring queries with a filter cascade in front of the detector,
-//!    and
-//! 4. estimate windowed aggregates with control variates.
+//! 3. register standing statements (selects behind a filter cascade,
+//!    windowed aggregates with control variates) on [`VmqEngine::runtime`],
+//! 4. and run them all in one shared pass over the stream.
 //!
 //! ```no_run
-//! use vmq_core::{EngineConfig, FilterChoice, VmqEngine};
+//! use vmq_core::{EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};
 //! use vmq_query::{CascadeConfig, Query};
 //! use vmq_video::DatasetProfile;
 //!
 //! let mut engine = VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()));
 //! engine.train_filters();
-//! let outcome = engine.run_query(&Query::paper_q3(), FilterChoice::Od, CascadeConfig::strict());
-//! println!("{}", outcome.summary());
+//! let mut runtime = engine.runtime();
+//! runtime.register(RuntimeQuery::Select {
+//!     query: Query::paper_q3(),
+//!     choice: FilterChoice::Od,
+//!     cascade: CascadeConfig::strict(),
+//! });
+//! let outcome = runtime.run();
+//! println!("{}", outcome.outcomes[0].as_select().expect("a select").summary());
 //! ```
 
 #![warn(missing_docs)]

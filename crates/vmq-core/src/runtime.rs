@@ -1,10 +1,11 @@
 //! The shared multi-query stream runtime: one stream pass, N statements.
 //!
 //! The paper's setting is *monitoring* — many standing queries (q1–q7,
-//! a1–a5) watch the same camera stream. [`StreamRuntime`] registers N parsed
-//! statements (selects with fixed or adaptively planned cascades, plus
-//! windowed aggregates), plans each, and drives all of them through **one**
-//! pass of the engine's stream:
+//! a1–a5) watch the same camera stream. [`StreamRuntime`] is the engine's
+//! one way to run statements: it registers N statements (selects with fixed
+//! or adaptively planned cascades, plus windowed aggregates; parsed SQL via
+//! [`StreamRuntime::register_statement`]), plans each, and drives all of
+//! them through **one** pass of the engine's stream:
 //!
 //! * queries naming the same filter backend share one inference per
 //!   `(backend, frame)`, and each distinct tolerance check of their cascades
@@ -21,12 +22,9 @@
 //!
 //! Every statement keeps a private as-if-isolated [`CostLedger`], which is
 //! what makes the headline guarantee checkable: each per-query outcome is
-//! **bit-identical** to running that statement alone through
-//! [`VmqEngine::run_query`] / [`VmqEngine::run_adaptive`] /
-//! [`VmqEngine::run_aggregate_windows`] — which are themselves thin
-//! single-statement registrations of this runtime, just as
-//! [`QueryExecutor`](vmq_query::QueryExecutor)'s `run_*` are registrations on
-//! a [`SharedStreamPlan`] of one.
+//! **bit-identical** to running that statement alone — on a runtime of one,
+//! just as [`QueryExecutor`](vmq_query::QueryExecutor)'s `run_*` are
+//! registrations on a [`SharedStreamPlan`] of one.
 
 use crate::config::{CalibrationConfig, FilterChoice};
 use crate::engine::{AdaptiveOutcome, QueryOutcome, VmqEngine, WindowedAggregateOutcome};
@@ -43,8 +41,7 @@ use vmq_video::Frame;
 /// One statement registered with the runtime.
 #[derive(Debug, Clone)]
 pub enum RuntimeQuery {
-    /// A select with a fixed cascade over one filter backend — the
-    /// registration form of [`VmqEngine::run_query`].
+    /// A select with a fixed cascade over one filter backend.
     Select {
         /// The query.
         query: Query,
@@ -53,8 +50,11 @@ pub enum RuntimeQuery {
         /// The fixed cascade tolerances.
         cascade: CascadeConfig,
     },
-    /// A select planned adaptively on a calibration prefix — the
-    /// registration form of [`VmqEngine::run_adaptive`].
+    /// A select planned adaptively on a calibration prefix: every candidate
+    /// `(backend × tolerance)` is profiled on the leading
+    /// `calibration.prefix_frames` frames, and the cheapest combination that
+    /// kept 100 % recall there runs over the whole split. The run's virtual
+    /// time includes the calibration cost.
     SelectAdaptive {
         /// The query.
         query: Query,
@@ -66,8 +66,10 @@ pub enum RuntimeQuery {
         /// config) keeps the one-shot plan forever.
         drift: Option<DriftConfig>,
     },
-    /// A windowed aggregate — the registration form of
-    /// [`VmqEngine::run_aggregate_windows`].
+    /// A windowed aggregate: the filter computes control-variate indicators
+    /// on every frame, and each completed hopping window is estimated with
+    /// `trials` repetitions of `sample_size` detector-sampled frames. A
+    /// one-shot estimate is one tumbling window spanning the split.
     Aggregate {
         /// The (aggregate) query.
         query: Query,
@@ -81,8 +83,9 @@ pub enum RuntimeQuery {
         trials: usize,
     },
     /// A windowed aggregate with per-window adaptive control-variate backend
-    /// selection — the registration form of
-    /// [`VmqEngine::run_aggregate_adaptive`].
+    /// selection: every candidate backend computes indicators window-wide,
+    /// and the one whose indicator correlates best with the detector on each
+    /// window's calibration prefix serves that window's control variates.
     AggregateAdaptive {
         /// The (aggregate) query.
         query: Query,
@@ -210,7 +213,7 @@ impl<'e> StreamRuntime<'e> {
         StreamRuntime { engine, statements: Vec::new(), workers: 1 }
     }
 
-    /// Sets the scoped-thread worker count the shared detect stage shards
+    /// Sets the worker count the shared filter and detect stages shard
     /// over. Purely a wall-clock knob: results are bit-identical for any
     /// value.
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -253,9 +256,10 @@ impl<'e> StreamRuntime<'e> {
         self.statements.len()
     }
 
-    /// Runs every registered statement through one shared stream pass.
+    /// Runs every registered statement through one shared stream pass. With
+    /// no statement registered nothing runs: no outcomes, no detector
+    /// invocation, no cost.
     pub fn run(&self) -> MultiQueryOutcome {
-        assert!(!self.statements.is_empty(), "register at least one statement before running");
         let engine = self.engine;
         let frames = engine.dataset.test();
         let model = CostLedger::paper().model().clone();
@@ -451,7 +455,7 @@ impl<'e> StreamRuntime<'e> {
                 }
             }
         }
-        let runs = plan.execute_slice(frames);
+        let runs = if self.statements.is_empty() { Vec::new() } else { plan.execute_slice(frames) };
         drop(plan);
 
         // 4. Assemble per-statement outcomes.
@@ -519,9 +523,9 @@ fn select_outcome(query: &Query, frames: &[Frame], run: QueryRun, model: &CostMo
 /// engine's perfect oracle this is **bit-identical** (matches, counts,
 /// virtual time, stage rows) to actually executing
 /// [`QueryExecutor::run_brute_force`](vmq_query::QueryExecutor) — pinned by
-/// `synthetic_brute_force_matches_actual_brute_run` — which is what lets
-/// `run_many` report per-query speedups while the shared pass invokes the
-/// detector only on the escalation union.
+/// `synthetic_brute_force_matches_actual_brute_run` — which is what lets a
+/// shared run report per-query speedups while the pass invokes the detector
+/// only on the escalation union.
 pub(crate) fn synthetic_brute_force(query: &Query, frames: &[Frame], model: &CostModel) -> QueryRun {
     let n = frames.len();
     let matched: Vec<u64> = frames.iter().filter(|f| query.matches_ground_truth(f)).map(|f| f.frame_id).collect();
@@ -566,6 +570,15 @@ mod tests {
 
     fn engine() -> VmqEngine {
         VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(30, 150))
+    }
+
+    /// Runs `statements` in one shared pass over `workers` workers.
+    fn run_all(engine: &VmqEngine, statements: &[RuntimeQuery], workers: usize) -> MultiQueryOutcome {
+        let mut runtime = engine.runtime().with_workers(workers);
+        for statement in statements {
+            runtime.register(statement.clone());
+        }
+        runtime.run()
     }
 
     /// The synthesised brute-force baseline is bit-identical to actually
@@ -618,7 +631,7 @@ mod tests {
                 trials: 10,
             },
         ];
-        let outcome = engine.run_many(&statements);
+        let outcome = run_all(&engine, &statements, 1);
         assert_eq!(outcome.outcomes.len(), 3);
         assert_eq!(outcome.frames_total, 150);
         assert!(outcome.outcomes[0].as_select().is_some());
@@ -650,7 +663,7 @@ mod tests {
         assert!(outcome.shared.summary().contains("q3"));
     }
 
-    /// Worker sharding of run_many is a pure wall-clock knob.
+    /// Worker sharding of a shared run is a pure wall-clock knob.
     #[test]
     fn run_many_sharded_is_worker_count_invariant() {
         let engine = engine();
@@ -659,9 +672,9 @@ mod tests {
             RuntimeQuery::Select { query: Query::paper_q3(), choice, cascade: CascadeConfig::strict() },
             RuntimeQuery::Select { query: Query::paper_q5(), choice, cascade: CascadeConfig::tolerant() },
         ];
-        let baseline = engine.run_many_sharded(&statements, 1);
+        let baseline = run_all(&engine, &statements, 1);
         for workers in [2usize, 4] {
-            let outcome = engine.run_many_sharded(&statements, workers);
+            let outcome = run_all(&engine, &statements, workers);
             assert_eq!(outcome.detector_invocations, baseline.detector_invocations, "workers {workers}");
             for (a, b) in outcome.outcomes.iter().zip(&baseline.outcomes) {
                 assert_eq!(a.run().matched_frames, b.run().matched_frames, "workers {workers}");
@@ -695,5 +708,21 @@ mod tests {
 
     fn statements_name_roundtrip(outcome: &MultiQueryOutcome) -> Vec<String> {
         outcome.outcomes.iter().map(|o| o.run().query.clone()).collect()
+    }
+
+    /// A runtime with nothing registered runs nothing: no outcomes, no
+    /// detector invocation, no shared cost — but it still reports the
+    /// stream it would have watched.
+    #[test]
+    fn an_empty_runtime_returns_an_empty_outcome() {
+        let engine = engine();
+        let outcome = engine.runtime().run();
+        assert!(outcome.outcomes.is_empty());
+        assert_eq!(outcome.frames_total, 150);
+        assert_eq!(outcome.detector_invocations, 0);
+        assert_eq!(outcome.cache_hits, 0);
+        assert!(outcome.shared.queries.is_empty());
+        assert_eq!(outcome.shared.shared_total_ms, 0.0);
+        assert_eq!(outcome.shared.isolated_total_ms, 0.0);
     }
 }

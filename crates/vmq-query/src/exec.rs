@@ -2,18 +2,19 @@
 //!
 //! There is one executor: [`SharedStreamPlan`]'s `prepare_batch →
 //! detect_pending → complete_batch` pass. Every entry point here — brute
-//! force, filtered, adaptive, windowed aggregate, streaming — registers its
-//! single statement on a plan of one (the executor's ledger is the
-//! statement's private as-if-isolated ledger) and drains the frames through
-//! it, so a statement run alone and the same statement run among N others
-//! execute the same code. The plan charges whole batches to the virtual-time
+//! force, filtered, adaptive, windowed aggregate — registers its single
+//! statement on a plan of one (the executor's ledger is the statement's
+//! private as-if-isolated ledger) and drains a frame slice through it, so a
+//! statement run alone and the same statement run among N others execute
+//! the same code. A stream that arrives batch by batch goes through
+//! [`SharedStreamPlan::push_batch`] / [`SharedStreamPlan::finish`] instead. The plan charges whole batches to the virtual-time
 //! [`CostLedger`] with the paper's per-frame costs, and the run reports
 //! unified per-operator [`StageMetrics`].
 
 use crate::ast::Query;
 use crate::drift::ReplanEvent;
 use crate::metrics::QueryAccuracy;
-use crate::pipeline::{AggregateSpec, IterSource, PipelineConfig, SharedStreamPlan, StageMetrics, WindowEstimator};
+use crate::pipeline::{AggregateSpec, PipelineConfig, SharedStreamPlan, StageMetrics, WindowEstimator};
 use crate::plan::CascadeConfig;
 use crate::planner::{plan_cascade, CalibrationReport};
 use serde::{Deserialize, Serialize};
@@ -89,12 +90,7 @@ impl QueryExecutor {
 
     /// Creates an executor for a query with the paper's cost model.
     pub fn new(query: Query) -> Self {
-        Self::with_ledger(query, CostLedger::paper())
-    }
-
-    /// Creates an executor with a custom cost ledger.
-    pub fn with_ledger(query: Query, ledger: CostLedger) -> Self {
-        QueryExecutor { query, ledger, pipeline: PipelineConfig::default(), workers: 1 }
+        QueryExecutor { query, ledger: CostLedger::paper(), pipeline: PipelineConfig::default(), workers: 1 }
     }
 
     /// Overrides the plan's batch size.
@@ -228,54 +224,6 @@ impl QueryExecutor {
     }
 }
 
-/// Runs a query over a frame *stream* using a bounded producer/consumer
-/// pipeline: a producer thread pushes frames into a bounded channel while
-/// the caller's thread drains it through the same plan of one as
-/// [`QueryExecutor::run_filtered`]. This mirrors how a continuously arriving
-/// camera stream is consumed; the plan's bounded detection cache keeps the
-/// pass O(batch) in memory however long the stream runs.
-pub fn run_streaming<I>(
-    query: &Query,
-    frames: I,
-    filter: &dyn FrameFilter,
-    detector: &dyn Detector,
-    config: CascadeConfig,
-    channel_capacity: usize,
-) -> QueryRun
-where
-    I: IntoIterator<Item = Frame> + Send,
-    I::IntoIter: Send,
-{
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Frame>(channel_capacity.max(1));
-    let exec = QueryExecutor::new(query.clone());
-    let mut plan = exec.plan_of_one(detector);
-    let backend = plan.add_backend(filter);
-    plan.register_select_with(
-        exec.query,
-        config,
-        Some(backend),
-        exec.ledger,
-        format!("streaming {}", config.label(query.has_spatial_constraints())),
-        None,
-    );
-    // vmq-lint: allow(no-raw-thread-spawn) -- producer/consumer over a
-    // bounded channel needs a truly concurrent producer; on the vmq-exec
-    // pool a nested spawn runs inline on the caller's worker, so the
-    // producer would block on the full channel before `plan.execute` ever
-    // drained it.
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            for frame in frames {
-                if tx.send(frame).is_err() {
-                    break;
-                }
-            }
-        });
-        plan.execute(&mut IterSource::new(rx.iter()))
-    })
-    .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,29 +283,9 @@ mod tests {
         assert!(run.virtual_seconds() > 0.0);
     }
 
-    #[test]
-    fn streaming_pipeline_agrees_with_batch() {
-        let (ds, filter, oracle) = setup();
-        let exec = QueryExecutor::new(Query::paper_q4());
-        let batch = exec.run_filtered(ds.test(), &filter, &oracle, CascadeConfig::tolerant());
-        let stream_filter =
-            CalibratedFilter::new(DatasetProfile::jackson().class_list(), 14, CalibrationProfile::perfect(), 5);
-        let stream_run = run_streaming(
-            &Query::paper_q4(),
-            ds.test().to_vec(),
-            &stream_filter,
-            &oracle,
-            CascadeConfig::tolerant(),
-            8,
-        );
-        assert_eq!(stream_run.frames_total, ds.test().len());
-        assert_eq!(stream_run.matched_frames, batch.matched_frames);
-        assert!(stream_run.mode.contains("streaming"));
-    }
-
     /// A plan of one holds O(batch) detections however long the stream runs:
     /// through 5 000 frames the cache never exceeds its budget, and the
-    /// brute-force and streaming entry points answer exactly as a plan whose
+    /// brute-force and filtered entry points answer exactly as a plan whose
     /// cache retains the whole stream.
     #[test]
     fn plan_of_one_cache_stays_within_budget_on_a_long_stream() {
@@ -391,7 +319,7 @@ mod tests {
             assert_eq!(retaining.cache().len(), retaining_run.frames_detected, "the reference retains everything");
 
             let entry_point = if filtered {
-                run_streaming(&query, ds.test().to_vec(), &fresh(), &oracle, tolerant, 8)
+                exec.run_filtered(ds.test(), &fresh(), &oracle, tolerant)
             } else {
                 exec.run_brute_force(ds.test(), &oracle)
             };

@@ -21,11 +21,13 @@
 //!   per-query choice automatically.
 //! * [`pipeline`] — the one batched executor, [`SharedStreamPlan`]: N
 //!   registered statements, one stream pass (`prepare_batch →
-//!   detect_pending → complete_batch`), with per-operator [`StageMetrics`]
-//!   (`source → cascade-filter → detect → predicate-eval → sink`).
-//! * [`exec`] — the single-statement front-ends (brute-force, filtered,
-//!   adaptive, aggregate, streaming), each a registration on a plan of one,
-//!   with every stage charged to the virtual-time cost ledger.
+//!   detect_pending → complete_batch`) fed from a slice
+//!   (`execute_slice`) or batch by batch (`push_batch` / `finish`), with
+//!   per-operator [`StageMetrics`] (`source → cascade-filter → detect →
+//!   predicate-eval → sink`).
+//! * [`exec`] — the single-statement front-ends over a frame slice
+//!   (brute-force, filtered, adaptive, aggregate), each a registration on a
+//!   plan of one, with every stage charged to the virtual-time cost ledger.
 //! * [`metrics`] — accuracy / F1 against ground truth and speedup
 //!   vs. brute-force evaluation.
 
@@ -46,11 +48,11 @@ pub mod spatial;
 pub use ast::{CountTarget, ObjectRef, Predicate, Query};
 pub use catalog::RegionCatalog;
 pub use drift::{DriftConfig, DriftSetup, ReplanEvent};
-pub use exec::{run_streaming, QueryExecutor, QueryRun};
+pub use exec::{QueryExecutor, QueryRun};
 pub use metrics::{QueryAccuracy, SpeedupReport};
 pub use parser::{format_statement, format_where_clause, parse_statement, ParseError, ParsedStatement};
 pub use pipeline::{
-    AggregateSpec, FrameIndicators, FrameSource, PipelineConfig, PreparedBatch, SharedStreamPlan, StageMetrics,
+    AggregateSpec, FrameIndicators, PipelineConfig, PreparedBatch, SharedStreamPlan, StageMetrics,
     WindowBackendColumns, WindowCharge, WindowData, WindowEstimator,
 };
 pub use plan::{CascadeConfig, FilterCascade};

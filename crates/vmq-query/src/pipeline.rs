@@ -2,11 +2,11 @@
 //!
 //! There is one executor, [`SharedStreamPlan`]: N select and aggregate
 //! statements registered against **one** pass over a stream — and a single
-//! statement ([`QueryExecutor`](crate::exec::QueryExecutor),
-//! [`run_streaming`](crate::exec::run_streaming)) is the plan of one. Frames
-//! arrive in batches of [`PipelineConfig::batch_size`] (from a slice, a
-//! [`FrameSource`], or pushed by a fleet scheduler) and every batch goes
-//! through three calls:
+//! statement ([`QueryExecutor`](crate::exec::QueryExecutor)) is the plan of
+//! one. Frames arrive in batches of [`PipelineConfig::batch_size`] (chunked
+//! from a slice by [`SharedStreamPlan::execute_slice`], or pushed one batch
+//! at a time through [`SharedStreamPlan::push_batch`], as a fleet scheduler
+//! does) and every batch goes through three calls:
 //!
 //! ```text
 //! prepare_batch                       detect_pending          complete_batch
@@ -116,7 +116,7 @@ pub struct AggregateSpec {
 
 impl AggregateSpec {
     /// A spec with the given window, the strict cascade and per-filter
-    /// thresholds (the defaults of the legacy one-shot estimator).
+    /// thresholds. `new(n, n)` over `n` frames is the one-shot estimate.
     pub fn new(size: usize, advance: usize) -> Self {
         AggregateSpec {
             window: (size, advance),
@@ -179,10 +179,9 @@ impl FrameIndicators {
     /// feature; including it guarantees MCV explains at least as much
     /// variance as the single-CV control).
     ///
-    /// The legacy one-shot estimator derives its indicator columns through
-    /// this function; the plan assembles the same row from its backend's
-    /// [`AtomTable`] indicators — both end in one private assembly step, which
-    /// is part of what keeps the two bit-identical.
+    /// The plan assembles the same row from its backend's [`AtomTable`]
+    /// indicators; both end in one private assembly step, so a row built
+    /// here outside a plan equals the plan's bit for bit.
     pub fn from_estimate(cascade: &FilterCascade, estimate: &FilterEstimate, threshold: f32) -> Self {
         Self::from_controls(cascade.cv_indicators(estimate, threshold))
     }
@@ -376,41 +375,6 @@ pub trait WindowEstimator {
     fn set_shed_level(&mut self, _level: u32) {}
 }
 
-/// Pull-based frame supply for [`SharedStreamPlan::execute`].
-pub trait FrameSource {
-    /// Returns the next batch of at most `max` frames, or `None` at end of
-    /// stream.
-    fn next_batch(&mut self, max: usize) -> Option<Vec<Frame>>;
-}
-
-/// Source over an arbitrary frame iterator (streaming execution: the
-/// iterator is typically a bounded channel receiver fed by a producer
-/// thread).
-pub struct IterSource<I> {
-    iter: I,
-}
-
-impl<I: Iterator<Item = Frame>> IterSource<I> {
-    /// Wraps a frame iterator.
-    pub fn new(iter: I) -> Self {
-        IterSource { iter }
-    }
-}
-
-impl<I: Iterator<Item = Frame>> FrameSource for IterSource<I> {
-    fn next_batch(&mut self, max: usize) -> Option<Vec<Frame>> {
-        let mut batch = Vec::with_capacity(max.max(1));
-        for frame in self.iter.by_ref().take(max.max(1)) {
-            batch.push(frame);
-        }
-        if batch.is_empty() {
-            None
-        } else {
-            Some(batch)
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The executor
 // ---------------------------------------------------------------------------
@@ -418,7 +382,6 @@ impl<I: Iterator<Item = Frame>> FrameSource for IterSource<I> {
 /// Per-batch wall-clock accumulators of the shared pass's phases.
 #[derive(Debug, Default, Clone, Copy)]
 struct SharedWall {
-    source_ms: f64,
     detect_ms: f64,
     /// Exact predicate evaluation of every select, on the shared annotations.
     eval_ms: f64,
@@ -844,36 +807,17 @@ impl<'a> SharedStreamPlan<'a> {
         }
     }
 
-    /// Executes the shared pass over an in-memory slice of frames, batch by
-    /// batch; the runs are those of [`SharedStreamPlan::execute`].
+    /// Executes the shared pass over an in-memory slice of frames, in
+    /// batches of [`PipelineConfig::batch_size`], and returns one
+    /// [`QueryRun`] per registered query (registration order). Each run is
+    /// bit-identical — matched frames, detector counts, virtual time — to
+    /// executing that query alone on a plan of one; wall-clock columns report
+    /// the *shared* phase times instead of per-query ones. Afterwards the
+    /// global ledger carries the deduplicated bill with per-query attribution
+    /// settled (detections split equally among each frame's users).
     pub fn execute_slice(&mut self, frames: &[Frame]) -> Vec<QueryRun> {
         for batch in frames.chunks(self.config.batch_size) {
             self.push_batch(batch);
-        }
-        self.finish()
-    }
-
-    /// Executes the shared pass, draining `source` batch by batch, and
-    /// returns one [`QueryRun`] per registered query (registration order).
-    /// Each run is bit-identical — matched frames, detector counts, virtual
-    /// time — to executing that query alone on a plan of one; wall-clock
-    /// columns report the *shared* phase times instead of per-query ones.
-    /// Afterwards the global ledger carries the deduplicated bill with
-    /// per-query attribution settled (detections split equally among each
-    /// frame's users).
-    pub fn execute(&mut self, source: &mut dyn FrameSource) -> Vec<QueryRun> {
-        self.ensure_exec();
-        loop {
-            // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds only
-            // the `source_ms` wall attribution stat.
-            let start = Instant::now();
-            let batch = source.next_batch(self.config.batch_size);
-            let source_ms = start.elapsed().as_secs_f64() * 1000.0;
-            if let Some(st) = self.exec.as_mut() {
-                st.wall.source_ms += source_ms;
-            }
-            let Some(frames) = batch else { break };
-            self.push_batch(&frames);
         }
         self.finish()
     }
@@ -923,10 +867,10 @@ impl<'a> SharedStreamPlan<'a> {
 
     /// Pushes one batch of frames through every phase of the shared pass —
     /// the incremental entry point a fleet scheduler interleaves across
-    /// many per-camera plans. Equivalent to what [`SharedStreamPlan::execute`]
-    /// does per source batch (including drift-replan consultation at the
-    /// batch boundary); call [`SharedStreamPlan::finish`] to settle
-    /// attribution and collect the per-query runs.
+    /// many per-camera plans, and what [`SharedStreamPlan::execute_slice`]
+    /// does per chunk (including drift-replan consultation at the batch
+    /// boundary); call [`SharedStreamPlan::finish`] to settle attribution and
+    /// collect the per-query runs.
     pub fn push_batch(&mut self, frames: &[Frame]) {
         let pending = self.prepare_batch(frames);
         // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds only the
@@ -988,8 +932,8 @@ impl<'a> SharedStreamPlan<'a> {
 
     /// Ends an incremental pass: settles the cache's detector attribution
     /// on the global ledger and returns one [`QueryRun`] per registered
-    /// query (registration order), exactly as [`SharedStreamPlan::execute`]
-    /// would have. The pass state is consumed; a subsequent `push_batch`
+    /// query (registration order), exactly as
+    /// [`SharedStreamPlan::execute_slice`] would have. The pass state is consumed; a subsequent `push_batch`
     /// starts a fresh pass over the same registrations.
     pub fn finish(&mut self) -> Vec<QueryRun> {
         // Settle the detector attribution: every cached frame's single
@@ -1504,7 +1448,7 @@ impl<'a> SharedStreamPlan<'a> {
                             frames_total,
                             frames_total,
                             frames_total as u64,
-                            wall.source_ms,
+                            0.0,
                         ));
                         let mut filter_wall_ms = 0.0;
                         if let Some(b) = backend {
@@ -1581,7 +1525,7 @@ impl<'a> SharedStreamPlan<'a> {
                             frames_total,
                             frames_total,
                             frames_total as u64,
-                            wall.source_ms,
+                            0.0,
                         ));
                         let mut filter_wall_ms = 0.0;
                         for &b in backends {
@@ -1836,14 +1780,9 @@ mod tests {
             pass_sums: Vec::new(),
         };
         let backends: Vec<&dyn FrameFilter> = vec![&filter];
-        let ledger = CostLedger::paper();
-        let run = QueryExecutor::with_ledger(query.clone(), ledger.clone()).with_batch_size(7).run_aggregate(
-            ds.test(),
-            AggregateSpec::new(40, 20),
-            &backends,
-            &oracle,
-            &mut estimator,
-        );
+        let exec = QueryExecutor::new(query.clone()).with_batch_size(7);
+        let ledger = exec.ledger().clone();
+        let run = exec.run_aggregate(ds.test(), AggregateSpec::new(40, 20), &backends, &oracle, &mut estimator);
         assert_eq!(run.mode, "aggregate CAL window 40/20");
 
         // 90 frames, size 40, advance 20 → complete windows start at 0, 20
@@ -1913,14 +1852,9 @@ mod tests {
             pass_sums: Vec::new(),
         };
         let backends: Vec<&dyn FrameFilter> = vec![&filter];
-        let ledger = CostLedger::paper();
-        let run = QueryExecutor::with_ledger(Query::paper_q3(), ledger.clone()).run_aggregate(
-            ds.test(),
-            AggregateSpec::new(45, 45),
-            &backends,
-            &oracle,
-            &mut estimator,
-        );
+        let exec = QueryExecutor::new(Query::paper_q3());
+        let ledger = exec.ledger().clone();
+        let run = exec.run_aggregate(ds.test(), AggregateSpec::new(45, 45), &backends, &oracle, &mut estimator);
         // 90 frames, two tumbling 45-frame windows.
         assert_eq!(ledger.invocations(Stage::MaskRcnn), 2 * (5 + 8));
         assert_eq!(ledger.calibration_invocations(Stage::MaskRcnn), 2 * 8);
@@ -2279,17 +2213,5 @@ mod tests {
                 QueryExecutor::new(query.clone()).run_filtered(ds.test(), &filter, &oracle, CascadeConfig::strict());
             assert_eq!(isolated.matched_frames, expected, "{} through the single-statement plan", query.name);
         }
-    }
-
-    #[test]
-    fn iter_source_batches_respect_max() {
-        let (ds, _filter, _oracle) = setup();
-        let mut source = IterSource::new(ds.test().to_vec().into_iter());
-        let mut seen = 0usize;
-        while let Some(batch) = source.next_batch(16) {
-            assert!(batch.len() <= 16 && !batch.is_empty());
-            seen += batch.len();
-        }
-        assert_eq!(seen, ds.test().len());
     }
 }

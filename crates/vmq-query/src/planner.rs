@@ -204,7 +204,8 @@ pub fn plan_cascade(
 }
 
 /// The scoring core of [`plan_cascade`], decoupled from inference: given the
-/// prefix's detector `truth` and one pre-computed [`FilterProfile`] per
+/// prefix's detector `truth` and one pre-computed
+/// [`FilterProfile`](vmq_filters::FilterProfile) per
 /// backend (parallel to `backends`), profiles every `(backend × tolerance)`
 /// candidate and selects the plan. This is how the shared multi-query
 /// runtime plans N statements adaptively off **one** calibration pass per

@@ -11,24 +11,45 @@
 //! ```
 
 use vmq::aggregate::HoppingWindow;
-use vmq::engine::{EngineConfig, FilterChoice, VmqEngine};
+use vmq::engine::{EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};
 use vmq::filters::CalibrationProfile;
 use vmq::query::Query;
 use vmq::video::DatasetProfile;
 
 fn main() {
     let engine = VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(60, 600));
+    let choice = FilterChoice::Calibrated(CalibrationProfile::od_like());
+    let split = engine.dataset().test().len();
 
-    for (query, label) in
-        [(Query::paper_a1(), "a1: car in the lower-right quadrant"), (Query::paper_a2(), "a2: car left of a person")]
+    // Three standing aggregates over one stream pass: a1 and a2 each over a
+    // single window spanning the whole split (a one-shot estimate), and a1
+    // again as a *stream* of hopping windows — the parsed
+    // `WINDOW HOPPING (SIZE 200, ADVANCE BY 100)` clause — emitting one
+    // report per window.
+    let mut runtime = engine.runtime();
+    for query in [Query::paper_a1(), Query::paper_a2()] {
+        runtime.register(RuntimeQuery::Aggregate {
+            query,
+            choice,
+            window: HoppingWindow::tumbling(split),
+            sample_size: 40, // frames evaluated by the expensive detector per trial
+            trials: 100,     // independent trials
+        });
+    }
+    runtime.register(RuntimeQuery::Aggregate {
+        query: Query::paper_a1(),
+        choice,
+        window: HoppingWindow::new(200, 100),
+        sample_size: 40,
+        trials: 100,
+    });
+    let shared = runtime.run();
+
+    for (outcome, label) in
+        shared.outcomes[..2].iter().zip(["a1: car in the lower-right quadrant", "a2: car left of a person"])
     {
         println!("== {label} ==");
-        let report = engine.estimate_aggregate(
-            &query,
-            FilterChoice::Calibrated(CalibrationProfile::od_like()),
-            40,  // frames evaluated by the expensive detector per trial
-            100, // independent trials
-        );
+        let report = &outcome.as_aggregate().expect("an aggregate").reports[0];
         println!("  window:                {} frames", report.window_frames);
         println!("  true fraction:         {:.3}", report.true_fraction);
         println!("  plain estimator:       mean {:.3}, variance {:.6}", report.plain_mean, report.plain_variance);
@@ -44,17 +65,8 @@ fn main() {
         println!("  filter correlation:     {:.2}", report.mean_correlation);
         println!();
     }
-    // The same estimation as a *stream* of hopping windows: the parsed
-    // `WINDOW HOPPING (SIZE 200, ADVANCE BY 100)` clause runs end-to-end
-    // through the batched operator pipeline, emitting one report per window.
     println!("== a1 over hopping windows (SIZE 200, ADVANCE BY 100) ==");
-    let outcome = engine.run_aggregate_windows(
-        &Query::paper_a1(),
-        FilterChoice::Calibrated(CalibrationProfile::od_like()),
-        HoppingWindow::new(200, 100),
-        40,
-        100,
-    );
+    let outcome = shared.outcomes[2].as_aggregate().expect("an aggregate");
     for report in &outcome.reports {
         println!(
             "  window {} [{}..{}): true={:.3} plain_var={:.2e} cv_var={:.2e} reduction={:.1}x",

@@ -43,8 +43,12 @@ fn main() {
         },
     ];
 
-    // One shared pass, detect stage sharded across 4 workers.
-    let outcome = engine.run_many_sharded(&statements, 4);
+    // One shared pass, filter and detect stages sharded across 4 workers.
+    let mut runtime = engine.runtime().with_workers(4);
+    for statement in statements {
+        runtime.register(statement);
+    }
+    let outcome = runtime.run();
 
     println!("=== per-tenant outcomes (bit-identical to isolated runs) ===");
     for statement_outcome in &outcome.outcomes {

@@ -4,19 +4,20 @@
 //! minutes may be parked illegally".
 //!
 //! The example builds a custom screen region (the no-parking zone), defines
-//! the per-frame predicate "a car overlaps the zone", splits the stream into
-//! hopping windows and estimates, for every window, the fraction of frames
-//! satisfying the predicate using sampling with a control variate. Windows
-//! whose estimated fraction exceeds a threshold are reported as violations.
+//! the per-frame predicate "a car overlaps the zone", and registers it as a
+//! hopping-window aggregate: for every window the executor estimates the
+//! fraction of frames satisfying the predicate using sampling with a control
+//! variate. Windows whose estimated fraction exceeds a threshold are reported
+//! as violations.
 //!
 //! ```bash
 //! cargo run --release --example parking_violation
 //! ```
 
-use vmq::aggregate::{AggregateEstimator, HoppingWindow};
+use vmq::aggregate::{HoppingWindow, WindowedAggregator};
 use vmq::detect::OracleDetector;
 use vmq::filters::{CalibratedFilter, CalibrationProfile};
-use vmq::query::{ObjectRef, Query, RegionCatalog};
+use vmq::query::{AggregateSpec, ObjectRef, Query, QueryExecutor, RegionCatalog};
 use vmq::video::{BoundingBox, DatasetProfile, FrameStream, ObjectClass, Scene, SceneConfig};
 
 fn main() {
@@ -41,14 +42,17 @@ fn main() {
     let oracle = OracleDetector::perfect();
     let violation_threshold = 0.8; // car present for ≥ 80 % of the window
 
+    // 60 detector-sampled frames per window, one estimate per window.
+    let mut estimator = WindowedAggregator::new(query.clone(), 60, 1, 1000);
+    let spec = AggregateSpec::new(window.size, window.advance);
+    QueryExecutor::new(query).run_aggregate(&frames, spec, &[&filter], &oracle, &mut estimator);
+
     println!("{:<10} {:>16} {:>14} {:>10}", "window", "est. occupancy", "true occupancy", "flag");
-    for (w, (start, end)) in window.windows(frames.len()).into_iter().enumerate() {
-        let estimator = AggregateEstimator::new(query.clone(), 60, 1000 + w as u64);
-        let report = estimator.run(&frames[start..end], &filter, &oracle, 1);
+    for report in estimator.reports() {
         let flagged = report.cv_mean >= violation_threshold;
         println!(
             "{:<10} {:>15.1}% {:>13.1}% {:>10}",
-            format!("{start}-{end}"),
+            format!("{}-{}", report.window_start, report.window_start + report.window_frames),
             report.cv_mean * 100.0,
             report.true_fraction * 100.0,
             if flagged { "VIOLATION" } else { "-" }

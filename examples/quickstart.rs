@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use vmq::engine::{CalibrationConfig, EngineConfig, FilterChoice, VmqEngine};
+use vmq::engine::{CalibrationConfig, EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};
 use vmq::query::{CascadeConfig, Query};
 use vmq::video::DatasetProfile;
 
@@ -26,11 +26,24 @@ fn main() {
     println!("training filters...");
     engine.train_filters();
 
-    // 3. Run query q3 of the paper: frames with exactly one car and exactly
-    //    one person. The OD filter's count estimates gate the expensive
-    //    detector; only candidate frames pay the 200 ms detection cost.
+    // 3. Register query q3 of the paper — frames with exactly one car and
+    //    exactly one person — on the engine's runtime, twice: once behind a
+    //    fixed OD cascade, whose count estimates gate the expensive detector
+    //    (only candidate frames pay the 200 ms detection cost), and once
+    //    letting the adaptive planner choose: it profiles the trained IC and
+    //    OD backends against the full CCF/CLF tolerance lattice on a stream
+    //    prefix and runs the cheapest combination that kept 100 % recall
+    //    there. Both run in one shared pass over the stream.
     let query = Query::paper_q3();
-    let outcome = engine.run_query(&query, FilterChoice::Od, CascadeConfig::tolerant());
+    let mut runtime = engine.runtime();
+    runtime.register(RuntimeQuery::Select {
+        query: query.clone(),
+        choice: FilterChoice::Od,
+        cascade: CascadeConfig::tolerant(),
+    });
+    runtime.register(RuntimeQuery::SelectAdaptive { query, calibration: CalibrationConfig::learned(), drift: None });
+    let shared = runtime.run();
+    let outcome = shared.outcomes[0].as_select().expect("a fixed select");
 
     println!("\n{}", outcome.summary());
     println!(
@@ -53,12 +66,10 @@ fn main() {
     // 4. Per-operator breakdown of the batched execution pipeline.
     println!("\n{}", outcome.stage_report().render());
 
-    // 5. Instead of guessing the cascade above, let the adaptive planner
-    //    choose: it profiles the trained IC and OD backends against the full
-    //    CCF/CLF tolerance lattice on a stream prefix and runs the cheapest
-    //    combination that kept 100 % recall there. The reported virtual time
-    //    includes the calibration bill (the `calibrate` row below).
-    let adaptive = engine.run_adaptive(&query, &CalibrationConfig::learned());
+    // 5. The adaptive plan instead of the guessed cascade above. Its reported
+    //    virtual time includes the calibration bill (the `calibrate` row
+    //    below).
+    let adaptive = shared.outcomes[1].as_adaptive().expect("an adaptive select");
     println!(
         "adaptive planner chose {} (expected selectivity {:.0}%)",
         adaptive.plan().label,

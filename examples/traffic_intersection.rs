@@ -2,19 +2,18 @@
 //! dense traffic camera (the Detrac-style workload of the paper's intro).
 //!
 //! The query asks for frames where a car is to the left of a bus (query q7
-//! without the exact-count constraints), evaluated with the streaming
-//! executor: frames arrive through a bounded channel as they would from a
-//! camera, the filter cascade decides which frames are worth detecting, and
+//! without the exact-count constraints), evaluated incrementally: frames
+//! arrive from the camera and are pushed into the executor one batch at a
+//! time, the filter cascade decides which frames are worth detecting, and
 //! the expensive detector confirms survivors.
 //!
 //! ```bash
 //! cargo run --release --example traffic_intersection
 //! ```
 
-use vmq::detect::OracleDetector;
+use vmq::detect::{CostLedger, DetectionCache, OracleDetector};
 use vmq::filters::{CalibratedFilter, CalibrationProfile};
-use vmq::query::exec::run_streaming;
-use vmq::query::{CascadeConfig, ObjectRef, Query, SpatialRelation};
+use vmq::query::{CascadeConfig, ObjectRef, PipelineConfig, Query, SharedStreamPlan, SpatialRelation};
 use vmq::video::{DatasetProfile, FrameStream, ObjectClass, Scene, SceneConfig};
 
 fn main() {
@@ -38,7 +37,24 @@ fn main() {
     let stream = FrameStream::with_length(scene, 2000);
 
     println!("monitoring 2000 frames of a simulated {} camera...", profile.kind.name());
-    let run = run_streaming(&query, stream, &filter, &oracle, CascadeConfig::tolerant(), 64);
+    let config = PipelineConfig::with_batch_size(64);
+    // A few batches of detections stay resident, however long the stream.
+    let cache = DetectionCache::with_entry_budget(4 * config.batch_size);
+    let mut plan = SharedStreamPlan::new(&oracle, cache, CostLedger::paper(), config);
+    let backend = plan.add_backend(&filter);
+    plan.register_select(query, CascadeConfig::tolerant(), Some(backend), CostLedger::paper());
+    let mut batch = Vec::with_capacity(config.batch_size);
+    for frame in stream {
+        batch.push(frame);
+        if batch.len() == config.batch_size {
+            plan.push_batch(&batch);
+            batch.clear();
+        }
+    }
+    if !batch.is_empty() {
+        plan.push_batch(&batch);
+    }
+    let run = plan.finish().remove(0);
 
     println!("mode:                  {}", run.mode);
     println!("frames processed:      {}", run.frames_total);

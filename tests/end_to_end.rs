@@ -1,11 +1,25 @@
 //! End-to-end integration tests: dataset generation → filter training →
 //! query execution → aggregate estimation, across all workspace crates.
 
+use vmq::aggregate::HoppingWindow;
 use vmq::detect::{OracleDetector, Stage};
-use vmq::engine::{EngineConfig, FilterChoice, VmqEngine};
+use vmq::engine::{EngineConfig, FilterChoice, QueryOutcome, RuntimeQuery, StatementOutcome, VmqEngine};
 use vmq::filters::{CalibrationProfile, CountMetrics, TrainedFilters};
 use vmq::query::{CascadeConfig, Query};
 use vmq::video::{DatasetProfile, ObjectClass};
+
+/// Runs one statement alone on the engine's runtime.
+fn run_one(engine: &VmqEngine, statement: RuntimeQuery) -> StatementOutcome {
+    let mut runtime = engine.runtime();
+    runtime.register(statement);
+    runtime.run().outcomes.remove(0)
+}
+
+fn select(engine: &VmqEngine, query: &Query, choice: FilterChoice, cascade: CascadeConfig) -> QueryOutcome {
+    let statement = RuntimeQuery::Select { query: query.clone(), choice, cascade };
+    let StatementOutcome::Select(outcome) = run_one(engine, statement) else { panic!("a select yields a select") };
+    outcome
+}
 
 /// Train the learned filters on a small Jackson stream and verify that they
 /// beat a trivial baseline on total-count estimation, and that the full query
@@ -35,7 +49,7 @@ fn learned_filters_end_to_end() {
 
     // Query execution on top of the learned OD filter completes and reports a
     // consistent cost breakdown.
-    let outcome = engine.run_query(&Query::paper_q4(), FilterChoice::Od, CascadeConfig::strict());
+    let outcome = select(&engine, &Query::paper_q4(), FilterChoice::Od, CascadeConfig::strict());
     assert_eq!(outcome.run.frames_total, engine.dataset().test().len());
     assert!(outcome.run.frames_detected <= outcome.run.frames_total);
     assert!(outcome.run.virtual_ms > 0.0);
@@ -55,7 +69,7 @@ fn filtered_execution_matches_brute_force_on_all_profiles() {
             vmq::video::DatasetKind::Detrac => Query::paper_q6(),
         };
         let outcome =
-            engine.run_query(&query, FilterChoice::Calibrated(CalibrationProfile::perfect()), CascadeConfig::strict());
+            select(&engine, &query, FilterChoice::Calibrated(CalibrationProfile::perfect()), CascadeConfig::strict());
         assert!(
             outcome.accuracy.is_perfect(),
             "{}/{}: filtered run must equal brute force, got {:?}",
@@ -68,12 +82,21 @@ fn filtered_execution_matches_brute_force_on_all_profiles() {
 }
 
 /// The aggregate estimator reduces variance for a spatially-constrained
-/// aggregate (the paper's a1) and its estimates stay close to the truth.
+/// aggregate (the paper's a1) and its estimates stay close to the truth —
+/// one window spanning the whole split, the one-shot estimate.
 #[test]
 fn aggregate_estimation_end_to_end() {
     let engine = VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(40, 400));
-    let report =
-        engine.estimate_aggregate(&Query::paper_a1(), FilterChoice::Calibrated(CalibrationProfile::od_like()), 40, 80);
+    let statement = RuntimeQuery::Aggregate {
+        query: Query::paper_a1(),
+        choice: FilterChoice::Calibrated(CalibrationProfile::od_like()),
+        window: HoppingWindow::tumbling(400),
+        sample_size: 40,
+        trials: 80,
+    };
+    let StatementOutcome::Aggregate(mut outcome) = run_one(&engine, statement) else { panic!("an aggregate") };
+    assert_eq!(outcome.reports.len(), 1);
+    let report = outcome.reports.remove(0);
     assert_eq!(report.window_frames, 400);
     assert!((report.plain_mean - report.true_fraction).abs() < 0.1);
     assert!((report.cv_mean - report.true_fraction).abs() < 0.1);
@@ -87,7 +110,7 @@ fn cost_accounting_is_consistent() {
     let engine = VmqEngine::new(EngineConfig::small(DatasetProfile::detrac()).with_sizes(30, 80));
     let query = Query::new("many-buses").class_count(ObjectClass::Bus, vmq::query::ast::CountOp::AtLeast, 3);
     let outcome =
-        engine.run_query(&query, FilterChoice::Calibrated(CalibrationProfile::perfect()), CascadeConfig::strict());
+        select(&engine, &query, FilterChoice::Calibrated(CalibrationProfile::perfect()), CascadeConfig::strict());
     // virtual time = decode * N + filter * N + detector * passed
     let n = outcome.run.frames_total as f64;
     let expected = 0.05 * n + 1.9 * n + 200.0 * outcome.run.frames_detected as f64;

@@ -209,7 +209,7 @@ fn rendered() -> String {
     // profile the Table IV golden uses (at the paper's density "exactly
     // three objects" never holds at this scale).
     for (query, seed) in [(Query::paper_a1(), 7u64), (Query::paper_a2(), 8)] {
-        render_one_window(&mut out, frames, query, &|| od_filter(&profile), 24, 20, seed);
+        render_one_window(&mut out, frames, query, &od_filter(&profile), 24, 20, seed);
     }
     let mut detrac = DatasetProfile::detrac();
     detrac.mean_objects = 3.0;
@@ -219,59 +219,35 @@ fn rendered() -> String {
     detrac.classes[2].fraction = 0.04;
     detrac.count_reversion = 0.5;
     let sparse = Dataset::generate(&detrac, 32, 400, 31);
-    let filter = || CalibratedFilter::new(detrac.class_list(), 16, CalibrationProfile::od_like(), 9);
+    let filter = CalibratedFilter::new(detrac.class_list(), 16, CalibrationProfile::od_like(), 9);
     render_one_window(&mut out, sparse.test(), Query::paper_a3(), &filter, 60, 80, 13);
     out
 }
 
 /// Renders `query` estimated over one window spanning all of `frames`
-/// (`AggregateSpec::new(n, n)`), and asserts the report equals the legacy
-/// one-shot `AggregateEstimator::run` bit for bit.
+/// (`AggregateSpec::new(n, n)`). These rows were generated through — and
+/// asserted bit-identical to — the legacy one-shot `AggregateEstimator::run`
+/// before it was deleted.
 fn render_one_window(
     out: &mut String,
     frames: &[Frame],
     query: Query,
-    filter: &dyn Fn() -> CalibratedFilter,
+    filter: &dyn FrameFilter,
     sample_size: usize,
     trials: usize,
     seed: u64,
 ) {
     let n = frames.len();
-    let oracle = OracleDetector::perfect();
-    let window_filter = filter();
-    let backends: Vec<&dyn FrameFilter> = vec![&window_filter];
     let mut agg = WindowedAggregator::new(query.clone(), sample_size, trials, seed);
-    let run =
-        QueryExecutor::new(query.clone()).run_aggregate(frames, AggregateSpec::new(n, n), &backends, &oracle, &mut agg);
+    let run = QueryExecutor::new(query.clone()).run_aggregate(
+        frames,
+        AggregateSpec::new(n, n),
+        &[filter],
+        &OracleDetector::perfect(),
+        &mut agg,
+    );
     render_run(out, &format!("{} one-window {n}/{n}", query.name), &run);
     render_windows(out, &agg);
-
-    let legacy = vmq::aggregate::AggregateEstimator::new(query.clone(), sample_size, seed).run(
-        frames,
-        &filter(),
-        &oracle,
-        trials,
-    );
-    let [report] = agg.reports() else { panic!("one window over the whole stream") };
-    let bits = |r: &vmq::aggregate::AggregateReport| {
-        [
-            r.true_fraction,
-            r.plain_mean,
-            r.plain_variance,
-            r.cv_mean,
-            r.cv_variance,
-            r.mcv_mean,
-            r.mcv_variance,
-            r.mean_correlation,
-            r.time_per_sample_ms,
-        ]
-        .map(f64::to_bits)
-    };
-    assert_eq!(bits(report), bits(&legacy), "{}: one window vs AggregateEstimator::run", query.name);
-    assert_eq!(
-        (report.window_frames, report.sample_size, report.trials, &report.backend),
-        (legacy.window_frames, legacy.sample_size, legacy.trials, &legacy.backend)
-    );
 }
 
 #[test]

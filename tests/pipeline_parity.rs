@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use vmq::aggregate::{AggregateEstimator, FrameSampler, WindowedAggregator};
+use vmq::aggregate::{FrameSampler, WindowedAggregator};
 use vmq::detect::{CostLedger, DetectionCache, Detector, Stage};
 use vmq::filters::{CalibratedFilter, CalibrationProfile, FilterKind, FrameFilter};
 use vmq::query::plan::FilterCascade;
@@ -235,85 +235,17 @@ proptest! {
     }
 }
 
-/// The single-window pipeline aggregate path is **bit-identical** to the
-/// legacy `AggregateEstimator::run` at equal seed: same sampler keys, same
-/// indicator columns (batched filter inference is order-preserving), same
-/// trial math — so every statistical field of the report matches bit for
-/// bit. (Wall-clock fields are excluded by nature; the windowed report
-/// carries its filter wall time in the run's stage metrics instead.)
+/// Two aggregates plus a cascade select over one backend pass: evaluating
+/// a frame's truth once per window changes how often an aggregate *asks* the
+/// cache, never what the cache and the global ledger record about it — the
+/// detector runs once per frame of `sampled ∪ escalated`, and each aggregate
+/// is listed on exactly the frames its sampler drew.
 #[test]
-fn single_window_aggregate_matches_legacy_estimator_bit_for_bit() {
+fn shared_aggregates_look_up_each_sampled_frame_once() {
     let oracle = vmq::detect::OracleDetector::perfect();
     let profile = DatasetProfile::jackson();
     let ds = Dataset::generate(&profile, 30, 250, 21);
-    let (sample_size, trials, seed) = (30usize, 40usize, 0xA66u64);
-    for query in [Query::paper_a1(), Query::paper_a2()] {
-        // Legacy one-shot estimator (its own fresh stochastic filter).
-        let legacy_filter = CalibratedFilter::new(profile.class_list(), 14, CalibrationProfile::od_like(), 5);
-        let legacy_est = AggregateEstimator::new(query.clone(), sample_size, seed);
-        let legacy = legacy_est.run(ds.test(), &legacy_filter, &oracle, trials);
-
-        // Pipeline path: one tumbling window spanning the whole split, with
-        // an identically-seeded filter.
-        let pipeline_filter = CalibratedFilter::new(profile.class_list(), 14, CalibrationProfile::od_like(), 5);
-        let backends: Vec<&dyn FrameFilter> = vec![&pipeline_filter];
-        let mut agg = WindowedAggregator::new(query.clone(), sample_size, trials, seed);
-        let exec = QueryExecutor::new(query.clone());
-        let run = exec.run_aggregate(
-            ds.test(),
-            AggregateSpec::new(ds.test().len(), ds.test().len()),
-            &backends,
-            &oracle,
-            &mut agg,
-        );
-        assert_eq!(agg.reports().len(), 1);
-        let windowed = &agg.reports()[0];
-
-        assert_eq!(windowed.plain_mean.to_bits(), legacy.plain_mean.to_bits(), "{}: plain mean", query.name);
-        assert_eq!(windowed.cv_mean.to_bits(), legacy.cv_mean.to_bits(), "{}: cv mean", query.name);
-        assert_eq!(windowed.mcv_mean.to_bits(), legacy.mcv_mean.to_bits(), "{}: mcv mean", query.name);
-        assert_eq!(
-            windowed.plain_variance.to_bits(),
-            legacy.plain_variance.to_bits(),
-            "{}: plain variance",
-            query.name
-        );
-        assert_eq!(windowed.cv_variance.to_bits(), legacy.cv_variance.to_bits(), "{}: cv variance", query.name);
-        assert_eq!(windowed.mcv_variance.to_bits(), legacy.mcv_variance.to_bits(), "{}: mcv variance", query.name);
-        assert_eq!(
-            windowed.mean_correlation.to_bits(),
-            legacy.mean_correlation.to_bits(),
-            "{}: correlation",
-            query.name
-        );
-        assert_eq!(windowed.true_fraction.to_bits(), legacy.true_fraction.to_bits(), "{}: true fraction", query.name);
-        assert_eq!(windowed.time_per_sample_ms.to_bits(), legacy.time_per_sample_ms.to_bits());
-        assert_eq!(windowed.sample_size, legacy.sample_size);
-        assert_eq!(windowed.window_frames, legacy.window_frames);
-        assert_eq!(windowed.trials, legacy.trials);
-        assert_eq!(windowed.backend, legacy.backend);
-
-        // Ledger parity: both paths charged the filter window-wide and the
-        // detector once per sampled frame.
-        assert_eq!(
-            exec.ledger().invocations(Stage::MaskRcnn),
-            legacy_est.ledger().invocations(Stage::MaskRcnn),
-            "{}: detector invocations",
-            query.name
-        );
-        assert_eq!(
-            exec.ledger().invocations(legacy_filter.kind().stage()),
-            legacy_est.ledger().invocations(legacy_filter.kind().stage()),
-            "{}: filter invocations",
-            query.name
-        );
-        assert_eq!(run.frames_detected as u64, exec.ledger().invocations(Stage::MaskRcnn));
-    }
-
-    // The same estimators inside a shared plan — two aggregates plus a
-    // cascade select over one backend pass. Evaluating a frame's truth once
-    // per window changes how often an aggregate *asks* the cache, never what
-    // the cache and the global ledger record about it.
+    let seed = 0xA66u64;
     let filter = CalibratedFilter::new(profile.class_list(), 14, CalibrationProfile::od_like(), 5);
     let global = CostLedger::paper();
     // Few enough samples that some frames are never sampled, enough trials
@@ -379,8 +311,18 @@ fn single_window_aggregate_matches_legacy_estimator_bit_for_bit() {
 // Shared multi-query runtime parity
 // ---------------------------------------------------------------------------
 
-use vmq::engine::{EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};
+use vmq::engine::{EngineConfig, FilterChoice, MultiQueryOutcome, RuntimeQuery, VmqEngine};
 use vmq::query::plan::CascadeConfig as SharedCascade;
+
+/// Runs `statements` in one shared pass of the engine's runtime over
+/// `workers` workers; a statement run "in isolation" is a runtime of one.
+fn run_shared(engine: &VmqEngine, statements: &[RuntimeQuery], workers: usize) -> MultiQueryOutcome {
+    let mut runtime = engine.runtime().with_workers(workers);
+    for statement in statements {
+        runtime.register(statement.clone());
+    }
+    runtime.run()
+}
 
 /// Filter-stage sharding through the single-query pipeline is a pure
 /// wall-clock knob: for every worker count the cascade keeps the same
@@ -457,7 +399,7 @@ fn overlapping_family() -> Vec<Query> {
     family
 }
 
-/// The acceptance criterion of the shared runtime: `run_many` over q1–q7
+/// The acceptance criterion of the shared runtime: one pass over q1–q7
 /// invokes the expensive detector exactly `|union of frames any query
 /// escalates|` times. The union is recomputed independently from an
 /// identically-seeded replica of the shared filter pass, and each per-query
@@ -472,7 +414,7 @@ fn run_many_invokes_detector_once_per_escalation_union() {
         .iter()
         .map(|query| RuntimeQuery::Select { query: query.clone(), choice, cascade: SharedCascade::tolerant() })
         .collect();
-    let outcome = engine.run_many(&statements);
+    let outcome = run_shared(&engine, &statements, 1);
 
     // Replicate the one shared filter pass: same classes/grid/seed as the
     // engine resolves, estimates over the full stream (batch invariant).
@@ -637,8 +579,8 @@ fn starved_caches_cost_detector_work_but_change_no_answer() {
     }
 }
 
-/// Regression pin for the parallel filter stage: `run_many_sharded`'s
-/// worker knob now shards backend inference (not just detection), and the
+/// Regression pin for the parallel filter stage: the runtime's
+/// `with_workers` knob shards backend inference (not just detection), and the
 /// outcomes — selects with a cascade in front, an adaptively planned select
 /// and a windowed aggregate — must stay bit-identical to the single-worker
 /// pass for every worker count.
@@ -667,9 +609,9 @@ fn run_many_sharded_outcomes_are_unchanged_by_filter_stage_workers() {
             trials: 5,
         },
     ];
-    let baseline = engine.run_many_sharded(&statements, 1);
+    let baseline = run_shared(&engine, &statements, 1);
     for workers in [2usize, 4] {
-        let outcome = engine.run_many_sharded(&statements, workers);
+        let outcome = run_shared(&engine, &statements, workers);
         assert_eq!(outcome.detector_invocations, baseline.detector_invocations, "workers {workers}");
         assert_eq!(outcome.cache_hits, baseline.cache_hits, "workers {workers}");
         for (a, b) in outcome.outcomes.iter().zip(&baseline.outcomes) {
@@ -684,12 +626,12 @@ fn run_many_sharded_outcomes_are_unchanged_by_filter_stage_workers() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// `run_many` over a random subset of q1–q7 selects and a1–a5 windowed
-    /// aggregates, plus members of an overlapping atom family at mixed
-    /// tolerances (so statements share atoms, and equal predicates at
+    /// One shared pass over a random subset of q1–q7 selects and a1–a5
+    /// windowed aggregates, plus members of an overlapping atom family at
+    /// mixed tolerances (so statements share atoms, and equal predicates at
     /// different tolerances do not), yields per-query matches / estimates /
-    /// virtual totals bit-identical to isolated runs, for every worker count
-    /// in {1, 2, 4}.
+    /// virtual totals bit-identical to isolated runs (a runtime of one), for
+    /// every worker count in {1, 2, 4}.
     #[test]
     fn run_many_is_bit_identical_to_isolated_runs(
         seed in 0u64..40,
@@ -727,20 +669,21 @@ proptest! {
         // there is always at least one statement.
         prop_assert!(!statements.is_empty());
         let workers = [1usize, 2, 4][workers_idx];
-        let outcome = engine.run_many_sharded(&statements, workers);
+        let outcome = run_shared(&engine, &statements, workers);
 
         for (statement, out) in statements.iter().zip(&outcome.outcomes) {
+            let alone = run_shared(&engine, std::slice::from_ref(statement), 1).outcomes.remove(0);
             match statement {
-                RuntimeQuery::Select { query, choice, cascade } => {
-                    let isolated = engine.run_query(query, *choice, *cascade);
+                RuntimeQuery::Select { query, .. } => {
+                    let isolated = alone.as_select().expect("select outcome");
                     let shared = out.as_select().expect("select outcome");
                     prop_assert_eq!(&shared.run.matched_frames, &isolated.run.matched_frames, "{}", query.name);
                     prop_assert_eq!(shared.run.frames_detected, isolated.run.frames_detected);
                     prop_assert_eq!(shared.run.virtual_ms.to_bits(), isolated.run.virtual_ms.to_bits());
                     prop_assert_eq!(shared.speedup.speedup.to_bits(), isolated.speedup.speedup.to_bits());
                 }
-                RuntimeQuery::Aggregate { query, choice, window, sample_size, trials } => {
-                    let isolated = engine.run_aggregate_windows(query, *choice, *window, *sample_size, *trials);
+                RuntimeQuery::Aggregate { query, .. } => {
+                    let isolated = alone.as_aggregate().expect("aggregate outcome");
                     let shared = out.as_aggregate().expect("aggregate outcome");
                     prop_assert_eq!(shared.reports.len(), isolated.reports.len(), "{}", query.name);
                     for (s, i) in shared.reports.iter().zip(&isolated.reports) {
@@ -760,34 +703,4 @@ proptest! {
             }
         }
     }
-}
-
-/// The engine's `estimate_aggregate` wrapper (one tumbling window through
-/// the pipeline) reproduces the legacy eager estimator bit for bit at the
-/// engine's own seed derivation.
-#[test]
-fn engine_estimate_aggregate_wrapper_matches_legacy_bit_for_bit() {
-    use vmq::engine::{EngineConfig, FilterChoice, VmqEngine};
-    let engine = VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(40, 200));
-    let profile = CalibrationProfile::od_like();
-    let wrapper = engine.estimate_aggregate(&Query::paper_a1(), FilterChoice::Calibrated(profile), 25, 30);
-
-    // Replicate the legacy path by hand: the engine seeds the sampler with
-    // `config.seed ^ 0xA66` and resolves the calibrated filter at
-    // `config.seed`.
-    let config = engine.config();
-    let filter = CalibratedFilter::new(config.filter.classes.clone(), config.filter.grid, profile, config.seed);
-    let legacy = AggregateEstimator::new(Query::paper_a1(), 25, config.seed ^ 0xA66).run(
-        engine.dataset().test(),
-        &filter,
-        &vmq::detect::OracleDetector::perfect(),
-        30,
-    );
-    assert_eq!(wrapper.plain_mean.to_bits(), legacy.plain_mean.to_bits());
-    assert_eq!(wrapper.cv_mean.to_bits(), legacy.cv_mean.to_bits());
-    assert_eq!(wrapper.mcv_mean.to_bits(), legacy.mcv_mean.to_bits());
-    assert_eq!(wrapper.plain_variance.to_bits(), legacy.plain_variance.to_bits());
-    assert_eq!(wrapper.cv_variance.to_bits(), legacy.cv_variance.to_bits());
-    assert_eq!(wrapper.mcv_variance.to_bits(), legacy.mcv_variance.to_bits());
-    assert_eq!(wrapper.true_fraction.to_bits(), legacy.true_fraction.to_bits());
 }

@@ -1,9 +1,8 @@
 //! Integration tests of the query pipeline across crates: cascade safety,
-//! streaming/batch equivalence and per-query behaviour of the paper's q1–q7.
+//! selectivity and per-query behaviour of the paper's q1–q7.
 
 use vmq::detect::OracleDetector;
 use vmq::filters::{CalibratedFilter, CalibrationProfile};
-use vmq::query::exec::run_streaming;
 use vmq::query::{CascadeConfig, Query, QueryExecutor};
 use vmq::video::{Dataset, DatasetKind, DatasetProfile};
 
@@ -61,26 +60,6 @@ fn noisy_filter_trades_little_recall_for_selectivity() {
         run.frames_passed_filter < run.frames_total,
         "the cascade should drop at least some frames for a selective query"
     );
-}
-
-/// The streaming executor and the batch executor agree frame-for-frame.
-///
-/// The calibrated filter is stochastic with a sequential RNG, so each run
-/// gets its own identically seeded filter instance — otherwise the second
-/// run would continue the first run's noise stream and the comparison would
-/// be meaningless.
-#[test]
-fn streaming_and_batch_agree() {
-    let ds = Dataset::generate(&DatasetProfile::detrac(), 30, 120, 19);
-    let fresh_filter = || CalibratedFilter::new(ds.profile().class_list(), 16, CalibrationProfile::od_like(), 7);
-    let oracle = OracleDetector::perfect();
-    for query in [Query::paper_q6(), Query::paper_q7()] {
-        let exec = QueryExecutor::new(query.clone());
-        let batch = exec.run_filtered(ds.test(), &fresh_filter(), &oracle, CascadeConfig::loose());
-        let stream = run_streaming(&query, ds.test().to_vec(), &fresh_filter(), &oracle, CascadeConfig::loose(), 16);
-        assert_eq!(batch.matched_frames, stream.matched_frames, "query {}", query.name);
-        assert_eq!(batch.frames_passed_filter, stream.frames_passed_filter);
-    }
 }
 
 /// Tighter cascades are never less selective than looser ones, and brute
