@@ -331,9 +331,9 @@ mod tests {
 
         // And as adaptive candidates they flow through the same recall
         // calibration — the planner may pick them, never substitute them.
-        let adaptive = adaptive(&engine, Query::paper_q3(), CalibrationConfig::learned_with_int8());
-        assert!(adaptive.outcome.accuracy.recall >= 0.0);
-        assert!(adaptive.calibration.profiles.len() >= 4 * 9, "4 backends x 9 tolerances profiled");
+        let planned = adaptive(&engine, Query::paper_q3(), CalibrationConfig::learned_with_int8());
+        assert!(planned.outcome.accuracy.recall >= 0.0);
+        assert!(planned.calibration.profiles.len() >= 4 * 9, "4 backends x 9 tolerances profiled");
     }
 
     #[test]
