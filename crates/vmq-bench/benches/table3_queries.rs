@@ -15,11 +15,6 @@
 //! stream prefix), reporting the chosen plan and its total cost —
 //! calibration included — side by side with the fixed-preset search, so the
 //! cost of adaptivity is visible rather than hidden.
-//!
-//! Setting `VMQ_BENCH_JSON=<path>` additionally records the per-query
-//! baseline (virtual + wall times, speedup, per-operator stage metrics) as a
-//! JSON file, so successive PRs have a perf trajectory (`BENCH_pipeline.json`
-//! at the repo root is the committed baseline, recorded at quick scale).
 
 use vmq_bench::{DatasetExperiment, Scale};
 use vmq_core::Report;
@@ -45,21 +40,6 @@ fn candidate_configs() -> Vec<CascadeConfig> {
 /// bit-identical for any count, so this is purely a wall-clock knob).
 fn filter_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Complains loudly when kernel dispatch landed on scalar without being
-/// asked to: on a SIMD-capable host that means every wall-clock number below
-/// silently lost the vectorised kernels, which would make run-to-run
-/// comparisons of the committed baseline meaningless.
-fn warn_on_silent_scalar_fallback() {
-    use vmq_nn::KernelBackend;
-    if KernelBackend::active() == KernelBackend::Scalar && !KernelBackend::forced_scalar() {
-        eprintln!(
-            "WARNING: kernel dispatch fell back to scalar (no SIMD backend supported on this host) \
-             and VMQ_FORCE_SCALAR is not set — wall-clock numbers in this run are NOT comparable \
-             to baselines recorded with SIMD kernels"
-        );
-    }
 }
 
 fn batched_executor(query: &Query) -> QueryExecutor {
@@ -102,58 +82,11 @@ fn adaptive_prefix(frames: usize) -> usize {
     (frames / 8).clamp(8, 64)
 }
 
-/// One per-query record of the JSON baseline.
-struct BenchRecord {
-    query: String,
-    dataset: String,
-    mode: String,
-    filtered_virtual_ms: f64,
-    brute_virtual_ms: f64,
-    speedup: f64,
-    recall: f32,
-    f1: f32,
-    pass_rate: f64,
-    filtered_wall_ms: f64,
-    brute_wall_ms: f64,
-    adaptive_mode: String,
-    adaptive_virtual_ms: f64,
-    adaptive_speedup: f64,
-    /// Speedup of the adaptive *plan* net of the calibration bill:
-    /// `brute / (adaptive − calibration)`. The planner's brute-force floor
-    /// bounds the chosen plan's *expected* cost by brute force (with a
-    /// conservative pass-rate margin), so this stays ≥ 1.0 unless the
-    /// stream's realized pass rate beats even the upper-confidence prefix
-    /// estimate; the committed baseline shows ≥ 1.0 on every query.
-    adaptive_net_speedup: f64,
-    adaptive_recall: f32,
-    /// The query's *attributed share* of its dataset group's calibration
-    /// bill (full bill ÷ queries calibrated on that dataset): the profiling
-    /// pass over the prefix is identical for every query of a dataset, so
-    /// reporting the full bill on each row would double-count it for anyone
-    /// summing rows. The full per-dataset bills are in the top-level
-    /// `calibration_total_ms`; the net-speedup column still subtracts the
-    /// full bill each run actually paid.
-    calibration_ms: f64,
-    /// Worker threads the run's cascade-filter stage actually sharded over
-    /// (from its own stage row — the effective count, not the requested one).
-    effective_workers: usize,
-    /// Kernel backend the cascade-filter inference dispatched to
-    /// (`avx2`/`neon`/`scalar`; `int8` for quantized filters).
-    kernel_backend: String,
-    stages: String,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// The shared multi-query comparison: all seven standing queries over *one*
 /// camera stream, isolated (seven passes, seven detector bills) vs shared
 /// (one pass through [`SharedStreamPlan`], detector deduplicated across the
 /// escalation union).
 struct MultiQueryRecord {
-    frames: usize,
-    queries: usize,
     isolated_detector_invocations: u64,
     shared_detector_invocations: u64,
     detector_reduction: f64,
@@ -163,31 +96,6 @@ struct MultiQueryRecord {
     isolated_wall_ms: f64,
     shared_wall_ms: f64,
     wall_speedup: f64,
-}
-
-impl MultiQueryRecord {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "  \"multi_query\": {{\"frames\":{},\"queries\":{},",
-                "\"isolated_detector_invocations\":{},\"shared_detector_invocations\":{},",
-                "\"detector_reduction\":{:.3},",
-                "\"isolated_virtual_ms\":{:.3},\"shared_virtual_ms\":{:.3},\"virtual_speedup\":{:.3},",
-                "\"isolated_wall_ms\":{:.3},\"shared_wall_ms\":{:.3},\"wall_speedup\":{:.3}}}"
-            ),
-            self.frames,
-            self.queries,
-            self.isolated_detector_invocations,
-            self.shared_detector_invocations,
-            self.detector_reduction,
-            self.isolated_virtual_ms,
-            self.shared_virtual_ms,
-            self.virtual_speedup,
-            self.isolated_wall_ms,
-            self.shared_wall_ms,
-            self.wall_speedup,
-        )
-    }
 }
 
 /// Runs q1–q7 as standing queries on the Jackson stream, isolated vs shared
@@ -227,8 +135,6 @@ fn multi_query_comparison(exp: &DatasetExperiment, queries: &[Query], oracle: &O
     let shared_detector_invocations = global.invocations(Stage::MaskRcnn);
 
     MultiQueryRecord {
-        frames: frames.len(),
-        queries: queries.len(),
         isolated_detector_invocations,
         shared_detector_invocations,
         detector_reduction: isolated_detector_invocations as f64 / shared_detector_invocations.max(1) as f64,
@@ -241,106 +147,7 @@ fn multi_query_comparison(exp: &DatasetExperiment, queries: &[Query], oracle: &O
     }
 }
 
-/// Total wall-clock milliseconds one pipeline execution spent across its
-/// operators (from the run's own stage metrics).
-fn pipeline_wall_ms(run: &QueryRun) -> f64 {
-    run.stage_metrics.iter().map(|m| m.wall_ms).sum()
-}
-
-fn stages_json(run: &QueryRun) -> String {
-    let entries: Vec<String> = run
-        .stage_metrics
-        .iter()
-        .map(|m| {
-            let kernel = m
-                .kernel_backend
-                .as_deref()
-                .map_or(String::new(), |k| format!(",\"kernel_backend\":\"{}\"", json_escape(k)));
-            format!(
-                "{{\"operator\":\"{}\",\"frames_in\":{},\"frames_out\":{},\"virtual_ms\":{:.3},\"wall_ms\":{:.3},\"workers\":{}{}}}",
-                json_escape(&m.operator),
-                m.frames_in,
-                m.frames_out,
-                m.virtual_ms,
-                m.wall_ms,
-                m.workers,
-                kernel
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(","))
-}
-
-/// The `(workers, kernel_backend)` pair of the run's cascade-filter stage
-/// row, falling back to `(1, active dispatch)` for plans without one.
-fn filter_stage_info(run: &QueryRun) -> (usize, String) {
-    run.stage_metrics
-        .iter()
-        .find(|m| m.operator == "cascade-filter")
-        .map(|m| {
-            (m.workers, m.kernel_backend.clone().unwrap_or_else(|| vmq_nn::KernelBackend::active().name().to_string()))
-        })
-        .unwrap_or_else(|| (1, vmq_nn::KernelBackend::active().name().to_string()))
-}
-
-fn records_json(
-    scale: &str,
-    batch_size: usize,
-    calibration_total_ms: f64,
-    records: &[BenchRecord],
-    multi: &MultiQueryRecord,
-) -> String {
-    let rows: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\"query\":\"{}\",\"dataset\":\"{}\",\"mode\":\"{}\",",
-                    "\"filtered_virtual_ms\":{:.3},\"brute_virtual_ms\":{:.3},\"speedup\":{:.3},",
-                    "\"recall\":{:.4},\"f1\":{:.4},\"pass_rate\":{:.4},",
-                    "\"filtered_wall_ms\":{:.3},\"brute_wall_ms\":{:.3},",
-                    "\"adaptive_mode\":\"{}\",\"adaptive_virtual_ms\":{:.3},\"adaptive_speedup\":{:.3},",
-                    "\"adaptive_net_speedup\":{:.3},",
-                    "\"adaptive_recall\":{:.4},\"calibration_ms\":{:.3},",
-                    "\"effective_workers\":{},\"kernel_backend\":\"{}\",\"stages\":{}}}"
-                ),
-                json_escape(&r.query),
-                json_escape(&r.dataset),
-                json_escape(&r.mode),
-                r.filtered_virtual_ms,
-                r.brute_virtual_ms,
-                r.speedup,
-                r.recall,
-                r.f1,
-                r.pass_rate,
-                r.filtered_wall_ms,
-                r.brute_wall_ms,
-                json_escape(&r.adaptive_mode),
-                r.adaptive_virtual_ms,
-                r.adaptive_speedup,
-                r.adaptive_net_speedup,
-                r.adaptive_recall,
-                r.calibration_ms,
-                r.effective_workers,
-                json_escape(&r.kernel_backend),
-                r.stages,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"table3_queries\",\n  \"executor\": \"batched operator pipeline\",\n  \"scale\": \"{}\",\n  \"batch_size\": {},\n  \"filter_workers\": {},\n  \"kernel_dispatch\": \"{}\",\n  \"calibration_total_ms\": {:.3},\n  \"queries\": [\n{}\n  ],\n{}\n}}\n",
-        scale,
-        batch_size,
-        filter_workers(),
-        vmq_nn::KernelBackend::active().name(),
-        calibration_total_ms,
-        rows.join(",\n"),
-        multi.to_json()
-    )
-}
-
 fn main() {
-    warn_on_silent_scalar_fallback();
     let scale = Scale::from_env();
     let mut report = Report::new("Table III — query execution: filter cascade vs brute force").header(&[
         "query",
@@ -373,17 +180,11 @@ fn main() {
     ];
 
     let oracle = OracleDetector::perfect();
-    let mut records = Vec::new();
     for (exp, query) in cases {
         let frames = exp.dataset.test();
         let brute_exec = batched_executor(&query);
         let brute = brute_exec.run_brute_force(frames, &oracle);
         let (run, accuracy) = best_run(exp, &query, &oracle);
-        // Wall times come from the reported runs' own operator metrics, so
-        // they measure exactly one pipeline execution each — not the
-        // best_run() configuration search around the filtered run.
-        let brute_wall_ms = pipeline_wall_ms(&brute);
-        let filtered_wall_ms = pipeline_wall_ms(&run);
         let speedup = SpeedupReport::new(brute.virtual_ms, run.virtual_ms);
 
         // Adaptive run: trained IC and OD backends × the full tolerance
@@ -391,7 +192,7 @@ fn main() {
         // calibration bill.
         let backends: Vec<&dyn FrameFilter> = vec![&exp.filters.ic, &exp.filters.od];
         let adaptive_exec = batched_executor(&query);
-        let (adaptive_run, calibration) = adaptive_exec.run_adaptive(
+        let (adaptive_run, _) = adaptive_exec.run_adaptive(
             frames,
             adaptive_prefix(frames.len()),
             &backends,
@@ -400,10 +201,6 @@ fn main() {
         );
         let adaptive_accuracy = adaptive_exec.accuracy(&adaptive_run, frames);
         let adaptive_speedup = SpeedupReport::new(brute.virtual_ms, adaptive_run.virtual_ms);
-        // Net of the calibration bill: what the chosen plan itself costs
-        // relative to brute force (the planner's floor on expected cost).
-        let adaptive_net_speedup =
-            SpeedupReport::new(brute.virtual_ms, adaptive_run.virtual_ms - calibration.calibration_ms);
 
         report.row(&[
             query.name.clone(),
@@ -420,28 +217,6 @@ fn main() {
             format!("{:.1}x", adaptive_speedup.speedup),
             format!("{:.1}%", adaptive_accuracy.recall * 100.0),
         ]);
-        records.push(BenchRecord {
-            query: query.name.clone(),
-            dataset: exp.name().to_string(),
-            mode: run.mode.clone(),
-            filtered_virtual_ms: run.virtual_ms,
-            brute_virtual_ms: brute.virtual_ms,
-            speedup: speedup.speedup,
-            recall: accuracy.recall,
-            f1: accuracy.f1,
-            pass_rate: run.filter_pass_rate(),
-            filtered_wall_ms,
-            brute_wall_ms,
-            adaptive_mode: adaptive_run.mode.clone(),
-            adaptive_virtual_ms: adaptive_run.virtual_ms,
-            adaptive_speedup: adaptive_speedup.speedup,
-            adaptive_net_speedup: adaptive_net_speedup.speedup,
-            adaptive_recall: adaptive_accuracy.recall,
-            calibration_ms: calibration.calibration_ms,
-            effective_workers: filter_stage_info(&run).0,
-            kernel_backend: filter_stage_info(&run).1,
-            stages: stages_json(&run),
-        });
     }
     // Shared multi-query pass: the monitoring scenario — all seven standing
     // queries watching the Jackson stream through one SharedStreamPlan.
@@ -455,21 +230,6 @@ fn main() {
         Query::paper_q7(),
     ];
     let multi = multi_query_comparison(&jackson, &all_queries, &oracle);
-    // Calibration attribution: the profiling pass over a dataset's prefix is
-    // identical for every query calibrated on it, so the baseline reports
-    // each row's *share* of its group's bill (full ÷ group size) and one
-    // global total (one full bill per dataset). Rows then sum to the total
-    // instead of double-counting the shared pass per query.
-    let mut group_sizes: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
-    let mut full_by_dataset: std::collections::BTreeMap<String, f64> = std::collections::BTreeMap::new();
-    for r in &records {
-        *group_sizes.entry(r.dataset.clone()).or_insert(0) += 1;
-        full_by_dataset.entry(r.dataset.clone()).or_insert(r.calibration_ms);
-    }
-    let calibration_total_ms: f64 = full_by_dataset.values().sum();
-    for r in &mut records {
-        r.calibration_ms /= group_sizes[&r.dataset] as f64;
-    }
     report.note(&format!(
         "multi-query (7 standing queries, one stream): detector {} -> {} invocations ({:.2}x reduction), virtual {:.1}s -> {:.1}s ({:.2}x), wall {:.0}ms -> {:.0}ms ({:.2}x)",
         multi.isolated_detector_invocations,
@@ -489,15 +249,4 @@ fn main() {
         "all runs execute on the batched operator pipeline (Source → CascadeFilter → Detect → PredicateEval → Sink)",
     );
     println!("{}", report.render());
-
-    if let Ok(path) = std::env::var("VMQ_BENCH_JSON") {
-        let scale_name = match scale {
-            Scale::Quick => "quick",
-            Scale::Default => "default",
-            Scale::Full => "full",
-        };
-        let json = records_json(scale_name, PipelineConfig::DEFAULT_BATCH_SIZE, calibration_total_ms, &records, &multi);
-        std::fs::write(&path, json).expect("write VMQ_BENCH_JSON output");
-        eprintln!("wrote pipeline baseline to {path}");
-    }
 }

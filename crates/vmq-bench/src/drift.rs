@@ -143,12 +143,11 @@ pub struct DriftOutcome {
     pub recall: f64,
     /// Brute-force virtual time over the stream (the baseline).
     pub brute_virtual_ms: f64,
-    /// Speedup net of calibration: brute / (run − calibration), the same
-    /// figure the bench reports as `adaptive_net_speedup`.
+    /// Speedup net of calibration: brute / (run − calibration).
     pub net_speedup: f64,
 }
 
-/// Scenario geometry shared by the bench and the drift-injection tests.
+/// Length of the scenario stream, in frames.
 pub const DRIFT_TOTAL_FRAMES: usize = 360;
 /// Frame at which the regime flips from sparse to dense.
 pub const DRIFT_FLIP_AT: usize = 180;
@@ -171,7 +170,7 @@ pub fn run_drift_scenario(workers: usize, drift: Option<DriftConfig>) -> DriftOu
 
 /// [`run_drift_scenario`] over a caller-chosen stream seed — the property
 /// tests sweep seeds to check invariants that must hold on *every* stream,
-/// not just the benchmark's canonical one.
+/// not just the canonical one.
 pub fn run_drift_scenario_seeded(workers: usize, drift: Option<DriftConfig>, seed: u64) -> DriftOutcome {
     let frames = drift_stream(DRIFT_TOTAL_FRAMES, DRIFT_FLIP_AT, seed);
     let query = drift_query();

@@ -3,7 +3,8 @@
 //! One benchmark target per table and figure of the paper's evaluation
 //! (Sec. IV), plus ablation studies and Criterion micro-benchmarks. Every
 //! harness prints the same rows/series the paper reports so results can be
-//! compared side by side; `EXPERIMENTS.md` records paper-vs-measured values.
+//! compared side by side; they assert nothing. The gated performance
+//! numbers come from the end-to-end benchmark in `benchmark/`.
 //!
 //! The harnesses honour the `VMQ_SCALE` environment variable:
 //!

@@ -22,7 +22,9 @@
 //!   absorbed;
 //! * **a round-robin scheduler** — [`FleetRuntime::poll`] drains one batch
 //!   per camera per sweep through the plans' incremental
-//!   [`push_batch`](SharedStreamPlan::push_batch) entry point, so every
+//!   [`prepare_batch`](SharedStreamPlan::prepare_batch) /
+//!   [`complete_batch`](SharedStreamPlan::complete_batch) halves, detecting
+//!   every camera's escalations in shared fleet-wide dispatches, so every
 //!   camera's statements make progress and all per-batch machinery (drift
 //!   replans, window emission, sharded workers) runs exactly as it would
 //!   stand-alone;
@@ -36,7 +38,9 @@
 //! ledgers and the same per-frame-pure backends it would run alone, every
 //! statement outcome is **bit-identical** to executing that camera's plan in
 //! isolation — the fleet only changes who pays for shared work, never what
-//! any statement computes. The fleet bench and the tests below pin this.
+//! any statement computes. The tests below pin this against isolated runs
+//! and against a per-camera [`push_batch`](SharedStreamPlan::push_batch)
+//! replay.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -48,10 +52,17 @@ use vmq_query::{
 };
 use vmq_video::{Frame, Scene};
 
+/// Upper bound on frames per fleet-wide coalesced detector dispatch: each
+/// [`FleetRuntime::poll`] sweep gathers every camera's cache-missing
+/// escalations into batches of at most this many frames and runs each batch
+/// once through the persistent pool, instead of one under-filled sharded
+/// detect per camera.
+const COALESCE_BUDGET: usize = 1024;
+
 /// Tuning knobs of a [`FleetRuntime`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Frames per scheduler batch per camera.
+    /// Frames per scheduler batch per camera (0 is treated as 1).
     pub batch_size: usize,
     /// Scoped-thread worker count each plan's filter/detect stages shard
     /// over (bit-identical for any value).
@@ -66,13 +77,6 @@ pub struct FleetConfig {
     /// backlog below the threshold runs unshed and deeper overload sheds
     /// harder. Aggregates only — selects never degrade.
     pub shed_backlog_per_level: usize,
-    /// Upper bound on frames per fleet-wide coalesced detector dispatch:
-    /// each [`FleetRuntime::poll`] sweep gathers every camera's
-    /// cache-missing escalations into batches of at most this many frames
-    /// and runs each batch once through the persistent pool, instead of one
-    /// under-filled sharded detect per camera. `0` disables coalescing (the
-    /// per-camera reference path); outcomes are bit-identical either way.
-    pub coalesce_budget: usize,
 }
 
 impl Default for FleetConfig {
@@ -83,7 +87,6 @@ impl Default for FleetConfig {
             queue_capacity: 256,
             cache_bytes: 64 << 20,
             shed_backlog_per_level: usize::MAX,
-            coalesce_budget: 1024,
         }
     }
 }
@@ -143,8 +146,6 @@ pub struct FleetOutcome {
     pub cache_evictions: u64,
     /// Bytes resident in the cache at the end of the pass.
     pub cache_resident_bytes: usize,
-    /// Bytes evicted over the pass (accounting survives eviction).
-    pub cache_evicted_bytes: u64,
     /// Frames accepted into ingest queues fleet-wide.
     pub frames_ingested: u64,
     /// Frames dropped at full ingest queues fleet-wide.
@@ -153,11 +154,7 @@ pub struct FleetOutcome {
     pub shed_events: u64,
     /// Highest shed level reached.
     pub max_shed_level: u32,
-    /// Scheduler sweeps performed over the pass.
-    pub polls: u64,
-    /// Wall-clock spent inside [`FleetRuntime::poll`] across the pass.
-    pub poll_wall_ms: f64,
-    /// Fleet-wide coalesced detector dispatches (0 when coalescing is off).
+    /// Fleet-wide coalesced detector dispatches.
     pub coalesced_dispatches: u64,
     /// Frames detected through coalesced dispatches.
     pub coalesced_frames: u64,
@@ -178,8 +175,6 @@ pub struct FleetRuntime<'a> {
     shed_level: u32,
     shed_events: u64,
     max_shed_level: u32,
-    polls: u64,
-    poll_wall_ms: f64,
     coalesced_dispatches: u64,
     coalesced_frames: u64,
     max_coalesced_batch: usize,
@@ -192,14 +187,14 @@ impl<'a> FleetRuntime<'a> {
             detector,
             cache: DetectionCache::with_byte_budget(config.cache_bytes),
             global: CostLedger::paper(),
-            config,
+            // A zero batch takes nothing from a queue, so `drain` would stop
+            // with every ingested frame still queued.
+            config: FleetConfig { batch_size: config.batch_size.max(1), ..config },
             cameras: Vec::new(),
             statements: Vec::new(),
             shed_level: 0,
             shed_events: 0,
             max_shed_level: 0,
-            polls: 0,
-            poll_wall_ms: 0.0,
             coalesced_dispatches: 0,
             coalesced_frames: 0,
             max_coalesced_batch: 0,
@@ -219,16 +214,6 @@ impl<'a> FleetRuntime<'a> {
         .with_workers(self.config.workers);
         self.cameras.push(CameraState { scene, plan, queue: VecDeque::new(), ingested: 0, dropped: 0 });
         self.cameras.len() - 1
-    }
-
-    /// Number of registered cameras.
-    pub fn camera_count(&self) -> usize {
-        self.cameras.len()
-    }
-
-    /// Number of registered statements fleet-wide.
-    pub fn statement_count(&self) -> usize {
-        self.statements.len()
     }
 
     /// Registers a filter backend on `camera`'s plan; returns its per-camera
@@ -331,58 +316,29 @@ impl<'a> FleetRuntime<'a> {
     }
 
     /// One scheduler sweep: re-evaluates the shed level against the current
-    /// backlog, then round-robins one batch per camera through its plan.
-    /// With a non-zero [`FleetConfig::coalesce_budget`] the sweep runs the
-    /// cheap shared phases of every camera first and dispatches all cameras'
-    /// cache-missing escalations as fleet-wide coalesced detector batches;
-    /// with `0` each camera detects its own micro-batch inline. Outcomes are
-    /// bit-identical either way. Returns the number of frames processed.
-    pub fn poll(&mut self) -> usize {
-        // vmq-lint: allow(no-wallclock-in-result-paths) -- the span feeds
-        // only the `poll_wall_ms` stat; shedding and matches key off
-        // backlog depth and ledger cost, never the measured wall time.
-        let start = Instant::now();
-        self.update_shed();
-        let processed = if self.config.coalesce_budget == 0 { self.poll_uncoalesced() } else { self.poll_coalesced() };
-        self.polls += 1;
-        self.poll_wall_ms += start.elapsed().as_secs_f64() * 1000.0;
-        processed
-    }
-
-    /// The reference sweep: each camera's batch runs all phases inline,
-    /// detector escalations included, exactly as a stand-alone plan would.
-    fn poll_uncoalesced(&mut self) -> usize {
-        let mut processed = 0;
-        for state in &mut self.cameras {
-            if state.queue.is_empty() {
-                continue;
-            }
-            let take = state.queue.len().min(self.config.batch_size);
-            let batch: Vec<Frame> = state.queue.drain(..take).collect();
-            state.plan.push_batch(&batch);
-            processed += take;
-        }
-        processed
-    }
-
-    /// The coalescing sweep. Three stages:
+    /// backlog, then takes up to one batch per camera through its plan in
+    /// three stages:
     ///
     /// 1. every camera's batch runs its cheap shared phases
     ///    ([`SharedStreamPlan::prepare_batch`]: decode charge, backend
     ///    inference, fan-out, cache probe), leaving per-camera missing sets;
     /// 2. the missing frames of *all* cameras are concatenated (camera
     ///    order, batch order within a camera) and detected in dispatches of
-    ///    at most `coalesce_budget` frames, each sharded once across the
-    ///    persistent pool with a position-keyed merge;
+    ///    at most `COALESCE_BUDGET` (1 024) frames, each sharded once across
+    ///    the persistent pool with a position-keyed merge;
     /// 3. results fan back per camera through
     ///    [`SharedStreamPlan::complete_batch`], which installs them in the
     ///    `(camera_id, frame_id)`-keyed cache and charges the global ledger
     ///    per fresh frame — the same per-camera charges, in the same cache
-    ///    order, as the reference sweep, so ledger totals, attribution and
-    ///    every statement outcome stay bit-identical. Detector wall is
+    ///    order, as each camera's own [`SharedStreamPlan::push_batch`], so
+    ///    ledger totals, attribution and every statement outcome stay
+    ///    bit-identical to that per-camera replay. Detector wall is
     ///    attributed to cameras proportional to their share of the
     ///    coalesced work.
-    fn poll_coalesced(&mut self) -> usize {
+    ///
+    /// Returns the number of frames processed.
+    pub fn poll(&mut self) -> usize {
+        self.update_shed();
         let mut processed = 0;
         let mut batches: Vec<(usize, Vec<Frame>)> = Vec::new();
         for (c, state) in self.cameras.iter_mut().enumerate() {
@@ -408,10 +364,9 @@ impl<'a> FleetRuntime<'a> {
         // their position-keyed merge are unaffected by timing.
         let detect_start = Instant::now();
         let mut results: Vec<Option<FrameDetections>> = vec![None; jobs.len()];
-        let budget = self.config.coalesce_budget;
         let detector = self.detector;
         let prepared_ref = &prepared;
-        for (chunk_jobs, chunk_out) in jobs.chunks(budget).zip(results.chunks_mut(budget)) {
+        for (chunk_jobs, chunk_out) in jobs.chunks(COALESCE_BUDGET).zip(results.chunks_mut(COALESCE_BUDGET)) {
             let m = chunk_jobs.len();
             self.coalesced_dispatches += 1;
             self.coalesced_frames += m as u64;
@@ -470,24 +425,31 @@ impl<'a> FleetRuntime<'a> {
         self.shed_level = level;
     }
 
-    /// Ends the fleet pass: finishes every camera's plan, settles the
-    /// fleet-global detector attribution once, assembles per-statement
-    /// outcomes in fleet registration order, and rolls the shared bill up
-    /// per camera and per tenant.
+    /// Ends the fleet pass: drains the queues, finishes every camera's plan,
+    /// settles the fleet-global detector attribution once, assembles
+    /// per-statement outcomes in fleet registration order, and rolls the
+    /// shared bill up per camera and per tenant. A fleet with no statement
+    /// runs nothing and returns an empty outcome.
     pub fn finish(mut self) -> FleetOutcome {
-        assert!(!self.statements.is_empty(), "register at least one statement before finishing");
-        self.drain();
         let mut runs: Vec<Option<QueryRun>> = (0..self.statements.len()).map(|_| None).collect();
-        for state in &mut self.cameras {
-            let gids: Vec<usize> = state.plan.user_ids().to_vec();
-            for (q, run) in state.plan.finish_unsettled().into_iter().enumerate() {
-                runs[gids[q]] = Some(run);
+        let shared = if self.statements.is_empty() {
+            SharedCost { queries: Vec::new(), shared_total_ms: 0.0, isolated_total_ms: 0.0 }
+        } else {
+            self.drain();
+            for state in &mut self.cameras {
+                let gids: Vec<usize> = state.plan.user_ids().to_vec();
+                for (q, run) in state.plan.finish_unsettled().into_iter().enumerate() {
+                    runs[gids[q]] = Some(run);
+                }
             }
-        }
-        // Every plan shares the one cache and ledger, and a settlement
-        // replaces the previous one, so one walk over the cache here equals
-        // a walk per camera.
-        self.cache.attribute_detections(&self.global, self.detector.stage());
+            // Every plan shares the one cache and ledger, and a settlement
+            // replaces the previous one, so one walk over the cache here
+            // equals a walk per camera.
+            self.cache.attribute_detections(&self.global, self.detector.stage());
+            let shares: Vec<(String, f64)> =
+                self.statements.iter().map(|info| (info.name.clone(), info.ledger.total_ms())).collect();
+            self.global.shared_cost(&shares)
+        };
         let statements: Vec<FleetStatementOutcome> = self
             .statements
             .iter()
@@ -500,9 +462,6 @@ impl<'a> FleetRuntime<'a> {
                 run: run.expect("every registered statement produced a run"),
             })
             .collect();
-        let shares: Vec<(String, f64)> =
-            self.statements.iter().map(|info| (info.name.clone(), info.ledger.total_ms())).collect();
-        let shared = self.global.shared_cost(&shares);
         let infos = &self.statements;
         let by_camera = shared.rollup(|i| format!("camera-{:04}", infos[i].camera_id));
         let by_tenant = shared.rollup(|i| infos[i].tenant.clone());
@@ -515,13 +474,10 @@ impl<'a> FleetRuntime<'a> {
             cache_hits: self.cache.hits(),
             cache_evictions: self.cache.evictions(),
             cache_resident_bytes: self.cache.resident_bytes(),
-            cache_evicted_bytes: self.cache.evicted_bytes(),
             frames_ingested: self.cameras.iter().map(|c| c.ingested).sum(),
             frames_dropped: self.cameras.iter().map(|c| c.dropped).sum(),
             shed_events: self.shed_events,
             max_shed_level: self.max_shed_level,
-            polls: self.polls,
-            poll_wall_ms: self.poll_wall_ms,
             coalesced_dispatches: self.coalesced_dispatches,
             coalesced_frames: self.coalesced_frames,
             max_coalesced_batch: self.max_coalesced_batch,
@@ -542,7 +498,8 @@ mod tests {
 
     fn scene_for(camera: u32) -> Scene {
         let profile = DatasetProfile::jackson();
-        let config = SceneConfig::from_profile(&profile).with_camera(camera).with_fps(CAMERA_FPS[camera as usize]);
+        let fps = CAMERA_FPS[camera as usize % CAMERA_FPS.len()];
+        let config = SceneConfig::from_profile(&profile).with_camera(camera).with_fps(fps);
         Scene::new(config, 1000 + camera as u64)
     }
 
@@ -552,6 +509,178 @@ mod tests {
 
     fn estimator_for(camera: u32) -> WindowedAggregator {
         WindowedAggregator::new(Query::paper_a1(), 6, 4, 90 + camera as u64)
+    }
+
+    fn tenant_for(camera: usize) -> &'static str {
+        if camera == 0 {
+            "acme"
+        } else {
+            "globex"
+        }
+    }
+
+    fn test_config() -> FleetConfig {
+        FleetConfig { batch_size: 24, workers: 2, queue_capacity: 512, ..FleetConfig::default() }
+    }
+
+    /// A test fleet: every camera registers the same statements and gets
+    /// `rounds` ingests of `frames_per_round` frames, each followed by one
+    /// poll.
+    #[derive(Clone, Copy)]
+    struct Workload {
+        cameras: u32,
+        /// One filterless q3 per camera (every frame goes to the detector)
+        /// instead of q3 through the camera's filter plus a one-second a1.
+        brute_force: bool,
+        rounds: usize,
+        frames_per_round: usize,
+    }
+
+    const TWO_CAMERAS: Workload =
+        Workload { cameras: 2, brute_force: false, rounds: 4, frames_per_round: FRAMES_PER_CAMERA / 4 };
+
+    impl Workload {
+        fn statements_per_camera(&self) -> usize {
+            if self.brute_force {
+                1
+            } else {
+                2
+            }
+        }
+    }
+
+    /// Runs `workload` through a fleet; returns its outcome and the
+    /// per-camera estimators (left unregistered on brute-force workloads).
+    fn run_fleet(config: FleetConfig, workload: Workload) -> (FleetOutcome, Vec<WindowedAggregator>) {
+        let oracle = OracleDetector::perfect();
+        let filters: Vec<CalibratedFilter> =
+            (0..workload.cameras).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
+        let mut estimators: Vec<WindowedAggregator> = (0..workload.cameras).map(estimator_for).collect();
+        let mut fleet = FleetRuntime::new(&oracle, config);
+        for (c, (filter, estimator)) in filters.iter().zip(estimators.iter_mut()).enumerate() {
+            let cam = fleet.add_camera(scene_for(c as u32));
+            let backend = (!workload.brute_force).then(|| fleet.add_backend(cam, filter));
+            fleet.register_select(cam, tenant_for(c), Query::paper_q3(), CascadeConfig::strict(), backend);
+            if let Some(b) = backend {
+                let spec = AggregateSpec::hopping_seconds(1.0, 1.0);
+                fleet.register_aggregate(cam, tenant_for(c), Query::paper_a1(), spec, &[b], estimator);
+            }
+        }
+        // Interleave ingest and scheduling so batches from every camera
+        // genuinely alternate through the shared substrate.
+        for _ in 0..workload.rounds {
+            assert_eq!(fleet.ingest(workload.frames_per_round), 0);
+            fleet.poll();
+        }
+        (fleet.finish(), estimators)
+    }
+
+    /// The per-camera reference for [`run_fleet`]: one plan per camera over
+    /// one cache and one ledger, fed the same batches in the same
+    /// interleaving through `push_batch` and finished through the settling
+    /// `finish` — the fleet without its scheduler, coalesced dispatch or
+    /// single settlement. Returns the runs, the shared bill and the
+    /// estimators.
+    fn replay(config: &FleetConfig, workload: Workload) -> (Vec<QueryRun>, SharedCost, Vec<WindowedAggregator>) {
+        assert!(workload.frames_per_round <= config.batch_size, "one fleet poll takes a whole round");
+        let oracle = OracleDetector::perfect();
+        let filters: Vec<CalibratedFilter> =
+            (0..workload.cameras).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
+        let mut estimators: Vec<WindowedAggregator> = (0..workload.cameras).map(estimator_for).collect();
+        let cache = DetectionCache::with_byte_budget(config.cache_bytes);
+        let global = CostLedger::paper();
+        let mut ledgers: Vec<(&str, CostLedger)> = Vec::new();
+        let mut plans = Vec::new();
+        for (filter, estimator) in filters.iter().zip(estimators.iter_mut()) {
+            let mut plan = SharedStreamPlan::new(
+                &oracle,
+                cache.clone(),
+                global.clone(),
+                PipelineConfig::with_batch_size(config.batch_size),
+            )
+            .with_workers(config.workers);
+            let backend = (!workload.brute_force).then(|| plan.add_backend(filter));
+            let ledger = CostLedger::paper();
+            let q = plan.register_select(Query::paper_q3(), CascadeConfig::strict(), backend, ledger.clone());
+            plan.alias_user(q, ledgers.len());
+            ledgers.push(("q3", ledger));
+            if let Some(b) = backend {
+                let ledger = CostLedger::paper();
+                let spec = AggregateSpec::hopping_seconds(1.0, 1.0);
+                let q = plan.register_aggregate(Query::paper_a1(), spec, &[b], estimator, ledger.clone());
+                plan.alias_user(q, ledgers.len());
+                ledgers.push(("a1", ledger));
+            }
+            plans.push(plan);
+        }
+        let mut scenes: Vec<Scene> = (0..workload.cameras).map(scene_for).collect();
+        for _ in 0..workload.rounds {
+            for (plan, scene) in plans.iter_mut().zip(&mut scenes) {
+                let batch: Vec<Frame> = (0..workload.frames_per_round).map(|_| scene.step()).collect();
+                plan.push_batch(&batch);
+            }
+        }
+        let runs: Vec<QueryRun> = plans.into_iter().flat_map(|mut plan| plan.finish()).collect();
+        let shares: Vec<(String, f64)> =
+            ledgers.iter().map(|(name, ledger)| (name.to_string(), ledger.total_ms())).collect();
+        (runs, global.shared_cost(&shares), estimators)
+    }
+
+    fn assert_run_bit_identical(a: &QueryRun, b: &QueryRun, ctx: &str) {
+        assert_eq!(a.matched_frames, b.matched_frames, "{ctx}");
+        assert_eq!(a.frames_passed_filter, b.frames_passed_filter, "{ctx}");
+        assert_eq!(a.frames_detected, b.frames_detected, "{ctx}");
+        assert_eq!(a.virtual_ms.to_bits(), b.virtual_ms.to_bits(), "{ctx}: {} vs {}", a.virtual_ms, b.virtual_ms);
+    }
+
+    fn assert_reports_bit_identical(a: &[WindowedAggregator], b: &[WindowedAggregator]) {
+        assert_eq!(a.len(), b.len());
+        for (ea, eb) in a.iter().zip(b) {
+            assert_eq!(ea.reports().len(), eb.reports().len());
+            for (ra, rb) in ea.reports().iter().zip(eb.reports()) {
+                assert_eq!(ra.window_index, rb.window_index);
+                assert_eq!(ra.window_start, rb.window_start);
+                assert_eq!(ra.window_frames, rb.window_frames);
+                assert_eq!(ra.plain_mean.to_bits(), rb.plain_mean.to_bits());
+                assert_eq!(ra.mcv_mean.to_bits(), rb.mcv_mean.to_bits());
+            }
+        }
+    }
+
+    /// Asserts a fleet outcome equals the per-camera [`replay`] of its
+    /// workload bit for bit: every statement run, the shared bill and its
+    /// per-camera / per-tenant rollups, and every aggregate window report.
+    fn assert_matches_replay(
+        config: &FleetConfig,
+        workload: Workload,
+        outcome: &FleetOutcome,
+        estimators: &[WindowedAggregator],
+    ) {
+        let (runs, shared, replayed) = replay(config, workload);
+        assert_eq!(outcome.statements.len(), runs.len());
+        for (statement, run) in outcome.statements.iter().zip(&runs) {
+            assert_run_bit_identical(&statement.run, run, &statement.name);
+        }
+        assert_eq!(outcome.shared.shared_total_ms.to_bits(), shared.shared_total_ms.to_bits());
+        assert_eq!(outcome.shared.isolated_total_ms.to_bits(), shared.isolated_total_ms.to_bits());
+        for (a, b) in outcome.shared.queries.iter().zip(&shared.queries) {
+            assert_eq!(
+                (&a.query, a.attributed_ms.to_bits(), a.isolated_ms.to_bits()),
+                (&b.query, b.attributed_ms.to_bits(), b.isolated_ms.to_bits())
+            );
+        }
+        let per_camera = workload.statements_per_camera();
+        let by_camera = shared.rollup(|i| format!("camera-{:04}", i / per_camera));
+        let by_tenant = shared.rollup(|i| tenant_for(i / per_camera).to_string());
+        for (fleet, by_hand) in [(&outcome.by_camera, &by_camera), (&outcome.by_tenant, &by_tenant)] {
+            assert_eq!(fleet.len(), by_hand.len());
+            for (a, b) in fleet.iter().zip(by_hand) {
+                assert_eq!((&a.group, a.statements), (&b.group, b.statements));
+                assert_eq!(a.attributed_ms.to_bits(), b.attributed_ms.to_bits(), "{}", a.group);
+                assert_eq!(a.isolated_ms.to_bits(), b.isolated_ms.to_bits(), "{}", a.group);
+            }
+        }
+        assert_reports_bit_identical(estimators, &replayed);
     }
 
     /// Runs camera `c`'s two statements (q3 select + a1 time-windowed
@@ -585,36 +714,7 @@ mod tests {
 
     #[test]
     fn fleet_statements_are_bit_identical_to_isolated_single_camera_runs() {
-        let oracle = OracleDetector::perfect();
-        let filters: Vec<CalibratedFilter> = (0..2).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
-        let mut estimators: Vec<WindowedAggregator> = (0..2).map(estimator_for).collect();
-        let mut fleet = FleetRuntime::new(
-            &oracle,
-            FleetConfig { batch_size: 24, workers: 3, queue_capacity: 512, ..FleetConfig::default() },
-        );
-        for (c, (filter, estimator)) in filters.iter().zip(estimators.iter_mut()).enumerate() {
-            let cam = fleet.add_camera(scene_for(c as u32));
-            assert_eq!(cam, c);
-            let b = fleet.add_backend(cam, filter);
-            let tenant = if c == 0 { "acme" } else { "globex" };
-            fleet.register_select(cam, tenant, Query::paper_q3(), CascadeConfig::strict(), Some(b));
-            fleet.register_aggregate(
-                cam,
-                tenant,
-                Query::paper_a1(),
-                AggregateSpec::hopping_seconds(1.0, 1.0),
-                &[b],
-                estimator,
-            );
-        }
-        // Interleave ingest and scheduling so batches from both cameras
-        // genuinely alternate through the shared substrate.
-        for _ in 0..4 {
-            assert_eq!(fleet.ingest(FRAMES_PER_CAMERA / 4), 0);
-            fleet.poll();
-        }
-        let outcome = fleet.finish();
-
+        let (outcome, estimators) = run_fleet(FleetConfig { workers: 3, ..test_config() }, TWO_CAMERAS);
         assert_eq!(outcome.statements.len(), 4);
         assert_eq!(outcome.frames_ingested, 2 * FRAMES_PER_CAMERA as u64);
         assert_eq!(outcome.frames_dropped, 0);
@@ -623,182 +723,48 @@ mod tests {
             // purpose: bit-identity must hold across any sharding.
             let (isolated, isolated_estimator) = isolated_run(c as u32, 1);
             for (s, isolated_run) in isolated.iter().enumerate() {
-                let fleet_run = &outcome.statements[2 * c + s].run;
-                assert_eq!(outcome.statements[2 * c + s].camera, c);
-                assert_eq!(fleet_run.matched_frames, isolated_run.matched_frames, "camera {c} statement {s}");
-                assert_eq!(fleet_run.frames_passed_filter, isolated_run.frames_passed_filter);
-                assert_eq!(fleet_run.frames_detected, isolated_run.frames_detected);
-                assert_eq!(
-                    fleet_run.virtual_ms.to_bits(),
-                    isolated_run.virtual_ms.to_bits(),
-                    "camera {c} statement {s}: {} vs {}",
-                    fleet_run.virtual_ms,
-                    isolated_run.virtual_ms
-                );
+                let statement = &outcome.statements[2 * c + s];
+                assert_eq!(statement.camera, c);
+                assert_run_bit_identical(&statement.run, isolated_run, &format!("camera {c} statement {s}"));
             }
             // Time-based windows line up with the camera's own clock: the
             // 30 fps camera completes 2 one-second windows over 80 frames,
             // the 15 fps camera 5 — and every per-window estimate matches
             // the isolated pass to the bit.
             assert_eq!(fleet_estimator.reports().len(), if c == 0 { 2 } else { 5 });
-            assert_eq!(fleet_estimator.reports().len(), isolated_estimator.reports().len());
-            for (a, b) in fleet_estimator.reports().iter().zip(isolated_estimator.reports()) {
-                assert_eq!(a.window_index, b.window_index);
-                assert_eq!(a.window_start, b.window_start);
-                assert_eq!(a.window_frames, b.window_frames);
-                assert_eq!(a.plain_mean.to_bits(), b.plain_mean.to_bits());
-                assert_eq!(a.mcv_mean.to_bits(), b.mcv_mean.to_bits());
-            }
+            assert_reports_bit_identical(std::slice::from_ref(fleet_estimator), &[isolated_estimator]);
         }
     }
 
-    /// Two cameras × two statements through the fleet with the given
-    /// coalesce budget, interleaving ingest and polls.
-    fn run_fleet_with_budget(budget: usize) -> (FleetOutcome, Vec<WindowedAggregator>) {
-        run_fleet(fleet_config(budget))
-    }
-
-    fn fleet_config(coalesce_budget: usize) -> FleetConfig {
-        FleetConfig { batch_size: 24, workers: 2, queue_capacity: 512, coalesce_budget, ..FleetConfig::default() }
-    }
-
-    fn run_fleet(config: FleetConfig) -> (FleetOutcome, Vec<WindowedAggregator>) {
-        let oracle = OracleDetector::perfect();
-        let filters: Vec<CalibratedFilter> = (0..2).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
-        let mut estimators: Vec<WindowedAggregator> = (0..2).map(estimator_for).collect();
-        let mut fleet = FleetRuntime::new(&oracle, config);
-        for (c, (filter, estimator)) in filters.iter().zip(estimators.iter_mut()).enumerate() {
-            let cam = fleet.add_camera(scene_for(c as u32));
-            let b = fleet.add_backend(cam, filter);
-            let tenant = if c == 0 { "acme" } else { "globex" };
-            fleet.register_select(cam, tenant, Query::paper_q3(), CascadeConfig::strict(), Some(b));
-            fleet.register_aggregate(
-                cam,
-                tenant,
-                Query::paper_a1(),
-                AggregateSpec::hopping_seconds(1.0, 1.0),
-                &[b],
-                estimator,
-            );
-        }
-        for _ in 0..4 {
-            assert_eq!(fleet.ingest(FRAMES_PER_CAMERA / 4), 0);
-            fleet.poll();
-        }
-        (fleet.finish(), estimators)
-    }
-
-    fn assert_outcomes_bit_identical(a: &FleetOutcome, b: &FleetOutcome) {
-        assert_eq!(a.detector_invocations, b.detector_invocations);
-        assert_eq!(a.cache_hits, b.cache_hits);
-        assert_eq!(a.statements.len(), b.statements.len());
-        for (sa, sb) in a.statements.iter().zip(&b.statements) {
-            assert_eq!(sa.run.matched_frames, sb.run.matched_frames, "{}", sa.name);
-            assert_eq!(sa.run.frames_detected, sb.run.frames_detected, "{}", sa.name);
-            assert_eq!(sa.run.frames_passed_filter, sb.run.frames_passed_filter, "{}", sa.name);
-            assert_eq!(sa.run.virtual_ms.to_bits(), sb.run.virtual_ms.to_bits(), "{}", sa.name);
-        }
-        let total_a: f64 = a.shared.queries.iter().map(|q| q.attributed_ms).sum();
-        let total_b: f64 = b.shared.queries.iter().map(|q| q.attributed_ms).sum();
-        assert!((total_a - total_b).abs() < 1e-9, "attributed bills diverged: {total_a} vs {total_b}");
-    }
-
-    /// The fleet settles detector attribution once per finish; every plan
-    /// settling the shared cache for itself — what `SharedStreamPlan::finish`
-    /// does — must produce the identical `FleetOutcome`.
+    /// The fleet — coalesced detector dispatch and one attribution
+    /// settlement per finish — equals its per-camera replay, where every
+    /// plan detects its own escalations and settles the shared cache for
+    /// itself, as `SharedStreamPlan::finish` does.
     #[test]
     fn one_settlement_per_fleet_finish_equals_per_plan_settlement() {
-        let (outcome, _) = run_fleet_with_budget(0);
-
-        // The same fleet by hand: per-camera plans over one cache and one
-        // ledger, fed the same batches in the same interleaving, each
-        // finished through the settling `finish`.
-        let oracle = OracleDetector::perfect();
-        let filters: Vec<CalibratedFilter> = (0..2).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
-        let mut estimators: Vec<WindowedAggregator> = (0..2).map(estimator_for).collect();
-        let cache = DetectionCache::with_byte_budget(FleetConfig::default().cache_bytes);
-        let global = CostLedger::paper();
-        let mut ledgers = Vec::new();
-        let mut plans = Vec::new();
-        for (c, (filter, estimator)) in filters.iter().zip(estimators.iter_mut()).enumerate() {
-            let mut plan =
-                SharedStreamPlan::new(&oracle, cache.clone(), global.clone(), PipelineConfig::with_batch_size(24))
-                    .with_workers(2);
-            let b = plan.add_backend(filter);
-            ledgers.extend([CostLedger::paper(), CostLedger::paper()]);
-            let q = plan.register_select(Query::paper_q3(), CascadeConfig::strict(), Some(b), ledgers[2 * c].clone());
-            plan.alias_user(q, 2 * c);
-            let q = plan.register_aggregate(
-                Query::paper_a1(),
-                AggregateSpec::hopping_seconds(1.0, 1.0),
-                &[b],
-                estimator,
-                ledgers[2 * c + 1].clone(),
-            );
-            plan.alias_user(q, 2 * c + 1);
-            plans.push(plan);
-        }
-        let mut scenes: Vec<Scene> = (0..2).map(scene_for).collect();
-        for _ in 0..4 {
-            let batches: Vec<Vec<Frame>> =
-                scenes.iter_mut().map(|scene| (0..FRAMES_PER_CAMERA / 4).map(|_| scene.step()).collect()).collect();
-            for (plan, batch) in plans.iter_mut().zip(&batches) {
-                plan.push_batch(batch);
-            }
-        }
-        let runs: Vec<QueryRun> = plans.iter_mut().flat_map(|plan| plan.finish()).collect();
-        let names = ["q3", "a1", "q3", "a1"];
-        let shares: Vec<(String, f64)> =
-            names.iter().zip(&ledgers).map(|(name, ledger)| (name.to_string(), ledger.total_ms())).collect();
-        let shared = global.shared_cost(&shares);
-        let by_camera = shared.rollup(|i| format!("camera-{:04}", i / 2));
-        let by_tenant = shared.rollup(|i| if i < 2 { "acme".to_string() } else { "globex".to_string() });
-
-        assert_eq!(outcome.statements.len(), runs.len());
-        for (statement, run) in outcome.statements.iter().zip(&runs) {
-            assert_eq!(statement.run.matched_frames, run.matched_frames, "{}", statement.name);
-            assert_eq!(statement.run.frames_detected, run.frames_detected, "{}", statement.name);
-            assert_eq!(statement.run.virtual_ms.to_bits(), run.virtual_ms.to_bits(), "{}", statement.name);
-        }
-        assert_eq!(outcome.shared.shared_total_ms.to_bits(), shared.shared_total_ms.to_bits());
-        assert_eq!(outcome.shared.isolated_total_ms.to_bits(), shared.isolated_total_ms.to_bits());
-        for (a, b) in outcome.shared.queries.iter().zip(&shared.queries) {
-            assert_eq!(
-                (&a.query, a.attributed_ms.to_bits(), a.isolated_ms.to_bits()),
-                (&b.query, b.attributed_ms.to_bits(), b.isolated_ms.to_bits())
-            );
-        }
-        for (fleet, by_hand) in [(&outcome.by_camera, &by_camera), (&outcome.by_tenant, &by_tenant)] {
-            assert_eq!(fleet.len(), by_hand.len());
-            for (a, b) in fleet.iter().zip(by_hand) {
-                assert_eq!((&a.group, a.statements), (&b.group, b.statements));
-                assert_eq!(a.attributed_ms.to_bits(), b.attributed_ms.to_bits(), "{}", a.group);
-                assert_eq!(a.isolated_ms.to_bits(), b.isolated_ms.to_bits(), "{}", a.group);
-            }
-        }
-    }
-
-    #[test]
-    fn coalesced_detect_is_bit_identical_to_uncoalesced() {
-        let (coalesced, est_c) = run_fleet_with_budget(1024);
-        let (uncoalesced, est_u) = run_fleet_with_budget(0);
-        assert!(coalesced.coalesced_dispatches > 0, "default budget must coalesce");
+        let config = test_config();
+        let (outcome, estimators) = run_fleet(config.clone(), TWO_CAMERAS);
+        assert!(outcome.coalesced_dispatches > 0, "every poll with escalations dispatches");
         // Escalation-union detections flow through the coalescer; aggregate
         // window sampling detects separately, so the totals need not match.
-        assert!(coalesced.coalesced_frames > 0);
-        assert!(coalesced.coalesced_frames <= coalesced.detector_invocations);
-        assert_eq!(uncoalesced.coalesced_dispatches, 0, "budget 0 is the reference path");
-        assert_eq!(uncoalesced.coalesced_frames, 0);
-        assert_outcomes_bit_identical(&coalesced, &uncoalesced);
-        for (ea, eb) in est_c.iter().zip(&est_u) {
-            assert_eq!(ea.reports().len(), eb.reports().len());
-            for (ra, rb) in ea.reports().iter().zip(eb.reports()) {
-                assert_eq!(ra.window_index, rb.window_index);
-                assert_eq!(ra.window_frames, rb.window_frames);
-                assert_eq!(ra.plain_mean.to_bits(), rb.plain_mean.to_bits());
-                assert_eq!(ra.mcv_mean.to_bits(), rb.mcv_mean.to_bits());
-            }
-        }
+        assert!(outcome.coalesced_frames > 0);
+        assert!(outcome.coalesced_frames <= outcome.detector_invocations);
+        assert_matches_replay(&config, TWO_CAMERAS, &outcome, &estimators);
+    }
+
+    /// 48 cameras × a 24-frame batch of filterless selects put 1 152
+    /// cache-missing frames into each poll, more than one dispatch may
+    /// carry: every poll splits into 1 024 + 128 frames and the fleet still
+    /// answers exactly as its per-camera replay.
+    #[test]
+    fn a_poll_past_the_dispatch_bound_splits_without_changing_outcomes() {
+        let workload = Workload { cameras: 48, brute_force: true, rounds: 2, frames_per_round: 24 };
+        let config = test_config();
+        let (outcome, estimators) = run_fleet(config.clone(), workload);
+        assert_eq!(outcome.max_coalesced_batch, COALESCE_BUDGET);
+        assert_eq!(outcome.coalesced_dispatches, 4, "two dispatches per poll");
+        assert_eq!(outcome.coalesced_frames, 2 * 48 * 24);
+        assert_matches_replay(&config, workload, &outcome, &estimators);
     }
 
     /// Fault injection: `cache_bytes: 0` starves the fleet-global cache down
@@ -807,38 +773,61 @@ mod tests {
     /// budget and the larger detector bill stays fully attributed.
     #[test]
     fn zero_cache_bytes_redetects_but_changes_no_answer() {
-        let (roomy, est_r) = run_fleet_with_budget(1024);
-        let (starved, est_s) = run_fleet(FleetConfig { cache_bytes: 0, ..fleet_config(1024) });
+        let (roomy, est_r) = run_fleet(test_config(), TWO_CAMERAS);
+        let (starved, est_s) = run_fleet(FleetConfig { cache_bytes: 0, ..test_config() }, TWO_CAMERAS);
         assert_eq!(roomy.cache_evictions, 0);
         assert_eq!(starved.cache_evictions, starved.detector_invocations - 1, "one frame stays resident");
         assert!(starved.detector_invocations > roomy.detector_invocations);
         for (s, r) in starved.statements.iter().zip(&roomy.statements) {
-            assert_eq!(s.run.matched_frames, r.run.matched_frames, "{}", s.name);
-            assert_eq!(s.run.frames_detected, r.run.frames_detected, "{}", s.name);
-            assert_eq!(s.run.virtual_ms.to_bits(), r.run.virtual_ms.to_bits(), "{}", s.name);
+            assert_run_bit_identical(&s.run, &r.run, &s.name);
         }
-        for (es, er) in est_s.iter().zip(&est_r) {
-            assert_eq!(es.reports().len(), er.reports().len());
-            for (rs, rr) in es.reports().iter().zip(er.reports()) {
-                assert_eq!(rs.window_start, rr.window_start);
-                assert_eq!(rs.plain_mean.to_bits(), rr.plain_mean.to_bits());
-                assert_eq!(rs.mcv_mean.to_bits(), rr.mcv_mean.to_bits());
-            }
-        }
+        assert_reports_bit_identical(&est_s, &est_r);
         let attributed: f64 = starved.shared.queries.iter().map(|q| q.attributed_ms).sum();
         assert!((attributed - starved.shared.shared_total_ms).abs() < 1e-6, "the split covers every re-detection");
     }
 
+    /// Fault injection: a zero batch size is read as one frame per batch,
+    /// so every ingested frame is processed; a zero queue capacity drops
+    /// every offered frame at the edge and counts it.
     #[test]
-    fn tiny_coalesce_budget_chunks_dispatches_without_changing_outcomes() {
-        let (tiny, _) = run_fleet_with_budget(3);
-        let (uncoalesced, _) = run_fleet_with_budget(0);
-        assert!(tiny.max_coalesced_batch <= 3, "dispatches must respect the budget");
-        assert!(
-            tiny.coalesced_dispatches >= tiny.coalesced_frames.div_ceil(3),
-            "budget 3 must split the work into many dispatches"
-        );
-        assert_outcomes_bit_identical(&tiny, &uncoalesced);
+    fn zero_batch_size_and_zero_queue_capacity_lose_no_frame_silently() {
+        let run = |config: FleetConfig| {
+            let oracle = OracleDetector::perfect();
+            let filter = filter_for(0, CalibrationProfile::od_like());
+            let mut fleet = FleetRuntime::new(&oracle, config);
+            let cam = fleet.add_camera(scene_for(0));
+            let b = fleet.add_backend(cam, &filter);
+            fleet.register_select(cam, "acme", Query::paper_q3(), CascadeConfig::strict(), Some(b));
+            let dropped = fleet.ingest(40);
+            (dropped, fleet.finish())
+        };
+        let (dropped, zero_batch) = run(FleetConfig { batch_size: 0, ..FleetConfig::default() });
+        assert_eq!((dropped, zero_batch.frames_ingested), (0, 40));
+        assert_eq!(zero_batch.statements[0].run.frames_total, 40);
+        let (_, one_frame_batches) = run(FleetConfig { batch_size: 1, ..FleetConfig::default() });
+        assert_run_bit_identical(&zero_batch.statements[0].run, &one_frame_batches.statements[0].run, "batch 0 vs 1");
+
+        let (dropped, zero_queue) = run(FleetConfig { queue_capacity: 0, ..FleetConfig::default() });
+        assert_eq!((dropped, zero_queue.frames_dropped, zero_queue.frames_ingested), (40, 40, 0));
+        assert_eq!(zero_queue.statements[0].run.frames_total, 0);
+    }
+
+    /// A fleet with no statement runs nothing: it returns an empty outcome
+    /// instead of panicking, with its ingest and drop counts as observed.
+    #[test]
+    fn an_empty_fleet_finishes_with_an_empty_outcome() {
+        let oracle = OracleDetector::perfect();
+        let mut fleet = FleetRuntime::new(&oracle, FleetConfig { queue_capacity: 16, ..FleetConfig::default() });
+        fleet.add_camera(scene_for(0));
+        assert_eq!(fleet.ingest(20), 4);
+        let outcome = fleet.finish();
+        assert!(outcome.statements.is_empty());
+        assert!(outcome.by_camera.is_empty() && outcome.by_tenant.is_empty());
+        assert_eq!(outcome.detector_invocations, 0);
+        assert!(outcome.shared.queries.is_empty());
+        assert_eq!(outcome.shared.shared_total_ms, 0.0);
+        assert_eq!(outcome.shared.isolated_total_ms, 0.0);
+        assert_eq!((outcome.frames_ingested, outcome.frames_dropped), (16, 4));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! `vmq-lint`: in-tree static analysis for the workspace invariants.
 //!
-//! Every claim this reproduction makes — planner recall 1.0,
-//! `adaptive_net_speedup >= 1.0`, fleet results bit-identical to isolated
-//! runs at any worker count — rests on source-level invariants that no
-//! compiler flag enforces: position-keyed merges instead of hash-order
-//! iteration, seeded RNG everywhere, wall-clock confined to the
-//! ledger/bench layer, parallelism routed through `vmq-exec`, `unsafe`
-//! confined to the SIMD kernels and audited with `// SAFETY:` comments.
+//! Every claim this reproduction makes — planner recall 1.0, adaptive
+//! cost at most brute force plus calibration, fleet results bit-identical
+//! to isolated runs at any worker count — rests on source-level
+//! invariants that no compiler flag enforces: position-keyed merges
+//! instead of hash-order iteration, seeded RNG everywhere, wall-clock
+//! confined to the ledger/bench layer, parallelism routed through
+//! `vmq-exec`, `unsafe` confined to the SIMD kernels and audited with
+//! `// SAFETY:` comments.
 //! This crate machine-checks them: a dependency-free hand-rolled lexer
 //! ([`lexer`]) tokenizes every `.rs` file under `crates/`, `src/` and
 //! `tests/`, and a rule engine ([`rules`]) with stable rule IDs runs over
