@@ -579,9 +579,9 @@ mod tests {
     /// one cache and one ledger, fed the same batches in the same
     /// interleaving through `push_batch` and finished through the settling
     /// `finish` — the fleet without its scheduler, coalesced dispatch or
-    /// single settlement. Returns the runs, the shared bill and the
-    /// estimators.
-    fn replay(config: &FleetConfig, workload: Workload) -> (Vec<QueryRun>, SharedCost, Vec<WindowedAggregator>) {
+    /// single settlement. Returns the runs, the shared bill, the estimators
+    /// and the detector invocations.
+    fn replay(config: &FleetConfig, workload: Workload) -> (Vec<QueryRun>, SharedCost, Vec<WindowedAggregator>, u64) {
         assert!(workload.frames_per_round <= config.batch_size, "one fleet poll takes a whole round");
         let oracle = OracleDetector::perfect();
         let filters: Vec<CalibratedFilter> =
@@ -623,7 +623,7 @@ mod tests {
         let runs: Vec<QueryRun> = plans.into_iter().flat_map(|mut plan| plan.finish()).collect();
         let shares: Vec<(String, f64)> =
             ledgers.iter().map(|(name, ledger)| (name.to_string(), ledger.total_ms())).collect();
-        (runs, global.shared_cost(&shares), estimators)
+        (runs, global.shared_cost(&shares), estimators, global.invocations(oracle.stage()))
     }
 
     fn assert_run_bit_identical(a: &QueryRun, b: &QueryRun, ctx: &str) {
@@ -656,7 +656,7 @@ mod tests {
         outcome: &FleetOutcome,
         estimators: &[WindowedAggregator],
     ) {
-        let (runs, shared, replayed) = replay(config, workload);
+        let (runs, shared, replayed, _) = replay(config, workload);
         assert_eq!(outcome.statements.len(), runs.len());
         for (statement, run) in outcome.statements.iter().zip(&runs) {
             assert_run_bit_identical(&statement.run, run, &statement.name);
@@ -736,20 +736,37 @@ mod tests {
         }
     }
 
-    /// The fleet — coalesced detector dispatch and one attribution
-    /// settlement per finish — equals its per-camera replay, where every
-    /// plan detects its own escalations and settles the shared cache for
-    /// itself, as `SharedStreamPlan::finish` does.
+    /// The fleet settles detector attribution once per finish; its
+    /// per-camera replay, where every plan settles the shared cache for
+    /// itself as `SharedStreamPlan::finish` does, produces the identical
+    /// runs, bill, rollups and window reports.
     #[test]
     fn one_settlement_per_fleet_finish_equals_per_plan_settlement() {
         let config = test_config();
         let (outcome, estimators) = run_fleet(config.clone(), TWO_CAMERAS);
-        assert!(outcome.coalesced_dispatches > 0, "every poll with escalations dispatches");
+        assert_matches_replay(&config, TWO_CAMERAS, &outcome, &estimators);
+    }
+
+    /// The fleet unions every camera's escalations into one detector
+    /// dispatch per poll; the per-camera replay, where every plan detects
+    /// its own escalations, is the uncoalesced reference. Both detect the
+    /// same frames and answer identically to the bit.
+    #[test]
+    fn coalesced_detect_is_bit_identical_to_uncoalesced() {
+        let config = test_config();
+        let (coalesced, est_c) = run_fleet(config.clone(), TWO_CAMERAS);
+        assert!(coalesced.coalesced_dispatches > 0, "every poll with escalations dispatches");
         // Escalation-union detections flow through the coalescer; aggregate
         // window sampling detects separately, so the totals need not match.
-        assert!(outcome.coalesced_frames > 0);
-        assert!(outcome.coalesced_frames <= outcome.detector_invocations);
-        assert_matches_replay(&config, TWO_CAMERAS, &outcome, &estimators);
+        assert!(coalesced.coalesced_frames > 0);
+        assert!(coalesced.coalesced_frames <= coalesced.detector_invocations);
+        let (runs, _, est_u, invocations) = replay(&config, TWO_CAMERAS);
+        assert_eq!(coalesced.detector_invocations, invocations, "coalescing detects no frame more or less");
+        assert_eq!(coalesced.statements.len(), runs.len());
+        for (statement, run) in coalesced.statements.iter().zip(&runs) {
+            assert_run_bit_identical(&statement.run, run, &statement.name);
+        }
+        assert_reports_bit_identical(&est_c, &est_u);
     }
 
     /// 48 cameras × a 24-frame batch of filterless selects put 1 152
