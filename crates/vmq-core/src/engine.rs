@@ -171,9 +171,9 @@ impl VmqEngine {
     pub(crate) fn resolve_filter(&self, choice: FilterChoice) -> Box<dyn FrameFilter + '_> {
         let trained = || self.filters.as_ref().expect("train_filters() first");
         match choice {
-            FilterChoice::Ic => Box::new(EngineFilterRef(&trained().ic)),
-            FilterChoice::Od => Box::new(EngineFilterRef(&trained().od)),
-            FilterChoice::OdCof => Box::new(EngineFilterRef(&trained().cof)),
+            FilterChoice::Ic => Box::new(&trained().ic),
+            FilterChoice::Od => Box::new(&trained().od),
+            FilterChoice::OdCof => Box::new(&trained().cof),
             FilterChoice::Calibrated(profile) => Box::new(CalibratedFilter::new(
                 self.config.filter.classes.clone(),
                 self.config.filter.grid,
@@ -199,44 +199,6 @@ impl VmqEngine {
     /// Learned filter choices need [`VmqEngine::train_filters`] first.
     pub fn runtime(&self) -> StreamRuntime<'_> {
         StreamRuntime::new(self)
-    }
-}
-
-/// A thin reference wrapper so `&IcFilter` / `&OdFilter` / `&CofFilter` can be
-/// used where a boxed filter is expected without cloning trained weights.
-struct EngineFilterRef<'a, F: FrameFilter>(&'a F);
-
-impl<F: FrameFilter> FrameFilter for EngineFilterRef<'_, F> {
-    fn estimate(&self, frame: &vmq_video::Frame) -> vmq_filters::FilterEstimate {
-        self.0.estimate(frame)
-    }
-
-    fn estimate_batch(&self, frames: &[vmq_video::Frame]) -> Vec<vmq_filters::FilterEstimate> {
-        self.0.estimate_batch(frames)
-    }
-
-    fn estimate_batch_sharded(&self, frames: &[vmq_video::Frame], workers: usize) -> Vec<vmq_filters::FilterEstimate> {
-        self.0.estimate_batch_sharded(frames, workers)
-    }
-
-    fn kind(&self) -> vmq_filters::FilterKind {
-        self.0.kind()
-    }
-
-    fn kernel_backend(&self) -> &'static str {
-        self.0.kernel_backend()
-    }
-
-    fn grid_size(&self) -> usize {
-        self.0.grid_size()
-    }
-
-    fn threshold(&self) -> f32 {
-        self.0.threshold()
-    }
-
-    fn classes(&self) -> &[vmq_video::ObjectClass] {
-        self.0.classes()
     }
 }
 

@@ -10,9 +10,7 @@
 
 use crate::arch::build_trunk;
 use crate::config::FilterConfig;
-use crate::estimate::{
-    image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter, Rasters,
-};
+use crate::estimate::{estimate_alone, image_to_tensor, load_pixels, FilterEstimate, FilterKind, FrameFilter, Rasters};
 use crate::label::FrameLabels;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -23,7 +21,7 @@ use vmq_nn::net::Sequential;
 use vmq_nn::optim::{Adam, Optimizer};
 use vmq_nn::train::{batches, sample_order, EpochStats};
 use vmq_nn::{Tensor, Workspace};
-use vmq_video::{Frame, ObjectClass};
+use vmq_video::{Frame, ObjectClass, RasterConfig};
 
 /// Architecture of the OD-COF branch (Table I).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -159,10 +157,10 @@ impl CofFilter {
 }
 
 impl CofFilter {
-    /// One shared-read inference pass with the read lock already held
-    /// (bit-identical to the historical `&mut` forward path).
-    fn infer_one(&self, net: &Sequential, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
-        rasterise_into(&self.config.raster, frame, ws);
+    /// One shared-read inference pass over the raster loaded in `ws`, with
+    /// the read lock already held (bit-identical to the historical `&mut`
+    /// forward path).
+    fn infer_one(&self, net: &Sequential, ws: &mut Workspace) -> FilterEstimate {
         net.infer_ws(ws);
         let total = ws.data()[0].max(0.0);
         FilterEstimate {
@@ -187,8 +185,7 @@ impl CofFilter {
 
 impl FrameFilter for CofFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
-        let net = self.net.read();
-        vmq_nn::with_thread_workspace(|ws| self.infer_one(&net, frame, ws))
+        self.estimate_batch(std::slice::from_ref(frame)).remove(0)
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {
@@ -197,9 +194,16 @@ impl FrameFilter for CofFilter {
     }
 
     fn estimate_batch_sharded(&self, frames: &[Frame], workers: usize) -> Vec<FilterEstimate> {
-        let net = self.net.read();
-        let net = &*net;
-        shard_frames(frames, workers, |frame, ws| self.infer_one(net, frame, ws))
+        estimate_alone(self, frames, workers)
+    }
+
+    fn raster(&self) -> Option<&RasterConfig> {
+        Some(&self.config.raster)
+    }
+
+    fn estimate_pixels(&self, _frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+        load_pixels(&self.config.raster, pixels, ws);
+        self.infer_one(&self.net.read(), ws)
     }
 
     fn kind(&self) -> FilterKind {

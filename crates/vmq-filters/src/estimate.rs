@@ -2,9 +2,10 @@
 
 use crate::grid::ClassGrid;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use vmq_detect::{CostModel, Stage};
-use vmq_nn::Tensor;
-use vmq_video::{Frame, Image, ObjectClass};
+use vmq_nn::{Tensor, Workspace};
+use vmq_video::{Frame, Image, ObjectClass, RasterConfig};
 
 /// Which filter family produced an estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -160,6 +161,28 @@ pub trait FrameFilter: Send + Sync {
         self.estimate_batch(frames)
     }
 
+    /// The raster the filter's network reads, if it reads one. Filters that
+    /// report equal rasters can share one render per frame
+    /// ([`estimate_shared`]); `None` (the default) keeps the filter out of
+    /// any shared decode step.
+    fn raster(&self) -> Option<&RasterConfig> {
+        None
+    }
+
+    /// Estimates `frame` from its render by [`FrameFilter::raster`], running
+    /// on the calling thread's inference workspace `ws`. `pixels` is the
+    /// render as `3 × height × width` values; `None` means the decode step
+    /// rendered straight into `ws`, whose current activation is the render.
+    ///
+    /// Must equal [`FrameFilter::estimate`] bit for bit. The default ignores
+    /// the render and calls `estimate`; a filter that reports a raster must
+    /// override it, because `estimate` may itself borrow the thread's
+    /// workspace.
+    fn estimate_pixels(&self, frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+        let _ = (pixels, ws);
+        self.estimate(frame)
+    }
+
     /// Profiles the backend over a calibration sample: runs
     /// [`FrameFilter::estimate_batch`] in chunks of `batch_size` (mirroring
     /// how the operator pipeline would feed it) and reports the estimates
@@ -205,16 +228,129 @@ pub trait FrameFilter: Send + Sync {
     fn classes(&self) -> &[ObjectClass];
 }
 
+/// A borrowed filter is the filter: every method forwards, so a wrapper
+/// never silently drops one (a `&IcFilter` boxed as a `dyn FrameFilter`
+/// still reports its raster and still shares renders).
+impl<F: FrameFilter + ?Sized> FrameFilter for &F {
+    fn estimate(&self, frame: &Frame) -> FilterEstimate {
+        (**self).estimate(frame)
+    }
+
+    fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {
+        (**self).estimate_batch(frames)
+    }
+
+    fn estimate_batch_sharded(&self, frames: &[Frame], workers: usize) -> Vec<FilterEstimate> {
+        (**self).estimate_batch_sharded(frames, workers)
+    }
+
+    fn raster(&self) -> Option<&RasterConfig> {
+        (**self).raster()
+    }
+
+    fn estimate_pixels(&self, frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+        (**self).estimate_pixels(frame, pixels, ws)
+    }
+
+    fn profile(&self, frames: &[Frame], model: &CostModel, batch_size: usize) -> FilterProfile {
+        (**self).profile(frames, model, batch_size)
+    }
+
+    fn kind(&self) -> FilterKind {
+        (**self).kind()
+    }
+
+    fn kernel_backend(&self) -> &'static str {
+        (**self).kernel_backend()
+    }
+
+    fn grid_size(&self) -> usize {
+        (**self).grid_size()
+    }
+
+    fn threshold(&self) -> f32 {
+        (**self).threshold()
+    }
+
+    fn classes(&self) -> &[ObjectClass] {
+        (**self).classes()
+    }
+}
+
 /// Converts a rasterised [`Image`] into an input tensor for the networks.
 pub fn image_to_tensor(image: &Image) -> Tensor {
     Tensor::from_vec(image.data.clone(), vec![image.channels, image.height, image.width])
 }
 
-/// Rasterises `frame` straight into the workspace's current activation —
-/// the `[3, height, width]` input every learned filter's network starts
-/// from — without an intermediate [`Image`].
-pub(crate) fn rasterise_into(raster: &vmq_video::RasterConfig, frame: &Frame, ws: &mut vmq_nn::Workspace) {
-    raster.render_into(frame, ws.load_with(&[3, raster.height, raster.width]));
+/// The `[3, height, width]` input shape every learned network reads.
+fn raster_shape(raster: &RasterConfig) -> [usize; 3] {
+    [3, raster.height, raster.width]
+}
+
+/// Makes the decode step's render of a frame the workspace's input, as a
+/// learned filter's [`FrameFilter::estimate_pixels`] starts: copies `pixels`
+/// in, or — `None` — keeps the render already in the workspace.
+pub(crate) fn load_pixels(raster: &RasterConfig, pixels: Option<&[f32]>, ws: &mut Workspace) {
+    let shape = raster_shape(raster);
+    match pixels {
+        Some(pixels) => ws.load_slice(pixels, &shape),
+        None => debug_assert_eq!(ws.shape(), shape, "decode step left no render in the workspace"),
+    }
+}
+
+thread_local! {
+    /// Each thread's render of the frame it is estimating, read by every
+    /// filter of a shared decode group; reused across frames and batches.
+    static PIXELS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The plan-level decode step: estimates `frames` with every filter of a
+/// group whose networks read the same raster, rendering each frame once.
+/// Returns one estimate vector per filter, in `filters` order, each equal bit
+/// for bit to that filter's own [`FrameFilter::estimate_batch_sharded`].
+///
+/// The work is frame-major: frames shard over up to `workers` tasks on the
+/// persistent pool with a position-keyed merge, and each task renders a
+/// frame into its thread's pixel buffer and runs the whole group on it
+/// before the next frame — so each thread holds one render, never a batch of
+/// them. A group of one renders straight into the workspace and copies
+/// nothing.
+///
+/// # Panics
+///
+/// If a filter reports no raster, or the filters' rasters differ.
+pub fn estimate_shared(filters: &[&dyn FrameFilter], frames: &[Frame], workers: usize) -> Vec<Vec<FilterEstimate>> {
+    let Some(first) = filters.first() else {
+        return Vec::new();
+    };
+    let raster = first.raster().expect("estimate_shared runs filters that read a raster");
+    assert!(filters.iter().all(|f| f.raster() == Some(raster)), "estimate_shared needs one raster per group");
+    if let [filter] = filters {
+        let shape = raster_shape(raster);
+        return vec![shard_frames(frames, workers, |frame, ws| {
+            raster.render_into(frame, ws.load_with(&shape));
+            filter.estimate_pixels(frame, None, ws)
+        })];
+    }
+    let per_frame = shard_frames(frames, workers, |frame, ws| {
+        PIXELS.with_borrow_mut(|pixels| {
+            raster.render_into(frame, pixels);
+            filters.iter().map(|f| f.estimate_pixels(frame, Some(pixels), ws)).collect::<Vec<_>>()
+        })
+    });
+    let mut out: Vec<Vec<FilterEstimate>> = filters.iter().map(|_| Vec::with_capacity(frames.len())).collect();
+    for estimates in per_frame {
+        for (column, estimate) in out.iter_mut().zip(estimates) {
+            column.push(estimate);
+        }
+    }
+    out
+}
+
+/// [`estimate_shared`] over one filter: the batch path every learned filter's
+/// [`FrameFilter::estimate_batch_sharded`] runs.
+pub(crate) fn estimate_alone(filter: &dyn FrameFilter, frames: &[Frame], workers: usize) -> Vec<FilterEstimate> {
+    estimate_shared(&[filter], frames, workers).pop().expect("one estimate vector per filter")
 }
 
 /// A training set rendered once: every frame's `[3, height, width]` image,
@@ -225,8 +361,8 @@ pub(crate) struct Rasters {
 }
 
 impl Rasters {
-    pub(crate) fn render(raster: &vmq_video::RasterConfig, frames: &[Frame]) -> Self {
-        let shape = [3, raster.height, raster.width];
+    pub(crate) fn render(raster: &RasterConfig, frames: &[Frame]) -> Self {
+        let shape = raster_shape(raster);
         let mut data = Vec::with_capacity(frames.len() * shape.iter().product::<usize>());
         let mut image = Vec::new();
         for frame in frames {
@@ -237,7 +373,7 @@ impl Rasters {
     }
 
     /// Loads frame `i`'s image as the workspace's current activation.
-    pub(crate) fn load(&self, i: usize, ws: &mut vmq_nn::Workspace) {
+    pub(crate) fn load(&self, i: usize, ws: &mut Workspace) {
         let len: usize = self.shape.iter().product();
         ws.load_slice(&self.data[i * len..(i + 1) * len], &self.shape);
     }
@@ -251,9 +387,10 @@ impl Rasters {
 /// the detect stage uses, so any worker count yields the identical estimate
 /// vector. With one worker (or one frame) the calling thread's workspace
 /// serves the whole batch sequentially.
-pub(crate) fn shard_frames<F>(frames: &[Frame], workers: usize, infer_one: F) -> Vec<FilterEstimate>
+fn shard_frames<T, F>(frames: &[Frame], workers: usize, infer_one: F) -> Vec<T>
 where
-    F: Fn(&Frame, &mut vmq_nn::Workspace) -> FilterEstimate + Sync,
+    T: Send,
+    F: Fn(&Frame, &mut Workspace) -> T + Sync,
 {
     let n = frames.len();
     if n == 0 {
@@ -264,7 +401,7 @@ where
         return vmq_nn::with_thread_workspace(|ws| frames.iter().map(|frame| infer_one(frame, ws)).collect());
     }
     let chunk = n.div_ceil(workers);
-    let mut out: Vec<Option<FilterEstimate>> = vec![None; n];
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let infer_one = &infer_one;
     vmq_exec::scope(workers, |scope| {
         for (slots, part) in out.chunks_mut(chunk).zip(frames.chunks(chunk)) {

@@ -16,9 +16,7 @@
 
 use crate::arch::build_trunk;
 use crate::config::FilterConfig;
-use crate::estimate::{
-    image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter, Rasters,
-};
+use crate::estimate::{estimate_alone, image_to_tensor, load_pixels, FilterEstimate, FilterKind, FrameFilter, Rasters};
 use crate::grid::ClassGrid;
 use crate::label::{class_presence_counts, FrameLabels};
 use parking_lot::RwLock;
@@ -31,7 +29,7 @@ use vmq_nn::ops::{global_avg_pool_into, matvec_into};
 use vmq_nn::optim::{Adam, Optimizer};
 use vmq_nn::train::{batches, sample_order, EpochStats};
 use vmq_nn::{Tensor, Workspace};
-use vmq_video::{Frame, ObjectClass};
+use vmq_video::{Frame, ObjectClass, RasterConfig};
 
 /// The count head + class-activation-map head sharing one weight matrix.
 pub struct CamCountHead {
@@ -298,13 +296,13 @@ impl IcFilter {
 }
 
 impl IcFilter {
-    /// One shared-read inference pass with the read lock already held: the
-    /// trunk runs through the caller's workspace (no allocation in steady
-    /// state), the CAM/count head reads the feature map in place. Shared by
-    /// the per-frame, batched and sharded entry points — bit-identical to
-    /// the historical `&mut` forward path.
-    fn infer_one(&self, net: &IcNet, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
-        rasterise_into(&self.config.raster, frame, ws);
+    /// One shared-read inference pass over the raster loaded in `ws`, with
+    /// the read lock already held: the trunk runs through the caller's
+    /// workspace (no allocation in steady state), the CAM/count head reads
+    /// the feature map in place. Every entry point reaches it through
+    /// [`FrameFilter::estimate_pixels`] — bit-identical to the historical
+    /// `&mut` forward path.
+    fn infer_one(&self, net: &IcNet, ws: &mut Workspace) -> FilterEstimate {
         net.trunk.infer_ws(ws);
         let g = self.config.grid;
         let n = self.config.num_classes();
@@ -340,8 +338,7 @@ impl IcFilter {
 
 impl FrameFilter for IcFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
-        let net = self.net.read();
-        vmq_nn::with_thread_workspace(|ws| self.infer_one(&net, frame, ws))
+        self.estimate_batch(std::slice::from_ref(frame)).remove(0)
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {
@@ -351,9 +348,16 @@ impl FrameFilter for IcFilter {
     }
 
     fn estimate_batch_sharded(&self, frames: &[Frame], workers: usize) -> Vec<FilterEstimate> {
-        let net = self.net.read();
-        let net = &*net;
-        shard_frames(frames, workers, |frame, ws| self.infer_one(net, frame, ws))
+        estimate_alone(self, frames, workers)
+    }
+
+    fn raster(&self) -> Option<&RasterConfig> {
+        Some(&self.config.raster)
+    }
+
+    fn estimate_pixels(&self, _frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+        load_pixels(&self.config.raster, pixels, ws);
+        self.infer_one(&self.net.read(), ws)
     }
 
     fn kind(&self) -> FilterKind {

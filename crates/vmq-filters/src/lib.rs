@@ -51,7 +51,7 @@ pub mod train;
 pub use backend::{CalibratedFilter, CalibrationProfile};
 pub use cof::{CofConfig, CofFilter};
 pub use config::{FilterConfig, TrainSchedule};
-pub use estimate::{FilterEstimate, FilterKind, FilterProfile, FrameFilter};
+pub use estimate::{estimate_shared, FilterEstimate, FilterKind, FilterProfile, FrameFilter};
 pub use grid::ClassGrid;
 pub use ic::IcFilter;
 pub use metrics::{ClfMetrics, CountMetrics};

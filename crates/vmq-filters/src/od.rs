@@ -17,9 +17,7 @@
 
 use crate::arch::{build_branch, build_trunk};
 use crate::config::FilterConfig;
-use crate::estimate::{
-    image_to_tensor, rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter, Rasters,
-};
+use crate::estimate::{estimate_alone, image_to_tensor, load_pixels, FilterEstimate, FilterKind, FrameFilter, Rasters};
 use crate::grid::ClassGrid;
 use crate::label::FrameLabels;
 use parking_lot::RwLock;
@@ -30,7 +28,7 @@ use vmq_nn::net::Sequential;
 use vmq_nn::optim::{Adam, Optimizer};
 use vmq_nn::train::{batches, sample_order, EpochStats};
 use vmq_nn::{Tensor, Workspace};
-use vmq_video::{Frame, ObjectClass};
+use vmq_video::{Frame, ObjectClass, RasterConfig};
 
 struct OdNet {
     trunk: Sequential,
@@ -200,13 +198,13 @@ impl OdFilter {
 }
 
 impl OdFilter {
-    /// One shared-read inference pass with the read lock already held: the
-    /// trunk and branch run through the caller's workspace, the branch
-    /// output is stashed so both heads can read it, and the grid / count
-    /// heads run in the same order as the `&mut` forward pass (their
-    /// arithmetic is independent, so outputs are bit-identical to it).
-    fn infer_one(&self, net: &OdNet, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
-        rasterise_into(&self.config.raster, frame, ws);
+    /// One shared-read inference pass over the raster loaded in `ws`, with
+    /// the read lock already held: the trunk and branch run through the
+    /// caller's workspace, the branch output is stashed so both heads can
+    /// read it, and the grid / count heads run in the same order as the
+    /// `&mut` forward pass (their arithmetic is independent, so outputs are
+    /// bit-identical to it).
+    fn infer_one(&self, net: &OdNet, ws: &mut Workspace) -> FilterEstimate {
         net.trunk.infer_ws(ws);
         net.branch.infer_ws(ws);
         ws.stash();
@@ -249,8 +247,7 @@ impl OdFilter {
 
 impl FrameFilter for OdFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
-        let net = self.net.read();
-        vmq_nn::with_thread_workspace(|ws| self.infer_one(&net, frame, ws))
+        self.estimate_batch(std::slice::from_ref(frame)).remove(0)
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {
@@ -260,9 +257,16 @@ impl FrameFilter for OdFilter {
     }
 
     fn estimate_batch_sharded(&self, frames: &[Frame], workers: usize) -> Vec<FilterEstimate> {
-        let net = self.net.read();
-        let net = &*net;
-        shard_frames(frames, workers, |frame, ws| self.infer_one(net, frame, ws))
+        estimate_alone(self, frames, workers)
+    }
+
+    fn raster(&self) -> Option<&RasterConfig> {
+        Some(&self.config.raster)
+    }
+
+    fn estimate_pixels(&self, _frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+        load_pixels(&self.config.raster, pixels, ws);
+        self.infer_one(&self.net.read(), ws)
     }
 
     fn kind(&self) -> FilterKind {

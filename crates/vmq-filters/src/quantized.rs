@@ -18,12 +18,12 @@
 //! reorder inside the quantized layers.
 
 use crate::config::FilterConfig;
-use crate::estimate::{rasterise_into, shard_frames, FilterEstimate, FilterKind, FrameFilter};
+use crate::estimate::{estimate_alone, load_pixels, FilterEstimate, FilterKind, FrameFilter};
 use crate::grid::ClassGrid;
 use crate::ic::{CamCountHead, IcFilter};
 use crate::{CofFilter, OdFilter};
 use vmq_nn::{QuantizedSequential, Workspace};
-use vmq_video::{Frame, ObjectClass};
+use vmq_video::{Frame, ObjectClass, RasterConfig};
 
 /// Int8 twin of a trained [`IcFilter`]: quantized trunk, f32 CAM/count head.
 pub struct QuantizedIcFilter {
@@ -39,8 +39,7 @@ impl QuantizedIcFilter {
         QuantizedIcFilter { config: filter.config().clone(), trunk, head }
     }
 
-    fn infer_one(&self, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
-        rasterise_into(&self.config.raster, frame, ws);
+    fn infer_one(&self, ws: &mut Workspace) -> FilterEstimate {
         self.trunk.infer_ws(ws);
         let g = self.config.grid;
         let n = self.config.num_classes();
@@ -63,7 +62,7 @@ impl QuantizedIcFilter {
 
 impl FrameFilter for QuantizedIcFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
-        vmq_nn::with_thread_workspace(|ws| self.infer_one(frame, ws))
+        self.estimate_batch(std::slice::from_ref(frame)).remove(0)
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {
@@ -71,7 +70,16 @@ impl FrameFilter for QuantizedIcFilter {
     }
 
     fn estimate_batch_sharded(&self, frames: &[Frame], workers: usize) -> Vec<FilterEstimate> {
-        shard_frames(frames, workers, |frame, ws| self.infer_one(frame, ws))
+        estimate_alone(self, frames, workers)
+    }
+
+    fn raster(&self) -> Option<&RasterConfig> {
+        Some(&self.config.raster)
+    }
+
+    fn estimate_pixels(&self, _frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+        load_pixels(&self.config.raster, pixels, ws);
+        self.infer_one(ws)
     }
 
     fn kind(&self) -> FilterKind {
@@ -109,9 +117,8 @@ impl QuantizedOdFilter {
         QuantizedOdFilter { config: filter.config().clone(), nets: filter.quantized_nets(calib) }
     }
 
-    fn infer_one(&self, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
+    fn infer_one(&self, ws: &mut Workspace) -> FilterEstimate {
         let [trunk, branch, grid_head, count_head] = &self.nets;
-        rasterise_into(&self.config.raster, frame, ws);
         trunk.infer_ws(ws);
         branch.infer_ws(ws);
         ws.stash();
@@ -134,7 +141,7 @@ impl QuantizedOdFilter {
 
 impl FrameFilter for QuantizedOdFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
-        vmq_nn::with_thread_workspace(|ws| self.infer_one(frame, ws))
+        self.estimate_batch(std::slice::from_ref(frame)).remove(0)
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {
@@ -142,7 +149,16 @@ impl FrameFilter for QuantizedOdFilter {
     }
 
     fn estimate_batch_sharded(&self, frames: &[Frame], workers: usize) -> Vec<FilterEstimate> {
-        shard_frames(frames, workers, |frame, ws| self.infer_one(frame, ws))
+        estimate_alone(self, frames, workers)
+    }
+
+    fn raster(&self) -> Option<&RasterConfig> {
+        Some(&self.config.raster)
+    }
+
+    fn estimate_pixels(&self, _frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+        load_pixels(&self.config.raster, pixels, ws);
+        self.infer_one(ws)
     }
 
     fn kind(&self) -> FilterKind {
@@ -178,8 +194,7 @@ impl QuantizedCofFilter {
         QuantizedCofFilter { config: filter.config().clone(), net: filter.quantized_net(calib) }
     }
 
-    fn infer_one(&self, frame: &Frame, ws: &mut Workspace) -> FilterEstimate {
-        rasterise_into(&self.config.raster, frame, ws);
+    fn infer_one(&self, ws: &mut Workspace) -> FilterEstimate {
         self.net.infer_ws(ws);
         let total = ws.data()[0].max(0.0);
         FilterEstimate {
@@ -194,7 +209,7 @@ impl QuantizedCofFilter {
 
 impl FrameFilter for QuantizedCofFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
-        vmq_nn::with_thread_workspace(|ws| self.infer_one(frame, ws))
+        self.estimate_batch(std::slice::from_ref(frame)).remove(0)
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {
@@ -202,7 +217,16 @@ impl FrameFilter for QuantizedCofFilter {
     }
 
     fn estimate_batch_sharded(&self, frames: &[Frame], workers: usize) -> Vec<FilterEstimate> {
-        shard_frames(frames, workers, |frame, ws| self.infer_one(frame, ws))
+        estimate_alone(self, frames, workers)
+    }
+
+    fn raster(&self) -> Option<&RasterConfig> {
+        Some(&self.config.raster)
+    }
+
+    fn estimate_pixels(&self, _frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+        load_pixels(&self.config.raster, pixels, ws);
+        self.infer_one(ws)
     }
 
     fn kind(&self) -> FilterKind {

@@ -395,9 +395,16 @@ struct ExecState {
     all_users: Vec<usize>,
     /// Backend → the local indices of the queries consuming its inference.
     backend_users: Vec<Vec<usize>>,
+    /// The decode step: every backend with users, grouped so that backends
+    /// whose networks read equal rasters share one render per frame
+    /// ([`vmq_filters::estimate_shared`]). A backend that reads no raster is
+    /// a group of its own.
+    decode_groups: Vec<Vec<usize>>,
     frames_total: usize,
     wall: SharedWall,
-    /// Per backend: inference plus the one evaluation of its atom table.
+    /// Per backend: inference plus the one evaluation of its atom table. A
+    /// decode group is timed once and its wall split evenly across its
+    /// backends.
     backend_wall: Vec<f64>,
 }
 
@@ -856,9 +863,22 @@ impl<'a> SharedStreamPlan<'a> {
                 }
             }
         }
+        // Backends whose networks read equal rasters share one render per
+        // frame; the groups are fixed for the pass.
+        let mut decode_groups: Vec<Vec<usize>> = Vec::new();
+        for b in (0..self.backends.len()).filter(|&b| !backend_users[b].is_empty()) {
+            let raster = self.backends[b].raster();
+            let shared =
+                raster.and_then(|r| decode_groups.iter_mut().find(|g| self.backends[g[0]].raster() == Some(r)));
+            match shared {
+                Some(group) => group.push(b),
+                None => decode_groups.push(vec![b]),
+            }
+        }
         self.exec = Some(ExecState {
             all_users: (0..self.queries.len()).collect(),
             backend_users,
+            decode_groups,
             frames_total: 0,
             wall: SharedWall::default(),
             backend_wall: vec![0.0; self.backends.len()],
@@ -893,8 +913,7 @@ impl<'a> SharedStreamPlan<'a> {
         self.ensure_exec();
         let mut st = self.exec.take().expect("exec state built");
         st.frames_total += frames.len();
-        let pending =
-            self.process_batch_pre(frames, &st.all_users, &st.backend_users, &mut st.wall, &mut st.backend_wall);
+        let pending = self.process_batch_pre(frames, &mut st);
         self.exec = Some(st);
         pending
     }
@@ -957,46 +976,55 @@ impl<'a> SharedStreamPlan<'a> {
     /// charges, shared backend inference, per-query fan-out (escalations,
     /// indicator rows, drift observation) and the per-frame cache lookups
     /// that decide which escalated frames still need the detector.
-    fn process_batch_pre<'f>(
-        &mut self,
-        frames: &'f [Frame],
-        all_users: &[usize],
-        backend_users: &[Vec<usize>],
-        wall: &mut SharedWall,
-        backend_wall: &mut [f64],
-    ) -> PreparedBatch<'f> {
+    fn process_batch_pre<'f>(&mut self, frames: &'f [Frame], st: &mut ExecState) -> PreparedBatch<'f> {
         let n = frames.len();
+        let wall = &mut st.wall;
         // Phase 1 — decode: once globally, split across every query (global
         // charges address queries by their fleet-global user ids); each
         // private ledger pays the full batch (as isolated).
-        self.global.charge_shared(Stage::Decode, n as u64, &self.uids(all_users));
+        self.global.charge_shared(Stage::Decode, n as u64, &self.uids(&st.all_users));
         for state in &self.queries {
             state.ledger.charge(Stage::Decode, n as u64);
         }
 
-        // Phase 2 — shared backend inference, once per (backend, frame),
-        // and on its heels the one evaluation of the backend's atom table:
-        // every distinct cascade atom and indicator, once per frame.
-        let mut estimates: Vec<Option<Vec<FilterEstimate>>> = vec![None; self.backends.len()];
-        let mut verdicts: Vec<Option<AtomVerdicts>> = self.backends.iter().map(|_| None).collect();
-        for (b, users) in backend_users.iter().enumerate() {
-            if users.is_empty() {
-                continue;
-            }
-            let filter = self.backends[b];
-            let stage = filter.kind().stage();
+        // Phase 2 — shared backend inference, billed once per (backend,
+        // frame) ...
+        for (b, users) in st.backend_users.iter().enumerate().filter(|(_, users)| !users.is_empty()) {
+            let stage = self.backends[b].kind().stage();
             self.global.charge_shared(stage, n as u64, &self.uids(users));
             for &q in users {
                 self.queries[q].ledger.charge(stage, n as u64);
             }
+        }
+        // ... and run once per decode group, which renders each frame once
+        // for all of its backends; on the heels of each backend's estimates
+        // comes the one evaluation of its atom table: every distinct cascade
+        // atom and indicator, once per frame.
+        let mut estimates: Vec<Option<Vec<FilterEstimate>>> = vec![None; self.backends.len()];
+        let mut verdicts: Vec<Option<AtomVerdicts>> = self.backends.iter().map(|_| None).collect();
+        for group in &st.decode_groups {
             // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds only
             // the per-backend wall attribution stat; estimates and charges
             // are already fixed.
             let start = Instant::now();
-            let batch = filter.estimate_batch_sharded(frames, self.workers);
-            verdicts[b] = Some(self.atoms[b].evaluate(&batch));
-            estimates[b] = Some(batch);
-            backend_wall[b] += start.elapsed().as_secs_f64() * 1000.0;
+            // A group of one runs the backend's own batch path, which for a
+            // learned filter is the decode step over itself; a backend that
+            // reads no raster is always alone.
+            if let [b] = group[..] {
+                let batch = self.backends[b].estimate_batch_sharded(frames, self.workers);
+                verdicts[b] = Some(self.atoms[b].evaluate(&batch));
+                estimates[b] = Some(batch);
+            } else {
+                let filters: Vec<&dyn FrameFilter> = group.iter().map(|&b| self.backends[b]).collect();
+                for (&b, batch) in group.iter().zip(vmq_filters::estimate_shared(&filters, frames, self.workers)) {
+                    verdicts[b] = Some(self.atoms[b].evaluate(&batch));
+                    estimates[b] = Some(batch);
+                }
+            }
+            let share_ms = start.elapsed().as_secs_f64() * 1000.0 / group.len() as f64;
+            for &b in group {
+                st.backend_wall[b] += share_ms;
+            }
         }
 
         // Phase 3 — per-query fan-out from the shared verdicts: a select
@@ -1576,6 +1604,8 @@ mod tests {
     use super::*;
     use crate::exec::QueryExecutor;
     use crate::plan::CascadeConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
     use vmq_detect::OracleDetector;
     use vmq_filters::{CalibratedFilter, CalibrationProfile};
     use vmq_video::{Dataset, DatasetProfile};
@@ -2213,5 +2243,130 @@ mod tests {
                 QueryExecutor::new(query.clone()).run_filtered(ds.test(), &filter, &oracle, CascadeConfig::strict());
             assert_eq!(isolated.matched_frames, expected, "{} through the single-statement plan", query.name);
         }
+    }
+
+    /// Forwards to a learned filter, keeping what the shared decode step
+    /// hands it and counting the frames sent down its own batch path.
+    struct Counting<'a> {
+        inner: &'a dyn FrameFilter,
+        /// `(frame id, estimate)` per `estimate_pixels` call.
+        shared: Mutex<Vec<(u64, FilterEstimate)>>,
+        batched: AtomicUsize,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(inner: &'a dyn FrameFilter) -> Self {
+            Counting { inner, shared: Mutex::new(Vec::new()), batched: AtomicUsize::new(0) }
+        }
+
+        fn counts(&self) -> (usize, usize) {
+            (self.shared.lock().expect("no panic while recording").len(), self.batched.load(Ordering::Relaxed))
+        }
+    }
+
+    impl FrameFilter for Counting<'_> {
+        fn estimate(&self, frame: &Frame) -> FilterEstimate {
+            self.inner.estimate(frame)
+        }
+        fn estimate_batch_sharded(&self, frames: &[Frame], workers: usize) -> Vec<FilterEstimate> {
+            self.batched.fetch_add(frames.len(), Ordering::Relaxed);
+            self.inner.estimate_batch_sharded(frames, workers)
+        }
+        fn raster(&self) -> Option<&vmq_video::RasterConfig> {
+            self.inner.raster()
+        }
+        fn estimate_pixels(&self, frame: &Frame, pixels: Option<&[f32]>, ws: &mut vmq_nn::Workspace) -> FilterEstimate {
+            let estimate = self.inner.estimate_pixels(frame, pixels, ws);
+            self.shared.lock().expect("no panic while recording").push((frame.frame_id, estimate.clone()));
+            estimate
+        }
+        fn kind(&self) -> vmq_filters::FilterKind {
+            self.inner.kind()
+        }
+        fn grid_size(&self) -> usize {
+            self.inner.grid_size()
+        }
+        fn threshold(&self) -> f32 {
+            self.inner.threshold()
+        }
+        fn classes(&self) -> &[vmq_video::ObjectClass] {
+            self.inner.classes()
+        }
+    }
+
+    /// IC + OD statements on one plan: backends reading one raster form a
+    /// decode group, so every frame reaches each filter through
+    /// `estimate_pixels` (one render, two networks) and never through its
+    /// own batch path, each estimate equal by bits to the filter's own; the
+    /// runs equal those of two single-backend plans,
+    /// and the group's wall splits evenly across its two stage rows. A
+    /// backend reading another raster is never grouped.
+    #[test]
+    fn backends_reading_one_raster_share_a_render_per_frame() {
+        use vmq_filters::{FilterConfig, IcFilter, OdFilter};
+        let profile = DatasetProfile::jackson();
+        let ds = Dataset::generate(&profile, 20, 45, 37);
+        let oracle = OracleDetector::perfect();
+        let n = ds.test().len();
+        let ic = IcFilter::new(FilterConfig::fast_test(profile.class_list()));
+        let od = OdFilter::new(FilterConfig::fast_test(profile.class_list()));
+        let queries = [Query::paper_q3(), Query::paper_q4()];
+        let run = |filters: &[&dyn FrameFilter]| -> Vec<QueryRun> {
+            let mut plan = SharedStreamPlan::new(
+                &oracle,
+                vmq_detect::DetectionCache::new(),
+                CostLedger::paper(),
+                PipelineConfig::with_batch_size(16),
+            )
+            .with_workers(2);
+            for (&filter, query) in filters.iter().zip(&queries) {
+                let b = plan.add_backend(filter);
+                plan.register_select(query.clone(), CascadeConfig::tolerant(), Some(b), CostLedger::paper());
+            }
+            plan.execute_slice(ds.test())
+        };
+
+        let (counted_ic, counted_od) = (Counting::new(&ic), Counting::new(&od));
+        let shared = run(&[&counted_ic, &counted_od]);
+        assert_eq!(counted_ic.counts(), (n, 0), "IC: (frames via estimate_pixels, via estimate_batch_sharded)");
+        assert_eq!(counted_od.counts(), (n, 0), "OD: (frames via estimate_pixels, via estimate_batch_sharded)");
+        let bits = |e: &FilterEstimate| -> Vec<u32> {
+            let cells = e.grids.iter().flat_map(|g| g.cells().iter().copied());
+            e.counts.iter().copied().chain(cells).map(f32::to_bits).collect()
+        };
+        for counted in [&counted_ic, &counted_od] {
+            let mut seen = counted.shared.lock().expect("no panic while recording").clone();
+            seen.sort_by_key(|&(id, _)| id);
+            let own = counted.inner.estimate_batch(ds.test());
+            for ((id, got), (frame, want)) in seen.iter().zip(ds.test().iter().zip(&own)) {
+                assert_eq!(*id, frame.frame_id);
+                assert_eq!(bits(got), bits(want), "{} frame {id}: shared render vs own path", counted.kind().name());
+            }
+        }
+        let alone: Vec<QueryRun> = [&ic as &dyn FrameFilter, &od].iter().flat_map(|&f| run(&[f])).collect();
+        let rows = |run: &QueryRun| -> Vec<(String, usize, usize, u64)> {
+            run.stage_metrics
+                .iter()
+                .map(|m| (m.operator.clone(), m.frames_in, m.frames_out, m.virtual_ms.to_bits()))
+                .collect()
+        };
+        for (run, reference) in shared.iter().zip(&alone) {
+            assert_eq!(run.mode, reference.mode);
+            assert_eq!(run.matched_frames, reference.matched_frames, "{}", run.query);
+            assert_eq!(run.frames_passed_filter, reference.frames_passed_filter, "{}", run.query);
+            assert_eq!(run.frames_detected, reference.frames_detected, "{}", run.query);
+            assert_eq!(run.virtual_ms.to_bits(), reference.virtual_ms.to_bits(), "{}", run.query);
+            assert_eq!(rows(run), rows(reference), "{}", run.query);
+        }
+        let filter_wall = |run: &QueryRun| {
+            run.stage_metrics.iter().find(|m| m.operator == "cascade-filter").expect("a filtered select").wall_ms
+        };
+        assert_eq!(filter_wall(&shared[0]).to_bits(), filter_wall(&shared[1]).to_bits(), "one group, one wall");
+
+        let od_default = OdFilter::new(FilterConfig::experiment(profile.class_list()));
+        let (counted_ic, counted_od) = (Counting::new(&ic), Counting::new(&od_default));
+        run(&[&counted_ic, &counted_od]);
+        assert_eq!(counted_ic.counts(), (0, n), "IC alone in its group");
+        assert_eq!(counted_od.counts(), (0, n), "OD on the default raster alone in its group");
     }
 }
