@@ -201,7 +201,7 @@ impl FrameFilter for CofFilter {
         Some(&self.config.raster)
     }
 
-    fn estimate_pixels(&self, _frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+    fn estimate_pixels(&self, _frame: &Frame, pixels: &[f32], ws: &mut Workspace) -> FilterEstimate {
         load_pixels(&self.config.raster, pixels, ws);
         self.infer_one(&self.net.read(), ws)
     }

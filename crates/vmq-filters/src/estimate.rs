@@ -171,14 +171,20 @@ pub trait FrameFilter: Send + Sync {
 
     /// Estimates `frame` from its render by [`FrameFilter::raster`], running
     /// on the calling thread's inference workspace `ws`. `pixels` is the
-    /// render as `3 × height × width` values; `None` means the decode step
-    /// rendered straight into `ws`, whose current activation is the render.
+    /// render as `3 × height × width` values.
     ///
     /// Must equal [`FrameFilter::estimate`] bit for bit. The default ignores
-    /// the render and calls `estimate`; a filter that reports a raster must
-    /// override it, because `estimate` may itself borrow the thread's
-    /// workspace.
-    fn estimate_pixels(&self, frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+    /// the render and calls `estimate`, which is right only for a filter that
+    /// reads no raster: a learned filter's `estimate` borrows the thread's
+    /// workspace, which the decode step already holds. So a filter (or a
+    /// wrapper) that reports a raster must override this too; the default
+    /// panics, naming the type, when it does not.
+    fn estimate_pixels(&self, frame: &Frame, pixels: &[f32], ws: &mut Workspace) -> FilterEstimate {
+        assert!(
+            self.raster().is_none(),
+            "{} reports a raster but does not override FrameFilter::estimate_pixels",
+            std::any::type_name::<Self>()
+        );
         let _ = (pixels, ws);
         self.estimate(frame)
     }
@@ -248,7 +254,7 @@ impl<F: FrameFilter + ?Sized> FrameFilter for &F {
         (**self).raster()
     }
 
-    fn estimate_pixels(&self, frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+    fn estimate_pixels(&self, frame: &Frame, pixels: &[f32], ws: &mut Workspace) -> FilterEstimate {
         (**self).estimate_pixels(frame, pixels, ws)
     }
 
@@ -287,15 +293,10 @@ fn raster_shape(raster: &RasterConfig) -> [usize; 3] {
     [3, raster.height, raster.width]
 }
 
-/// Makes the decode step's render of a frame the workspace's input, as a
-/// learned filter's [`FrameFilter::estimate_pixels`] starts: copies `pixels`
-/// in, or — `None` — keeps the render already in the workspace.
-pub(crate) fn load_pixels(raster: &RasterConfig, pixels: Option<&[f32]>, ws: &mut Workspace) {
-    let shape = raster_shape(raster);
-    match pixels {
-        Some(pixels) => ws.load_slice(pixels, &shape),
-        None => debug_assert_eq!(ws.shape(), shape, "decode step left no render in the workspace"),
-    }
+/// Loads the decode step's render of a frame as the workspace's input, as a
+/// learned filter's [`FrameFilter::estimate_pixels`] starts.
+pub(crate) fn load_pixels(raster: &RasterConfig, pixels: &[f32], ws: &mut Workspace) {
+    ws.load_slice(pixels, &raster_shape(raster));
 }
 
 thread_local! {
@@ -313,29 +314,22 @@ thread_local! {
 /// persistent pool with a position-keyed merge, and each task renders a
 /// frame into its thread's pixel buffer and runs the whole group on it
 /// before the next frame — so each thread holds one render, never a batch of
-/// them. A group of one renders straight into the workspace and copies
-/// nothing.
+/// them.
 ///
 /// # Panics
 ///
-/// If a filter reports no raster, or the filters' rasters differ.
+/// If a filter reports no raster, the filters' rasters differ, or a filter
+/// keeps the default [`FrameFilter::estimate_pixels`].
 pub fn estimate_shared(filters: &[&dyn FrameFilter], frames: &[Frame], workers: usize) -> Vec<Vec<FilterEstimate>> {
     let Some(first) = filters.first() else {
         return Vec::new();
     };
     let raster = first.raster().expect("estimate_shared runs filters that read a raster");
     assert!(filters.iter().all(|f| f.raster() == Some(raster)), "estimate_shared needs one raster per group");
-    if let [filter] = filters {
-        let shape = raster_shape(raster);
-        return vec![shard_frames(frames, workers, |frame, ws| {
-            raster.render_into(frame, ws.load_with(&shape));
-            filter.estimate_pixels(frame, None, ws)
-        })];
-    }
     let per_frame = shard_frames(frames, workers, |frame, ws| {
         PIXELS.with_borrow_mut(|pixels| {
             raster.render_into(frame, pixels);
-            filters.iter().map(|f| f.estimate_pixels(frame, Some(pixels), ws)).collect::<Vec<_>>()
+            filters.iter().map(|f| f.estimate_pixels(frame, pixels, ws)).collect::<Vec<_>>()
         })
     });
     let mut out: Vec<Vec<FilterEstimate>> = filters.iter().map(|_| Vec::with_capacity(frames.len())).collect();
@@ -504,6 +498,40 @@ mod tests {
         // chunking is invisible in the output
         let whole = TruthFilter.profile(&frames, &model, 1000);
         assert_eq!(whole.estimates.len(), profile.estimates.len());
+    }
+
+    /// A wrapper that forwards `raster()` but keeps the default
+    /// `estimate_pixels` joins a decode group, so the decode step would
+    /// re-enter the workspace it holds; it stops with the type's name instead.
+    #[test]
+    #[should_panic(expected = "RasterOnly reports a raster but does not override FrameFilter::estimate_pixels")]
+    fn raster_without_estimate_pixels_names_the_missing_override() {
+        struct RasterOnly(crate::IcFilter);
+        impl FrameFilter for RasterOnly {
+            fn estimate(&self, frame: &Frame) -> FilterEstimate {
+                self.0.estimate(frame)
+            }
+            fn raster(&self) -> Option<&RasterConfig> {
+                self.0.raster()
+            }
+            fn kind(&self) -> FilterKind {
+                self.0.kind()
+            }
+            fn grid_size(&self) -> usize {
+                self.0.grid_size()
+            }
+            fn threshold(&self) -> f32 {
+                self.0.threshold()
+            }
+            fn classes(&self) -> &[ObjectClass] {
+                self.0.classes()
+            }
+        }
+        let classes = vmq_video::DatasetProfile::jackson().class_list();
+        let wrapped = RasterOnly(crate::IcFilter::new(crate::FilterConfig::fast_test(classes)));
+        let frames: Vec<Frame> =
+            (0..4).map(|i| Frame { camera_id: 0, frame_id: i, timestamp: 0.0, objects: vec![] }).collect();
+        estimate_shared(&[&wrapped, &wrapped.0], &frames, 2);
     }
 
     #[test]

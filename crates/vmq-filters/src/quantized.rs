@@ -77,7 +77,7 @@ impl FrameFilter for QuantizedIcFilter {
         Some(&self.config.raster)
     }
 
-    fn estimate_pixels(&self, _frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+    fn estimate_pixels(&self, _frame: &Frame, pixels: &[f32], ws: &mut Workspace) -> FilterEstimate {
         load_pixels(&self.config.raster, pixels, ws);
         self.infer_one(ws)
     }
@@ -156,7 +156,7 @@ impl FrameFilter for QuantizedOdFilter {
         Some(&self.config.raster)
     }
 
-    fn estimate_pixels(&self, _frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+    fn estimate_pixels(&self, _frame: &Frame, pixels: &[f32], ws: &mut Workspace) -> FilterEstimate {
         load_pixels(&self.config.raster, pixels, ws);
         self.infer_one(ws)
     }
@@ -224,7 +224,7 @@ impl FrameFilter for QuantizedCofFilter {
         Some(&self.config.raster)
     }
 
-    fn estimate_pixels(&self, _frame: &Frame, pixels: Option<&[f32]>, ws: &mut Workspace) -> FilterEstimate {
+    fn estimate_pixels(&self, _frame: &Frame, pixels: &[f32], ws: &mut Workspace) -> FilterEstimate {
         load_pixels(&self.config.raster, pixels, ws);
         self.infer_one(ws)
     }

@@ -2275,7 +2275,7 @@ mod tests {
         fn raster(&self) -> Option<&vmq_video::RasterConfig> {
             self.inner.raster()
         }
-        fn estimate_pixels(&self, frame: &Frame, pixels: Option<&[f32]>, ws: &mut vmq_nn::Workspace) -> FilterEstimate {
+        fn estimate_pixels(&self, frame: &Frame, pixels: &[f32], ws: &mut vmq_nn::Workspace) -> FilterEstimate {
             let estimate = self.inner.estimate_pixels(frame, pixels, ws);
             self.shared.lock().expect("no panic while recording").push((frame.frame_id, estimate.clone()));
             estimate
