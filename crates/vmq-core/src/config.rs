@@ -119,7 +119,7 @@ impl EngineConfig {
         EngineConfig { profile, train_frames: 120, test_frames: 200, filter, seed: 17 }
     }
 
-    /// The configuration used by the experiment harnesses: more frames and
+    /// An experiment-size configuration: more frames and
     /// the experiment filter architecture (56-pixel raster).
     pub fn experiment(profile: DatasetProfile) -> Self {
         let filter = FilterConfig::experiment(profile.class_list());

@@ -1,8 +1,8 @@
 //! Plain-text experiment reports.
 //!
-//! The benchmark harnesses print their tables through this module so that
-//! every experiment produces the same, easily diffable layout: a title, a
-//! header row and aligned data rows.
+//! Query outcomes print their per-operator tables through this module so
+//! every report has the same, easily diffable layout: a title, a header row
+//! and aligned data rows.
 
 use std::fmt::Write as _;
 use vmq_query::StageMetrics;
@@ -13,13 +13,12 @@ pub struct Report {
     title: String,
     header: Vec<String>,
     rows: Vec<Vec<String>>,
-    notes: Vec<String>,
 }
 
 impl Report {
     /// Creates an empty report.
     pub fn new(title: &str) -> Self {
-        Report { title: title.to_string(), header: Vec::new(), rows: Vec::new(), notes: Vec::new() }
+        Report { title: title.to_string(), header: Vec::new(), rows: Vec::new() }
     }
 
     /// Sets the column headers.
@@ -31,11 +30,6 @@ impl Report {
     /// Adds a data row.
     pub fn row(&mut self, cells: &[String]) {
         self.rows.push(cells.to_vec());
-    }
-
-    /// Adds a free-form note printed under the table.
-    pub fn note(&mut self, text: &str) {
-        self.notes.push(text.to_string());
     }
 
     /// Number of data rows.
@@ -110,9 +104,6 @@ impl Report {
                 .collect();
             let _ = writeln!(out, "{}", line.join("  "));
         }
-        for note in &self.notes {
-            let _ = writeln!(out, "note: {note}");
-        }
         out
     }
 }
@@ -126,12 +117,10 @@ mod tests {
         let mut r = Report::new("Demo").header(&["name", "value"]);
         r.row(&["alpha".to_string(), "1".to_string()]);
         r.row(&["b".to_string(), "22222".to_string()]);
-        r.note("synthetic data");
         let text = r.render();
         assert!(text.contains("=== Demo ==="));
         assert!(text.contains("name"));
         assert!(text.contains("alpha"));
-        assert!(text.contains("note: synthetic data"));
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
     }

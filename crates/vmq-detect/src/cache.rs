@@ -29,7 +29,7 @@ use vmq_video::Frame;
 type FrameKey = (u32, u64);
 
 /// Default entry budget: generous enough that every in-process stream pass
-/// (tests, benches, the quick/default/full scales) sees zero evictions — the
+/// (tests, benches, the paper-claims fixtures) sees zero evictions — the
 /// budget exists so a *long-lived* fleet runtime (ROADMAP item 1) cannot grow
 /// without bound, not to make short passes forget anything.
 pub const DEFAULT_ENTRY_BUDGET: usize = 1 << 20;

@@ -1,7 +1,7 @@
 //! Process-wide persistent worker pool with a scoped spawn/join API.
 //!
 //! Every sharded stage in the workspace (filter batch inference, truth-grid
-//! calibration, detector escalation, net batch inference) used to pay
+//! calibration, detector escalation) used to pay
 //! `std::thread::scope` spawn/join on every batch — at fleet scale that is
 //! four thread spawns per stage per batch per camera. This crate replaces the
 //! per-batch spawns with a lazily grown, process-global set of long-lived

@@ -7,7 +7,7 @@
 //! ground truth, perturbed according to a [`CalibrationProfile`] whose
 //! parameters correspond to the accuracy levels the paper reports
 //! (e.g. ~90 % exact-count accuracy, CLF F1 in the 0.6–0.9 range). All
-//! experiment harnesses use the learned filters; this backend exists for
+//! paper-claims fixtures use the learned filters; this backend exists for
 //! tests and for ablation studies over filter quality.
 
 use crate::estimate::{FilterEstimate, FilterKind, FrameFilter};

@@ -57,7 +57,7 @@ impl TrainSchedule {
         }
     }
 
-    /// The schedule used by the experiment harnesses.
+    /// The schedule of the experiment-size filters.
     pub fn experiment() -> Self {
         TrainSchedule { epochs: 5, count_only_epochs: 2, ..TrainSchedule::fast_test() }
     }
@@ -111,7 +111,7 @@ impl FilterConfig {
         }
     }
 
-    /// Configuration used by the experiment harnesses (56-pixel raster,
+    /// Experiment-size configuration (56-pixel raster,
     /// 14×14 grid, slightly wider networks).
     pub fn experiment(classes: Vec<ObjectClass>) -> Self {
         FilterConfig {

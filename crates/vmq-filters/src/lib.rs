@@ -29,7 +29,7 @@
 //! A [`backend::CalibratedFilter`] is also provided: it emulates a trained
 //! filter with configurable error rates, so the query and aggregate layers
 //! can be tested quickly and independently of training time. All experiment
-//! harnesses use the learned filters.
+//! fixtures of the paper-claims sheet use the learned filters.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

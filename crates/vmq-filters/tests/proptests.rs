@@ -192,9 +192,11 @@ proptest! {
     /// tolerance (see `vmq_nn::kernels`), but within one backend they are
     /// fully deterministic, which is all this property needs — both sides
     /// of every comparison here run under the same process-wide dispatch.
-    /// CI re-runs this whole suite under `VMQ_FORCE_SCALAR=1`, so both
-    /// dispatch outcomes flow through this property. The int8 twins are
-    /// dispatch-invariant by construction (exact integer accumulation).
+    /// The property runs under whichever backend the host dispatches; the
+    /// scalar side is covered by CI's forced-scalar rerun of the golden and
+    /// learned-filter end-to-end tests, whose sharded runs must reproduce
+    /// the same snapshots. The int8 twins are dispatch-invariant by
+    /// construction (exact integer accumulation).
     #[test]
     fn sharded_estimate_batch_is_bit_identical_to_per_frame(
         frames in prop::collection::vec(frame_strategy(6), 1..33),

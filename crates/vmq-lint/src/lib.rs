@@ -5,12 +5,12 @@
 //! to isolated runs at any worker count — rests on source-level
 //! invariants that no compiler flag enforces: position-keyed merges
 //! instead of hash-order iteration, seeded RNG everywhere, wall-clock
-//! confined to the ledger/bench layer, parallelism routed through
+//! confined to the ledger and drift monitor, parallelism routed through
 //! `vmq-exec`, `unsafe` confined to the SIMD kernels and audited with
 //! `// SAFETY:` comments.
 //! This crate machine-checks them: a dependency-free hand-rolled lexer
-//! ([`lexer`]) tokenizes every `.rs` file under `crates/`, `src/` and
-//! `tests/`, and a rule engine ([`rules`]) with stable rule IDs runs over
+//! ([`lexer`]) tokenizes every `.rs` file under `crates/`, `src/`,
+//! `tests/` and `benches/`, and a rule engine ([`rules`]) with stable rule IDs runs over
 //! the token stream. `tests/lint_workspace.rs` in the workspace root gates
 //! the whole tree under plain `cargo test`; the `vmq-lint` binary runs the
 //! same pass standalone (`--json` for machines).
@@ -36,12 +36,12 @@ pub struct WorkspaceReport {
 }
 
 /// Runs every rule over the workspace rooted at `root`: all `.rs` files
-/// under `crates/`, `src/` and `tests/` (recursively), skipping build
-/// output. Paths in findings are workspace-relative and `/`-separated so
+/// under `crates/`, `src/`, `tests/` and `benches/` (recursively), skipping
+/// build output. Paths in findings are workspace-relative and `/`-separated so
 /// reports are stable across machines.
 pub fn run_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     let mut files = Vec::new();
-    for dir in ["crates", "src", "tests"] {
+    for dir in ["crates", "src", "tests", "benches"] {
         collect_rs_files(&root.join(dir), &mut files)?;
     }
     files.sort();

@@ -31,7 +31,7 @@ pub const UNSAFE_MODULE_ALLOWLIST: &str = "unsafe-module-allowlist";
 pub const NO_RAW_THREAD_SPAWN: &str = "no-raw-thread-spawn";
 /// Rule: no std hash containers outside order-insensitive modules.
 pub const NO_HASH_ITERATION: &str = "no-hash-iteration-in-result-paths";
-/// Rule: no wall-clock reads outside ledger/drift/bench modules.
+/// Rule: no wall-clock reads outside the ledger and drift-monitor modules.
 pub const NO_WALLCLOCK: &str = "no-wallclock-in-result-paths";
 /// Rule: no entropy-seeded RNG anywhere.
 pub const NO_UNSEEDED_RNG: &str = "no-unseeded-rng";
@@ -69,9 +69,8 @@ const THREADS_ALLOWED: [&str; 1] = ["crates/vmq-exec/"];
 const HASH_ALLOWED: [&str; 0] = [];
 
 /// Where wall-clock reads are legitimate: the cost ledger (which *defines*
-/// wall accounting), the drift monitor's timing, and the bench crate.
-const WALLCLOCK_ALLOWED: [&str; 3] =
-    ["crates/vmq-detect/src/cost.rs", "crates/vmq-query/src/drift.rs", "crates/vmq-bench/"];
+/// wall accounting) and the drift monitor's timing.
+const WALLCLOCK_ALLOWED: [&str; 2] = ["crates/vmq-detect/src/cost.rs", "crates/vmq-query/src/drift.rs"];
 
 /// One finding: a rule violation at a file/line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,8 +292,8 @@ fn check_hash(path: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Rule 5: `Instant::now` / `SystemTime` outside ledger, drift-monitor and
-/// bench modules.
+/// Rule 5: `Instant::now` / `SystemTime` outside the ledger and
+/// drift-monitor modules.
 fn check_wallclock(path: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
     if path_in(path, &WALLCLOCK_ALLOWED) {
         return;
@@ -305,8 +304,8 @@ fn check_wallclock(path: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
                 rule: NO_WALLCLOCK,
                 path: path.to_string(),
                 line: t.line,
-                message: "`SystemTime` in a result path breaks replayability; wall-clock belongs to the ledger, \
-                          drift-monitor timing and bench modules"
+                message: "`SystemTime` in a result path breaks replayability; wall-clock belongs to the ledger \
+                          and drift-monitor timing"
                     .to_string(),
             });
         }
@@ -319,7 +318,7 @@ fn check_wallclock(path: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
                 path: path.to_string(),
                 line: a.line,
                 message: "`Instant::now` in a result path breaks replayability; confine wall-clock reads to the \
-                          ledger, drift-monitor timing and bench modules (or justify that results never branch \
+                          ledger and drift-monitor timing (or justify that results never branch \
                           on the measured span)"
                     .to_string(),
             });

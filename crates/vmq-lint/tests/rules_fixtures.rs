@@ -206,8 +206,8 @@ pub fn f() -> u64 {
 }
 "#;
     assert_eq!(fired(NEUTRAL, src), vec![rules::NO_UNSEEDED_RNG]);
-    // No allowlist for entropy: the bench crate fires too.
-    assert_eq!(fired("crates/vmq-bench/src/lib.rs", src), vec![rules::NO_UNSEEDED_RNG]);
+    // No allowlist for entropy: the micro-benchmarks fire too.
+    assert_eq!(fired("benches/micro_kernels.rs", src), vec![rules::NO_UNSEEDED_RNG]);
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! * layer types with explicit forward/backward passes ([`layer`]),
 //! * the losses used by the paper — SmoothL1 for counts, MSE for class
 //!   activation maps, and the masked grid loss of Eq. 3 ([`loss`]),
-//! * SGD-with-momentum and Adam optimisers ([`optim`]),
+//! * the Adam optimiser ([`optim`]),
 //! * a sequential network container plus the multi-head filter networks'
 //!   plumbing ([`net`]) and a generic mini-batch training loop ([`train`]).
 //!
@@ -68,7 +68,7 @@ pub mod workspace;
 pub use kernels::KernelBackend;
 pub use layer::{Act, Activation, Conv2d, Dense, Flatten, GlobalAvgPool, Layer, MaxPool2d};
 pub use net::{Param, Sequential};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use quant::QuantizedSequential;
 pub use tensor::Tensor;
 pub use workspace::{scratch_growth_events, with_thread_workspace, Workspace};

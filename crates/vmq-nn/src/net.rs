@@ -123,36 +123,6 @@ impl Sequential {
         ws.output()
     }
 
-    /// Batch inference sharded across the persistent worker pool: inputs are
-    /// split into one contiguous chunk per worker, each chunk runs on a pool
-    /// worker's thread-local [`Workspace`], and outputs merge back by
-    /// position — bit-identical to calling [`Sequential::infer`] per input,
-    /// for any `workers` (including under `VMQ_NO_POOL=1`).
-    pub fn infer_batch(&self, inputs: &[Tensor], workers: usize) -> Vec<Tensor> {
-        let n = inputs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = workers.clamp(1, n);
-        if workers == 1 {
-            return crate::workspace::with_thread_workspace(|ws| inputs.iter().map(|x| self.infer(x, ws)).collect());
-        }
-        let chunk = n.div_ceil(workers);
-        let mut out: Vec<Option<Tensor>> = vec![None; n];
-        vmq_exec::scope(workers, |scope| {
-            for (slots, part) in out.chunks_mut(chunk).zip(inputs.chunks(chunk)) {
-                scope.spawn(move || {
-                    crate::workspace::with_thread_workspace(|ws| {
-                        for (slot, x) in slots.iter_mut().zip(part) {
-                            *slot = Some(self.infer(x, ws));
-                        }
-                    });
-                });
-            }
-        });
-        out.into_iter().map(|t| t.expect("every input inferred")).collect()
-    }
-
     /// Backward pass over the loss gradient w.r.t. the network output loaded
     /// into `ws`: accumulates every parameter gradient and, if `input_grad`,
     /// leaves the gradient w.r.t. the network input there. A filter trunk
@@ -371,29 +341,6 @@ mod tests {
         };
         for out in &outputs[1..] {
             assert_eq!(out.data(), outputs[0].data());
-        }
-    }
-
-    #[test]
-    fn infer_batch_matches_per_input_infer_for_any_worker_count() {
-        let net = Sequential::new(vec![
-            Box::new(Dense::new(6, 5, 3)),
-            Box::new(Activation::new(Act::Tanh)),
-            Box::new(Dense::new(5, 2, 7)),
-        ]);
-        for batch in [1usize, 7, 32] {
-            let inputs: Vec<Tensor> = (0..batch)
-                .map(|i| Tensor::from_vec((0..6).map(|v| ((v + i * 13) as f32 * 0.31).cos()).collect(), vec![6]))
-                .collect();
-            let mut ws = crate::workspace::Workspace::new();
-            let reference: Vec<Tensor> = inputs.iter().map(|x| net.infer(x, &mut ws)).collect();
-            for workers in [1usize, 2, 4] {
-                let got = net.infer_batch(&inputs, workers);
-                assert_eq!(got.len(), reference.len());
-                for (g, r) in got.iter().zip(&reference) {
-                    assert_eq!(g.data(), r.data(), "batch={batch} workers={workers}");
-                }
-            }
         }
     }
 

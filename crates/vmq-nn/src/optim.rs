@@ -1,7 +1,8 @@
-//! Optimisers: SGD with momentum and weight decay, and Adam.
+//! The Adam optimiser and an exponential learning-rate decay schedule.
 //!
 //! The paper trains IC filters with Adam (lr 1e-4, exponential decay 5e-4) and
-//! OD filters with SGD (momentum 0.9, weight decay 5e-4); both are provided.
+//! OD filters with SGD (momentum 0.9, weight decay 5e-4); the reproduction
+//! trains every filter with Adam and L2 weight decay.
 
 use crate::net::Param;
 use crate::tensor::Tensor;
@@ -21,53 +22,6 @@ pub trait Optimizer {
 
     /// Overrides the learning rate (used by decay schedules).
     fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with classical momentum and L2 weight decay.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr, momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
-    }
-
-    /// SGD with momentum and weight decay (the configuration of Sec. IV for
-    /// OD filters: momentum 0.9, weight decay 5e-4).
-    pub fn with_momentum(lr: f32, momentum: f32, weight_decay: f32) -> Self {
-        Sgd { lr, momentum, weight_decay, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params.iter().map(|p| Tensor::zeros(p.value.shape().to_vec())).collect();
-        }
-        for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
-            let vd = v.data_mut();
-            let gd = p.grad.data();
-            let pd = p.value.data_mut();
-            for i in 0..pd.len() {
-                let g = gd[i] + self.weight_decay * pd[i];
-                vd[i] = self.momentum * vd[i] + g;
-                pd[i] -= self.lr * vd[i];
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// The Adam optimiser (Kingma & Ba) with bias-corrected moment estimates.
@@ -174,20 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let x = run_opt(&mut opt, 100);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9, 0.0);
-        let x = run_opt(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-2, "x = {x}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.2);
         let x = run_opt(&mut opt, 300);
@@ -198,7 +138,7 @@ mod tests {
     fn weight_decay_shrinks_parameters() {
         // With zero gradient, weight decay alone should shrink the parameter.
         let mut p = quad_param(1.0);
-        let mut opt = Sgd::with_momentum(0.1, 0.0, 0.5);
+        let mut opt = Adam::with_weight_decay(0.01, 0.5);
         for _ in 0..10 {
             p.grad = Tensor::zeros(vec![1]);
             let mut params = [&mut p];
@@ -221,7 +161,7 @@ mod tests {
         let sched = ExpDecay::new(1e-4, 5e-4);
         assert_eq!(sched.lr_at(0), 1e-4);
         assert!(sched.lr_at(10) < 1e-4);
-        let mut opt = Sgd::new(1.0);
+        let mut opt = Adam::new(1.0);
         sched.apply(&mut opt, 5);
         assert!(opt.learning_rate() < 1e-4 * 1.0001 && opt.learning_rate() > 0.0);
     }

@@ -198,7 +198,7 @@ impl FrameIndicators {
 }
 
 /// Per-operator execution metrics, the unified currency of reporting:
-/// `QueryRun`, the engine's `QueryOutcome` and the Table III harnesses all
+/// `QueryRun`, the engine's `QueryOutcome` and the golden tests all
 /// derive their numbers from these.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StageMetrics {

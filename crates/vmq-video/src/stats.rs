@@ -75,21 +75,6 @@ impl DatasetStats {
             class_presence,
         }
     }
-
-    /// Renders the statistics as a one-line table row (used by the Table II
-    /// harness).
-    pub fn table_row(&self, name: &str) -> String {
-        let classes: Vec<String> =
-            self.class_shares.iter().map(|(c, share)| format!("{} ({:.0}%)", c.name(), share * 100.0)).collect();
-        format!(
-            "{:<10} frames={:<7} obj/frame={:<6.1} std={:<6.1} classes=[{}]",
-            name,
-            self.frames,
-            self.mean_objects,
-            self.std_objects,
-            classes.join(", ")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -145,14 +130,5 @@ mod tests {
         assert!((s.class_shares[&ObjectClass::Person] - 2.0 / 6.0).abs() < 1e-5);
         assert_eq!(s.class_presence[&ObjectClass::Car], 1.0);
         assert_eq!(s.class_presence[&ObjectClass::Person], 0.5);
-    }
-
-    #[test]
-    fn table_row_contains_key_fields() {
-        let frames = vec![frame(1, 1, 0)];
-        let row = DatasetStats::compute(&frames).table_row("Demo");
-        assert!(row.contains("Demo"));
-        assert!(row.contains("car"));
-        assert!(row.contains("person"));
     }
 }

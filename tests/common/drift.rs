@@ -17,13 +17,13 @@
 //! stream, optional drift monitor — and reports recall plus the
 //! calibration-net speedup over the brute-force floor.
 
-use vmq_detect::{CostLedger, DetectionCache, Detector, OracleDetector};
-use vmq_query::ast::CountOp;
-use vmq_query::{
+use vmq::detect::{CostLedger, DetectionCache, Detector, OracleDetector};
+use vmq::query::ast::CountOp;
+use vmq::query::{
     plan_cascade, CalibrationReport, CascadeConfig, DriftConfig, DriftSetup, PipelineConfig, Query, QueryRun,
     SharedStreamPlan,
 };
-use vmq_video::{BoundingBox, Color, Frame, ObjectClass, SceneObject};
+use vmq::video::{BoundingBox, Color, Frame, ObjectClass, SceneObject};
 
 /// Seed of the deterministic scenario stream.
 pub const DRIFT_STREAM_SEED: u64 = 0x00D5_11F7;
@@ -94,24 +94,24 @@ impl RegimeShiftFilter {
     }
 }
 
-impl vmq_filters::FrameFilter for RegimeShiftFilter {
-    fn estimate(&self, frame: &Frame) -> vmq_filters::FilterEstimate {
+impl vmq::filters::FrameFilter for RegimeShiftFilter {
+    fn estimate(&self, frame: &Frame) -> vmq::filters::FilterEstimate {
         let count_of = |class: ObjectClass| frame.objects.iter().filter(|o| o.class == class).count();
         let mut cars = count_of(ObjectClass::Car) as i64;
         if frame.objects.len() >= self.dense_threshold {
             cars = (cars - self.undercount as i64).max(0);
         }
-        vmq_filters::FilterEstimate {
+        vmq::filters::FilterEstimate {
             classes: self.classes.to_vec(),
             counts: vec![cars as f32, count_of(ObjectClass::Person) as f32],
-            grids: vec![vmq_filters::ClassGrid::empty(4), vmq_filters::ClassGrid::empty(4)],
-            kind: vmq_filters::FilterKind::Od,
+            grids: vec![vmq::filters::ClassGrid::empty(4), vmq::filters::ClassGrid::empty(4)],
+            kind: vmq::filters::FilterKind::Od,
             total_hint: None,
         }
     }
 
-    fn kind(&self) -> vmq_filters::FilterKind {
-        vmq_filters::FilterKind::Od
+    fn kind(&self) -> vmq::filters::FilterKind {
+        vmq::filters::FilterKind::Od
     }
 
     fn kernel_backend(&self) -> &'static str {
@@ -141,9 +141,8 @@ pub struct DriftOutcome {
     pub truth: Vec<u64>,
     /// Recall of the run against ground truth.
     pub recall: f64,
-    /// Brute-force virtual time over the stream (the baseline).
-    pub brute_virtual_ms: f64,
-    /// Speedup net of calibration: brute / (run − calibration).
+    /// Speedup net of calibration over the brute-force virtual time:
+    /// brute / (run − calibration).
     pub net_speedup: f64,
 }
 
@@ -175,7 +174,7 @@ pub fn run_drift_scenario_seeded(workers: usize, drift: Option<DriftConfig>, see
     let frames = drift_stream(DRIFT_TOTAL_FRAMES, DRIFT_FLIP_AT, seed);
     let query = drift_query();
     let filter = RegimeShiftFilter::scenario();
-    let backends: Vec<&dyn vmq_filters::FrameFilter> = vec![&filter];
+    let backends: Vec<&dyn vmq::filters::FrameFilter> = vec![&filter];
     let oracle = OracleDetector::perfect();
     let ledger = CostLedger::paper();
     let model = ledger.model().clone();
@@ -198,7 +197,7 @@ pub fn run_drift_scenario_seeded(workers: usize, drift: Option<DriftConfig>, see
     let mut plan = SharedStreamPlan::new(&oracle, cache, global, PipelineConfig::default()).with_workers(workers);
     let b0 = plan.add_backend(&filter);
     let mode_label = format!("adaptive {}", report.choice.label);
-    let calibrate_row = Some(vmq_query::StageMetrics::calibrate(&report));
+    let calibrate_row = Some(vmq::query::StageMetrics::calibrate(&report));
     match drift.filter(|config| config.enabled()) {
         Some(config) => {
             plan.register_select_drifted(
@@ -229,9 +228,9 @@ pub fn run_drift_scenario_seeded(workers: usize, drift: Option<DriftConfig>, see
     let recall = if truth.is_empty() { 1.0 } else { found as f64 / truth.len() as f64 };
 
     let brute_virtual_ms: f64 =
-        [vmq_detect::Stage::Decode, oracle.stage()].iter().map(|&s| model.cost_ms(s) * frames.len() as f64).sum();
+        [vmq::detect::Stage::Decode, oracle.stage()].iter().map(|&s| model.cost_ms(s) * frames.len() as f64).sum();
     let net = run.virtual_ms - report.calibration_ms;
     let net_speedup = if net > 0.0 { brute_virtual_ms / net } else { f64::INFINITY };
 
-    DriftOutcome { run, calibration: report, truth, recall, brute_virtual_ms, net_speedup }
+    DriftOutcome { run, calibration: report, truth, recall, net_speedup }
 }

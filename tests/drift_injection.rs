@@ -6,9 +6,12 @@
 //! the net speedup claim stays honest. Audit-off runs must be bit-identical
 //! to a plain one-shot registration.
 
+#[path = "common/drift.rs"]
+mod drift;
+
+use drift::{run_drift_scenario, run_drift_scenario_seeded, scenario_drift_config, DRIFT_FLIP_AT};
 use proptest::prelude::*;
 use vmq::query::DriftConfig;
-use vmq_bench::drift::{run_drift_scenario, run_drift_scenario_seeded, scenario_drift_config, DRIFT_FLIP_AT};
 
 /// With the monitor attached, the regime flip is detected, the plan is
 /// swapped mid-stream (to a cascade, not brute force), recall is perfect,

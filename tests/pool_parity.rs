@@ -1,6 +1,6 @@
 //! Pool-vs-reference parity: every sharded stage — the IC / OD / OD-COF
-//! filters, their int8 twins, the calibrated backend, detector escalation
-//! through the shared plan, and net batch inference — must be bit-identical
+//! filters, their int8 twins, the calibrated backend and detector escalation
+//! through the shared plan — must be bit-identical
 //! between the persistent `vmq_exec` pool and the `VMQ_NO_POOL=1`
 //! spawn-per-task reference path, across batch sizes {1, 7, 32} × worker
 //! counts {1, 2, 4}. The fleet's coalesced cross-camera detect dispatch gets
@@ -22,7 +22,6 @@ use vmq::filters::{
     CalibratedFilter, CalibrationProfile, CofFilter, FilterConfig, FilterEstimate, FrameFilter, IcFilter, OdFilter,
     QuantizedCofFilter, QuantizedIcFilter, QuantizedOdFilter,
 };
-use vmq::nn::{Act, Activation, Dense, Sequential, Tensor};
 use vmq::query::{CascadeConfig, PipelineConfig, Query, QueryRun, SharedStreamPlan};
 use vmq::video::{DatasetProfile, Frame, ObjectClass, Scene, SceneConfig};
 
@@ -175,33 +174,6 @@ proptest! {
                 let pooled = with_mode(false, || shared_plan_run(&frames, seed, workers, batch));
                 let spawned = with_mode(true, || shared_plan_run(&frames, seed, workers, batch));
                 assert_runs_bit_identical(&pooled, &spawned, &format!("batch={batch} workers={workers}"));
-            }
-        }
-    }
-
-    /// Net batch inference: `infer_batch` on the pool equals the
-    /// spawn-reference and the sequential per-input loop, for every batch
-    /// size and worker count.
-    #[test]
-    fn net_inference_matches_between_pool_and_spawn_reference(seed in 0usize..100) {
-        let net = Sequential::new(vec![
-            Box::new(Dense::new(6, 5, seed as u64)),
-            Box::new(Activation::new(Act::Tanh)),
-            Box::new(Dense::new(5, 2, seed as u64 + 1)),
-        ]);
-        for batch in [1usize, 7, 32] {
-            let inputs: Vec<Tensor> = (0..batch)
-                .map(|i| Tensor::from_vec((0..6).map(|v| ((v + i * 17 + seed) as f32 * 0.23).sin()).collect(), vec![6]))
-                .collect();
-            let mut ws = vmq::nn::Workspace::new();
-            let reference: Vec<Tensor> = inputs.iter().map(|x| net.infer(x, &mut ws)).collect();
-            for workers in [1usize, 2, 4] {
-                for spawn in [false, true] {
-                    let got = with_mode(spawn, || net.infer_batch(&inputs, workers));
-                    for (g, r) in got.iter().zip(&reference) {
-                        prop_assert_eq!(g.data(), r.data(), "batch={} workers={} spawn={}", batch, workers, spawn);
-                    }
-                }
             }
         }
     }

@@ -32,11 +32,15 @@
 //! table4_aggregates -- --include-ignored` after an intentional estimator
 //! change.
 
+#[path = "common/profiles.rs"]
+mod profiles;
+
+use profiles::aggregate_profile;
 use vmq::aggregate::WindowedAggregator;
 use vmq::detect::{OracleDetector, Stage};
 use vmq::filters::{CalibratedFilter, CalibrationProfile, FrameFilter};
 use vmq::query::{AggregateSpec, Query, QueryExecutor};
-use vmq::video::{Dataset, DatasetProfile};
+use vmq::video::Dataset;
 
 /// Workload seed: datasets and filter noise are fully determined by it.
 const SEED: u64 = 25;
@@ -50,53 +54,6 @@ const TRIALS: usize = 100;
 const WINDOW: (usize, usize) = (200, 100);
 /// Committed snapshot location (relative to the workspace root).
 const GOLDEN_PATH: &str = "tests/golden/table4_aggregates.txt";
-
-/// Per-query dataset profiles, tuned so every aggregate query has a
-/// non-degenerate answer at quick scale.
-fn profile_for(query: &str) -> DatasetProfile {
-    match query {
-        // a1: car in the lower-right quadrant — the stock Jackson profile
-        // already puts the true fraction near 0.25.
-        "a1" => DatasetProfile::jackson(),
-        // a2: car left of a person — Jackson's 1.2 objects/frame and 20 %
-        // person share make co-occurrence (and hence the spatial predicate)
-        // too rare to estimate; densify and balance the mix.
-        "a2" => {
-            let mut p = DatasetProfile::jackson();
-            p.mean_objects = 3.5;
-            p.std_objects = 1.2;
-            p.classes[0].fraction = 0.55;
-            p.classes[1].fraction = 0.45;
-            p
-        }
-        // a3 / a4: DeTRAC at the paper's 15.8 objects/frame never has
-        // "exactly three objects"; sparsify (the Table III golden does the
-        // same) and raise the bus share so a3's bus predicate can hold.
-        "a3" | "a4" => {
-            let mut p = DatasetProfile::detrac();
-            p.mean_objects = 3.0;
-            p.std_objects = 1.2;
-            p.classes[0].fraction = 0.58;
-            p.classes[1].fraction = 0.38;
-            p.classes[2].fraction = 0.04;
-            // Mix the count process fast enough that every 200-frame window
-            // contains exactly-three-object frames (DeTRAC's slow reversion
-            // would otherwise leave whole windows without a true a3 frame).
-            p.count_reversion = 0.5;
-            p
-        }
-        // a5: exactly three people, two in the lower-left — Coral's mean of
-        // 8.7 people/frame makes count-three frames vanishingly rare.
-        "a5" => {
-            let mut p = DatasetProfile::coral();
-            p.mean_objects = 3.0;
-            p.std_objects = 1.2;
-            p.count_reversion = 0.5;
-            p
-        }
-        other => panic!("unknown aggregate query {other}"),
-    }
-}
 
 fn queries() -> Vec<Query> {
     vec![Query::paper_a1(), Query::paper_a2(), Query::paper_a3(), Query::paper_a4(), Query::paper_a5()]
@@ -116,7 +73,7 @@ fn golden_rows() -> Vec<GoldenRow> {
     let oracle = OracleDetector::perfect();
     let mut rows = Vec::new();
     for query in queries() {
-        let profile = profile_for(&query.name);
+        let profile = aggregate_profile(&query.name);
         let ds = Dataset::generate(&profile, 20, TEST_FRAMES, SEED);
         let filter = CalibratedFilter::new(profile.class_list(), 16, CalibrationProfile::od_like(), SEED ^ 0x7A);
         let backends: Vec<&dyn FrameFilter> = vec![&filter];
