@@ -11,13 +11,20 @@
 //! * **Fig. 7** — total-count exact and ±1 accuracy of OD-COF, IC-CF and
 //!   OD-CF (paper: ~90 % exact, ~99 % within ±1);
 //! * **Fig. 11** — the same two accuracies per class for IC-CCF and OD-CCF;
-//! * **Fig. 15** — CLF F1 rising from Manhattan distance 0 to 2, inside the
-//!   paper's 0.6–0.9 band;
+//! * **Fig. 15** — CLF F1 rising from Manhattan distance 0 to 2 (never
+//!   falling, and by at least five F1 points overall), inside the paper's
+//!   0.6–0.9 band;
 //! * **Table III** — q1–q7 on the trained IC/OD filters: the most selective
 //!   fixed combination that stays lossless on the test split (how the paper
 //!   picks its rows) and the adaptive plan (calibration billed), each with
 //!   recall and virtual speedup over brute force; selective queries ≫
-//!   unselective ones; a filter costs ≈ 1 % of the detector's virtual price;
+//!   unselective ones; a filter's billed virtual price is ≈ 1 % of the
+//!   detector's. The stock Jackson and DeTRAC splits hold no q5–q7 frame,
+//!   so q5 runs on the a2 fixture and q6/q7 on the a3/a4 one (as
+//!   `table3_plans.rs` sparsifies DeTRAC). Each row's note records the
+//!   query's true frames on its split, and a row reads `ok` only when there
+//!   is at least one: with none, recall is 1 by definition and a filter
+//!   that rejects every frame looks fastest;
 //! * **Table IV** — a1–a5 with the trained IC filter's indicators as the
 //!   control (seed 404, 40 samples, 100 trials, grid threshold 0.35), one
 //!   shot over the test split and over hopping windows of half the split
@@ -45,7 +52,7 @@ use experiment::DatasetExperiment;
 use profiles::aggregate_profile;
 use std::fmt::Write as _;
 use vmq::aggregate::WindowedAggregator;
-use vmq::detect::{CostModel, OracleDetector, Stage};
+use vmq::detect::OracleDetector;
 use vmq::filters::{ClfMetrics, CountMetrics, FilterEstimate, FrameFilter, TrainedFilters};
 use vmq::query::{AggregateSpec, CascadeConfig, Query, QueryExecutor, QueryRun};
 use vmq::video::{DatasetProfile, DatasetStats, Frame};
@@ -62,6 +69,9 @@ const EXACT: (&str, f64) = ("~0.90", 0.80);
 const WITHIN_ONE: (&str, f64) = ("~0.99", 0.95);
 /// Fig. 15: the paper's F1 band, widened by 0.05 at both ends.
 const F1_BAND: (f64, f64, f64) = (0.6, 0.9, 0.05);
+/// Fig. 15: the least F1 gain from MD 0 to MD 2 that reads as a rise; a CLF
+/// stuck at or near zero does not localise, it does not rise.
+const F1_RISE: f32 = 0.05;
 /// Table III: "up to ~100×"; an order-of-magnitude claim, so a factor of two
 /// either way still agrees.
 const SPEEDUP_MAX: (f64, f64) = (100.0, 2.0);
@@ -184,9 +194,10 @@ fn filter_accuracy(sheet: &mut Sheet, exp: &DatasetExperiment) {
                 .map(|md| ClfMetrics::class_location(estimates, labels, class, exp.config.threshold, md).f1)
                 .collect();
             let measured = format!("{:.3}/{:.3}/{:.3}", f1[0], f1[1], f1[2]);
-            let rises = f1[0] <= f1[1] && f1[1] <= f1[2];
+            let rises = f1[0] <= f1[1] && f1[1] <= f1[2] && f1[2] - f1[0] >= F1_RISE;
             let id = format!("fig15.rise.{k}.{c}.{name}-clf");
-            sheet.push(id, "MD0<=MD1<=MD2", measured, "monotone".into(), rises, String::new());
+            let tolerance = format!("rise>={F1_RISE:.2}");
+            sheet.push(id, "MD0<MD1<MD2", measured, tolerance, rises, String::new());
             let (min, max) = (f1[0].min(f1[2]) as f64, f1[0].max(f1[2]) as f64);
             let inside = min >= lo - slack && max <= hi + slack;
             let id = format!("fig15.band.{k}.{c}.{name}-clf");
@@ -221,41 +232,56 @@ fn most_selective_lossless(exp: &DatasetExperiment, query: &Query, oracle: &Orac
     best.expect("the lattice is not empty")
 }
 
-/// The recall and virtual-speedup rows of one Table III plan.
-fn plan_rows(sheet: &mut Sheet, id: &str, recall: f32, speedup: f64, note: String) {
-    sheet.push(format!("{id}.recall"), "1.000", format!("{recall:.3}"), "= 1".into(), recall >= 1.0, note);
-    sheet.push(format!("{id}.speedup"), "> 1x", format!("{speedup:.2}x"), "> 1x".into(), speedup > 1.0, String::new());
+/// The recall and virtual-speedup rows of one Table III plan on a split
+/// holding `truth` true frames. Both read `ok` only when `truth > 0`.
+fn plan_rows(sheet: &mut Sheet, id: &str, truth: usize, recall: f32, speedup: f64, note: String) {
+    let evidence = truth > 0;
+    let recall_ok = evidence && recall >= 1.0;
+    sheet.push(format!("{id}.recall"), "1.000", format!("{recall:.3}"), "= 1".into(), recall_ok, note);
+    let speedup_ok = evidence && speedup > 1.0;
+    sheet.push(format!("{id}.speedup"), "> 1x", format!("{speedup:.2}x"), "> 1x".into(), speedup_ok, String::new());
 }
 
-fn table3(sheet: &mut Sheet, cases: &[(&DatasetExperiment, Query)]) {
+/// Virtual milliseconds per input frame that `operator`'s stage row billed.
+fn billed_per_frame(run: &QueryRun, operator: &str) -> f64 {
+    let row = run.stage_metrics.iter().find(|m| m.operator == operator).unwrap_or_else(|| panic!("no {operator} row"));
+    row.virtual_ms / row.frames_in as f64
+}
+
+/// Table III on `(fixture label, fixture, query)` cases.
+fn table3(sheet: &mut Sheet, cases: &[(&str, &DatasetExperiment, Query)]) {
     let oracle = OracleDetector::perfect();
     let mut fixed_speedups = Vec::new();
-    for (exp, query) in cases {
+    for (label, exp, query) in cases {
         let frames = exp.dataset.test();
         let q = &query.name;
+        let exec = QueryExecutor::new(query.clone());
+        let truth = exec.ground_truth(frames).len();
         let brute = QueryExecutor::new(query.clone()).run_brute_force(frames, &oracle);
 
         let (fixed, recall) = most_selective_lossless(exp, query, &oracle);
         let speedup = brute.virtual_ms / fixed.virtual_ms;
-        fixed_speedups.push((q.clone(), speedup));
-        let note = format!("{} pass_rate={:.3}", fixed.mode, fixed.filter_pass_rate());
-        plan_rows(sheet, &format!("table3.{q}.fixed"), recall, speedup, note);
+        if truth > 0 {
+            fixed_speedups.push((q.clone(), speedup));
+        }
+        let note = format!("{label} true={truth} {} pass_rate={:.3}", fixed.mode, fixed.filter_pass_rate());
+        plan_rows(sheet, &format!("table3.{q}.fixed"), truth, recall, speedup, note);
 
         // The adaptive planner over both backends and the full lattice,
         // calibrated on an eighth of the split; its bill includes that.
         let backends: Vec<&dyn FrameFilter> = vec![&exp.filters.ic, &exp.filters.od];
-        let exec = QueryExecutor::new(query.clone());
         let prefix = frames.len() / 8;
         let (adaptive, _) = exec.run_adaptive(frames, prefix, &backends, &CascadeConfig::lattice(), &oracle);
         let recall = exec.accuracy(&adaptive, frames).recall;
         let speedup = brute.virtual_ms / adaptive.virtual_ms;
-        let note = format!("{} prefix={prefix}", adaptive.mode);
-        plan_rows(sheet, &format!("table3.{q}.adaptive"), recall, speedup, note);
+        let note = format!("{label} true={truth} {} prefix={prefix}", adaptive.mode);
+        plan_rows(sheet, &format!("table3.{q}.adaptive"), truth, recall, speedup, note);
     }
 
+    // The spread only counts queries with true frames on their split.
     let by_speedup = |a: &&(String, f64), b: &&(String, f64)| a.1.total_cmp(&b.1);
-    let best = fixed_speedups.iter().max_by(by_speedup).expect("seven queries");
-    let worst = fixed_speedups.iter().min_by(by_speedup).expect("seven queries");
+    let best = fixed_speedups.iter().max_by(by_speedup).expect("a query with true frames");
+    let worst = fixed_speedups.iter().min_by(by_speedup).expect("a query with true frames");
     let (paper, factor) = SPEEDUP_MAX;
     sheet.push(
         "table3.speedup_max".into(),
@@ -275,12 +301,17 @@ fn table3(sheet: &mut Sheet, cases: &[(&DatasetExperiment, Query)]) {
         format!("{} {:.2}x / {} {:.2}x", best.0, best.1, worst.0, worst.1),
     );
 
-    let model = CostModel::paper();
-    let detector = model.cost_ms(Stage::MaskRcnn);
-    let (exp, _) = &cases[0];
+    // A filter's price next to the detector's, as the ledger billed them on
+    // the first query: cascade-filter ms per screened frame over detect ms
+    // per detected frame.
+    let (_, exp, query) = &cases[0];
+    let frames = exp.dataset.test();
+    let brute = QueryExecutor::new(query.clone()).run_brute_force(frames, &oracle);
+    let detector = billed_per_frame(&brute, "detect");
     for filter in [&exp.filters.ic as &dyn FrameFilter, &exp.filters.od] {
-        let stage = filter.kind().stage();
-        let share = model.cost_ms(stage) / detector;
+        let run = QueryExecutor::new(query.clone()).run_filtered(frames, filter, &oracle, CascadeConfig::strict());
+        let price = billed_per_frame(&run, "cascade-filter");
+        let share = price / detector;
         let (lo, hi) = FILTER_PRICE_BAND;
         sheet.push(
             format!("table3.filter_price.{}", filter.kind().name().to_ascii_lowercase()),
@@ -288,7 +319,7 @@ fn table3(sheet: &mut Sheet, cases: &[(&DatasetExperiment, Query)]) {
             format!("{:.2}%", share * 100.0),
             format!("{:.1}..{:.0}%", lo * 100.0, hi * 100.0),
             (lo..=hi).contains(&share),
-            format!("{} ms of {detector} ms", model.cost_ms(stage)),
+            format!("billed {price:.1} of {detector:.1} ms/frame"),
         );
     }
 }
@@ -355,13 +386,13 @@ fn measure() -> Sheet {
     table3(
         &mut sheet,
         &[
-            (&coral, Query::paper_q1()),
-            (&coral, Query::paper_q2()),
-            (&jackson, Query::paper_q3()),
-            (&jackson, Query::paper_q4()),
-            (&jackson, Query::paper_q5()),
-            (&detrac, Query::paper_q6()),
-            (&detrac, Query::paper_q7()),
+            ("coral", &coral, Query::paper_q1()),
+            ("coral", &coral, Query::paper_q2()),
+            ("jackson", &jackson, Query::paper_q3()),
+            ("jackson", &jackson, Query::paper_q4()),
+            ("a2", &a2, Query::paper_q5()),
+            ("a3/a4", &a3_a4, Query::paper_q6()),
+            ("a3/a4", &a3_a4, Query::paper_q7()),
         ],
     );
     table4(
