@@ -1,11 +1,12 @@
-//! Property-based tests of grids, metrics and the calibrated filter.
+//! Property-based tests of grids, metrics and the calibrated filter, plus a
+//! pinned digest of the calibrated filter's estimates.
 
 use proptest::prelude::*;
 use vmq_filters::{
     BitGrid, CalibratedFilter, CalibrationProfile, ClassGrid, ClfMetrics, CofFilter, CountMetrics, FilterConfig,
     FilterEstimate, FrameFilter, IcFilter, OdFilter, QuantizedCofFilter, QuantizedIcFilter, QuantizedOdFilter,
 };
-use vmq_video::{BoundingBox, Color, Frame, ObjectClass, SceneObject};
+use vmq_video::{BoundingBox, Color, DatasetProfile, Frame, ObjectClass, Scene, SceneConfig, SceneObject};
 
 fn bbox_strategy() -> impl Strategy<Value = BoundingBox> {
     (0.0f32..0.9, 0.0f32..0.9, 0.02f32..0.3, 0.02f32..0.3).prop_map(|(x, y, w, h)| BoundingBox::new(x, y, w, h))
@@ -245,4 +246,65 @@ proptest! {
             }
         }
     }
+}
+
+/// FNV-1a over 32-bit words.
+fn fnv_fold(hash: u64, word: u32) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Every bit of every estimate: the kind, each count and each grid cell.
+fn estimates_digest(estimates: &[FilterEstimate]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for est in estimates {
+        hash = fnv_fold(hash, est.kind as u32);
+        for &count in &est.counts {
+            hash = fnv_fold(hash, count.to_bits());
+        }
+        for cell in est.grids.iter().flat_map(|grid| grid.cells()) {
+            hash = fnv_fold(hash, cell.to_bits());
+        }
+    }
+    hash
+}
+
+/// Pins the calibrated filter's estimates bit for bit: 200 frames of a
+/// dense Jackson scene (3.5 objects per frame) under the OD-like, IC-like
+/// and outlier profiles, through `estimate` per frame and through
+/// `estimate_batch` at batch sizes 1, 7 and 32. Every pass of a profile must
+/// agree, and the digest over all of them must not move: a change to how the
+/// filter computes its estimates has to keep every RNG draw and its order.
+#[test]
+fn calibrated_estimates_match_the_pinned_digest() {
+    let mut profile = DatasetProfile::jackson();
+    profile.mean_objects = 3.5;
+    profile.std_objects = 1.2;
+    profile.classes[0].fraction = 0.55;
+    profile.classes[1].fraction = 0.45;
+    let mut scene = Scene::new(SceneConfig::from_profile(&profile), 31);
+    let frames: Vec<Frame> = (0..200).map(|_| scene.step()).collect();
+    let objects: usize = frames.iter().map(|f| f.objects.len()).sum();
+    assert!(objects > 600, "the scene should average over 3 objects per frame, got {objects} in 200");
+    // Bus never appears in a Jackson scene, so one class stays all-empty.
+    let classes = vec![ObjectClass::Car, ObjectClass::Person, ObjectClass::Bus];
+    let profiles = [
+        CalibrationProfile::od_like(),
+        CalibrationProfile::ic_like(),
+        CalibrationProfile::od_like().with_count_outliers(0.4),
+    ];
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for (i, &calibration) in profiles.iter().enumerate() {
+        let filter = || CalibratedFilter::new(classes.clone(), 14, calibration, 900 + i as u64);
+        let per_frame = {
+            let filter = filter();
+            estimates_digest(&frames.iter().map(|f| filter.estimate(f)).collect::<Vec<_>>())
+        };
+        for batch in [1usize, 7, 32] {
+            let filter = filter();
+            let batched: Vec<FilterEstimate> = frames.chunks(batch).flat_map(|c| filter.estimate_batch(c)).collect();
+            assert_eq!(estimates_digest(&batched), per_frame, "profile {i} batch {batch}");
+        }
+        digest = fnv_fold(fnv_fold(digest, per_frame as u32), (per_frame >> 32) as u32);
+    }
+    assert_eq!(digest, 0xb585_51e0_ae4a_5d99, "calibrated estimates moved: digest {digest:#018x}");
 }
