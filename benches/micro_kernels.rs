@@ -231,9 +231,10 @@ fn bench_query_paths(c: &mut Criterion) {
 
 fn bench_filter_batch(c: &mut Criterion) {
     // The cascade-filter hot path: one 32-frame batch through the learned
-    // IC filter's workspace-based inference, sequential vs sharded. The
-    // sharded variants must be bit-identical (proptested in vmq-filters);
-    // here they are timed.
+    // IC filter's workspace-based inference, sequential vs sharded, and
+    // through the calibrated filter, which never shards. The sharded
+    // variants must be bit-identical (proptested in vmq-filters); here they
+    // are timed.
     let profile = DatasetProfile::jackson();
     let ds = Dataset::generate(&profile, 8, 32, 11);
     let frames = ds.test();
@@ -244,8 +245,8 @@ fn bench_filter_batch(c: &mut Criterion) {
         c.bench_function(&name, |bench| bench.iter(|| ic.estimate_batch_sharded(black_box(frames), workers)));
     }
     let cal = CalibratedFilter::new(profile.class_list(), 14, CalibrationProfile::od_like(), 1);
-    c.bench_function("pipeline/filter_batch CAL 32 frames, workers=4", |bench| {
-        bench.iter(|| cal.estimate_batch_sharded(black_box(frames), 4))
+    c.bench_function("pipeline/filter_batch CAL 32 frames", |bench| {
+        bench.iter(|| cal.estimate_batch(black_box(frames)))
     });
 }
 

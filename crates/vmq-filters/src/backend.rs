@@ -9,12 +9,17 @@
 //! (e.g. ~90 % exact-count accuracy, CLF F1 in the 0.6–0.9 range). All
 //! paper-claims fixtures use the learned filters; this backend exists for
 //! tests and for ablation studies over filter quality.
+//!
+//! An estimate is one sequential pass over the filter's RNG stream: per
+//! class, the count noise and then one draw per grid cell. The pass costs
+//! about a microsecond and a half per frame, so it runs on the calling thread;
+//! spreading a batch over the worker pool would cost more than the work.
 
 use crate::estimate::{FilterEstimate, FilterKind, FrameFilter};
 use crate::grid::ClassGrid;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vmq_video::{Frame, ObjectClass};
 
@@ -94,13 +99,24 @@ pub struct CalibratedFilter {
     grid: usize,
     threshold: f32,
     profile: CalibrationProfile,
-    rng: Mutex<StdRng>,
+    noise: Mutex<Noise>,
+}
+
+/// The filter's RNG stream and the buffers every estimate reuses.
+struct Noise {
+    rng: StdRng,
+    /// The current class's ground-truth occupancy.
+    truth: ClassGrid,
+    /// The current class's cell draws, one raw word per cell.
+    draws: Vec<u32>,
 }
 
 impl CalibratedFilter {
     /// Creates a calibrated filter for the given classes and grid size.
     pub fn new(classes: Vec<ObjectClass>, grid: usize, profile: CalibrationProfile, seed: u64) -> Self {
-        CalibratedFilter { classes, grid, threshold: 0.5, profile, rng: Mutex::new(StdRng::seed_from_u64(seed)) }
+        let noise =
+            Noise { rng: StdRng::seed_from_u64(seed), truth: ClassGrid::empty(grid), draws: vec![0; grid * grid] };
+        CalibratedFilter { classes, grid, threshold: 0.5, profile, noise: Mutex::new(noise) }
     }
 
     /// The calibration profile in use.
@@ -114,19 +130,23 @@ impl CalibratedFilter {
         (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
     }
 
-    /// Ground-truth boxes per class, in class order (one group per class).
-    fn truth_box_groups(&self, frame: &Frame) -> Vec<Vec<vmq_video::BoundingBox>> {
-        self.classes.iter().map(|&class| frame.objects_of(class).iter().map(|o| o.bbox).collect()).collect()
-    }
-
-    /// Perturbs per-class truth (counts + `truth_grids`, parallel to
-    /// `self.classes`) into an estimate, consuming `rng` in the fixed
-    /// class-major order both the per-frame and batched paths share.
-    fn noisy_estimate(&self, frame: &Frame, truth_grids: &[ClassGrid], rng: &mut StdRng) -> FilterEstimate {
+    /// Perturbs the frame's per-class truth into an estimate. Per class, in
+    /// class order, it draws the count noise and then one `gen::<f32>()` per
+    /// grid cell in row-major order. The cell draws are taken as a block of
+    /// raw words and applied with `Standard for f32`'s formula, so the stream
+    /// and every value are those of a per-cell `gen` loop.
+    fn estimate_with(&self, frame: &Frame, noise: &mut Noise) -> FilterEstimate {
+        const UNIT: f32 = 1.0 / (1u32 << 24) as f32;
+        let Noise { rng, truth, draws } = noise;
         let mut counts = Vec::with_capacity(self.classes.len());
         let mut grids = Vec::with_capacity(self.classes.len());
-        for (&class, truth) in self.classes.iter().zip(truth_grids) {
-            let true_count = frame.class_count(class) as f32;
+        for &class in &self.classes {
+            truth.clear();
+            let mut true_count = 0usize;
+            for object in frame.objects.iter().filter(|o| o.class == class) {
+                truth.mark(&object.bbox);
+                true_count += 1;
+            }
             // Outlier draw comes first so profiles without outliers consume
             // exactly the historical RNG stream (rate 0 draws nothing extra).
             let outlier = if self.profile.count_outlier_rate > 0.0 && rng.gen::<f32>() < self.profile.count_outlier_rate
@@ -139,19 +159,21 @@ impl CalibratedFilter {
             } else {
                 0.0
             };
-            let noisy = (true_count + outlier + Self::gaussian(rng) * self.profile.count_std).max(0.0);
+            let noisy = (true_count as f32 + outlier + Self::gaussian(rng) * self.profile.count_std).max(0.0);
             counts.push(noisy);
 
-            let mut cells = Vec::with_capacity(self.grid * self.grid);
-            for &v in truth.cells() {
-                let occupied = v > 0.5;
-                let flipped = if occupied {
-                    rng.gen::<f32>() >= self.profile.cell_miss_rate
-                } else {
-                    rng.gen::<f32>() < self.profile.cell_fp_rate
-                };
-                cells.push(if flipped { 1.0 } else { 0.0 });
+            for r in draws.iter_mut() {
+                *r = rng.next_u32();
             }
+            let cells = truth
+                .cells()
+                .iter()
+                .zip(draws.iter())
+                .map(|(&v, &r)| {
+                    let u = (r >> 8) as f32 * UNIT;
+                    f32::from(if v > 0.5 { u >= self.profile.cell_miss_rate } else { u < self.profile.cell_fp_rate })
+                })
+                .collect();
             grids.push(ClassGrid::from_values(self.grid, cells));
         }
         FilterEstimate { classes: self.classes.clone(), counts, grids, kind: self.profile.kind, total_hint: None }
@@ -160,61 +182,12 @@ impl CalibratedFilter {
 
 impl FrameFilter for CalibratedFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
-        let truth = ClassGrid::from_boxes_batch(self.grid, &self.truth_box_groups(frame));
-        let mut rng = self.rng.lock();
-        self.noisy_estimate(frame, &truth, &mut rng)
+        self.estimate_with(frame, &mut self.noise.lock())
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {
-        // Amortised batch path: all `frames × classes` ground-truth grids are
-        // built in one pass (sharing the cell-rectangle table) and the RNG is
-        // locked once. Noise is still drawn frame by frame in class-major
-        // order, so the stream of draws — and therefore every estimate — is
-        // identical to calling `estimate` per frame.
-        if self.classes.is_empty() {
-            return frames.iter().map(|frame| self.estimate(frame)).collect();
-        }
-        let groups: Vec<_> = frames.iter().flat_map(|frame| self.truth_box_groups(frame)).collect();
-        let truth = ClassGrid::from_boxes_batch(self.grid, &groups);
-        let mut rng = self.rng.lock();
-        frames
-            .iter()
-            .zip(truth.chunks(self.classes.len()))
-            .map(|(frame, truth_grids)| self.noisy_estimate(frame, truth_grids, &mut rng))
-            .collect()
-    }
-
-    fn estimate_batch_sharded(&self, frames: &[Frame], workers: usize) -> Vec<FilterEstimate> {
-        // The expensive part — building `frames × classes` ground-truth
-        // occupancy grids — is a pure per-frame function, so it shards
-        // across the persistent pool with a position-keyed merge. The
-        // calibrated noise, by contrast, is one sequential RNG stream (that
-        // is the filter's determinism contract), so the noise pass stays
-        // single-threaded and the estimates are bit-identical to the
-        // per-frame path for any worker count.
-        let workers = workers.min(frames.len()).max(1);
-        if workers == 1 || self.classes.is_empty() {
-            return self.estimate_batch(frames);
-        }
-        let chunk = frames.len().div_ceil(workers);
-        let mut truth: Vec<Vec<ClassGrid>> = vec![Vec::new(); frames.len()];
-        vmq_exec::scope(workers, |scope| {
-            for (slots, part) in truth.chunks_mut(chunk).zip(frames.chunks(chunk)) {
-                scope.spawn(move || {
-                    let groups: Vec<_> = part.iter().flat_map(|frame| self.truth_box_groups(frame)).collect();
-                    let grids = ClassGrid::from_boxes_batch(self.grid, &groups);
-                    for (slot, frame_grids) in slots.iter_mut().zip(grids.chunks(self.classes.len())) {
-                        *slot = frame_grids.to_vec();
-                    }
-                });
-            }
-        });
-        let mut rng = self.rng.lock();
-        frames
-            .iter()
-            .zip(&truth)
-            .map(|(frame, truth_grids)| self.noisy_estimate(frame, truth_grids, &mut rng))
-            .collect()
+        let mut noise = self.noise.lock();
+        frames.iter().map(|frame| self.estimate_with(frame, &mut noise)).collect()
     }
 
     fn kind(&self) -> FilterKind {

@@ -38,49 +38,39 @@ impl ClassGrid {
     /// non-degenerate box marks at least one cell.
     pub fn from_boxes(g: usize, boxes: &[BoundingBox]) -> Self {
         let mut grid = ClassGrid::empty(g);
-        for row in 0..g {
-            for col in 0..g {
-                let cell = BoundingBox {
-                    x: col as f32 / g as f32,
-                    y: row as f32 / g as f32,
-                    w: 1.0 / g as f32,
-                    h: 1.0 / g as f32,
-                };
-                if boxes.iter().any(|b| b.intersects(&cell)) {
-                    grid.set(row, col, 1.0);
-                }
-            }
+        for b in boxes {
+            grid.mark(b);
         }
         grid
     }
 
-    /// Builds ground-truth occupancy grids for many box groups at once, with
-    /// the same semantics as calling [`ClassGrid::from_boxes`] per group.
-    ///
-    /// The `g²` cell rectangles are constructed once and reused across the
-    /// whole batch — the per-batch amortisation the batched filter inference
-    /// path relies on (a calibrated filter builds `classes × batch` truth
-    /// grids per batch).
-    pub fn from_boxes_batch(g: usize, groups: &[Vec<BoundingBox>]) -> Vec<ClassGrid> {
-        assert!(g > 0, "grid size must be positive");
-        let cell_rects: Vec<BoundingBox> = (0..g * g)
-            .map(|i| BoundingBox {
-                x: (i % g) as f32 / g as f32,
-                y: (i / g) as f32 / g as f32,
-                w: 1.0 / g as f32,
-                h: 1.0 / g as f32,
-            })
-            .collect();
-        groups
-            .iter()
-            .map(|boxes| {
-                let cells = cell_rects
-                    .iter()
-                    .map(|cell| if boxes.iter().any(|b| b.intersects(cell)) { 1.0 } else { 0.0 })
-                    .collect();
-                ClassGrid { g, cells }
-            })
-            .collect()
+    /// Sets to 1 every cell whose rectangle overlaps `b` by
+    /// [`BoundingBox::intersects`]. Overlap is separable, so the marked cells
+    /// are the product of a column span and a row span, each found in one
+    /// pass along its axis instead of testing all `g²` cells.
+    pub(crate) fn mark(&mut self, b: &BoundingBox) {
+        let cols = Self::span(self.g, b.x, b.right());
+        for row in Self::span(self.g, b.y, b.bottom()) {
+            self.cells[row * self.g..][cols.clone()].fill(1.0);
+        }
+    }
+
+    /// Zeroes every cell.
+    pub(crate) fn clear(&mut self) {
+        self.cells.fill(0.0);
+    }
+
+    /// The cells along one axis that the extent `[lo, hi)` overlaps: cell
+    /// `i` spans `[i as f32 / g as f32, that + 1.0 / g as f32)`, computed and
+    /// compared exactly as [`BoundingBox::intersects`] does against that
+    /// cell's rectangle. Both edges grow with `i`, so the overlapping cells
+    /// are one run; a NaN edge overlaps nothing.
+    fn span(g: usize, lo: f32, hi: f32) -> std::ops::Range<usize> {
+        let side = 1.0 / g as f32;
+        let edge = |i: usize| i as f32 / g as f32;
+        let first = (0..g).position(|i| lo < edge(i) + side).unwrap_or(g);
+        let end = first + (first..g).take_while(|&i| edge(i) < hi).count();
+        first..end
     }
 
     /// Grid side length.
@@ -239,20 +229,6 @@ mod tests {
     #[test]
     fn from_boxes_empty_when_no_boxes() {
         assert!(ClassGrid::from_boxes(8, &[]).is_empty());
-    }
-
-    #[test]
-    fn from_boxes_batch_matches_per_group_construction() {
-        let groups = vec![
-            vec![],
-            vec![BoundingBox::new(0.0, 0.0, 0.5, 1.0)],
-            vec![BoundingBox::new(0.7, 0.4, 0.2, 0.2), BoundingBox::new(0.1, 0.1, 0.05, 0.05)],
-        ];
-        let batched = ClassGrid::from_boxes_batch(8, &groups);
-        assert_eq!(batched.len(), groups.len());
-        for (grid, group) in batched.iter().zip(&groups) {
-            assert_eq!(grid, &ClassGrid::from_boxes(8, group));
-        }
     }
 
     #[test]

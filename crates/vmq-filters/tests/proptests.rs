@@ -54,6 +54,62 @@ fn assert_estimates_bit_identical(
     }
 }
 
+/// One coordinate of a generated box: `kind` picks an exact cell edge
+/// `k / g`, a free value in `[-0.5, 1.5)`, zero, or NaN.
+fn coordinate((kind, k, free): (u8, usize, f32), g: usize) -> f32 {
+    match kind {
+        0 => (k % (g + 1)) as f32 / g as f32,
+        1 => free,
+        2 => 0.0,
+        _ => f32::NAN,
+    }
+}
+
+/// The occupancy grid built the naive way: every cell rectangle tested
+/// against every box with [`BoundingBox::intersects`].
+fn naive_grid(g: usize, boxes: &[BoundingBox]) -> Vec<f32> {
+    let side = 1.0 / g as f32;
+    (0..g * g)
+        .map(|i| {
+            let cell = BoundingBox { x: (i % g) as f32 / g as f32, y: (i / g) as f32 / g as f32, w: side, h: side };
+            if boxes.iter().any(|b| b.intersects(&cell)) {
+                1.0
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    // Cheap cases: many of them reach the edge, NaN and zero-size mixes.
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// `ClassGrid::from_boxes` marks exactly the cells a naive per-cell
+    /// `intersects` test marks: boxes with edges on cell boundaries, zero
+    /// width or height, partly or wholly outside the frame, the whole frame
+    /// and NaN coordinates, on grids of side 1 to 16.
+    #[test]
+    fn from_boxes_matches_naive_cell_test(
+        g in 1usize..17,
+        specs in prop::collection::vec(
+            (0u8..8, (0u8..4, 0usize..17, -0.5f32..1.5), (0u8..4, 0usize..17, -0.5f32..1.5),
+             (0u8..4, 0usize..17, -0.5f32..1.5), (0u8..4, 0usize..17, -0.5f32..1.5)),
+            0..5,
+        ),
+    ) {
+        let boxes: Vec<BoundingBox> = specs
+            .into_iter()
+            .map(|(mode, x, y, w, h)| match mode {
+                0 => BoundingBox::full_frame(),
+                _ => BoundingBox { x: coordinate(x, g), y: coordinate(y, g), w: coordinate(w, g), h: coordinate(h, g) },
+            })
+            .collect();
+        let grid = ClassGrid::from_boxes(g, &boxes);
+        prop_assert_eq!(grid.cells(), &naive_grid(g, &boxes)[..], "g={} boxes={:?}", g, boxes);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
