@@ -165,13 +165,15 @@ impl CalibratedFilter {
             for r in draws.iter_mut() {
                 *r = rng.next_u32();
             }
+            // The rates are copied out of `self` so the loop vectorises.
+            let (miss, fp) = (self.profile.cell_miss_rate, self.profile.cell_fp_rate);
             let cells = truth
                 .cells()
                 .iter()
                 .zip(draws.iter())
                 .map(|(&v, &r)| {
                     let u = (r >> 8) as f32 * UNIT;
-                    f32::from(if v > 0.5 { u >= self.profile.cell_miss_rate } else { u < self.profile.cell_fp_rate })
+                    f32::from(if v > 0.5 { u >= miss } else { u < fp })
                 })
                 .collect();
             grids.push(ClassGrid::from_values(self.grid, cells));
