@@ -11,9 +11,9 @@
 //! tests and for ablation studies over filter quality.
 //!
 //! An estimate is one sequential pass over the filter's RNG stream: per
-//! class, the count noise and then one draw per grid cell. The pass costs
-//! about a microsecond and a half per frame, so it runs on the calling thread;
-//! spreading a batch over the worker pool would cost more than the work.
+//! class, the count noise and then one draw per grid cell. Only the truth
+//! grids could be built in parallel, and for a whole batch they cost less
+//! than one worker-pool scope, so the filter runs on the calling thread.
 
 use crate::estimate::{FilterEstimate, FilterKind, FrameFilter};
 use crate::grid::ClassGrid;

@@ -155,8 +155,8 @@ pub trait FrameFilter: Send + Sync {
     /// knob, exactly like the detect stage's sharding. The default ignores
     /// `workers` and runs the batched path; the learned filters override it
     /// with per-thread workspaces over a shared-read network. The calibrated
-    /// filter keeps the default: its estimates are one sequential RNG stream
-    /// at about 1.5 µs per frame, less than a pool scope costs.
+    /// filter keeps the default: its noise is one sequential RNG stream, and
+    /// its truth grids cost less per batch than a pool scope.
     fn estimate_batch_sharded(&self, frames: &[Frame], workers: usize) -> Vec<FilterEstimate> {
         let _ = workers;
         self.estimate_batch(frames)
