@@ -99,24 +99,16 @@ pub struct CalibratedFilter {
     grid: usize,
     threshold: f32,
     profile: CalibrationProfile,
-    noise: Mutex<Noise>,
+    rng: Mutex<StdRng>,
 }
 
-/// The filter's RNG stream and the buffers every estimate reuses.
-struct Noise {
-    rng: StdRng,
-    /// The current class's ground-truth occupancy.
-    truth: ClassGrid,
-    /// The current class's cell draws, one raw word per cell.
-    draws: Vec<u32>,
-}
+/// Cell draws are taken from the RNG this many raw words at a time.
+const DRAW_BLOCK: usize = 64;
 
 impl CalibratedFilter {
     /// Creates a calibrated filter for the given classes and grid size.
     pub fn new(classes: Vec<ObjectClass>, grid: usize, profile: CalibrationProfile, seed: u64) -> Self {
-        let noise =
-            Noise { rng: StdRng::seed_from_u64(seed), truth: ClassGrid::empty(grid), draws: vec![0; grid * grid] };
-        CalibratedFilter { classes, grid, threshold: 0.5, profile, noise: Mutex::new(noise) }
+        CalibratedFilter { classes, grid, threshold: 0.5, profile, rng: Mutex::new(StdRng::seed_from_u64(seed)) }
     }
 
     /// The calibration profile in use.
@@ -132,19 +124,21 @@ impl CalibratedFilter {
 
     /// Perturbs the frame's per-class truth into an estimate. Per class, in
     /// class order, it draws the count noise and then one `gen::<f32>()` per
-    /// grid cell in row-major order. The cell draws are taken as a block of
-    /// raw words and applied with `Standard for f32`'s formula, so the stream
-    /// and every value are those of a per-cell `gen` loop.
-    fn estimate_with(&self, frame: &Frame, noise: &mut Noise) -> FilterEstimate {
+    /// grid cell in row-major order. The cell draws are taken in blocks of
+    /// [`DRAW_BLOCK`] raw words and applied with `Standard for f32`'s
+    /// formula, so the stream and every value are those of a per-cell `gen`
+    /// loop while the apply loop carries no RNG state and vectorises.
+    fn estimate_with(&self, frame: &Frame, rng: &mut StdRng) -> FilterEstimate {
         const UNIT: f32 = 1.0 / (1u32 << 24) as f32;
-        let Noise { rng, truth, draws } = noise;
+        let (miss, fp) = (self.profile.cell_miss_rate, self.profile.cell_fp_rate);
+        let mut draws = [0u32; DRAW_BLOCK];
         let mut counts = Vec::with_capacity(self.classes.len());
         let mut grids = Vec::with_capacity(self.classes.len());
         for &class in &self.classes {
-            truth.clear();
+            let mut grid = ClassGrid::empty(self.grid);
             let mut true_count = 0usize;
             for object in frame.objects.iter().filter(|o| o.class == class) {
-                truth.mark(&object.bbox);
+                grid.mark(&object.bbox);
                 true_count += 1;
             }
             // Outlier draw comes first so profiles without outliers consume
@@ -162,21 +156,17 @@ impl CalibratedFilter {
             let noisy = (true_count as f32 + outlier + Self::gaussian(rng) * self.profile.count_std).max(0.0);
             counts.push(noisy);
 
-            for r in draws.iter_mut() {
-                *r = rng.next_u32();
-            }
-            // The rates are copied out of `self` so the loop vectorises.
-            let (miss, fp) = (self.profile.cell_miss_rate, self.profile.cell_fp_rate);
-            let cells = truth
-                .cells()
-                .iter()
-                .zip(draws.iter())
-                .map(|(&v, &r)| {
+            for block in grid.cells_mut().chunks_mut(DRAW_BLOCK) {
+                let draws = &mut draws[..block.len()];
+                for r in draws.iter_mut() {
+                    *r = rng.next_u32();
+                }
+                for (v, &r) in block.iter_mut().zip(draws.iter()) {
                     let u = (r >> 8) as f32 * UNIT;
-                    f32::from(if v > 0.5 { u >= miss } else { u < fp })
-                })
-                .collect();
-            grids.push(ClassGrid::from_values(self.grid, cells));
+                    *v = f32::from(if *v > 0.5 { u >= miss } else { u < fp });
+                }
+            }
+            grids.push(grid);
         }
         FilterEstimate { classes: self.classes.clone(), counts, grids, kind: self.profile.kind, total_hint: None }
     }
@@ -184,12 +174,12 @@ impl CalibratedFilter {
 
 impl FrameFilter for CalibratedFilter {
     fn estimate(&self, frame: &Frame) -> FilterEstimate {
-        self.estimate_with(frame, &mut self.noise.lock())
+        self.estimate_with(frame, &mut self.rng.lock())
     }
 
     fn estimate_batch(&self, frames: &[Frame]) -> Vec<FilterEstimate> {
-        let mut noise = self.noise.lock();
-        frames.iter().map(|frame| self.estimate_with(frame, &mut noise)).collect()
+        let mut rng = self.rng.lock();
+        frames.iter().map(|frame| self.estimate_with(frame, &mut rng)).collect()
     }
 
     fn kind(&self) -> FilterKind {

@@ -55,9 +55,9 @@ impl ClassGrid {
         }
     }
 
-    /// Zeroes every cell.
-    pub(crate) fn clear(&mut self) {
-        self.cells.fill(0.0);
+    /// Raw cell values in row-major order, writable.
+    pub(crate) fn cells_mut(&mut self) -> &mut [f32] {
+        &mut self.cells
     }
 
     /// The cells along one axis that the extent `[lo, hi)` overlaps: cell
