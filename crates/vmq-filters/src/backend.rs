@@ -130,6 +130,7 @@ impl CalibratedFilter {
     /// loop while the apply loop carries no RNG state and vectorises.
     fn estimate_with(&self, frame: &Frame, rng: &mut StdRng) -> FilterEstimate {
         const UNIT: f32 = 1.0 / (1u32 << 24) as f32;
+        // Copied out of `self` so the apply loop below vectorises.
         let (miss, fp) = (self.profile.cell_miss_rate, self.profile.cell_fp_rate);
         let mut draws = [0u32; DRAW_BLOCK];
         let mut counts = Vec::with_capacity(self.classes.len());
