@@ -337,7 +337,7 @@ impl<'e> StreamRuntime<'e> {
             let truth: Vec<bool> = if prefix > 0 {
                 ledger.charge_calibration(Stage::MaskRcnn, prefix as u64);
                 let cached = CachedDetector::new(&engine.oracle, &cache, q, Some(global.clone()));
-                frames[..prefix].iter().map(|f| query.matches_detections(&cached.detect(f))).collect()
+                frames[..prefix].iter().map(|f| query.matches_detections(&cached.detect_shared(f))).collect()
             } else {
                 Vec::new()
             };

@@ -490,13 +490,17 @@ impl<'a> CachedDetector<'a> {
 
 impl Detector for CachedDetector<'_> {
     fn detect(&self, frame: &Frame) -> FrameDetections {
+        (*self.detect_shared(frame)).clone()
+    }
+
+    fn detect_shared(&self, frame: &Frame) -> Arc<FrameDetections> {
         let (detections, fresh) = self.cache.fetch(self.inner, frame, self.user);
         if fresh {
             if let Some(ledger) = &self.ledger {
                 ledger.charge(self.inner.stage(), 1);
             }
         }
-        (*detections).clone()
+        detections
     }
 
     fn stage(&self) -> Stage {
@@ -812,5 +816,14 @@ mod tests {
         assert_eq!(first.count(), second.count());
         assert_eq!(ledger.invocations(Stage::MaskRcnn), 1, "the hit must not re-charge");
         assert_eq!(cache.frame_users(), vec![((0, 5), vec![4])]);
+        // The shared form hands out the cached pointer itself, with the same
+        // fetch, consumer record and miss-only charge.
+        let shared = cached.detect_shared(&frame(5));
+        assert!(Arc::ptr_eq(&shared, &cache.get(&frame(5), 4).expect("resident")));
+        let fresh = cached.detect_shared(&frame(6));
+        assert_eq!(*fresh, oracle.detect(&frame(6)));
+        assert_eq!(ledger.invocations(Stage::MaskRcnn), 2, "one charge per miss, shared or not");
+        assert_eq!((cache.hits(), cache.misses()), (3, 2));
+        assert_eq!(cache.frame_users(), vec![((0, 5), vec![4]), ((0, 6), vec![4])]);
     }
 }

@@ -42,6 +42,7 @@ pub use mid::MidDetector;
 pub use noise::NoiseModel;
 pub use oracle::OracleDetector;
 
+use std::sync::Arc;
 use vmq_video::Frame;
 
 /// A frame-level object detector.
@@ -51,6 +52,13 @@ use vmq_video::Frame;
 pub trait Detector: Send + Sync {
     /// Detects objects in a frame.
     fn detect(&self, frame: &Frame) -> FrameDetections;
+
+    /// [`Detector::detect`] behind a shared pointer. A detector that already
+    /// holds its result shared (the [`CachedDetector`]) hands out that
+    /// pointer instead of a deep copy.
+    fn detect_shared(&self, frame: &Frame) -> Arc<FrameDetections> {
+        Arc::new(self.detect(frame))
+    }
 
     /// The cost-model stage this detector charges per frame.
     fn stage(&self) -> Stage;

@@ -184,62 +184,51 @@ impl Query {
 
     /// Evaluates the query exactly against a set of detections.
     pub fn matches_detections(&self, detections: &FrameDetections) -> bool {
-        self.predicates.iter().all(|p| self.predicate_holds(p, detections))
+        self.matches_objects(detections.detections.iter().map(|d| (d.class, d.color, d.bbox)))
     }
 
     /// Evaluates the query exactly against a frame's ground-truth objects
     /// (used to establish the true answer set for accuracy measurements).
     pub fn matches_ground_truth(&self, frame: &Frame) -> bool {
-        let detections = FrameDetections {
-            frame_id: frame.frame_id,
-            detections: frame
-                .objects
-                .iter()
-                .map(|o| vmq_detect::Detection {
-                    class: o.class,
-                    color: Some(o.color),
-                    bbox: o.bbox,
-                    score: 1.0,
-                    track_id: Some(o.track_id),
-                })
-                .collect(),
+        self.matches_objects(frame.objects.iter().map(|o| (o.class, Some(o.color), o.bbox)))
+    }
+
+    /// The one exact evaluator: every predicate over the frame's objects as
+    /// `(class, colour, box)`, walked in place (the iterator is cloned for
+    /// each predicate and each pair loop) — no box list is collected.
+    fn matches_objects<I>(&self, objects: I) -> bool
+    where
+        I: Iterator<Item = (ObjectClass, Option<Color>, BoundingBox)> + Clone,
+    {
+        let boxes_of = |obj: &ObjectRef| {
+            let obj = *obj;
+            objects
+                .clone()
+                .filter(move |&(class, color, _)| class == obj.class && (obj.color.is_none() || color == obj.color))
+                .map(|(_, _, bbox)| bbox)
         };
-        self.matches_detections(&detections)
-    }
-
-    fn boxes_of(&self, detections: &FrameDetections, obj: &ObjectRef) -> Vec<BoundingBox> {
-        detections
-            .detections
-            .iter()
-            .filter(|d| d.class == obj.class && (obj.color.is_none() || d.color == obj.color))
-            .map(|d| d.bbox)
-            .collect()
-    }
-
-    fn predicate_holds(&self, predicate: &Predicate, detections: &FrameDetections) -> bool {
-        match predicate {
+        self.predicates.iter().all(|predicate| match predicate {
             Predicate::Count { target, op, value } => {
-                let count = match target {
-                    CountTarget::Total => detections.count() as i64,
-                    CountTarget::Class(c) => detections.class_count(*c) as i64,
-                    CountTarget::ClassColor(c, col) => detections.of_class_and_color(*c, *col).len() as i64,
+                let count = match *target {
+                    CountTarget::Total => objects.clone().count(),
+                    CountTarget::Class(c) => objects.clone().filter(|&(class, _, _)| class == c).count(),
+                    CountTarget::ClassColor(c, col) => {
+                        objects.clone().filter(|&(class, color, _)| class == c && color == Some(col)).count()
+                    }
                 };
-                op.holds(count, *value as i64)
+                op.holds(count as i64, *value as i64)
             }
             Predicate::Spatial { first, relation, second } => {
-                let a = self.boxes_of(detections, first);
-                let b = self.boxes_of(detections, second);
-                relation.holds_any_pair(&a, &b)
+                boxes_of(first).any(|a| boxes_of(second).any(|b| relation.holds_boxes(&a, &b)))
             }
             Predicate::Region { object, region, min_count } => {
                 // An object is "in" a screen region when its bounding box
                 // overlaps the region (the usual surveillance semantics for
                 // "car in the bike lane" / "person in the quadrant").
                 let Some(r) = self.catalog.get(region) else { return false };
-                let inside = self.boxes_of(detections, object).iter().filter(|b| b.intersects(&r)).count();
-                inside >= *min_count as usize
+                boxes_of(object).filter(|b| b.intersects(&r)).count() >= *min_count as usize
             }
-        }
+        })
     }
 
     // ----- the named queries of Sec. IV-B (Table III) -----

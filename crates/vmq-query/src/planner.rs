@@ -183,7 +183,7 @@ pub fn plan_cascade(
 
     // 1. Annotate the prefix once with the expensive detector.
     ledger.charge_calibration(detector.stage(), prefix.len() as u64);
-    let truth: Vec<bool> = prefix.iter().map(|f| query.matches_detections(&detector.detect(f))).collect();
+    let truth: Vec<bool> = prefix.iter().map(|f| query.matches_detections(&detector.detect_shared(f))).collect();
 
     // 2. One inference pass per backend over the prefix (the scoring below
     //    re-applies every tolerance to the same estimates).

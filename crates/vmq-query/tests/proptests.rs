@@ -2,8 +2,7 @@
 //! parser (pretty-print → re-parse round trip).
 
 use proptest::prelude::*;
-use vmq_detect::Detector;
-use vmq_detect::OracleDetector;
+use vmq_detect::{Detection, Detector, FrameDetections, OracleDetector};
 use vmq_filters::{CalibratedFilter, CalibrationProfile, FrameFilter};
 use vmq_query::ast::CountOp;
 use vmq_query::{
@@ -117,8 +116,92 @@ fn paper_query_strategy() -> impl Strategy<Value = Query> {
     })
 }
 
+/// The exact evaluator as first written — one collected box list per
+/// spatial or region operand over a materialised `FrameDetections` — kept as
+/// the reference of the allocation-free evaluator.
+fn reference_matches(query: &Query, detections: &FrameDetections) -> bool {
+    let boxes_of = |obj: &ObjectRef| -> Vec<BoundingBox> {
+        detections
+            .detections
+            .iter()
+            .filter(|d| d.class == obj.class && (obj.color.is_none() || d.color == obj.color))
+            .map(|d| d.bbox)
+            .collect()
+    };
+    query.predicates.iter().all(|predicate| match predicate {
+        Predicate::Count { target, op, value } => {
+            let count = match target {
+                CountTarget::Total => detections.count() as i64,
+                CountTarget::Class(c) => detections.class_count(*c) as i64,
+                CountTarget::ClassColor(c, col) => detections.of_class_and_color(*c, *col).len() as i64,
+            };
+            op.holds(count, *value as i64)
+        }
+        Predicate::Spatial { first, relation, second } => relation.holds_any_pair(&boxes_of(first), &boxes_of(second)),
+        Predicate::Region { object, region, min_count } => {
+            let Some(r) = query.catalog.get(region) else { return false };
+            boxes_of(object).iter().filter(|b| b.intersects(&r)).count() >= *min_count as usize
+        }
+    })
+}
+
+/// Detections over every class and colour, some with the colour dropped (a
+/// colour-blind detector), possibly none at all.
+fn detections_strategy() -> impl Strategy<Value = FrameDetections> {
+    let detection = (bbox_strategy(), 0usize..ObjectClass::ALL.len(), 0usize..Color::ALL.len() + 1);
+    prop::collection::vec(detection, 0..7).prop_map(|objs| FrameDetections {
+        frame_id: 3,
+        detections: objs
+            .into_iter()
+            .map(|(bbox, class, color)| Detection {
+                class: ObjectClass::ALL[class],
+                color: Color::ALL.get(color).copied(),
+                bbox,
+                score: 1.0,
+                track_id: None,
+            })
+            .collect(),
+    })
+}
+
+/// Queries of one to four arbitrary predicates, region names sometimes
+/// unknown to the catalogue.
+fn evaluator_query_strategy() -> impl Strategy<Value = Query> {
+    (prop::collection::vec((predicate_strategy(), prop::bool::ANY), 1..5)).prop_map(|predicates| {
+        let mut query = Query::new("eval");
+        query.predicates = predicates
+            .into_iter()
+            .map(|(predicate, unknown)| match predicate {
+                Predicate::Region { object, min_count, .. } if unknown => {
+                    Predicate::Region { object, region: "no-such-region".to_string(), min_count }
+                }
+                other => other,
+            })
+            .collect();
+        query
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The allocation-free evaluator agrees with the collecting reference on
+    /// detections and on ground truth, for every predicate kind.
+    #[test]
+    fn evaluator_matches_the_collecting_reference(
+        detections in detections_strategy(),
+        frame in frame_strategy(),
+        query in evaluator_query_strategy(),
+    ) {
+        prop_assert_eq!(query.matches_detections(&detections), reference_matches(&query, &detections));
+        let truth = OracleDetector::perfect().detect(&frame);
+        prop_assert_eq!(query.matches_ground_truth(&frame), reference_matches(&query, &truth));
+        for predicate in &query.predicates {
+            let mut single = Query::new("one");
+            single.predicates = vec![predicate.clone()];
+            prop_assert_eq!(single.matches_detections(&detections), reference_matches(&single, &detections));
+        }
+    }
 
     /// Ground-truth evaluation agrees with evaluating the perfect detector's
     /// output (they are the same information through two code paths).
