@@ -179,22 +179,33 @@ impl FrameIndicators {
     /// feature; including it guarantees MCV explains at least as much
     /// variance as the single-CV control).
     ///
-    /// The plan assembles the same row from its backend's [`AtomTable`]
-    /// indicators; both end in one private assembly step, so a row built
-    /// here outside a plan equals the plan's bit for bit.
+    /// The plan appends the same values to its per-backend columns from its
+    /// backend's [`AtomTable`] indicators; both go through one private
+    /// assembly step, so a row built here outside a plan equals the plan's
+    /// column entries bit for bit.
     pub fn from_estimate(cascade: &FilterCascade, estimate: &FilterEstimate, threshold: f32) -> Self {
-        Self::from_controls(cascade.cv_indicators(estimate, threshold))
-    }
-
-    /// Assembles the row from the per-predicate controls.
-    fn from_controls(indicators: Vec<f64>) -> Self {
-        let pass: f64 = indicators.iter().product();
-        let mut predicates = indicators;
-        if predicates.len() > 1 {
-            predicates.push(pass);
-        }
+        let mut predicates = Vec::new();
+        let pass = assemble_controls(cascade.cv_indicators(estimate, threshold), |_, v| predicates.push(v));
         FrameIndicators { pass, predicates }
     }
+}
+
+/// The one assembly step of a frame's control-variate values: hands each
+/// per-predicate control, then — for multi-predicate queries — their product
+/// as the trailing conjunction control, to `push(series, value)`, and
+/// returns the product (the single-CV control `X`).
+fn assemble_controls(controls: impl IntoIterator<Item = f64>, mut push: impl FnMut(usize, f64)) -> f64 {
+    let mut pass = 1.0;
+    let mut series = 0;
+    for control in controls {
+        pass *= control;
+        push(series, control);
+        series += 1;
+    }
+    if series > 1 {
+        push(series, pass);
+    }
+    pass
 }
 
 /// Per-operator execution metrics, the unified currency of reporting:
@@ -314,6 +325,36 @@ pub struct WindowBackendColumns {
     /// trailing conjunction series for multi-predicate queries), each
     /// parallel to `pass` (the MCV controls `Z`).
     pub predicates: Vec<Vec<f64>>,
+}
+
+impl WindowBackendColumns {
+    /// Appends one frame's per-predicate controls (see [`FrameIndicators`]).
+    fn push_controls(&mut self, controls: impl IntoIterator<Item = f64>) {
+        let predicates = &mut self.predicates;
+        let pass = assemble_controls(controls, |series, v| match predicates.get_mut(series) {
+            Some(column) => column.push(v),
+            None => predicates.push(vec![v]),
+        });
+        self.pass.push(pass);
+    }
+
+    /// A copy of the entries `range`.
+    fn slice(&self, range: std::ops::Range<usize>) -> Self {
+        WindowBackendColumns {
+            backend: self.backend,
+            stage: self.stage,
+            pass: self.pass[range.clone()].to_vec(),
+            predicates: self.predicates.iter().map(|series| series[range.clone()].to_vec()).collect(),
+        }
+    }
+
+    /// Drops the leading `k` entries.
+    fn drain_front(&mut self, k: usize) {
+        self.pass.drain(..k);
+        for series in &mut self.predicates {
+            series.drain(..k);
+        }
+    }
 }
 
 /// A completed hopping window handed to a [`WindowEstimator`]: the window's
@@ -492,11 +533,10 @@ enum SharedQueryKind<'a> {
         /// compiled into that backend's atom table.
         indicators: Vec<Box<[IndicatorId]>>,
         estimator: &'a mut dyn WindowEstimator,
-        /// Buffered indicator rows from stream offset `indicator_start`
-        /// onwards (one inner entry per listed backend). The frames
-        /// themselves live once in the plan's shared stream buffer, not per
-        /// query.
-        rows: Vec<Vec<FrameIndicators>>,
+        /// Per listed backend, its indicator columns from stream offset
+        /// `indicator_start` onwards. The frames themselves live once in the
+        /// plan's shared stream buffer, not per query.
+        columns: Vec<WindowBackendColumns>,
         indicator_start: usize,
         next_window_start: usize,
         /// Timestamp the next time-based window starts at (seconds mode).
@@ -738,6 +778,15 @@ impl<'a> SharedStreamPlan<'a> {
                 self.atoms[b].compile_indicators(&query, spec.cascade, threshold)
             })
             .collect();
+        let columns = backends
+            .iter()
+            .map(|&b| WindowBackendColumns {
+                backend: self.backends[b].kind().name(),
+                stage: self.backends[b].kind().stage(),
+                pass: Vec::new(),
+                predicates: Vec::new(),
+            })
+            .collect();
         let names: Vec<&str> = backends.iter().map(|&b| self.backends[b].kind().name()).collect();
         let mode_label = match spec.seconds {
             Some((s, a)) => format!("aggregate {} window {s}s/{a}s", names.join("+")),
@@ -753,7 +802,7 @@ impl<'a> SharedStreamPlan<'a> {
                 backends: backends.to_vec(),
                 indicators,
                 estimator,
-                rows: Vec::new(),
+                columns,
                 indicator_start: 0,
                 next_window_start: 0,
                 next_window_time: 0.0,
@@ -1083,19 +1132,13 @@ impl<'a> SharedStreamPlan<'a> {
                         }
                     }
                 }
-                SharedQueryKind::Aggregate { backends, indicators, rows, .. } => {
-                    rows.extend((0..n).map(|i| {
-                        backends
-                            .iter()
-                            .zip(indicators.iter())
-                            .map(|(&b, ids)| {
-                                let verdicts = verdicts[b].as_ref().expect("backend inference ran for its users");
-                                FrameIndicators::from_controls(
-                                    ids.iter().map(|&id| verdicts.indicator(i, id)).collect(),
-                                )
-                            })
-                            .collect()
-                    }));
+                SharedQueryKind::Aggregate { backends, indicators, columns, .. } => {
+                    for ((&b, ids), column) in backends.iter().zip(indicators.iter()).zip(columns.iter_mut()) {
+                        let verdicts = verdicts[b].as_ref().expect("backend inference ran for its users");
+                        for i in 0..n {
+                            column.push_controls(ids.iter().map(|&id| verdicts.indicator(i, id)));
+                        }
+                    }
                 }
             }
         }
@@ -1308,9 +1351,8 @@ impl<'a> SharedStreamPlan<'a> {
         for (q, state) in self.queries.iter_mut().enumerate() {
             let SharedQueryState { kind, ledger, .. } = state;
             let SharedQueryKind::Aggregate {
-                backends,
                 estimator,
-                rows: indicators,
+                columns,
                 indicator_start,
                 next_window_start,
                 next_window_time,
@@ -1361,27 +1403,13 @@ impl<'a> SharedStreamPlan<'a> {
                 if fhi > flo {
                     let lo = self.stream_start + flo - *indicator_start;
                     let hi = self.stream_start + fhi - *indicator_start;
-                    let columns: Vec<WindowBackendColumns> = backends
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, &b)| {
-                            let rows = &indicators[lo..hi];
-                            let n_predicates = rows.first().map_or(0, |r| r[slot].predicates.len());
-                            WindowBackendColumns {
-                                backend: self.backends[b].kind().name(),
-                                stage: self.backends[b].kind().stage(),
-                                pass: rows.iter().map(|r| r[slot].pass).collect(),
-                                predicates: (0..n_predicates)
-                                    .map(|p| rows.iter().map(|r| r[slot].predicates[p]).collect())
-                                    .collect(),
-                            }
-                        })
-                        .collect();
+                    let window_columns: Vec<WindowBackendColumns> =
+                        columns.iter().map(|column| column.slice(lo..hi)).collect();
                     let window = WindowData {
                         index: *window_index,
                         start: self.stream_start + flo,
                         frames: &self.stream_frames[flo..fhi],
-                        backends: &columns,
+                        backends: &window_columns,
                     };
                     // The estimator samples through a cache-backed detector on
                     // behalf of this query: misses charge the global ledger
@@ -1416,9 +1444,12 @@ impl<'a> SharedStreamPlan<'a> {
                     }
                 }
             }
-            let evict = next_window_start.saturating_sub(*indicator_start).min(indicators.len());
+            let buffered = columns.first().map_or(0, |column| column.pass.len());
+            let evict = next_window_start.saturating_sub(*indicator_start).min(buffered);
             if evict > 0 {
-                indicators.drain(..evict);
+                for column in columns.iter_mut() {
+                    column.drain_front(evict);
+                }
                 *indicator_start += evict;
             }
             *sink_wall_ms += start.elapsed().as_secs_f64() * 1000.0;
@@ -1742,6 +1773,61 @@ mod tests {
             ));
             self.pass_sums.push(window.backends[0].pass.iter().sum());
             WindowCharge { estimation_frames: self.samples_per_window, calibration_frames: self.calibration_per_window }
+        }
+    }
+
+    /// Keeps a copy of every window's indicator columns.
+    struct ColumnRecorder(Vec<Vec<WindowBackendColumns>>);
+
+    impl WindowEstimator for ColumnRecorder {
+        fn estimate_window(&mut self, window: WindowData<'_>, _: &dyn Detector, _: &CostLedger) -> WindowCharge {
+            self.0.push(window.backends.to_vec());
+            WindowCharge::default()
+        }
+    }
+
+    #[test]
+    fn plan_columns_equal_rows_built_outside_the_plan() {
+        // A spatial multi-predicate query (three controls plus the trailing
+        // conjunction) over two backends, in hopping windows that evict.
+        let ds = Dataset::generate(&DatasetProfile::jackson(), 32, 300, 31);
+        let classes = DatasetProfile::jackson().class_list();
+        let filter = |profile, seed| CalibratedFilter::new(classes.clone(), 14, profile, seed);
+        let (od, perfect) = (filter(CalibrationProfile::od_like(), 9), filter(CalibrationProfile::perfect(), 5));
+        let backends: Vec<&dyn FrameFilter> = vec![&od, &perfect];
+        let query = Query::paper_q5();
+        let spec = AggregateSpec::new(100, 50);
+        let mut recorder = ColumnRecorder(Vec::new());
+        QueryExecutor::new(query.clone()).with_batch_size(32).run_aggregate(
+            ds.test(),
+            spec,
+            &backends,
+            &OracleDetector::perfect(),
+            &mut recorder,
+        );
+        assert_eq!(recorder.0.len(), 5);
+        let cascade = FilterCascade::new(query, spec.cascade);
+        // Fresh, identically seeded filters replay the plan's noise draws.
+        let rows: Vec<Vec<FrameIndicators>> = [
+            filter(CalibrationProfile::od_like(), 9).estimate_batch(ds.test()),
+            filter(CalibrationProfile::perfect(), 5).estimate_batch(ds.test()),
+        ]
+        .iter()
+        .zip(&backends)
+        .map(|(estimates, b)| {
+            estimates.iter().map(|e| FrameIndicators::from_estimate(&cascade, e, b.threshold())).collect()
+        })
+        .collect();
+        for (k, window) in recorder.0.iter().enumerate() {
+            for (column, rows) in window.iter().zip(&rows) {
+                let rows = &rows[k * 50..k * 50 + 100];
+                assert_eq!(column.predicates.len(), 4);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&column.pass), bits(&rows.iter().map(|r| r.pass).collect::<Vec<_>>()));
+                for (p, series) in column.predicates.iter().enumerate() {
+                    assert_eq!(bits(series), bits(&rows.iter().map(|r| r.predicates[p]).collect::<Vec<_>>()));
+                }
+            }
         }
     }
 
