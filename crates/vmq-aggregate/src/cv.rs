@@ -7,7 +7,7 @@
 //! filter output is strongly correlated with the detector output.
 
 use crate::estimate::SampleStats;
-use crate::linalg::{covariance, variance};
+use crate::linalg::Moments;
 use serde::{Deserialize, Serialize};
 
 /// The result of a control-variate estimation.
@@ -34,33 +34,33 @@ impl CvEstimate {
     /// to the plain sample mean.
     pub fn from_pairs(y: &[f64], x: &[f64], mu_x: f64) -> Self {
         assert_eq!(y.len(), x.len(), "y and x must be paired");
-        let plain = SampleStats::from_sample(y);
-        let n = y.len();
+        Self::from_moments(&Moments::of(y, &[x]), 1, mu_x)
+    }
+
+    /// [`CvEstimate::from_pairs`] from a moment pass over `y` and its
+    /// controls, with series `x` of the pass as `X`.
+    pub fn from_moments(moments: &Moments, x: usize, mu_x: f64) -> Self {
+        let plain = SampleStats::from_moments(moments);
+        let n = moments.n();
+        let fallback = CvEstimate {
+            mean: plain.mean,
+            variance_of_mean: plain.variance_of_mean,
+            beta: 0.0,
+            correlation: 0.0,
+            plain,
+        };
         if n < 2 {
-            return CvEstimate {
-                mean: plain.mean,
-                variance_of_mean: plain.variance_of_mean,
-                beta: 0.0,
-                correlation: 0.0,
-                plain,
-            };
+            return fallback;
         }
-        let var_x = variance(x);
-        let var_y = variance(y);
+        let var_x = moments.cov(x, x);
+        let var_y = moments.cov(0, 0);
         if var_x <= 1e-15 || var_y <= 1e-15 {
-            return CvEstimate {
-                mean: plain.mean,
-                variance_of_mean: plain.variance_of_mean,
-                beta: 0.0,
-                correlation: 0.0,
-                plain,
-            };
+            return fallback;
         }
-        let cov = covariance(y, x);
+        let cov = moments.cov(0, x);
         let beta = cov / var_x;
         let rho = cov / (var_x.sqrt() * var_y.sqrt());
-        let x_bar = x.iter().sum::<f64>() / n as f64;
-        let mean = plain.mean - beta * (x_bar - mu_x);
+        let mean = plain.mean - beta * (moments.mean(x) - mu_x);
         let variance_of_mean = ((1.0 - rho * rho) * var_y / n as f64).max(0.0);
         CvEstimate { mean, variance_of_mean, beta, correlation: rho, plain }
     }

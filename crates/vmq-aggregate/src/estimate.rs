@@ -1,6 +1,6 @@
 //! Basic sampling statistics: means, variances and confidence intervals.
 
-use crate::linalg::variance;
+use crate::linalg::Moments;
 use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a sample.
@@ -21,14 +21,18 @@ pub struct SampleStats {
 impl SampleStats {
     /// Computes statistics of a sample.
     pub fn from_sample(values: &[f64]) -> Self {
-        let n = values.len();
+        Self::from_moments(&Moments::of::<&[f64]>(values, &[]))
+    }
+
+    /// Statistics of the `y` series (series 0) of a moment pass.
+    pub fn from_moments(moments: &Moments) -> Self {
+        let n = moments.n();
         if n == 0 {
             return SampleStats { n: 0, mean: 0.0, variance: 0.0, variance_of_mean: 0.0, std_error: 0.0 };
         }
-        let mean = values.iter().sum::<f64>() / n as f64;
-        let var = variance(values);
+        let var = moments.cov(0, 0);
         let vom = var / n as f64;
-        SampleStats { n, mean, variance: var, variance_of_mean: vom, std_error: vom.sqrt() }
+        SampleStats { n, mean: moments.mean(0), variance: var, variance_of_mean: vom, std_error: vom.sqrt() }
     }
 
     /// Normal-approximation confidence interval at the given z value

@@ -10,8 +10,9 @@
 //! detector output.
 //!
 //! * [`estimate`] — sample means, variances and confidence intervals.
-//! * [`linalg`] — the small dense solver needed for multiple control variates.
-//! * [`sampler`] — deterministic frame sampling.
+//! * [`linalg`] — the one-pass sample moments both control-variate fits read,
+//!   and the small dense solver needed for multiple control variates.
+//! * [`sampler`] — deterministic frame sampling in `O(k)` per draw.
 //! * [`cv`] — the single-control-variate estimator with the optimal `β*`.
 //! * [`mcv`] — multiple control variates (`β* = Σ_ZZ⁻¹ Σ_YZ`, variance
 //!   `(1 − R²)·Var(Ȳ)`).
@@ -36,9 +37,9 @@ pub mod window;
 
 pub use cv::CvEstimate;
 pub use estimate::SampleStats;
-pub use linalg::Matrix;
+pub use linalg::{Matrix, Moments};
 pub use mcv::McvEstimate;
 pub use queries::AggregateReport;
-pub use sampler::FrameSampler;
+pub use sampler::{FrameSampler, SampleScratch};
 pub use streaming::WindowedAggregator;
 pub use window::HoppingWindow;

@@ -1,8 +1,11 @@
-//! Small dense linear algebra for the multiple-control-variate estimator.
+//! Sample moments and small dense linear algebra for the control-variate
+//! estimators.
 //!
-//! The covariance matrices involved have dimension equal to the number of
-//! control variates (a handful), so a straightforward `f64` implementation
-//! with partial-pivoting Gaussian elimination is entirely sufficient.
+//! [`Moments`] takes every mean and covariance both fits need from one pass
+//! over the sample. The covariance matrices involved have dimension equal to
+//! the number of control variates (a handful), so a straightforward `f64`
+//! implementation with partial-pivoting Gaussian elimination is entirely
+//! sufficient.
 
 use serde::{Deserialize, Serialize};
 
@@ -122,21 +125,123 @@ impl Matrix {
     }
 }
 
+/// Means and unbiased covariances of a sample's series — series 0 is `y`,
+/// series `1 + i` is control `i` — from one pass over the observations for
+/// the sums and one over the centred series for every square and
+/// cross-product, four accumulators abreast.
+///
+/// Every entry equals [`covariance`] of its pair of series bit for bit: each
+/// sum and each product accumulator adds its terms in observation order from
+/// `Sum for f64`'s start value (−0.0), every product is
+/// `(a − mean_a)·(b − mean_b)` with the means taken as `sum / n`, and a
+/// sample of fewer than two observations has covariance `0.0`. Reusing one
+/// `Moments` across samples reuses its buffers.
+#[derive(Debug, Clone, Default)]
+pub struct Moments {
+    n: usize,
+    /// Number of series: `y` plus the controls.
+    series: usize,
+    /// Per series, its sample mean.
+    means: Vec<f64>,
+    /// `series × series` covariances, row-major, both triangles filled.
+    cov: Vec<f64>,
+    /// Every series minus its mean, series after series.
+    centred: Vec<f64>,
+    /// The `(a, b)` series pairs with `a ≤ b`, in accumulation order.
+    pairs: Vec<(usize, usize)>,
+}
+
+/// Independent accumulators a moment pass advances together, so each sum
+/// keeps its own serial order while the sums overlap in the pipeline.
+const LANES: usize = 4;
+
+/// `Σ_t term(lane, t)` over `t in 0..n` for every lane, each from −0.0 in
+/// `t` order.
+fn lane_sums(n: usize, term: impl Fn(usize, usize) -> f64) -> [f64; LANES] {
+    let mut sums = [-0.0; LANES];
+    for t in 0..n {
+        for (lane, sum) in sums.iter_mut().enumerate() {
+            *sum += term(lane, t);
+        }
+    }
+    sums
+}
+
+impl Moments {
+    /// The moments of `y` and `controls` (each parallel to `y`).
+    pub fn of<S: AsRef<[f64]>>(y: &[f64], controls: &[S]) -> Self {
+        let mut moments = Moments::default();
+        moments.compute(y, controls);
+        moments
+    }
+
+    /// Recomputes the moments in place for a new sample.
+    pub fn compute<S: AsRef<[f64]>>(&mut self, y: &[f64], controls: &[S]) {
+        let n = y.len();
+        let k = controls.len() + 1;
+        let series = |s: usize| if s == 0 { y } else { controls[s - 1].as_ref() };
+        for s in 1..k {
+            assert_eq!(series(s).len(), n, "every control series must be parallel to y");
+        }
+        self.n = n;
+        self.series = k;
+        // The sums, `LANES` series at a time (spare lanes repeat the last).
+        self.means.clear();
+        for first in (0..k).step_by(LANES) {
+            let columns: [&[f64]; LANES] = std::array::from_fn(|lane| &series((first + lane).min(k - 1))[..n]);
+            let sums = lane_sums(n, |lane, t| columns[lane][t]);
+            self.means.extend(sums.iter().take(k - first).map(|sum| sum / n as f64));
+        }
+        self.centred.clear();
+        for (s, &mean) in self.means.iter().enumerate() {
+            self.centred.extend(series(s).iter().map(|v| v - mean));
+        }
+        // Every centred product, `LANES` pairs of series at a time.
+        self.pairs.clear();
+        self.pairs.extend((0..k).flat_map(|a| (a..k).map(move |b| (a, b))));
+        self.cov.clear();
+        self.cov.resize(k * k, 0.0);
+        let column = |s: usize| &self.centred[s * n..][..n];
+        for block in self.pairs.chunks(LANES) {
+            let columns: [(&[f64], &[f64]); LANES] = std::array::from_fn(|lane| {
+                let (a, b) = block[lane.min(block.len() - 1)];
+                (column(a), column(b))
+            });
+            let sums = lane_sums(n, |lane, t| columns[lane].0[t] * columns[lane].1[t]);
+            for (&(a, b), sum) in block.iter().zip(sums) {
+                let v = if n < 2 { 0.0 } else { sum / (n - 1) as f64 };
+                self.cov[a * k + b] = v;
+                self.cov[b * k + a] = v;
+            }
+        }
+    }
+
+    /// Number of observations.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Sample mean of series `s` (0 is `y`, `1 + i` is control `i`).
+    pub fn mean(&self, s: usize) -> f64 {
+        self.means[s]
+    }
+
+    /// Sample covariance of series `a` and `b` (0 is `y`, `1 + i` is
+    /// control `i`).
+    pub fn cov(&self, a: usize, b: usize) -> f64 {
+        self.cov[a * self.series + b]
+    }
+}
+
 /// Sample covariance between two equally long series.
 pub fn covariance(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "covariance length mismatch");
-    let n = x.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mx = x.iter().sum::<f64>() / n as f64;
-    let my = y.iter().sum::<f64>() / n as f64;
-    x.iter().zip(y).map(|(a, b)| (a - mx) * (b - my)).sum::<f64>() / (n - 1) as f64
+    Moments::of(x, &[y]).cov(0, 1)
 }
 
 /// Sample variance of a series (unbiased, divisor `n - 1`).
 pub fn variance(x: &[f64]) -> f64 {
-    covariance(x, x)
+    Moments::of::<&[f64]>(x, &[]).cov(0, 0)
 }
 
 #[cfg(test)]

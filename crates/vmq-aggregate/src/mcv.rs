@@ -8,7 +8,7 @@
 //! control per constraint (each evaluated by a cheap filter).
 
 use crate::estimate::SampleStats;
-use crate::linalg::{covariance, variance, Matrix};
+use crate::linalg::{Matrix, Moments};
 use serde::{Deserialize, Serialize};
 
 /// The result of a multiple-control-variate estimation.
@@ -35,23 +35,27 @@ impl McvEstimate {
     /// regression (falling back to the plain mean) when the covariance matrix
     /// cannot be solved even with slight ridge regularisation.
     pub fn from_samples(y: &[f64], controls: &[Vec<f64>], mu: &[f64]) -> Self {
-        let plain = SampleStats::from_sample(y);
-        let d = controls.len();
-        let n = y.len();
-        assert_eq!(mu.len(), d, "one mean per control required");
-        for series in controls {
-            assert_eq!(series.len(), n, "every control series must be parallel to y");
-        }
+        assert_eq!(mu.len(), controls.len(), "one mean per control required");
+        Self::from_moments(&Moments::of(y, controls), 1, mu)
+    }
+
+    /// [`McvEstimate::from_samples`] from a moment pass over `y` and its
+    /// controls, with the `mu.len()` series from series `first` on as `Z`.
+    pub fn from_moments(moments: &Moments, first: usize, mu: &[f64]) -> Self {
+        let plain = SampleStats::from_moments(moments);
+        let d = mu.len();
+        let n = moments.n();
+        let fallback = |plain: SampleStats| McvEstimate {
+            mean: plain.mean,
+            variance_of_mean: plain.variance_of_mean,
+            beta: vec![0.0; d],
+            r_squared: 0.0,
+            plain,
+        };
         if d == 0 || n < d + 2 {
-            return McvEstimate {
-                mean: plain.mean,
-                variance_of_mean: plain.variance_of_mean,
-                beta: vec![0.0; d],
-                r_squared: 0.0,
-                plain,
-            };
+            return fallback(plain);
         }
-        let var_y = variance(y);
+        let var_y = moments.cov(0, 0);
         if var_y <= 1e-15 {
             return McvEstimate { mean: plain.mean, variance_of_mean: 0.0, beta: vec![0.0; d], r_squared: 1.0, plain };
         }
@@ -59,28 +63,18 @@ impl McvEstimate {
         let mut szz = Matrix::zeros(d, d);
         for i in 0..d {
             for j in 0..d {
-                szz.set(i, j, covariance(&controls[i], &controls[j]));
+                szz.set(i, j, moments.cov(first + i, first + j));
             }
         }
-        let syz: Vec<f64> = (0..d).map(|i| covariance(y, &controls[i])).collect();
-        let beta = match szz.solve(&syz).or_else(|| szz.ridge(1e-9).solve(&syz)) {
-            Some(b) => b,
-            None => {
-                return McvEstimate {
-                    mean: plain.mean,
-                    variance_of_mean: plain.variance_of_mean,
-                    beta: vec![0.0; d],
-                    r_squared: 0.0,
-                    plain,
-                }
-            }
+        let syz: Vec<f64> = (0..d).map(|i| moments.cov(0, first + i)).collect();
+        let Some(beta) = szz.solve(&syz).or_else(|| szz.ridge(1e-9).solve(&syz)) else {
+            return fallback(plain);
         };
         // R² = Σ'_YZ Σ_ZZ⁻¹ Σ_YZ / σ²_Y = βᵀ Σ_YZ / σ²_Y
         let explained: f64 = beta.iter().zip(&syz).map(|(b, s)| b * s).sum();
         let r_squared = (explained / var_y).clamp(0.0, 1.0);
         // point estimate
-        let z_bar: Vec<f64> = controls.iter().map(|s| s.iter().sum::<f64>() / n as f64).collect();
-        let correction: f64 = beta.iter().zip(z_bar.iter().zip(mu)).map(|(b, (zb, m))| b * (zb - m)).sum();
+        let correction: f64 = beta.iter().enumerate().map(|(i, b)| b * (moments.mean(first + i) - mu[i])).sum();
         let mean = plain.mean - correction;
         let variance_of_mean = ((1.0 - r_squared) * var_y / n as f64).max(0.0);
         McvEstimate { mean, variance_of_mean, beta, r_squared, plain }

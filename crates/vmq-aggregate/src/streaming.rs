@@ -21,10 +21,10 @@
 //! sum-of-stage-rows-equals-ledger-total invariant intact.
 
 use crate::cv::CvEstimate;
-use crate::linalg::variance;
+use crate::linalg::{variance, Moments};
 use crate::mcv::McvEstimate;
 use crate::queries::AggregateReport;
-use crate::sampler::FrameSampler;
+use crate::sampler::{FrameSampler, SampleScratch};
 use vmq_detect::{CostLedger, Detector};
 use vmq_query::{select_cv_backend, CvBackendChoice, CvCandidate, Query, WindowCharge, WindowData, WindowEstimator};
 use vmq_video::Frame;
@@ -151,8 +151,10 @@ impl WindowEstimator for WindowedAggregator {
                 // one-frame windows do not panic the way `clamp(2, 1)`
                 // would).
                 let k = prefix.max(2).min(window.frames.len());
-                prefix_verdicts =
-                    window.frames[..k].iter().map(|f| self.query.matches_detections(&detector.detect(f))).collect();
+                prefix_verdicts = window.frames[..k]
+                    .iter()
+                    .map(|f| self.query.matches_detections(&detector.detect_shared(f)))
+                    .collect();
                 let truth: Vec<f64> = prefix_verdicts.iter().map(|&v| if v { 1.0 } else { 0.0 }).collect();
                 let candidates: Vec<CvCandidate> = window
                     .backends
@@ -234,7 +236,8 @@ impl TrialEngine<'_> {
     /// frames, in first-touch order, and never an unsampled one. A trial is
     /// then a gather of `y` / `x` / `z` at the sampled indices — the same
     /// operands in the same order as a per-trial detector call would
-    /// produce, hence bit-identical estimates.
+    /// produce, hence bit-identical estimates. One [`Moments`] pass over the
+    /// gathered series serves both the CV and the MCV fit.
     fn estimate_window(
         &self,
         frames: &[Frame],
@@ -261,28 +264,32 @@ impl TrialEngine<'_> {
         let mut mcv_means = Vec::with_capacity(self.trials);
         let mut correlations = Vec::with_capacity(self.trials);
         let mut detector_frames = 0u64;
-        // Gather buffers, reused across trials.
+        // Draw, gather and moment buffers, reused across trials. The
+        // moment pass reads `y`, then `x`, then the `z` series.
         let per_trial = self.sample_size.min(n);
+        let mut scratch = SampleScratch::default();
+        let mut idx = Vec::with_capacity(per_trial);
         let mut y = Vec::with_capacity(per_trial);
-        let mut x = Vec::with_capacity(per_trial);
-        let mut z: Vec<Vec<f64>> = vec![Vec::with_capacity(per_trial); z_full.len()];
+        let mut controls: Vec<Vec<f64>> = vec![Vec::with_capacity(per_trial); 1 + z_full.len()];
+        let mut moments = Moments::default();
         for trial in 0..self.trials {
-            let idx = self.sampler.sample_indices(n, self.sample_size, trial_offset | trial as u64);
+            self.sampler.sample_into(n, self.sample_size, trial_offset | trial as u64, &mut scratch, &mut idx);
             detector_frames += idx.len() as u64;
             y.clear();
-            x.clear();
             for &i in &idx {
                 let verdict =
-                    *truth[i].get_or_insert_with(|| self.query.matches_detections(&detector.detect(&frames[i])));
+                    *truth[i].get_or_insert_with(|| self.query.matches_detections(&detector.detect_shared(&frames[i])));
                 y.push(if verdict { 1.0 } else { 0.0 });
-                x.push(x_full[i]);
             }
-            for (series, full) in z.iter_mut().zip(z_full) {
+            for (series, full) in
+                controls.iter_mut().zip(std::iter::once(x_full).chain(z_full.iter().map(Vec::as_slice)))
+            {
                 series.clear();
                 series.extend(idx.iter().map(|&i| full[i]));
             }
-            let cv = CvEstimate::from_pairs(&y, &x, mu_x);
-            let mcv = McvEstimate::from_samples(&y, &z, &mu_z);
+            moments.compute(&y, &controls);
+            let cv = CvEstimate::from_moments(&moments, 1, mu_x);
+            let mcv = McvEstimate::from_moments(&moments, 2, &mu_z);
             plain_means.push(cv.plain.mean);
             cv_means.push(cv.mean);
             mcv_means.push(mcv.mean);
