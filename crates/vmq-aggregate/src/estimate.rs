@@ -25,7 +25,7 @@ impl SampleStats {
     }
 
     /// Statistics of the `y` series (series 0) of a moment pass.
-    pub fn from_moments(moments: &Moments) -> Self {
+    pub(crate) fn from_moments(moments: &Moments) -> Self {
         let n = moments.n();
         if n == 0 {
             return SampleStats { n: 0, mean: 0.0, variance: 0.0, variance_of_mean: 0.0, std_error: 0.0 };
