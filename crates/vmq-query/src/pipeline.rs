@@ -16,7 +16,7 @@
 //!   table evaluation                    across the worker        frame's subscribers
 //! 3 per-statement fan-out:              pool (a fleet         6 aggregates emit completed hopping
 //!   selects escalate, aggregates        scheduler pools          windows to their WindowEstimator
-//!   take indicator rows                 many plans' frames    · drift monitors replan at the batch
+//!   append indicator columns            many plans' frames    · drift monitors replan at the batch
 //! 4a detection-cache probe              into one dispatch)       boundary
 //! ```
 //!
