@@ -55,7 +55,7 @@
 use crate::ast::Query;
 use crate::drift::{DriftMonitor, DriftSetup};
 use crate::exec::QueryRun;
-use crate::plan::{AtomId, AtomTable, AtomVerdicts, CascadeConfig, FilterCascade, IndicatorId};
+use crate::plan::{frame_words, AtomId, AtomTable, AtomVerdicts, CascadeConfig, FilterCascade, IndicatorId};
 use crate::planner::CalibrationReport;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -478,6 +478,40 @@ impl Subscribers {
                 .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
         })
     }
+}
+
+/// Phase 3 for select `q`: escalates the batch positions set in `pass`
+/// (frame bit-words, see [`AtomVerdicts::pass_words`]) by walking the set
+/// bits and, under a drift monitor, the audit channel's seeded draw over the
+/// rejected rest, in frame order. Returns the number of passing frames.
+fn escalate(
+    q: usize,
+    pass: &[u64],
+    frames: &[Frame],
+    drift: Option<&DriftMonitor>,
+    escalations: &mut Subscribers,
+    audits: &mut Subscribers,
+) -> usize {
+    let mut passed = 0;
+    for (w, &word) in pass.iter().enumerate() {
+        passed += word.count_ones() as usize;
+        let mut rest = word;
+        while rest != 0 {
+            escalations.insert(w * 64 + rest.trailing_zeros() as usize, q);
+            rest &= rest - 1;
+        }
+    }
+    if let Some(monitor) = drift {
+        for (i, frame) in frames.iter().enumerate() {
+            // Audit tap: a seeded fraction of rejected frames goes to the
+            // detector anyway.
+            if pass[i / 64] >> (i % 64) & 1 == 0 && monitor.audits(frame) {
+                escalations.insert(i, q);
+                audits.insert(i, q);
+            }
+        }
+    }
+    passed
 }
 
 /// A batch mid-flight through the shared pass: the cheap phases (decode
@@ -1088,39 +1122,22 @@ impl<'a> SharedStreamPlan<'a> {
         // billed through the ledger's audit phase and fed back to the drift
         // monitor as ground truth.
         let mut audits = Subscribers::new(n, self.queries.len());
+        // A select's passing frames as bit-words, reused across statements.
+        let mut pass = Vec::new();
         for (q, state) in self.queries.iter_mut().enumerate() {
             match &mut state.kind {
                 SharedQueryKind::Select { backend, atoms, survivors, drift, .. } => {
-                    let mut passes: Vec<bool> = Vec::new();
                     match backend {
                         None => {
-                            for i in 0..n {
-                                escalations.insert(i, q);
-                            }
-                            *survivors += n;
-                            if drift.is_some() {
-                                passes = vec![true; n];
-                            }
+                            pass.clear();
+                            pass.extend(frame_words(n));
                         }
-                        Some(b) => {
-                            let verdicts = verdicts[*b].as_ref().expect("backend inference ran for its users");
-                            for (i, frame) in frames.iter().enumerate() {
-                                let pass = verdicts.passes(i, atoms);
-                                if pass {
-                                    escalations.insert(i, q);
-                                    *survivors += 1;
-                                } else if drift.as_ref().is_some_and(|monitor| monitor.audits(frame)) {
-                                    // Audit tap: a seeded fraction of rejected
-                                    // frames goes to the detector anyway.
-                                    escalations.insert(i, q);
-                                    audits.insert(i, q);
-                                }
-                                if drift.is_some() {
-                                    passes.push(pass);
-                                }
-                            }
-                        }
+                        Some(b) => verdicts[*b]
+                            .as_ref()
+                            .expect("backend inference ran for its users")
+                            .pass_words(atoms, &mut pass),
                     }
+                    *survivors += escalate(q, &pass, frames, drift.as_ref(), &mut escalations, &mut audits);
                     if let Some(monitor) = drift.as_mut() {
                         let monitored: Vec<usize> = monitor.monitored_backends().to_vec();
                         for (i, frame) in frames.iter().enumerate() {
@@ -1128,7 +1145,7 @@ impl<'a> SharedStreamPlan<'a> {
                                 .iter()
                                 .map(|&mb| estimates[mb].as_ref().expect("monitored backend inference ran")[i].clone())
                                 .collect();
-                            monitor.observe(frame, row, passes[i]);
+                            monitor.observe(frame, row, pass[i / 64] >> (i % 64) & 1 == 1);
                         }
                     }
                 }
@@ -2454,5 +2471,131 @@ mod tests {
         run(&[&counted_ic, &counted_od]);
         assert_eq!(counted_ic.counts(), (0, n), "IC alone in its group");
         assert_eq!(counted_od.counts(), (0, n), "OD on the default raster alone in its group");
+    }
+
+    /// Today's per-frame fan-out, kept as the reference of the word-wide
+    /// one: each frame's pass is the AND over the statement's atoms (every
+    /// frame for brute force), a passing frame escalates, and a rejected one
+    /// goes to the audit draw, in frame order.
+    fn reference_escalate(
+        q: usize,
+        verdicts: &AtomVerdicts,
+        atoms: Option<&[AtomId]>,
+        frames: &[Frame],
+        drift: Option<&DriftMonitor>,
+        escalations: &mut Subscribers,
+        audits: &mut Subscribers,
+    ) -> (usize, Vec<bool>) {
+        let mut survivors = 0;
+        let mut passes = Vec::new();
+        for (i, frame) in frames.iter().enumerate() {
+            let pass = atoms.is_none_or(|atoms| atoms.iter().all(|&id| verdicts.atom(i, id)));
+            if pass {
+                escalations.insert(i, q);
+                survivors += 1;
+            } else if drift.is_some_and(|monitor| monitor.audits(frame)) {
+                escalations.insert(i, q);
+                audits.insert(i, q);
+            }
+            passes.push(pass);
+        }
+        (survivors, passes)
+    }
+
+    fn fan_out_frames() -> &'static [Frame] {
+        static FRAMES: std::sync::OnceLock<Vec<Frame>> = std::sync::OnceLock::new();
+        FRAMES.get_or_init(|| Dataset::generate(&DatasetProfile::jackson(), 0, 130, 41).test().to_vec())
+    }
+
+    fn fan_out_predicate() -> impl proptest::Strategy<Value = crate::ast::Predicate> {
+        use crate::ast::{CountOp, CountTarget, ObjectRef, Predicate};
+        use proptest::Strategy;
+        use vmq_video::ObjectClass;
+        (0u8..3, 0usize..3, 0usize..3, 0u32..4).prop_map(|(kind, class, op, value)| {
+            let class = [ObjectClass::Car, ObjectClass::Person, ObjectClass::Bus][class];
+            match kind {
+                0 => Predicate::Count {
+                    target: CountTarget::Class(class),
+                    op: [CountOp::Exactly, CountOp::AtLeast, CountOp::AtMost][op],
+                    value,
+                },
+                1 => Predicate::Region {
+                    object: ObjectRef::class(class),
+                    region: "lower-right".to_string(),
+                    min_count: value % 3,
+                },
+                _ => Predicate::Spatial {
+                    first: ObjectRef::class(ObjectClass::Car),
+                    relation: crate::SpatialRelation::ALL[op],
+                    second: ObjectRef::class(class),
+                },
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The word-wide fan-out escalates, audits and observes exactly
+        /// what the per-frame loop did, for batches of 1 to 130 frames
+        /// (three words), statements with no atom, brute force, and with
+        /// and without a drift monitor.
+        #[test]
+        fn word_fan_out_equals_the_per_frame_fan_out(
+            n in 1usize..=130,
+            statements in proptest::collection::vec(
+                (proptest::collection::vec(fan_out_predicate(), 0..4), 0u32..3, proptest::bool::ANY),
+                1..6,
+            ),
+            drift in (proptest::bool::ANY, 0u64..1000),
+            seed in 0u64..1000,
+        ) {
+            let frames = &fan_out_frames()[..n];
+            let filter = CalibratedFilter::new(
+                DatasetProfile::jackson().class_list(), 14, CalibrationProfile::od_like(), seed);
+            let mut table = AtomTable::new();
+            let compiled: Vec<Option<Box<[AtomId]>>> = statements
+                .iter()
+                .map(|(predicates, tolerance, brute)| {
+                    let mut query = Query::new("fan-out");
+                    query.predicates = predicates.clone();
+                    let cascade = CascadeConfig { count_tolerance: *tolerance, location_tolerance: 1 };
+                    (!brute).then(|| table.compile_select(&query, cascade, filter.threshold()))
+                })
+                .collect();
+            let verdicts = table.evaluate(&filter.estimate_batch(frames));
+            let monitor = drift.0.then_some(drift.1).map(|seed| {
+                let setup = DriftSetup {
+                    config: crate::drift::DriftConfig::new(0.3).with_seed(seed),
+                    candidate_backends: vec![0],
+                    tolerances: CascadeConfig::lattice(),
+                };
+                DriftMonitor::new(setup, Some(0), CascadeConfig::tolerant(), "fan-out".to_string())
+            });
+            let q_count = compiled.len();
+            let (mut escalations, mut audits) = (Subscribers::new(n, q_count), Subscribers::new(n, q_count));
+            let (mut want_escalations, mut want_audits) = (Subscribers::new(n, q_count), Subscribers::new(n, q_count));
+            let mut pass = Vec::new();
+            for (q, atoms) in compiled.iter().enumerate() {
+                match atoms {
+                    Some(atoms) => verdicts.pass_words(atoms, &mut pass),
+                    None => {
+                        pass.clear();
+                        pass.extend(frame_words(n));
+                    }
+                }
+                let survivors = escalate(q, &pass, frames, monitor.as_ref(), &mut escalations, &mut audits);
+                let (want, passes) = reference_escalate(
+                    q, &verdicts, atoms.as_deref(), frames, monitor.as_ref(), &mut want_escalations, &mut want_audits);
+                proptest::prop_assert_eq!(survivors, want);
+                let observed: Vec<bool> = (0..n).map(|i| pass[i / 64] >> (i % 64) & 1 == 1).collect();
+                proptest::prop_assert_eq!(observed, passes);
+                proptest::prop_assert!(pass.len() == n.div_ceil(64) && pass.iter().enumerate().all(|(w, &word)| {
+                    w + 1 < pass.len() || n.is_multiple_of(64) || word >> (n % 64) == 0
+                }), "bits past the batch stay clear");
+            }
+            proptest::prop_assert_eq!(&escalations.bits, &want_escalations.bits);
+            proptest::prop_assert_eq!(&audits.bits, &want_audits.bits);
+        }
     }
 }

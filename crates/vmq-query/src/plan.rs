@@ -184,31 +184,54 @@ pub struct AtomTable {
     indicators: Vec<Indicator>,
 }
 
-/// Per-frame verdicts of one [`AtomTable`] over a batch of estimates.
+/// Verdicts of one [`AtomTable`] over a batch of estimates.
+///
+/// Each atom's verdicts are kept as frame bit-words: bit `i % 64` of the
+/// atom's word `i / 64` is its verdict on the batch's `i`-th estimate, so a
+/// statement's cascade decision over the whole batch is an AND of a few
+/// words ([`AtomVerdicts::pass_words`]).
 #[derive(Debug)]
 pub struct AtomVerdicts {
-    atoms: usize,
+    /// Words per atom: the batch length over 64, rounded up.
+    words: usize,
+    frames: usize,
     indicators: usize,
-    bits: Vec<bool>,
+    /// Atom-major: atom `a`'s words are `bits[a * words..][..words]`.
+    bits: Vec<u64>,
     values: Vec<f64>,
 }
 
 impl AtomVerdicts {
     /// Verdict of one atom on the batch's `frame`-th estimate.
     pub fn atom(&self, frame: usize, id: AtomId) -> bool {
-        self.bits[frame * self.atoms + id as usize]
+        self.bits[id as usize * self.words + frame / 64] >> (frame % 64) & 1 == 1
     }
 
-    /// True when every listed atom holds on the batch's `frame`-th estimate:
-    /// the cascade decision of the statement the ids were compiled for.
-    pub fn passes(&self, frame: usize, atoms: &[AtomId]) -> bool {
-        atoms.iter().all(|&id| self.atom(frame, id))
+    /// The batch positions on which every listed atom holds — the cascade
+    /// decision of the statement the ids were compiled for — as frame
+    /// bit-words written to `out` (bit `i % 64` of word `i / 64` for the
+    /// `i`-th estimate; bits past the batch stay clear). An empty list passes
+    /// every frame.
+    pub fn pass_words(&self, atoms: &[AtomId], out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(frame_words(self.frames));
+        for &id in atoms {
+            let words = &self.bits[id as usize * self.words..][..self.words];
+            for (word, &atom) in out.iter_mut().zip(words) {
+                *word &= atom;
+            }
+        }
     }
 
     /// Value of one indicator on the batch's `frame`-th estimate.
     pub fn indicator(&self, frame: usize, id: IndicatorId) -> f64 {
         self.values[frame * self.indicators + id as usize]
     }
+}
+
+/// The bit-words of a batch of `frames` frames with every frame set.
+pub(crate) fn frame_words(frames: usize) -> impl Iterator<Item = u64> {
+    (0..frames.div_ceil(64)).map(move |w| u64::MAX >> (64 - (frames - w * 64).min(64)))
 }
 
 fn intern<T: PartialEq>(items: &mut Vec<T>, item: T) -> u32 {
@@ -313,7 +336,7 @@ impl AtomTable {
     /// Compiles the cascade of `query` under `config`, with grids binarised
     /// at `threshold`: one atom id per predicate, in declaration order. The
     /// statement passes a frame when all of them hold
-    /// ([`AtomVerdicts::passes`]).
+    /// ([`AtomVerdicts::pass_words`]).
     pub fn compile_select(&mut self, query: &Query, config: CascadeConfig, threshold: f32) -> Box<[AtomId]> {
         let slot = self.threshold_slot(threshold);
         query
@@ -378,23 +401,27 @@ impl AtomTable {
     /// [`AtomTable::evaluate`] with the binarisation thresholds supplied by
     /// the caller (slot order), optionally skipping the indicators.
     fn evaluate_at(&self, thresholds: &[f32], estimates: &[FilterEstimate], graded: bool) -> AtomVerdicts {
-        let (atoms, indicators) = (self.atoms.len(), if graded { self.indicators.len() } else { 0 });
-        let mut bits = Vec::with_capacity(estimates.len() * atoms);
-        let mut values = Vec::with_capacity(estimates.len() * indicators);
+        let (frames, indicators) = (estimates.len(), if graded { self.indicators.len() } else { 0 });
+        let words = frames.div_ceil(64);
+        let mut bits = vec![0u64; self.atoms.len() * words];
+        let mut values = Vec::with_capacity(frames * indicators);
         // One summary for the batch: its buffers and the region masks
         // (which depend only on the grid side) carry over from frame to
         // frame.
         let mut summary = OccupancySummary::default();
-        for estimate in estimates {
+        let mut row = Vec::with_capacity(self.atoms.len());
+        for (i, estimate) in estimates.iter().enumerate() {
             summary.load(estimate, &self.spec, thresholds);
-            let row = bits.len();
-            bits.extend(self.atoms.iter().map(|atom| atom.holds(&summary)));
+            row.clear();
+            row.extend(self.atoms.iter().map(|atom| atom.holds(&summary)));
+            for (a, &holds) in row.iter().enumerate() {
+                bits[a * words + i / 64] |= u64::from(holds) << (i % 64);
+            }
             if graded {
-                let frame = &bits[row..];
-                values.extend(self.indicators.iter().map(|indicator| indicator.grade(frame, &summary)));
+                values.extend(self.indicators.iter().map(|indicator| indicator.grade(&row, &summary)));
             }
         }
-        AtomVerdicts { atoms, indicators, bits, values }
+        AtomVerdicts { words, frames, indicators, bits, values }
     }
 }
 
@@ -508,7 +535,9 @@ impl FilterCascade {
     /// filter estimate. Returning `false` means the frame is safely dropped;
     /// returning `true` sends it to the expensive detector.
     pub fn passes(&self, estimate: &FilterEstimate, threshold: f32) -> bool {
-        self.verdicts(estimate, threshold, false).passes(0, &self.atoms)
+        let mut pass = Vec::with_capacity(1);
+        self.verdicts(estimate, threshold, false).pass_words(&self.atoms, &mut pass);
+        pass[0] & 1 == 1
     }
 
     /// Per-predicate approximate indicators (one boolean per query predicate,

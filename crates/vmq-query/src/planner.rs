@@ -260,6 +260,12 @@ pub fn plan_cascade_from_profiles(
     let prefix_len = truth.len();
     let true_prefix_frames = truth.iter().filter(|&&t| t).count();
 
+    // The prefix's true frames as frame bit-words, to AND with each
+    // candidate's passing frames.
+    let mut truth_words = vec![0u64; prefix_len.div_ceil(64)];
+    for (i, _) in truth.iter().enumerate().filter(|(_, &is_true)| is_true) {
+        truth_words[i / 64] |= 1 << (i % 64);
+    }
     let mut calibration_ms = model.cost_ms(detector_stage) * prefix_len as f64;
     let mut candidates: Vec<CandidateProfile> = Vec::with_capacity(backends.len() * tolerances.len());
     for (backend_index, (&filter, profile)) in backends.iter().zip(profiles).enumerate() {
@@ -272,17 +278,11 @@ pub fn plan_cascade_from_profiles(
         let compiled: Vec<_> =
             tolerances.iter().map(|&cascade| table.compile_select(query, cascade, filter.threshold())).collect();
         let verdicts = table.evaluate(&profile.estimates);
+        let mut pass = Vec::new();
         for (&cascade, atoms) in tolerances.iter().zip(&compiled) {
-            let mut passes = 0usize;
-            let mut kept_true = 0usize;
-            for (frame, &is_true) in truth.iter().enumerate() {
-                if verdicts.passes(frame, atoms) {
-                    passes += 1;
-                    if is_true {
-                        kept_true += 1;
-                    }
-                }
-            }
+            verdicts.pass_words(atoms, &mut pass);
+            let passes = pass.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+            let kept_true = pass.iter().zip(&truth_words).map(|(w, t)| (w & t).count_ones() as usize).sum::<usize>();
             let pass_rate = passes as f64 / prefix_len as f64;
             let recall = if true_prefix_frames == 0 { 1.0 } else { kept_true as f32 / true_prefix_frames as f32 };
             let expected_cost_ms = model.cost_ms(Stage::Decode)

@@ -205,7 +205,7 @@ fn bits(values: &[f64]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `passes`, `predicate_indicators` and (by `f64::to_bits`)
+    /// `passes`, `pass_words`, `predicate_indicators` and (by `f64::to_bits`)
     /// `cv_indicators` of the compiled evaluator equal the naive reference —
     /// for each statement alone, and for all of them compiled into one
     /// shared table and evaluated over the whole batch at once.
@@ -224,8 +224,10 @@ proptest! {
             .collect();
         let verdicts = table.evaluate(&estimates);
 
+        let mut pass = Vec::new();
         for ((query, config), (atoms, indicators)) in statements.iter().zip(&compiled) {
             let cascade = FilterCascade::new(query.clone(), *config);
+            verdicts.pass_words(atoms, &mut pass);
             for (frame, estimate) in estimates.iter().enumerate() {
                 let expected = naive::predicate_indicators(query, *config, estimate, threshold);
                 let expected_cv = naive::cv_indicators(query, *config, estimate, threshold);
@@ -238,7 +240,7 @@ proptest! {
                 let shared: Vec<bool> = atoms.iter().map(|&id| verdicts.atom(frame, id)).collect();
                 let shared_cv: Vec<f64> = indicators.iter().map(|&id| verdicts.indicator(frame, id)).collect();
                 prop_assert_eq!(shared, expected.clone(), "shared table: {}", context);
-                prop_assert_eq!(verdicts.passes(frame, atoms), expected.iter().all(|&p| p), "shared table: {}", context);
+                prop_assert_eq!(pass[frame / 64] >> (frame % 64) & 1 == 1, expected.iter().all(|&p| p), "shared table: {}", context);
                 prop_assert_eq!(bits(&shared_cv), bits(&expected_cv), "shared table: {}", context);
             }
         }
