@@ -99,6 +99,122 @@ pub enum Predicate {
     },
 }
 
+/// A predicate with its region name resolved against a catalogue: exactly
+/// what its verdict on a frame depends on. Two catalogues can give one region
+/// name different boxes, so a region predicate is keyed by its box, not its
+/// name; equal keys of different statements share one evaluation
+/// ([`ExactTable`]).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ExactPredicate {
+    Count {
+        target: CountTarget,
+        op: CountOp,
+        value: u32,
+    },
+    Spatial {
+        first: ObjectRef,
+        relation: SpatialRelation,
+        second: ObjectRef,
+    },
+    /// `region` is `None` for a name the catalogue does not know, which no
+    /// frame satisfies.
+    Region {
+        object: ObjectRef,
+        region: Option<BoundingBox>,
+        min_count: u32,
+    },
+}
+
+impl ExactPredicate {
+    fn resolve(predicate: &Predicate, catalog: &RegionCatalog) -> Self {
+        match predicate {
+            Predicate::Count { target, op, value } => ExactPredicate::Count { target: *target, op: *op, value: *value },
+            Predicate::Spatial { first, relation, second } => {
+                ExactPredicate::Spatial { first: *first, relation: *relation, second: *second }
+            }
+            Predicate::Region { object, region, min_count } => {
+                ExactPredicate::Region { object: *object, region: catalog.get(region), min_count: *min_count }
+            }
+        }
+    }
+
+    /// The one exact evaluator: the predicate over a frame's objects as
+    /// `(class, colour, box)`, walked in place (the iterator is cloned for
+    /// each pair loop) — no box list is collected.
+    fn holds<I>(&self, objects: I) -> bool
+    where
+        I: Iterator<Item = (ObjectClass, Option<Color>, BoundingBox)> + Clone,
+    {
+        let boxes_of = |obj: &ObjectRef| {
+            let obj = *obj;
+            objects
+                .clone()
+                .filter(move |&(class, color, _)| class == obj.class && (obj.color.is_none() || color == obj.color))
+                .map(|(_, _, bbox)| bbox)
+        };
+        match self {
+            ExactPredicate::Count { target, op, value } => {
+                let count = match *target {
+                    CountTarget::Total => objects.clone().count(),
+                    CountTarget::Class(c) => objects.clone().filter(|&(class, _, _)| class == c).count(),
+                    CountTarget::ClassColor(c, col) => {
+                        objects.clone().filter(|&(class, color, _)| class == c && color == Some(col)).count()
+                    }
+                };
+                op.holds(count as i64, *value as i64)
+            }
+            ExactPredicate::Spatial { first, relation, second } => {
+                boxes_of(first).any(|a| boxes_of(second).any(|b| relation.holds_boxes(&a, &b)))
+            }
+            // An object is "in" a screen region when its bounding box
+            // overlaps the region (the usual surveillance semantics for "car
+            // in the bike lane" / "person in the quadrant").
+            ExactPredicate::Region { object, region, min_count } => {
+                region.is_some_and(|r| boxes_of(object).filter(|b| b.intersects(&r)).count() >= *min_count as usize)
+            }
+        }
+    }
+}
+
+/// Every distinct exact predicate of the statements registered on one plan.
+///
+/// Registration compiles a statement's predicates to ids
+/// ([`ExactTable::compile`]); per detected frame each id is evaluated at most
+/// once however many statements share it, and a statement's truth is the AND
+/// over its ids in declaration order ([`ExactTable::matches`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ExactTable {
+    predicates: Vec<ExactPredicate>,
+}
+
+impl ExactTable {
+    /// Interns `query`'s predicates, resolved against its catalogue: one id
+    /// per predicate, in declaration order.
+    pub(crate) fn compile(&mut self, query: &Query) -> Box<[u32]> {
+        query
+            .predicates
+            .iter()
+            .map(|predicate| {
+                crate::plan::intern(&mut self.predicates, ExactPredicate::resolve(predicate, &query.catalog))
+            })
+            .collect()
+    }
+
+    /// A cleared per-frame verdict memo, one slot per interned predicate.
+    pub(crate) fn memo(&self) -> Vec<Option<bool>> {
+        vec![None; self.predicates.len()]
+    }
+
+    /// The statement compiled to `ids`, evaluated exactly on `detections`:
+    /// each id's verdict is read from `memo` or evaluated once and stored
+    /// there. `memo` must be cleared (every slot `None`) between frames.
+    pub(crate) fn matches(&self, ids: &[u32], detections: &FrameDetections, memo: &mut [Option<bool>]) -> bool {
+        let objects = detections.detections.iter().map(|d| (d.class, d.color, d.bbox));
+        ids.iter()
+            .all(|&id| *memo[id as usize].get_or_insert_with(|| self.predicates[id as usize].holds(objects.clone())))
+    }
+}
+
 /// A continuous monitoring query: a named conjunction of predicates plus a
 /// region catalogue resolving region names.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -193,42 +309,14 @@ impl Query {
         self.matches_objects(frame.objects.iter().map(|o| (o.class, Some(o.color), o.bbox)))
     }
 
-    /// The one exact evaluator: every predicate over the frame's objects as
-    /// `(class, colour, box)`, walked in place (the iterator is cloned for
-    /// each predicate and each pair loop) — no box list is collected.
+    /// Every predicate over the frame's objects as `(class, colour, box)`,
+    /// resolved against the query's catalogue and evaluated by
+    /// [`ExactPredicate::holds`].
     fn matches_objects<I>(&self, objects: I) -> bool
     where
         I: Iterator<Item = (ObjectClass, Option<Color>, BoundingBox)> + Clone,
     {
-        let boxes_of = |obj: &ObjectRef| {
-            let obj = *obj;
-            objects
-                .clone()
-                .filter(move |&(class, color, _)| class == obj.class && (obj.color.is_none() || color == obj.color))
-                .map(|(_, _, bbox)| bbox)
-        };
-        self.predicates.iter().all(|predicate| match predicate {
-            Predicate::Count { target, op, value } => {
-                let count = match *target {
-                    CountTarget::Total => objects.clone().count(),
-                    CountTarget::Class(c) => objects.clone().filter(|&(class, _, _)| class == c).count(),
-                    CountTarget::ClassColor(c, col) => {
-                        objects.clone().filter(|&(class, color, _)| class == c && color == Some(col)).count()
-                    }
-                };
-                op.holds(count as i64, *value as i64)
-            }
-            Predicate::Spatial { first, relation, second } => {
-                boxes_of(first).any(|a| boxes_of(second).any(|b| relation.holds_boxes(&a, &b)))
-            }
-            Predicate::Region { object, region, min_count } => {
-                // An object is "in" a screen region when its bounding box
-                // overlaps the region (the usual surveillance semantics for
-                // "car in the bike lane" / "person in the quadrant").
-                let Some(r) = self.catalog.get(region) else { return false };
-                boxes_of(object).filter(|b| b.intersects(&r)).count() >= *min_count as usize
-            }
-        })
+        self.predicates.iter().all(|predicate| ExactPredicate::resolve(predicate, &self.catalog).holds(objects.clone()))
     }
 
     // ----- the named queries of Sec. IV-B (Table III) -----

@@ -52,7 +52,7 @@
 //! calibration) detector work, so stage metrics keep the window-wide filter
 //! cost and the sampled detector cost honest and separate.
 
-use crate::ast::Query;
+use crate::ast::{ExactTable, Query};
 use crate::drift::{DriftMonitor, DriftSetup};
 use crate::exec::QueryRun;
 use crate::plan::{frame_words, AtomId, AtomTable, AtomVerdicts, CascadeConfig, FilterCascade, IndicatorId};
@@ -555,6 +555,9 @@ enum SharedQueryKind<'a> {
         /// The cascade, compiled into `backend`'s atom table: the statement
         /// passes a frame when all of these hold. Empty for brute force.
         atoms: Box<[AtomId]>,
+        /// The predicates, compiled into the plan's [`ExactTable`]: a
+        /// detected frame matches when all of these hold.
+        exact: Box<[u32]>,
         survivors: usize,
         /// Online drift monitor (audit channel + rolling recalibration);
         /// `None` keeps the one-shot committed plan forever.
@@ -633,6 +636,8 @@ pub struct SharedStreamPlan<'a> {
     backends: Vec<&'a dyn FrameFilter>,
     /// Per backend: the compiled atoms of every statement reading it.
     atoms: Vec<AtomTable>,
+    /// The distinct exact predicates of every select.
+    exact: ExactTable,
     queries: Vec<SharedQueryState<'a>>,
     /// Global attribution user id per query (parallel to `queries`).
     /// Identity by default; a fleet scheduler running many plans against
@@ -668,6 +673,7 @@ impl<'a> SharedStreamPlan<'a> {
             workers: 1,
             backends: Vec::new(),
             atoms: Vec::new(),
+            exact: ExactTable::default(),
             queries: Vec::new(),
             user_ids: Vec::new(),
             stream_frames: Vec::new(),
@@ -731,13 +737,14 @@ impl<'a> SharedStreamPlan<'a> {
             assert!(b < self.backends.len(), "unknown backend index {b}");
         }
         let atoms = self.compile_select(&query, cascade, backend);
+        let exact = self.exact.compile(&query);
         self.queries.push(SharedQueryState {
             name: query.name.clone(),
             mode_label,
             ledger,
             calibration,
             matched: Vec::new(),
-            kind: SharedQueryKind::Select { backend, query, atoms, survivors: 0, drift: None },
+            kind: SharedQueryKind::Select { backend, query, atoms, exact, survivors: 0, drift: None },
         });
         self.user_ids.push(self.queries.len() - 1);
         self.queries.len() - 1
@@ -1214,24 +1221,26 @@ impl<'a> SharedStreamPlan<'a> {
         wall.detect_ms += start.elapsed().as_secs_f64() * 1000.0;
 
         // Phase 5 — exact evaluation on the shared annotations, for exactly
-        // the subscribers of each frame; each private ledger pays its own
-        // escalations in full.
+        // the subscribers of each frame, each distinct predicate at most once
+        // per frame; each private ledger pays its own escalations in full.
         // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds only the
         // `eval_ms` wall attribution stat.
         let start = Instant::now();
         let mut detected = vec![0u64; self.queries.len()];
         let mut audited = vec![0u64; self.queries.len()];
+        let mut memo = self.exact.memo();
         for (i, frame) in frames.iter().enumerate() {
+            memo.fill(None);
             for q in escalations.of(i) {
                 let SharedQueryState { kind, matched, .. } = &mut self.queries[q];
-                let SharedQueryKind::Select { query, drift, .. } = kind else { unreachable!("only selects escalate") };
+                let SharedQueryKind::Select { exact, drift, .. } = kind else { unreachable!("only selects escalate") };
                 if audits.contains(i, q) {
                     audited[q] += 1;
                 } else {
                     detected[q] += 1;
                 }
                 let detections = resolved[i].as_ref().expect("escalated frames are detected");
-                let truth = query.matches_detections(detections);
+                let truth = self.exact.matches(exact, detections, &mut memo);
                 if truth {
                     // Audit sentinels double as corrections: a true frame the
                     // committed plan rejected still reaches the result set.
@@ -1272,7 +1281,7 @@ impl<'a> SharedStreamPlan<'a> {
         let model = self.global.model().clone();
         for (q, state) in self.queries.iter_mut().enumerate() {
             let SharedQueryState { kind, matched, ledger, mode_label, .. } = state;
-            let SharedQueryKind::Select { backend, query, atoms, drift, .. } = kind else { continue };
+            let SharedQueryKind::Select { backend, query, atoms, exact, drift, .. } = kind else { continue };
             let Some(monitor) = drift.as_mut() else { continue };
             if !monitor.should_attempt() {
                 continue;
@@ -1297,6 +1306,7 @@ impl<'a> SharedStreamPlan<'a> {
                 None => monitor.catchup_targets_brute(),
             };
             let mut fresh = 0u64;
+            let mut memo = self.exact.memo();
             for frame in &targets {
                 let detections = match self.cache.get(frame, self.user_ids[q]) {
                     Some(hit) => hit,
@@ -1307,7 +1317,8 @@ impl<'a> SharedStreamPlan<'a> {
                         arc
                     }
                 };
-                let truth = query.matches_detections(&detections);
+                memo.fill(None);
+                let truth = self.exact.matches(exact, &detections, &mut memo);
                 if truth {
                     matched.push(frame.frame_id);
                 }

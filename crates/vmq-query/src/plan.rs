@@ -234,7 +234,7 @@ pub(crate) fn frame_words(frames: usize) -> impl Iterator<Item = u64> {
     (0..frames.div_ceil(64)).map(move |w| u64::MAX >> (64 - (frames - w * 64).min(64)))
 }
 
-fn intern<T: PartialEq>(items: &mut Vec<T>, item: T) -> u32 {
+pub(crate) fn intern<T: PartialEq>(items: &mut Vec<T>, item: T) -> u32 {
     let index = items.iter().position(|known| *known == item).unwrap_or_else(|| {
         items.push(item);
         items.len() - 1

@@ -2,12 +2,12 @@
 //! parser (pretty-print → re-parse round trip).
 
 use proptest::prelude::*;
-use vmq_detect::{Detection, Detector, FrameDetections, OracleDetector};
+use vmq_detect::{CostLedger, Detection, DetectionCache, Detector, FrameDetections, OracleDetector};
 use vmq_filters::{CalibratedFilter, CalibrationProfile, FrameFilter};
 use vmq_query::ast::CountOp;
 use vmq_query::{
-    format_statement, parse_statement, CascadeConfig, CountTarget, FilterCascade, ObjectRef, Predicate, Query,
-    SpatialRelation,
+    format_statement, parse_statement, CascadeConfig, CountTarget, FilterCascade, ObjectRef, PipelineConfig, Predicate,
+    Query, RegionCatalog, SharedStreamPlan, SpatialRelation,
 };
 use vmq_video::{BoundingBox, Color, Frame, ObjectClass, SceneObject};
 
@@ -293,5 +293,71 @@ proptest! {
             _ => prop_assert!(false, "unexpected predicate shape"),
         }
         let _ = ObjectRef::class(ObjectClass::Car);
+    }
+}
+
+/// The standard catalogue, and two that give the name `lane` different
+/// boxes (the first also moves `lower-right`).
+fn catalogue(kind: usize) -> RegionCatalog {
+    let mut catalog = RegionCatalog::standard();
+    match kind {
+        0 => {}
+        1 => {
+            catalog.insert("lane", BoundingBox::new(0.0, 0.6, 1.0, 0.4));
+            catalog.insert("lower-right", BoundingBox::new(0.6, 0.6, 0.4, 0.4));
+        }
+        _ => catalog.insert("lane", BoundingBox::new(0.0, 0.0, 1.0, 0.4)),
+    }
+    catalog
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A plan's exact evaluation, which interns predicates by their resolved
+    /// region box and evaluates each at most once per detected frame,
+    /// matches every statement evaluated alone by the collecting reference:
+    /// across catalogues that give one region name different boxes, colour
+    /// references, `min_count` 0 and unknown regions, at any batch size.
+    #[test]
+    fn interned_exact_evaluation_equals_per_statement_evaluation(
+        frames in prop::collection::vec(frame_strategy(), 1..24),
+        statements in prop::collection::vec((evaluator_query_strategy(), 0usize..3, prop::bool::ANY), 1..8),
+        batch in 1usize..9,
+    ) {
+        let frames: Vec<Frame> =
+            frames.into_iter().enumerate().map(|(i, frame)| Frame { frame_id: i as u64, ..frame }).collect();
+        let queries: Vec<Query> = statements
+            .into_iter()
+            .map(|(mut query, kind, lane)| {
+                for predicate in &mut query.predicates {
+                    if let Predicate::Region { region, .. } = predicate {
+                        if lane {
+                            *region = "lane".to_string();
+                        }
+                    }
+                }
+                query.with_catalog(catalogue(kind))
+            })
+            .collect();
+        let oracle = OracleDetector::perfect();
+        let mut plan = SharedStreamPlan::new(
+            &oracle,
+            DetectionCache::new(),
+            CostLedger::paper(),
+            PipelineConfig::with_batch_size(batch),
+        );
+        for query in &queries {
+            plan.register_select(query.clone(), CascadeConfig::strict(), None, CostLedger::paper());
+        }
+        let runs = plan.execute_slice(&frames);
+        for (query, run) in queries.iter().zip(&runs) {
+            let want: Vec<u64> = frames
+                .iter()
+                .filter(|frame| reference_matches(query, &oracle.detect(frame)))
+                .map(|frame| frame.frame_id)
+                .collect();
+            prop_assert_eq!(&run.matched_frames, &want, "{:?}", query.predicates);
+        }
     }
 }
