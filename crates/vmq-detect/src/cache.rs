@@ -105,8 +105,9 @@ struct CacheInner {
     /// evicted its consumer list is settled into these exact aggregate
     /// counters (one unit split equally), so attribution stays correct while
     /// the slab stays bounded — a long-lived fleet must not keep one
-    /// consumer list per frame it ever detected.
-    settled: BTreeMap<usize, f64>,
+    /// consumer list per frame it ever detected. Indexed by user; a user
+    /// with no evicted frame holds `0.0`.
+    settled: Vec<f64>,
     budget: usize,
     byte_budget: usize,
     resident_bytes: usize,
@@ -124,7 +125,7 @@ impl Default for CacheInner {
             free: Vec::new(),
             oldest: NIL,
             newest: NIL,
-            settled: BTreeMap::new(),
+            settled: Vec::new(),
             budget: DEFAULT_ENTRY_BUDGET,
             byte_budget: usize::MAX,
             resident_bytes: 0,
@@ -186,7 +187,10 @@ impl CacheInner {
         }
         let share = 1.0 / users.len() as f64;
         for user in users.drain(..) {
-            *self.settled.entry(user).or_insert(0.0) += share;
+            if user >= self.settled.len() {
+                self.settled.resize(user + 1, 0.0);
+            }
+            self.settled[user] += share;
         }
         self.free.push(slot);
         self.evictions += 1;
@@ -436,7 +440,14 @@ impl DetectionCache {
     /// the consumers recorded at its eviction, so
     /// `Σ settled + Σ resident splits ==` total charge events.
     pub fn settled_shares(&self) -> Vec<(usize, f64)> {
-        self.inner.lock().settled.iter().map(|(&user, &share)| (user, share)).collect()
+        let inner = self.inner.lock();
+        inner
+            .settled
+            .iter()
+            .enumerate()
+            .filter(|(_, &share)| share != 0.0)
+            .map(|(user, &share)| (user, share))
+            .collect()
     }
 
     /// Splits every charged frame's detector cost equally among its recorded
@@ -459,7 +470,7 @@ impl DetectionCache {
                 ledger.attribute(stage, user, share);
             }
         }
-        for (&user, &share) in &inner.settled {
+        for (user, &share) in inner.settled.iter().enumerate().filter(|(_, &share)| share != 0.0) {
             ledger.attribute(stage, user, share);
         }
     }

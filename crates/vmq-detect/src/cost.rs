@@ -54,6 +54,11 @@ impl Stage {
         Stage::OdInt8Filter,
     ];
 
+    /// Position of the stage in [`Stage::ALL`].
+    fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short stage name.
     pub fn name(self) -> &'static str {
         match self {
@@ -256,27 +261,31 @@ impl GroupCost {
     }
 }
 
+/// Per-stage frame counts, indexed in [`Stage::ALL`] order.
+type StageFrames = [u64; Stage::ALL.len()];
+
 #[derive(Debug, Default)]
 struct LedgerInner {
-    invocations: BTreeMap<Stage, u64>,
-    calibration: BTreeMap<Stage, u64>,
-    audit: BTreeMap<Stage, u64>,
-    /// Fractional per-query frame attribution of shared charges:
-    /// `(query, stage) → frames` (fractions from equal splits).
-    attribution: BTreeMap<(usize, Stage), f64>,
+    invocations: StageFrames,
+    calibration: StageFrames,
+    audit: StageFrames,
+    /// Fractional per-query frame attribution of shared charges: row `user`,
+    /// column [`Stage::index`] (fractions from equal splits). A user past
+    /// the end has nothing attributed.
+    attribution: Vec<[f64; Stage::ALL.len()]>,
 }
 
 impl LedgerInner {
-    fn frames(&self, stage: Stage) -> u64 {
-        self.invocations.get(&stage).copied().unwrap_or(0)
+    /// `user`'s attribution row, grown on first use.
+    fn row(&mut self, user: usize) -> &mut [f64; Stage::ALL.len()] {
+        if user >= self.attribution.len() {
+            self.attribution.resize(user + 1, [0.0; Stage::ALL.len()]);
+        }
+        &mut self.attribution[user]
     }
 
-    fn calibration_frames(&self, stage: Stage) -> u64 {
-        self.calibration.get(&stage).copied().unwrap_or(0)
-    }
-
-    fn audit_frames(&self, stage: Stage) -> u64 {
-        self.audit.get(&stage).copied().unwrap_or(0)
+    fn attributed(&self, user: usize, stage: Stage) -> f64 {
+        self.attribution.get(user).map_or(0.0, |row| row[stage.index()])
     }
 }
 
@@ -294,7 +303,7 @@ impl CostLedger {
     /// Charges `frames` frames to `stage` (a batch of one for the eager,
     /// per-frame call sites).
     pub fn charge(&self, stage: Stage, frames: u64) {
-        *self.inner.lock().invocations.entry(stage).or_insert(0) += frames;
+        self.inner.lock().invocations[stage.index()] += frames;
     }
 
     /// Charges `frames` frames to `stage` as *calibration* work: the charge
@@ -304,8 +313,8 @@ impl CostLedger {
     /// planner's calibration phase was responsible for.
     pub fn charge_calibration(&self, stage: Stage, frames: u64) {
         let mut inner = self.inner.lock();
-        *inner.invocations.entry(stage).or_insert(0) += frames;
-        *inner.calibration.entry(stage).or_insert(0) += frames;
+        inner.invocations[stage.index()] += frames;
+        inner.calibration[stage.index()] += frames;
     }
 
     /// Charges `frames` frames to `stage` as *audit* work: the drift
@@ -316,8 +325,8 @@ impl CostLedger {
     /// separately so reports can state what the drift monitor cost.
     pub fn charge_audit(&self, stage: Stage, frames: u64) {
         let mut inner = self.inner.lock();
-        *inner.invocations.entry(stage).or_insert(0) += frames;
-        *inner.audit.entry(stage).or_insert(0) += frames;
+        inner.invocations[stage.index()] += frames;
+        inner.audit[stage.index()] += frames;
     }
 
     /// Charges `frames` frames to `stage` once globally and splits the
@@ -326,13 +335,13 @@ impl CostLedger {
     /// several queries (decode, shared filter inference).
     pub fn charge_shared(&self, stage: Stage, frames: u64, users: &[usize]) {
         let mut inner = self.inner.lock();
-        *inner.invocations.entry(stage).or_insert(0) += frames;
+        inner.invocations[stage.index()] += frames;
         if users.is_empty() {
             return;
         }
         let share = frames as f64 / users.len() as f64;
         for &user in users {
-            *inner.attribution.entry((user, stage)).or_insert(0.0) += share;
+            inner.row(user)[stage.index()] += share;
         }
     }
 
@@ -341,7 +350,7 @@ impl CostLedger {
     /// already happened (a detection cache miss) and only the split is being
     /// settled afterwards, once the full set of consumers is known.
     pub fn attribute(&self, stage: Stage, user: usize, frames: f64) {
-        *self.inner.lock().attribution.entry((user, stage)).or_insert(0.0) += frames;
+        self.inner.lock().row(user)[stage.index()] += frames;
     }
 
     /// Clears every user's attribution for `stage` (the global charges are
@@ -349,21 +358,20 @@ impl CostLedger {
     /// sets — [`DetectionCache::attribute_detections`](crate::DetectionCache) —
     /// recompute the split idempotently instead of accumulating duplicates.
     pub fn clear_attribution(&self, stage: Stage) {
-        self.inner.lock().attribution.retain(|&(_, s), _| s != stage);
+        for row in &mut self.inner.lock().attribution {
+            row[stage.index()] = 0.0;
+        }
     }
 
     /// Fractional frames attributed to `user` for `stage`.
     pub fn attributed_frames(&self, stage: Stage, user: usize) -> f64 {
-        self.inner.lock().attribution.get(&(user, stage)).copied().unwrap_or(0.0)
+        self.inner.lock().attributed(user, stage)
     }
 
     /// Virtual milliseconds attributed to `user` across all stages.
     pub fn attributed_ms(&self, user: usize) -> f64 {
         let inner = self.inner.lock();
-        Stage::ALL
-            .iter()
-            .map(|&s| self.model.cost_ms(s) * inner.attribution.get(&(user, s)).copied().unwrap_or(0.0))
-            .sum()
+        Stage::ALL.iter().map(|&s| self.model.cost_ms(s) * inner.attributed(user, s)).sum()
     }
 
     /// Builds the [`SharedCost`] breakdown of this (global) ledger:
@@ -385,59 +393,45 @@ impl CostLedger {
 
     /// Number of frames charged to a stage during calibration.
     pub fn calibration_invocations(&self, stage: Stage) -> u64 {
-        self.inner.lock().calibration_frames(stage)
+        self.inner.lock().calibration[stage.index()]
     }
 
     /// Number of frames charged to a stage by the drift monitor's audit
     /// channel.
     pub fn audit_invocations(&self, stage: Stage) -> u64 {
-        self.inner.lock().audit_frames(stage)
+        self.inner.lock().audit[stage.index()]
     }
 
     /// Virtual milliseconds charged by the drift monitor's audit channel (a
     /// subset of [`CostLedger::total_ms`], never an addition to it).
     pub fn audit_ms(&self) -> f64 {
         let inner = self.inner.lock();
-        Stage::ALL.iter().map(|&s| self.model.cost_ms(s) * inner.audit_frames(s) as f64).sum()
+        Stage::ALL.iter().map(|&s| self.model.cost_ms(s) * inner.audit[s.index()] as f64).sum()
     }
 
     /// The [`Stage`]-tagged audit cost breakdown, in [`Stage::ALL`] order
     /// (one entry per stage charged at least one audit frame).
     pub fn audit_breakdown(&self) -> Vec<StageCost> {
-        let inner = self.inner.lock();
-        Stage::ALL
-            .iter()
-            .filter_map(|&stage| {
-                let frames = inner.audit_frames(stage);
-                (frames > 0).then(|| StageCost { stage, frames, virtual_ms: self.model.cost_ms(stage) * frames as f64 })
-            })
-            .collect()
+        self.stage_costs(&self.inner.lock().audit)
     }
 
     /// Virtual milliseconds charged during the calibration phase (a subset of
     /// [`CostLedger::total_ms`], never an addition to it).
     pub fn calibration_ms(&self) -> f64 {
         let inner = self.inner.lock();
-        Stage::ALL.iter().map(|&s| self.model.cost_ms(s) * inner.calibration_frames(s) as f64).sum()
+        Stage::ALL.iter().map(|&s| self.model.cost_ms(s) * inner.calibration[s.index()] as f64).sum()
     }
 
     /// The [`Stage`]-tagged calibration cost breakdown, in [`Stage::ALL`]
     /// order (one entry per stage charged at least one calibration frame).
     pub fn calibration_breakdown(&self) -> Vec<StageCost> {
-        let inner = self.inner.lock();
-        Stage::ALL
-            .iter()
-            .filter_map(|&stage| {
-                let frames = inner.calibration_frames(stage);
-                (frames > 0).then(|| StageCost { stage, frames, virtual_ms: self.model.cost_ms(stage) * frames as f64 })
-            })
-            .collect()
+        self.stage_costs(&self.inner.lock().calibration)
     }
 
     /// Total accumulated virtual time in milliseconds.
     pub fn total_ms(&self) -> f64 {
         let inner = self.inner.lock();
-        Stage::ALL.iter().map(|&s| self.model.cost_ms(s) * inner.frames(s) as f64).sum()
+        Stage::ALL.iter().map(|&s| self.model.cost_ms(s) * inner.invocations[s.index()] as f64).sum()
     }
 
     /// Total accumulated virtual time in seconds.
@@ -447,7 +441,7 @@ impl CostLedger {
 
     /// Number of frames charged to a stage.
     pub fn invocations(&self, stage: Stage) -> u64 {
-        self.inner.lock().frames(stage)
+        self.inner.lock().invocations[stage.index()]
     }
 
     /// Virtual milliseconds charged to a stage.
@@ -458,13 +452,17 @@ impl CostLedger {
     /// The [`Stage`]-tagged cost breakdown: one entry per stage that was
     /// charged at least one frame, in [`Stage::ALL`] order.
     pub fn breakdown(&self) -> Vec<StageCost> {
-        let inner = self.inner.lock();
+        self.stage_costs(&self.inner.lock().invocations)
+    }
+
+    /// One [`StageCost`] per stage with at least one frame in `frames`, in
+    /// [`Stage::ALL`] order.
+    fn stage_costs(&self, frames: &StageFrames) -> Vec<StageCost> {
         Stage::ALL
             .iter()
-            .filter_map(|&stage| {
-                let frames = inner.frames(stage);
-                (frames > 0).then(|| StageCost { stage, frames, virtual_ms: self.model.cost_ms(stage) * frames as f64 })
-            })
+            .zip(frames)
+            .filter(|(_, &frames)| frames > 0)
+            .map(|(&stage, &frames)| StageCost { stage, frames, virtual_ms: self.model.cost_ms(stage) * frames as f64 })
             .collect()
     }
 
