@@ -452,27 +452,40 @@ impl DetectionCache {
 
     /// Splits every charged frame's detector cost equally among its recorded
     /// users, writing the fractions into `ledger`'s attribution table for
-    /// `stage`: resident frames from their live consumer lists — in key
-    /// order, users ascending, the order the f64 sums are defined by — then
-    /// evicted frames from the exact per-user counters folded at eviction
-    /// time.
+    /// `stage`. Settlement runs in one pass: under the cache lock each
+    /// user's shares are summed into a dense local vector — resident frames
+    /// from their live consumer lists in key order, users ascending, then
+    /// the exact per-user counters folded at eviction time, the order the
+    /// f64 sums are defined by. The cache lock is then released and every
+    /// sum handed to the ledger under one ledger lock
+    /// ([`CostLedger::settle_attribution`]); no lock is taken while the
+    /// other is held.
     /// *Replaces* any attribution previously settled for `stage`, so
     /// re-settling — a plan executed twice, or several plans sharing one
     /// cache and global ledger — recomputes the split instead of
     /// double-counting. (User indices must be consistent across everything
     /// that shares the cache.)
     pub fn attribute_detections(&self, ledger: &CostLedger, stage: Stage) {
-        ledger.clear_attribution(stage);
-        let inner = self.inner.lock();
-        for (_, users) in inner.resident_users() {
-            let share = 1.0 / users.len() as f64;
-            for &user in users {
-                ledger.attribute(stage, user, share);
+        let mut sums: Vec<f64> = Vec::new();
+        {
+            let inner = self.inner.lock();
+            for (_, users) in inner.resident_users() {
+                let share = 1.0 / users.len() as f64;
+                for &user in users {
+                    if user >= sums.len() {
+                        sums.resize(user + 1, 0.0);
+                    }
+                    sums[user] += share;
+                }
+            }
+            if inner.settled.len() > sums.len() {
+                sums.resize(inner.settled.len(), 0.0);
+            }
+            for (sum, &share) in sums.iter_mut().zip(&inner.settled) {
+                *sum += share;
             }
         }
-        for (user, &share) in inner.settled.iter().enumerate().filter(|(_, &share)| share != 0.0) {
-            ledger.attribute(stage, user, share);
-        }
+        ledger.settle_attribution(stage, &sums);
     }
 }
 

@@ -363,6 +363,23 @@ impl CostLedger {
         }
     }
 
+    /// Replaces every user's attribution for `stage` with `frames[user]`
+    /// (none for a user past its end) under one lock: the settlement step of
+    /// [`DetectionCache::attribute_detections`](crate::DetectionCache::attribute_detections),
+    /// which sums each user's shares first and hands the sums over at once.
+    /// Equals [`CostLedger::clear_attribution`] followed by one
+    /// [`CostLedger::attribute`] per user, bit for bit: a cleared entry is
+    /// `0.0`, and `0.0 + s == s`.
+    pub fn settle_attribution(&self, stage: Stage, frames: &[f64]) {
+        let mut inner = self.inner.lock();
+        if frames.len() > inner.attribution.len() {
+            inner.row(frames.len() - 1);
+        }
+        for (user, row) in inner.attribution.iter_mut().enumerate() {
+            row[stage.index()] = frames.get(user).copied().unwrap_or(0.0);
+        }
+    }
+
     /// Fractional frames attributed to `user` for `stage`.
     pub fn attributed_frames(&self, stage: Stage, user: usize) -> f64 {
         self.inner.lock().attributed(user, stage)

@@ -6,7 +6,9 @@
 //! per-user attribution in a fourth keyed by `(user, stage)`, absent entries
 //! read as zero. The ledger under test keeps dense per-stage arrays and one
 //! row per user; after every operation of a random sequence every reader
-//! must agree with the reference bit for bit.
+//! must agree with the reference bit for bit. A settlement
+//! ([`CostLedger::settle_attribution`]) must equal the clear-then-attribute
+//! sequence it replaced.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -51,6 +53,14 @@ impl ModelLedger {
             }
             Op::Attribute(stage, user, frames) => *self.attribution.entry((user, stage)).or_insert(0.0) += frames,
             Op::Clear(stage) => self.attribution.retain(|&(_, s), _| s != stage),
+            // A settlement as first written: clear, then one attribution
+            // per user.
+            Op::Settle(stage, ref frames) => {
+                self.apply(&Op::Clear(stage));
+                for (user, &f) in frames.iter().enumerate() {
+                    self.apply(&Op::Attribute(stage, user, f));
+                }
+            }
             Op::Reset => *self = ModelLedger::default(),
         }
     }
@@ -82,6 +92,7 @@ enum Op {
     Shared(Stage, u64, Vec<usize>),
     Attribute(Stage, usize, f64),
     Clear(Stage),
+    Settle(Stage, Vec<f64>),
     Reset,
 }
 
@@ -94,6 +105,7 @@ impl Op {
             Op::Shared(stage, frames, ref users) => ledger.charge_shared(stage, frames, users),
             Op::Attribute(stage, user, frames) => ledger.attribute(stage, user, frames),
             Op::Clear(stage) => ledger.clear_attribution(stage),
+            Op::Settle(stage, ref frames) => ledger.settle_attribution(stage, frames),
             Op::Reset => ledger.reset(),
         }
     }
@@ -110,7 +122,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 5..=8 => Op::Shared(stage, frames, users),
                 // Fractions like a settlement's equal splits.
                 9..=12 => Op::Attribute(stage, users.first().copied().unwrap_or(USERS - 1), 1.0 / f64::from(parts)),
-                13 | 14 => Op::Clear(stage),
+                13 => Op::Clear(stage),
+                14 => Op::Settle(stage, users.iter().map(|&u| u as f64 / f64::from(parts)).collect()),
                 _ => Op::Reset,
             }
         },
