@@ -65,21 +65,43 @@ impl BitGrid {
     /// (a cell is occupied when its value is `>= t`, as in
     /// [`ClassGrid::threshold`]). Returns `false` when any cell is NaN or
     /// infinite: the caller must then treat the grid as unknown.
+    ///
+    /// The row-major cells are packed eight `>= t` compares to a byte, with
+    /// the finiteness test folded into the same pass; each row's `g` bits are
+    /// then read out of the byte buffer at bit offset `row · g`.
     pub fn assign_threshold(&mut self, grid: &ClassGrid, t: f32) -> bool {
         let g = grid.size();
         assert!(g <= Self::MAX_SIDE, "bit-packed occupancy supports grids up to 64×64, got {g}");
+        // Eight spare bytes past the largest grid: a row read may touch up to
+        // nine bytes.
+        let mut bytes = [0u8; Self::MAX_SIDE * Self::MAX_SIDE / 8 + 8];
+        let mut non_finite = 0u8;
+        let mut pack = |byte: &mut u8, cells: &[f32]| {
+            let mut bits = 0u8;
+            for (k, &v) in cells.iter().enumerate() {
+                bits |= u8::from(v >= t) << k;
+                non_finite |= u8::from(!v.is_finite());
+            }
+            *byte = bits;
+        };
+        let (chunks, tail) = grid.cells().as_chunks::<8>();
+        for (byte, chunk) in bytes.iter_mut().zip(chunks) {
+            pack(byte, chunk);
+        }
+        pack(&mut bytes[chunks.len()], tail);
         self.g = g;
         self.rows.clear();
-        let mut finite = true;
-        for row in grid.cells().chunks_exact(g) {
-            let mut word = 0u64;
-            for (c, &v) in row.iter().enumerate() {
-                finite &= v.is_finite();
-                word |= u64::from(v >= t) << c;
+        let mask = u64::MAX >> (64 - g);
+        for row in 0..g {
+            let (at, shift) = (row * g / 8, row * g % 8);
+            let low = u64::from_le_bytes(*bytes[at..].first_chunk().expect("a row read stays inside the buffer"));
+            let mut word = low >> shift;
+            if shift + g > 64 {
+                word |= u64::from(bytes[at + 8]) << (64 - shift);
             }
-            self.rows.push(word);
+            self.rows.push(word & mask);
         }
-        finite
+        non_finite == 0
     }
 
     /// Grid side length.

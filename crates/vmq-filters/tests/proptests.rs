@@ -364,3 +364,71 @@ fn calibrated_estimates_match_the_pinned_digest() {
     }
     assert_eq!(digest, 0xb585_51e0_ae4a_5d99, "calibrated estimates moved: digest {digest:#018x}");
 }
+
+/// The per-cell binarisation as first written, kept as the reference of the
+/// byte-wise one: each row's word built one `>= t` compare at a time, and
+/// the grid flagged when any cell is NaN or infinite.
+fn reference_threshold(grid: &ClassGrid, t: f32) -> (Vec<u64>, bool) {
+    let g = grid.size();
+    let mut finite = true;
+    let rows = grid
+        .cells()
+        .chunks_exact(g)
+        .map(|row| {
+            let mut word = 0u64;
+            for (c, &v) in row.iter().enumerate() {
+                finite &= v.is_finite();
+                word |= u64::from(v >= t) << c;
+            }
+            word
+        })
+        .collect();
+    (rows, finite)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Byte-wise binarisation equals the per-cell loop on every side from 1
+    /// to 64, with NaN, ±inf, −0.0 and cells equal to the threshold, into a
+    /// grid that held a larger one before.
+    #[test]
+    fn byte_wise_threshold_equals_the_per_cell_loop(
+        g in 1usize..=64,
+        cells in prop::collection::vec((0usize..4096, 0u8..8, -1.0f32..2.0), 0..80),
+        t_kind in 0u8..4,
+        t in -1.0f32..2.0,
+    ) {
+        let t = match t_kind {
+            0 => 0.0,
+            1 => -0.0,
+            _ => t,
+        };
+        let mut values = vec![0.25f32; g * g];
+        for &(at, kind, v) in &cells {
+            values[at % (g * g)] = match kind {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => -0.0,
+                4 => t,
+                _ => v,
+            };
+        }
+        let grid = ClassGrid::from_values(g, values);
+        let (rows, finite) = reference_threshold(&grid, t);
+        let mut bits = BitGrid::empty(64);
+        prop_assert_eq!(bits.assign_threshold(&grid, t), finite, "finiteness on {}x{}", g, g);
+        prop_assert_eq!(bits.size(), g);
+        for (r, &word) in rows.iter().enumerate() {
+            for c in 0..g {
+                prop_assert_eq!(bits.get(r, c), word >> c & 1 == 1, "cell ({}, {}) of {}x{} at {}", r, c, g, g, t);
+            }
+        }
+        // No bit past the grid side: counts and extents see the row words.
+        prop_assert_eq!(bits.occupied(), rows.iter().map(|w| w.count_ones() as usize).sum::<usize>());
+        let all = rows.iter().fold(0u64, |acc, w| acc | w);
+        let cols = (all != 0).then(|| (all.trailing_zeros() as usize, 63 - all.leading_zeros() as usize));
+        prop_assert_eq!(bits.col_extent(), cols);
+    }
+}
