@@ -99,49 +99,22 @@ pub enum Predicate {
     },
 }
 
-/// A predicate with its region name resolved against a catalogue: exactly
-/// what its verdict on a frame depends on. Two catalogues can give one region
-/// name different boxes, so a region predicate is keyed by its box, not its
-/// name; equal keys of different statements share one evaluation
-/// ([`ExactTable`]).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum ExactPredicate {
-    Count {
-        target: CountTarget,
-        op: CountOp,
-        value: u32,
-    },
-    Spatial {
-        first: ObjectRef,
-        relation: SpatialRelation,
-        second: ObjectRef,
-    },
-    /// `region` is `None` for a name the catalogue does not know, which no
-    /// frame satisfies.
-    Region {
-        object: ObjectRef,
-        region: Option<BoundingBox>,
-        min_count: u32,
-    },
-}
-
-impl ExactPredicate {
-    fn resolve(predicate: &Predicate, catalog: &RegionCatalog) -> Self {
-        match predicate {
-            Predicate::Count { target, op, value } => ExactPredicate::Count { target: *target, op: *op, value: *value },
-            Predicate::Spatial { first, relation, second } => {
-                ExactPredicate::Spatial { first: *first, relation: *relation, second: *second }
-            }
-            Predicate::Region { object, region, min_count } => {
-                ExactPredicate::Region { object: *object, region: catalog.get(region), min_count: *min_count }
-            }
+impl Predicate {
+    /// The region box this predicate's verdict depends on: a region
+    /// predicate's name resolved against `catalog` (`None` for a name the
+    /// catalogue does not know), `None` for every other kind.
+    fn region_box(&self, catalog: &RegionCatalog) -> Option<BoundingBox> {
+        match self {
+            Predicate::Region { region, .. } => catalog.get(region),
+            _ => None,
         }
     }
 
     /// The one exact evaluator: the predicate over a frame's objects as
     /// `(class, colour, box)`, walked in place (the iterator is cloned for
-    /// each pair loop) — no box list is collected.
-    fn holds<I>(&self, objects: I) -> bool
+    /// each pair loop) — no box list is collected. `region` is the
+    /// predicate's [`Predicate::region_box`].
+    fn holds<I>(&self, region: Option<BoundingBox>, objects: I) -> bool
     where
         I: Iterator<Item = (ObjectClass, Option<Color>, BoundingBox)> + Clone,
     {
@@ -153,7 +126,7 @@ impl ExactPredicate {
                 .map(|(_, _, bbox)| bbox)
         };
         match self {
-            ExactPredicate::Count { target, op, value } => {
+            Predicate::Count { target, op, value } => {
                 let count = match *target {
                     CountTarget::Total => objects.clone().count(),
                     CountTarget::Class(c) => objects.clone().filter(|&(class, _, _)| class == c).count(),
@@ -163,20 +136,23 @@ impl ExactPredicate {
                 };
                 op.holds(count as i64, *value as i64)
             }
-            ExactPredicate::Spatial { first, relation, second } => {
+            Predicate::Spatial { first, relation, second } => {
                 boxes_of(first).any(|a| boxes_of(second).any(|b| relation.holds_boxes(&a, &b)))
             }
             // An object is "in" a screen region when its bounding box
             // overlaps the region (the usual surveillance semantics for "car
-            // in the bike lane" / "person in the quadrant").
-            ExactPredicate::Region { object, region, min_count } => {
+            // in the bike lane" / "person in the quadrant"); no frame
+            // satisfies an unknown region.
+            Predicate::Region { object, min_count, .. } => {
                 region.is_some_and(|r| boxes_of(object).filter(|b| b.intersects(&r)).count() >= *min_count as usize)
             }
         }
     }
 }
 
-/// Every distinct exact predicate of the statements registered on one plan.
+/// Every distinct exact predicate of the statements registered on one plan,
+/// keyed by the predicate plus its resolved region box: two catalogues can
+/// give one region name different boxes.
 ///
 /// Registration compiles a statement's predicates to ids
 /// ([`ExactTable::compile`]); per detected frame each id is evaluated at most
@@ -184,19 +160,17 @@ impl ExactPredicate {
 /// over its ids in declaration order ([`ExactTable::matches`]).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExactTable {
-    predicates: Vec<ExactPredicate>,
+    predicates: Vec<(Predicate, Option<BoundingBox>)>,
 }
 
 impl ExactTable {
-    /// Interns `query`'s predicates, resolved against its catalogue: one id
-    /// per predicate, in declaration order.
+    /// Interns `query`'s predicates: one id per predicate, in declaration
+    /// order.
     pub(crate) fn compile(&mut self, query: &Query) -> Box<[u32]> {
         query
             .predicates
             .iter()
-            .map(|predicate| {
-                crate::plan::intern(&mut self.predicates, ExactPredicate::resolve(predicate, &query.catalog))
-            })
+            .map(|p| crate::plan::intern(&mut self.predicates, (p.clone(), p.region_box(&query.catalog))))
             .collect()
     }
 
@@ -210,8 +184,10 @@ impl ExactTable {
     /// there. `memo` must be cleared (every slot `None`) between frames.
     pub(crate) fn matches(&self, ids: &[u32], detections: &FrameDetections, memo: &mut [Option<bool>]) -> bool {
         let objects = detections.detections.iter().map(|d| (d.class, d.color, d.bbox));
-        ids.iter()
-            .all(|&id| *memo[id as usize].get_or_insert_with(|| self.predicates[id as usize].holds(objects.clone())))
+        ids.iter().all(|&id| {
+            let (predicate, region) = &self.predicates[id as usize];
+            *memo[id as usize].get_or_insert_with(|| predicate.holds(*region, objects.clone()))
+        })
     }
 }
 
@@ -310,13 +286,12 @@ impl Query {
     }
 
     /// Every predicate over the frame's objects as `(class, colour, box)`,
-    /// resolved against the query's catalogue and evaluated by
-    /// [`ExactPredicate::holds`].
+    /// region names resolved against the query's catalogue.
     fn matches_objects<I>(&self, objects: I) -> bool
     where
         I: Iterator<Item = (ObjectClass, Option<Color>, BoundingBox)> + Clone,
     {
-        self.predicates.iter().all(|predicate| ExactPredicate::resolve(predicate, &self.catalog).holds(objects.clone()))
+        self.predicates.iter().all(|p| p.holds(p.region_box(&self.catalog), objects.clone()))
     }
 
     // ----- the named queries of Sec. IV-B (Table III) -----

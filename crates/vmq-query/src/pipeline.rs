@@ -12,18 +12,22 @@
 //! prepare_batch                       detect_pending          complete_batch
 //! 1 decode charge                     the detector over       4b install detections (cache insert,
 //! 2 backend inference once per          the batch's missing      one global charge per fresh frame)
-//!   (backend, frame) + one atom-       frames, sharded        5 exact predicate evaluation for each
-//!   table evaluation                    across the worker        frame's subscribers
-//! 3 per-statement fan-out:              pool (a fleet         6 aggregates emit completed hopping
-//!   selects escalate, aggregates        scheduler pools          windows to their WindowEstimator
-//!   append indicator columns            many plans' frames    · drift monitors replan at the batch
-//! 4a detection-cache probe              into one dispatch)       boundary
+//!   (backend, frame) + one atom-       frames, sharded        5 exact evaluation of each frame's
+//!   table evaluation into per-atom      across the worker        subscribers: each distinct predicate
+//!   frame bit-words                     pool (a fleet            once per frame, a statement ANDs
+//! 3 per-statement fan-out: a select     scheduler pools          its ids
+//!   ANDs its atoms' words and walks     many plans' frames    6 aggregates emit completed hopping
+//!   the set bits, aggregates append     into one dispatch)       windows to their WindowEstimator
+//!   indicator columns                                         · drift monitors replan at the batch
+//! 4a detection-cache probe                                       boundary
 //! ```
 //!
 //! Statements are grouped by filter backend so inference runs once per
 //! `(backend, frame)`; every distinct cascade atom is evaluated once per
 //! frame out of a per-backend [`AtomTable`] and fanned out to the statements
-//! subscribing to it; the expensive detector is deduplicated through a
+//! subscribing to it as a word `AND` over the batch; every distinct exact
+//! predicate is evaluated at most once per detected frame; the expensive
+//! detector is deduplicated through a
 //! [`DetectionCache`](vmq_detect::DetectionCache) (invoked once per frame in
 //! the union any statement escalates). A select escalates the frames its
 //! cascade passes (brute force: every frame) and keeps those whose detections
@@ -618,8 +622,10 @@ struct SharedQueryState<'a> {
 /// cascade into ids in its backend's [`AtomTable`], keyed by what a check
 /// depends on, so the statements of a family built from a few count and
 /// spatial predicates share a few atoms; per batch each backend's table is
-/// evaluated once per frame and a select's decision is an AND over its atom
-/// bits.
+/// evaluated once per frame and a select's decisions over the batch are an
+/// AND of its atoms' frame bit-words. Exact predicates are interned the same
+/// way, per plan and keyed by their resolved region box, and evaluated at
+/// most once per detected frame.
 ///
 /// Cost accounting is two-tier: each query's private [`CostLedger`] is
 /// charged exactly as an isolated run would charge it (so per-query
