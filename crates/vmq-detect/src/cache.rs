@@ -11,6 +11,13 @@
 //! which is what lets the shared runtime split the single global charge
 //! across its users in the [`SharedCost`](crate::SharedCost) breakdown.
 //!
+//! Attribution is settled in one pass
+//! ([`DetectionCache::attribute_detections`]): each user's shares are summed
+//! under the cache lock — resident frames in key order, users ascending, then
+//! the shares folded out of evicted frames — and the sums are handed to the
+//! ledger after the cache lock is released. No lock is taken while another
+//! is held.
+//!
 //! Correctness rests on detections being a pure function of the frame:
 //! [`OracleDetector`](crate::OracleDetector) noise is derived per frame from
 //! `(seed, camera_id, frame_id)`, so a cached result is bit-identical to a

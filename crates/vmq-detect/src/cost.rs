@@ -135,7 +135,16 @@ pub struct StageCost {
 /// are derived as `count × per-frame cost` on read. This makes charging
 /// exactly associative: charging a stage once for a whole batch produces the
 /// same totals, bit for bit, as charging it frame by frame — the property
-/// the batched operator pipeline's parity guarantee rests on.
+/// the batched operator pipeline's parity guarantee rests on. Counts live in
+/// per-stage arrays in [`Stage::ALL`] order and attribution in one row per
+/// user; every reader walks [`Stage::ALL`] and reads an absent user as zero.
+///
+/// Detector attribution is settled after the pass
+/// ([`DetectionCache::attribute_detections`](crate::DetectionCache::attribute_detections)):
+/// the cache sums each user's shares under its own lock, releases it, and
+/// hands the sums over in one [`CostLedger::settle_attribution`] call. No
+/// ledger method takes another lock while holding the ledger's, and no
+/// caller holds the cache lock while charging the ledger.
 #[derive(Debug, Clone)]
 pub struct CostLedger {
     model: CostModel,
@@ -422,8 +431,7 @@ impl CostLedger {
     /// Virtual milliseconds charged by the drift monitor's audit channel (a
     /// subset of [`CostLedger::total_ms`], never an addition to it).
     pub fn audit_ms(&self) -> f64 {
-        let inner = self.inner.lock();
-        Stage::ALL.iter().map(|&s| self.model.cost_ms(s) * inner.audit[s.index()] as f64).sum()
+        self.frames_ms(&self.inner.lock().audit)
     }
 
     /// The [`Stage`]-tagged audit cost breakdown, in [`Stage::ALL`] order
@@ -435,8 +443,7 @@ impl CostLedger {
     /// Virtual milliseconds charged during the calibration phase (a subset of
     /// [`CostLedger::total_ms`], never an addition to it).
     pub fn calibration_ms(&self) -> f64 {
-        let inner = self.inner.lock();
-        Stage::ALL.iter().map(|&s| self.model.cost_ms(s) * inner.calibration[s.index()] as f64).sum()
+        self.frames_ms(&self.inner.lock().calibration)
     }
 
     /// The [`Stage`]-tagged calibration cost breakdown, in [`Stage::ALL`]
@@ -447,8 +454,7 @@ impl CostLedger {
 
     /// Total accumulated virtual time in milliseconds.
     pub fn total_ms(&self) -> f64 {
-        let inner = self.inner.lock();
-        Stage::ALL.iter().map(|&s| self.model.cost_ms(s) * inner.invocations[s.index()] as f64).sum()
+        self.frames_ms(&self.inner.lock().invocations)
     }
 
     /// Total accumulated virtual time in seconds.
@@ -470,6 +476,11 @@ impl CostLedger {
     /// charged at least one frame, in [`Stage::ALL`] order.
     pub fn breakdown(&self) -> Vec<StageCost> {
         self.stage_costs(&self.inner.lock().invocations)
+    }
+
+    /// Virtual milliseconds of `frames`, summed in [`Stage::ALL`] order.
+    fn frames_ms(&self, frames: &StageFrames) -> f64 {
+        Stage::ALL.iter().zip(frames).map(|(&stage, &frames)| self.model.cost_ms(stage) * frames as f64).sum()
     }
 
     /// One [`StageCost`] per stage with at least one frame in `frames`, in
