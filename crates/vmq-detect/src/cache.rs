@@ -473,9 +473,9 @@ impl DetectionCache {
     /// double-counting. (User indices must be consistent across everything
     /// that shares the cache.)
     pub fn attribute_detections(&self, ledger: &CostLedger, stage: Stage) {
-        let mut sums: Vec<f64> = Vec::new();
-        {
+        let sums = {
             let inner = self.inner.lock();
+            let mut sums = vec![0.0; inner.settled.len()];
             for (_, users) in inner.resident_users() {
                 let share = 1.0 / users.len() as f64;
                 for &user in users {
@@ -485,13 +485,11 @@ impl DetectionCache {
                     sums[user] += share;
                 }
             }
-            if inner.settled.len() > sums.len() {
-                sums.resize(inner.settled.len(), 0.0);
-            }
             for (sum, &share) in sums.iter_mut().zip(&inner.settled) {
                 *sum += share;
             }
-        }
+            sums
+        };
         ledger.settle_attribution(stage, &sums);
     }
 }
