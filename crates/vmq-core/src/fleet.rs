@@ -64,8 +64,9 @@ const COALESCE_BUDGET: usize = 1024;
 pub struct FleetConfig {
     /// Frames per scheduler batch per camera (0 is treated as 1).
     pub batch_size: usize,
-    /// Scoped-thread worker count each plan's filter/detect stages shard
-    /// over (bit-identical for any value).
+    /// Pool worker count the coalesced detect dispatch and each plan's
+    /// detect stage shard over; learned filters decode over it or the whole
+    /// machine, whichever is wider (bit-identical for any value).
     pub workers: usize,
     /// Per-camera ingest queue capacity; frames arriving at a full queue are
     /// dropped at the edge and counted.

@@ -213,9 +213,10 @@ impl<'e> StreamRuntime<'e> {
         StreamRuntime { engine, statements: Vec::new(), workers: 1 }
     }
 
-    /// Sets the worker count the shared filter and detect stages shard
-    /// over. Purely a wall-clock knob: results are bit-identical for any
-    /// value.
+    /// Sets the worker count the shared detect stage shards over; learned
+    /// filters decode over it or the whole machine, whichever is wider
+    /// ([`SharedStreamPlan::with_workers`]). Purely a wall-clock knob:
+    /// results are bit-identical for any value.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self

@@ -129,6 +129,18 @@ pub fn set_spawn_mode(enabled: bool) {
     spawn_mode_flag().store(enabled, Ordering::Relaxed);
 }
 
+/// The machine's width: [`std::thread::available_parallelism`], at least 1
+/// and at most the pool's cap of 64 workers. This is the width a plan's
+/// network decode shards over by default — coarse per-frame inference
+/// (tens to hundreds of µs) pays for a pool scope many times over.
+///
+/// Latched at first use: the query reads the affinity mask and cgroup
+/// quotas, which costs more than a batch should pay every time.
+pub fn parallelism() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, MAX_WORKERS))
+}
+
 /// Counters exposed for benches and regression gates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolStats {
@@ -388,6 +400,15 @@ mod tests {
         set_spawn_mode(was);
         let after = stats();
         assert!(after.threads_spawned >= steady.threads_spawned + 4, "reference mode must spawn per task");
+    }
+
+    #[test]
+    fn parallelism_is_the_host_width_within_the_pool_cap() {
+        let width = parallelism();
+        assert!((1..=MAX_WORKERS).contains(&width), "width {width}");
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(width, host.min(MAX_WORKERS));
+        assert_eq!(parallelism(), width, "latched");
     }
 
     #[test]

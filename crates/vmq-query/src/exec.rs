@@ -100,9 +100,10 @@ impl QueryExecutor {
     }
 
     /// Overrides the plan's worker count
-    /// ([`SharedStreamPlan::with_workers`]: filter inference and detection
-    /// shard over it; bit-identical results for any value, purely a
-    /// wall-clock knob).
+    /// ([`SharedStreamPlan::with_workers`]: detection shards over it, a
+    /// learned filter's decode over it or the whole machine, whichever is
+    /// wider; bit-identical results for any value, purely a wall-clock
+    /// knob).
     pub fn with_filter_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self

@@ -235,9 +235,13 @@ pub struct StageMetrics {
     /// pool joins before the stage returns, so the figure is the
     /// max-over-workers wall span, never the sum of per-worker CPU time.
     pub wall_ms: f64,
-    /// Worker threads the operator sharded its work over (1 for sequential
-    /// operators). Speedup arithmetic on `wall_ms` stays honest: dividing by
-    /// a baseline compares elapsed spans, not CPU time.
+    /// Worker threads the operator actually sharded its work over: the
+    /// decode width for a learned backend's `cascade-filter`,
+    /// `window-filter` and `drift-monitor` rows, the plan's `workers` for
+    /// `detect`, and 1 for a backend that reads no raster (the calibrated
+    /// filter never shards) and for sequential operators. Speedup arithmetic
+    /// on `wall_ms` stays honest: dividing by a baseline compares elapsed
+    /// spans, not CPU time.
     pub workers: usize,
     /// The compute kernel backend the operator's inference ran on (`"avx2"`,
     /// `"neon"`, `"scalar"` for dispatched f32 kernels; `"int8"` for
@@ -615,8 +619,9 @@ struct SharedQueryState<'a> {
 /// [`FilterEstimate`]s. The expensive detector runs once per frame in the
 /// union any select query escalates (plus whatever aggregate estimators
 /// sample), deduplicated through the [`DetectionCache`](vmq_detect::DetectionCache)
-/// and sharded across `workers` scoped threads with a deterministic,
-/// position-keyed merge.
+/// and sharded across `workers` pool tasks with a deterministic,
+/// position-keyed merge; learned backends' network decode shards across the
+/// whole machine ([`SharedStreamPlan::with_workers`]).
 ///
 /// The fan-out itself is shared too. Registration compiles each statement's
 /// cascade into ids in its backend's [`AtomTable`], keyed by what a check
@@ -688,9 +693,13 @@ impl<'a> SharedStreamPlan<'a> {
         }
     }
 
-    /// Sets the scoped-thread worker count the detect **and** filter stages
-    /// shard over (clamped to at least one). Results are bit-identical for
-    /// any value — detections and filter inference are pure per-frame
+    /// Sets the worker count the detect stage shards over (clamped to at
+    /// least one; default 1), which backends that read no raster are also
+    /// handed. A backend whose network reads a raster decodes over
+    /// [`vmq_exec::parallelism`] tasks, or over `workers` if that is wider:
+    /// its per-frame inference pays for a pool scope, while a µs-scale
+    /// detection or calibrated estimate does not. Results are bit-identical
+    /// for any value — detections and filter inference are pure per-frame
     /// functions (the calibrated backend keeps its noise stream sequential)
     /// and the merges are position-keyed — so this is purely a wall-clock
     /// knob.
@@ -1103,16 +1112,19 @@ impl<'a> SharedStreamPlan<'a> {
             // the per-backend wall attribution stat; estimates and charges
             // are already fixed.
             let start = Instant::now();
+            // A group's backends all read one raster or (alone) none, so the
+            // first one names the group's width.
+            let workers = self.network_width(group[0]).unwrap_or(self.workers);
             // A group of one runs the backend's own batch path, which for a
             // learned filter is the decode step over itself; a backend that
             // reads no raster is always alone.
             if let [b] = group[..] {
-                let batch = self.backends[b].estimate_batch_sharded(frames, self.workers);
+                let batch = self.backends[b].estimate_batch_sharded(frames, workers);
                 verdicts[b] = Some(self.atoms[b].evaluate(&batch));
                 estimates[b] = Some(batch);
             } else {
                 let filters: Vec<&dyn FrameFilter> = group.iter().map(|&b| self.backends[b]).collect();
-                for (&b, batch) in group.iter().zip(vmq_filters::estimate_shared(&filters, frames, self.workers)) {
+                for (&b, batch) in group.iter().zip(vmq_filters::estimate_shared(&filters, frames, workers)) {
                     verdicts[b] = Some(self.atoms[b].evaluate(&batch));
                     estimates[b] = Some(batch);
                 }
@@ -1348,6 +1360,16 @@ impl<'a> SharedStreamPlan<'a> {
         }
     }
 
+    /// The width backend `b`'s network decode shards its frames over: the
+    /// whole machine ([`vmq_exec::parallelism`]), or `workers` if that is
+    /// wider. Per-frame inference (tens to hundreds of µs) pays for a pool
+    /// scope many times over. `None` for a backend that reads no raster,
+    /// such as the calibrated filter, whose µs-scale estimates cost less
+    /// than a scope.
+    fn network_width(&self, b: usize) -> Option<usize> {
+        self.backends[b].raster().map(|_| self.workers.max(vmq_exec::parallelism()))
+    }
+
     /// Runs the detector over `missing` (batch positions), chunked across
     /// the persistent worker pool. The output is keyed by position, so the
     /// merge — and with the per-frame detector, every detection — is
@@ -1512,17 +1534,16 @@ impl<'a> SharedStreamPlan<'a> {
     fn finalize(&mut self, frames_total: usize, wall: &SharedWall, backend_wall: &[f64]) -> Vec<QueryRun> {
         let model = self.global.model().clone();
         let detector_stage = self.detector.stage();
-        let workers = self.workers;
+        // A backend's row reports the width its inference ran on: the decode
+        // width for a network, 1 for a backend that reads no raster.
+        let backend_workers = |b: usize| self.network_width(b).unwrap_or(1);
         self.queries
             .iter()
             .map(|state| {
                 let mut stage_metrics: Vec<StageMetrics> = state.calibration.iter().cloned().collect();
-                let row =
-                    |operator: &str, stage: Option<Stage>, fin: usize, fout: usize, charged: u64, w: f64| {
-                        let sharded = matches!(operator, "cascade-filter" | "window-filter" | "detect");
-                        StageMetrics::charged_row(operator, stage, fin, fout, charged, &model, w)
-                            .with_workers(if sharded { workers } else { 1 })
-                    };
+                let row = |operator: &str, stage: Option<Stage>, fin: usize, fout: usize, charged: u64, w: f64| {
+                    StageMetrics::charged_row(operator, stage, fin, fout, charged, &model, w)
+                };
                 match &state.kind {
                     SharedQueryKind::Select { backend, survivors, drift, .. } => {
                         let survivors = *survivors;
@@ -1556,6 +1577,7 @@ impl<'a> SharedStreamPlan<'a> {
                                     frames_total as u64,
                                     filter_wall_ms,
                                 )
+                                .with_workers(backend_workers(*b))
                                 .with_kernel_backend(self.backends[*b].kernel_backend()),
                             );
                         }
@@ -1576,18 +1598,15 @@ impl<'a> SharedStreamPlan<'a> {
                                         frames_total as u64,
                                         backend_wall[mb],
                                     )
+                                    .with_workers(backend_workers(mb))
                                     .with_kernel_backend(self.backends[mb].kernel_backend()),
                                 );
                             }
                         }
-                        stage_metrics.push(row(
-                            "detect",
-                            Some(detector_stage),
-                            detected,
-                            detected,
-                            detected as u64,
-                            wall.detect_ms,
-                        ));
+                        stage_metrics.push(
+                            row("detect", Some(detector_stage), detected, detected, detected as u64, wall.detect_ms)
+                                .with_workers(self.workers),
+                        );
                         stage_metrics.push(row("predicate-eval", None, detected, matched, 0, wall.eval_ms));
                         stage_metrics.push(row("sink", None, matched, matched, 0, 0.0));
                         QueryRun {
@@ -1633,6 +1652,7 @@ impl<'a> SharedStreamPlan<'a> {
                                     frames_total as u64,
                                     backend_wall[b],
                                 )
+                                .with_workers(backend_workers(b))
                                 .with_kernel_backend(self.backends[b].kernel_backend()),
                             );
                         }

@@ -43,7 +43,8 @@ fn main() {
         },
     ];
 
-    // One shared pass, filter and detect stages sharded across 4 workers.
+    // One shared pass, detection sharded across 4 workers (the calibrated
+    // filter runs sequentially; a learned one would decode on max(4, cores)).
     let mut runtime = engine.runtime().with_workers(4);
     for statement in statements {
         runtime.register(statement);

@@ -364,8 +364,7 @@ fn fixtures() -> [DatasetExperiment; 6] {
         (aggregate_profile("a5"), false),
     ];
     let mut slots: [Option<DatasetExperiment>; 6] = Default::default();
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    vmq::exec::scope(workers, |scope| {
+    vmq::exec::scope(vmq::exec::parallelism(), |scope| {
         for (slot, (profile, with_cof)) in slots.iter_mut().zip(specs) {
             scope.spawn(move || *slot = Some(DatasetExperiment::prepare(profile, with_cof)));
         }

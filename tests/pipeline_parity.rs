@@ -4,14 +4,20 @@
 //! frame, answers in stream order), plus a property test that recall is
 //! monotone in the cascade tolerances.
 
+#[path = "common/sequential.rs"]
+mod sequential;
+
 use proptest::prelude::*;
+use sequential::Sequential;
 use std::collections::BTreeSet;
 use vmq::aggregate::{FrameSampler, WindowedAggregator};
 use vmq::detect::{CostLedger, DetectionCache, Detector, Stage};
-use vmq::filters::{CalibratedFilter, CalibrationProfile, FilterKind, FrameFilter};
+use vmq::filters::{CalibratedFilter, CalibrationProfile, FilterConfig, FilterKind, FrameFilter, OdFilter};
 use vmq::query::plan::FilterCascade;
 use vmq::query::planner::PlanChoice;
-use vmq::query::{AggregateSpec, CascadeConfig, PipelineConfig, Query, QueryAccuracy, QueryExecutor, SharedStreamPlan};
+use vmq::query::{
+    AggregateSpec, CascadeConfig, PipelineConfig, Query, QueryAccuracy, QueryExecutor, QueryRun, SharedStreamPlan,
+};
 use vmq::video::{Dataset, DatasetKind, DatasetProfile, Frame};
 
 /// The eager reference semantics: the per-frame loop the seed's
@@ -328,18 +334,20 @@ fn run_shared(engine: &VmqEngine, statements: &[RuntimeQuery], workers: usize) -
 /// wall-clock knob: for every worker count the cascade keeps the same
 /// survivors, the detector sees the same frames and the virtual bill is
 /// bit-identical (the calibrated backend's sequential RNG stream included).
+/// The calibrated backend never shards, so its row reports one worker while
+/// the detect row reports the knob.
 #[test]
 fn filter_stage_workers_are_a_pure_wall_clock_knob() {
     let (ds, query) = scenario(DatasetKind::Jackson);
     let oracle = vmq::detect::OracleDetector::perfect();
     let classes = ds.profile().class_list();
-    let mut baseline: Option<vmq::query::QueryRun> = None;
+    let mut baseline: Option<QueryRun> = None;
     for workers in [1usize, 2, 4] {
         let filter = CalibratedFilter::new(classes.clone(), 16, CalibrationProfile::od_like(), 99);
         let exec = QueryExecutor::new(query.clone()).with_batch_size(13).with_filter_workers(workers);
         let run = exec.run_filtered(ds.test(), &filter, &oracle, CascadeConfig::tolerant());
-        let cascade_row = run.stage_metrics.iter().find(|m| m.operator == "cascade-filter").expect("cascade row");
-        assert_eq!(cascade_row.workers, workers, "stage metrics must report the shard width");
+        assert_eq!(row_workers(&run, "cascade-filter"), 1, "the calibrated filter runs sequentially");
+        assert_eq!(row_workers(&run, "detect"), workers, "stage metrics must report the shard width");
         match &baseline {
             None => baseline = Some(run),
             Some(reference) => {
@@ -349,6 +357,39 @@ fn filter_stage_workers_are_a_pure_wall_clock_knob() {
                 assert_eq!(run.virtual_ms.to_bits(), reference.virtual_ms.to_bits(), "workers {workers}");
             }
         }
+    }
+}
+
+fn row_workers(run: &QueryRun, operator: &str) -> usize {
+    run.stage_metrics.iter().find(|m| m.operator == operator).expect("stage row").workers
+}
+
+/// A learned filter decodes on the whole machine whatever the knob says
+/// (or on the knob, when it is wider), and its row reports that width;
+/// answers and bills stay bit-identical to the sequential decode.
+#[test]
+fn learned_filter_rows_report_the_decode_width() {
+    let (ds, query) = scenario(DatasetKind::Jackson);
+    let oracle = vmq::detect::OracleDetector::perfect();
+    let od = OdFilter::new(FilterConfig::fast_test(ds.profile().class_list()));
+    let frames = &ds.test()[..40];
+    let reference = QueryExecutor::new(query.clone()).with_batch_size(13).run_filtered(
+        frames,
+        &Sequential(&od),
+        &oracle,
+        CascadeConfig::tolerant(),
+    );
+    assert_eq!(row_workers(&reference, "cascade-filter"), 1);
+    for workers in [1usize, 2, 4] {
+        let exec = QueryExecutor::new(query.clone()).with_batch_size(13).with_filter_workers(workers);
+        let run = exec.run_filtered(frames, &od, &oracle, CascadeConfig::tolerant());
+        let width = workers.max(vmq::exec::parallelism());
+        assert_eq!(row_workers(&run, "cascade-filter"), width, "workers {workers}");
+        assert_eq!(row_workers(&run, "detect"), workers, "workers {workers}");
+        assert_eq!(run.matched_frames, reference.matched_frames, "workers {workers}");
+        assert_eq!(run.frames_passed_filter, reference.frames_passed_filter, "workers {workers}");
+        assert_eq!(run.frames_detected, reference.frames_detected, "workers {workers}");
+        assert_eq!(run.virtual_ms.to_bits(), reference.virtual_ms.to_bits(), "workers {workers}");
     }
 }
 
@@ -447,7 +488,7 @@ fn run_many_invokes_detector_once_per_escalation_union() {
 
 /// What [`run_family_plan`] leaves behind.
 struct FamilyPass {
-    runs: Vec<vmq::query::QueryRun>,
+    runs: Vec<QueryRun>,
     /// The aggregate's window reports (empty without one).
     reports: Vec<vmq::aggregate::AggregateReport>,
     global: CostLedger,
@@ -579,11 +620,11 @@ fn starved_caches_cost_detector_work_but_change_no_answer() {
     }
 }
 
-/// Regression pin for the parallel filter stage: the runtime's
-/// `with_workers` knob shards backend inference (not just detection), and the
-/// outcomes — selects with a cascade in front, an adaptively planned select
-/// and a windowed aggregate — must stay bit-identical to the single-worker
-/// pass for every worker count.
+/// Regression pin for the worker knob: whatever width the runtime's
+/// `with_workers` hands the detect stage and the backends, the outcomes —
+/// selects with a cascade in front, an adaptively planned select and a
+/// windowed aggregate — must stay bit-identical to the single-worker pass
+/// for every worker count.
 #[test]
 fn run_many_sharded_outcomes_are_unchanged_by_filter_stage_workers() {
     use vmq::engine::CalibrationConfig;

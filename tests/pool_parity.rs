@@ -3,9 +3,12 @@
 //! plan — must be bit-identical between the persistent `vmq_exec` pool and
 //! the `VMQ_NO_POOL=1` spawn-per-task reference path, across batch sizes
 //! {1, 7, 32} × worker counts {1, 2, 4}. (The calibrated filter runs on the
-//! calling thread and never reaches the pool.) The fleet's coalesced cross-camera detect dispatch gets
-//! the same treatment: a fleet on the pool and the same fleet on spawned
-//! threads must agree on every statement outcome. (Coalesced vs per-camera
+//! calling thread and never reaches the pool.) A plan's network decode
+//! shards over the whole machine even when no worker count is asked for, so
+//! the default plan gets the same check, plus one against a sequential
+//! decode. The fleet's coalesced cross-camera detect dispatch gets the same
+//! treatment: a fleet on the pool and the same fleet on spawned threads
+//! must agree on every statement outcome. (Coalesced vs per-camera
 //! detection is the fleet's own unit tests' business.)
 //!
 //! The execution mode is a process-global toggle; both paths compute
@@ -15,12 +18,16 @@
 //! runs no separate `VMQ_NO_POOL=1` pass over the suite; the env var and the
 //! spawn path exist as the reference these tests compare against.
 
+#[path = "common/sequential.rs"]
+mod sequential;
+
 use proptest::prelude::*;
+use sequential::Sequential;
 use vmq::detect::{CostLedger, DetectionCache, OracleDetector};
 use vmq::engine::{FleetConfig, FleetRuntime};
 use vmq::filters::{
-    CalibratedFilter, CalibrationProfile, CofFilter, FilterConfig, FilterEstimate, FrameFilter, IcFilter, OdFilter,
-    QuantizedCofFilter, QuantizedIcFilter, QuantizedOdFilter,
+    estimate_shared, CalibratedFilter, CalibrationProfile, CofFilter, FilterConfig, FilterEstimate, FrameFilter,
+    IcFilter, OdFilter, QuantizedCofFilter, QuantizedIcFilter, QuantizedOdFilter,
 };
 use vmq::query::{CascadeConfig, PipelineConfig, Query, QueryRun, SharedStreamPlan};
 use vmq::video::{DatasetProfile, Frame, ObjectClass, Scene, SceneConfig};
@@ -78,6 +85,25 @@ fn shared_plan_run(frames: &[Frame], cal_seed: u64, workers: usize, batch: usize
     .with_workers(workers);
     let b = plan.add_backend(&filter);
     plan.register_select(Query::paper_q3(), CascadeConfig::strict(), Some(b), CostLedger::paper());
+    plan.execute_slice(frames)
+}
+
+/// `nn_select`'s shape on a plan built without `with_workers`: learned IC
+/// and OD, which read one raster and so form one decode group, under two a1
+/// selects at cascades (0,0) and (0,1).
+fn default_decode_run(ic: &dyn FrameFilter, od: &dyn FrameFilter, frames: &[Frame], batch: usize) -> Vec<QueryRun> {
+    let oracle = OracleDetector::perfect();
+    let mut plan = SharedStreamPlan::new(
+        &oracle,
+        DetectionCache::new(),
+        CostLedger::paper(),
+        PipelineConfig::with_batch_size(batch),
+    );
+    let ic = plan.add_backend(ic);
+    let od = plan.add_backend(od);
+    let od_cascade = CascadeConfig { count_tolerance: 0, location_tolerance: 1 };
+    plan.register_select(Query::paper_a1(), CascadeConfig::strict(), Some(ic), CostLedger::paper());
+    plan.register_select(Query::paper_a1(), od_cascade, Some(od), CostLedger::paper());
     plan.execute_slice(frames)
 }
 
@@ -159,6 +185,50 @@ proptest! {
                 let pooled = with_mode(false, || shared_plan_run(&frames, seed, workers, batch));
                 let spawned = with_mode(true, || shared_plan_run(&frames, seed, workers, batch));
                 assert_runs_bit_identical(&pooled, &spawned, &format!("batch={batch} workers={workers}"));
+            }
+        }
+    }
+
+    /// The default plan's network decode: the IC + OD group sharded over
+    /// [`vmq::exec::parallelism`] on the pool, the same plan on spawned
+    /// threads, and the same filters with their rasters hidden (each decoded
+    /// alone, sequentially) agree on every run and every estimate.
+    #[test]
+    fn default_decode_matches_spawn_and_sequential_references(
+        seed in 0u64..500,
+        nframes in 1usize..41,
+    ) {
+        let frames = scene_frames(2, seed, nframes);
+        let config = FilterConfig::fast_test(DatasetProfile::jackson().class_list());
+        let ic = IcFilter::new(config.clone());
+        let od = OdFilter::new(config);
+        let group: [&dyn FrameFilter; 2] = [&ic, &od];
+        let width = vmq::exec::parallelism();
+        for batch in [1usize, 7, 32] {
+            let ctx = format!("batch={batch} width={width}");
+            let pooled = with_mode(false, || default_decode_run(&ic, &od, &frames, batch));
+            let spawned = with_mode(true, || default_decode_run(&ic, &od, &frames, batch));
+            let sequential = default_decode_run(&Sequential(&ic), &Sequential(&od), &frames, batch);
+            assert_runs_bit_identical(&pooled, &spawned, &ctx);
+            assert_runs_bit_identical(&pooled, &sequential, &ctx);
+            let decode = |spawn: bool| {
+                with_mode(spawn, || {
+                    let mut out: Vec<Vec<FilterEstimate>> = vec![Vec::new(); group.len()];
+                    for chunk in frames.chunks(batch) {
+                        for (column, estimates) in out.iter_mut().zip(estimate_shared(&group, chunk, width)) {
+                            column.extend(estimates);
+                        }
+                    }
+                    out
+                })
+            };
+            let (pooled, spawned) = (decode(false), decode(true));
+            for ((filter, pooled), spawned) in group.iter().zip(&pooled).zip(&spawned) {
+                let ctx = format!("{:?} {ctx}", filter.kind());
+                let sequential: Vec<FilterEstimate> =
+                    frames.chunks(batch).flat_map(|chunk| Sequential(*filter).estimate_batch(chunk)).collect();
+                assert_estimates_bit_identical(pooled, spawned, &ctx);
+                assert_estimates_bit_identical(pooled, &sequential, &ctx);
             }
         }
     }
