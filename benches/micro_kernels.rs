@@ -3,8 +3,8 @@
 //! operations and control-variate estimation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vmq_aggregate::{CvEstimate, McvEstimate, WindowedAggregator};
-use vmq_detect::{CachedDetector, CostLedger, DetectionCache, Detector, OracleDetector};
+use vmq_aggregate::{CvEstimate, McvEstimate};
+use vmq_detect::{Detector, OracleDetector};
 use vmq_filters::{
     CalibratedFilter, CalibrationProfile, ClassGrid, FilterConfig, FrameFilter, IcFilter, OdFilter, QuantizedIcFilter,
 };
@@ -14,11 +14,8 @@ use vmq_nn::ops::ConvSpec;
 use vmq_nn::optim::{Adam, Optimizer};
 use vmq_nn::{KernelBackend, Tensor, Workspace};
 use vmq_query::ast::CountOp;
-use vmq_query::plan::{AtomTable, FilterCascade};
-use vmq_query::{
-    CascadeConfig, FrameIndicators, ObjectRef, Query, QueryExecutor, SpatialRelation, WindowBackendColumns, WindowData,
-    WindowEstimator,
-};
+use vmq_query::plan::AtomTable;
+use vmq_query::{CascadeConfig, ObjectRef, Query, QueryExecutor, SpatialRelation};
 use vmq_video::{Dataset, DatasetProfile, ObjectClass, RasterConfig};
 
 fn bench_nn_kernels(c: &mut Criterion) {
@@ -285,45 +282,9 @@ fn bench_control_variates(c: &mut Criterion) {
     });
 }
 
-fn bench_aggregate_window(c: &mut Criterion) {
-    // The loop that calls the two estimators above a hundred times — what
-    // the end-to-end benchmark's `aggregate.window_ms` measures: one
-    // completed 250-frame window through the streaming estimator, sampling
-    // through a cache-backed detector (a fresh cache per window, so every
-    // first sampling of a frame is a miss).
-    let profile = DatasetProfile::jackson();
-    let ds = Dataset::generate(&profile, 8, 250, 9);
-    let query = Query::paper_a1();
-    let filter = CalibratedFilter::new(profile.class_list(), 14, CalibrationProfile::od_like(), 1);
-    let cascade = FilterCascade::new(query.clone(), CascadeConfig::strict());
-    let rows: Vec<FrameIndicators> = filter
-        .estimate_batch(ds.test())
-        .iter()
-        .map(|estimate| FrameIndicators::from_estimate(&cascade, estimate, filter.threshold()))
-        .collect();
-    let columns = [WindowBackendColumns {
-        backend: filter.kind().name(),
-        stage: filter.kind().stage(),
-        pass: rows.iter().map(|r| r.pass).collect(),
-        predicates: (0..rows[0].predicates.len()).map(|p| rows.iter().map(|r| r.predicates[p]).collect()).collect(),
-    }];
-    let oracle = OracleDetector::perfect();
-    let ledger = CostLedger::paper();
-    c.bench_function("aggregate/window (250 frames, 100 trials x 50 samples, cached oracle)", |bench| {
-        bench.iter(|| {
-            let cache = DetectionCache::new();
-            let cached = CachedDetector::new(&oracle, &cache, 0, None);
-            let mut estimator = WindowedAggregator::new(query.clone(), 50, 100, 7);
-            let window = WindowData { index: 0, start: 0, frames: black_box(ds.test()), backends: &columns };
-            estimator.estimate_window(window, &cached, &ledger);
-            estimator.into_reports()
-        })
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_nn_kernels, bench_kernel_dispatch, bench_rasterisation, bench_filter_inference, bench_query_paths, bench_filter_batch, bench_operator_pipeline, bench_control_variates, bench_aggregate_window
+    targets = bench_nn_kernels, bench_kernel_dispatch, bench_rasterisation, bench_filter_inference, bench_query_paths, bench_filter_batch, bench_operator_pipeline, bench_control_variates
 }
 criterion_main!(benches);

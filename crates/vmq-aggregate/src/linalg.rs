@@ -32,12 +32,6 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from row-major data.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "matrix data length mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -258,7 +252,7 @@ mod tests {
     #[test]
     fn solve_known_system() {
         // 2x + y = 5 ; x + 3y = 10  =>  x = 1, y = 3
-        let m = Matrix::from_rows(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
+        let m = Matrix { rows: 2, cols: 2, data: vec![2.0, 1.0, 1.0, 3.0] };
         let x = m.solve(&[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-9);
         assert!((x[1] - 3.0).abs() < 1e-9);
@@ -267,7 +261,7 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // zero on the leading diagonal forces a row swap
-        let m = Matrix::from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
+        let m = Matrix { rows: 2, cols: 2, data: vec![0.0, 1.0, 1.0, 0.0] };
         let x = m.solve(&[7.0, 9.0]).unwrap();
         assert!((x[0] - 9.0).abs() < 1e-12);
         assert!((x[1] - 7.0).abs() < 1e-12);
@@ -275,7 +269,7 @@ mod tests {
 
     #[test]
     fn singular_matrix_is_rejected() {
-        let m = Matrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
+        let m = Matrix { rows: 2, cols: 2, data: vec![1.0, 2.0, 2.0, 4.0] };
         assert!(m.solve(&[1.0, 2.0]).is_none());
         // ridge regularisation restores solvability
         assert!(m.ridge(1e-3).solve(&[1.0, 2.0]).is_some());
@@ -283,7 +277,7 @@ mod tests {
 
     #[test]
     fn solve_recovers_matvec_input() {
-        let m = Matrix::from_rows(3, 3, vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0]);
+        let m = Matrix { rows: 3, cols: 3, data: vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0] };
         let x_true = vec![0.3, -1.2, 2.5];
         let b = m.matvec(&x_true);
         let x = m.solve(&b).unwrap();

@@ -23,19 +23,9 @@ impl HoppingWindow {
         HoppingWindow { size, advance }
     }
 
-    /// The paper's example window: 5 000 frames, advancing by 5 000 (tumbling).
-    pub fn paper_example() -> Self {
-        HoppingWindow::new(5000, 5000)
-    }
-
     /// A tumbling window (advance equals size).
     pub fn tumbling(size: usize) -> Self {
         HoppingWindow::new(size, size)
-    }
-
-    /// True when windows do not overlap.
-    pub fn is_tumbling(&self) -> bool {
-        self.advance >= self.size
     }
 
     /// The `(start, end)` index ranges (end exclusive) of all *complete*
@@ -65,7 +55,6 @@ mod tests {
     #[test]
     fn tumbling_windows_partition() {
         let w = HoppingWindow::tumbling(10);
-        assert!(w.is_tumbling());
         let windows = w.windows(35);
         assert_eq!(windows, vec![(0, 10), (10, 20), (20, 30)]);
     }
@@ -73,7 +62,6 @@ mod tests {
     #[test]
     fn hopping_windows_overlap() {
         let w = HoppingWindow::new(10, 5);
-        assert!(!w.is_tumbling());
         let windows = w.windows(20);
         assert_eq!(windows, vec![(0, 10), (5, 15), (10, 20)]);
     }
@@ -86,17 +74,17 @@ mod tests {
 
     #[test]
     fn paper_example_window() {
-        let w = HoppingWindow::paper_example();
-        assert_eq!(w.size, 5000);
-        assert_eq!(w.advance, 5000);
+        // `WINDOW HOPPING (SIZE 5000, ADVANCE BY 5000)` tumbles.
+        let w = HoppingWindow::new(5000, 5000);
+        assert_eq!(w, HoppingWindow::tumbling(5000));
+        assert_eq!(w.windows(12_000), vec![(0, 5000), (5000, 10_000)]);
     }
 
     #[test]
     fn duration_conversion() {
         // 10 minutes at 30 fps = 18 000 frames (the "parked for 10 minutes" case).
         let w = HoppingWindow::from_duration(600.0, 600.0, 30.0);
-        assert_eq!(w.size, 18_000);
-        assert!(w.is_tumbling());
+        assert_eq!(w, HoppingWindow::tumbling(18_000));
     }
 
     #[test]

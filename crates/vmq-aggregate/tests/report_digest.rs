@@ -163,7 +163,7 @@ fn run_case(case: Case, digest: &mut Digest) {
     let backends = if case.prefix.is_some() { &backends[..] } else { &backends[..1] };
     let window = WindowData { index: case.window_index, start: case.window_index * 40, frames, backends };
     let oracle = if case.noisy_detector {
-        OracleDetector::with_noise(NoiseModel::mild(), None, 77)
+        OracleDetector::with_noise(NoiseModel::mild(), 77)
     } else {
         OracleDetector::perfect()
     };

@@ -242,11 +242,8 @@ fn check(case: Case) {
     // without a choice to make).
     let backends = if config.prefix.is_some() { &backends[..] } else { &backends[..1] };
     let window = || WindowData { index: window_index, start: window_index * 40, frames, backends };
-    let oracle = if noisy_detector {
-        OracleDetector::with_noise(NoiseModel::mild(), None, 77)
-    } else {
-        OracleDetector::perfect()
-    };
+    let oracle =
+        if noisy_detector { OracleDetector::with_noise(NoiseModel::mild(), 77) } else { OracleDetector::perfect() };
     let ledger = CostLedger::paper();
 
     let naive_detector = CountingDetector::new(&oracle);

@@ -82,12 +82,6 @@ impl CalibrationConfig {
         self.prefix_frames = prefix_frames;
         self
     }
-
-    /// Overrides the candidate tolerances.
-    pub fn with_tolerances(mut self, tolerances: Vec<CascadeConfig>) -> Self {
-        self.candidate_tolerances = tolerances;
-        self
-    }
 }
 
 impl Default for CalibrationConfig {
@@ -174,11 +168,9 @@ mod tests {
         let learned = CalibrationConfig::learned();
         assert_eq!(learned.candidate_backends.len(), 2);
         assert_eq!(learned.candidate_tolerances.len(), 9);
-        let custom = CalibrationConfig::calibrated(vec![CalibrationProfile::od_like()])
-            .with_prefix(16)
-            .with_tolerances(vec![CascadeConfig::tolerant()]);
+        let custom = CalibrationConfig::calibrated(vec![CalibrationProfile::od_like()]).with_prefix(16);
         assert_eq!(custom.prefix_frames, 16);
-        assert_eq!(custom.candidate_tolerances, vec![CascadeConfig::tolerant()]);
+        assert_eq!(custom.candidate_tolerances, CascadeConfig::lattice());
         assert!(matches!(custom.candidate_backends[0], FilterChoice::Calibrated(_)));
         assert_eq!(CalibrationConfig::default().prefix_frames, 48);
     }

@@ -101,11 +101,6 @@ pub struct WindowedAggregateOutcome {
 }
 
 impl WindowedAggregateOutcome {
-    /// Table IV style rows, one line per window.
-    pub fn table_rows(&self) -> String {
-        self.reports.iter().map(|r| r.table_row()).collect::<Vec<_>>().join("\n")
-    }
-
     /// Per-operator breakdown of the aggregate pipeline (proves the filter
     /// ran window-wide while the detector saw only sampled frames).
     pub fn stage_report(&self) -> Report {
@@ -388,7 +383,7 @@ mod tests {
         assert_eq!(operators, ["source", "window-filter", "aggregate-sink"]);
         let rendered = outcome.stage_report().render();
         assert!(rendered.contains("window-filter"));
-        assert!(outcome.table_rows().contains("a1"));
+        assert!(outcome.reports.iter().all(|r| r.table_row().contains("a1")));
         assert!(outcome.selections.is_empty());
     }
 

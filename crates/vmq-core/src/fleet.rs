@@ -364,39 +364,23 @@ impl<'a> FleetRuntime<'a> {
         // only the `detect_wall_ms` attribution stat; detector outputs and
         // their position-keyed merge are unaffected by timing.
         let detect_start = Instant::now();
-        let mut results: Vec<Option<FrameDetections>> = vec![None; jobs.len()];
+        let mut results = Vec::with_capacity(jobs.len());
         let detector = self.detector;
-        let prepared_ref = &prepared;
-        for (chunk_jobs, chunk_out) in jobs.chunks(COALESCE_BUDGET).zip(results.chunks_mut(COALESCE_BUDGET)) {
+        for chunk_jobs in jobs.chunks(COALESCE_BUDGET) {
             let m = chunk_jobs.len();
             self.coalesced_dispatches += 1;
             self.coalesced_frames += m as u64;
             self.max_coalesced_batch = self.max_coalesced_batch.max(m);
-            let workers = self.config.workers.min(m).max(1);
-            if workers == 1 {
-                for (slot, &(p, j)) in chunk_out.iter_mut().zip(chunk_jobs) {
-                    *slot = Some(detector.detect(prepared_ref[p].1.missing_frame(j)));
-                }
-            } else {
-                let task_chunk = m.div_ceil(workers);
-                vmq_exec::scope(workers, |scope| {
-                    for (slots, part) in chunk_out.chunks_mut(task_chunk).zip(chunk_jobs.chunks(task_chunk)) {
-                        scope.spawn(move || {
-                            for (slot, &(p, j)) in slots.iter_mut().zip(part) {
-                                *slot = Some(detector.detect(prepared_ref[p].1.missing_frame(j)));
-                            }
-                        });
-                    }
-                });
-            }
+            results.extend(vmq_exec::shard_map(chunk_jobs, self.config.workers, |part| {
+                part.iter().map(|&(p, j)| detector.detect(prepared[p].1.missing_frame(j))).collect()
+            }));
         }
         let detect_ms = detect_start.elapsed().as_secs_f64() * 1000.0;
         let total_missing = jobs.len();
         let mut results = results.into_iter();
         for (c, pending) in prepared {
             let k = pending.missing_len();
-            let detections: Vec<FrameDetections> =
-                results.by_ref().take(k).map(|d| d.expect("every coalesced frame detected")).collect();
+            let detections: Vec<FrameDetections> = results.by_ref().take(k).collect();
             let share = if total_missing == 0 { 0.0 } else { detect_ms * k as f64 / total_missing as f64 };
             self.cameras[c].plan.complete_batch(pending, detections, share);
         }

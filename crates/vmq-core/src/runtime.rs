@@ -252,11 +252,6 @@ impl<'e> StreamRuntime<'e> {
         self.register(statement)
     }
 
-    /// Number of registered statements.
-    pub fn statement_count(&self) -> usize {
-        self.statements.len()
-    }
-
     /// Runs every registered statement through one shared stream pass. With
     /// no statement registered nothing runs: no outcomes, no detector
     /// invocation, no cost.
@@ -699,7 +694,6 @@ mod tests {
         let flat = parse_statement("flat", "SELECT x FROM v WHERE COUNT(car) >= 2").expect("parse");
         runtime.register_statement(&hop, choice, CascadeConfig::tolerant(), 10, 5);
         runtime.register_statement(&flat, choice, CascadeConfig::tolerant(), 10, 5);
-        assert_eq!(runtime.statement_count(), 2);
         let outcome = runtime.run();
         let aggregate = outcome.outcomes[0].as_aggregate().expect("WINDOW HOPPING runs as an aggregate");
         assert_eq!(aggregate.reports.len(), 3, "150 frames / 50-frame tumbling windows");

@@ -563,18 +563,19 @@ mod tests {
     #[test]
     fn detector_invocations_equal_union_of_sampled_frames() {
         let ledger = CostLedger::paper();
-        let oracle = OracleDetector::with_ledger(ledger.clone());
+        let oracle = OracleDetector::perfect();
         let cache = DetectionCache::new();
+        let query = |user| CachedDetector::new(&oracle, &cache, user, Some(ledger.clone()));
         // Query 0 samples frames 0..10, query 1 samples the overlapping
         // 5..15, query 0 re-samples 0..10 (an aggregate's second trial).
         for id in 0..10 {
-            let _ = cache.get_or_detect(&oracle, &frame(id), 0);
+            let _ = query(0).detect(&frame(id));
         }
         for id in 5..15 {
-            let _ = cache.get_or_detect(&oracle, &frame(id), 1);
+            let _ = query(1).detect(&frame(id));
         }
         for id in 0..10 {
-            let _ = cache.get_or_detect(&oracle, &frame(id), 0);
+            let _ = query(0).detect(&frame(id));
         }
         // |union| = |0..15| = 15 invocations; 30 lookups total.
         assert_eq!(cache.misses(), 15);
@@ -753,7 +754,7 @@ mod tests {
     /// RNG is keyed on `(seed, camera_id, frame_id)`.
     #[test]
     fn cameras_sharing_a_frame_id_get_distinct_entries_and_noise() {
-        let noisy = OracleDetector::with_noise(crate::NoiseModel::mid_tier(), None, 77);
+        let noisy = OracleDetector::with_noise(crate::NoiseModel::mid_tier(), 77);
         let cache = DetectionCache::new();
         let mut cam0 = frame(42);
         let mut cam1 = frame(42);

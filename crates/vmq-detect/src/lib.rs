@@ -3,18 +3,17 @@
 //! In the paper the expensive stage of every query is a full object detector:
 //! Mask R-CNN (~200 ms/frame) produces both the ground-truth annotations used
 //! for training and the final, authoritative answer for frames that survive
-//! the cheap filters; the full YOLOv2 network (~15 ms/frame) is used as a
-//! comparison point. Neither network can run here (no GPU, no pretrained
-//! weights), so this crate provides stand-ins that preserve exactly what the
-//! downstream layers rely on:
+//! the cheap filters. It cannot run here (no GPU, no pretrained weights), so
+//! this crate provides a stand-in that preserves exactly what the downstream
+//! layers rely on:
 //!
 //! * [`oracle::OracleDetector`] — returns the simulator's ground truth,
-//!   optionally perturbed by a [`noise::NoiseModel`], and charges the paper's
-//!   Mask R-CNN per-frame cost to a [`cost::CostLedger`]. In the paper, Mask
+//!   optionally perturbed by a [`noise::NoiseModel`]. In the paper, Mask
 //!   R-CNN output *is* treated as ground truth, so this substitution is
-//!   faithful by construction.
-//! * [`mid::MidDetector`] — a noisier, colour-blind detector standing in for
-//!   full YOLOv2 at its 15 ms/frame price point.
+//!   faithful by construction. It charges nothing itself: its
+//!   [`Detector::stage`] names the price, and the plan or a
+//!   [`cache::CachedDetector`] charges a [`cost::CostLedger`] per fresh
+//!   detection.
 //! * [`cost`] — a virtual clock: every stage charges its per-frame cost so
 //!   end-to-end times (Table III, Table IV) can be reproduced deterministically
 //!   on any machine, alongside real wall-clock measurements of our own filters.
@@ -31,14 +30,12 @@
 pub mod annotation;
 pub mod cache;
 pub mod cost;
-pub mod mid;
 pub mod noise;
 pub mod oracle;
 
 pub use annotation::{Detection, FrameDetections};
 pub use cache::{CachedDetector, DetectionCache, DEFAULT_ENTRY_BUDGET};
 pub use cost::{CostLedger, CostModel, GroupCost, QueryCostShare, SharedCost, Stage, StageCost};
-pub use mid::MidDetector;
 pub use noise::NoiseModel;
 pub use oracle::OracleDetector;
 

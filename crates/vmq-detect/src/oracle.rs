@@ -1,7 +1,7 @@
 //! The oracle detector — the Mask R-CNN stand-in.
 
 use crate::annotation::{Detection, FrameDetections};
-use crate::cost::{CostLedger, Stage};
+use crate::cost::Stage;
 use crate::noise::NoiseModel;
 use crate::Detector;
 use rand::rngs::StdRng;
@@ -31,24 +31,18 @@ use vmq_video::{BoundingBox, Frame, ObjectClass};
 /// outputs are unchanged by this switch.)
 pub struct OracleDetector {
     noise: NoiseModel,
-    ledger: Option<CostLedger>,
     seed: u64,
 }
 
 impl OracleDetector {
-    /// A perfect oracle with no cost accounting.
+    /// A perfect oracle.
     pub fn perfect() -> Self {
-        OracleDetector { noise: NoiseModel::perfect(), ledger: None, seed: 0x0AC1E }
+        OracleDetector { noise: NoiseModel::perfect(), seed: 0x0AC1E }
     }
 
-    /// A perfect oracle that charges Mask R-CNN cost to `ledger` per frame.
-    pub fn with_ledger(ledger: CostLedger) -> Self {
-        OracleDetector { noise: NoiseModel::perfect(), ledger: Some(ledger), seed: 0x0AC1E }
-    }
-
-    /// An oracle with a noise model (and optional ledger).
-    pub fn with_noise(noise: NoiseModel, ledger: Option<CostLedger>, seed: u64) -> Self {
-        OracleDetector { noise, ledger, seed }
+    /// An oracle with a noise model.
+    pub fn with_noise(noise: NoiseModel, seed: u64) -> Self {
+        OracleDetector { noise, seed }
     }
 
     /// The per-frame noise RNG: a splitmix64-style hash of
@@ -117,9 +111,6 @@ impl OracleDetector {
 
 impl Detector for OracleDetector {
     fn detect(&self, frame: &Frame) -> FrameDetections {
-        if let Some(ledger) = &self.ledger {
-            ledger.charge(Stage::MaskRcnn, 1);
-        }
         let detections = if self.noise.is_perfect() {
             frame
                 .objects
@@ -150,6 +141,7 @@ impl Detector for OracleDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CostLedger;
     use vmq_video::{Color, SceneObject};
 
     fn frame(n: usize) -> Frame {
@@ -185,12 +177,16 @@ mod tests {
         }
     }
 
+    /// The oracle bills nothing itself: whoever runs it charges its stage,
+    /// which prices every fresh detection at Mask R-CNN's 200 ms.
     #[test]
     fn oracle_charges_mask_rcnn_cost() {
         let ledger = CostLedger::paper();
-        let oracle = OracleDetector::with_ledger(ledger.clone());
-        for _ in 0..5 {
-            let _ = oracle.detect(&frame(1));
+        let oracle = OracleDetector::perfect();
+        let cache = crate::DetectionCache::new();
+        let charged = crate::CachedDetector::new(&oracle, &cache, 0, Some(ledger.clone()));
+        for id in 0..5 {
+            let _ = charged.detect(&frame_with_id(id, 1));
         }
         assert_eq!(ledger.invocations(Stage::MaskRcnn), 5);
         assert!((ledger.total_ms() - 1000.0).abs() < 1e-9);
@@ -199,14 +195,14 @@ mod tests {
     #[test]
     fn noisy_oracle_misses_objects() {
         let noise = NoiseModel { miss_rate: 1.0, ..NoiseModel::perfect() };
-        let oracle = OracleDetector::with_noise(noise, None, 7);
+        let oracle = OracleDetector::with_noise(noise, 7);
         assert_eq!(oracle.detect(&frame(5)).count(), 0);
     }
 
     #[test]
     fn noisy_oracle_adds_false_positives() {
         let noise = NoiseModel { false_positives_per_frame: 2.0, ..NoiseModel::perfect() };
-        let oracle = OracleDetector::with_noise(noise, None, 7);
+        let oracle = OracleDetector::with_noise(noise, 7);
         let d = oracle.detect(&frame(0));
         assert_eq!(d.count(), 2);
         assert!(d.detections.iter().all(|det| det.track_id.is_none()));
@@ -218,8 +214,8 @@ mod tests {
     #[test]
     fn noisy_detections_are_invocation_order_independent() {
         let noise = NoiseModel::mid_tier();
-        let a = OracleDetector::with_noise(noise, None, 11);
-        let b = OracleDetector::with_noise(noise, None, 11);
+        let a = OracleDetector::with_noise(noise, 11);
+        let b = OracleDetector::with_noise(noise, 11);
         // `a` detects frames 0..20 in order; `b` detects them reversed and
         // with repeats. Every per-frame result must still agree.
         let frames: Vec<Frame> = (0..20).map(|id| frame_with_id(id, 5)).collect();
@@ -238,7 +234,7 @@ mod tests {
             }
         }
         // Different seeds still produce different noise.
-        let c = OracleDetector::with_noise(noise, None, 12);
+        let c = OracleDetector::with_noise(noise, 12);
         let differs = frames.iter().any(|f| {
             let x = c.detect(f);
             let y = a.detect(f);

@@ -1,24 +1,23 @@
 //! Process-wide persistent worker pool with a scoped spawn/join API.
 //!
-//! Every sharded stage in the workspace (filter batch inference, truth-grid
-//! calibration, detector escalation) used to pay
-//! `std::thread::scope` spawn/join on every batch — at fleet scale that is
-//! four thread spawns per stage per batch per camera. This crate replaces the
-//! per-batch spawns with a lazily grown, process-global set of long-lived
-//! workers, each owning its queue; [`scope`] hands out a [`Scope`] whose
-//! `spawn` dispatches borrowing closures to those workers and whose exit
-//! joins them, so call sites keep the exact shape (and position-keyed merge
-//! discipline) they had under `std::thread::scope`.
+//! Every sharded stage in the workspace (filter batch inference, detector
+//! escalation) used to pay `std::thread::scope` spawn/join on every batch —
+//! at fleet scale that is four thread spawns per stage per batch per camera.
+//! This crate replaces the per-batch spawns with a lazily grown,
+//! process-global set of long-lived workers, each owning its queue;
+//! [`scope`] hands out a [`Scope`] whose `spawn` dispatches borrowing
+//! closures to those workers and whose exit joins them. The sharded stages
+//! all go through [`shard_map`], the one position-keyed chunk loop on top.
 //!
 //! # Determinism contract
 //!
 //! The pool adds no scheduling semantics a call site can observe: tasks are
 //! whole closures, results flow only through the disjoint `&mut` slices the
 //! caller partitioned before spawning, and `scope` does not return until
-//! every task has finished. A computation that is bit-identical under
-//! `std::thread::scope` for any worker count is therefore bit-identical under
-//! the pool — and under the `VMQ_NO_POOL=1` reference mode, which pins the
-//! old spawn-one-OS-thread-per-task path for A/B comparison.
+//! every task has finished. [`shard_map`] merges its chunks by position, so
+//! a per-item computation comes out bit-identical at every width, and width
+//! 1 opens no scope at all: that run is the sequential reference every
+//! pooled width is tested against.
 //!
 //! # Safety
 //!
@@ -36,7 +35,7 @@
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 
@@ -59,8 +58,6 @@ struct Pool {
     next: AtomicUsize,
     threads_spawned: AtomicU64,
     tasks_executed: AtomicU64,
-    queue_depth: AtomicUsize,
-    max_queue_depth: AtomicUsize,
 }
 
 fn pool() -> &'static Pool {
@@ -70,8 +67,6 @@ fn pool() -> &'static Pool {
         next: AtomicUsize::new(0),
         threads_spawned: AtomicU64::new(0),
         tasks_executed: AtomicU64::new(0),
-        queue_depth: AtomicUsize::new(0),
-        max_queue_depth: AtomicUsize::new(0),
     })
 }
 
@@ -109,26 +104,6 @@ fn worker_loop(rx: Receiver<Job>) {
     }
 }
 
-/// Returns the latched reference-mode flag, initialised from `VMQ_NO_POOL`.
-fn spawn_mode_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| AtomicBool::new(std::env::var("VMQ_NO_POOL").is_ok_and(|v| v != "0" && !v.is_empty())))
-}
-
-/// True when tasks run on freshly spawned OS threads (the pre-pool reference
-/// path) instead of the persistent workers. Latched from `VMQ_NO_POOL` at
-/// first use; [`set_spawn_mode`] overrides it.
-pub fn spawn_mode() -> bool {
-    spawn_mode_flag().load(Ordering::Relaxed)
-}
-
-/// Forces the execution mode for A/B comparison (benches, parity tests).
-/// Both modes compute bit-identical results, so flipping this concurrently
-/// with other scopes affects only which path they take, never their output.
-pub fn set_spawn_mode(enabled: bool) {
-    spawn_mode_flag().store(enabled, Ordering::Relaxed);
-}
-
 /// The machine's width: [`std::thread::available_parallelism`], at least 1
 /// and at most the pool's cap of 64 workers. This is the width a plan's
 /// network decode shards over by default — coarse per-frame inference
@@ -146,17 +121,11 @@ pub fn parallelism() -> usize {
 pub struct PoolStats {
     /// Persistent workers currently alive.
     pub workers: usize,
-    /// OS threads ever spawned — pool growth plus every reference-mode task
-    /// thread. In pooled steady state this stops moving; that invariant is
-    /// what the fleet bench gates on.
+    /// OS threads ever spawned, i.e. pool growth. In steady state this stops
+    /// moving; that invariant is what the fleet bench gates on.
     pub threads_spawned: u64,
-    /// Tasks executed across all scopes (both modes, including inlined
-    /// nested spawns).
+    /// Tasks executed across all scopes (including inlined nested spawns).
     pub tasks_executed: u64,
-    /// Tasks currently sitting in worker queues.
-    pub queue_depth: usize,
-    /// High-water mark of `queue_depth` since process start.
-    pub max_queue_depth: usize,
 }
 
 /// Snapshot of the pool counters.
@@ -166,8 +135,6 @@ pub fn stats() -> PoolStats {
         workers: pool.queues.lock().unwrap().len(),
         threads_spawned: pool.threads_spawned.load(Ordering::Relaxed),
         tasks_executed: pool.tasks_executed.load(Ordering::Relaxed),
-        queue_depth: pool.queue_depth.load(Ordering::Relaxed),
-        max_queue_depth: pool.max_queue_depth.load(Ordering::Relaxed),
     }
 }
 
@@ -189,9 +156,8 @@ pub struct Scope<'env> {
 }
 
 impl<'env> Scope<'env> {
-    /// Dispatches `task` to a pool worker (or, in `VMQ_NO_POOL` reference
-    /// mode, a fresh OS thread). Tasks spawned from inside a pool worker run
-    /// inline immediately. The task is guaranteed to finish before the
+    /// Dispatches `task` to a pool worker. Tasks spawned from inside a pool
+    /// worker run inline immediately. The task is guaranteed to finish before the
     /// enclosing [`scope`] call returns; a panicking task is captured and
     /// re-raised from `scope` after all siblings have finished.
     pub fn spawn<F>(&self, task: F)
@@ -220,22 +186,7 @@ impl<'env> Scope<'env> {
             tracked();
             return;
         }
-        if spawn_mode() {
-            let job = erase(Box::new(tracked));
-            pool.threads_spawned.fetch_add(1, Ordering::Relaxed);
-            std::thread::Builder::new()
-                .name("vmq-exec-ref".into())
-                .spawn(job)
-                .expect("spawn reference-mode task thread");
-            return;
-        }
         pool.ensure_workers(1);
-        let depth = pool.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        pool.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-        let tracked = move || {
-            pool.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            tracked();
-        };
         pool.dispatch(erase(Box::new(tracked)));
     }
 
@@ -269,9 +220,10 @@ fn erase(task: Box<dyn FnOnce() + Send + '_>) -> Job {
 ///
 /// Drop-in replacement for the sharded-stage uses of `std::thread::scope`:
 /// partition the output into disjoint `&mut` chunks, spawn one task per
-/// chunk, merge by position after `scope` returns.
+/// chunk, merge by position after `scope` returns ([`shard_map`] does
+/// exactly that).
 pub fn scope<'env, R>(workers: usize, body: impl FnOnce(&Scope<'env>) -> R) -> R {
-    if !spawn_mode() && !IN_WORKER.with(|flag| flag.get()) {
+    if !IN_WORKER.with(|flag| flag.get()) {
         pool().ensure_workers(workers.max(1));
     }
     let scope = Scope {
@@ -292,38 +244,63 @@ pub fn scope<'env, R>(workers: usize, body: impl FnOnce(&Scope<'env>) -> R) -> R
     }
 }
 
+/// Maps `items` to one output each over up to `workers` pool tasks and
+/// returns the outputs in input order.
+///
+/// The items are cut into at most `workers` contiguous chunks of
+/// `div_ceil(len, workers)` and `per_chunk` maps each chunk to its outputs,
+/// one per item and in order. So a per-chunk setup, such as taking a thread's
+/// workspace, runs once per chunk. The chunks are merged by position, and
+/// the result is the same at every width whenever `per_chunk` maps each item
+/// on its own. Width 1 (or a single item) runs `per_chunk` over all items on
+/// the calling thread without opening a scope; empty input calls nothing.
+pub fn shard_map<I, T, F>(items: &[I], workers: usize, per_chunk: F) -> Vec<T>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(&[I]) -> Vec<T> + Sync,
+{
+    if items.is_empty() {
+        return Vec::new();
+    }
+    let workers = workers.min(items.len()).max(1);
+    if workers == 1 {
+        return per_chunk(items);
+    }
+    let chunk = items.len().div_ceil(workers);
+    let mut parts: Vec<Vec<T>> = items.chunks(chunk).map(|_| Vec::new()).collect();
+    let per_chunk = &per_chunk;
+    scope(workers, |s| {
+        for (part, chunk) in parts.iter_mut().zip(items.chunks(chunk)) {
+            s.spawn(move || *part = per_chunk(chunk));
+        }
+    });
+    let mut out = Vec::with_capacity(items.len());
+    parts.into_iter().for_each(|part| out.extend(part));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The canonical call-site shape: disjoint `&mut` chunks of a borrowed
-    /// output vector, one task per chunk, position-keyed results.
-    fn square_sharded(input: &[u64], workers: usize) -> Vec<u64> {
-        let n = input.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let chunk = n.div_ceil(workers.max(1));
-        let mut out = vec![0u64; n];
-        scope(workers, |s| {
-            for (slots, part) in out.chunks_mut(chunk).zip(input.chunks(chunk)) {
-                s.spawn(move || {
-                    for (slot, x) in slots.iter_mut().zip(part) {
-                        *slot = x * x;
-                    }
-                });
-            }
-        });
-        out
+    fn square_all(part: &[u64]) -> Vec<u64> {
+        part.iter().map(|x| x * x).collect()
     }
 
     #[test]
     fn scoped_tasks_borrow_and_merge_by_position() {
         let input: Vec<u64> = (0..97).collect();
-        let expect: Vec<u64> = input.iter().map(|x| x * x).collect();
+        let expect = square_all(&input);
         for workers in [1, 2, 4, 7] {
-            assert_eq!(square_sharded(&input, workers), expect);
+            assert_eq!(shard_map(&input, workers, square_all), expect, "width {workers}");
+            // Chunks arrive whole and in order: each sees a contiguous run.
+            let starts = shard_map(&input, workers, |part| vec![part[0]; part.len()]);
+            let chunk = input.len().div_ceil(workers);
+            assert!(starts.iter().zip(&input).all(|(&s, &x)| s == x - x % chunk as u64), "width {workers}");
         }
+        let empty: [u64; 0] = [];
+        assert!(shard_map(&empty, 4, |_| -> Vec<u64> { unreachable!("no chunk for empty input") }).is_empty());
     }
 
     #[test]
@@ -341,7 +318,7 @@ mod tests {
                 s.spawn(move || {
                     // A scope opened on a pool worker: its spawns must run
                     // inline rather than queue behind the enclosing tasks.
-                    let inner = square_sharded(part, 2);
+                    let inner = shard_map(part, 2, square_all);
                     slots.copy_from_slice(&inner);
                 });
             }
@@ -367,39 +344,18 @@ mod tests {
     /// Counter-sensitive assertions live in one test so concurrent tests in
     /// this binary (which only ever *use* the warm pool) cannot race them.
     #[test]
-    fn warm_pool_spawns_nothing_and_reference_mode_spawns_per_task() {
+    fn warm_pool_spawns_nothing_in_steady_state() {
         let input: Vec<u64> = (0..64).collect();
-        // Pin pooled dispatch: the suite may run with VMQ_NO_POOL=1 latched,
-        // and this test measures the pool specifically.
-        let was = spawn_mode();
-        set_spawn_mode(false);
         // Warm beyond anything the sibling tests request.
         pool().ensure_workers(8);
         assert!(stats().workers >= 8);
-        // Siblings flipping the global mode mid-window can legitimately
-        // spawn; retry until a window sees the counter quiescent.
-        let mut attempt = 0;
-        let (warm, steady) = loop {
-            let before = stats();
-            for _ in 0..50 {
-                square_sharded(&input, 4);
-            }
-            let after = stats();
-            if after.threads_spawned == before.threads_spawned || attempt == 4 {
-                break (before, after);
-            }
-            attempt += 1;
-        };
+        let warm = stats();
+        for _ in 0..50 {
+            shard_map(&input, 4, square_all);
+        }
+        let steady = stats();
         assert_eq!(steady.threads_spawned, warm.threads_spawned, "warm pool must not spawn in steady state");
         assert!(steady.tasks_executed >= warm.tasks_executed + 200);
-
-        // Reference mode: same results, one fresh OS thread per task.
-        set_spawn_mode(true);
-        let expect: Vec<u64> = input.iter().map(|x| x * x).collect();
-        assert_eq!(square_sharded(&input, 4), expect);
-        set_spawn_mode(was);
-        let after = stats();
-        assert!(after.threads_spawned >= steady.threads_spawned + 4, "reference mode must spawn per task");
     }
 
     #[test]
@@ -409,14 +365,5 @@ mod tests {
         let host = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(width, host.min(MAX_WORKERS));
         assert_eq!(parallelism(), width, "latched");
-    }
-
-    #[test]
-    fn spawn_mode_env_is_overridable() {
-        let was = spawn_mode();
-        set_spawn_mode(!was);
-        assert_eq!(spawn_mode(), !was);
-        set_spawn_mode(was);
-        assert_eq!(spawn_mode(), was);
     }
 }

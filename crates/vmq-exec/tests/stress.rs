@@ -17,8 +17,6 @@ const TASKS: usize = 8;
 
 #[test]
 fn panicking_task_rejoins_its_borrowing_siblings_and_leaves_the_pool_serving() {
-    // Measure the pool itself, whatever `VMQ_NO_POOL` says.
-    vmq_exec::set_spawn_mode(false);
     vmq_exec::scope(WIDTH, |_| {});
     let warm = vmq_exec::stats();
     assert!(warm.workers >= WIDTH);

@@ -56,7 +56,6 @@ impl CofConfig {
 /// through per-thread workspaces, so sharded batches run concurrently.
 pub struct CofFilter {
     config: FilterConfig,
-    cof: CofConfig,
     net: RwLock<Sequential>,
     history: Vec<EpochStats>,
 }
@@ -65,9 +64,8 @@ impl CofFilter {
     /// Creates an untrained OD-COF filter. The branch widths are derived from
     /// the filter configuration's branch width, following the Table I pattern.
     pub fn new(config: FilterConfig) -> Self {
-        let cof = CofConfig::scaled(config.branch_channels);
-        let net = Self::build(&config, &cof);
-        CofFilter { config, cof, net: RwLock::new(net), history: Vec::new() }
+        let net = Self::build(&config, &CofConfig::scaled(config.branch_channels));
+        CofFilter { config, net: RwLock::new(net), history: Vec::new() }
     }
 
     fn build(config: &FilterConfig, cof: &CofConfig) -> Sequential {
@@ -93,11 +91,6 @@ impl CofFilter {
         net.push(Box::new(GlobalAvgPool::new()));
         net.push(Box::new(Dense::new(in_ch, 1, seed.wrapping_add(77))));
         net
-    }
-
-    /// The branch architecture in use.
-    pub fn cof_config(&self) -> &CofConfig {
-        &self.cof
     }
 
     /// The filter configuration.
@@ -276,6 +269,5 @@ mod tests {
         assert_eq!(history.len(), 3);
         assert!(history.last().unwrap().mean_loss <= history[0].mean_loss);
         assert!(!filter.history().is_empty());
-        assert_eq!(filter.cof_config().kernels, [1, 3, 1, 1]);
     }
 }

@@ -126,34 +126,6 @@ impl FilterConfig {
         }
     }
 
-    /// The paper's full-scale configuration, for documentation and
-    /// configuration-arithmetic tests only (448-pixel input, 56×56 grid,
-    /// 256-channel feature maps). Training this on a single CPU core is not
-    /// practical; see DESIGN.md for the scaling substitution.
-    pub fn paper(classes: Vec<ObjectClass>) -> Self {
-        FilterConfig {
-            classes,
-            raster: RasterConfig { width: 448, height: 448, noise: 0.0, clutter: 0, seed: 0 },
-            grid: 56,
-            trunk_channels: vec![64, 128, 256, 256],
-            branch_channels: 512,
-            threshold: 0.2,
-            schedule: TrainSchedule {
-                epochs: 10,
-                count_only_epochs: 5,
-                batch_size: 32,
-                learning_rate: 1e-4,
-                weight_decay: 5e-4,
-                alpha: 1.0,
-                beta_start: 10.0,
-                beta_decay: 0.8,
-                lambda_obj: 5.0,
-                lambda_noobj: 0.5,
-            },
-            seed: 7,
-        }
-    }
-
     /// Number of 2×2 pooling stages needed to reduce the raster resolution to
     /// the grid resolution.
     ///
@@ -187,20 +159,6 @@ impl FilterConfig {
     /// Channel count of the final trunk feature map (`d` in the paper).
     pub fn feature_channels(&self) -> usize {
         *self.trunk_channels.last().expect("trunk must have at least one convolution")
-    }
-
-    /// Returns a copy with a different grid size (used by the grid-size
-    /// ablation). The raster size is kept, so the new grid must still divide
-    /// it by a power of two.
-    pub fn with_grid(mut self, grid: usize) -> Self {
-        self.grid = grid;
-        self
-    }
-
-    /// Returns a copy with a different threshold (threshold ablation).
-    pub fn with_threshold(mut self, threshold: f32) -> Self {
-        self.threshold = threshold;
-        self
     }
 
     /// Returns a copy with a different seed.
@@ -241,22 +199,28 @@ mod tests {
     #[test]
     fn pool_stages_experiment_and_paper() {
         assert_eq!(FilterConfig::experiment(classes()).pool_stages(), 2);
-        assert_eq!(FilterConfig::paper(classes()).pool_stages(), 3);
+        // The paper's full scale (DESIGN.md): a 448-pixel raster pooled to a
+        // 56×56 grid over a four-convolution trunk.
+        let paper = FilterConfig {
+            raster: RasterConfig { width: 448, height: 448, noise: 0.0, clutter: 0, seed: 0 },
+            grid: 56,
+            trunk_channels: vec![64, 128, 256, 256],
+            ..FilterConfig::experiment(classes())
+        };
+        assert_eq!(paper.pool_stages(), 3);
     }
 
     #[test]
     #[should_panic(expected = "cannot be pooled down")]
     fn incompatible_grid_panics() {
-        let c = FilterConfig::fast_test(classes()).with_grid(9);
+        let c = FilterConfig { grid: 9, ..FilterConfig::fast_test(classes()) };
         let _ = c.pool_stages();
     }
 
     #[test]
     fn builders() {
-        let c = FilterConfig::fast_test(classes()).with_threshold(0.4).with_seed(99).with_grid(7);
-        assert_eq!(c.threshold, 0.4);
+        let c = FilterConfig { grid: 7, ..FilterConfig::fast_test(classes()).with_seed(99) };
         assert_eq!(c.seed, 99);
-        assert_eq!(c.grid, 7);
         assert_eq!(c.pool_stages(), 2); // 28 -> 14 -> 7
     }
 }

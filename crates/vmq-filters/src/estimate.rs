@@ -53,11 +53,6 @@ impl FilterKind {
             FilterKind::OdInt8 | FilterKind::OdCofInt8 => Stage::OdInt8Filter,
         }
     }
-
-    /// True for the int8-quantized filter families.
-    pub fn is_int8(self) -> bool {
-        matches!(self, FilterKind::IcInt8 | FilterKind::OdInt8 | FilterKind::OdCofInt8)
-    }
 }
 
 /// The output of evaluating a filter on one frame: per-class count estimates
@@ -327,10 +322,17 @@ pub fn estimate_shared(filters: &[&dyn FrameFilter], frames: &[Frame], workers: 
     };
     let raster = first.raster().expect("estimate_shared runs filters that read a raster");
     assert!(filters.iter().all(|f| f.raster() == Some(raster)), "estimate_shared needs one raster per group");
-    let per_frame = shard_frames(frames, workers, |frame, ws| {
-        PIXELS.with_borrow_mut(|pixels| {
-            raster.render_into(frame, pixels);
-            filters.iter().map(|f| f.estimate_pixels(frame, pixels, ws)).collect::<Vec<_>>()
+    // Each chunk runs on its thread's inference workspace, reused across
+    // batches, so steady-state decode neither spawns threads nor grows scratch.
+    let per_frame = vmq_exec::shard_map(frames, workers, |part| {
+        vmq_nn::with_thread_workspace(|ws| {
+            let decode_frame = |frame| {
+                PIXELS.with_borrow_mut(|pixels| {
+                    raster.render_into(frame, pixels);
+                    filters.iter().map(|f| f.estimate_pixels(frame, pixels, ws)).collect::<Vec<_>>()
+                })
+            };
+            part.iter().map(decode_frame).collect()
         })
     });
     let mut out: Vec<Vec<FilterEstimate>> = filters.iter().map(|_| Vec::with_capacity(frames.len())).collect();
@@ -372,44 +374,6 @@ impl Rasters {
         let len: usize = self.shape.iter().product();
         ws.load_slice(&self.data[i * len..(i + 1) * len], &self.shape);
     }
-}
-
-/// Shards a batch of frames across up to `workers` tasks on the persistent
-/// [`vmq_exec`] pool, each task running on a worker's thread-local inference
-/// [`Workspace`](vmq_nn::Workspace) (reused across batches, so steady-state
-/// sharded inference neither spawns threads nor grows scratch), and merges
-/// the per-frame results position-keyed — the same worker-invariance recipe
-/// the detect stage uses, so any worker count yields the identical estimate
-/// vector. With one worker (or one frame) the calling thread's workspace
-/// serves the whole batch sequentially.
-fn shard_frames<T, F>(frames: &[Frame], workers: usize, infer_one: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Frame, &mut Workspace) -> T + Sync,
-{
-    let n = frames.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.min(n).max(1);
-    if workers == 1 {
-        return vmq_nn::with_thread_workspace(|ws| frames.iter().map(|frame| infer_one(frame, ws)).collect());
-    }
-    let chunk = n.div_ceil(workers);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let infer_one = &infer_one;
-    vmq_exec::scope(workers, |scope| {
-        for (slots, part) in out.chunks_mut(chunk).zip(frames.chunks(chunk)) {
-            scope.spawn(move || {
-                vmq_nn::with_thread_workspace(|ws| {
-                    for (slot, frame) in slots.iter_mut().zip(part) {
-                        *slot = Some(infer_one(frame, ws));
-                    }
-                });
-            });
-        }
-    });
-    out.into_iter().map(|e| e.expect("every sharded frame estimated")).collect()
 }
 
 #[cfg(test)]

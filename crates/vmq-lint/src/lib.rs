@@ -11,7 +11,9 @@
 //! This crate machine-checks them: a dependency-free hand-rolled lexer
 //! ([`lexer`]) tokenizes every `.rs` file under `crates/`, `src/`,
 //! `tests/` and `benches/`, and a rule engine ([`rules`]) with stable rule IDs runs over
-//! the token stream. `tests/lint_workspace.rs` in the workspace root gates
+//! the token stream. One workspace rule counts each crate's code lines
+//! against its committed ceiling in `LOC.json` ([`rules::check_loc`]).
+//! `tests/lint_workspace.rs` in the workspace root gates
 //! the whole tree under plain `cargo test`; the `vmq-lint` binary runs the
 //! same pass standalone (`--json` for machines).
 //!
@@ -24,6 +26,7 @@ pub mod report;
 pub mod rules;
 
 use rules::Finding;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// The outcome of a workspace pass: findings plus scan statistics.
@@ -33,12 +36,16 @@ pub struct WorkspaceReport {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// Crates whose code lines fell under their `LOC.json` ceiling, with the
+    /// number to commit.
+    pub notes: Vec<String>,
 }
 
 /// Runs every rule over the workspace rooted at `root`: all `.rs` files
 /// under `crates/`, `src/`, `tests/` and `benches/` (recursively), skipping
-/// build output. Paths in findings are workspace-relative and `/`-separated so
-/// reports are stable across machines.
+/// build output, plus the line ceiling of every crate under `crates/`.
+/// Paths in findings are workspace-relative and `/`-separated so reports are
+/// stable across machines.
 pub fn run_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     let mut files = Vec::new();
     for dir in ["crates", "src", "tests", "benches"] {
@@ -46,13 +53,22 @@ pub fn run_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     }
     files.sort();
     let mut findings = Vec::new();
+    let mut loc: BTreeMap<String, usize> = BTreeMap::new();
     for file in &files {
         let rel = relative_unix_path(root, file);
         let source = std::fs::read_to_string(file)?;
         findings.extend(rules::lint_source(&rel, &source));
+        if let Some((krate, path)) = rel.strip_prefix("crates/").and_then(|p| p.split_once('/')) {
+            if path.starts_with("src/") {
+                *loc.entry(krate.to_string()).or_default() += rules::code_lines(&source);
+            }
+        }
     }
+    let ceilings = std::fs::read_to_string(root.join(rules::LOC_FILE)).unwrap_or_default();
+    let (loc_findings, notes) = rules::check_loc(&loc.into_iter().collect::<Vec<_>>(), &ceilings);
+    findings.extend(loc_findings);
     findings.sort_by(|a, b| (a.path.clone(), a.line, a.rule).cmp(&(b.path.clone(), b.line, b.rule)));
-    Ok(WorkspaceReport { findings, files_scanned: files.len() })
+    Ok(WorkspaceReport { findings, files_scanned: files.len(), notes })
 }
 
 /// Recursively collects `.rs` files, skipping `target/` build output.

@@ -30,6 +30,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    for note in &report.notes {
+        eprintln!("vmq-lint: {note}");
+    }
     if json {
         print!("{}", vmq_lint::report::render_json(&report.findings, report.files_scanned));
     } else {

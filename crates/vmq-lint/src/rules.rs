@@ -38,9 +38,16 @@ pub const NO_UNSEEDED_RNG: &str = "no-unseeded-rng";
 /// Meta-rule: every `vmq-lint: allow(...)` must name known rules and carry
 /// a `--` justification.
 pub const UNJUSTIFIED_ALLOW: &str = "unjustified-allow";
+/// Workspace rule: each crate's code lines ([`code_lines`] over
+/// `crates/<crate>/src`) stay within its ceiling in [`LOC_FILE`].
+pub const LOC_CEILING: &str = "loc-ceiling";
+
+/// The per-crate line ceilings, at the workspace root: one
+/// `"crate": lines` entry per line of a flat JSON object.
+pub const LOC_FILE: &str = "LOC.json";
 
 /// Every rule ID, for `allow(...)` validation and the report catalog.
-pub const ALL_RULES: [&str; 7] = [
+pub const ALL_RULES: [&str; 8] = [
     UNSAFE_NEEDS_SAFETY_COMMENT,
     UNSAFE_MODULE_ALLOWLIST,
     NO_RAW_THREAD_SPAWN,
@@ -48,6 +55,7 @@ pub const ALL_RULES: [&str; 7] = [
     NO_WALLCLOCK,
     NO_UNSEEDED_RNG,
     UNJUSTIFIED_ALLOW,
+    LOC_CEILING,
 ];
 
 /// Files (path prefixes, `/`-separated, relative to the workspace root)
@@ -57,9 +65,9 @@ pub const ALL_RULES: [&str; 7] = [
 const UNSAFE_ALLOWED: [&str; 4] =
     ["crates/vmq-nn/src/kernels.rs", "crates/vmq-nn/src/quant.rs", "crates/vmq-nn/src/ops.rs", "crates/vmq-exec/"];
 
-/// Where raw thread primitives are permitted: only the executor (which owns
-/// the persistent pool *and* the `VMQ_NO_POOL` spawn-per-task reference
-/// path). All other parallelism must go through `vmq_exec::scope`.
+/// Where raw thread primitives are permitted: only the executor, which owns
+/// the persistent pool. All other parallelism must go through
+/// `vmq_exec::scope`.
 const THREADS_ALLOWED: [&str; 1] = ["crates/vmq-exec/"];
 
 /// Modules allowlisted as order-insensitive for hash-container use. Empty
@@ -259,8 +267,8 @@ fn check_threads(path: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
                 path: path.to_string(),
                 line: a.line,
                 message: format!(
-                    "raw `thread::{}` bypasses the vmq-exec pool (and its VMQ_NO_POOL reference path); route \
-                     parallelism through `vmq_exec::scope`",
+                    "raw `thread::{}` bypasses the vmq-exec pool (and its spawn counters); route parallelism \
+                     through `vmq_exec::scope`",
                     b.text
                 ),
             });
@@ -352,4 +360,55 @@ fn check_rng(path: &str, lexed: &LexedFile, findings: &mut Vec<Finding>) {
 /// inside attributes is a different identifier and never matches).
 fn keyword_occurrences<'l>(lexed: &'l LexedFile, kw: &'static str) -> impl Iterator<Item = &'l Token> {
     lexed.tokens.iter().filter(move |t| t.kind == TokenKind::Ident && t.text == kw)
+}
+
+/// Code lines of one source file: the lines before the first `#[cfg(test)]`
+/// at column 0 that are neither blank nor comments (`//`, `///` and `//!`
+/// lines alike). Every per-crate line count the project reports uses this
+/// rule.
+pub fn code_lines(source: &str) -> usize {
+    source
+        .lines()
+        .take_while(|line| !line.starts_with("#[cfg(test)]"))
+        .filter(|line| {
+            let line = line.trim();
+            !line.is_empty() && !line.starts_with("//")
+        })
+        .count()
+}
+
+/// Checks each crate's code lines against its ceiling in `ceilings`, the
+/// text of [`LOC_FILE`]. A crate over its ceiling, or missing from the file,
+/// is a finding. A crate under its ceiling yields a note with the count to
+/// commit instead, so the ceiling follows deletions down.
+pub fn check_loc(counts: &[(String, usize)], ceilings: &str) -> (Vec<Finding>, Vec<String>) {
+    let entries: Vec<(&str, usize, usize)> = ceilings
+        .lines()
+        .enumerate()
+        .filter_map(|(i, line)| {
+            let (name, value) = line.trim().trim_end_matches(',').split_once(':')?;
+            let name = name.trim().strip_prefix('"')?.strip_suffix('"')?;
+            Some((name, value.trim().parse().ok()?, i + 1))
+        })
+        .collect();
+    let mut findings = Vec::new();
+    let mut notes = Vec::new();
+    for (name, count) in counts {
+        let finding = |line, message| Finding { rule: LOC_CEILING, path: LOC_FILE.to_string(), line, message };
+        match entries.iter().find(|(entry, ..)| entry == name) {
+            None => findings.push(finding(1, format!("crate `{name}` has no line ceiling; add \"{name}\": {count}"))),
+            Some(&(_, ceiling, line)) if *count > ceiling => findings.push(finding(
+                line,
+                format!(
+                    "crate `{name}` has {count} code lines, over its ceiling of {ceiling}; delete code, or raise \
+                     the ceiling and say why"
+                ),
+            )),
+            Some(&(_, ceiling, _)) if *count < ceiling => notes.push(format!(
+                "crate `{name}` has {count} code lines, under its ceiling of {ceiling}: commit \"{name}\": {count}"
+            )),
+            Some(_) => {}
+        }
+    }
+    (findings, notes)
 }

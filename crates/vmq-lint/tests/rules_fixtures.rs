@@ -289,3 +289,70 @@ pub fn f() {}
 "#;
     assert!(fired(NEUTRAL, src).is_empty());
 }
+
+// --- loc-ceiling -------------------------------------------------------------
+
+const CEILINGS: &str = r#"{
+  "vmq-a": 10,
+  "vmq-b": 20
+}
+"#;
+
+fn counts(entries: &[(&str, usize)]) -> Vec<(String, usize)> {
+    entries.iter().map(|&(name, lines)| (name.to_string(), lines)).collect()
+}
+
+#[test]
+fn code_lines_skip_blanks_comments_and_the_test_module() {
+    let src = r#"//! Crate doc.
+
+/// Item doc.
+pub fn f() -> u32 {
+    // A comment.
+    1
+}
+#[cfg(test)]
+mod tests {
+    fn g() {}
+}
+"#;
+    assert_eq!(rules::code_lines(src), 3);
+}
+
+#[test]
+fn crate_over_its_ceiling_fires_on_its_entry() {
+    let (findings, notes) = rules::check_loc(&counts(&[("vmq-a", 10), ("vmq-b", 21)]), CEILINGS);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, rules::LOC_CEILING);
+    assert_eq!((findings[0].path.as_str(), findings[0].line), (rules::LOC_FILE, 3));
+    assert!(findings[0].message.contains("21") && findings[0].message.contains("20"), "{}", findings[0].message);
+    assert!(notes.is_empty(), "{notes:?}");
+}
+
+#[test]
+fn crate_at_its_ceiling_is_clean() {
+    let (findings, notes) = rules::check_loc(&counts(&[("vmq-a", 10), ("vmq-b", 20)]), CEILINGS);
+    assert!(findings.is_empty(), "{findings:?}");
+    assert!(notes.is_empty(), "{notes:?}");
+}
+
+#[test]
+fn crate_missing_from_the_file_fires() {
+    let (findings, _) = rules::check_loc(&counts(&[("vmq-a", 10), ("vmq-c", 5)]), CEILINGS);
+    assert_eq!(fired_rules(&findings), vec![rules::LOC_CEILING]);
+    assert!(findings[0].message.contains("\"vmq-c\": 5"), "{}", findings[0].message);
+    let (findings, _) = rules::check_loc(&counts(&[("vmq-a", 1)]), "");
+    assert_eq!(fired_rules(&findings), vec![rules::LOC_CEILING], "no file, no ceiling");
+}
+
+#[test]
+fn crate_under_its_ceiling_prints_the_count_to_commit() {
+    let (findings, notes) = rules::check_loc(&counts(&[("vmq-a", 7), ("vmq-b", 20)]), CEILINGS);
+    assert!(findings.is_empty(), "{findings:?}");
+    assert_eq!(notes.len(), 1, "{notes:?}");
+    assert!(notes[0].contains("\"vmq-a\": 7"), "{}", notes[0]);
+}
+
+fn fired_rules(findings: &[rules::Finding]) -> Vec<&'static str> {
+    findings.iter().map(|f| f.rule).collect()
+}

@@ -13,7 +13,7 @@
 //!   activation maps, and the masked grid loss of Eq. 3 ([`loss`]),
 //! * the Adam optimiser ([`optim`]),
 //! * a sequential network container plus the multi-head filter networks'
-//!   plumbing ([`net`]) and a generic mini-batch training loop ([`train`]).
+//!   plumbing ([`net`]) and mini-batch training utilities ([`train`]).
 //!
 //! The design intentionally avoids a general autograd graph: every layer
 //! caches what it needs during `forward` and produces input gradients during

@@ -1,4 +1,4 @@
-//! The Adam optimiser and an exponential learning-rate decay schedule.
+//! The Adam optimiser.
 //!
 //! The paper trains IC filters with Adam (lr 1e-4, exponential decay 5e-4) and
 //! OD filters with SGD (momentum 0.9, weight decay 5e-4); the reproduction
@@ -16,12 +16,6 @@ use crate::tensor::Tensor;
 pub trait Optimizer {
     /// Applies one update step using the gradients accumulated in `params`.
     fn step(&mut self, params: &mut [&mut Param]);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used by decay schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// The Adam optimiser (Kingma & Ba) with bias-corrected moment estimates.
@@ -73,38 +67,6 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Exponential learning-rate decay schedule `lr_t = lr_0 * (1 - decay)^epoch`.
-#[derive(Debug, Clone, Copy)]
-pub struct ExpDecay {
-    base_lr: f32,
-    decay: f32,
-}
-
-impl ExpDecay {
-    /// Creates a schedule with the given base learning rate and decay factor.
-    pub fn new(base_lr: f32, decay: f32) -> Self {
-        ExpDecay { base_lr, decay }
-    }
-
-    /// Learning rate at a given epoch.
-    pub fn lr_at(&self, epoch: usize) -> f32 {
-        self.base_lr * (1.0 - self.decay).powi(epoch as i32)
-    }
-
-    /// Applies the schedule to an optimiser.
-    pub fn apply(&self, opt: &mut dyn Optimizer, epoch: usize) {
-        opt.set_learning_rate(self.lr_at(epoch));
-    }
 }
 
 #[cfg(test)]
@@ -146,23 +108,5 @@ mod tests {
         }
         assert!(p.value.data()[0] < 1.0);
         assert!(p.value.data()[0] > 0.0);
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
-    }
-
-    #[test]
-    fn exp_decay_schedule() {
-        let sched = ExpDecay::new(1e-4, 5e-4);
-        assert_eq!(sched.lr_at(0), 1e-4);
-        assert!(sched.lr_at(10) < 1e-4);
-        let mut opt = Adam::new(1.0);
-        sched.apply(&mut opt, 5);
-        assert!(opt.learning_rate() < 1e-4 * 1.0001 && opt.learning_rate() > 0.0);
     }
 }

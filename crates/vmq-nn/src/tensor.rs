@@ -78,25 +78,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Reshapes in place (no data copy).
-    pub fn reshape_in_place(&mut self, shape: Vec<usize>) {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.data.len(), "cannot reshape {:?} to {:?}", self.shape, shape);
-        self.shape = shape;
-    }
-
-    /// Element at a 3-D (`CHW`) index.
-    pub fn at3(&self, c: usize, h: usize, w: usize) -> f32 {
-        debug_assert_eq!(self.shape.len(), 3);
-        let (hh, ww) = (self.shape[1], self.shape[2]);
-        self.data[c * hh * ww + h * ww + w]
-    }
-
     /// Element-wise addition producing a new tensor.
     pub fn add(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape, other.shape, "shape mismatch in add");
@@ -151,18 +132,6 @@ impl Tensor {
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
-
-    /// Applies a function element-wise in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
-    /// True if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
-    }
 }
 
 #[cfg(test)]
@@ -215,33 +184,5 @@ mod tests {
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -4.0);
         assert!((t.norm() - (26.0f32).sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reshape_roundtrip() {
-        let t = Tensor::from_vec((0..12).map(|v| v as f32).collect(), vec![3, 4]);
-        let mut r = t.clone();
-        r.reshape_in_place(vec![2, 2, 3]);
-        assert_eq!(r.at3(1, 1, 2), 11.0);
-        r.reshape_in_place(vec![3, 4]);
-        assert_eq!(r, t);
-    }
-
-    #[test]
-    fn chw_indexing_and_channel() {
-        let t = Tensor::from_vec((0..24).map(|v| v as f32).collect(), vec![2, 3, 4]);
-        assert_eq!(t.at3(1, 2, 3), 23.0);
-        assert_eq!(t.at3(1, 0, 0), t.data()[12]);
-    }
-
-    #[test]
-    fn map_and_non_finite() {
-        let t = Tensor::from_vec(vec![-1.0, 2.0], vec![2]);
-        let mut r = t.clone();
-        r.map_in_place(|v| v.max(0.0));
-        assert_eq!(r.data(), &[0.0, 2.0]);
-        assert!(!t.has_non_finite());
-        let bad = Tensor::from_vec(vec![f32::NAN], vec![1]);
-        assert!(bad.has_non_finite());
     }
 }

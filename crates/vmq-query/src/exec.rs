@@ -78,7 +78,6 @@ pub struct QueryExecutor {
     query: Query,
     ledger: CostLedger,
     pipeline: PipelineConfig,
-    workers: usize,
 }
 
 impl QueryExecutor {
@@ -90,22 +89,12 @@ impl QueryExecutor {
 
     /// Creates an executor for a query with the paper's cost model.
     pub fn new(query: Query) -> Self {
-        QueryExecutor { query, ledger: CostLedger::paper(), pipeline: PipelineConfig::default(), workers: 1 }
+        QueryExecutor { query, ledger: CostLedger::paper(), pipeline: PipelineConfig::default() }
     }
 
     /// Overrides the plan's batch size.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.pipeline = PipelineConfig::with_batch_size(batch_size);
-        self
-    }
-
-    /// Overrides the plan's worker count
-    /// ([`SharedStreamPlan::with_workers`]: detection shards over it, a
-    /// learned filter's decode over it or the whole machine, whichever is
-    /// wider; bit-identical results for any value, purely a wall-clock
-    /// knob).
-    pub fn with_filter_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 
@@ -130,12 +119,10 @@ impl QueryExecutor {
     fn plan_of_one<'a>(&self, detector: &'a dyn Detector) -> SharedStreamPlan<'a> {
         let cache = DetectionCache::with_entry_budget(Self::CACHE_BATCHES * self.pipeline.batch_size);
         SharedStreamPlan::new(detector, cache, CostLedger::new(self.ledger.model().clone()), self.pipeline)
-            .with_workers(self.workers)
     }
 
     /// Runs the query in brute-force mode: the expensive detector evaluates
-    /// every frame. `detector` should not carry its own ledger (the plan
-    /// does the charging).
+    /// every frame, and the plan charges its stage per detection.
     pub fn run_brute_force(&self, frames: &[Frame], detector: &dyn Detector) -> QueryRun {
         let mut plan = self.plan_of_one(detector);
         plan.register_select(self.query.clone(), CascadeConfig::strict(), None, self.ledger.clone());

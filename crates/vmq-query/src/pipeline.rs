@@ -158,60 +158,6 @@ impl AggregateSpec {
     }
 }
 
-/// Per-frame control-variate indicator row of an aggregate statement: the
-/// cheap filter's approximate verdicts on one frame, the raw material of the
-/// control-variate estimators of Sec. III.
-#[derive(Debug, Clone)]
-pub struct FrameIndicators {
-    /// `1.0` when every control-variate indicator held on the frame (the
-    /// single-CV control `X`), else `0.0`.
-    pub pass: f64,
-    /// Per-predicate indicators in query declaration order (the MCV controls
-    /// `Z`), each `1.0` / `0.0`; multi-predicate queries carry the
-    /// conjunction as one extra trailing control.
-    pub predicates: Vec<f64>,
-}
-
-impl FrameIndicators {
-    /// Builds the control-variate indicator row for one filter estimate:
-    /// per-predicate [`FilterCascade::cv_indicators`] (graded in `[0, 1]`),
-    /// their product as `pass` (the soft conjunction — identical to the
-    /// boolean conjunction when every indicator is 0/1), and — for
-    /// multi-predicate queries — the product appended as an extra trailing
-    /// control (the MCV regression's linear span cannot express `z₁·…·z_d`,
-    /// yet for a conjunctive query that is the single most informative
-    /// feature; including it guarantees MCV explains at least as much
-    /// variance as the single-CV control).
-    ///
-    /// The plan appends the same values to its per-backend columns from its
-    /// backend's [`AtomTable`] indicators; both go through one private
-    /// assembly step, so a row built here outside a plan equals the plan's
-    /// column entries bit for bit.
-    pub fn from_estimate(cascade: &FilterCascade, estimate: &FilterEstimate, threshold: f32) -> Self {
-        let mut predicates = Vec::new();
-        let pass = assemble_controls(cascade.cv_indicators(estimate, threshold), |_, v| predicates.push(v));
-        FrameIndicators { pass, predicates }
-    }
-}
-
-/// The one assembly step of a frame's control-variate values: hands each
-/// per-predicate control, then — for multi-predicate queries — their product
-/// as the trailing conjunction control, to `push(series, value)`, and
-/// returns the product (the single-CV control `X`).
-fn assemble_controls(controls: impl IntoIterator<Item = f64>, mut push: impl FnMut(usize, f64)) -> f64 {
-    let mut pass = 1.0;
-    let mut series = 0;
-    for control in controls {
-        pass *= control;
-        push(series, control);
-        series += 1;
-    }
-    if series > 1 {
-        push(series, pass);
-    }
-    pass
-}
-
 /// Per-operator execution metrics, the unified currency of reporting:
 /// `QueryRun`, the engine's `QueryOutcome` and the golden tests all
 /// derive their numbers from these.
@@ -296,18 +242,6 @@ impl StageMetrics {
         }
     }
 
-    /// Sets the worker count of a sharded operator's row.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Records the kernel backend the operator's inference ran on.
-    pub fn with_kernel_backend(mut self, backend: &str) -> Self {
-        self.kernel_backend = Some(backend.to_string());
-        self
-    }
-
     /// Fraction of entering frames that survived the operator.
     pub fn pass_rate(&self) -> f64 {
         if self.frames_in == 0 {
@@ -336,13 +270,31 @@ pub struct WindowBackendColumns {
 }
 
 impl WindowBackendColumns {
-    /// Appends one frame's per-predicate controls (see [`FrameIndicators`]).
+    /// Appends one frame's control-variate values: each per-predicate
+    /// [`FilterCascade::cv_indicators`] value (graded in `[0, 1]`) to its
+    /// series, and their product to `pass` (the soft conjunction, identical
+    /// to the boolean one when every indicator is 0/1). A multi-predicate
+    /// query also gets the product as a trailing series: the MCV
+    /// regression's linear span cannot express `z₁·…·z_d`, yet for a
+    /// conjunctive query that is the single most informative feature, so
+    /// including it guarantees MCV explains at least as much variance as the
+    /// single-CV control.
     fn push_controls(&mut self, controls: impl IntoIterator<Item = f64>) {
         let predicates = &mut self.predicates;
-        let pass = assemble_controls(controls, |series, v| match predicates.get_mut(series) {
+        let mut push = |series: usize, v: f64| match predicates.get_mut(series) {
             Some(column) => column.push(v),
             None => predicates.push(vec![v]),
-        });
+        };
+        let mut pass = 1.0;
+        let mut series = 0;
+        for control in controls {
+            pass *= control;
+            push(series, control);
+            series += 1;
+        }
+        if series > 1 {
+            push(series, pass);
+        }
         self.pass.push(pass);
     }
 
@@ -680,7 +632,9 @@ impl<'a> SharedStreamPlan<'a> {
             detector,
             cache,
             global,
-            config,
+            // `batch_size` is a public field, so a literal can bypass
+            // `PipelineConfig::with_batch_size`'s clamp.
+            config: PipelineConfig::with_batch_size(config.batch_size),
             workers: 1,
             backends: Vec::new(),
             atoms: Vec::new(),
@@ -1376,26 +1330,7 @@ impl<'a> SharedStreamPlan<'a> {
     /// identical for any worker count.
     fn detect_sharded(&self, frames: &[Frame], missing: &[usize]) -> Vec<FrameDetections> {
         let detector = self.detector;
-        let n = missing.len();
-        let workers = self.workers.min(n).max(1);
-        let mut out: Vec<Option<FrameDetections>> = vec![None; n];
-        if workers == 1 {
-            for (slot, &i) in out.iter_mut().zip(missing) {
-                *slot = Some(detector.detect(&frames[i]));
-            }
-        } else {
-            let chunk = n.div_ceil(workers);
-            vmq_exec::scope(workers, |scope| {
-                for (slots, indices) in out.chunks_mut(chunk).zip(missing.chunks(chunk)) {
-                    scope.spawn(move || {
-                        for (slot, &i) in slots.iter_mut().zip(indices) {
-                            *slot = Some(detector.detect(&frames[i]));
-                        }
-                    });
-                }
-            });
-        }
-        out.into_iter().map(|d| d.expect("every missing frame detected")).collect()
+        vmq_exec::shard_map(missing, self.workers, |part| part.iter().map(|&i| detector.detect(&frames[i])).collect())
     }
 
     /// Hands every completed hopping window of every aggregate query to its
@@ -1534,9 +1469,25 @@ impl<'a> SharedStreamPlan<'a> {
     fn finalize(&mut self, frames_total: usize, wall: &SharedWall, backend_wall: &[f64]) -> Vec<QueryRun> {
         let model = self.global.model().clone();
         let detector_stage = self.detector.stage();
-        // A backend's row reports the width its inference ran on: the decode
-        // width for a network, 1 for a backend that reads no raster.
-        let backend_workers = |b: usize| self.network_width(b).unwrap_or(1);
+        // A backend's row reports the width its inference ran on (the decode
+        // width for a network, 1 for a backend that reads no raster) and the
+        // kernels it ran.
+        let backend_row = |operator: &str, b: usize, frames_out: usize| {
+            let stage = Some(self.backends[b].kind().stage());
+            StageMetrics {
+                workers: self.network_width(b).unwrap_or(1),
+                kernel_backend: Some(self.backends[b].kernel_backend().to_string()),
+                ..StageMetrics::charged_row(
+                    operator,
+                    stage,
+                    frames_total,
+                    frames_out,
+                    frames_total as u64,
+                    &model,
+                    backend_wall[b],
+                )
+            }
+        };
         self.queries
             .iter()
             .map(|state| {
@@ -1565,21 +1516,9 @@ impl<'a> SharedStreamPlan<'a> {
                             0.0,
                         ));
                         let mut filter_wall_ms = 0.0;
-                        if let Some(b) = backend {
-                            let stage = self.backends[*b].kind().stage();
-                            filter_wall_ms = backend_wall[*b];
-                            stage_metrics.push(
-                                row(
-                                    "cascade-filter",
-                                    Some(stage),
-                                    frames_total,
-                                    survivors,
-                                    frames_total as u64,
-                                    filter_wall_ms,
-                                )
-                                .with_workers(backend_workers(*b))
-                                .with_kernel_backend(self.backends[*b].kernel_backend()),
-                            );
+                        if let Some(b) = *backend {
+                            filter_wall_ms = backend_wall[b];
+                            stage_metrics.push(backend_row("cascade-filter", b, survivors));
                         }
                         // Candidate backends the drift monitor kept warm are
                         // billed every frame; report them as their own rows so
@@ -1589,24 +1528,13 @@ impl<'a> SharedStreamPlan<'a> {
                                 if Some(mb) == *backend {
                                     continue;
                                 }
-                                stage_metrics.push(
-                                    row(
-                                        "drift-monitor",
-                                        Some(self.backends[mb].kind().stage()),
-                                        frames_total,
-                                        frames_total,
-                                        frames_total as u64,
-                                        backend_wall[mb],
-                                    )
-                                    .with_workers(backend_workers(mb))
-                                    .with_kernel_backend(self.backends[mb].kernel_backend()),
-                                );
+                                stage_metrics.push(backend_row("drift-monitor", mb, frames_total));
                             }
                         }
-                        stage_metrics.push(
-                            row("detect", Some(detector_stage), detected, detected, detected as u64, wall.detect_ms)
-                                .with_workers(self.workers),
-                        );
+                        stage_metrics.push(StageMetrics {
+                            workers: self.workers,
+                            ..row("detect", Some(detector_stage), detected, detected, detected as u64, wall.detect_ms)
+                        });
                         stage_metrics.push(row("predicate-eval", None, detected, matched, 0, wall.eval_ms));
                         stage_metrics.push(row("sink", None, matched, matched, 0, 0.0));
                         QueryRun {
@@ -1641,20 +1569,8 @@ impl<'a> SharedStreamPlan<'a> {
                         ));
                         let mut filter_wall_ms = 0.0;
                         for &b in backends {
-                            let stage = self.backends[b].kind().stage();
                             filter_wall_ms += backend_wall[b];
-                            stage_metrics.push(
-                                row(
-                                    "window-filter",
-                                    Some(stage),
-                                    frames_total,
-                                    frames_total,
-                                    frames_total as u64,
-                                    backend_wall[b],
-                                )
-                                .with_workers(backend_workers(b))
-                                .with_kernel_backend(self.backends[b].kernel_backend()),
-                            );
+                            stage_metrics.push(backend_row("window-filter", b, frames_total));
                         }
                         stage_metrics.push(row(
                             "aggregate-sink",
@@ -1691,7 +1607,7 @@ mod tests {
     use crate::plan::CascadeConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
-    use vmq_detect::OracleDetector;
+    use vmq_detect::{DetectionCache, OracleDetector};
     use vmq_filters::{CalibratedFilter, CalibrationProfile};
     use vmq_video::{Dataset, DatasetProfile};
 
@@ -1862,24 +1778,34 @@ mod tests {
         assert_eq!(recorder.0.len(), 5);
         let cascade = FilterCascade::new(query, spec.cascade);
         // Fresh, identically seeded filters replay the plan's noise draws.
-        let rows: Vec<Vec<FrameIndicators>> = [
+        let rows: Vec<WindowBackendColumns> = [
             filter(CalibrationProfile::od_like(), 9).estimate_batch(ds.test()),
             filter(CalibrationProfile::perfect(), 5).estimate_batch(ds.test()),
         ]
         .iter()
         .zip(&backends)
         .map(|(estimates, b)| {
-            estimates.iter().map(|e| FrameIndicators::from_estimate(&cascade, e, b.threshold())).collect()
+            let kind = b.kind();
+            let mut rows = WindowBackendColumns {
+                backend: kind.name(),
+                stage: kind.stage(),
+                pass: Vec::new(),
+                predicates: Vec::new(),
+            };
+            for e in estimates {
+                rows.push_controls(cascade.cv_indicators(e, b.threshold()));
+            }
+            rows
         })
         .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (k, window) in recorder.0.iter().enumerate() {
             for (column, rows) in window.iter().zip(&rows) {
-                let rows = &rows[k * 50..k * 50 + 100];
+                let rows = rows.slice(k * 50..k * 50 + 100);
                 assert_eq!(column.predicates.len(), 4);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&column.pass), bits(&rows.iter().map(|r| r.pass).collect::<Vec<_>>()));
-                for (p, series) in column.predicates.iter().enumerate() {
-                    assert_eq!(bits(series), bits(&rows.iter().map(|r| r.predicates[p]).collect::<Vec<_>>()));
+                assert_eq!(bits(&column.pass), bits(&rows.pass));
+                for (series, expected) in column.predicates.iter().zip(&rows.predicates) {
+                    assert_eq!(bits(series), bits(expected));
                 }
             }
         }
@@ -2056,6 +1982,37 @@ mod tests {
 
     fn fresh_filter(seed: u64) -> CalibratedFilter {
         CalibratedFilter::new(DatasetProfile::jackson().class_list(), 14, CalibrationProfile::od_like(), seed)
+    }
+
+    /// `batch_size` is a public field, so a `PipelineConfig { batch_size: 0 }`
+    /// literal skips `with_batch_size`'s clamp. The plan clamps it itself:
+    /// the runs equal batch 1's, bit for bit.
+    #[test]
+    fn zero_batch_size_runs_like_batch_one() {
+        let (ds, _filter, oracle) = setup();
+        let runs = |batch_size| {
+            let filter = fresh_filter(41);
+            let config = PipelineConfig { batch_size };
+            let mut plan = SharedStreamPlan::new(&oracle, DetectionCache::new(), CostLedger::paper(), config);
+            let b = plan.add_backend(&filter);
+            plan.register_select(Query::paper_q3(), CascadeConfig::tolerant(), Some(b), CostLedger::paper());
+            plan.register_select(Query::paper_q1(), CascadeConfig::strict(), None, CostLedger::paper());
+            plan.execute_slice(ds.test())
+        };
+        let (zero, one) = (runs(0), runs(1));
+        assert_eq!(zero.len(), 2);
+        for (z, o) in zero.iter().zip(&one) {
+            assert_eq!(z.matched_frames, o.matched_frames, "{}", z.query);
+            assert_eq!(z.frames_total, ds.test().len(), "{}", z.query);
+            assert_eq!(z.frames_passed_filter, o.frames_passed_filter, "{}", z.query);
+            assert_eq!(z.frames_detected, o.frames_detected, "{}", z.query);
+            assert_eq!(z.virtual_ms.to_bits(), o.virtual_ms.to_bits(), "{}", z.query);
+            let rows = |run: &QueryRun| -> Vec<(String, usize, usize, u64)> {
+                let m = &run.stage_metrics;
+                m.iter().map(|m| (m.operator.clone(), m.frames_in, m.frames_out, m.virtual_ms.to_bits())).collect()
+            };
+            assert_eq!(rows(z), rows(o), "{}", z.query);
+        }
     }
 
     /// Two overlapping selects on one backend: the filter runs once per

@@ -130,13 +130,6 @@ pub struct CalibrationReport {
     pub choice: PlanChoice,
 }
 
-impl CalibrationReport {
-    /// Profiles of the candidates that were lossless on the prefix.
-    pub fn lossless_candidates(&self) -> Vec<&CandidateProfile> {
-        self.profiles.iter().filter(|p| p.is_lossless()).collect()
-    }
-}
-
 /// Profiles every `(backend × tolerance)` combination on the calibration
 /// prefix and selects the cheapest expected-cost plan subject to 100 %
 /// recall on the prefix.
@@ -495,7 +488,7 @@ mod tests {
         assert_eq!(report.choice.label, "IC-CCF");
         assert!(report.choice.expected_selectivity < 1.0);
         assert_eq!(report.profiles.len(), backends.len() * lattice().len());
-        assert!(!report.lossless_candidates().is_empty());
+        assert!(report.profiles.iter().any(|p| p.is_lossless()));
         // calibration charged the detector once per prefix frame and each
         // backend once per prefix frame
         assert_eq!(ledger.calibration_invocations(vmq_detect::Stage::MaskRcnn), 64);
@@ -554,7 +547,6 @@ mod tests {
         assert_eq!(report.choice.expected_selectivity, 1.0);
         // Vacuous recall is reported as uncertified, never as lossless.
         assert!(report.profiles.iter().all(|p| !p.recall_certified && !p.is_lossless()));
-        assert!(report.lossless_candidates().is_empty());
     }
 
     #[test]

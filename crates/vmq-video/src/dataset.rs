@@ -47,13 +47,6 @@ impl Dataset {
         Dataset { kind: profile.kind, profile: profile.clone(), train: frames, validation, test }
     }
 
-    /// Generates a dataset using the paper's split sizes scaled down by
-    /// `scale_factor` (see [`DatasetProfile::scaled`]).
-    pub fn generate_scaled(profile: &DatasetProfile, scale_factor: usize, seed: u64) -> Self {
-        let (train, test) = profile.scaled(scale_factor);
-        Dataset::generate(profile, train, test, seed)
-    }
-
     /// The dataset kind.
     pub fn kind(&self) -> DatasetKind {
         self.kind
@@ -135,8 +128,8 @@ mod tests {
     #[test]
     fn generate_scaled_uses_profile_sizes() {
         let profile = DatasetProfile::jackson();
-        let ds = Dataset::generate_scaled(&profile, 100, 3);
         let (train, test) = profile.scaled(100);
+        let ds = Dataset::generate(&profile, train, test, 3);
         assert_eq!(ds.train().len(), train);
         assert_eq!(ds.test().len(), test);
         assert_eq!(ds.kind(), DatasetKind::Jackson);

@@ -198,11 +198,6 @@ impl BoundingBox {
         px >= self.x && px <= self.right() && py >= self.y && py <= self.bottom()
     }
 
-    /// True if `other` lies entirely within `self`.
-    pub fn contains_box(&self, other: &BoundingBox) -> bool {
-        other.x >= self.x && other.y >= self.y && other.right() <= self.right() && other.bottom() <= self.bottom()
-    }
-
     /// True when the two boxes overlap with positive area.
     pub fn intersects(&self, other: &BoundingBox) -> bool {
         self.x < other.right() && other.x < self.right() && self.y < other.bottom() && other.y < self.bottom()
@@ -307,10 +302,8 @@ mod tests {
     #[test]
     fn bbox_containment() {
         let big = BoundingBox::new(0.1, 0.1, 0.5, 0.5);
-        let small = BoundingBox::new(0.2, 0.2, 0.1, 0.1);
-        assert!(big.contains_box(&small));
-        assert!(!small.contains_box(&big));
         assert!(big.contains_point(0.3, 0.3));
+        assert!(big.contains_point(0.6, 0.6), "the boundary is inside");
         assert!(!big.contains_point(0.9, 0.9));
     }
 

@@ -7,7 +7,7 @@
 //!
 //! * [`nn`] — the CPU neural-network substrate.
 //! * [`video`] — synthetic video streams and dataset profiles.
-//! * [`detect`] — oracle / mid-tier detectors and the virtual-time cost model.
+//! * [`detect`] — the oracle detector and the virtual-time cost model.
 //! * [`filters`] — the paper's IC and OD approximate filters.
 //! * [`query`] — declarative queries, spatial predicates and the executor.
 //! * [`aggregate`] — monitoring aggregates with (multiple) control variates.

@@ -330,8 +330,7 @@ fn run_shared(engine: &VmqEngine, statements: &[RuntimeQuery], workers: usize) -
     runtime.run()
 }
 
-/// Filter-stage sharding through the single-query pipeline is a pure
-/// wall-clock knob: for every worker count the cascade keeps the same
+/// Filter-stage sharding through a plan of one is a pure wall-clock knob: for every worker count the cascade keeps the same
 /// survivors, the detector sees the same frames and the virtual bill is
 /// bit-identical (the calibrated backend's sequential RNG stream included).
 /// The calibrated backend never shards, so its row reports one worker while
@@ -344,8 +343,7 @@ fn filter_stage_workers_are_a_pure_wall_clock_knob() {
     let mut baseline: Option<QueryRun> = None;
     for workers in [1usize, 2, 4] {
         let filter = CalibratedFilter::new(classes.clone(), 16, CalibrationProfile::od_like(), 99);
-        let exec = QueryExecutor::new(query.clone()).with_batch_size(13).with_filter_workers(workers);
-        let run = exec.run_filtered(ds.test(), &filter, &oracle, CascadeConfig::tolerant());
+        let run = filtered_on_workers(&query, ds.test(), &filter, &oracle, workers);
         assert_eq!(row_workers(&run, "cascade-filter"), 1, "the calibrated filter runs sequentially");
         assert_eq!(row_workers(&run, "detect"), workers, "stage metrics must report the shard width");
         match &baseline {
@@ -358,6 +356,23 @@ fn filter_stage_workers_are_a_pure_wall_clock_knob() {
             }
         }
     }
+}
+
+/// [`QueryExecutor::run_filtered`]'s plan of one (batch 13, tolerant
+/// cascade), sharded over `workers`.
+fn filtered_on_workers(
+    query: &Query,
+    frames: &[Frame],
+    filter: &dyn FrameFilter,
+    detector: &dyn Detector,
+    workers: usize,
+) -> QueryRun {
+    let config = PipelineConfig::with_batch_size(13);
+    let mut plan =
+        SharedStreamPlan::new(detector, DetectionCache::new(), CostLedger::paper(), config).with_workers(workers);
+    let backend = plan.add_backend(filter);
+    plan.register_select(query.clone(), CascadeConfig::tolerant(), Some(backend), CostLedger::paper());
+    plan.execute_slice(frames).remove(0)
 }
 
 fn row_workers(run: &QueryRun, operator: &str) -> usize {
@@ -381,8 +396,7 @@ fn learned_filter_rows_report_the_decode_width() {
     );
     assert_eq!(row_workers(&reference, "cascade-filter"), 1);
     for workers in [1usize, 2, 4] {
-        let exec = QueryExecutor::new(query.clone()).with_batch_size(13).with_filter_workers(workers);
-        let run = exec.run_filtered(frames, &od, &oracle, CascadeConfig::tolerant());
+        let run = filtered_on_workers(&query, frames, &od, &oracle, workers);
         let width = workers.max(vmq::exec::parallelism());
         assert_eq!(row_workers(&run, "cascade-filter"), width, "workers {workers}");
         assert_eq!(row_workers(&run, "detect"), workers, "workers {workers}");

@@ -1,22 +1,14 @@
-//! Pool-vs-reference parity: every sharded stage — the IC / OD / OD-COF
-//! filters, their int8 twins and detector escalation through the shared
-//! plan — must be bit-identical between the persistent `vmq_exec` pool and
-//! the `VMQ_NO_POOL=1` spawn-per-task reference path, across batch sizes
-//! {1, 7, 32} × worker counts {1, 2, 4}. (The calibrated filter runs on the
-//! calling thread and never reaches the pool.) A plan's network decode
-//! shards over the whole machine even when no worker count is asked for, so
-//! the default plan gets the same check, plus one against a sequential
-//! decode. The fleet's coalesced cross-camera detect dispatch gets the same
-//! treatment: a fleet on the pool and the same fleet on spawned threads
-//! must agree on every statement outcome. (Coalesced vs per-camera
-//! detection is the fleet's own unit tests' business.)
-//!
-//! The execution mode is a process-global toggle; both paths compute
-//! identical results by contract, so flipping it around a run can never make
-//! a comparison fail spuriously — it only decides which path provides the
-//! sample under comparison. This file is the pool's whole parity gate — CI
-//! runs no separate `VMQ_NO_POOL=1` pass over the suite; the env var and the
-//! spawn path exist as the reference these tests compare against.
+//! Pool parity: every sharded stage — the IC / OD / OD-COF filters, their
+//! int8 twins and detector escalation through the shared plan — must be bit
+//! identical at every width to the width-1 run, which opens no pool scope at
+//! all, across batch sizes {1, 7, 32} × widths {2, 4}. (The calibrated
+//! filter runs on the calling thread and never reaches the pool.) A plan's
+//! network decode shards over the whole machine even when no worker count is
+//! asked for, so the default plan is checked against a sequential decode.
+//! The fleet's coalesced cross-camera detect dispatch gets the same
+//! treatment: a fleet on two workers and the same fleet on one must agree
+//! on every statement outcome. (Coalesced vs per-camera detection is the
+//! fleet's own unit tests' business.)
 
 #[path = "common/sequential.rs"]
 mod sequential;
@@ -31,16 +23,6 @@ use vmq::filters::{
 };
 use vmq::query::{CascadeConfig, PipelineConfig, Query, QueryRun, SharedStreamPlan};
 use vmq::video::{DatasetProfile, Frame, ObjectClass, Scene, SceneConfig};
-
-/// Runs `f` with the executor pinned to the pool (`spawn = false`) or the
-/// spawn-per-task reference (`spawn = true`), restoring the prior mode.
-fn with_mode<R>(spawn: bool, f: impl FnOnce() -> R) -> R {
-    let was = vmq::exec::spawn_mode();
-    vmq::exec::set_spawn_mode(spawn);
-    let out = f();
-    vmq::exec::set_spawn_mode(was);
-    out
-}
 
 fn scene_frames(camera: u32, seed: u64, n: usize) -> Vec<Frame> {
     let config = SceneConfig::from_profile(&DatasetProfile::jackson()).with_camera(camera);
@@ -70,8 +52,8 @@ fn assert_runs_bit_identical(a: &[QueryRun], b: &[QueryRun], ctx: &str) {
 }
 
 /// One shared-plan pass (CAL backend + q3 select, fresh cache and ledgers)
-/// over `frames`: filter sharding, detect sharding and cache probing all run
-/// under whatever executor mode is active.
+/// over `frames`: filter sharding, detect sharding over `workers` and cache
+/// probing.
 fn shared_plan_run(frames: &[Frame], cal_seed: u64, workers: usize, batch: usize) -> Vec<QueryRun> {
     let oracle = OracleDetector::perfect();
     let classes = DatasetProfile::jackson().class_list();
@@ -131,15 +113,15 @@ fn fleet_run(workers: usize, frames_per_camera: usize) -> Vec<QueryRun> {
 }
 
 proptest! {
-    // Each case sweeps the full matrix under both executor modes; a few
-    // random scenes give the coverage without minutes of wall time.
+    // Each case sweeps the full matrix; a few random scenes give the
+    // coverage without minutes of wall time.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// IC / OD / OD-COF and their int8 twins: sharded batch estimates from
-    /// the pool match the spawn-per-task reference bit for bit across the
-    /// {1, 7, 32} × {1, 2, 4} matrix.
+    /// IC / OD / OD-COF and their int8 twins: sharded batch estimates at
+    /// widths 2 and 4 match the width-1 run bit for bit at batch sizes
+    /// {1, 7, 32}.
     #[test]
-    fn filter_stages_match_between_pool_and_spawn_reference(
+    fn filter_stages_match_the_width_one_run(
         seed in 0u64..500,
         nframes in 1usize..33,
     ) {
@@ -153,48 +135,44 @@ proptest! {
         let od8 = QuantizedOdFilter::from_trained(&od, calib);
         let cof8 = QuantizedCofFilter::from_trained(&cof, calib);
         for batch in [1usize, 7, 32] {
-            for workers in [1usize, 2, 4] {
-                for filter in [&ic as &dyn FrameFilter, &od, &cof, &ic8, &od8, &cof8] {
-                    let run = |spawn: bool| {
-                        with_mode(spawn, || {
-                            let mut out: Vec<FilterEstimate> = Vec::new();
-                            for chunk in frames.chunks(batch) {
-                                out.extend(filter.estimate_batch_sharded(chunk, workers));
-                            }
-                            out
-                        })
-                    };
+            for filter in [&ic as &dyn FrameFilter, &od, &cof, &ic8, &od8, &cof8] {
+                let run = |workers: usize| -> Vec<FilterEstimate> {
+                    frames.chunks(batch).flat_map(|chunk| filter.estimate_batch_sharded(chunk, workers)).collect()
+                };
+                let reference = run(1);
+                for workers in [2usize, 4] {
                     let ctx = format!("{:?} batch={batch} workers={workers}", filter.kind());
-                    assert_estimates_bit_identical(&run(false), &run(true), &ctx);
+                    assert_estimates_bit_identical(&run(workers), &reference, &ctx);
                 }
             }
         }
     }
 
     /// Detector escalation through the shared plan (cache probe + sharded
-    /// detect + exact eval): pooled and reference runs agree on matches,
-    /// detector counts and the virtual-time bill, bit for bit.
+    /// detect + exact eval): runs at widths 2 and 4 agree with the width-1
+    /// run on matches, detector counts and the virtual-time bill, bit for bit.
     #[test]
-    fn detect_stage_matches_between_pool_and_spawn_reference(
+    fn detect_stage_matches_the_width_one_run(
         seed in 0u64..500,
         nframes in 8usize..64,
     ) {
         let frames = scene_frames(1, seed, nframes);
         for batch in [1usize, 7, 32] {
-            for workers in [1usize, 2, 4] {
-                let pooled = with_mode(false, || shared_plan_run(&frames, seed, workers, batch));
-                let spawned = with_mode(true, || shared_plan_run(&frames, seed, workers, batch));
-                assert_runs_bit_identical(&pooled, &spawned, &format!("batch={batch} workers={workers}"));
+            let reference = shared_plan_run(&frames, seed, 1, batch);
+            for workers in [2usize, 4] {
+                let sharded = shared_plan_run(&frames, seed, workers, batch);
+                assert_runs_bit_identical(&sharded, &reference, &format!("batch={batch} workers={workers}"));
             }
         }
     }
 
     /// The default plan's network decode: the IC + OD group sharded over
-    /// [`vmq::exec::parallelism`] on the pool, the same plan on spawned
-    /// threads, and the same filters with their rasters hidden (each decoded
-    /// alone, sequentially) agree on every run and every estimate.
+    /// [`vmq::exec::parallelism`], and the same filters with their rasters
+    /// hidden (each decoded alone, sequentially), agree on every run; the
+    /// group's shared decode at widths 1, 2 and 4 agrees with the sequential
+    /// decode on every estimate.
     #[test]
-    fn default_decode_matches_spawn_and_sequential_references(
+    fn default_decode_matches_the_sequential_reference(
         seed in 0u64..500,
         nframes in 1usize..41,
     ) {
@@ -203,43 +181,35 @@ proptest! {
         let ic = IcFilter::new(config.clone());
         let od = OdFilter::new(config);
         let group: [&dyn FrameFilter; 2] = [&ic, &od];
-        let width = vmq::exec::parallelism();
         for batch in [1usize, 7, 32] {
-            let ctx = format!("batch={batch} width={width}");
-            let pooled = with_mode(false, || default_decode_run(&ic, &od, &frames, batch));
-            let spawned = with_mode(true, || default_decode_run(&ic, &od, &frames, batch));
+            let ctx = format!("batch={batch} width={}", vmq::exec::parallelism());
+            let default = default_decode_run(&ic, &od, &frames, batch);
             let sequential = default_decode_run(&Sequential(&ic), &Sequential(&od), &frames, batch);
-            assert_runs_bit_identical(&pooled, &spawned, &ctx);
-            assert_runs_bit_identical(&pooled, &sequential, &ctx);
-            let decode = |spawn: bool| {
-                with_mode(spawn, || {
-                    let mut out: Vec<Vec<FilterEstimate>> = vec![Vec::new(); group.len()];
-                    for chunk in frames.chunks(batch) {
-                        for (column, estimates) in out.iter_mut().zip(estimate_shared(&group, chunk, width)) {
-                            column.extend(estimates);
-                        }
+            assert_runs_bit_identical(&default, &sequential, &ctx);
+            let sequential: Vec<Vec<FilterEstimate>> = group
+                .iter()
+                .map(|&filter| frames.chunks(batch).flat_map(|chunk| Sequential(filter).estimate_batch(chunk)).collect())
+                .collect();
+            for width in [1usize, 2, 4] {
+                let mut shared: Vec<Vec<FilterEstimate>> = vec![Vec::new(); group.len()];
+                for chunk in frames.chunks(batch) {
+                    for (column, estimates) in shared.iter_mut().zip(estimate_shared(&group, chunk, width)) {
+                        column.extend(estimates);
                     }
-                    out
-                })
-            };
-            let (pooled, spawned) = (decode(false), decode(true));
-            for ((filter, pooled), spawned) in group.iter().zip(&pooled).zip(&spawned) {
-                let ctx = format!("{:?} {ctx}", filter.kind());
-                let sequential: Vec<FilterEstimate> =
-                    frames.chunks(batch).flat_map(|chunk| Sequential(*filter).estimate_batch(chunk)).collect();
-                assert_estimates_bit_identical(pooled, spawned, &ctx);
-                assert_estimates_bit_identical(pooled, &sequential, &ctx);
+                }
+                for ((filter, shared), sequential) in group.iter().zip(&shared).zip(&sequential) {
+                    let ctx = format!("{:?} batch={batch} width={width}", filter.kind());
+                    assert_estimates_bit_identical(shared, sequential, &ctx);
+                }
             }
         }
     }
 }
 
-/// Coalesced fleet sweeps on the persistent pool vs the same sweeps on the
-/// spawn-per-task reference: every statement outcome must be bit-identical,
-/// because the executor is a pure wall-clock knob.
+/// Coalesced fleet sweeps sharded over two pool workers vs the same sweeps
+/// on one: every statement outcome must be bit-identical, because the
+/// worker count is a pure wall-clock knob.
 #[test]
-fn fleet_pool_matches_spawn_reference() {
-    let pooled = with_mode(false, || fleet_run(2, 60));
-    let spawned = with_mode(true, || fleet_run(2, 60));
-    assert_runs_bit_identical(&pooled, &spawned, "fleet");
+fn fleet_on_two_workers_matches_the_one_worker_fleet() {
+    assert_runs_bit_identical(&fleet_run(2, 60), &fleet_run(1, 60), "fleet");
 }
