@@ -12,7 +12,8 @@ use vmq_nn::grad::{conv2d_backward_input_into, conv2d_backward_params_into, conv
 use vmq_nn::kernels::{conv2d_into, matmul_into};
 use vmq_nn::ops::ConvSpec;
 use vmq_nn::optim::{Adam, Optimizer};
-use vmq_nn::{KernelBackend, Tensor, Workspace};
+use vmq_nn::train::sum_slots;
+use vmq_nn::{KernelBackend, Tape, Tensor, Workspace};
 use vmq_query::ast::CountOp;
 use vmq_query::plan::AtomTable;
 use vmq_query::{CascadeConfig, ObjectRef, Query, QueryExecutor, SpatialRelation};
@@ -48,22 +49,26 @@ fn bench_nn_kernels(c: &mut Criterion) {
         })
     });
 
-    // One sample through the experiment-size trunk: forward, backward
-    // (no input gradient, as filter training runs it) and an Adam step.
+    // One sample through the experiment-size trunk: forward, backward into
+    // a gradient slot (no input gradient, as filter training runs it), the
+    // slot summed into the parameters' gradients and an Adam step.
     let config = FilterConfig::experiment(vec![ObjectClass::Car, ObjectClass::Person]);
     let mut trunk = vmq_filters::arch::build_trunk(&config, vmq_nn::Act::Relu, 7);
     let image = vec![0.3f32; 3 * config.raster.height * config.raster.width];
     let grad = Tensor::full(vec![config.feature_channels(), config.grid, config.grid], 0.01);
     let mut opt = Adam::new(1e-3);
-    let mut ws = Workspace::new();
+    let (mut ws, mut tape) = (Workspace::new(), Tape::default());
+    let mut slot = vec![0.0f32; trunk.parameters().iter().map(|p| p.len()).sum()];
     c.bench_function("nn/train_step experiment trunk", |bench| {
         bench.iter(|| {
             ws.load_slice(black_box(&image), &[3, config.raster.height, config.raster.width]);
-            trunk.forward_ws(&mut ws);
+            trunk.forward_ws(&mut ws, &mut tape);
             ws.load(&grad);
-            trunk.backward_ws(&mut ws, false);
-            opt.step(&mut trunk.parameters());
-            trunk.zero_grad();
+            slot.fill(0.0);
+            trunk.backward_ws(&mut ws, &mut tape, &mut slot, false);
+            let mut params = trunk.parameters_mut();
+            sum_slots(&mut params, &slot);
+            opt.step(&mut params);
         })
     });
 }

@@ -82,8 +82,8 @@ mod tests {
     #[test]
     fn different_seeds_give_different_weights() {
         let config = FilterConfig::fast_test(vec![ObjectClass::Car]);
-        let mut a = build_trunk(&config, Act::Relu, 1);
-        let mut b = build_trunk(&config, Act::Relu, 2);
+        let a = build_trunk(&config, Act::Relu, 1);
+        let b = build_trunk(&config, Act::Relu, 2);
         let pa = a.parameters().first().map(|p| p.value.clone()).unwrap();
         let pb = b.parameters().first().map(|p| p.value.clone()).unwrap();
         assert_ne!(pa, pb);

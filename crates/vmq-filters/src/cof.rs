@@ -10,16 +10,16 @@
 
 use crate::arch::build_trunk;
 use crate::config::FilterConfig;
-use crate::estimate::{estimate_alone, image_to_tensor, load_pixels, FilterEstimate, FilterKind, FrameFilter, Rasters};
+use crate::estimate::{
+    estimate_alone, image_to_tensor, load_frame, load_pixels, FilterEstimate, FilterKind, FrameFilter,
+};
 use crate::label::FrameLabels;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use vmq_nn::init::seeded_rng;
 use vmq_nn::layer::{Act, Activation, Conv2d, Dense, GlobalAvgPool, MaxPool2d};
 use vmq_nn::loss::smooth_l1_loss;
 use vmq_nn::net::Sequential;
-use vmq_nn::optim::{Adam, Optimizer};
-use vmq_nn::train::{batches, sample_order, EpochStats};
+use vmq_nn::train::EpochStats;
 use vmq_nn::{Tensor, Workspace};
 use vmq_video::{Frame, ObjectClass, RasterConfig};
 
@@ -52,8 +52,9 @@ impl CofConfig {
 
 /// The OD-COF filter: predicts only the total object count per frame.
 ///
-/// The network sits behind a [`RwLock`]: training writes, inference reads
-/// through per-thread workspaces, so sharded batches run concurrently.
+/// The network sits behind a [`RwLock`]: training (`&mut self`) needs no
+/// lock, inference and the digest read through per-thread workspaces, so
+/// sharded batches run concurrently.
 pub struct CofFilter {
     config: FilterConfig,
     net: RwLock<Sequential>,
@@ -105,45 +106,25 @@ impl CofFilter {
 
     /// [`vmq_nn::net::param_digest`] over the network's parameters.
     pub fn param_digest(&self) -> u64 {
-        vmq_nn::net::param_digest(&self.net.write().parameters())
+        vmq_nn::net::param_digest(&self.net.read().parameters())
     }
 
     /// Trains the filter to predict the total object count with SmoothL1.
     pub fn train(&mut self, frames: &[Frame], labels: &[FrameLabels]) -> Vec<EpochStats> {
         assert_eq!(frames.len(), labels.len(), "frames and labels must be parallel");
-        if frames.is_empty() {
-            return Vec::new();
-        }
         let schedule = self.config.schedule;
-        let inputs = Rasters::render(&self.config.raster, frames);
+        let raster = &self.config.raster;
         let targets: Vec<Tensor> = labels.iter().map(|l| Tensor::from_vec(vec![l.total_count()], vec![1])).collect();
-        let mut ws = Workspace::new();
-        let mut rng = seeded_rng(self.config.seed.wrapping_add(0xC0F));
-        let mut opt = Adam::with_weight_decay(schedule.learning_rate, schedule.weight_decay);
-        let mut history = Vec::with_capacity(schedule.epochs);
-        let net = &mut *self.net.write();
-        for epoch in 0..schedule.epochs {
-            let order = sample_order(frames.len(), true, &mut rng);
-            let mut epoch_loss = 0.0f64;
-            for batch in batches(&order, schedule.batch_size) {
-                net.zero_grad();
-                for &i in batch {
-                    inputs.load(i, &mut ws);
-                    net.forward_ws(&mut ws);
-                    let (loss, grad) = smooth_l1_loss(&ws.output(), &targets[i]);
-                    epoch_loss += loss as f64;
-                    ws.load(&grad.scale(1.0 / batch.len() as f32));
-                    // Nothing consumes the gradient w.r.t. the raster.
-                    net.backward_ws(&mut ws, false);
-                }
-                opt.step(&mut net.parameters());
-            }
-            history.push(EpochStats {
-                epoch,
-                mean_loss: (epoch_loss / frames.len() as f64) as f32,
-                samples: frames.len(),
-            });
-        }
+        let seed = self.config.seed.wrapping_add(0xC0F);
+        let history = schedule.train(self.net.get_mut(), frames.len(), seed, |net, s| {
+            load_frame(raster, &frames[s.index], s.ws);
+            net.forward_ws(s.ws, s.tape);
+            let (loss, grad) = smooth_l1_loss(&s.ws.output(), &targets[s.index]);
+            s.ws.load(&grad.scale(s.scale));
+            // Nothing consumes the gradient w.r.t. the raster.
+            net.backward_ws(s.ws, s.tape, s.grad, false);
+            loss
+        });
         self.history = history.clone();
         history
     }

@@ -1,6 +1,8 @@
 //! Filter architecture and training configuration.
 
 use serde::{Deserialize, Serialize};
+use vmq_nn::optim::Adam;
+use vmq_nn::train::{EpochStats, Epochs, Sample, Trainable};
 use vmq_video::{ObjectClass, RasterConfig};
 
 /// The `(α, β)` training schedule of Sec. II-A plus optimiser settings.
@@ -60,6 +62,23 @@ impl TrainSchedule {
     /// The schedule of the experiment-size filters.
     pub fn experiment() -> Self {
         TrainSchedule { epochs: 5, count_only_epochs: 2, ..TrainSchedule::fast_test() }
+    }
+
+    /// Trains `net` on this schedule over `samples` samples, shuffled by
+    /// `seed`, with Adam and L2 weight decay: the one epoch loop
+    /// ([`vmq_nn::train::train`]), each batch sharded over the whole machine
+    /// ([`vmq_exec::parallelism`]). `pass` is the filter's per-sample
+    /// forward, loss and backward.
+    pub(crate) fn train<N: Trainable>(
+        &self,
+        net: &mut N,
+        samples: usize,
+        seed: u64,
+        pass: impl Fn(&N, Sample<'_>) -> f32 + Sync,
+    ) -> Vec<EpochStats> {
+        let plan = Epochs { samples, epochs: self.epochs, batch_size: self.batch_size, seed };
+        let opt = Adam::with_weight_decay(self.learning_rate, self.weight_decay);
+        vmq_nn::train::train(net, plan, opt, vmq_exec::parallelism(), pass)
     }
 
     /// The `β` value in effect at a given epoch.

@@ -350,30 +350,11 @@ pub(crate) fn estimate_alone(filter: &dyn FrameFilter, frames: &[Frame], workers
     estimate_shared(&[filter], frames, workers).pop().expect("one estimate vector per filter")
 }
 
-/// A training set rendered once: every frame's `[3, height, width]` image,
-/// back to back in one buffer (filled through one reused image buffer).
-pub(crate) struct Rasters {
-    data: Vec<f32>,
-    shape: [usize; 3],
-}
-
-impl Rasters {
-    pub(crate) fn render(raster: &RasterConfig, frames: &[Frame]) -> Self {
-        let shape = raster_shape(raster);
-        let mut data = Vec::with_capacity(frames.len() * shape.iter().product::<usize>());
-        let mut image = Vec::new();
-        for frame in frames {
-            raster.render_into(frame, &mut image);
-            data.extend_from_slice(&image);
-        }
-        Rasters { data, shape }
-    }
-
-    /// Loads frame `i`'s image as the workspace's current activation.
-    pub(crate) fn load(&self, i: usize, ws: &mut Workspace) {
-        let len: usize = self.shape.iter().product();
-        ws.load_slice(&self.data[i * len..(i + 1) * len], &self.shape);
-    }
+/// Renders `frame` straight into the workspace as its input: each training
+/// sample renders in its own pass, on its own worker, so no rendered
+/// training set is held.
+pub(crate) fn load_frame(raster: &RasterConfig, frame: &Frame, ws: &mut Workspace) {
+    raster.render_into(frame, ws.load_with(&raster_shape(raster)));
 }
 
 #[cfg(test)]

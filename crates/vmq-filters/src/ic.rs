@@ -16,7 +16,9 @@
 
 use crate::arch::build_trunk;
 use crate::config::FilterConfig;
-use crate::estimate::{estimate_alone, image_to_tensor, load_pixels, FilterEstimate, FilterKind, FrameFilter, Rasters};
+use crate::estimate::{
+    estimate_alone, image_to_tensor, load_frame, load_pixels, FilterEstimate, FilterKind, FrameFilter,
+};
 use crate::grid::ClassGrid;
 use crate::label::{class_presence_counts, FrameLabels};
 use parking_lot::RwLock;
@@ -26,9 +28,8 @@ use vmq_nn::layer::Act;
 use vmq_nn::loss::{class_weights_from_presence, multi_task_loss};
 use vmq_nn::net::{Param, Sequential};
 use vmq_nn::ops::{global_avg_pool_into, matvec_into};
-use vmq_nn::optim::{Adam, Optimizer};
-use vmq_nn::train::{batches, sample_order, EpochStats};
-use vmq_nn::{Tensor, Workspace};
+use vmq_nn::train::{EpochStats, Trainable};
+use vmq_nn::{Tape, Tensor, Workspace};
 use vmq_video::{Frame, ObjectClass, RasterConfig};
 
 /// The count head + class-activation-map head sharing one weight matrix.
@@ -37,9 +38,6 @@ pub struct CamCountHead {
     bias: Param,
     n_classes: usize,
     d: usize,
-    cached_gap: Vec<f32>,
-    cached_pre: Vec<f32>,
-    cached_hw: (usize, usize),
 }
 
 impl CamCountHead {
@@ -48,7 +46,7 @@ impl CamCountHead {
         let mut rng = seeded_rng(seed.wrapping_mul(31).wrapping_add(5));
         let weight = Param::new(vmq_nn::init::xavier_uniform(vec![n_classes, d], d, n_classes, &mut rng));
         let bias = Param::new(Tensor::zeros(vec![n_classes]));
-        CamCountHead { weight, bias, n_classes, d, cached_gap: Vec::new(), cached_pre: Vec::new(), cached_hw: (0, 0) }
+        CamCountHead { weight, bias, n_classes, d }
     }
 
     /// The head's arithmetic, once, for training and inference alike, over a
@@ -83,40 +81,54 @@ impl CamCountHead {
     }
 
     /// Training forward pass over a flat `[d, g_h, g_w]` feature map:
-    /// [`CamCountHead::infer`] keeping what [`CamCountHead::backward`]
-    /// needs. Returns `(counts [n], cams [n, g_h, g_w])`.
-    pub fn forward(&mut self, fm: &[f32], g_h: usize, g_w: usize) -> (Tensor, Tensor) {
-        let (mut gap, mut pre) = (std::mem::take(&mut self.cached_gap), std::mem::take(&mut self.cached_pre));
-        let cams = self.eval(fm, g_h, g_w, &mut gap, &mut pre);
+    /// [`CamCountHead::infer`] pushing the pooled features, the count
+    /// pre-activations and `[g_h, g_w]` onto `tape` for
+    /// [`CamCountHead::backward`]. Returns `(counts [n], cams [n, g_h, g_w])`.
+    pub fn forward(&self, fm: &[f32], g_h: usize, g_w: usize, tape: &mut Tape) -> (Tensor, Tensor) {
+        let mut pre = Vec::with_capacity(self.n_classes);
+        let cams = self.eval(fm, g_h, g_w, tape.vals.push(), &mut pre);
+        tape.vals.push().extend_from_slice(&pre);
+        tape.idx.push().extend([g_h, g_w]);
         let counts = pre.iter().map(|&v| v.max(0.0)).collect();
-        (self.cached_gap, self.cached_pre, self.cached_hw) = (gap, pre, (g_h, g_w));
         (Tensor::from_vec(counts, vec![self.n_classes]), Tensor::from_vec(cams, vec![self.n_classes, g_h, g_w]))
     }
 
-    /// Backward pass.
+    /// Backward pass, popping what [`CamCountHead::forward`] pushed.
     ///
     /// `d_counts` is the loss gradient w.r.t. the count output and `d_cams`
     /// w.r.t. the activation maps. Following Sec. II-A, the map term only
     /// back-propagates into the feature map, not into the head weights.
-    /// Writes the gradient w.r.t. the feature map of the last
-    /// [`CamCountHead::forward`] into `d_fm` (`[d, g_h, g_w]`, overwritten).
-    pub fn backward(&mut self, d_counts: &Tensor, d_cams: &Tensor, d_fm: &mut Vec<f32>) {
-        let (g_h, g_w) = self.cached_hw;
+    /// Adds the weight and bias gradients into the tail of `grad` and
+    /// returns the part before it (as [`Sequential::backward_ws`] does);
+    /// writes the gradient w.r.t. the feature map into `d_fm`
+    /// (`[d, g_h, g_w]`, overwritten).
+    pub fn backward<'g>(
+        &self,
+        d_counts: &Tensor,
+        d_cams: &Tensor,
+        tape: &mut Tape,
+        grad: &'g mut [f32],
+        d_fm: &mut Vec<f32>,
+    ) -> &'g mut [f32] {
+        let &[g_h, g_w] = tape.idx.pop() else { panic!("CamCountHead::backward without its forward pass") };
         let cell_count = g_h * g_w;
         // Through the ReLU of the count head.
         let d_pre: Vec<f32> =
-            d_counts.data().iter().zip(&self.cached_pre).map(|(&g, &p)| if p > 0.0 { g } else { 0.0 }).collect();
+            d_counts.data().iter().zip(tape.vals.pop()).map(|(&g, &p)| if p > 0.0 { g } else { 0.0 }).collect();
         // Count-head parameter gradients.
-        let gw = self.weight.grad.data_mut();
+        let at = grad.len() - self.weight.len() - self.bias.len();
+        let (rest, own) = grad.split_at_mut(at);
+        let (gw, gb) = own.split_at_mut(self.weight.len());
+        let gap = tape.vals.pop();
         for (c, &g) in d_pre.iter().enumerate() {
             if g == 0.0 {
                 continue;
             }
-            for (k, &a) in self.cached_gap.iter().enumerate() {
+            for (k, &a) in gap.iter().enumerate() {
                 gw[c * self.d + k] += g * a;
             }
         }
-        for (b, &g) in self.bias.grad.data_mut().iter_mut().zip(&d_pre) {
+        for (b, &g) in gb.iter_mut().zip(&d_pre) {
             *b += g;
         }
         // Gradient into the feature map from the count head (through GAP).
@@ -146,6 +158,7 @@ impl CamCountHead {
                 }
             }
         }
+        rest
     }
 
     /// Shared-read inference pass over a feature map stored as a flat
@@ -166,26 +179,17 @@ impl CamCountHead {
     pub(crate) fn from_params(weight: Tensor, bias: Tensor) -> Self {
         let n_classes = weight.shape()[0];
         let d = weight.shape()[1];
-        CamCountHead {
-            weight: Param::new(weight),
-            bias: Param::new(bias),
-            n_classes,
-            d,
-            cached_gap: Vec::new(),
-            cached_pre: Vec::new(),
-            cached_hw: (0, 0),
-        }
+        CamCountHead { weight: Param::new(weight), bias: Param::new(bias), n_classes, d }
     }
 
-    /// Trainable parameters of the head.
-    pub fn params(&mut self) -> Vec<&mut Param> {
+    /// Trainable parameters of the head: weight, then bias.
+    pub fn params(&self) -> Vec<&Param> {
+        vec![&self.weight, &self.bias]
+    }
+
+    /// [`CamCountHead::params`], mutably.
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
-    }
-
-    /// Zeroes the head's gradients.
-    pub fn zero_grad(&mut self) {
-        self.weight.zero_grad();
-        self.bias.zero_grad();
     }
 }
 
@@ -194,12 +198,19 @@ struct IcNet {
     head: CamCountHead,
 }
 
+impl Trainable for IcNet {
+    fn parameters_mut(&mut self) -> Vec<&mut Param> {
+        self.trunk.parameters_mut().into_iter().chain(self.head.params_mut()).collect()
+    }
+}
+
 /// A trained (or trainable) IC filter.
 ///
-/// The network sits behind a [`RwLock`]: training takes the write lock,
-/// while inference — a pure read of the trained weights through the
-/// workspace-based [`Sequential::infer_ws`] path — takes a read lock, so a
-/// whole batch can shard across worker threads concurrently.
+/// The network sits behind a [`RwLock`]: training (`&mut self`) reaches it
+/// without locking, and everything else — inference through the
+/// workspace-based [`Sequential::infer_ws`] path, quantization, the
+/// parameter digest — only reads it, under the read lock, so a whole batch
+/// can shard across worker threads concurrently.
 pub struct IcFilter {
     config: FilterConfig,
     net: RwLock<IcNet>,
@@ -228,68 +239,43 @@ impl IcFilter {
     /// [`vmq_nn::net::param_digest`] over the trunk's, then the head's,
     /// parameters.
     pub fn param_digest(&self) -> u64 {
-        let net = &mut *self.net.write();
-        let mut params = net.trunk.parameters();
-        params.extend(net.head.params());
-        vmq_nn::net::param_digest(&params)
+        let net = self.net.read();
+        vmq_nn::net::param_digest(&net.trunk.parameters().into_iter().chain(net.head.params()).collect::<Vec<_>>())
     }
 
     /// Trains the filter on rasterised frames and oracle labels, using the
     /// multi-task loss and schedule of Eq. 2 / Sec. II-A.
     pub fn train(&mut self, frames: &[Frame], labels: &[FrameLabels]) -> Vec<EpochStats> {
         assert_eq!(frames.len(), labels.len(), "frames and labels must be parallel");
-        if frames.is_empty() {
-            return Vec::new();
-        }
         let schedule = self.config.schedule;
         let presence = class_presence_counts(labels);
         let class_weights = class_weights_from_presence(&presence, labels.len());
-        let inputs = Rasters::render(&self.config.raster, frames);
+        let raster = &self.config.raster;
         let fm_shape = [self.config.feature_channels(), self.config.grid, self.config.grid];
         let count_targets: Vec<Tensor> = labels.iter().map(|l| l.count_tensor()).collect();
         let map_targets: Vec<Tensor> = labels.iter().map(|l| l.maps_tensor()).collect();
 
-        let mut ws = Workspace::new();
-        let mut rng = seeded_rng(self.config.seed.wrapping_add(0x1C));
-        let mut opt = Adam::with_weight_decay(schedule.learning_rate, schedule.weight_decay);
-        let mut history = Vec::with_capacity(schedule.epochs);
-        let net = &mut *self.net.write();
-        for epoch in 0..schedule.epochs {
-            let beta = schedule.beta_at(epoch);
-            let order = sample_order(frames.len(), true, &mut rng);
-            let mut epoch_loss = 0.0f64;
-            for batch in batches(&order, schedule.batch_size) {
-                net.trunk.zero_grad();
-                net.head.zero_grad();
-                for &i in batch {
-                    inputs.load(i, &mut ws);
-                    net.trunk.forward_ws(&mut ws);
-                    let (counts, cams) = net.head.forward(ws.data(), fm_shape[1], fm_shape[2]);
-                    let (loss, d_counts, d_cams) = multi_task_loss(
-                        &counts,
-                        &count_targets[i],
-                        &cams,
-                        &map_targets[i],
-                        &class_weights,
-                        schedule.alpha,
-                        beta,
-                    );
-                    epoch_loss += loss as f64;
-                    let scale = 1.0 / batch.len() as f32;
-                    net.head.backward(&d_counts.scale(scale), &d_cams.scale(scale), ws.load_with(&fm_shape));
-                    // Nothing consumes the gradient w.r.t. the raster.
-                    net.trunk.backward_ws(&mut ws, false);
-                }
-                let mut params = net.trunk.parameters();
-                params.extend(net.head.params());
-                opt.step(&mut params);
-            }
-            history.push(EpochStats {
-                epoch,
-                mean_loss: (epoch_loss / frames.len() as f64) as f32,
-                samples: frames.len(),
-            });
-        }
+        let seed = self.config.seed.wrapping_add(0x1C);
+        let history = schedule.train(self.net.get_mut(), frames.len(), seed, |net, s| {
+            let i = s.index;
+            load_frame(raster, &frames[i], s.ws);
+            net.trunk.forward_ws(s.ws, s.tape);
+            let (counts, cams) = net.head.forward(s.ws.data(), fm_shape[1], fm_shape[2], s.tape);
+            let (loss, d_counts, d_cams) = multi_task_loss(
+                &counts,
+                &count_targets[i],
+                &cams,
+                &map_targets[i],
+                &class_weights,
+                schedule.alpha,
+                schedule.beta_at(s.epoch),
+            );
+            let (d_counts, d_cams) = (d_counts.scale(s.scale), d_cams.scale(s.scale));
+            let trunk_grad = net.head.backward(&d_counts, &d_cams, s.tape, s.grad, s.ws.load_with(&fm_shape));
+            // Nothing consumes the gradient w.r.t. the raster.
+            net.trunk.backward_ws(s.ws, s.tape, trunk_grad, false);
+            loss
+        });
         self.history = history.clone();
         history
     }
@@ -390,12 +376,25 @@ mod tests {
 
     #[test]
     fn head_forward_shapes() {
-        let mut head = CamCountHead::new(2, 4, 0);
+        let head = CamCountHead::new(2, 4, 0);
         let fm = Tensor::full(vec![4, 3, 3], 0.5);
-        let (counts, cams) = head.forward(fm.data(), 3, 3);
+        let (counts, cams) = head.forward(fm.data(), 3, 3, &mut Tape::default());
         assert_eq!(counts.shape(), &[2]);
         assert_eq!(cams.shape(), &[2, 3, 3]);
         assert!(counts.data().iter().all(|&v| v >= 0.0));
+    }
+
+    /// One forward and backward pass of `head`: `(weight and bias gradient, d_fm)`.
+    fn head_grads(head: &CamCountHead, fm: &Tensor, d_counts: &Tensor, d_cams: f32) -> (Vec<f32>, Vec<f32>) {
+        let (g_h, g_w) = (fm.shape()[1], fm.shape()[2]);
+        let mut tape = Tape::default();
+        let (_, cams) = head.forward(fm.data(), g_h, g_w, &mut tape);
+        let mut grad = vec![0.0; head.params().iter().map(|p| p.len()).sum()];
+        let mut d_fm = Vec::new();
+        let rest =
+            head.backward(d_counts, &Tensor::full(cams.shape().to_vec(), d_cams), &mut tape, &mut grad, &mut d_fm);
+        assert!(rest.is_empty() && tape.is_empty());
+        (grad, d_fm)
     }
 
     #[test]
@@ -403,37 +402,28 @@ mod tests {
         // Loss = sum(counts): finite-difference check of head weight grads.
         let mut head = CamCountHead::new(2, 3, 1);
         let fm = Tensor::from_vec((0..3 * 4).map(|v| 0.2 + v as f32 * 0.05).collect(), vec![3, 2, 2]);
-        let (counts, cams) = head.forward(fm.data(), 2, 2);
-        let d_counts = Tensor::full(vec![2], 1.0);
-        let d_cams = Tensor::zeros(cams.shape().to_vec());
-        head.backward(&d_counts, &d_cams, &mut Vec::new());
-        let analytic = head.weight.grad.clone();
+        let (analytic, _) = head_grads(&head, &fm, &Tensor::full(vec![2], 1.0), 0.0);
         let eps = 1e-3;
-        let base: f32 = counts.sum();
-        let _ = base;
-        for idx in 0..head.weight.value.len() {
+        let loss = |head: &CamCountHead| head.forward(fm.data(), 2, 2, &mut Tape::default()).0.sum();
+        for (idx, &want) in analytic.iter().enumerate().take(head.weight.value.len()) {
             let orig = head.weight.value.data()[idx];
             head.weight.value.data_mut()[idx] = orig + eps;
-            let (cp, _) = head.forward(fm.data(), 2, 2);
+            let lp = loss(&head);
             head.weight.value.data_mut()[idx] = orig - eps;
-            let (cm, _) = head.forward(fm.data(), 2, 2);
+            let lm = loss(&head);
             head.weight.value.data_mut()[idx] = orig;
-            let numeric = (cp.sum() - cm.sum()) / (2.0 * eps);
-            assert!((numeric - analytic.data()[idx]).abs() < 2e-2, "idx {idx}: {numeric} vs {}", analytic.data()[idx]);
+            let numeric = (lp - lm) / (2.0 * eps);
+            assert!((numeric - want).abs() < 2e-2, "idx {idx}: {numeric} vs {want}");
         }
     }
 
     #[test]
     fn cam_gradient_reaches_feature_map_but_not_weights() {
-        let mut head = CamCountHead::new(1, 2, 2);
+        let head = CamCountHead::new(1, 2, 2);
         let fm = Tensor::full(vec![2, 2, 2], 1.0);
-        let (_counts, cams) = head.forward(fm.data(), 2, 2);
-        let d_counts = Tensor::zeros(vec![1]);
-        let d_cams = Tensor::full(cams.shape().to_vec(), 1.0);
-        let mut d_fm = Vec::new();
-        head.backward(&d_counts, &d_cams, &mut d_fm);
+        let (grad, d_fm) = head_grads(&head, &fm, &Tensor::zeros(vec![1]), 1.0);
         // Weight gradients must stay zero (map term does not update the head).
-        assert_eq!(head.weight.grad.norm(), 0.0);
+        assert!(grad.iter().all(|&g| g == 0.0));
         // Feature-map gradient must be nonzero.
         assert_eq!(d_fm.len(), fm.len());
         assert!(d_fm.iter().any(|&v| v != 0.0));

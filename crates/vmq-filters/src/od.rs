@@ -17,17 +17,17 @@
 
 use crate::arch::{build_branch, build_trunk};
 use crate::config::FilterConfig;
-use crate::estimate::{estimate_alone, image_to_tensor, load_pixels, FilterEstimate, FilterKind, FrameFilter, Rasters};
+use crate::estimate::{
+    estimate_alone, image_to_tensor, load_frame, load_pixels, FilterEstimate, FilterKind, FrameFilter,
+};
 use crate::grid::ClassGrid;
 use crate::label::FrameLabels;
 use parking_lot::RwLock;
-use vmq_nn::init::seeded_rng;
 use vmq_nn::layer::{Act, Activation, Conv2d, Dense, GlobalAvgPool};
 use vmq_nn::loss::{masked_grid_loss, smooth_l1_loss};
-use vmq_nn::net::Sequential;
-use vmq_nn::optim::{Adam, Optimizer};
-use vmq_nn::train::{batches, sample_order, EpochStats};
-use vmq_nn::{Tensor, Workspace};
+use vmq_nn::net::{Param, Sequential};
+use vmq_nn::train::{EpochStats, Trainable};
+use vmq_nn::{Tape, Tensor, Workspace};
 use vmq_video::{Frame, ObjectClass, RasterConfig};
 
 struct OdNet {
@@ -35,61 +35,59 @@ struct OdNet {
     branch: Sequential,
     grid_head: Sequential,
     count_head: Sequential,
-    /// Training scratch: the count head's gradient w.r.t. the branch output.
-    d_branch: Vec<f32>,
 }
 
 impl OdNet {
     /// Training forward pass over the raster loaded into `ws`: returns
     /// `(counts, grids)`, both heads reading the stashed branch output.
-    fn forward(&mut self, ws: &mut Workspace) -> (Tensor, Tensor) {
-        self.trunk.forward_ws(ws);
-        self.branch.forward_ws(ws);
+    fn forward(&self, ws: &mut Workspace, tape: &mut Tape) -> (Tensor, Tensor) {
+        self.trunk.forward_ws(ws, tape);
+        self.branch.forward_ws(ws, tape);
         ws.stash();
-        self.grid_head.forward_ws(ws);
+        self.grid_head.forward_ws(ws, tape);
         let grids = ws.output();
         ws.unstash();
-        self.count_head.forward_ws(ws);
+        self.count_head.forward_ws(ws, tape);
         (ws.output(), grids)
     }
 
-    fn backward(&mut self, d_counts: &Tensor, d_grids: &Tensor, ws: &mut Workspace) {
+    /// Backward pass into the gradient slot `grad`, laid out as
+    /// [`Trainable::parameters_mut`].
+    fn backward(&self, d_counts: &Tensor, d_grids: &Tensor, ws: &mut Workspace, tape: &mut Tape, grad: &mut [f32]) {
         ws.load(d_counts);
-        self.count_head.backward_ws(ws, true);
-        self.d_branch.clear();
-        self.d_branch.extend_from_slice(ws.data());
+        let rest = self.count_head.backward_ws(ws, tape, grad, true);
+        ws.stash();
         ws.load(d_grids);
-        self.grid_head.backward_ws(ws, true);
+        let rest = self.grid_head.backward_ws(ws, tape, rest, true);
         // The branch output fed both heads: its gradient is their sum.
-        for (from_grid, from_count) in ws.data_mut().iter_mut().zip(&self.d_branch) {
-            *from_grid += from_count;
-        }
-        self.branch.backward_ws(ws, true);
+        ws.add_stash();
+        let rest = self.branch.backward_ws(ws, tape, rest, true);
         // Nothing consumes the gradient w.r.t. the raster.
-        self.trunk.backward_ws(ws, false);
+        self.trunk.backward_ws(ws, tape, rest, false);
     }
 
-    fn zero_grad(&mut self) {
-        self.trunk.zero_grad();
-        self.branch.zero_grad();
-        self.grid_head.zero_grad();
-        self.count_head.zero_grad();
+    fn parameters(&self) -> Vec<&Param> {
+        [&self.trunk, &self.branch, &self.grid_head, &self.count_head]
+            .into_iter()
+            .flat_map(|n| n.parameters())
+            .collect()
     }
+}
 
-    fn parameters(&mut self) -> Vec<&mut vmq_nn::net::Param> {
-        let mut p = self.trunk.parameters();
-        p.extend(self.branch.parameters());
-        p.extend(self.grid_head.parameters());
-        p.extend(self.count_head.parameters());
-        p
+impl Trainable for OdNet {
+    fn parameters_mut(&mut self) -> Vec<&mut Param> {
+        [&mut self.trunk, &mut self.branch, &mut self.grid_head, &mut self.count_head]
+            .into_iter()
+            .flat_map(|n| n.parameters_mut())
+            .collect()
     }
 }
 
 /// A trained (or trainable) OD filter.
 ///
 /// Like [`crate::IcFilter`], the network sits behind a [`RwLock`]: training
-/// writes, inference reads — so sharded batches run concurrently on a
-/// shared-read net with per-thread workspaces.
+/// (`&mut self`) needs no lock, inference and the digest read — so sharded
+/// batches run concurrently on a shared-read net with per-thread workspaces.
 pub struct OdFilter {
     config: FilterConfig,
     net: RwLock<OdNet>,
@@ -113,11 +111,7 @@ impl OdFilter {
             Box::new(Dense::new(bc, n, config.seed.wrapping_add(4000))),
             Box::new(Activation::new(Act::Relu)),
         ]);
-        OdFilter {
-            config,
-            net: RwLock::new(OdNet { trunk, branch, grid_head, count_head, d_branch: Vec::new() }),
-            history: Vec::new(),
-        }
+        OdFilter { config, net: RwLock::new(OdNet { trunk, branch, grid_head, count_head }), history: Vec::new() }
     }
 
     /// The filter configuration.
@@ -133,65 +127,45 @@ impl OdFilter {
     /// [`vmq_nn::net::param_digest`] over the trunk, branch, grid-head and
     /// count-head parameters, in that order.
     pub fn param_digest(&self) -> u64 {
-        vmq_nn::net::param_digest(&self.net.write().parameters())
+        vmq_nn::net::param_digest(&self.net.read().parameters())
     }
 
     /// Trains the filter with the branch loss of Eq. 3.
     pub fn train(&mut self, frames: &[Frame], labels: &[FrameLabels]) -> Vec<EpochStats> {
         assert_eq!(frames.len(), labels.len(), "frames and labels must be parallel");
-        if frames.is_empty() {
-            return Vec::new();
-        }
         let schedule = self.config.schedule;
         let n = self.config.num_classes();
         let g2 = self.config.grid * self.config.grid;
-        let inputs = Rasters::render(&self.config.raster, frames);
+        let raster = &self.config.raster;
         let count_targets: Vec<Tensor> = labels.iter().map(|l| l.count_tensor()).collect();
         let map_targets: Vec<Tensor> = labels.iter().map(|l| l.maps_tensor()).collect();
 
-        let mut ws = Workspace::new();
-        let mut rng = seeded_rng(self.config.seed.wrapping_add(0x0D));
-        let mut opt = Adam::with_weight_decay(schedule.learning_rate, schedule.weight_decay);
-        let mut history = Vec::with_capacity(schedule.epochs);
-        let net = &mut *self.net.write();
-        for epoch in 0..schedule.epochs {
+        let seed = self.config.seed.wrapping_add(0x0D);
+        let history = schedule.train(self.net.get_mut(), frames.len(), seed, |net, s| {
             // The grid term of Eq. 3 is always on for OD training; the count
             // weight is alpha, the grid weight uses beta-style scheduling so
             // early epochs emphasise counting as in the IC schedule.
-            let lambda_grid = if epoch < schedule.count_only_epochs { 0.5 } else { 1.0 };
-            let order = sample_order(frames.len(), true, &mut rng);
-            let mut epoch_loss = 0.0f64;
-            for batch in batches(&order, schedule.batch_size) {
-                net.zero_grad();
-                for &i in batch {
-                    inputs.load(i, &mut ws);
-                    let (counts, grids) = net.forward(&mut ws);
-                    // Count term.
-                    let (l_count, d_counts) = smooth_l1_loss(&counts, &count_targets[i]);
-                    // Grid term, per class, with the obj/noobj masks of Eq. 3.
-                    let mut d_grids = Tensor::zeros(grids.shape().to_vec());
-                    let mut l_grid = 0.0f32;
-                    for c in 0..n {
-                        let pred = Tensor::from_vec(grids.data()[c * g2..(c + 1) * g2].to_vec(), vec![g2]);
-                        let target = Tensor::from_vec(map_targets[i].data()[c * g2..(c + 1) * g2].to_vec(), vec![g2]);
-                        let (l, d) = masked_grid_loss(&pred, &target, schedule.lambda_obj, schedule.lambda_noobj);
-                        l_grid += l;
-                        for (o, &v) in d_grids.data_mut()[c * g2..(c + 1) * g2].iter_mut().zip(d.data()) {
-                            *o = v * lambda_grid;
-                        }
-                    }
-                    epoch_loss += (schedule.alpha * l_count + lambda_grid * l_grid) as f64;
-                    let scale = 1.0 / batch.len() as f32;
-                    net.backward(&d_counts.scale(schedule.alpha * scale), &d_grids.scale(scale), &mut ws);
+            let lambda_grid = if s.epoch < schedule.count_only_epochs { 0.5 } else { 1.0 };
+            let i = s.index;
+            load_frame(raster, &frames[i], s.ws);
+            let (counts, grids) = net.forward(s.ws, s.tape);
+            // Count term.
+            let (l_count, d_counts) = smooth_l1_loss(&counts, &count_targets[i]);
+            // Grid term, per class, with the obj/noobj masks of Eq. 3.
+            let mut d_grids = Tensor::zeros(grids.shape().to_vec());
+            let mut l_grid = 0.0f32;
+            for c in 0..n {
+                let pred = Tensor::from_vec(grids.data()[c * g2..(c + 1) * g2].to_vec(), vec![g2]);
+                let target = Tensor::from_vec(map_targets[i].data()[c * g2..(c + 1) * g2].to_vec(), vec![g2]);
+                let (l, d) = masked_grid_loss(&pred, &target, schedule.lambda_obj, schedule.lambda_noobj);
+                l_grid += l;
+                for (o, &v) in d_grids.data_mut()[c * g2..(c + 1) * g2].iter_mut().zip(d.data()) {
+                    *o = v * lambda_grid;
                 }
-                opt.step(&mut net.parameters());
             }
-            history.push(EpochStats {
-                epoch,
-                mean_loss: (epoch_loss / frames.len() as f64) as f32,
-                samples: frames.len(),
-            });
-        }
+            net.backward(&d_counts.scale(schedule.alpha * s.scale), &d_grids.scale(s.scale), s.ws, s.tape, s.grad);
+            schedule.alpha * l_count + lambda_grid * l_grid
+        });
         self.history = history.clone();
         history
     }

@@ -26,14 +26,9 @@ impl TrainedFilters {
     /// Annotates the training split with `annotator` (the Mask R-CNN stand-in)
     /// and trains the IC, OD and OD-COF filters.
     pub fn train(dataset: &Dataset, config: &FilterConfig, annotator: &dyn Detector) -> Self {
-        let labels = label_frames(dataset.train(), annotator, &config.classes, config.grid);
-        let mut ic = IcFilter::new(config.clone());
-        let mut od = OdFilter::new(config.clone());
-        let mut cof = CofFilter::new(config.clone());
-        ic.train(dataset.train(), &labels);
-        od.train(dataset.train(), &labels);
-        cof.train(dataset.train(), &labels);
-        TrainedFilters { ic, od, cof, train_labels: labels }
+        let mut trained = Self::train_ic_od(dataset, config, annotator);
+        trained.cof.train(dataset.train(), &trained.train_labels);
+        trained
     }
 
     /// Trains only the IC and OD filters (skipping OD-COF), which is enough
@@ -89,6 +84,26 @@ mod tests {
         // Jackson averages ~1.2 objects/frame, so the ±2 band is generous; an
         // even minimally trained filter must land most frames inside it.
         assert!(metrics.within_two > 0.5, "IC within-two accuracy {metrics:?}");
+    }
+
+    /// A schedule literal may say batch size 0: every filter trains it as
+    /// batch size 1, to the same weights and losses, bit for bit.
+    #[test]
+    fn zero_batch_size_trains_like_batch_one() {
+        let profile = DatasetProfile::jackson();
+        let ds = Dataset::generate(&profile, 6, 0, 4);
+        let oracle = OracleDetector::perfect();
+        let run = |batch_size| {
+            let mut config = FilterConfig::fast_test(profile.class_list());
+            (config.schedule.epochs, config.schedule.batch_size) = (1, batch_size);
+            let labels = label_frames(ds.train(), &oracle, &config.classes, config.grid);
+            let bits = |h: Vec<vmq_nn::train::EpochStats>| h.iter().map(|e| e.mean_loss.to_bits()).collect::<Vec<_>>();
+            let (mut ic, mut od, mut cof) =
+                (IcFilter::new(config.clone()), OdFilter::new(config.clone()), CofFilter::new(config));
+            let losses = [ic.train(ds.train(), &labels), od.train(ds.train(), &labels), cof.train(ds.train(), &labels)];
+            (losses.map(bits), [ic.param_digest(), od.param_digest(), cof.param_digest()])
+        };
+        assert_eq!(run(0), run(1));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! gradients, all writing into caller-owned buffers.
 //!
 //! The convolutions work from a zero-padded copy of the layer input (`[C,
-//! H+2p, W+2p]`, made by forward, kept by the layer for backward); no `[C·k·k,
+//! H+2p, W+2p]`, made by forward, kept on the tape for backward); no `[C·k·k,
 //! OH·OW]` column matrix exists. With `x[kk, p]` the padded input under tap
 //! `kk = (ci, ky, kx)` at output position `p`, the contract is the order of
 //! the im2col → matmul composition they replaced (`tests/train_differential.rs`):

@@ -2,7 +2,7 @@
 
 use crate::layer::Layer;
 use crate::ops::sigmoid;
-use crate::workspace::Workspace;
+use crate::workspace::{Tape, Workspace};
 
 /// Supported activation functions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,15 +57,12 @@ impl Act {
 /// An element-wise activation layer.
 pub struct Activation {
     act: Act,
-    /// What the derivative is a function of: the last forward *input* for
-    /// ReLU / LeakyReLU (its sign), the *output* for Sigmoid / Tanh.
-    cached: Vec<f32>,
 }
 
 impl Activation {
     /// Creates an activation layer.
     pub fn new(act: Act) -> Self {
-        Activation { act, cached: Vec::new() }
+        Activation { act }
     }
 
     /// The activation function used.
@@ -101,16 +98,18 @@ impl Activation {
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, ws: &mut Workspace) {
-        self.cached.clear();
+    /// Pushes what the derivative is a function of: the *input* for ReLU /
+    /// LeakyReLU (its sign), the *output* for Sigmoid / Tanh.
+    fn forward(&self, ws: &mut Workspace, tape: &mut Tape) {
+        let cached = tape.vals.push();
         if self.caches_input() {
-            self.cached.extend_from_slice(ws.data());
+            cached.extend_from_slice(ws.data());
         }
         for v in ws.data_mut() {
             *v = self.act.apply(*v);
         }
         if !self.caches_input() {
-            self.cached.extend_from_slice(ws.data());
+            cached.extend_from_slice(ws.data());
         }
     }
 
@@ -119,19 +118,12 @@ impl Layer for Activation {
         self.act.apply_slice(ws.data_mut());
     }
 
-    fn backward(&mut self, ws: &mut Workspace, _input_grad: bool) {
-        assert_eq!(ws.data().len(), self.cached.len(), "Activation::backward before forward");
-        for (g, &c) in ws.data_mut().iter_mut().zip(&self.cached) {
+    fn backward(&self, ws: &mut Workspace, tape: &mut Tape, _grad: &mut [f32], _input_grad: bool) {
+        let cached = tape.vals.pop();
+        assert_eq!(ws.data().len(), cached.len(), "Activation::backward without its forward pass");
+        for (g, &c) in ws.data_mut().iter_mut().zip(cached) {
             *g *= self.derivative(c);
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "Activation"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -141,34 +133,35 @@ mod tests {
     use crate::layer::tests::{backward, forward};
     use crate::tensor::Tensor;
 
+    /// Forward then backward of one activation: `(output, input gradient)`.
+    fn round_trip(act: Act, x: &Tensor, grad_out: f32) -> (Tensor, Tensor) {
+        let a = Activation::new(act);
+        let mut tape = Tape::default();
+        let y = forward(&a, &mut tape, x);
+        let (g, _) = backward(&a, &mut tape, &Tensor::full(x.shape().to_vec(), grad_out));
+        (y, g)
+    }
+
     #[test]
     fn relu_forward_backward() {
-        let mut a = Activation::new(Act::Relu);
-        let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0], vec![3]);
-        let y = forward(&mut a, &x);
+        let (y, g) = round_trip(Act::Relu, &Tensor::from_vec(vec![-1.0, 0.5, 2.0], vec![3]), 1.0);
         assert_eq!(y.data(), &[0.0, 0.5, 2.0]);
-        let g = backward(&mut a, &Tensor::full(vec![3], 1.0));
         assert_eq!(g.data(), &[0.0, 1.0, 1.0]);
     }
 
     #[test]
     fn leaky_relu_negative_slope() {
-        let mut a = Activation::new(Act::LeakyRelu(0.1));
-        let x = Tensor::from_vec(vec![-2.0, 3.0], vec![2]);
-        let y = forward(&mut a, &x);
+        let (y, g) = round_trip(Act::LeakyRelu(0.1), &Tensor::from_vec(vec![-2.0, 3.0], vec![2]), 2.0);
         assert!((y.data()[0] + 0.2).abs() < 1e-6);
         assert_eq!(y.data()[1], 3.0);
-        let g = backward(&mut a, &Tensor::full(vec![2], 2.0));
         assert!((g.data()[0] - 0.2).abs() < 1e-6);
         assert_eq!(g.data()[1], 2.0);
     }
 
     #[test]
     fn sigmoid_gradient_check() {
-        let mut a = Activation::new(Act::Sigmoid);
         let x = Tensor::from_vec(vec![0.3, -1.2, 2.0], vec![3]);
-        let _ = forward(&mut a, &x);
-        let g = backward(&mut a, &Tensor::full(vec![3], 1.0));
+        let (_, g) = round_trip(Act::Sigmoid, &x, 1.0);
         let eps = 1e-3;
         for i in 0..3 {
             let fp = sigmoid(x.data()[i] + eps);
@@ -180,10 +173,8 @@ mod tests {
 
     #[test]
     fn tanh_gradient_check() {
-        let mut a = Activation::new(Act::Tanh);
         let x = Tensor::from_vec(vec![0.5, -0.5], vec![2]);
-        let _ = forward(&mut a, &x);
-        let g = backward(&mut a, &Tensor::full(vec![2], 1.0));
+        let (_, g) = round_trip(Act::Tanh, &x, 1.0);
         let eps = 1e-3;
         for i in 0..2 {
             let numeric = ((x.data()[i] + eps).tanh() - (x.data()[i] - eps).tanh()) / (2.0 * eps);
@@ -195,17 +186,5 @@ mod tests {
     fn act_is_reported() {
         let a = Activation::new(Act::LeakyRelu(0.01));
         assert_eq!(a.act(), Act::LeakyRelu(0.01));
-    }
-
-    #[test]
-    fn forward_cache_stops_growing_after_the_first_sample() {
-        for act in [Act::Relu, Act::Sigmoid] {
-            let mut a = Activation::new(act);
-            let _ = forward(&mut a, &Tensor::full(vec![40], 1.0));
-            let warm = a.cached.capacity();
-            let _ = forward(&mut a, &Tensor::full(vec![40], -1.0));
-            let _ = backward(&mut a, &Tensor::full(vec![40], 1.0));
-            assert_eq!(a.cached.capacity(), warm);
-        }
     }
 }

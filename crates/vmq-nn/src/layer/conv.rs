@@ -8,7 +8,7 @@ use crate::layer::Layer;
 use crate::net::Param;
 use crate::ops::ConvSpec;
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
+use crate::workspace::{Tape, Workspace};
 
 /// A 2-D convolution over `CHW` tensors with square kernels.
 ///
@@ -18,9 +18,6 @@ pub struct Conv2d {
     spec: ConvSpec,
     weight: Param,
     bias: Param,
-    /// Zero-padded copy of the last forward input, read by `backward`.
-    cached_xpad: Vec<f32>,
-    cached_in_hw: (usize, usize),
 }
 
 impl Conv2d {
@@ -40,7 +37,7 @@ impl Conv2d {
         let mut rng = seeded_rng(seed.wrapping_mul(0x51_7C_C1_B7).wrapping_add(3));
         let weight = Param::new(kaiming_uniform(vec![out_channels, fan_in], fan_in, &mut rng));
         let bias = Param::new(Tensor::zeros(vec![out_channels]));
-        Conv2d { spec, weight, bias, cached_xpad: Vec::new(), cached_in_hw: (0, 0) }
+        Conv2d { spec, weight, bias }
     }
 
     /// Convenience constructor for the common 3×3 / stride-1 / pad-1 shape,
@@ -91,14 +88,15 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, ws: &mut Workspace) {
+    /// Pushes the zero-padded input and its `[h, w]`.
+    fn forward(&self, ws: &mut Workspace, tape: &mut Tape) {
         assert_eq!(ws.shape().len(), 3, "Conv2d expects CHW input");
         assert_eq!(ws.shape()[0], self.spec.in_channels, "Conv2d channel mismatch");
         let (h, w) = (ws.shape()[1], ws.shape()[2]);
-        self.cached_in_hw = (h, w);
+        tape.idx.push().extend([h, w]);
         let (input, out, scratch) = ws.split();
         let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
-        conv2d_forward_into(input, h, w, &self.spec, weight, bias, &mut self.cached_xpad, scratch, out);
+        conv2d_forward_into(input, h, w, &self.spec, weight, bias, tape.vals.push(), scratch, out);
         let (oh, ow) = self.spec.out_size(h, w);
         ws.commit(&[self.spec.out_channels, oh, ow]);
     }
@@ -107,28 +105,24 @@ impl Layer for Conv2d {
         self.infer_block(ws, BlockAct::Identity, false);
     }
 
-    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
-        assert!(!self.cached_xpad.is_empty(), "Conv2d::backward called before forward");
-        let (h, w) = self.cached_in_hw;
+    fn backward(&self, ws: &mut Workspace, tape: &mut Tape, grad: &mut [f32], input_grad: bool) {
+        let &[h, w] = tape.idx.pop() else { panic!("Conv2d::backward without its forward pass") };
+        let xpad = tape.vals.pop();
         let (grad_out, grad_in, scratch) = ws.split();
-        let (dw, db) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-        conv2d_backward_params_into(&self.cached_xpad, h, w, &self.spec, grad_out, scratch, dw, db);
+        let (dw, db) = grad.split_at_mut(self.weight.len());
+        conv2d_backward_params_into(xpad, h, w, &self.spec, grad_out, scratch, dw, db);
         if input_grad {
             conv2d_backward_input_into(self.weight.value.data(), h, w, &self.spec, grad_out, scratch, grad_in);
             ws.commit(&[self.spec.in_channels, h, w]);
         }
     }
 
-    fn params(&mut self) -> Vec<&mut Param> {
+    fn params(&self) -> Vec<&Param> {
+        vec![&self.weight, &self.bias]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn name(&self) -> &'static str {
-        "Conv2d"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -139,17 +133,15 @@ mod tests {
 
     #[test]
     fn same_conv_preserves_shape() {
-        let mut c = Conv2d::same(2, 4, 0);
-        let x = Tensor::full(vec![2, 8, 8], 1.0);
-        let y = forward(&mut c, &x);
+        let c = Conv2d::same(2, 4, 0);
+        let y = forward(&c, &mut Tape::default(), &Tensor::full(vec![2, 8, 8], 1.0));
         assert_eq!(y.shape(), &[4, 8, 8]);
     }
 
     #[test]
     fn stride_two_halves_spatial_dims() {
-        let mut c = Conv2d::new(1, 3, 3, 2, 1, 0);
-        let x = Tensor::full(vec![1, 8, 8], 1.0);
-        let y = forward(&mut c, &x);
+        let c = Conv2d::new(1, 3, 3, 2, 1, 0);
+        let y = forward(&c, &mut Tape::default(), &Tensor::full(vec![1, 8, 8], 1.0));
         assert_eq!(y.shape(), &[3, 4, 4]);
     }
 
@@ -158,24 +150,21 @@ mod tests {
         // L = sum(conv(x)); finite-difference check of a few weight entries.
         let mut c = Conv2d::new(1, 2, 3, 1, 1, 5);
         let x = Tensor::from_vec((0..16).map(|v| (v as f32 * 0.21).sin()).collect(), vec![1, 4, 4]);
-        let _y = forward(&mut c, &x);
+        let mut tape = Tape::default();
+        let _y = forward(&c, &mut tape, &x);
         let gout = Tensor::full(vec![2, 4, 4], 1.0);
-        let gx = backward(&mut c, &gout);
-        let analytic_w = c.weight.grad.clone();
+        let (gx, analytic_w) = backward(&c, &mut tape, &gout);
         let eps = 1e-3;
+        let loss = |c: &Conv2d, x: &Tensor| forward(c, &mut Tape::default(), x).sum();
         for idx in [0usize, 3, 7, 12, 17] {
             let orig = c.weight.value.data()[idx];
             c.weight.value.data_mut()[idx] = orig + eps;
-            let lp = forward(&mut c, &x).sum();
+            let lp = loss(&c, &x);
             c.weight.value.data_mut()[idx] = orig - eps;
-            let lm = forward(&mut c, &x).sum();
+            let lm = loss(&c, &x);
             c.weight.value.data_mut()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            assert!(
-                (numeric - analytic_w.data()[idx]).abs() < 2e-2,
-                "w[{idx}] {numeric} vs {}",
-                analytic_w.data()[idx]
-            );
+            assert!((numeric - analytic_w[idx]).abs() < 2e-2, "w[{idx}] {numeric} vs {}", analytic_w[idx]);
         }
         // input gradient check (a couple of positions)
         for i in [0usize, 5, 11] {
@@ -183,32 +172,18 @@ mod tests {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let lp = forward(&mut c, &xp).sum();
-            let lm = forward(&mut c, &xm).sum();
-            let numeric = (lp - lm) / (2.0 * eps);
+            let numeric = (loss(&c, &xp) - loss(&c, &xm)) / (2.0 * eps);
             assert!((numeric - gx.data()[i]).abs() < 2e-2, "x[{i}] {numeric} vs {}", gx.data()[i]);
         }
     }
 
     #[test]
     fn bias_gradient_accumulates_over_cells() {
-        let mut c = Conv2d::new(1, 1, 1, 1, 0, 0);
-        let x = Tensor::full(vec![1, 3, 3], 1.0);
-        let _ = forward(&mut c, &x);
-        let _ = backward(&mut c, &Tensor::full(vec![1, 3, 3], 1.0));
+        let c = Conv2d::new(1, 1, 1, 1, 0, 0);
+        let mut tape = Tape::default();
+        let _ = forward(&c, &mut tape, &Tensor::full(vec![1, 3, 3], 1.0));
+        let (_, grad) = backward(&c, &mut tape, &Tensor::full(vec![1, 3, 3], 1.0));
         // 9 output cells each contribute 1 to the single bias gradient.
-        assert_eq!(c.bias.grad.data()[0], 9.0);
-    }
-
-    #[test]
-    fn forward_cache_stops_growing_after_the_first_sample() {
-        let mut c = Conv2d::new(2, 3, 3, 1, 1, 0);
-        let _ = forward(&mut c, &Tensor::full(vec![2, 6, 6], 1.0));
-        let warm = c.cached_xpad.capacity();
-        for v in [0.5, -2.0] {
-            let _ = forward(&mut c, &Tensor::full(vec![2, 6, 6], v));
-            let _ = backward(&mut c, &Tensor::full(vec![3, 6, 6], v));
-        }
-        assert_eq!(c.cached_xpad.capacity(), warm);
+        assert_eq!(grad[1], 9.0);
     }
 }

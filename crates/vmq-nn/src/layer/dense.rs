@@ -5,7 +5,7 @@ use crate::kernels::matvec_into;
 use crate::layer::Layer;
 use crate::net::Param;
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
+use crate::workspace::{Tape, Workspace};
 
 /// A fully-connected layer `y = W x + b` over flat vectors.
 ///
@@ -17,7 +17,6 @@ pub struct Dense {
     bias: Param,
     in_dim: usize,
     out_dim: usize,
-    cached_input: Vec<f32>,
 }
 
 impl Dense {
@@ -26,7 +25,7 @@ impl Dense {
         let mut rng = seeded_rng(seed.wrapping_mul(0x9E37_79B9).wrapping_add(17));
         let weight = Param::new(kaiming_uniform(vec![out_dim, in_dim], in_dim, &mut rng));
         let bias = Param::new(Tensor::zeros(vec![out_dim]));
-        Dense { weight, bias, in_dim, out_dim, cached_input: Vec::new() }
+        Dense { weight, bias, in_dim, out_dim }
     }
 
     /// Input dimensionality.
@@ -52,10 +51,10 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, ws: &mut Workspace) {
+    /// Pushes the input.
+    fn forward(&self, ws: &mut Workspace, tape: &mut Tape) {
         assert_eq!(ws.data().len(), self.in_dim, "Dense input length mismatch");
-        self.cached_input.clear();
-        self.cached_input.extend_from_slice(ws.data());
+        tape.vals.push().extend_from_slice(ws.data());
         // `matvec_into` keeps the scalar order on every backend.
         self.infer(ws);
     }
@@ -72,23 +71,24 @@ impl Layer for Dense {
         ws.commit(&[self.out_dim]);
     }
 
-    fn backward(&mut self, ws: &mut Workspace, input_grad: bool) {
-        assert_eq!(self.cached_input.len(), self.in_dim, "Dense::backward called before forward");
+    fn backward(&self, ws: &mut Workspace, tape: &mut Tape, grad: &mut [f32], input_grad: bool) {
+        let input = tape.vals.pop();
+        assert_eq!(input.len(), self.in_dim, "Dense::backward without its forward pass");
         let (grad_out, grad_in, _scratch) = ws.split();
         assert_eq!(grad_out.len(), self.out_dim);
         // dW[o][i] += g[o] * x[i]
-        let gw = self.weight.grad.data_mut();
+        let (gw, gb) = grad.split_at_mut(self.weight.len());
         for (o, &g) in grad_out.iter().enumerate() {
             if g == 0.0 {
                 continue;
             }
             let row = &mut gw[o * self.in_dim..(o + 1) * self.in_dim];
-            for (w, &x) in row.iter_mut().zip(&self.cached_input) {
+            for (w, &x) in row.iter_mut().zip(input) {
                 *w += g * x;
             }
         }
         // db += g
-        for (b, &g) in self.bias.grad.data_mut().iter_mut().zip(grad_out) {
+        for (b, &g) in gb.iter_mut().zip(grad_out) {
             *b += g;
         }
         if !input_grad {
@@ -110,16 +110,12 @@ impl Layer for Dense {
         ws.commit(&[self.in_dim]);
     }
 
-    fn params(&mut self) -> Vec<&mut Param> {
+    fn params(&self) -> Vec<&Param> {
+        vec![&self.weight, &self.bias]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn name(&self) -> &'static str {
-        "Dense"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -128,13 +124,17 @@ mod tests {
     use super::*;
     use crate::layer::tests::{backward, forward};
 
+    fn loss(d: &Dense, x: &Tensor) -> f32 {
+        forward(d, &mut Tape::default(), x).sum()
+    }
+
     #[test]
     fn forward_matches_manual() {
         let mut d = Dense::new(2, 2, 0);
         // overwrite with known weights
         d.weight.value = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]);
         d.bias.value = Tensor::from_vec(vec![0.5, -0.5], vec![2]);
-        let y = forward(&mut d, &Tensor::from_vec(vec![1.0, 1.0], vec![2]));
+        let y = forward(&d, &mut Tape::default(), &Tensor::from_vec(vec![1.0, 1.0], vec![2]));
         assert_eq!(y.data(), &[3.5, 6.5]);
     }
 
@@ -143,37 +143,36 @@ mod tests {
         // finite-difference check of dL/dW for L = sum(y)
         let mut d = Dense::new(3, 2, 1);
         let x = Tensor::from_vec(vec![0.3, -0.7, 1.2], vec![3]);
-        let _ = forward(&mut d, &x);
-        let _ = backward(&mut d, &Tensor::full(vec![2], 1.0));
-        let analytic = d.weight.grad.clone();
+        let mut tape = Tape::default();
+        let _ = forward(&d, &mut tape, &x);
+        let (_, analytic) = backward(&d, &mut tape, &Tensor::full(vec![2], 1.0));
         let eps = 1e-3;
-        for idx in 0..d.weight.value.len() {
+        for (idx, &want) in analytic.iter().enumerate().take(d.weight.value.len()) {
             let orig = d.weight.value.data()[idx];
             d.weight.value.data_mut()[idx] = orig + eps;
-            let lp = forward(&mut d, &x).sum();
+            let lp = loss(&d, &x);
             d.weight.value.data_mut()[idx] = orig - eps;
-            let lm = forward(&mut d, &x).sum();
+            let lm = loss(&d, &x);
             d.weight.value.data_mut()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            assert!((numeric - analytic.data()[idx]).abs() < 1e-2, "idx {idx}: {numeric} vs {}", analytic.data()[idx]);
+            assert!((numeric - want).abs() < 1e-2, "idx {idx}: {numeric} vs {want}");
         }
     }
 
     #[test]
     fn gradient_check_input() {
-        let mut d = Dense::new(3, 2, 2);
+        let d = Dense::new(3, 2, 2);
         let x = Tensor::from_vec(vec![0.1, 0.2, -0.3], vec![3]);
-        let _ = forward(&mut d, &x);
-        let gx = backward(&mut d, &Tensor::full(vec![2], 1.0));
+        let mut tape = Tape::default();
+        let _ = forward(&d, &mut tape, &x);
+        let (gx, _) = backward(&d, &mut tape, &Tensor::full(vec![2], 1.0));
         let eps = 1e-3;
         for i in 0..3 {
             let mut xp = x.clone();
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let lp = forward(&mut d, &xp).sum();
-            let lm = forward(&mut d, &xm).sum();
-            let numeric = (lp - lm) / (2.0 * eps);
+            let numeric = (loss(&d, &xp) - loss(&d, &xm)) / (2.0 * eps);
             assert!((numeric - gx.data()[i]).abs() < 1e-2);
         }
     }
@@ -185,15 +184,6 @@ mod tests {
         assert_eq!(ps.len(), 2);
         assert_eq!(ps[0].value.shape(), &[3, 4]);
         assert_eq!(ps[1].value.shape(), &[3]);
-    }
-
-    #[test]
-    fn forward_cache_stops_growing_after_the_first_sample() {
-        let mut d = Dense::new(5, 2, 0);
-        let _ = forward(&mut d, &Tensor::full(vec![5], 1.0));
-        let warm = d.cached_input.capacity();
-        let _ = forward(&mut d, &Tensor::full(vec![5], -1.0));
-        let _ = backward(&mut d, &Tensor::full(vec![2], 1.0));
-        assert_eq!(d.cached_input.capacity(), warm);
+        assert_eq!(d.params_mut().len(), 2);
     }
 }

@@ -1,8 +1,9 @@
 //! Neural-network layers with explicit forward / backward passes.
 //!
-//! Every layer caches whatever it needs from the forward pass (inputs,
-//! pooling indices) in buffers it keeps across samples: backward needs no
-//! autograd graph and, like inference over a [`Workspace`], no allocation.
+//! Layers are stateless during training: each reads its weights through
+//! `&self`, leaves what its backward pass needs on a caller-owned [`Tape`]
+//! and writes its parameter gradients into a caller-owned slice. So one
+//! network trains many samples at once, one tape and gradient slot each.
 
 mod activation;
 mod conv;
@@ -15,73 +16,82 @@ pub use dense::Dense;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 
 use crate::net::Param;
-use crate::workspace::Workspace;
+use crate::workspace::{Tape, Workspace};
 
 /// A differentiable layer.
 ///
-/// `forward` must be called before `backward`; layers are stateful and keep
-/// the activations of the most recent forward pass. Layers are `Send + Sync`
-/// so trained networks can be moved into the streaming executor's worker
-/// threads — and, through the shared-read [`Layer::infer`] path, serve many
-/// inference threads concurrently without a lock.
-pub trait Layer: Send + Sync {
-    /// Training forward pass: [`Layer::infer`] that caches what
-    /// [`Layer::backward`] needs in buffers kept across samples and runs one
-    /// scalar accumulation order on every backend (backend-invariant weights).
-    fn forward(&mut self, ws: &mut Workspace);
+/// `backward` pops what the matching `forward` pushed onto the tape, so a
+/// network's backward pass visits its layers in reverse. Layers are
+/// `Send + Sync` and take `&self` in every pass, so a trained network is
+/// shared by many inference threads, and a network in training by many
+/// per-sample passes, without a lock.
+pub trait Layer: AsAny + Send + Sync {
+    /// Training forward pass: [`Layer::infer`] that pushes what
+    /// [`Layer::backward`] needs onto `tape` and runs one scalar
+    /// accumulation order on every backend (backend-invariant weights).
+    fn forward(&self, ws: &mut Workspace, tape: &mut Tape);
 
     /// Inference-only forward pass: reads the current activation from `ws`
     /// and leaves the layer output there, using only the workspace's
-    /// caller-owned scratch buffers — no `&mut self` (so a trained net can
-    /// be shared across threads) and no heap allocation in steady state.
+    /// caller-owned scratch buffers and no heap allocation in steady state.
     ///
     /// Bit-identical to [`Layer::forward`] under the scalar backend
     /// (`VMQ_FORCE_SCALAR=1`); a SIMD backend may differ per element within
     /// the ULP tolerance documented in [`crate::kernels`], deterministically.
     fn infer(&self, ws: &mut Workspace);
 
-    /// Reads the loss gradient w.r.t. the layer output from `ws`, accumulates
-    /// parameter gradients and, if `input_grad`, leaves the gradient w.r.t.
-    /// the layer input there (else — a model's first layer — unspecified).
-    fn backward(&mut self, ws: &mut Workspace, input_grad: bool);
+    /// Reads the loss gradient w.r.t. the layer output from `ws` and pops the
+    /// forward pass's records off `tape`. Adds one term per element to
+    /// `grad`, the layer's parameter gradients laid out as
+    /// [`Layer::params`] (`[]` for a parameter-free layer). If
+    /// `input_grad`, leaves the gradient w.r.t. the layer input in `ws`
+    /// (else — a model's first layer — unspecified).
+    fn backward(&self, ws: &mut Workspace, tape: &mut Tape, grad: &mut [f32], input_grad: bool);
 
-    /// Mutable references to the layer's trainable parameters (empty for
-    /// parameter-free layers).
-    fn params(&mut self) -> Vec<&mut Param> {
+    /// The layer's trainable parameters (empty for parameter-free layers).
+    fn params(&self) -> Vec<&Param> {
         Vec::new()
     }
 
-    /// Short layer name for architecture summaries.
-    fn name(&self) -> &'static str;
+    /// [`Layer::params`], mutably, for the optimiser step.
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        Vec::new()
+    }
 
-    /// The layer as [`std::any::Any`], so structure-aware consumers (e.g.
-    /// post-training quantization in [`crate::quant`]) can downcast a boxed
-    /// `dyn Layer` back to its concrete type.
+    /// Short layer name for architecture summaries: the type's own name.
+    fn name(&self) -> &'static str {
+        std::any::type_name::<Self>().rsplit("::").next().unwrap_or("layer")
+    }
+}
+
+/// The layer as [`std::any::Any`], so structure-aware consumers (e.g.
+/// post-training quantization in [`crate::quant`]) can downcast a boxed
+/// `dyn Layer` back to its concrete type. Every layer has it.
+pub trait AsAny {
+    /// `self` as [`std::any::Any`].
     fn as_any(&self) -> &dyn std::any::Any;
 }
 
-/// Reshapes any tensor into a flat vector (and restores the shape on backward).
-pub struct Flatten {
-    in_shape: Vec<usize>,
+impl<T: Layer + 'static> AsAny for T {
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
 }
+
+/// Reshapes any tensor into a flat vector (and restores the shape on backward).
+#[derive(Default)]
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Flatten { in_shape: Vec::new() }
-    }
-}
-
-impl Default for Flatten {
-    fn default() -> Self {
-        Self::new()
+        Flatten
     }
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, ws: &mut Workspace) {
-        self.in_shape.clear();
-        self.in_shape.extend_from_slice(ws.shape());
+    fn forward(&self, ws: &mut Workspace, tape: &mut Tape) {
+        tape.idx.push().extend_from_slice(ws.shape());
         self.infer(ws);
     }
 
@@ -89,16 +99,8 @@ impl Layer for Flatten {
         ws.set_shape(&[ws.data().len()]);
     }
 
-    fn backward(&mut self, ws: &mut Workspace, _input_grad: bool) {
-        ws.set_shape(&self.in_shape);
-    }
-
-    fn name(&self) -> &'static str {
-        "Flatten"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    fn backward(&self, ws: &mut Workspace, tape: &mut Tape, _grad: &mut [f32], _input_grad: bool) {
+        ws.set_shape(tape.idx.pop());
     }
 }
 
@@ -107,29 +109,35 @@ pub(crate) mod tests {
     use super::*;
     use crate::tensor::Tensor;
 
-    /// One training forward pass of a single layer over a fresh workspace.
-    pub(crate) fn forward(layer: &mut dyn Layer, input: &Tensor) -> Tensor {
+    /// One training forward pass of a single layer over a fresh workspace,
+    /// leaving its records on `tape`.
+    pub(crate) fn forward(layer: &dyn Layer, tape: &mut Tape, input: &Tensor) -> Tensor {
         let mut ws = Workspace::new();
         ws.load(input);
-        layer.forward(&mut ws);
+        layer.forward(&mut ws, tape);
         ws.output()
     }
 
-    /// One backward pass of a single layer (input gradient included).
-    pub(crate) fn backward(layer: &mut dyn Layer, grad_out: &Tensor) -> Tensor {
+    /// One backward pass of a single layer (input gradient included): pops
+    /// the layer's records off `tape`, returns the input gradient and the
+    /// parameter gradients (from +0.0, laid out as [`Layer::params`]).
+    pub(crate) fn backward(layer: &dyn Layer, tape: &mut Tape, grad_out: &Tensor) -> (Tensor, Vec<f32>) {
         let mut ws = Workspace::new();
         ws.load(grad_out);
-        layer.backward(&mut ws, true);
-        ws.output()
+        let mut grad = vec![0.0; layer.params().iter().map(|p| p.len()).sum()];
+        layer.backward(&mut ws, tape, &mut grad, true);
+        assert!(tape.is_empty(), "{} left records on the tape", layer.name());
+        (ws.output(), grad)
     }
 
     #[test]
     fn flatten_roundtrip() {
-        let mut f = Flatten::new();
+        let f = Flatten::new();
         let x = Tensor::from_vec((0..12).map(|v| v as f32).collect(), vec![3, 2, 2]);
-        let y = forward(&mut f, &x);
+        let mut tape = Tape::default();
+        let y = forward(&f, &mut tape, &x);
         assert_eq!(y.shape(), &[12]);
-        let gx = backward(&mut f, &y);
+        let (gx, _) = backward(&f, &mut tape, &y);
         assert_eq!(gx.shape(), &[3, 2, 2]);
         assert_eq!(gx.data(), x.data());
         assert_eq!(f.name(), "Flatten");

@@ -4,20 +4,18 @@ use crate::grad::{global_avg_pool_backward_into, maxpool2d_backward_into};
 use crate::kernels::{global_avg_pool_into, maxpool2d_into};
 use crate::layer::Layer;
 use crate::ops;
-use crate::workspace::Workspace;
+use crate::workspace::{Tape, Workspace};
 
 /// Square, non-overlapping max pooling (window == stride).
 pub struct MaxPool2d {
     size: usize,
-    cached_idx: Vec<usize>,
-    cached_in_shape: [usize; 3],
 }
 
 impl MaxPool2d {
     /// Creates a max-pool layer with the given window size.
     pub fn new(size: usize) -> Self {
         assert!(size >= 1, "pool size must be >= 1");
-        MaxPool2d { size, cached_idx: Vec::new(), cached_in_shape: [0; 3] }
+        MaxPool2d { size }
     }
 
     /// Pool window size.
@@ -27,12 +25,13 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, ws: &mut Workspace) {
+    /// Pushes each pooled cell's argmax, then the `[c, h, w]` input shape.
+    fn forward(&self, ws: &mut Workspace, tape: &mut Tape) {
         assert_eq!(ws.shape().len(), 3, "MaxPool2d expects CHW input");
         let (c, h, w) = (ws.shape()[0], ws.shape()[1], ws.shape()[2]);
-        self.cached_in_shape = [c, h, w];
         let (input, out, _scratch) = ws.split();
-        ops::maxpool2d_into(input, c, h, w, self.size, out, Some(&mut self.cached_idx));
+        ops::maxpool2d_into(input, c, h, w, self.size, out, Some(tape.idx.push()));
+        tape.idx.push().extend([c, h, w]);
         ws.commit(&[c, h / self.size, w / self.size]);
     }
 
@@ -46,42 +45,29 @@ impl Layer for MaxPool2d {
         ws.commit(&[c, h / self.size, w / self.size]);
     }
 
-    fn backward(&mut self, ws: &mut Workspace, _input_grad: bool) {
+    fn backward(&self, ws: &mut Workspace, tape: &mut Tape, _grad: &mut [f32], _input_grad: bool) {
+        let &[c, h, w] = tape.idx.pop() else { panic!("MaxPool2d::backward without its forward pass") };
         let (grad_out, grad_in, _scratch) = ws.split();
-        maxpool2d_backward_into(grad_out, &self.cached_idx, self.cached_in_shape.iter().product(), grad_in);
-        ws.commit(&self.cached_in_shape);
-    }
-
-    fn name(&self) -> &'static str {
-        "MaxPool2d"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+        maxpool2d_backward_into(grad_out, tape.idx.pop(), c * h * w, grad_in);
+        ws.commit(&[c, h, w]);
     }
 }
 
 /// Global average pooling `[C, H, W] -> [C]` (the GAP block of Figs. 2, 4, 5).
-pub struct GlobalAvgPool {
-    cached_in_hw: (usize, usize),
-}
+#[derive(Default)]
+pub struct GlobalAvgPool;
 
 impl GlobalAvgPool {
     /// Creates a global average pooling layer.
     pub fn new() -> Self {
-        GlobalAvgPool { cached_in_hw: (0, 0) }
-    }
-}
-
-impl Default for GlobalAvgPool {
-    fn default() -> Self {
-        Self::new()
+        GlobalAvgPool
     }
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, ws: &mut Workspace) {
-        self.cached_in_hw = (ws.shape()[1], ws.shape()[2]);
+    /// Pushes the `[h, w]` of the input.
+    fn forward(&self, ws: &mut Workspace, tape: &mut Tape) {
+        tape.idx.push().extend_from_slice(&ws.shape()[1..]);
         self.infer(ws);
     }
 
@@ -95,20 +81,12 @@ impl Layer for GlobalAvgPool {
         ws.commit(&[c]);
     }
 
-    fn backward(&mut self, ws: &mut Workspace, _input_grad: bool) {
-        let (h, w) = self.cached_in_hw;
+    fn backward(&self, ws: &mut Workspace, tape: &mut Tape, _grad: &mut [f32], _input_grad: bool) {
+        let &[h, w] = tape.idx.pop() else { panic!("GlobalAvgPool::backward without its forward pass") };
         let (grad_out, grad_in, _scratch) = ws.split();
         let c = grad_out.len();
         global_avg_pool_backward_into(grad_out, h, w, grad_in);
         ws.commit(&[c, h, w]);
-    }
-
-    fn name(&self) -> &'static str {
-        "GlobalAvgPool"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -120,12 +98,13 @@ mod tests {
 
     #[test]
     fn maxpool_layer_roundtrip() {
-        let mut p = MaxPool2d::new(2);
+        let p = MaxPool2d::new(2);
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), vec![1, 4, 4]);
-        let y = forward(&mut p, &x);
+        let mut tape = Tape::default();
+        let y = forward(&p, &mut tape, &x);
         assert_eq!(y.shape(), &[1, 2, 2]);
         assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);
-        let g = backward(&mut p, &Tensor::full(vec![1, 2, 2], 1.0));
+        let (g, _) = backward(&p, &mut tape, &Tensor::full(vec![1, 2, 2], 1.0));
         assert_eq!(g.shape(), &[1, 4, 4]);
         assert_eq!(g.sum(), 4.0);
         assert_eq!(p.size(), 2);
@@ -133,11 +112,12 @@ mod tests {
 
     #[test]
     fn gap_layer_roundtrip() {
-        let mut g = GlobalAvgPool::new();
+        let g = GlobalAvgPool::new();
         let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], vec![1, 2, 2]);
-        let y = forward(&mut g, &x);
+        let mut tape = Tape::default();
+        let y = forward(&g, &mut tape, &x);
         assert_eq!(y.data(), &[4.0]);
-        let gx = backward(&mut g, &Tensor::from_vec(vec![8.0], vec![1]));
+        let (gx, _) = backward(&g, &mut tape, &Tensor::from_vec(vec![8.0], vec![1]));
         assert_eq!(gx.data(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
@@ -145,15 +125,5 @@ mod tests {
     #[should_panic(expected = "pool size")]
     fn zero_pool_size_rejected() {
         let _ = MaxPool2d::new(0);
-    }
-
-    #[test]
-    fn forward_cache_stops_growing_after_the_first_sample() {
-        let mut p = MaxPool2d::new(2);
-        let _ = forward(&mut p, &Tensor::full(vec![2, 6, 6], 1.0));
-        let warm = p.cached_idx.capacity();
-        let _ = forward(&mut p, &Tensor::full(vec![2, 6, 6], -1.0));
-        let _ = backward(&mut p, &Tensor::full(vec![2, 3, 3], 1.0));
-        assert_eq!(p.cached_idx.capacity(), warm);
     }
 }

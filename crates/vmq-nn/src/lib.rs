@@ -16,33 +16,33 @@
 //!   plumbing ([`net`]) and mini-batch training utilities ([`train`]).
 //!
 //! The design intentionally avoids a general autograd graph: every layer
-//! caches what it needs during `forward` and produces input gradients during
-//! `backward`, which keeps the implementation small, predictable and easy to
-//! test with finite differences.
+//! pushes what it needs onto a caller-owned tape during `forward` and pops
+//! it to produce gradients during `backward`, which keeps the implementation
+//! small, predictable, easy to test with finite differences, and lets one
+//! network train many samples at once ([`train::train`]).
 //!
 //! ## Example
 //!
 //! ```
 //! use vmq_nn::{layer::Dense, net::Sequential, tensor::Tensor, Workspace};
-//! use vmq_nn::optim::{Adam, Optimizer};
 //! use vmq_nn::loss::mse_loss;
+//! use vmq_nn::optim::Adam;
+//! use vmq_nn::train::{train, Epochs};
 //!
 //! // Learn y = 2x with a single linear layer on two training points.
+//! let data = [(1.5f32, 3.0f32), (-1.0, -2.0)];
 //! let mut net = Sequential::new(vec![Box::new(Dense::new(1, 1, 7))]);
-//! let mut opt = Adam::new(0.05);
-//! let mut ws = Workspace::new();
-//! for _ in 0..300 {
-//!     for &(x, y) in &[(1.5f32, 3.0f32), (-1.0, -2.0)] {
-//!         ws.load_slice(&[x], &[1]);
-//!         net.forward_ws(&mut ws);
-//!         let (_loss, grad) = mse_loss(&ws.output(), &Tensor::from_vec(vec![y], vec![1]));
-//!         ws.load(&grad);
-//!         net.backward_ws(&mut ws, false);
-//!         opt.step(&mut net.parameters());
-//!         net.zero_grad();
-//!     }
-//! }
-//! let out = net.infer(&Tensor::from_vec(vec![2.0], vec![1]), &mut ws);
+//! let plan = Epochs { samples: data.len(), epochs: 300, batch_size: 1, seed: 0 };
+//! train(&mut net, plan, Adam::new(0.05), 1, |net, s| {
+//!     let (x, y) = data[s.index];
+//!     s.ws.load_slice(&[x], &[1]);
+//!     net.forward_ws(s.ws, s.tape);
+//!     let (loss, grad) = mse_loss(&s.ws.output(), &Tensor::from_vec(vec![y], vec![1]));
+//!     s.ws.load(&grad.scale(s.scale));
+//!     net.backward_ws(s.ws, s.tape, s.grad, false);
+//!     loss
+//! });
+//! let out = net.infer(&Tensor::from_vec(vec![2.0], vec![1]), &mut Workspace::new());
 //! assert!((out.data()[0] - 4.0).abs() < 0.2);
 //! ```
 
@@ -71,4 +71,4 @@ pub use net::{Param, Sequential};
 pub use optim::{Adam, Optimizer};
 pub use quant::QuantizedSequential;
 pub use tensor::Tensor;
-pub use workspace::{scratch_growth_events, with_thread_workspace, Workspace};
+pub use workspace::{scratch_growth_events, with_thread_workspace, Tape, Workspace};

@@ -3,7 +3,7 @@
 use crate::kernels::BlockAct;
 use crate::layer::{Act, Activation, Conv2d, Layer, MaxPool2d};
 use crate::tensor::Tensor;
-use crate::workspace::Workspace;
+use crate::workspace::{Tape, Workspace};
 use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: its current value and the accumulated gradient.
@@ -40,7 +40,7 @@ impl Param {
 
 /// FNV-1a over the bit pattern of every value of `params`, in order — what
 /// the trained-weights golden pins.
-pub fn param_digest(params: &[&mut Param]) -> u64 {
+pub fn param_digest(params: &[&Param]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in params.iter().flat_map(|p| p.value.data()).flat_map(|v| v.to_bits().to_le_bytes()) {
         hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
@@ -62,31 +62,17 @@ impl Sequential {
         Sequential { layers }
     }
 
-    /// An empty network (identity function).
-    pub fn empty() -> Self {
-        Sequential { layers: Vec::new() }
-    }
-
     /// Appends a layer.
     pub fn push(&mut self, layer: Box<dyn Layer>) {
         self.layers.push(layer);
     }
 
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// True when the network has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
     /// Training forward pass ([`Layer::forward`] per layer) over the
-    /// activation loaded into `ws`, leaving the network output there.
-    pub fn forward_ws(&mut self, ws: &mut Workspace) {
-        for layer in &mut self.layers {
-            layer.forward(ws);
+    /// activation loaded into `ws`, leaving the network output there and
+    /// what [`Sequential::backward_ws`] needs on `tape`.
+    pub fn forward_ws(&self, ws: &mut Workspace, tape: &mut Tape) {
+        for layer in &self.layers {
+            layer.forward(ws, tape);
         }
     }
 
@@ -124,30 +110,44 @@ impl Sequential {
     }
 
     /// Backward pass over the loss gradient w.r.t. the network output loaded
-    /// into `ws`: accumulates every parameter gradient and, if `input_grad`,
-    /// leaves the gradient w.r.t. the network input there. A filter trunk
-    /// passes `false`: nothing reads its first layer's input gradient.
-    pub fn backward_ws(&mut self, ws: &mut Workspace, input_grad: bool) {
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            layer.backward(ws, i > 0 || input_grad);
+    /// into `ws`, popping the forward pass's records off `tape`. The
+    /// parameter gradients go into the tail of `grad`, laid out as
+    /// [`Sequential::parameters`], and the part of `grad` before them is
+    /// returned: a network made of several `Sequential`s runs their backward
+    /// passes last to first, each on what the one after it left. If
+    /// `input_grad`, the gradient w.r.t. the network input is left in `ws`.
+    /// A filter trunk passes `false`: nothing reads its first layer's input
+    /// gradient.
+    pub fn backward_ws<'g>(
+        &self,
+        ws: &mut Workspace,
+        tape: &mut Tape,
+        grad: &'g mut [f32],
+        input_grad: bool,
+    ) -> &'g mut [f32] {
+        let mut rest = grad;
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            let at = rest.len() - layer.params().iter().map(|p| p.len()).sum::<usize>();
+            let (before, own) = std::mem::take(&mut rest).split_at_mut(at);
+            layer.backward(ws, tape, own, i > 0 || input_grad);
+            rest = before;
         }
+        rest
     }
 
-    /// Mutable references to every trainable parameter in layer order.
-    pub fn parameters(&mut self) -> Vec<&mut Param> {
-        self.layers.iter_mut().flat_map(|l| l.params()).collect()
+    /// Every trainable parameter in layer order.
+    pub fn parameters(&self) -> Vec<&Param> {
+        self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
-    /// Zeroes all accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        for p in self.parameters() {
-            p.zero_grad();
-        }
+    /// [`Sequential::parameters`], mutably.
+    pub fn parameters_mut(&mut self) -> Vec<&mut Param> {
+        self.layers.iter_mut().flat_map(|l| l.params_mut()).collect()
     }
 
     /// Read-only access to the layer stack (used by structure-aware
     /// consumers such as post-training quantization, via
-    /// [`Layer::as_any`]).
+    /// [`crate::layer::AsAny::as_any`]).
     pub fn layers(&self) -> &[Box<dyn Layer>] {
         &self.layers
     }
@@ -188,6 +188,11 @@ mod tests {
     use super::*;
     use crate::layer::Dense;
 
+    /// The length of a gradient slot for `net`.
+    fn slot_len(net: &Sequential) -> usize {
+        net.parameters().iter().map(|p| p.len()).sum()
+    }
+
     #[test]
     fn param_zero_grad() {
         let mut p = Param::new(Tensor::full(vec![3], 1.0));
@@ -199,32 +204,23 @@ mod tests {
 
     #[test]
     fn sequential_forward_backward_shapes() {
-        let mut net = Sequential::new(vec![
+        let net = Sequential::new(vec![
             Box::new(Dense::new(4, 8, 0)),
             Box::new(Activation::new(Act::Relu)),
             Box::new(Dense::new(8, 2, 1)),
         ]);
-        let mut ws = Workspace::new();
+        let (mut ws, mut tape) = (Workspace::new(), Tape::default());
         ws.load(&Tensor::full(vec![4], 0.5));
-        net.forward_ws(&mut ws);
+        net.forward_ws(&mut ws, &mut tape);
         assert_eq!(ws.shape(), &[2]);
         ws.load(&Tensor::full(vec![2], 1.0));
-        net.backward_ws(&mut ws, true);
+        let mut grad = vec![0.0; slot_len(&net)];
+        assert!(net.backward_ws(&mut ws, &mut tape, &mut grad, true).is_empty());
         assert_eq!(ws.shape(), &[4]);
-        assert!(!net.parameters().is_empty());
-    }
-
-    #[test]
-    fn zero_grad_clears_all() {
-        let mut net = Sequential::new(vec![Box::new(Dense::new(2, 2, 0))]);
-        let mut ws = Workspace::new();
-        ws.load(&Tensor::full(vec![2], 1.0));
-        net.forward_ws(&mut ws);
-        ws.load(&Tensor::full(vec![2], 1.0));
-        net.backward_ws(&mut ws, false);
-        assert!(net.parameters().iter().any(|p| p.grad.norm() > 0.0));
-        net.zero_grad();
-        assert!(net.parameters().iter().all(|p| p.grad.norm() == 0.0));
+        assert!(tape.is_empty());
+        assert_eq!(grad.len(), 4 * 8 + 8 + 8 * 2 + 2);
+        // The last layer's bias gradient is the output gradient itself.
+        assert_eq!(&grad[grad.len() - 2..], &[1.0, 1.0]);
     }
 
     /// `forward` (training) always runs the scalar reference; `infer` goes
@@ -236,7 +232,7 @@ mod tests {
     #[test]
     fn infer_matches_forward_within_kernel_tolerance_and_reuses_buffers() {
         use crate::layer::{Flatten, GlobalAvgPool};
-        let mut net = Sequential::new(vec![
+        let net = Sequential::new(vec![
             Box::new(Conv2d::same(2, 4, 3)),
             Box::new(Activation::new(Act::LeakyRelu(0.1))),
             Box::new(MaxPool2d::new(2)),
@@ -254,7 +250,8 @@ mod tests {
                 vec![2, 8, 8],
             );
             ws.load(&x);
-            net.forward_ws(&mut ws);
+            let mut tape = Tape::default();
+            net.forward_ws(&mut ws, &mut tape);
             let reference = ws.output();
             // The same workspace serves every pass (buffer reuse must not
             // leak stale state between frames).
@@ -273,13 +270,25 @@ mod tests {
         }
     }
 
-    /// The workspace reaches its high-water mark on the first sample; the
-    /// epochs after it allocate nothing. (Each caching layer's own unit
-    /// tests check the same of its forward cache.)
+    /// A batch's gradient replaces whatever the parameters held: summing
+    /// all-zero slots clears every gradient.
+    #[test]
+    fn zero_grad_clears_all() {
+        let mut net = Sequential::new(vec![Box::new(Dense::new(2, 2, 0)), Box::new(Dense::new(2, 3, 1))]);
+        net.parameters_mut().into_iter().for_each(|p| p.grad.fill(3.0));
+        let slots = vec![0.0; 2 * slot_len(&net)];
+        crate::train::sum_slots(&mut net.parameters_mut(), &slots);
+        assert!(net.parameters().iter().all(|p| p.grad.norm() == 0.0));
+    }
+
+    /// The workspace, the tape and the gradient slot reach their
+    /// high-water marks on the first sample; the epochs after it allocate
+    /// nothing. Every layer kind that leaves records is in the stack, so a
+    /// layer whose records grew per sample would show here.
     #[test]
     fn training_grows_no_buffer_after_the_first_sample() {
         use crate::layer::{Flatten, GlobalAvgPool};
-        let mut net = Sequential::new(vec![
+        let net = Sequential::new(vec![
             Box::new(Conv2d::same(2, 4, 3)),
             Box::new(Activation::new(Act::LeakyRelu(0.1))),
             Box::new(MaxPool2d::new(2)),
@@ -292,24 +301,31 @@ mod tests {
         ]);
         let samples: Vec<Vec<f32>> =
             (0..6).map(|s| (0..2 * 8 * 8).map(|v| ((v + s * 131) as f32 * 0.173).sin()).collect()).collect();
-        let mut ws = crate::workspace::Workspace::new();
-        let epoch = |net: &mut Sequential, ws: &mut crate::workspace::Workspace| {
+        let (mut ws, mut tape) = (Workspace::new(), Tape::default());
+        let mut grad = vec![0.0; slot_len(&net)];
+        let mut epoch = || {
             for (i, x) in samples.iter().enumerate() {
                 ws.load_slice(x, &[2, 8, 8]);
-                net.forward_ws(ws);
+                net.forward_ws(&mut ws, &mut tape);
                 assert_eq!(ws.shape(), &[2]);
                 ws.load_slice(&[0.5, -0.25], &[2]);
                 // Both backward forms: with and without the input gradient.
-                net.backward_ws(ws, i % 2 == 0);
+                net.backward_ws(&mut ws, &mut tape, &mut grad, i % 2 == 0);
+                assert!(tape.is_empty(), "backward left forward records on the tape");
             }
-            ws.capacity_bytes()
+            (ws.capacity_bytes(), tape.capacity_bytes(), grad.capacity())
         };
-        let warm = epoch(&mut net, &mut ws);
-        assert!(warm > 0);
+        let warm = epoch();
+        assert!(warm.0 > 0 && warm.1 > 0);
         for _ in 0..3 {
-            assert_eq!(epoch(&mut net, &mut ws), warm, "a later epoch grew a training buffer");
+            assert_eq!(epoch(), warm, "a later epoch grew a training buffer");
         }
-        assert!(net.parameters().iter().all(|p| p.grad.norm() > 0.0));
+        let mut rest = &grad[..];
+        for p in net.parameters() {
+            let (own, after) = rest.split_at(p.len());
+            assert!(own.iter().any(|&g| g != 0.0), "a parameter got no gradient");
+            rest = after;
+        }
     }
 
     #[test]

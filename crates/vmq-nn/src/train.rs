@@ -1,9 +1,17 @@
-//! Mini-batch training utilities: sample order, batching, epoch statistics.
+//! Mini-batch training: the one epoch loop every filter trains through.
 //!
-//! The filter networks in `vmq-filters` have multi-head architectures with
-//! bespoke losses (Eq. 2 / Eq. 3) and therefore implement their own epoch
-//! loops; they share the batching, shuffling and bookkeeping defined here.
+//! [`train`] shuffles, batches and steps the optimiser; a filter supplies
+//! only its per-sample pass (forward, loss, backward). The samples of a
+//! batch run side by side over pool workers, each with its own workspace,
+//! [`Tape`] and gradient slot, and the slots are summed in sample order. So
+//! every width trains the same bits as one sample after another: each
+//! parameter-gradient kernel adds exactly one term per sample to each
+//! element, and `((+0 + g₀) + g₁) + …` over the slots is that same sum.
 
+use crate::init::seeded_rng;
+use crate::net::{Param, Sequential};
+use crate::optim::Optimizer;
+use crate::workspace::{Tape, Workspace};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -18,12 +26,10 @@ pub struct EpochStats {
     pub samples: usize,
 }
 
-/// Returns a (possibly shuffled) permutation of `0..n`.
-pub fn sample_order(n: usize, shuffle: bool, rng: &mut StdRng) -> Vec<usize> {
+/// Returns a shuffled permutation of `0..n`.
+pub fn sample_order(n: usize, rng: &mut StdRng) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();
-    if shuffle {
-        idx.shuffle(rng);
-    }
+    idx.shuffle(rng);
     idx
 }
 
@@ -31,6 +37,118 @@ pub fn sample_order(n: usize, shuffle: bool, rng: &mut StdRng) -> Vec<usize> {
 pub fn batches(order: &[usize], batch_size: usize) -> std::slice::Chunks<'_, usize> {
     assert!(batch_size > 0, "batch size must be positive");
     order.chunks(batch_size)
+}
+
+/// A network [`train`] can fit: shared read-only by every sample of a batch,
+/// written only between batches.
+pub trait Trainable: Sync {
+    /// Every trainable parameter, in the order a gradient slot lays them out.
+    fn parameters_mut(&mut self) -> Vec<&mut Param>;
+}
+
+impl Trainable for Sequential {
+    fn parameters_mut(&mut self) -> Vec<&mut Param> {
+        Sequential::parameters_mut(self)
+    }
+}
+
+/// The shape of a training run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Epochs {
+    /// Training samples, indexed `0..samples`.
+    pub samples: usize,
+    /// Passes over the samples.
+    pub epochs: usize,
+    /// Samples per optimiser step (0 trains as 1).
+    pub batch_size: usize,
+    /// Seeds the per-epoch shuffle.
+    pub seed: u64,
+}
+
+/// One sample's pass, as [`train`] hands it to the caller.
+pub struct Sample<'a> {
+    /// Epoch index (0-based).
+    pub epoch: usize,
+    /// Which training sample.
+    pub index: usize,
+    /// `1 / batch length`: the batch loss is the mean of its samples' losses.
+    pub scale: f32,
+    /// This worker's workspace.
+    pub ws: &'a mut Workspace,
+    /// This worker's tape, empty on entry; the pass must leave it empty.
+    pub tape: &'a mut Tape,
+    /// The sample's gradient slot, +0.0 on entry, laid out as
+    /// [`Trainable::parameters_mut`].
+    pub grad: &'a mut [f32],
+}
+
+/// Trains `net` for `plan.epochs` epochs of shuffled mini-batches and returns
+/// each epoch's mean loss (nothing for no samples). `pass` runs one sample
+/// (forward, loss, backward into the slot) and returns its loss; every batch
+/// then sets each `Param::grad` to the sum of its samples' slots, in sample
+/// order ([`sum_slots`]), and steps `opt`.
+///
+/// A batch's samples shard in contiguous runs over up to `width` pool tasks
+/// (the filters pass [`vmq_exec::parallelism`]); a batch that fits one run
+/// runs on the caller and opens no scope. The result is bit-identical at
+/// every width. Workspaces, tapes and slots live for this call only.
+pub fn train<N: Trainable>(
+    net: &mut N,
+    plan: Epochs,
+    mut opt: impl Optimizer,
+    width: usize,
+    pass: impl Fn(&N, Sample<'_>) -> f32 + Sync,
+) -> Vec<EpochStats> {
+    let batch_size = plan.batch_size.clamp(1, plan.samples.max(1));
+    let grad_len: usize = net.parameters_mut().iter().map(|p| p.len()).sum();
+    let (mut slots, mut losses) = (vec![0.0f32; batch_size * grad_len], vec![0.0f32; batch_size]);
+    let mut workers: Vec<(Workspace, Tape)> = (0..width.clamp(1, batch_size)).map(|_| Default::default()).collect();
+    let mut rng = seeded_rng(plan.seed);
+    let run_epoch = |epoch| {
+        let order = sample_order(plan.samples, &mut rng);
+        let mut epoch_loss = 0.0f64;
+        for batch in batches(&order, batch_size) {
+            let (slots, losses) = (&mut slots[..batch.len() * grad_len], &mut losses[..batch.len()]);
+            slots.fill(0.0);
+            let (shared, scale, run) = (&*net, 1.0 / batch.len() as f32, batch.len().div_ceil(workers.len()));
+            let jobs = batch.chunks(run).zip(slots.chunks_mut(run * grad_len)).zip(losses.chunks_mut(run));
+            let job = |(((ids, slots), losses), (ws, tape)): Job<'_>| {
+                for ((&index, grad), loss) in ids.iter().zip(slots.chunks_exact_mut(grad_len)).zip(losses) {
+                    *loss = pass(shared, Sample { epoch, index, scale, ws: &mut *ws, tape: &mut *tape, grad });
+                    debug_assert!(tape.is_empty(), "a training pass left records on its tape");
+                }
+            };
+            if run == batch.len() {
+                jobs.zip(&mut workers).for_each(job);
+            } else {
+                vmq_exec::scope(workers.len(), |s| jobs.zip(&mut workers).for_each(|j| s.spawn(move || job(j))));
+            }
+            epoch_loss = losses.iter().fold(epoch_loss, |sum, &loss| sum + loss as f64);
+            sum_slots(&mut net.parameters_mut(), slots);
+            opt.step(&mut net.parameters_mut());
+        }
+        EpochStats { epoch, mean_loss: (epoch_loss / plan.samples as f64) as f32, samples: plan.samples }
+    };
+    (0..plan.epochs).take_while(|_| plan.samples > 0).map(run_epoch).collect()
+}
+
+/// One worker's run of a batch: sample ids, their slots and losses, and the
+/// worker's workspace and tape.
+type Job<'a> = (((&'a [usize], &'a mut [f32]), &'a mut [f32]), &'a mut (Workspace, Tape));
+
+/// Sets each parameter's gradient to the sum of its part of every slot, in
+/// slot order from +0.0: what adding one sample after another into a zeroed
+/// gradient computes.
+pub fn sum_slots(params: &mut [&mut Param], slots: &[f32]) {
+    let grad_len: usize = params.iter().map(|p| p.len()).sum();
+    let mut at = 0;
+    for p in params.iter_mut() {
+        p.zero_grad();
+        for slot in slots.chunks_exact(grad_len) {
+            p.grad.data_mut().iter_mut().zip(&slot[at..]).for_each(|(g, &s)| *g += s);
+        }
+        at += p.len();
+    }
 }
 
 #[cfg(test)]
@@ -41,7 +159,7 @@ mod tests {
     #[test]
     fn sample_order_is_permutation() {
         let mut rng = seeded_rng(0);
-        let order = sample_order(10, true, &mut rng);
+        let order = sample_order(10, &mut rng);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..10).collect::<Vec<_>>());

@@ -3,7 +3,7 @@
 //! The filter hot path runs the same small network on thousands of frames,
 //! and a heap allocation per layer (an im2col column matrix alone is tens of
 //! kilobytes) would dominate the per-frame cost. Training travels through a
-//! workspace too, each layer keeping its backward caches in its own buffers.
+//! workspace too, and keeps what backward needs on a [`Tape`] beside it.
 //!
 //! A [`Workspace`] holds the handful of buffers one pass needs:
 //!
@@ -135,6 +135,16 @@ impl Workspace {
         std::mem::swap(&mut self.shape, &mut self.stash_shape);
     }
 
+    /// Adds the stashed activation into the current one, element by element
+    /// (`cur[i] += stash[i]`): where a branch's gradient from its second
+    /// head joins the one from its first.
+    pub fn add_stash(&mut self) {
+        debug_assert_eq!(self.cur.len(), self.stash_buf.len(), "workspace add_stash length mismatch");
+        for (c, &s) in self.cur.iter_mut().zip(&self.stash_buf) {
+            *c += s;
+        }
+    }
+
     /// Copies the current activation out as a tensor (the one allocation of
     /// an inference pass, and only when the caller wants a `Tensor` result).
     pub fn output(&self) -> Tensor {
@@ -151,6 +161,63 @@ impl Workspace {
             + self.q_act.capacity()
             + self.q_cols.capacity()
             + std::mem::size_of::<i32>() * self.q_acc.capacity()
+    }
+}
+
+/// What one sample's training forward pass leaves for its backward pass:
+/// padded inputs and activations in `vals`, pooling indices and input
+/// shapes in `idx`, each a stack.
+///
+/// Each layer's `forward` pushes its records and its `backward` pops them in
+/// reverse, so a network of `&self` layers trains through a tape its caller
+/// owns, and any number of samples run side by side, each on its own tape.
+/// Popped records keep their buffers: from the second sample on, a tape
+/// that sees the same network allocates nothing.
+#[derive(Debug, Default)]
+pub struct Tape {
+    /// `f32` records.
+    pub vals: Records<f32>,
+    /// Index and dimension records.
+    pub idx: Records<usize>,
+}
+
+impl Tape {
+    /// True when every pushed record has been popped again.
+    pub fn is_empty(&self) -> bool {
+        self.vals.top == 0 && self.idx.top == 0
+    }
+
+    /// Total bytes of heap capacity the tape holds; flat after one sample.
+    pub fn capacity_bytes(&self) -> usize {
+        self.vals.capacity_bytes() + self.idx.capacity_bytes()
+    }
+}
+
+/// A stack of records whose buffers outlive them; `top` of them are live.
+#[derive(Debug, Default)]
+pub struct Records<T> {
+    bufs: Vec<Vec<T>>,
+    top: usize,
+}
+
+impl<T> Records<T> {
+    /// Pushes a record and hands out its buffer, emptied, to fill.
+    pub fn push(&mut self) -> &mut Vec<T> {
+        self.top += 1;
+        self.bufs.resize_with(self.bufs.len().max(self.top), Vec::new);
+        let buf = &mut self.bufs[self.top - 1];
+        buf.clear();
+        buf
+    }
+
+    /// Pops the most recently pushed record.
+    pub fn pop(&mut self) -> &[T] {
+        self.top = self.top.checked_sub(1).expect("tape popped more records than forward pushed");
+        &self.bufs[self.top]
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.bufs.capacity() * size_of::<Vec<T>>() + self.bufs.iter().map(Vec::capacity).sum::<usize>() * size_of::<T>()
     }
 }
 

@@ -12,9 +12,14 @@
 //! the payload is not compared: which of two NaN operands an addition
 //! returns is the compiler's operand order, not part of the contract.)
 //!
-//! The second half holds `matmul_into`, `matvec_into` and
+//! The second part holds `matmul_into`, `matvec_into` and
 //! `global_avg_pool_into` on every SIMD backend to the scalar reference over
 //! the same shape ranges, so each vector-tail path is hit.
+//!
+//! The third part holds the epoch loop, [`vmq_nn::train::train`], to the
+//! serial loop it replaced: every sample of a batch added straight into one
+//! gradient buffer, then an Adam step. At every width the epoch loop must train
+//! the same parameter bits and epoch-loss bits.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,7 +28,12 @@ use vmq_nn::grad::{conv2d_backward_input_into, conv2d_backward_params_into, conv
 use vmq_nn::kernels::{
     global_avg_pool_into_with, matmul_into_with, matvec_into_with, KernelBackend, ABS_TOLERANCE, ULP_TOLERANCE,
 };
+use vmq_nn::layer::{Act, Activation, Conv2d, Dense, Flatten, Layer, MaxPool2d};
+use vmq_nn::loss::mse_loss;
 use vmq_nn::ops::{self, ConvSpec};
+use vmq_nn::optim::{Adam, Optimizer};
+use vmq_nn::train::{sample_order, train, Epochs};
+use vmq_nn::{Sequential, Tape, Tensor, Workspace};
 
 // ---------------------------------------------------------------------------
 // The naive reference: im2col, three matmuls, col2im.
@@ -343,4 +353,138 @@ proptest! {
             assert_same_bits(&got, &want, &format!("{} gap {c}x{h}x{w}", backend.name()));
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The data-parallel epoch loop vs the serial loop it replaced.
+// ---------------------------------------------------------------------------
+
+/// Input side, output width and learning rate of the epoch-loop cases.
+const SIDE: usize = 4;
+const OUTPUTS: usize = 3;
+const LR: f32 = 0.05;
+
+/// conv → activation → 2×2 max-pool → flatten → dense, seeded. A positive
+/// `zero_every` sets every `zero_every`-th weight to exactly zero (the
+/// kernels skip zero weights, which must not change what the slots sum to).
+fn small_net(channels: usize, kernel: usize, act: Act, zero_every: usize, seed: u64) -> Sequential {
+    let layers: Vec<Box<dyn Layer>> = vec![
+        Box::new(Conv2d::new(2, channels, kernel, 1, kernel / 2, seed)),
+        Box::new(Activation::new(act)),
+        Box::new(MaxPool2d::new(2)),
+        Box::new(Flatten::new()),
+        Box::new(Dense::new(channels * SIDE * SIDE / 4, OUTPUTS, seed + 1)),
+    ];
+    let mut net = Sequential::new(layers);
+    if zero_every > 0 {
+        for p in net.parameters_mut() {
+            p.value.data_mut().iter_mut().step_by(zero_every).for_each(|w| *w = 0.0);
+        }
+    }
+    net
+}
+
+/// `(input, target)` pairs with `±0.0` mixed into both.
+fn samples(n: usize, seed: u64) -> Vec<(Vec<f32>, Vec<f32>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| (gradient_values(2 * SIDE * SIDE, false, &mut rng), gradient_values(OUTPUTS, false, &mut rng)))
+        .collect()
+}
+
+/// One sample's forward pass and loss: `(loss, d loss / d output)`.
+fn sample_loss(net: &Sequential, ws: &mut Workspace, tape: &mut Tape, (x, y): &(Vec<f32>, Vec<f32>)) -> (f32, Tensor) {
+    ws.load_slice(x, &[2, SIDE, SIDE]);
+    net.forward_ws(ws, tape);
+    mse_loss(&ws.output(), &Tensor::from_vec(y.clone(), vec![OUTPUTS]))
+}
+
+/// The serial loop: per batch, one gradient buffer every sample's backward
+/// pass adds into, copied into the parameters for one Adam step. Returns
+/// the epoch-loss bits.
+fn serial_reference(net: &mut Sequential, data: &[(Vec<f32>, Vec<f32>)], plan: Epochs) -> Vec<u32> {
+    let grad_len: usize = net.parameters().iter().map(|p| p.len()).sum();
+    let (mut ws, mut tape, mut opt) = (Workspace::new(), Tape::default(), Adam::new(LR));
+    let mut rng = vmq_nn::init::seeded_rng(plan.seed);
+    let mut losses = Vec::new();
+    for _ in 0..plan.epochs {
+        let order = sample_order(data.len(), &mut rng);
+        let mut epoch_loss = 0.0f64;
+        for batch in order.chunks(plan.batch_size.max(1)) {
+            let mut grad = vec![0.0f32; grad_len];
+            for &i in batch {
+                let (loss, d_out) = sample_loss(net, &mut ws, &mut tape, &data[i]);
+                epoch_loss += loss as f64;
+                ws.load(&d_out.scale(1.0 / batch.len() as f32));
+                net.backward_ws(&mut ws, &mut tape, &mut grad, false);
+            }
+            let mut params = net.parameters_mut();
+            let mut rest = &grad[..];
+            for p in params.iter_mut() {
+                let (own, after) = rest.split_at(p.len());
+                p.grad.data_mut().copy_from_slice(own);
+                rest = after;
+            }
+            opt.step(&mut params);
+        }
+        losses.push(((epoch_loss / data.len() as f64) as f32).to_bits());
+    }
+    losses
+}
+
+fn param_bits(net: &Sequential) -> Vec<u32> {
+    net.parameters().iter().flat_map(|p| p.value.data()).map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Any sample count (1–40) and batch size (1–9, so ragged last batches
+    /// and batches wider than the data), ReLU / LeakyReLU / Sigmoid, 1×1 and
+    /// 3×3 kernels, with and without exact-zero weights: widths 1–4 all
+    /// train the serial loop's bits.
+    #[test]
+    fn epoch_loop_trains_the_serial_loops_bits_at_every_width(
+        (n, batch_size) in (1usize..=40, 1usize..=9),
+        (channels, kernel3, act, zero_every) in (1usize..=4, 0usize..2, 0usize..3, 0usize..4),
+        seed in 0u64..1 << 32,
+    ) {
+        let act = [Act::Relu, Act::LeakyRelu(0.1), Act::Sigmoid][act];
+        let kernel = 1 + 2 * kernel3;
+        let data = samples(n, seed);
+        let plan = Epochs { samples: n, epochs: 2, batch_size, seed: seed ^ 0x5EED };
+        let mut reference = small_net(channels, kernel, act, zero_every, seed);
+        let want_losses = serial_reference(&mut reference, &data, plan);
+        let want = param_bits(&reference);
+        for width in 1..=4 {
+            let mut net = small_net(channels, kernel, act, zero_every, seed);
+            let history = train(&mut net, plan, Adam::new(LR), width, |net, s| {
+                let (loss, d_out) = sample_loss(net, s.ws, s.tape, &data[s.index]);
+                s.ws.load(&d_out.scale(s.scale));
+                net.backward_ws(s.ws, s.tape, s.grad, false);
+                loss
+            });
+            let losses: Vec<u32> = history.iter().map(|e| e.mean_loss.to_bits()).collect();
+            prop_assert_eq!(&losses, &want_losses, "epoch losses at width {}", width);
+            prop_assert!(param_bits(&net) == want, "parameter bits at width {}", width);
+        }
+    }
+}
+
+/// A schedule's batch size of 0 trains as batch size 1 instead of panicking.
+#[test]
+fn zero_batch_size_trains_like_batch_size_one() {
+    let data = samples(7, 3);
+    let run = |batch_size| {
+        let mut net = small_net(2, 3, Act::Relu, 0, 9);
+        let plan = Epochs { samples: data.len(), epochs: 2, batch_size, seed: 5 };
+        let history = train(&mut net, plan, Adam::new(LR), 2, |net, s| {
+            let (loss, d_out) = sample_loss(net, s.ws, s.tape, &data[s.index]);
+            s.ws.load(&d_out.scale(s.scale));
+            net.backward_ws(s.ws, s.tape, s.grad, false);
+            loss
+        });
+        (param_bits(&net), history.iter().map(|e| e.mean_loss.to_bits()).collect::<Vec<_>>())
+    };
+    assert_eq!(run(0), run(1));
 }
