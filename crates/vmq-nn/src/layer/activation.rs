@@ -130,7 +130,7 @@ impl Layer for Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::{backward, forward};
+    use crate::layer::tests::{assert_flat, backward, forward, tape_capacities};
     use crate::tensor::Tensor;
 
     /// Forward then backward of one activation: `(output, input gradient)`.
@@ -186,5 +186,13 @@ mod tests {
     fn act_is_reported() {
         let a = Activation::new(Act::LeakyRelu(0.01));
         assert_eq!(a.act(), Act::LeakyRelu(0.01));
+    }
+
+    #[test]
+    fn forward_cache_stops_growing_after_the_first_sample() {
+        for act in [Act::Relu, Act::Sigmoid] {
+            let inputs = [1.0, -1.0, 0.5].map(|v| Tensor::full(vec![40], v));
+            assert_flat(&tape_capacities(&Activation::new(act), &inputs, &Tensor::full(vec![40], 1.0)));
+        }
     }
 }

@@ -129,7 +129,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::{backward, forward};
+    use crate::layer::tests::{assert_flat, backward, forward, tape_capacities};
 
     #[test]
     fn same_conv_preserves_shape() {
@@ -185,5 +185,12 @@ mod tests {
         let (_, grad) = backward(&c, &mut tape, &Tensor::full(vec![1, 3, 3], 1.0));
         // 9 output cells each contribute 1 to the single bias gradient.
         assert_eq!(grad[1], 9.0);
+    }
+
+    #[test]
+    fn forward_cache_stops_growing_after_the_first_sample() {
+        let c = Conv2d::new(2, 3, 3, 1, 1, 0);
+        let inputs = [1.0, 0.5, -2.0].map(|v| Tensor::full(vec![2, 6, 6], v));
+        assert_flat(&tape_capacities(&c, &inputs, &Tensor::full(vec![3, 6, 6], 1.0)));
     }
 }

@@ -122,7 +122,7 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::{backward, forward};
+    use crate::layer::tests::{assert_flat, backward, forward, tape_capacities};
 
     fn loss(d: &Dense, x: &Tensor) -> f32 {
         forward(d, &mut Tape::default(), x).sum()
@@ -185,5 +185,11 @@ mod tests {
         assert_eq!(ps[0].value.shape(), &[3, 4]);
         assert_eq!(ps[1].value.shape(), &[3]);
         assert_eq!(d.params_mut().len(), 2);
+    }
+
+    #[test]
+    fn forward_cache_stops_growing_after_the_first_sample() {
+        let inputs = [1.0, -1.0, 0.5].map(|v| Tensor::full(vec![5], v));
+        assert_flat(&tape_capacities(&Dense::new(5, 2, 0), &inputs, &Tensor::full(vec![2], 1.0)));
     }
 }

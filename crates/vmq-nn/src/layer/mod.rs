@@ -130,6 +130,27 @@ pub(crate) mod tests {
         (ws.output(), grad)
     }
 
+    /// Runs one training forward and backward pass per input on a single
+    /// tape and returns the tape's capacity after each: a layer's records
+    /// must reach their high-water mark on the first sample.
+    pub(crate) fn tape_capacities(layer: &dyn Layer, inputs: &[Tensor], grad_out: &Tensor) -> Vec<usize> {
+        let mut tape = Tape::default();
+        inputs
+            .iter()
+            .map(|x| {
+                let _ = forward(layer, &mut tape, x);
+                let _ = backward(layer, &mut tape, grad_out);
+                tape.capacity_bytes()
+            })
+            .collect()
+    }
+
+    /// Asserts that `caps` (from [`tape_capacities`]) is non-zero and flat.
+    pub(crate) fn assert_flat(caps: &[usize]) {
+        assert!(caps[0] > 0, "the forward pass left no records");
+        assert!(caps.iter().all(|&c| c == caps[0]), "the tape grew after the first sample: {caps:?}");
+    }
+
     #[test]
     fn flatten_roundtrip() {
         let f = Flatten::new();

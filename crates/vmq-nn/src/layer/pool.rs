@@ -93,7 +93,7 @@ impl Layer for GlobalAvgPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::tests::{backward, forward};
+    use crate::layer::tests::{assert_flat, backward, forward, tape_capacities};
     use crate::tensor::Tensor;
 
     #[test]
@@ -119,6 +119,12 @@ mod tests {
         assert_eq!(y.data(), &[4.0]);
         let (gx, _) = backward(&g, &mut tape, &Tensor::from_vec(vec![8.0], vec![1]));
         assert_eq!(gx.data(), &[2.0, 2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn forward_cache_stops_growing_after_the_first_sample() {
+        let inputs = [1.0, -1.0, 0.5].map(|v| Tensor::full(vec![2, 6, 6], v));
+        assert_flat(&tape_capacities(&MaxPool2d::new(2), &inputs, &Tensor::full(vec![2, 3, 3], 1.0)));
     }
 
     #[test]
