@@ -67,7 +67,7 @@ fn bench_nn_kernels(c: &mut Criterion) {
             slot.fill(0.0);
             trunk.backward_ws(&mut ws, &mut tape, &mut slot, false);
             let mut params = trunk.parameters_mut();
-            sum_slots(&mut params, &slot);
+            sum_slots(&mut params, [&slot[..]]);
             opt.step(&mut params);
         })
     });

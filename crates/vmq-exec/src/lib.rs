@@ -7,7 +7,9 @@
 //! process-global set of long-lived workers, each owning its queue;
 //! [`scope`] hands out a [`Scope`] whose `spawn` dispatches borrowing
 //! closures to those workers and whose exit joins them. The sharded stages
-//! all go through [`shard_map`], the one position-keyed chunk loop on top.
+//! all go through [`shard_each`], the one chunk loop on top (contiguous
+//! chunks, one task each, width 1 on the caller), or through [`shard_map`],
+//! its position-keyed map form.
 //!
 //! # Determinism contract
 //!
@@ -260,24 +262,44 @@ where
     T: Send,
     F: Fn(&[I]) -> Vec<T> + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = workers.min(items.len()).max(1);
-    if workers == 1 {
-        return per_chunk(items);
-    }
-    let chunk = items.len().div_ceil(workers);
-    let mut parts: Vec<Vec<T>> = items.chunks(chunk).map(|_| Vec::new()).collect();
-    let per_chunk = &per_chunk;
-    scope(workers, |s| {
-        for (part, chunk) in parts.iter_mut().zip(items.chunks(chunk)) {
-            s.spawn(move || *part = per_chunk(chunk));
-        }
+    let mut parts: Vec<(&[I], Vec<T>)> =
+        items.chunks(chunk_len(items.len(), workers)).map(|c| (c, Vec::new())).collect();
+    shard_each(&mut parts, &mut vec![(); workers.max(1)], |parts, ()| {
+        parts.iter_mut().for_each(|(c, out)| *out = per_chunk(c))
     });
     let mut out = Vec::with_capacity(items.len());
-    parts.into_iter().for_each(|part| out.extend(part));
+    parts.into_iter().for_each(|(_, part)| out.extend(part));
     out
+}
+
+/// Runs `per_chunk` over `items` in place, with per-worker state: the
+/// sibling of [`shard_map`] for work that writes its items and keeps scratch
+/// of its own. The width is `states.len()`, at most one per item; the items
+/// are cut into contiguous chunks of `div_ceil(len, width)` and the `i`-th
+/// chunk runs as one pool task with `states[i]`. Width 1 (or a single item)
+/// runs on the calling thread with `states[0]` without opening a scope;
+/// empty input or no state calls nothing.
+pub fn shard_each<I, S, F>(items: &mut [I], states: &mut [S], per_chunk: F)
+where
+    I: Send,
+    S: Send,
+    F: Fn(&mut [I], &mut S) + Sync,
+{
+    let per_chunk = &per_chunk;
+    match states.len().min(items.len()) {
+        0 => {}
+        1 => per_chunk(items, &mut states[0]),
+        workers => scope(workers, |s| {
+            for (part, state) in items.chunks_mut(chunk_len(items.len(), workers)).zip(states) {
+                s.spawn(move || per_chunk(part, state));
+            }
+        }),
+    }
+}
+
+/// The chunk length both shard loops cut `len` items into for `workers`.
+fn chunk_len(len: usize, workers: usize) -> usize {
+    len.div_ceil(workers.clamp(1, len.max(1))).max(1)
 }
 
 #[cfg(test)]
@@ -301,6 +323,27 @@ mod tests {
         }
         let empty: [u64; 0] = [];
         assert!(shard_map(&empty, 4, |_| -> Vec<u64> { unreachable!("no chunk for empty input") }).is_empty());
+    }
+
+    #[test]
+    fn shard_each_hands_each_chunk_its_own_state() {
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 3, 4, 7] {
+            let mut items: Vec<(u64, usize)> = (0..23).map(|x| (x, usize::MAX)).collect();
+            let mut states: Vec<(usize, Option<std::thread::ThreadId>)> = (0..workers).map(|i| (i, None)).collect();
+            shard_each(&mut items, &mut states, |part, (i, thread)| {
+                *thread = Some(std::thread::current().id());
+                part.iter_mut().for_each(|(x, owner)| (*x, *owner) = (*x * *x, *i));
+            });
+            let chunk = 23usize.div_ceil(workers);
+            assert!(items.iter().enumerate().all(|(k, &(x, owner))| x == (k * k) as u64 && owner == k / chunk));
+            let ran = states.iter().filter(|(_, thread)| thread.is_some()).count();
+            assert_eq!(ran, 23usize.div_ceil(chunk), "width {workers}: one state per chunk");
+            assert_eq!(states[0].1 == Some(caller), workers == 1, "width {workers}: only width 1 runs on the caller");
+        }
+        let mut no_items: [u64; 0] = [];
+        shard_each(&mut no_items, &mut [()], |_, _| unreachable!("no chunk for empty input"));
+        shard_each(&mut [1u64], &mut [] as &mut [()], |_, _| unreachable!("no chunk without a state"));
     }
 
     #[test]

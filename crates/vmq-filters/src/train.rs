@@ -26,9 +26,14 @@ impl TrainedFilters {
     /// Annotates the training split with `annotator` (the Mask R-CNN stand-in)
     /// and trains the IC, OD and OD-COF filters.
     pub fn train(dataset: &Dataset, config: &FilterConfig, annotator: &dyn Detector) -> Self {
-        let mut trained = Self::train_ic_od(dataset, config, annotator);
-        trained.cof.train(dataset.train(), &trained.train_labels);
-        trained
+        let labels = label_frames(dataset.train(), annotator, &config.classes, config.grid);
+        let mut ic = IcFilter::new(config.clone());
+        let mut od = OdFilter::new(config.clone());
+        let mut cof = CofFilter::new(config.clone());
+        ic.train(dataset.train(), &labels);
+        od.train(dataset.train(), &labels);
+        cof.train(dataset.train(), &labels);
+        TrainedFilters { ic, od, cof, train_labels: labels }
     }
 
     /// Trains only the IC and OD filters (skipping OD-COF), which is enough

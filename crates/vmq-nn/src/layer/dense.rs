@@ -117,6 +117,14 @@ impl Layer for Dense {
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
+
+    fn name(&self) -> &'static str {
+        "Dense"
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
 }
 
 #[cfg(test)]

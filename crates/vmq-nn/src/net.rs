@@ -62,9 +62,24 @@ impl Sequential {
         Sequential { layers }
     }
 
+    /// An empty network (identity function).
+    pub fn empty() -> Self {
+        Sequential { layers: Vec::new() }
+    }
+
     /// Appends a layer.
     pub fn push(&mut self, layer: Box<dyn Layer>) {
         self.layers.push(layer);
+    }
+
+    /// Number of layers.
+    pub fn len(&self) -> usize {
+        self.layers.len()
+    }
+
+    /// True when the network has no layers.
+    pub fn is_empty(&self) -> bool {
+        self.layers.is_empty()
     }
 
     /// Training forward pass ([`Layer::forward`] per layer) over the
@@ -147,7 +162,7 @@ impl Sequential {
 
     /// Read-only access to the layer stack (used by structure-aware
     /// consumers such as post-training quantization, via
-    /// [`crate::layer::AsAny::as_any`]).
+    /// [`Layer::as_any`]).
     pub fn layers(&self) -> &[Box<dyn Layer>] {
         &self.layers
     }
@@ -276,8 +291,8 @@ mod tests {
     fn zero_grad_clears_all() {
         let mut net = Sequential::new(vec![Box::new(Dense::new(2, 2, 0)), Box::new(Dense::new(2, 3, 1))]);
         net.parameters_mut().into_iter().for_each(|p| p.grad.fill(3.0));
-        let slots = vec![0.0; 2 * slot_len(&net)];
-        crate::train::sum_slots(&mut net.parameters_mut(), &slots);
+        let slot = vec![0.0; slot_len(&net)];
+        crate::train::sum_slots(&mut net.parameters_mut(), [&slot[..], &slot[..]]);
         assert!(net.parameters().iter().all(|p| p.grad.norm() == 0.0));
     }
 

@@ -89,9 +89,10 @@ pub struct Sample<'a> {
 /// order ([`sum_slots`]), and steps `opt`.
 ///
 /// A batch's samples shard in contiguous runs over up to `width` pool tasks
-/// (the filters pass [`vmq_exec::parallelism`]); a batch that fits one run
-/// runs on the caller and opens no scope. The result is bit-identical at
-/// every width. Workspaces, tapes and slots live for this call only.
+/// through [`vmq_exec::shard_each`] (the filters pass
+/// [`vmq_exec::parallelism`]); width 1 runs on the caller and opens no
+/// scope. The result is bit-identical at every width. Workspaces, tapes and
+/// slots live for this call only.
 pub fn train<N: Trainable>(
     net: &mut N,
     plan: Epochs,
@@ -101,30 +102,28 @@ pub fn train<N: Trainable>(
 ) -> Vec<EpochStats> {
     let batch_size = plan.batch_size.clamp(1, plan.samples.max(1));
     let grad_len: usize = net.parameters_mut().iter().map(|p| p.len()).sum();
-    let (mut slots, mut losses) = (vec![0.0f32; batch_size * grad_len], vec![0.0f32; batch_size]);
+    let mut slots: Vec<Slot> =
+        (0..batch_size).map(|_| Slot { index: 0, loss: 0.0, grad: vec![0.0; grad_len] }).collect();
     let mut workers: Vec<(Workspace, Tape)> = (0..width.clamp(1, batch_size)).map(|_| Default::default()).collect();
     let mut rng = seeded_rng(plan.seed);
     let run_epoch = |epoch| {
         let order = sample_order(plan.samples, &mut rng);
         let mut epoch_loss = 0.0f64;
         for batch in batches(&order, batch_size) {
-            let (slots, losses) = (&mut slots[..batch.len() * grad_len], &mut losses[..batch.len()]);
-            slots.fill(0.0);
-            let (shared, scale, run) = (&*net, 1.0 / batch.len() as f32, batch.len().div_ceil(workers.len()));
-            let jobs = batch.chunks(run).zip(slots.chunks_mut(run * grad_len)).zip(losses.chunks_mut(run));
-            let job = |(((ids, slots), losses), (ws, tape)): Job<'_>| {
-                for ((&index, grad), loss) in ids.iter().zip(slots.chunks_exact_mut(grad_len)).zip(losses) {
-                    *loss = pass(shared, Sample { epoch, index, scale, ws: &mut *ws, tape: &mut *tape, grad });
+            let slots = &mut slots[..batch.len()];
+            for (slot, &index) in slots.iter_mut().zip(batch) {
+                slot.index = index;
+                slot.grad.fill(0.0);
+            }
+            let (shared, scale) = (&*net, 1.0 / batch.len() as f32);
+            vmq_exec::shard_each(slots, &mut workers, |run, (ws, tape)| {
+                for Slot { index, loss, grad } in run {
+                    *loss = pass(shared, Sample { epoch, index: *index, scale, ws: &mut *ws, tape: &mut *tape, grad });
                     debug_assert!(tape.is_empty(), "a training pass left records on its tape");
                 }
-            };
-            if run == batch.len() {
-                jobs.zip(&mut workers).for_each(job);
-            } else {
-                vmq_exec::scope(workers.len(), |s| jobs.zip(&mut workers).for_each(|j| s.spawn(move || job(j))));
-            }
-            epoch_loss = losses.iter().fold(epoch_loss, |sum, &loss| sum + loss as f64);
-            sum_slots(&mut net.parameters_mut(), slots);
+            });
+            epoch_loss = slots.iter().fold(epoch_loss, |sum, slot| sum + slot.loss as f64);
+            sum_slots(&mut net.parameters_mut(), slots.iter().map(|slot| &slot.grad[..]));
             opt.step(&mut net.parameters_mut());
         }
         EpochStats { epoch, mean_loss: (epoch_loss / plan.samples as f64) as f32, samples: plan.samples }
@@ -132,22 +131,26 @@ pub fn train<N: Trainable>(
     (0..plan.epochs).take_while(|_| plan.samples > 0).map(run_epoch).collect()
 }
 
-/// One worker's run of a batch: sample ids, their slots and losses, and the
-/// worker's workspace and tape.
-type Job<'a> = (((&'a [usize], &'a mut [f32]), &'a mut [f32]), &'a mut (Workspace, Tape));
+/// One sample of a batch: which training sample, its loss and its gradient
+/// slot.
+struct Slot {
+    index: usize,
+    loss: f32,
+    grad: Vec<f32>,
+}
 
-/// Sets each parameter's gradient to the sum of its part of every slot, in
-/// slot order from +0.0: what adding one sample after another into a zeroed
-/// gradient computes.
-pub fn sum_slots(params: &mut [&mut Param], slots: &[f32]) {
-    let grad_len: usize = params.iter().map(|p| p.len()).sum();
-    let mut at = 0;
-    for p in params.iter_mut() {
-        p.zero_grad();
-        for slot in slots.chunks_exact(grad_len) {
-            p.grad.data_mut().iter_mut().zip(&slot[at..]).for_each(|(g, &s)| *g += s);
+/// Sets each parameter's gradient to the sum of the slots, in slot order from
+/// +0.0: what adding one sample after another into a zeroed gradient
+/// computes. Each slot is laid out in `params` order.
+pub fn sum_slots<'a>(params: &mut [&mut Param], slots: impl IntoIterator<Item = &'a [f32]>) {
+    params.iter_mut().for_each(|p| p.zero_grad());
+    for slot in slots {
+        let mut rest = slot;
+        for p in params.iter_mut() {
+            let (own, after) = rest.split_at(p.len());
+            p.grad.data_mut().iter_mut().zip(own).for_each(|(g, &s)| *g += s);
+            rest = after;
         }
-        at += p.len();
     }
 }
 
