@@ -12,29 +12,43 @@
 //! * **dW** `[co][kk] = Σ_p g[co][p]·x[kk, p]`, `p` ascending from +0.0,
 //!   mul then add, *including* the padded zeros (read from the padded copy,
 //!   never branched around);
-//! * **db** `[co] = Σ_p g[co][p]`, one sequential sum;
+//! * **db** `[co] = Σ_p g[co][p]`, one sequential sum (`Iterator::sum`'s:
+//!   from −0.0);
 //! * **dX** one tap at a time, `(ci, ky, kx)` ascending: `t[p] = Σ_co
 //!   w[co][kk]·g[co][p]` (`co` ascending, zero weights skipped, mul then
 //!   add, from +0.0), then `dX[ci][iy][ix] += t[p]`.
 //!
 //! Blocking only runs *independent* sums side by side — output positions in
-//! forward and dX, output channels in dW — and nothing fuses a multiply into
-//! an add, so training yields the same weights on every host and backend.
+//! forward and dX, output channels (and taps) in dW and db — and nothing
+//! fuses a multiply into an add, so training yields the same weights on
+//! every host and backend.
+//!
+//! Each convolution kernel has a `*_with(backend, …)` entry point; the plain
+//! name runs it on [`KernelBackend::active`]. The code here is the portable
+//! reference, which the scalar, AVX2 and NEON backends and every strided
+//! convolution run. A supported AVX-512 backend runs unit-stride
+//! convolutions on 512-bit twins in [`crate::kernels`] that keep the order
+//! above lane for lane: each lane is one of the independent sums, a
+//! multiply and an add are two instructions (`mul_ps` then `add_ps`, never
+//! `fmadd`), a zero weight is a scalar branch per (channel, tap), and dX
+//! adds each tap's sums in tap order. IEEE multiplication and addition round
+//! the same at every vector width, so both paths train the same bits.
 
+use crate::kernels::{self, KernelBackend};
 use crate::ops::ConvSpec;
 
 /// One convolution call: [`ConvSpec`], padded input `hp × wp`, output `oh × ow`.
-struct Geom {
-    c: usize,
-    m: usize,
-    k: usize,
-    s: usize,
-    pad: usize,
-    hp: usize,
-    wp: usize,
-    oh: usize,
-    ow: usize,
-    ckk: usize,
+pub(crate) struct Geom {
+    pub(crate) c: usize,
+    pub(crate) m: usize,
+    pub(crate) k: usize,
+    pub(crate) s: usize,
+    pub(crate) pad: usize,
+    pub(crate) hp: usize,
+    pub(crate) wp: usize,
+    pub(crate) oh: usize,
+    pub(crate) ow: usize,
+    pub(crate) ckk: usize,
 }
 
 impl Geom {
@@ -73,11 +87,28 @@ fn fill_tiled(out: &mut [f32], tile: &impl Tile, wide: bool) {
     }
 }
 
-/// Forward pass `out = weight (m × c·k²) ⊛ input (c × h × w) + bias` in the
-/// module-level order; `xpad` receives the zero-padded input copy the
-/// backward kernels read, `scratch` is overwritten.
+/// [`conv2d_forward_into_with`] on the process-wide active backend.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_forward_into(
+    input: &[f32],
+    h: usize,
+    w: usize,
+    spec: &ConvSpec,
+    weight: &[f32],
+    bias: &[f32],
+    xpad: &mut Vec<f32>,
+    scratch: &mut Vec<f32>,
+    out: &mut Vec<f32>,
+) {
+    conv2d_forward_into_with(KernelBackend::active(), input, h, w, spec, weight, bias, xpad, scratch, out);
+}
+
+/// Forward pass `out = weight (m × c·k²) ⊛ input (c × h × w) + bias` in the
+/// module-level order on `backend`; `xpad` receives the zero-padded input
+/// copy the backward kernels read, `scratch` is overwritten.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_forward_into_with(
+    backend: KernelBackend,
     input: &[f32],
     h: usize,
     w: usize,
@@ -98,14 +129,17 @@ pub fn conv2d_forward_into(
             xpad[(ci * g.hp + y + g.pad) * g.wp + g.pad..][..w].copy_from_slice(row);
         }
     }
+    out.clear();
+    out.resize(g.m * g.oh * g.ow, 0.0);
+    if kernels::conv_train_forward_with(backend, &g, xpad, weight, bias, scratch, out) {
+        return;
+    }
     // One output channel at a time over positions `q = oy·wp + ox` — the
     // padded row pitch, so every tap is one shifted run of `xpad`; the
     // `wp - ow` wrapped positions per row are computed and dropped.
     let q_len = (g.oh - 1) * g.wp + g.ow;
     scratch.clear();
     scratch.resize(q_len, 0.0);
-    out.clear();
-    out.resize(g.m * g.oh * g.ow, 0.0);
     for ((w_row, &b), o_map) in weight.chunks_exact(g.ckk).zip(bias).zip(out.chunks_exact_mut(g.oh * g.ow)) {
         fill_tiled(scratch, &ForwardTile { xpad, g: &g, w_row }, g.s == 1);
         for (o_row, s_row) in o_map.chunks_exact_mut(g.ow).zip(scratch.chunks(g.wp)) {
@@ -156,11 +190,27 @@ fn add_scaled<const T: usize>(acc: &mut [f32; T], coeff: f32, src: &[f32]) {
     }
 }
 
-/// Accumulates the parameter gradients `dw += dW`, `db += db` in the
-/// module-level order, from the forward pass's `xpad` and the output
-/// gradient `grad_out` (`[m, oh, ow]`); `scratch` is overwritten.
+/// [`conv2d_backward_params_into_with`] on the process-wide active backend.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward_params_into(
+    xpad: &[f32],
+    h: usize,
+    w: usize,
+    spec: &ConvSpec,
+    grad_out: &[f32],
+    scratch: &mut Vec<f32>,
+    dw: &mut [f32],
+    db: &mut [f32],
+) {
+    conv2d_backward_params_into_with(KernelBackend::active(), xpad, h, w, spec, grad_out, scratch, dw, db);
+}
+
+/// Accumulates the parameter gradients `dw += dW`, `db += db` in the
+/// module-level order on `backend`, from the forward pass's `xpad` and the
+/// output gradient `grad_out` (`[m, oh, ow]`); `scratch` is overwritten.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_backward_params_into_with(
+    backend: KernelBackend,
     xpad: &[f32],
     h: usize,
     w: usize,
@@ -173,6 +223,9 @@ pub fn conv2d_backward_params_into(
     let g = Geom::new(spec, h, w);
     debug_assert_eq!(xpad.len(), g.c * g.hp * g.wp, "conv2d_backward_params_into: no matching forward pass");
     debug_assert_eq!(grad_out.len(), g.m * g.oh * g.ow, "conv2d_backward_params_into gradient size mismatch");
+    if kernels::conv_train_weight_grads_with(backend, &g, xpad, grad_out, scratch, dw, db) {
+        return;
+    }
     // Sixteen chains side by side keep the adders busy; eight channels or
     // fewer would only carry zero lanes along.
     if g.m > 8 {
@@ -182,7 +235,7 @@ pub fn conv2d_backward_params_into(
     }
 }
 
-/// [`conv2d_backward_params_into`] running `L` output-channel chains at a time.
+/// [`conv2d_backward_params_into_with`] running `L` output-channel chains at a time.
 fn param_grads<const L: usize>(
     xpad: &[f32],
     g: &Geom,
@@ -255,9 +308,25 @@ fn weight_grad_chains<const K: usize, const L: usize>(x: &[f32], gt: &[f32], mp:
     acc
 }
 
-/// The input gradient `dx` (`[c, h, w]`) in the module-level order, from the
-/// weights and `grad_out` (`[m, oh, ow]`); `dx` and `scratch` are overwritten.
+/// [`conv2d_backward_input_into_with`] on the process-wide active backend.
 pub fn conv2d_backward_input_into(
+    weight: &[f32],
+    h: usize,
+    w: usize,
+    spec: &ConvSpec,
+    grad_out: &[f32],
+    scratch: &mut Vec<f32>,
+    dx: &mut Vec<f32>,
+) {
+    conv2d_backward_input_into_with(KernelBackend::active(), weight, h, w, spec, grad_out, scratch, dx);
+}
+
+/// The input gradient `dx` (`[c, h, w]`) in the module-level order on
+/// `backend`, from the weights and `grad_out` (`[m, oh, ow]`); `dx` and
+/// `scratch` are overwritten.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_backward_input_into_with(
+    backend: KernelBackend,
     weight: &[f32],
     h: usize,
     w: usize,
@@ -269,11 +338,30 @@ pub fn conv2d_backward_input_into(
     let g = Geom::new(spec, h, w);
     let p = g.oh * g.ow;
     debug_assert_eq!(grad_out.len(), g.m * p, "conv2d_backward_input_into gradient size mismatch");
-    // `scratch` = one tap's `t[p]`, then dX over the padded input (what lands
-    // in the padding is dropped at the end).
+    // `scratch` = `t[p]` for up to `TAP_BLOCK` taps, then dX over the padded
+    // input (what lands in the padding is dropped at the end).
     scratch.clear();
-    scratch.resize(p + g.c * g.hp * g.wp, 0.0);
-    let (t, dx_pad) = scratch.split_at_mut(p);
+    scratch.resize(TAP_BLOCK * p + g.c * g.hp * g.wp, 0.0);
+    let (t, dx_pad) = scratch.split_at_mut(TAP_BLOCK * p);
+    if !kernels::conv_train_input_grad_with(backend, &g, weight, grad_out, t, dx_pad) {
+        input_grads(&g, weight, grad_out, &mut t[..p], dx_pad);
+    }
+    dx.clear();
+    for plane in dx_pad.chunks_exact(g.hp * g.wp) {
+        for row in plane.chunks_exact(g.wp).skip(g.pad).take(h) {
+            dx.extend_from_slice(&row[g.pad..g.pad + w]);
+        }
+    }
+}
+
+/// Taps whose `t[p]` the AVX-512 dX kernel computes side by side before
+/// adding them into dX one after another.
+pub(crate) const TAP_BLOCK: usize = 4;
+
+/// dX of [`conv2d_backward_input_into_with`] over the padded input, one tap
+/// at a time through `t` (`p` cells).
+fn input_grads(g: &Geom, weight: &[f32], grad_out: &[f32], t: &mut [f32], dx_pad: &mut [f32]) {
+    let p = g.oh * g.ow;
     for kk in 0..g.ckk {
         let (ci, ky, kx) = (kk / (g.k * g.k), kk / g.k % g.k, kk % g.k);
         fill_tiled(t, &InputGradTile { w_col: weight[kk..].iter().step_by(g.ckk), grad_out, p }, true);
@@ -288,12 +376,6 @@ pub fn conv2d_backward_input_into(
                     *d += v;
                 }
             }
-        }
-    }
-    dx.clear();
-    for plane in dx_pad.chunks_exact(g.hp * g.wp) {
-        for row in plane.chunks_exact(g.wp).skip(g.pad).take(h) {
-            dx.extend_from_slice(&row[g.pad..g.pad + w]);
         }
     }
 }

@@ -32,6 +32,11 @@
 //!   activation and pool — fusing the three is an implementation choice of
 //!   a backend (AVX-512 does), never a change of result.
 //!
+//! * **The training convolutions** (the AVX-512 path of [`crate::grad`]'s
+//!   unit-stride forward, dW / db and dX) are bit-identical to the portable
+//!   kernels there: no FMA, and every lane takes its terms in the order
+//!   `grad` documents, so trained weights do not depend on the backend.
+//!
 //! Setting `VMQ_FORCE_SCALAR=1` in the environment pins dispatch to the
 //! scalar reference for the whole process (decided once, at first use).
 //!
@@ -43,6 +48,7 @@
 //! vectorised for the 2×2 window the filter trunks use and falls back to
 //! scalar for other window sizes.
 
+use crate::grad::Geom;
 use crate::ops::{self, ConvSpec};
 use std::sync::OnceLock;
 
@@ -267,6 +273,34 @@ pub fn global_avg_pool_into_with(
     }
 }
 
+/// [`ops::maxpool2d_into`] with the argmax training records, via the chosen
+/// backend: AVX-512 scans 2×2 windows sixteen at a time, in the scalar
+/// loop's cell order with its keep-first `>` from `-inf`, so pooled values
+/// and argmax indices both equal the scalar loop's; other window sizes and
+/// backends run that loop.
+#[allow(unsafe_code)]
+#[allow(clippy::too_many_arguments)]
+pub fn maxpool2d_argmax_into_with(
+    backend: KernelBackend,
+    input: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    size: usize,
+    out: &mut Vec<f32>,
+    argmax: &mut Vec<usize>,
+) {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 if backend.is_supported() && size == 2 && h.is_multiple_of(2) && w.is_multiple_of(2) => {
+            // SAFETY: guard confirmed AVX-512F at runtime (the callee's
+            // `target_feature` contract) and the even map it indexes.
+            unsafe { avx512::maxpool2x2_argmax_into(input, c, h, w, out, argmax) }
+        }
+        _ => ops::maxpool2d_into(input, c, h, w, size, out, Some(argmax)),
+    }
+}
+
 /// What a conv block does to each convolution output before storing it:
 /// the element-wise activations the filter trunks use, or nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -442,6 +476,87 @@ pub fn leaky_relu_in_place_with(backend: KernelBackend, data: &mut [f32], slope:
 }
 
 // ---------------------------------------------------------------------------
+// Training convolutions: the AVX-512 path of `crate::grad`.
+//
+// Each entry point runs its kernel and returns true when `backend` is a
+// supported AVX-512 backend and the convolution has unit stride; otherwise
+// it does nothing and returns false, and `grad` runs its portable reference.
+// Unlike the inference kernels these are bit-identical to the reference:
+// see `crate::grad` for the order they keep.
+// ---------------------------------------------------------------------------
+
+/// The forward sums plus bias of [`crate::grad::conv2d_forward_into_with`]
+/// into `out` (`[m, oh, ow]`), from the padded input `xpad`.
+#[allow(unsafe_code)]
+pub(crate) fn conv_train_forward_with(
+    backend: KernelBackend,
+    g: &Geom,
+    xpad: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+    scratch: &mut Vec<f32>,
+    out: &mut [f32],
+) -> bool {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 if backend.is_supported() && g.s == 1 => {
+            // SAFETY: `is_supported()` confirmed AVX-512F at runtime (the
+            // callee's `target_feature` contract); the callee asserts the
+            // slice sizes its raw accesses rely on.
+            unsafe { avx512::train_forward(g, xpad, weight, bias, scratch, out) };
+            true
+        }
+        _ => false,
+    }
+}
+
+/// The dW and db sums of [`crate::grad::conv2d_backward_params_into_with`],
+/// each added once into `dw` and `db`, from `xpad` and `grad_out`.
+#[allow(unsafe_code)]
+pub(crate) fn conv_train_weight_grads_with(
+    backend: KernelBackend,
+    g: &Geom,
+    xpad: &[f32],
+    grad_out: &[f32],
+    scratch: &mut Vec<f32>,
+    dw: &mut [f32],
+    db: &mut [f32],
+) -> bool {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 if backend.is_supported() && g.s == 1 => {
+            // SAFETY: as in `conv_train_forward_with`.
+            unsafe { avx512::train_weight_grads(g, xpad, grad_out, scratch, dw, db) };
+            true
+        }
+        _ => false,
+    }
+}
+
+/// dX of [`crate::grad::conv2d_backward_input_into_with`] over the padded
+/// input `dx_pad` (zeroed by the caller), through `t`
+/// ([`crate::grad::TAP_BLOCK`] runs of `p` cells).
+#[allow(unsafe_code)]
+pub(crate) fn conv_train_input_grad_with(
+    backend: KernelBackend,
+    g: &Geom,
+    weight: &[f32],
+    grad_out: &[f32],
+    t: &mut [f32],
+    dx_pad: &mut [f32],
+) -> bool {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 if backend.is_supported() && g.s == 1 => {
+            // SAFETY: as in `conv_train_forward_with`.
+            unsafe { avx512::train_input_grad(g, weight, grad_out, t, dx_pad) };
+            true
+        }
+        _ => false,
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Auto-dispatched wrappers: what the layers call.
 // ---------------------------------------------------------------------------
 
@@ -500,6 +615,19 @@ pub fn matvec_into(a: &[f32], m: usize, k: usize, x: &[f32], out: &mut Vec<f32>)
 /// [`ops::maxpool2d_into`] through the process-wide active backend.
 pub fn maxpool2d_into(input: &[f32], c: usize, h: usize, w: usize, size: usize, out: &mut Vec<f32>) {
     maxpool2d_into_with(KernelBackend::active(), input, c, h, w, size, out);
+}
+
+/// [`maxpool2d_argmax_into_with`] through the process-wide active backend.
+pub fn maxpool2d_argmax_into(
+    input: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    size: usize,
+    out: &mut Vec<f32>,
+    argmax: &mut Vec<usize>,
+) {
+    maxpool2d_argmax_into_with(KernelBackend::active(), input, c, h, w, size, out, argmax);
 }
 
 /// [`ops::global_avg_pool_into`] through the process-wide active backend.
@@ -1104,6 +1232,7 @@ mod avx2 {
 #[allow(unsafe_code)]
 mod avx512 {
     use super::BlockAct;
+    use crate::grad::{Geom, TAP_BLOCK};
     use std::arch::x86_64::*;
 
     // Safety: every function requires AVX-512F; the dispatch layer only
@@ -1471,6 +1600,411 @@ mod avx512 {
                 }
             }
             x += rem;
+        }
+    }
+
+    // -- Training convolutions (`crate::grad`'s AVX-512 path) -------------
+    //
+    // Bit-identical to `crate::grad`'s portable kernels: every lane is one
+    // of the sums the reference computes, started from +0.0 and taking its
+    // terms in the reference's order, each term a `mul_ps` then an
+    // `add_ps` (never `fmadd`), zero weights skipped by a scalar branch per
+    // (channel, tap). Speed comes from holding 12–16 of those independent
+    // sums in registers at once, enough to hide the adds' latency.
+
+    /// 16-lane vectors of output positions per forward / dX tile.
+    const TRAIN_VECS: usize = 4;
+
+    /// The lane masks of a tile's vectors when `len` positions remain.
+    fn tile_masks(len: usize) -> [__mmask16; TRAIN_VECS] {
+        std::array::from_fn(|v| prefix_mask(len.saturating_sub(16 * v).min(16)))
+    }
+
+    /// Unit-stride training forward: `out[co][p] = (Σ_kk w[co][kk]·x[kk, p])
+    /// + bias[co]`, `kk` ascending from +0.0. Like the portable kernel it
+    /// runs over the padded-pitch grid `q = oy·wp + ox`, where every tap is
+    /// one shifted run of `xpad`: tiles of four output channels (then single
+    /// channels) × 64 positions put their sums plus bias in `scratch`
+    /// (`[4][q_len]`, every cell stored), whose rows' first `ow` cells are
+    /// then copied to `out`.
+    // SAFETY: caller must guarantee AVX-512F; the sizes the raw accesses
+    // rely on are asserted here (see `forward_tiles`).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn train_forward(
+        g: &Geom,
+        xpad: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+        scratch: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        assert!(g.s == 1 && xpad.len() == g.c * g.hp * g.wp && weight.len() == g.m * g.ckk && bias.len() == g.m);
+        assert_eq!(out.len(), g.m * g.oh * g.ow, "train_forward output size mismatch");
+        let q_len = (g.oh - 1) * g.wp + g.ow;
+        scratch.resize(4 * q_len, 0.0);
+        let mut co = 0;
+        while co < g.m {
+            let ch = if g.m - co >= 4 { 4 } else { 1 };
+            let (x, w) = (xpad.as_ptr(), weight.as_ptr().add(co * g.ckk));
+            if ch == 4 {
+                forward_tiles::<4>(g, x, w, &bias[co..], q_len, scratch.as_mut_ptr());
+            } else {
+                forward_tiles::<1>(g, x, w, &bias[co..], q_len, scratch.as_mut_ptr());
+            }
+            let maps = out[co * g.oh * g.ow..].chunks_exact_mut(g.oh * g.ow).zip(scratch.chunks(q_len));
+            for (o_map, s_map) in maps.take(ch) {
+                for (o_row, s_row) in o_map.chunks_exact_mut(g.ow).zip(s_map.chunks(g.wp)) {
+                    o_row.copy_from_slice(&s_row[..g.ow]);
+                }
+            }
+            co += ch;
+        }
+    }
+
+    /// `CH` output channels of [`train_forward`] (`weight` at the first
+    /// one's row, `bias` at its bias), every position, into `scratch`.
+    // SAFETY: caller guarantees AVX-512F, unit stride, `CH` weight rows of
+    // `ckk` floats at `weight` and `CH` biases, `xpad` of `c·hp·wp` and
+    // `scratch` of `CH·q_len` floats. A tap `(ci, ky, kx)` at grid position
+    // `q < q_len` reads `xpad[(ci·hp + ky)·wp + kx + q]`, at most
+    // `c·hp·wp - 1` because `oh + k - 1 = hp` and `ow + k - 1 = wp`; every
+    // load and store is masked to positions below `q_len` (the pointers of
+    // fully masked vectors are formed with `wrapping_add` and never
+    // dereferenced).
+    #[target_feature(enable = "avx512f")]
+    unsafe fn forward_tiles<const CH: usize>(
+        g: &Geom,
+        xpad: *const f32,
+        weight: *const f32,
+        bias: &[f32],
+        q_len: usize,
+        scratch: *mut f32,
+    ) {
+        let mut q0 = 0;
+        while q0 < q_len {
+            let masks = tile_masks(q_len - q0);
+            let mut acc = [[_mm512_setzero_ps(); TRAIN_VECS]; CH];
+            let mut kk = 0;
+            for ci in 0..g.c {
+                for ky in 0..g.k {
+                    let row = xpad.add((ci * g.hp + ky) * g.wp + q0);
+                    for kx in 0..g.k {
+                        let mut xs = [_mm512_setzero_ps(); TRAIN_VECS];
+                        for (v, x) in xs.iter_mut().enumerate() {
+                            *x = _mm512_maskz_loadu_ps(masks[v], row.wrapping_add(kx + 16 * v));
+                        }
+                        for (oc, sums) in acc.iter_mut().enumerate() {
+                            let wv = *weight.add(oc * g.ckk + kk);
+                            if wv != 0.0 {
+                                let wv = _mm512_set1_ps(wv);
+                                for (sum, &x) in sums.iter_mut().zip(&xs) {
+                                    *sum = _mm512_add_ps(*sum, _mm512_mul_ps(wv, x));
+                                }
+                            }
+                        }
+                        kk += 1;
+                    }
+                }
+            }
+            for (oc, sums) in acc.iter().enumerate() {
+                let b = _mm512_set1_ps(bias[oc]);
+                let dst = scratch.add(oc * q_len + q0);
+                for (v, &sum) in sums.iter().enumerate() {
+                    _mm512_mask_storeu_ps(dst.wrapping_add(16 * v), masks[v], _mm512_add_ps(sum, b));
+                }
+            }
+            q0 += 16 * TRAIN_VECS;
+        }
+    }
+
+    /// Unit-stride training dW and db: `dw[co][kk] += Σ_p g[co][p]·x[kk, p]`
+    /// (`p` ascending from +0.0, padded zeros included) and `db[co] += Σ_p
+    /// g[co][p]` (`p` ascending from −0.0, the start `Iterator::sum` uses).
+    /// Each lane is one output channel: per group of 16 channels a gather
+    /// pass transposes the gradient to `scratch` (`[p][16]`) and runs the db
+    /// chains, then blocks of 12 units (then 6, 3, 1) run side by side, a
+    /// unit being one tap whose input cell is broadcast to every lane. With
+    /// eight channels or fewer and kernels two taps wide or more, lanes `2c`
+    /// and `2c + 1` both hold channel `c` and a unit is two adjacent taps
+    /// of a kernel row: one 64-bit broadcast puts the input cells under them
+    /// in the even and the odd lanes, so no lane idles. (A row of odd width
+    /// ends on the pair `(k - 2, k - 1)`, whose even lane repeats a tap the
+    /// previous unit summed and is dropped.)
+    // SAFETY: caller must guarantee AVX-512F; the sizes the raw accesses
+    // rely on are asserted here. Gather lanes are masked to channels below
+    // `m` at positions below `p`, and `scratch` holds `p` rows of 16 floats;
+    // see `weight_grad_units` for the dW loop.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn train_weight_grads(
+        g: &Geom,
+        xpad: &[f32],
+        grad_out: &[f32],
+        scratch: &mut Vec<f32>,
+        dw: &mut [f32],
+        db: &mut [f32],
+    ) {
+        let p = g.oh * g.ow;
+        assert!(g.s == 1 && xpad.len() == g.c * g.hp * g.wp && grad_out.len() == g.m * p && db.len() == g.m);
+        assert!(grad_out.len() <= i32::MAX as usize, "train_weight_grads: gather offsets are i32");
+        assert_eq!(dw.len(), g.m * g.ckk, "train_weight_grads weight-gradient size mismatch");
+        let pairs = g.m <= 8 && g.k >= 2;
+        scratch.resize(16 * p, 0.0);
+        let gt = scratch.as_mut_ptr();
+        for first in (0..g.m).step_by(16) {
+            // Lane `l` reads channel `first + l`, or `l / 2` in pairs.
+            let channel = |l: usize| if pairs { l / 2 } else { first + l };
+            let offsets: [i32; 16] = std::array::from_fn(|l| (channel(l).min(g.m - 1) * p) as i32);
+            let live = (0..16).filter(|&l| channel(l) < g.m).fold(0, |mask: __mmask16, l| mask | 1 << l);
+            let offsets = _mm512_loadu_si512(offsets.as_ptr().cast());
+            let mut sum = _mm512_set1_ps(-0.0);
+            for i in 0..p {
+                let row = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), live, offsets, grad_out.as_ptr().add(i));
+                _mm512_storeu_ps(gt.add(16 * i), row);
+                sum = _mm512_add_ps(sum, row);
+            }
+            let mut sums = [0.0f32; 16];
+            _mm512_storeu_ps(sums.as_mut_ptr(), sum);
+            for (l, &v) in sums.iter().enumerate().step_by(if pairs { 2 } else { 1 }) {
+                if channel(l) < g.m {
+                    db[channel(l)] += v;
+                }
+            }
+            let units = g.c * g.k * if pairs { g.k.div_ceil(2) } else { g.k };
+            let x = xpad.as_ptr();
+            let mut u = 0;
+            while u < units {
+                u += match (units - u, pairs) {
+                    (12.., false) => weight_grad_units::<12, false>(g, x, gt, first, u, dw),
+                    (6.., false) => weight_grad_units::<6, false>(g, x, gt, first, u, dw),
+                    (3.., false) => weight_grad_units::<3, false>(g, x, gt, first, u, dw),
+                    (_, false) => weight_grad_units::<1, false>(g, x, gt, first, u, dw),
+                    (12.., true) => weight_grad_units::<12, true>(g, x, gt, first, u, dw),
+                    (6.., true) => weight_grad_units::<6, true>(g, x, gt, first, u, dw),
+                    (3.., true) => weight_grad_units::<3, true>(g, x, gt, first, u, dw),
+                    (_, true) => weight_grad_units::<1, true>(g, x, gt, first, u, dw),
+                };
+            }
+        }
+    }
+
+    /// Units `u0..u0 + T` of [`train_weight_grads`] for the channel group
+    /// starting at `first` (pairs if `PAIRS`); returns `T`.
+    // SAFETY: caller guarantees AVX-512F, unit stride, `u0 + T` units at
+    // most, `xpad` of `c·hp·wp` floats and `gt` of `16·oh·ow`. A unit's
+    // first tap `(ci, ky, kx)` at position `(oy, ox)` reads `xpad[off + oy·wp
+    // + ox]` with `off = (ci·hp + ky)·wp + kx`, at most `c·hp·wp - 1`
+    // because `oh + k - 1 = hp` and `ow + k - 1 = wp`; a pair's second tap
+    // is `kx + 1 <= k - 1`, so its cell is inside the same bound.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn weight_grad_units<const T: usize, const PAIRS: bool>(
+        g: &Geom,
+        xpad: *const f32,
+        gt: *const f32,
+        first: usize,
+        u0: usize,
+        dw: &mut [f32],
+    ) -> usize {
+        let per_row = if PAIRS { g.k.div_ceil(2) } else { g.k };
+        // Each unit's first tap: its cell offset in `xpad` and its `kk`.
+        let taps: [(usize, usize); T] = std::array::from_fn(|t| {
+            let (row, j) = ((u0 + t) / per_row, (u0 + t) % per_row);
+            let kx = if PAIRS { (2 * j).min(g.k - 2) } else { j };
+            ((row / g.k * g.hp + row % g.k) * g.wp + kx, row * g.k + kx)
+        });
+        let mut acc = [_mm512_setzero_ps(); T];
+        for oy in 0..g.oh {
+            let x_row = xpad.add(oy * g.wp);
+            let g_row = gt.add(oy * g.ow * 16);
+            for ox in 0..g.ow {
+                let gv = _mm512_loadu_ps(g_row.add(16 * ox));
+                let x = x_row.add(ox);
+                for (sum, &(off, _)) in acc.iter_mut().zip(&taps) {
+                    let xv = if PAIRS {
+                        _mm512_castpd_ps(_mm512_set1_pd(x.add(off).cast::<f64>().read_unaligned()))
+                    } else {
+                        _mm512_set1_ps(*x.add(off))
+                    };
+                    *sum = _mm512_add_ps(*sum, _mm512_mul_ps(xv, gv));
+                }
+            }
+        }
+        let mut sums = [0.0f32; 16];
+        for (&sum, &(_, kk)) in acc.iter().zip(&taps) {
+            _mm512_storeu_ps(sums.as_mut_ptr(), sum);
+            if PAIRS {
+                // Lane `2c + 1` is tap `kk + 1` and lane `2c` tap `kk`, unless
+                // `kx` is odd: then it is the pair a row of odd width ends on,
+                // and the previous unit summed tap `kk`.
+                for (c, lanes) in sums.chunks_exact(2).take(g.m).enumerate() {
+                    if (kk % g.k).is_multiple_of(2) {
+                        dw[c * g.ckk + kk] += lanes[0];
+                    }
+                    dw[c * g.ckk + kk + 1] += lanes[1];
+                }
+            } else {
+                for (l, &v) in sums.iter().take(g.m - first).enumerate() {
+                    dw[(first + l) * g.ckk + kk] += v;
+                }
+            }
+        }
+        T
+    }
+
+    /// Unit-stride training dX over the padded input `dx_pad`: for blocks
+    /// of `TAP_BLOCK` taps (then single taps), `t[tap][p] = Σ_co
+    /// w[co][kk]·g[co][p]` (`co` ascending from +0.0, zero weights skipped)
+    /// in tiles of `TAP_BLOCK` taps × 64 positions, then each tap's `t`
+    /// added into `dx_pad` in tap order, so every cell still takes its
+    /// terms `kk` ascending.
+    // SAFETY: caller must guarantee AVX-512F; the sizes the raw accesses
+    // rely on are asserted here (see `input_grad_taps`).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn train_input_grad(g: &Geom, weight: &[f32], grad_out: &[f32], t: &mut [f32], dx_pad: &mut [f32]) {
+        let p = g.oh * g.ow;
+        assert!(g.s == 1 && weight.len() == g.m * g.ckk && grad_out.len() == g.m * p && t.len() >= TAP_BLOCK * p);
+        assert_eq!(dx_pad.len(), g.c * g.hp * g.wp, "train_input_grad input-gradient size mismatch");
+        let mut kk = 0;
+        while kk < g.ckk {
+            kk += if g.ckk - kk >= TAP_BLOCK {
+                input_grad_taps::<TAP_BLOCK>(g, weight, grad_out, kk, t, dx_pad)
+            } else {
+                input_grad_taps::<1>(g, weight, grad_out, kk, t, dx_pad)
+            };
+        }
+    }
+
+    /// Taps `kk0..kk0 + T` of [`train_input_grad`]; returns `T`.
+    // SAFETY: caller guarantees AVX-512F, unit stride, `kk0 + T <= ckk`,
+    // `T <= TAP_BLOCK` and the asserted sizes. Gradient loads and `t`
+    // stores are masked to positions below `p` (fully masked vectors'
+    // pointers formed with `wrapping_add`); the tap `(ci, ky, kx)` adds
+    // `t` row `oy` into `dx_pad[(ci·hp + oy + ky)·wp + kx ..][..ow]`,
+    // inside the plane because `oh + k - 1 = hp` and `ow + k - 1 = wp`,
+    // and every access there is masked to the row's `ow` cells.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn input_grad_taps<const T: usize>(
+        g: &Geom,
+        weight: &[f32],
+        grad_out: &[f32],
+        kk0: usize,
+        t: &mut [f32],
+        dx_pad: &mut [f32],
+    ) -> usize {
+        let p = g.oh * g.ow;
+        let (w, go, tp, dx) = (weight.as_ptr(), grad_out.as_ptr(), t.as_mut_ptr(), dx_pad.as_mut_ptr());
+        let mut q0 = 0;
+        while q0 < p {
+            let masks = tile_masks(p - q0);
+            let mut acc = [[_mm512_setzero_ps(); TRAIN_VECS]; T];
+            for co in 0..g.m {
+                let src = go.add(co * p + q0);
+                let mut gs = [_mm512_setzero_ps(); TRAIN_VECS];
+                for (v, gv) in gs.iter_mut().enumerate() {
+                    *gv = _mm512_maskz_loadu_ps(masks[v], src.wrapping_add(16 * v));
+                }
+                for (tap, sums) in acc.iter_mut().enumerate() {
+                    let wv = *w.add(co * g.ckk + kk0 + tap);
+                    if wv != 0.0 {
+                        let wv = _mm512_set1_ps(wv);
+                        for (sum, &gv) in sums.iter_mut().zip(&gs) {
+                            *sum = _mm512_add_ps(*sum, _mm512_mul_ps(wv, gv));
+                        }
+                    }
+                }
+            }
+            for (tap, sums) in acc.iter().enumerate() {
+                let dst = tp.add(tap * p + q0);
+                for (v, &sum) in sums.iter().enumerate() {
+                    _mm512_mask_storeu_ps(dst.wrapping_add(16 * v), masks[v], sum);
+                }
+            }
+            q0 += 16 * TRAIN_VECS;
+        }
+        for tap in 0..T {
+            let kk = kk0 + tap;
+            let (ci, ky, kx) = (kk / (g.k * g.k), kk / g.k % g.k, kk % g.k);
+            for oy in 0..g.oh {
+                let src = tp.add(tap * p + oy * g.ow);
+                let dst = dx.add((ci * g.hp + oy + ky) * g.wp + kx);
+                let mut x = 0;
+                while x < g.ow {
+                    let mask = prefix_mask((g.ow - x).min(16));
+                    let sum =
+                        _mm512_add_ps(_mm512_maskz_loadu_ps(mask, dst.add(x)), _mm512_maskz_loadu_ps(mask, src.add(x)));
+                    _mm512_mask_storeu_ps(dst.add(x), mask, sum);
+                    x += 16;
+                }
+            }
+        }
+        T
+    }
+
+    /// 2×2 max-pool of an even `[c, h, w]` map with the argmax training
+    /// records, sixteen windows per step: even and odd columns of the two
+    /// input rows are split by permutes and compared as `(0,0), (0,1),
+    /// (1,0), (1,1)` against a running best from `-inf` with the
+    /// keep-first `>` (`_CMP_GT_OQ`: a NaN never wins), the index lanes
+    /// following the same mask, exactly as [`crate::ops::maxpool2d_into`]
+    /// scans a window.
+    // SAFETY: caller must guarantee AVX-512F and even `h`, `w` (checked
+    // below). `out` and `argmax` are sized to `c·oh·ow` before any raw
+    // access; a step over outputs `ox..ox + r` (`r <= 16`) of row `oy`
+    // reads input columns `2·ox .. 2·(ox + r)` of rows `2·oy` and
+    // `2·oy + 1`, masked to those cells, and stores `r` lanes.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn maxpool2x2_argmax_into(
+        input: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        out: &mut Vec<f32>,
+        argmax: &mut Vec<usize>,
+    ) {
+        assert!(
+            input.len() == c * h * w && h.is_multiple_of(2) && w.is_multiple_of(2),
+            "maxpool2x2_argmax_into shape mismatch"
+        );
+        assert!(input.len() <= i32::MAX as usize, "maxpool2x2_argmax_into: index lanes are i32");
+        let (oh, ow) = (h / 2, w / 2);
+        out.clear();
+        out.resize(c * oh * ow, 0.0);
+        argmax.clear();
+        argmax.resize(c * oh * ow, 0);
+        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+        let odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
+        let (ip, op, ap) = (input.as_ptr(), out.as_mut_ptr(), argmax.as_mut_ptr());
+        for ch in 0..c {
+            for oy in 0..oh {
+                let mut ox = 0;
+                while ox < ow {
+                    let r = (ow - ox).min(16);
+                    let (lo, hi) = (prefix_mask((2 * r).min(16)), prefix_mask((2 * r).saturating_sub(16)));
+                    let first = ch * h * w + 2 * oy * w + 2 * ox;
+                    let mut best = _mm512_set1_ps(f32::NEG_INFINITY);
+                    let mut best_i = _mm512_add_epi32(_mm512_set1_epi32(first as i32), even);
+                    for (dy, cols) in [(0, even), (0, odd), (1, even), (1, odd)] {
+                        let row = ip.add(first + dy * w);
+                        let (a, b) = (_mm512_maskz_loadu_ps(lo, row), _mm512_maskz_loadu_ps(hi, row.wrapping_add(16)));
+                        let v = _mm512_permutex2var_ps(a, cols, b);
+                        let gt = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, best);
+                        let at = _mm512_add_epi32(_mm512_set1_epi32((first + dy * w) as i32), cols);
+                        best = _mm512_mask_blend_ps(gt, best, v);
+                        best_i = _mm512_mask_blend_epi32(gt, best_i, at);
+                    }
+                    let o = ch * oh * ow + oy * ow + ox;
+                    _mm512_mask_storeu_ps(op.add(o), prefix_mask(r), best);
+                    let (i_lo, i_hi) = (_mm512_castsi512_si256(best_i), _mm512_extracti64x4_epi64::<1>(best_i));
+                    _mm512_mask_storeu_epi64(ap.add(o).cast(), prefix_mask(r) as u8, _mm512_cvtepu32_epi64(i_lo));
+                    if r > 8 {
+                        _mm512_mask_storeu_epi64(
+                            ap.add(o + 8).cast(),
+                            prefix_mask(r - 8) as u8,
+                            _mm512_cvtepu32_epi64(i_hi),
+                        );
+                    }
+                    ox += r;
+                }
+            }
         }
     }
 

@@ -1,9 +1,8 @@
 //! Pooling layers: max pooling and global average pooling.
 
 use crate::grad::{global_avg_pool_backward_into, maxpool2d_backward_into};
-use crate::kernels::{global_avg_pool_into, maxpool2d_into};
+use crate::kernels::{global_avg_pool_into, maxpool2d_argmax_into, maxpool2d_into};
 use crate::layer::Layer;
-use crate::ops;
 use crate::workspace::{Tape, Workspace};
 
 /// Square, non-overlapping max pooling (window == stride).
@@ -30,7 +29,7 @@ impl Layer for MaxPool2d {
         assert_eq!(ws.shape().len(), 3, "MaxPool2d expects CHW input");
         let (c, h, w) = (ws.shape()[0], ws.shape()[1], ws.shape()[2]);
         let (input, out, _scratch) = ws.split();
-        ops::maxpool2d_into(input, c, h, w, self.size, out, Some(tape.idx.push()));
+        maxpool2d_argmax_into(input, c, h, w, self.size, out, tape.idx.push());
         tape.idx.push().extend([c, h, w]);
         ws.commit(&[c, h / self.size, w / self.size]);
     }

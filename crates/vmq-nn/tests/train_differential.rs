@@ -4,11 +4,12 @@
 //! [`vmq_nn::grad`] promises an arithmetic order, not just a value: the one
 //! the im2col → matmul / a·bᵀ / aᵀ·b → col2im composition summed in. That
 //! composition — the allocating kernels training ran on before the direct
-//! family — lives on below as the naive reference, and every direct kernel
-//! must equal it by `to_bits` for any (channels, size, kernel, stride,
-//! padding), with exact-zero weights (the skip rule), `±0.0` / NaN / `±inf`
-//! gradients, non-zero gradients to accumulate onto, and scratch buffers
-//! holding a previous larger shape's leftovers. (Where both sides are NaN
+//! family — lives on below as the naive reference, and every direct kernel,
+//! on every backend the host runs (`*_with`: the AVX-512 twins and the
+//! portable code), must equal it by `to_bits` for any (channels, size,
+//! kernel, stride, padding), with exact-zero weights (the skip rule), `±0.0`
+//! / NaN / `±inf` gradients, non-zero gradients to accumulate onto, and
+//! scratch buffers holding a previous larger shape's leftovers. (Where both sides are NaN
 //! the payload is not compared: which of two NaN operands an addition
 //! returns is the compiler's operand order, not part of the contract.)
 //!
@@ -24,9 +25,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vmq_nn::grad::{conv2d_backward_input_into, conv2d_backward_params_into, conv2d_forward_into};
+use vmq_nn::grad::{conv2d_backward_input_into_with, conv2d_backward_params_into_with, conv2d_forward_into_with};
 use vmq_nn::kernels::{
-    global_avg_pool_into_with, matmul_into_with, matvec_into_with, KernelBackend, ABS_TOLERANCE, ULP_TOLERANCE,
+    global_avg_pool_into_with, matmul_into_with, matvec_into_with, maxpool2d_argmax_into_with, KernelBackend,
+    ABS_TOLERANCE, ULP_TOLERANCE,
 };
 use vmq_nn::layer::{Act, Activation, Conv2d, Dense, Flatten, Layer, MaxPool2d};
 use vmq_nn::loss::mse_loss;
@@ -192,8 +194,31 @@ fn stale(len: usize) -> Vec<f32> {
     vec![f32::NAN; len]
 }
 
+/// Every backend this host runs. Each takes its own path through the
+/// training kernels (AVX-512 its 512-bit twins, the others the portable
+/// reference). The first call names them and the skipped ones on stderr,
+/// written past the test harness's capture so that a CI log shows which
+/// paths a run covered.
+fn training_backends() -> Vec<KernelBackend> {
+    static NOTE: std::sync::Once = std::sync::Once::new();
+    let supported = KernelBackend::supported();
+    NOTE.call_once(|| {
+        let names = |backends: &[KernelBackend]| backends.iter().map(|b| b.name()).collect::<Vec<_>>().join(", ");
+        let skipped: Vec<_> = KernelBackend::ALL.into_iter().filter(|b| !b.is_supported()).collect();
+        let note = format!(
+            "train_differential: training kernels checked on [{}] (detected {}); not supported here, skipped: [{}]\n",
+            names(&supported),
+            KernelBackend::detect().name(),
+            names(&skipped)
+        );
+        let _ = std::io::Write::write_all(&mut std::io::stderr(), note.as_bytes());
+    });
+    supported
+}
+
 /// One convolution — `shape = [c, m, h, w]`, `conv = (kernel, stride,
-/// padding)` — through the direct kernels and through the reference.
+/// padding)` — through the direct kernels on every supported backend and
+/// through the reference.
 fn check_conv(shape: [usize; 4], conv: (usize, usize, usize), wild: bool, seed: u64) {
     let [c, m, h, w] = shape;
     let (kernel, stride, padding) = conv;
@@ -201,31 +226,37 @@ fn check_conv(shape: [usize; 4], conv: (usize, usize, usize), wild: bool, seed: 
     let (oh, ow) = spec.out_size(h, w);
     let ckk = c * kernel * kernel;
     let mut rng = StdRng::seed_from_u64(seed);
-    let input = values_with_zeros(c * h * w, 1.0, &mut rng);
+    // A wild case feeds NaN / `±inf` into the input too, where a skipped
+    // zero weight and a multiplied one differ.
+    let input =
+        if wild { gradient_values(c * h * w, true, &mut rng) } else { values_with_zeros(c * h * w, 1.0, &mut rng) };
     let weight = values_with_zeros(m * ckk, 0.5, &mut rng);
     let bias = values_with_zeros(m, 0.2, &mut rng);
     let g = gradient_values(m * oh * ow, wild, &mut rng);
     let what = format!("{c}->{m} {h}x{w} k{kernel} s{stride} p{padding} wild={wild} seed={seed}");
     let want = reference(&input, h, w, &spec, &weight, &bias, &g);
 
-    let big = (c.max(m) + 1) * (h + 2 * padding + 2) * (w + 2 * padding + 2) * 2 + 64;
-    let (mut xpad, mut scratch, mut out) = (stale(big), stale(big), stale(big));
-    conv2d_forward_into(&input, h, w, &spec, &weight, &bias, &mut xpad, &mut scratch, &mut out);
-    assert_same_bits(&out, &want.out, &format!("{what}: forward"));
-
     // Gradients accumulate onto whatever the batch has gathered so far.
-    let dw0 = values_with_zeros(m * ckk, 1.0, &mut rng);
-    let db0 = values_with_zeros(m, 1.0, &mut rng);
-    let (mut dw, mut db) = (dw0.clone(), db0.clone());
-    conv2d_backward_params_into(&xpad, h, w, &spec, &g, &mut scratch, &mut dw, &mut db);
+    let dw0 = gradient_values(m * ckk, false, &mut rng);
+    let db0 = gradient_values(m, false, &mut rng);
     let want_dw: Vec<f32> = dw0.iter().zip(&want.grad_weight).map(|(a, b)| a + b).collect();
     let want_db: Vec<f32> = db0.iter().zip(&want.grad_bias).map(|(a, b)| a + b).collect();
-    assert_same_bits(&dw, &want_dw, &format!("{what}: dW"));
-    assert_same_bits(&db, &want_db, &format!("{what}: db"));
+    let big = (c.max(m) + 1) * (h + 2 * padding + 2) * (w + 2 * padding + 2) * 5 + 64;
+    for backend in training_backends() {
+        let what = format!("{} {what}", backend.name());
+        let (mut xpad, mut scratch, mut out) = (stale(big), stale(big), stale(big));
+        conv2d_forward_into_with(backend, &input, h, w, &spec, &weight, &bias, &mut xpad, &mut scratch, &mut out);
+        assert_same_bits(&out, &want.out, &format!("{what}: forward"));
 
-    let mut dx = stale(big);
-    conv2d_backward_input_into(&weight, h, w, &spec, &g, &mut scratch, &mut dx);
-    assert_same_bits(&dx, &want.grad_input, &format!("{what}: dX"));
+        let (mut dw, mut db) = (dw0.clone(), db0.clone());
+        conv2d_backward_params_into_with(backend, &xpad, h, w, &spec, &g, &mut scratch, &mut dw, &mut db);
+        assert_same_bits(&dw, &want_dw, &format!("{what}: dW"));
+        assert_same_bits(&db, &want_db, &format!("{what}: db"));
+
+        let mut dx = stale(big);
+        conv2d_backward_input_into_with(backend, &weight, h, w, &spec, &g, &mut scratch, &mut dx);
+        assert_same_bits(&dx, &want.grad_input, &format!("{what}: dX"));
+    }
 }
 
 /// The shapes filter training runs: the IC / OD trunks and branch (3×3,
@@ -256,6 +287,39 @@ fn filter_shapes_match_the_im2col_reference_bit_for_bit() {
     }
 }
 
+/// An output gradient of `-0.0` everywhere onto `-0.0` accumulators: dW
+/// sums from +0.0, so its accumulators turn `+0.0`, and db from −0.0 (as
+/// `Iterator::sum` does), so its accumulators stay `-0.0`. Eight channels
+/// (the AVX-512 kernel's paired lanes) and sixteen.
+#[test]
+fn an_all_negative_zero_gradient_keeps_each_sums_start() {
+    for m in [8, 16] {
+        let spec = ConvSpec { in_channels: 2, out_channels: m, kernel: 3, stride: 1, padding: 1 };
+        let ckk = 2 * 9;
+        let input: Vec<f32> = (0..2 * 25).map(|v| v as f32 - 20.0).collect();
+        let g = vec![-0.0f32; m * 25];
+        for backend in training_backends() {
+            let (mut xpad, mut scratch, mut out) = (Vec::new(), Vec::new(), Vec::new());
+            conv2d_forward_into_with(
+                backend,
+                &input,
+                5,
+                5,
+                &spec,
+                &vec![0.5; m * ckk],
+                &vec![0.0; m],
+                &mut xpad,
+                &mut scratch,
+                &mut out,
+            );
+            let (mut dw, mut db) = (vec![-0.0f32; m * ckk], vec![-0.0f32; m]);
+            conv2d_backward_params_into_with(backend, &xpad, 5, 5, &spec, &g, &mut scratch, &mut dw, &mut db);
+            assert_same_bits(&dw, &vec![0.0; m * ckk], &format!("{} {m} channels: dW", backend.name()));
+            assert_same_bits(&db, &vec![-0.0; m], &format!("{} {m} channels: db", backend.name()));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -271,6 +335,40 @@ proptest! {
     ) {
         if h + 2 * padding >= kernel && w + 2 * padding >= kernel {
             check_conv([c, m, h, w], (kernel, stride, padding), wild == 0, seed);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Training's max-pool keeps the scalar window scan on every backend:
+    /// the pooled bits and the argmax the backward pass routes through, for
+    /// any channel count and even map (full 16-window steps and their
+    /// tails), with ties, `±0.0`, NaN and `-inf` cells.
+    #[test]
+    fn maxpool_argmax_matches_the_scalar_scan_on_every_backend(
+        (c, oh, ow) in (1usize..=17, 1usize..=18, 1usize..=35),
+        seed in 0u64..1 << 32,
+    ) {
+        let (h, w) = (2 * oh, 2 * ow);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let input: Vec<f32> = (0..c * h * w)
+            .map(|_| match rng.gen_range(0..12u32) {
+                0 => f32::NAN,
+                1 => f32::NEG_INFINITY,
+                2 => -0.0,
+                3 => 0.0,
+                v => (v % 4) as f32 - 1.5,
+            })
+            .collect();
+        let (mut want, mut want_idx) = (Vec::new(), Vec::new());
+        ops::maxpool2d_into(&input, c, h, w, 2, &mut want, Some(&mut want_idx));
+        for backend in training_backends() {
+            let (mut got, mut got_idx) = (stale(3), vec![usize::MAX; 5]);
+            maxpool2d_argmax_into_with(backend, &input, c, h, w, 2, &mut got, &mut got_idx);
+            assert_same_bits(&got, &want, &format!("{} maxpool {c}x{h}x{w}", backend.name()));
+            prop_assert_eq!(&got_idx, &want_idx, "{} maxpool argmax {}x{}x{}", backend.name(), c, h, w);
         }
     }
 }

@@ -354,6 +354,10 @@ fn table4(sheet: &mut Sheet, cases: &[(&DatasetExperiment, Query)]) {
 
 /// The six fixtures (Coral, Jackson, DeTRAC, a2, a3/a4, a5), trained
 /// concurrently on the worker pool: each is a pure function of its profile.
+/// Inside a pool task a training's own minibatch sharding runs inline, so
+/// each fixture trains at width 1. Training them one after another, each
+/// on every core, measured slower on a 2-vCPU host (sheet test time, four
+/// alternating runs each: 11.3–11.8 s here against 12.0–14.0 s).
 fn fixtures() -> [DatasetExperiment; 6] {
     let specs = [
         (DatasetProfile::coral(), true),
