@@ -338,25 +338,22 @@ pub fn conv2d_backward_input_into_with(
     let g = Geom::new(spec, h, w);
     let p = g.oh * g.ow;
     debug_assert_eq!(grad_out.len(), g.m * p, "conv2d_backward_input_into gradient size mismatch");
-    // `scratch` = `t[p]` for up to `TAP_BLOCK` taps, then dX over the padded
-    // input (what lands in the padding is dropped at the end).
-    scratch.clear();
-    scratch.resize(TAP_BLOCK * p + g.c * g.hp * g.wp, 0.0);
-    let (t, dx_pad) = scratch.split_at_mut(TAP_BLOCK * p);
-    if !kernels::conv_train_input_grad_with(backend, &g, weight, grad_out, t, dx_pad) {
-        input_grads(&g, weight, grad_out, &mut t[..p], dx_pad);
+    // `scratch` = dX over the padded input (what lands in the padding is
+    // dropped at the end), then one tap's `t[p]`.
+    let pad_len = g.c * g.hp * g.wp;
+    if !kernels::conv_train_input_grad_with(backend, &g, weight, grad_out, scratch) {
+        scratch.clear();
+        scratch.resize(pad_len + p, 0.0);
+        let (dx_pad, t) = scratch.split_at_mut(pad_len);
+        input_grads(&g, weight, grad_out, t, dx_pad);
     }
     dx.clear();
-    for plane in dx_pad.chunks_exact(g.hp * g.wp) {
+    for plane in scratch[..pad_len].chunks_exact(g.hp * g.wp) {
         for row in plane.chunks_exact(g.wp).skip(g.pad).take(h) {
             dx.extend_from_slice(&row[g.pad..g.pad + w]);
         }
     }
 }
-
-/// Taps whose `t[p]` the AVX-512 dX kernel computes side by side before
-/// adding them into dX one after another.
-pub(crate) const TAP_BLOCK: usize = 4;
 
 /// dX of [`conv2d_backward_input_into_with`] over the padded input, one tap
 /// at a time through `t` (`p` cells).

@@ -534,22 +534,20 @@ pub(crate) fn conv_train_weight_grads_with(
 }
 
 /// dX of [`crate::grad::conv2d_backward_input_into_with`] over the padded
-/// input `dx_pad` (zeroed by the caller), through `t`
-/// ([`crate::grad::TAP_BLOCK`] runs of `p` cells).
+/// input, left at the front of `scratch` (`c·hp·wp` cells).
 #[allow(unsafe_code)]
 pub(crate) fn conv_train_input_grad_with(
     backend: KernelBackend,
     g: &Geom,
     weight: &[f32],
     grad_out: &[f32],
-    t: &mut [f32],
-    dx_pad: &mut [f32],
+    scratch: &mut Vec<f32>,
 ) -> bool {
     match backend {
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx512 if backend.is_supported() && g.s == 1 => {
             // SAFETY: as in `conv_train_forward_with`.
-            unsafe { avx512::train_input_grad(g, weight, grad_out, t, dx_pad) };
+            unsafe { avx512::train_input_grad(g, weight, grad_out, scratch) };
             true
         }
         _ => false,
@@ -1232,7 +1230,7 @@ mod avx2 {
 #[allow(unsafe_code)]
 mod avx512 {
     use super::BlockAct;
-    use crate::grad::{Geom, TAP_BLOCK};
+    use crate::grad::Geom;
     use std::arch::x86_64::*;
 
     // Safety: every function requires AVX-512F; the dispatch layer only
@@ -1850,23 +1848,28 @@ mod avx512 {
         T
     }
 
-    /// Unit-stride training dX over the padded input `dx_pad`: for blocks
-    /// of `TAP_BLOCK` taps (then single taps), `t[tap][p] = Σ_co
-    /// w[co][kk]·g[co][p]` (`co` ascending from +0.0, zero weights skipped)
-    /// in tiles of `TAP_BLOCK` taps × 64 positions, then each tap's `t`
-    /// added into `dx_pad` in tap order, so every cell still takes its
-    /// terms `kk` ascending.
+    /// Taps whose `t[p]` [`train_input_grad`] computes side by side.
+    const TRAIN_TAPS: usize = 4;
+
+    /// Unit-stride training dX over the padded input, left zero-started in
+    /// `scratch[..c·hp·wp]`: for blocks of `TRAIN_TAPS` taps (then single
+    /// taps), `t[tap][p] = Σ_co w[co][kk]·g[co][p]` (`co` ascending from
+    /// +0.0, zero weights skipped) in tiles of `TRAIN_TAPS` taps × 64
+    /// positions into the rest of `scratch`, then each tap's `t` added into
+    /// dX in tap order, so every cell still takes its terms `kk` ascending.
     // SAFETY: caller must guarantee AVX-512F; the sizes the raw accesses
     // rely on are asserted here (see `input_grad_taps`).
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn train_input_grad(g: &Geom, weight: &[f32], grad_out: &[f32], t: &mut [f32], dx_pad: &mut [f32]) {
-        let p = g.oh * g.ow;
-        assert!(g.s == 1 && weight.len() == g.m * g.ckk && grad_out.len() == g.m * p && t.len() >= TAP_BLOCK * p);
-        assert_eq!(dx_pad.len(), g.c * g.hp * g.wp, "train_input_grad input-gradient size mismatch");
+    pub unsafe fn train_input_grad(g: &Geom, weight: &[f32], grad_out: &[f32], scratch: &mut Vec<f32>) {
+        let (p, pad_len) = (g.oh * g.ow, g.c * g.hp * g.wp);
+        assert!(g.s == 1 && weight.len() == g.m * g.ckk && grad_out.len() == g.m * p, "train_input_grad size mismatch");
+        scratch.clear();
+        scratch.resize(pad_len + TRAIN_TAPS * p, 0.0);
+        let (dx_pad, t) = scratch.split_at_mut(pad_len);
         let mut kk = 0;
         while kk < g.ckk {
-            kk += if g.ckk - kk >= TAP_BLOCK {
-                input_grad_taps::<TAP_BLOCK>(g, weight, grad_out, kk, t, dx_pad)
+            kk += if g.ckk - kk >= TRAIN_TAPS {
+                input_grad_taps::<TRAIN_TAPS>(g, weight, grad_out, kk, t, dx_pad)
             } else {
                 input_grad_taps::<1>(g, weight, grad_out, kk, t, dx_pad)
             };
@@ -1875,12 +1878,13 @@ mod avx512 {
 
     /// Taps `kk0..kk0 + T` of [`train_input_grad`]; returns `T`.
     // SAFETY: caller guarantees AVX-512F, unit stride, `kk0 + T <= ckk`,
-    // `T <= TAP_BLOCK` and the asserted sizes. Gradient loads and `t`
-    // stores are masked to positions below `p` (fully masked vectors'
-    // pointers formed with `wrapping_add`); the tap `(ci, ky, kx)` adds
-    // `t` row `oy` into `dx_pad[(ci·hp + oy + ky)·wp + kx ..][..ow]`,
-    // inside the plane because `oh + k - 1 = hp` and `ow + k - 1 = wp`,
-    // and every access there is masked to the row's `ow` cells.
+    // `weight` of `m·ckk` and `grad_out` of `m·p` floats, `t` of at least
+    // `T·p` and `dx_pad` of `c·hp·wp`. Gradient loads and `t` stores are
+    // masked to positions below `p` (fully masked vectors' pointers formed
+    // with `wrapping_add`); the tap `(ci, ky, kx)` adds `t` row `oy` into
+    // `dx_pad[(ci·hp + oy + ky)·wp + kx ..][..ow]`, inside the plane
+    // because `oh + k - 1 = hp` and `ow + k - 1 = wp`, and every access
+    // there is masked to the row's `ow` cells.
     #[target_feature(enable = "avx512f")]
     unsafe fn input_grad_taps<const T: usize>(
         g: &Geom,
