@@ -1604,11 +1604,19 @@ mod avx512 {
     // -- Training convolutions (`crate::grad`'s AVX-512 path) -------------
     //
     // Bit-identical to `crate::grad`'s portable kernels: every lane is one
-    // of the sums the reference computes, started from +0.0 and taking its
-    // terms in the reference's order, each term a `mul_ps` then an
-    // `add_ps` (never `fmadd`), zero weights skipped by a scalar branch per
+    // of the sums the reference computes, from the same start and taking
+    // its terms in the same order, each term a `mul_ps` then an `add_ps`
+    // (never `fmadd`), zero weights skipped by a scalar branch per
     // (channel, tap). Speed comes from holding 12–16 of those independent
     // sums in registers at once, enough to hide the adds' latency.
+
+    /// Panics unless `g` is a unit-stride convolution whose output spans the
+    /// padded input exactly (`oh + k - 1 = hp`, `ow + k - 1 = wp`): the
+    /// bounds every training kernel's raw reads rely on.
+    fn assert_unit_stride(g: &Geom) {
+        let spans = g.k >= 1 && g.oh + g.k - 1 == g.hp && g.ow + g.k - 1 == g.wp;
+        assert!(g.s == 1 && g.oh >= 1 && g.ow >= 1 && spans && g.ckk == g.c * g.k * g.k, "not a unit-stride geometry");
+    }
 
     /// 16-lane vectors of output positions per forward / dX tile.
     const TRAIN_VECS: usize = 4;
@@ -1636,7 +1644,8 @@ mod avx512 {
         scratch: &mut Vec<f32>,
         out: &mut [f32],
     ) {
-        assert!(g.s == 1 && xpad.len() == g.c * g.hp * g.wp && weight.len() == g.m * g.ckk && bias.len() == g.m);
+        assert_unit_stride(g);
+        assert!(xpad.len() == g.c * g.hp * g.wp && weight.len() == g.m * g.ckk && bias.len() == g.m);
         assert_eq!(out.len(), g.m * g.oh * g.ow, "train_forward output size mismatch");
         let q_len = (g.oh - 1) * g.wp + g.ow;
         scratch.resize(4 * q_len, 0.0);
@@ -1742,7 +1751,8 @@ mod avx512 {
         db: &mut [f32],
     ) {
         let p = g.oh * g.ow;
-        assert!(g.s == 1 && xpad.len() == g.c * g.hp * g.wp && grad_out.len() == g.m * p && db.len() == g.m);
+        assert_unit_stride(g);
+        assert!(xpad.len() == g.c * g.hp * g.wp && grad_out.len() == g.m * p && db.len() == g.m);
         assert!(grad_out.len() <= i32::MAX as usize, "train_weight_grads: gather offsets are i32");
         assert_eq!(dw.len(), g.m * g.ckk, "train_weight_grads weight-gradient size mismatch");
         let pairs = g.m <= 8 && g.k >= 2;
@@ -1862,7 +1872,8 @@ mod avx512 {
     #[target_feature(enable = "avx512f")]
     pub unsafe fn train_input_grad(g: &Geom, weight: &[f32], grad_out: &[f32], scratch: &mut Vec<f32>) {
         let (p, pad_len) = (g.oh * g.ow, g.c * g.hp * g.wp);
-        assert!(g.s == 1 && weight.len() == g.m * g.ckk && grad_out.len() == g.m * p, "train_input_grad size mismatch");
+        assert_unit_stride(g);
+        assert!(weight.len() == g.m * g.ckk && grad_out.len() == g.m * p, "train_input_grad size mismatch");
         scratch.clear();
         scratch.resize(pad_len + TRAIN_TAPS * p, 0.0);
         let (dx_pad, t) = scratch.split_at_mut(pad_len);
