@@ -339,7 +339,7 @@ pub fn conv2d_backward_input_into_with(
     let p = g.oh * g.ow;
     debug_assert_eq!(grad_out.len(), g.m * p, "conv2d_backward_input_into gradient size mismatch");
     // `scratch` = dX over the padded input (what lands in the padding is
-    // dropped at the end), then one tap's `t[p]`.
+    // dropped at the end), then the tap sums `t[p]`.
     let pad_len = g.c * g.hp * g.wp;
     if !kernels::conv_train_input_grad_with(backend, &g, weight, grad_out, scratch) {
         scratch.clear();

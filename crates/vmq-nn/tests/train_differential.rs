@@ -9,9 +9,10 @@
 //! portable code), must equal it by `to_bits` for any (channels, size,
 //! kernel, stride, padding), with exact-zero weights (the skip rule), `±0.0`
 //! / NaN / `±inf` gradients, non-zero gradients to accumulate onto, and
-//! scratch buffers holding a previous larger shape's leftovers. (Where both sides are NaN
-//! the payload is not compared: which of two NaN operands an addition
-//! returns is the compiler's operand order, not part of the contract.)
+//! scratch buffers holding a previous larger shape's leftovers. (Where both
+//! sides are NaN the payload is not compared: which of two NaN operands an
+//! addition returns is the compiler's operand order, not part of the
+//! contract.)
 //!
 //! The second part holds `matmul_into`, `matvec_into` and
 //! `global_avg_pool_into` on every SIMD backend to the scalar reference over
