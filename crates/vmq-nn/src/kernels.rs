@@ -488,6 +488,7 @@ pub fn leaky_relu_in_place_with(backend: KernelBackend, data: &mut [f32], slope:
 /// The forward sums plus bias of [`crate::grad::conv2d_forward_into_with`]
 /// into `out` (`[m, oh, ow]`), from the padded input `xpad`.
 #[allow(unsafe_code)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn conv_train_forward_with(
     backend: KernelBackend,
     g: &Geom,
@@ -513,6 +514,7 @@ pub(crate) fn conv_train_forward_with(
 /// The dW and db sums of [`crate::grad::conv2d_backward_params_into_with`],
 /// each added once into `dw` and `db`, from `xpad` and `grad_out`.
 #[allow(unsafe_code)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn conv_train_weight_grads_with(
     backend: KernelBackend,
     g: &Geom,
@@ -536,6 +538,7 @@ pub(crate) fn conv_train_weight_grads_with(
 /// dX of [`crate::grad::conv2d_backward_input_into_with`] over the padded
 /// input, left at the front of `scratch` (`c·hp·wp` cells).
 #[allow(unsafe_code)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn conv_train_input_grad_with(
     backend: KernelBackend,
     g: &Geom,
