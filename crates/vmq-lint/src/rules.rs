@@ -363,13 +363,14 @@ fn keyword_occurrences<'l>(lexed: &'l LexedFile, kw: &'static str) -> impl Itera
 }
 
 /// Code lines of one source file: the lines before the first `#[cfg(test)]`
+/// (an inline test module) or `#![cfg(test)]` (a file that is a test module)
 /// at column 0 that are neither blank nor comments (`//`, `///` and `//!`
 /// lines alike). Every per-crate line count the project reports uses this
 /// rule.
 pub fn code_lines(source: &str) -> usize {
     source
         .lines()
-        .take_while(|line| !line.starts_with("#[cfg(test)]"))
+        .take_while(|line| !line.starts_with("#[cfg(test)]") && !line.starts_with("#![cfg(test)]"))
         .filter(|line| {
             let line = line.trim();
             !line.is_empty() && !line.starts_with("//")

@@ -320,6 +320,19 @@ mod tests {
 }
 
 #[test]
+fn code_lines_skip_a_file_that_is_a_test_module() {
+    let src = r#"//! Tests of the parent module.
+#![cfg(test)]
+
+use super::*;
+
+#[test]
+fn g() {}
+"#;
+    assert_eq!(rules::code_lines(src), 0);
+}
+
+#[test]
 fn crate_over_its_ceiling_fires_on_its_entry() {
     let (findings, notes) = rules::check_loc(&counts(&[("vmq-a", 10), ("vmq-b", 21)]), CEILINGS);
     assert_eq!(findings.len(), 1, "{findings:?}");

@@ -125,14 +125,6 @@ impl Layer for Activation {
             *g *= self.derivative(c);
         }
     }
-
-    fn name(&self) -> &'static str {
-        "Activation"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -124,14 +124,6 @@ impl Layer for Conv2d {
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
-
-    fn name(&self) -> &'static str {
-        "Conv2d"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

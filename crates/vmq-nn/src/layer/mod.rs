@@ -25,7 +25,7 @@ use crate::workspace::{Tape, Workspace};
 /// `Send + Sync` and take `&self` in every pass, so a trained network is
 /// shared by many inference threads, and a network in training by many
 /// per-sample passes, without a lock.
-pub trait Layer: Send + Sync {
+pub trait Layer: std::any::Any + Send + Sync {
     /// Training forward pass: [`Layer::infer`] that pushes what
     /// [`Layer::backward`] needs onto `tape` and runs one scalar
     /// accumulation order on every backend (backend-invariant weights).
@@ -58,28 +58,30 @@ pub trait Layer: Send + Sync {
         Vec::new()
     }
 
-    /// Short layer name for architecture summaries.
-    fn name(&self) -> &'static str;
+    /// Short layer name for architecture summaries: the type's name.
+    fn name(&self) -> &'static str {
+        let path = std::any::type_name::<Self>();
+        path.rsplit("::").next().unwrap_or(path)
+    }
+}
 
+impl dyn Layer {
     /// The layer as [`std::any::Any`], so structure-aware consumers (e.g.
     /// post-training quantization in [`crate::quant`]) can downcast a boxed
     /// `dyn Layer` back to its concrete type.
-    fn as_any(&self) -> &dyn std::any::Any;
+    pub fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
 }
 
 /// Reshapes any tensor into a flat vector (and restores the shape on backward).
+#[derive(Default)]
 pub struct Flatten;
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
         Flatten
-    }
-}
-
-impl Default for Flatten {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -95,14 +97,6 @@ impl Layer for Flatten {
 
     fn backward(&self, ws: &mut Workspace, tape: &mut Tape, _grad: &mut [f32], _input_grad: bool) {
         ws.set_shape(tape.idx.pop());
-    }
-
-    fn name(&self) -> &'static str {
-        "Flatten"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

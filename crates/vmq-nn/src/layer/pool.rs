@@ -50,29 +50,16 @@ impl Layer for MaxPool2d {
         maxpool2d_backward_into(grad_out, tape.idx.pop(), c * h * w, grad_in);
         ws.commit(&[c, h, w]);
     }
-
-    fn name(&self) -> &'static str {
-        "MaxPool2d"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// Global average pooling `[C, H, W] -> [C]` (the GAP block of Figs. 2, 4, 5).
+#[derive(Default)]
 pub struct GlobalAvgPool;
 
 impl GlobalAvgPool {
     /// Creates a global average pooling layer.
     pub fn new() -> Self {
         GlobalAvgPool
-    }
-}
-
-impl Default for GlobalAvgPool {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -99,14 +86,6 @@ impl Layer for GlobalAvgPool {
         let c = grad_out.len();
         global_avg_pool_backward_into(grad_out, h, w, grad_in);
         ws.commit(&[c, h, w]);
-    }
-
-    fn name(&self) -> &'static str {
-        "GlobalAvgPool"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

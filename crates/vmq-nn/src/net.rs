@@ -62,24 +62,9 @@ impl Sequential {
         Sequential { layers }
     }
 
-    /// An empty network (identity function).
-    pub fn empty() -> Self {
-        Sequential { layers: Vec::new() }
-    }
-
     /// Appends a layer.
     pub fn push(&mut self, layer: Box<dyn Layer>) {
         self.layers.push(layer);
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// True when the network has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
     }
 
     /// Training forward pass ([`Layer::forward`] per layer) over the
@@ -161,8 +146,8 @@ impl Sequential {
     }
 
     /// Read-only access to the layer stack (used by structure-aware
-    /// consumers such as post-training quantization, via
-    /// [`Layer::as_any`]).
+    /// consumers such as post-training quantization, via `dyn Layer`'s
+    /// `as_any`).
     pub fn layers(&self) -> &[Box<dyn Layer>] {
         &self.layers
     }

@@ -164,16 +164,6 @@ impl QuantizedSequential {
         QuantizedSequential { layers: qlayers }
     }
 
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// True when the network has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
     /// Quantized inference over the activation already loaded into `ws`,
     /// mirroring [`Sequential::infer_ws`]: `&self` only, allocation-free
     /// in steady state, output left in the workspace.
@@ -531,8 +521,7 @@ mod tests {
             })
             .collect();
         let qnet = QuantizedSequential::quantize(&net, &calib);
-        assert_eq!(qnet.len(), 8);
-        assert!(!qnet.is_empty());
+        assert_eq!(qnet.layers.len(), 8);
         let mut ws = Workspace::new();
         for s in 10..14 {
             let x =
