@@ -21,13 +21,15 @@
 //!   capacity; overflow is *dropped at the edge* and counted, never silently
 //!   absorbed;
 //! * **a round-robin scheduler** — [`FleetRuntime::poll`] drains one batch
-//!   per camera per sweep through the plans' incremental
-//!   [`prepare_batch`](SharedStreamPlan::prepare_batch) /
-//!   [`complete_batch`](SharedStreamPlan::complete_batch) halves, detecting
-//!   every camera's escalations in shared fleet-wide dispatches, so every
-//!   camera's statements make progress and all per-batch machinery (drift
-//!   replans, window emission, sharded workers) runs exactly as it would
-//!   stand-alone;
+//!   per camera per sweep through the plans' incremental halves: every
+//!   camera's [`stage_batch`](SharedStreamPlan::stage_batch) (decode charge,
+//!   filter inference, fan-out) at once over the whole machine, then in
+//!   camera order each [`probe_batch`](SharedStreamPlan::probe_batch) of the
+//!   shared cache, one fleet-wide detector dispatch for every camera's
+//!   escalations, and each
+//!   [`complete_batch`](SharedStreamPlan::complete_batch). So every camera's
+//!   statements make progress and all per-batch machinery (drift replans,
+//!   window emission, sharded decode) runs exactly as it would stand-alone;
 //! * **graceful overload shedding** — when the total backlog crosses the
 //!   configured threshold the scheduler raises the shed level, which halves
 //!   aggregate detector *sampling* per level (wider confidence intervals,
@@ -38,9 +40,10 @@
 //! ledgers and the same per-frame-pure backends it would run alone, every
 //! statement outcome is **bit-identical** to executing that camera's plan in
 //! isolation — the fleet only changes who pays for shared work, never what
-//! any statement computes. The tests below pin this against isolated runs
-//! and against a per-camera [`push_batch`](SharedStreamPlan::push_batch)
-//! replay.
+//! any statement computes, and the order cameras stage in on the pool
+//! changes no bit (see [`FleetRuntime::poll`]). The tests below pin this
+//! against isolated runs and against a per-camera
+//! [`push_batch`](SharedStreamPlan::push_batch) replay, at several widths.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -48,7 +51,7 @@ use std::time::Instant;
 use vmq_detect::{CostLedger, DetectionCache, Detector, FrameDetections, GroupCost, SharedCost};
 use vmq_filters::FrameFilter;
 use vmq_query::{
-    AggregateSpec, CascadeConfig, PipelineConfig, PreparedBatch, Query, QueryRun, SharedStreamPlan, WindowEstimator,
+    AggregateSpec, CascadeConfig, PipelineConfig, Query, QueryRun, SharedStreamPlan, StagedBatch, WindowEstimator,
 };
 use vmq_video::{Frame, Scene};
 
@@ -64,9 +67,11 @@ const COALESCE_BUDGET: usize = 1024;
 pub struct FleetConfig {
     /// Frames per scheduler batch per camera (0 is treated as 1).
     pub batch_size: usize,
-    /// Pool worker count the coalesced detect dispatch and each plan's
-    /// detect stage shard over; learned filters decode over it or the whole
-    /// machine, whichever is wider (bit-identical for any value).
+    /// Pool worker count the coalesced detect dispatch shards over. Camera
+    /// staging (every plan's decode charge, filter inference and fan-out)
+    /// and learned-filter decode use the whole machine
+    /// ([`vmq_exec::parallelism`]) or this, whichever is wider, so `workers`
+    /// governs only the detect dispatch. Bit-identical for any value.
     pub workers: usize,
     /// Per-camera ingest queue capacity; frames arriving at a full queue are
     /// dropped at the edge and counted.
@@ -102,14 +107,16 @@ struct StatementInfo {
     ledger: CostLedger,
 }
 
-/// One registered camera: its scene, its standing-statement plan, and its
-/// bounded ingest queue.
+/// One registered camera: its scene, its standing-statement plan, its
+/// bounded ingest queue, and the batch a poll has in flight.
 struct CameraState<'a> {
     scene: Scene,
     plan: SharedStreamPlan<'a>,
     queue: VecDeque<Frame>,
     ingested: u64,
     dropped: u64,
+    batch: Vec<Frame>,
+    staged: Option<StagedBatch>,
 }
 
 /// One statement's result: who it belongs to plus the per-statement
@@ -173,6 +180,10 @@ pub struct FleetRuntime<'a> {
     config: FleetConfig,
     cameras: Vec<CameraState<'a>>,
     statements: Vec<StatementInfo>,
+    /// Every registered backend's address and camera.
+    backends: Vec<(usize, usize)>,
+    /// Whether one backend object serves several cameras.
+    shared_backend: bool,
     shed_level: u32,
     shed_events: u64,
     max_shed_level: u32,
@@ -193,6 +204,8 @@ impl<'a> FleetRuntime<'a> {
             config: FleetConfig { batch_size: config.batch_size.max(1), ..config },
             cameras: Vec::new(),
             statements: Vec::new(),
+            backends: Vec::new(),
+            shared_backend: false,
             shed_level: 0,
             shed_events: 0,
             max_shed_level: 0,
@@ -213,14 +226,21 @@ impl<'a> FleetRuntime<'a> {
             PipelineConfig::with_batch_size(self.config.batch_size),
         )
         .with_workers(self.config.workers);
-        self.cameras.push(CameraState { scene, plan, queue: VecDeque::new(), ingested: 0, dropped: 0 });
+        let queue = VecDeque::new();
+        self.cameras.push(CameraState { scene, plan, queue, ingested: 0, dropped: 0, batch: Vec::new(), staged: None });
         self.cameras.len() - 1
     }
 
     /// Registers a filter backend on `camera`'s plan; returns its per-camera
     /// backend index. Per-frame-pure filters (the trained and quantized
-    /// kinds) may be shared by reference across every camera.
+    /// kinds) may be shared by reference across every camera. A filter
+    /// object on several cameras makes [`FleetRuntime::poll`] stage cameras
+    /// one after another: a stateful one, such as the calibrated filter's
+    /// sequential noise stream, must see their frames in camera order.
     pub fn add_backend(&mut self, camera: usize, filter: &'a dyn FrameFilter) -> usize {
+        let address = (filter as *const dyn FrameFilter).cast::<()>() as usize;
+        self.shared_backend |= self.backends.iter().any(|&(a, c)| a == address && c != camera);
+        self.backends.push((address, camera));
         self.cameras[camera].plan.add_backend(filter)
     }
 
@@ -318,16 +338,27 @@ impl<'a> FleetRuntime<'a> {
 
     /// One scheduler sweep: re-evaluates the shed level against the current
     /// backlog, then takes up to one batch per camera through its plan in
-    /// three stages:
+    /// four stages:
     ///
-    /// 1. every camera's batch runs its cheap shared phases
-    ///    ([`SharedStreamPlan::prepare_batch`]: decode charge, backend
-    ///    inference, fan-out, cache probe), leaving per-camera missing sets;
-    /// 2. the missing frames of *all* cameras are concatenated (camera
+    /// 1. every camera's batch runs its plan's own phases
+    ///    ([`SharedStreamPlan::stage_batch`]: decode charge, backend
+    ///    inference, fan-out) through [`vmq_exec::shard_each`], all cameras
+    ///    at once over the whole machine ([`vmq_exec::parallelism`], or
+    ///    `workers` if wider). No two cameras share a statement, a private
+    ///    ledger or a global attribution row, and the global ledger's shared
+    ///    counts are integers, so the order cameras stage in changes no bit.
+    ///    Only a backend object registered on several cameras can tell the
+    ///    order apart (a calibrated filter draws its noise from one
+    ///    sequential stream); such a fleet stages one camera after another;
+    /// 2. in camera order, each batch probes the shared cache
+    ///    ([`SharedStreamPlan::probe_batch`]), leaving per-camera missing
+    ///    sets: the cache's recency order, user sets and evictions depend on
+    ///    the order of probes;
+    /// 3. the missing frames of *all* cameras are concatenated (camera
     ///    order, batch order within a camera) and detected in dispatches of
     ///    at most `COALESCE_BUDGET` (1 024) frames, each sharded once across
-    ///    the persistent pool with a position-keyed merge;
-    /// 3. results fan back per camera through
+    ///    `workers` pool tasks with a position-keyed merge;
+    /// 4. results fan back in camera order through
     ///    [`SharedStreamPlan::complete_batch`], which installs them in the
     ///    `(camera_id, frame_id)`-keyed cache and charges the global ledger
     ///    per fresh frame — the same per-camera charges, in the same cache
@@ -341,24 +372,30 @@ impl<'a> FleetRuntime<'a> {
     pub fn poll(&mut self) -> usize {
         self.update_shed();
         let mut processed = 0;
-        let mut batches: Vec<(usize, Vec<Frame>)> = Vec::new();
-        for (c, state) in self.cameras.iter_mut().enumerate() {
-            if state.queue.is_empty() {
-                continue;
-            }
+        for state in &mut self.cameras {
             let take = state.queue.len().min(self.config.batch_size);
-            batches.push((c, state.queue.drain(..take).collect()));
+            state.batch.extend(state.queue.drain(..take));
             processed += take;
         }
-        let mut prepared: Vec<(usize, PreparedBatch<'_>)> = Vec::with_capacity(batches.len());
-        for (c, frames) in &batches {
-            prepared.push((*c, self.cameras[*c].plan.prepare_batch(frames)));
+        let width = if self.shared_backend { 1 } else { self.config.workers.max(vmq_exec::parallelism()) };
+        vmq_exec::shard_each(&mut self.cameras, &mut vec![(); width], |cameras, ()| {
+            for state in cameras.iter_mut().filter(|state| !state.batch.is_empty()) {
+                state.staged = Some(state.plan.stage_batch(&state.batch));
+            }
+        });
+        let mut plans = Vec::new();
+        let mut prepared = Vec::new();
+        for CameraState { plan, batch, staged, .. } in &mut self.cameras {
+            if let Some(staged) = staged.take() {
+                prepared.push(plan.probe_batch(staged, batch));
+                plans.push(plan);
+            }
         }
         // The fleet-wide work list: (prepared index, missing position).
         let jobs: Vec<(usize, usize)> = prepared
             .iter()
             .enumerate()
-            .flat_map(|(p, (_, pending))| (0..pending.missing_len()).map(move |j| (p, j)))
+            .flat_map(|(p, pending)| (0..pending.missing_len()).map(move |j| (p, j)))
             .collect();
         // vmq-lint: allow(no-wallclock-in-result-paths) -- the span feeds
         // only the `detect_wall_ms` attribution stat; detector outputs and
@@ -372,17 +409,20 @@ impl<'a> FleetRuntime<'a> {
             self.coalesced_frames += m as u64;
             self.max_coalesced_batch = self.max_coalesced_batch.max(m);
             results.extend(vmq_exec::shard_map(chunk_jobs, self.config.workers, |part| {
-                part.iter().map(|&(p, j)| detector.detect(prepared[p].1.missing_frame(j))).collect()
+                part.iter().map(|&(p, j)| detector.detect(prepared[p].missing_frame(j))).collect()
             }));
         }
         let detect_ms = detect_start.elapsed().as_secs_f64() * 1000.0;
         let total_missing = jobs.len();
         let mut results = results.into_iter();
-        for (c, pending) in prepared {
+        for (plan, pending) in plans.into_iter().zip(prepared) {
             let k = pending.missing_len();
             let detections: Vec<FrameDetections> = results.by_ref().take(k).collect();
             let share = if total_missing == 0 { 0.0 } else { detect_ms * k as f64 / total_missing as f64 };
-            self.cameras[c].plan.complete_batch(pending, detections, share);
+            plan.complete_batch(pending, detections, share);
+        }
+        for state in &mut self.cameras {
+            state.batch.clear();
         }
         processed
     }
@@ -517,12 +557,19 @@ mod tests {
         /// One filterless q3 per camera (every frame goes to the detector)
         /// instead of q3 through the camera's filter plus a one-second a1.
         brute_force: bool,
+        /// Camera 0's filter object serves every camera.
+        shared_filter: bool,
         rounds: usize,
         frames_per_round: usize,
     }
 
-    const TWO_CAMERAS: Workload =
-        Workload { cameras: 2, brute_force: false, rounds: 4, frames_per_round: FRAMES_PER_CAMERA / 4 };
+    const TWO_CAMERAS: Workload = Workload {
+        cameras: 2,
+        brute_force: false,
+        shared_filter: false,
+        rounds: 4,
+        frames_per_round: FRAMES_PER_CAMERA / 4,
+    };
 
     impl Workload {
         fn statements_per_camera(&self) -> usize {
@@ -542,8 +589,9 @@ mod tests {
             (0..workload.cameras).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
         let mut estimators: Vec<WindowedAggregator> = (0..workload.cameras).map(estimator_for).collect();
         let mut fleet = FleetRuntime::new(&oracle, config);
-        for (c, (filter, estimator)) in filters.iter().zip(estimators.iter_mut()).enumerate() {
+        for (c, estimator) in estimators.iter_mut().enumerate() {
             let cam = fleet.add_camera(scene_for(c as u32));
+            let filter = &filters[if workload.shared_filter { 0 } else { c }];
             let backend = (!workload.brute_force).then(|| fleet.add_backend(cam, filter));
             fleet.register_select(cam, tenant_for(c), Query::paper_q3(), CascadeConfig::strict(), backend);
             if let Some(b) = backend {
@@ -576,7 +624,8 @@ mod tests {
         let global = CostLedger::paper();
         let mut ledgers: Vec<(&str, CostLedger)> = Vec::new();
         let mut plans = Vec::new();
-        for (filter, estimator) in filters.iter().zip(estimators.iter_mut()) {
+        for (c, estimator) in estimators.iter_mut().enumerate() {
+            let filter = &filters[if workload.shared_filter { 0 } else { c }];
             let mut plan = SharedStreamPlan::new(
                 &oracle,
                 cache.clone(),
@@ -760,13 +809,32 @@ mod tests {
     /// answers exactly as its per-camera replay.
     #[test]
     fn a_poll_past_the_dispatch_bound_splits_without_changing_outcomes() {
-        let workload = Workload { cameras: 48, brute_force: true, rounds: 2, frames_per_round: 24 };
+        let workload = Workload { cameras: 48, brute_force: true, rounds: 2, frames_per_round: 24, ..TWO_CAMERAS };
         let config = test_config();
         let (outcome, estimators) = run_fleet(config.clone(), workload);
         assert_eq!(outcome.max_coalesced_batch, COALESCE_BUDGET);
         assert_eq!(outcome.coalesced_dispatches, 4, "two dispatches per poll");
         assert_eq!(outcome.coalesced_frames, 2 * 48 * 24);
         assert_matches_replay(&config, workload, &outcome, &estimators);
+    }
+
+    /// Every camera stages its batch on the pool, at `workers` 1 to 4 and
+    /// again on a repeat, and the fleet answers as its per-camera replay to
+    /// the bit. With one calibrated filter object on all three cameras the
+    /// cameras stage one after another instead, since its noise stream is
+    /// drawn in camera order; that fleet answers as its replay too.
+    #[test]
+    fn sharded_staging_is_bit_identical_at_every_width_and_repeat() {
+        for shared_filter in [false, true] {
+            let workload = Workload { cameras: 3, shared_filter, ..TWO_CAMERAS };
+            for workers in 1..=4 {
+                for _ in 0..2 {
+                    let config = FleetConfig { workers, ..test_config() };
+                    let (outcome, estimators) = run_fleet(config.clone(), workload);
+                    assert_matches_replay(&config, workload, &outcome, &estimators);
+                }
+            }
+        }
     }
 
     /// Fault injection: `cache_bytes: 0` starves the fleet-global cache down

@@ -52,8 +52,8 @@ pub use exec::{QueryExecutor, QueryRun};
 pub use metrics::{QueryAccuracy, SpeedupReport};
 pub use parser::{format_statement, format_where_clause, parse_statement, ParseError, ParsedStatement};
 pub use pipeline::{
-    AggregateSpec, PipelineConfig, PreparedBatch, SharedStreamPlan, StageMetrics, WindowBackendColumns, WindowCharge,
-    WindowData, WindowEstimator,
+    AggregateSpec, PipelineConfig, PreparedBatch, SharedStreamPlan, StageMetrics, StagedBatch, WindowBackendColumns,
+    WindowCharge, WindowData, WindowEstimator,
 };
 pub use plan::{CascadeConfig, FilterCascade};
 pub use planner::{

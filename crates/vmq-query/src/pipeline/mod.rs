@@ -6,7 +6,9 @@
 //! one. Frames arrive in batches of [`PipelineConfig::batch_size`] (chunked
 //! from a slice by [`SharedStreamPlan::execute_slice`], or pushed one batch
 //! at a time through [`SharedStreamPlan::push_batch`], as a fleet scheduler
-//! does) and every batch goes through three calls:
+//! does) and every batch goes through three calls, the first of them in two
+//! halves (`stage_batch`, which touches only the plan's own state and may run
+//! on a pool thread, then the serial `probe_batch`):
 //!
 //! ```text
 //! prepare_batch                       detect_pending          complete_batch
@@ -74,7 +76,7 @@ mod report;
 mod tests;
 mod window;
 
-pub use operators::PreparedBatch;
+pub use operators::{PreparedBatch, StagedBatch};
 pub use report::StageMetrics;
 pub use window::{AggregateSpec, WindowBackendColumns, WindowCharge, WindowData, WindowEstimator};
 
@@ -137,6 +139,9 @@ struct ExecState {
     /// decode group is timed once and its wall split evenly across its
     /// backends.
     backend_wall: Vec<f64>,
+    /// Per backend: whether a drift monitor reads its estimates (everyone
+    /// else reads only the atom verdicts).
+    monitored: Vec<bool>,
 }
 
 /// What every registered statement carries, whatever its shape.
@@ -223,7 +228,17 @@ pub struct SharedStreamPlan<'a> {
     windows: Windows<'a>,
     /// In-flight incremental pass (`push_batch`/`finish`), if any.
     exec: Option<ExecState>,
+    /// Set by `finish`: a plan runs one pass.
+    finished: bool,
 }
+
+// A fleet scheduler stages its cameras' plans on pool threads. A field that
+// is not `Send` fails here, next to its cause, not in the fleet, where the
+// quick fix would be to stage the cameras on the caller again.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<SharedStreamPlan<'_>>();
+};
 
 impl<'a> SharedStreamPlan<'a> {
     /// Creates an empty shared plan. `global` is the ledger shared work is
@@ -247,6 +262,7 @@ impl<'a> SharedStreamPlan<'a> {
             selects: Vec::new(),
             windows: Windows::default(),
             exec: None,
+            finished: false,
         }
     }
 
@@ -441,6 +457,9 @@ impl<'a> SharedStreamPlan<'a> {
     /// the *shared* phase times instead of per-query ones. Afterwards the
     /// global ledger carries the deduplicated bill with per-query attribution
     /// settled (detections split equally among each frame's users).
+    ///
+    /// A plan runs one pass: this ends it through
+    /// [`SharedStreamPlan::finish`], so a second call panics.
     pub fn execute_slice(&mut self, frames: &[Frame]) -> Vec<QueryRun> {
         for batch in frames.chunks(self.config.batch_size) {
             self.push_batch(batch);
@@ -453,15 +472,20 @@ impl<'a> SharedStreamPlan<'a> {
         if self.exec.is_some() {
             return;
         }
+        assert!(!self.finished, "a plan runs one pass");
         assert!(!self.queries.is_empty(), "register at least one query before executing");
         // Backend → the queries consuming its shared inference. Drift
         // candidates stay warm: the monitor consumes every monitored
         // backend's shared inference each batch, so the per-batch bill is
         // constant across replans.
         let mut backend_users: Vec<Vec<usize>> = vec![Vec::new(); self.backends.len()];
+        let mut monitored = vec![false; self.backends.len()];
         for select in &self.selects {
-            let monitored = select.drift.iter().flat_map(DriftMonitor::monitored_backends);
-            for &b in select.backend.iter().chain(monitored) {
+            for &b in select.drift.iter().flat_map(DriftMonitor::monitored_backends) {
+                monitored[b] = true;
+                backend_users[b].push(select.q);
+            }
+            if let Some(b) = select.backend {
                 backend_users[b].push(select.q);
             }
         }
@@ -492,6 +516,7 @@ impl<'a> SharedStreamPlan<'a> {
             frames_total: 0,
             wall: SharedWall::default(),
             backend_wall: vec![0.0; self.backends.len()],
+            monitored,
         });
     }
 
@@ -514,18 +539,33 @@ impl<'a> SharedStreamPlan<'a> {
     /// First half of [`SharedStreamPlan::push_batch`]: runs the cheap shared
     /// phases (decode charge, backend inference, per-query fan-out) and the
     /// detection-cache probe, returning a [`PreparedBatch`] whose `missing`
-    /// frames still need the detector. A fleet scheduler uses this to gather
-    /// detector work from many per-camera plans before dispatching it as one
-    /// coalesced batch; `push_batch` is exactly
+    /// frames still need the detector. It is exactly
+    /// [`SharedStreamPlan::stage_batch`] then
+    /// [`SharedStreamPlan::probe_batch`], the two halves a fleet scheduler
+    /// calls apart to stage many per-camera plans at once and gather their
+    /// detector work into one coalesced dispatch; `push_batch` is exactly
     /// `prepare_batch` → [`SharedStreamPlan::detect_pending`] →
     /// [`SharedStreamPlan::complete_batch`].
     pub fn prepare_batch<'f>(&mut self, frames: &'f [Frame]) -> PreparedBatch<'f> {
+        let staged = self.stage_batch(frames);
+        self.probe_batch(staged, frames)
+    }
+
+    /// The per-plan half of [`SharedStreamPlan::prepare_batch`]: decode
+    /// charge, backend inference and per-query fan-out. It reads no other
+    /// plan's state and never touches the detection cache; of the shared
+    /// global ledger it adds to the `u64` counts, which commute, and to this
+    /// plan's users' attribution rows only. So a fleet scheduler whose plans
+    /// have fleet-unique users ([`SharedStreamPlan::alias_user`]) and no
+    /// stateful backend in common may stage all of them at once, on any
+    /// threads, with the same bits.
+    pub fn stage_batch(&mut self, frames: &[Frame]) -> StagedBatch {
         self.ensure_exec();
         let mut st = self.exec.take().expect("exec state built");
         st.frames_total += frames.len();
-        let pending = self.prepare(frames, &mut st);
+        let staged = self.stage(frames, &mut st);
         self.exec = Some(st);
-        pending
+        staged
     }
 
     /// Second half of [`SharedStreamPlan::push_batch`]: installs the
@@ -557,9 +597,9 @@ impl<'a> SharedStreamPlan<'a> {
     /// Ends an incremental pass: settles the cache's detector attribution
     /// on the global ledger and returns one [`QueryRun`] per registered
     /// query (registration order), exactly as
-    /// [`SharedStreamPlan::execute_slice`] would have. The pass state is
-    /// consumed; a subsequent `push_batch` starts a fresh pass over the same
-    /// registrations.
+    /// [`SharedStreamPlan::execute_slice`] would have. A plan runs one pass:
+    /// its selects' matches and its aggregates' windows are not reset, so
+    /// after `finish` every `push_batch`, `prepare_batch` or `finish` panics.
     pub fn finish(&mut self) -> Vec<QueryRun> {
         // Settle the detector attribution: every cached frame's single
         // global charge splits equally among the queries that used it.
@@ -575,6 +615,7 @@ impl<'a> SharedStreamPlan<'a> {
     pub fn finish_unsettled(&mut self) -> Vec<QueryRun> {
         self.ensure_exec();
         let st = self.exec.take().expect("exec state built");
+        self.finished = true;
         self.finalize(&st)
     }
 }

@@ -75,12 +75,27 @@ pub(super) fn escalate(
     passed
 }
 
+/// A batch whose per-plan phases have run (decode charge, backend inference,
+/// per-query fan-out): which selects escalate which frames. Produced by
+/// [`SharedStreamPlan::stage_batch`], consumed by
+/// [`SharedStreamPlan::probe_batch`]. It holds no filter estimate, so a fleet
+/// scheduler that stages every camera's batch before probing the cache holds
+/// a few bit-words per camera, not a batch of estimates.
+pub struct StagedBatch {
+    frames: usize,
+    /// Batch position → the selects that escalated it.
+    escalations: Subscribers,
+    /// The escalations the audit channel added.
+    audits: Subscribers,
+}
+
 /// A batch mid-flight through the shared pass: the cheap phases (decode
 /// charge, backend inference, per-query fan-out, detection-cache probe) have
 /// run, and the `missing` frames still await the detector. Produced by
-/// [`SharedStreamPlan::prepare_batch`], consumed by
-/// [`SharedStreamPlan::complete_batch`]; between the two, a fleet scheduler
-/// may pool many plans' missing frames into one coalesced detector dispatch.
+/// [`SharedStreamPlan::prepare_batch`] (or [`SharedStreamPlan::probe_batch`]),
+/// consumed by [`SharedStreamPlan::complete_batch`]; between the two, a fleet
+/// scheduler may pool many plans' missing frames into one coalesced detector
+/// dispatch.
 pub struct PreparedBatch<'f> {
     frames: &'f [Frame],
     /// Batch position → the selects that escalated it.
@@ -107,11 +122,12 @@ impl PreparedBatch<'_> {
 }
 
 impl SharedStreamPlan<'_> {
-    /// Phases 1–3 of the shared pass plus the detection-cache probe: decode
-    /// charges, shared backend inference, per-query fan-out (escalations,
-    /// indicator rows, drift observation) and the per-frame cache lookups
-    /// that decide which escalated frames still need the detector.
-    pub(super) fn prepare<'f>(&mut self, frames: &'f [Frame], st: &mut ExecState) -> PreparedBatch<'f> {
+    /// Phases 1–3 of the shared pass: decode charges, shared backend
+    /// inference and per-query fan-out (escalations, indicator rows, drift
+    /// observation). Reads and writes only this plan's state, its private
+    /// ledgers, the global ledger's `u64` counts and its own users'
+    /// attribution rows, and never the detection cache.
+    pub(super) fn stage(&mut self, frames: &[Frame], st: &mut ExecState) -> StagedBatch {
         let n = frames.len();
         // Phase 1 — decode: once globally, split across every query (global
         // charges address queries by their fleet-global user ids); each
@@ -134,7 +150,8 @@ impl SharedStreamPlan<'_> {
         // ... and run once per decode group, which renders each frame once
         // for all of its backends; on the heels of each backend's estimates
         // comes the one evaluation of its atom table: every distinct cascade
-        // atom and indicator, once per frame.
+        // atom and indicator, once per frame. The estimates themselves are
+        // kept only for a backend a drift monitor reads.
         let mut estimates: Vec<Option<Vec<FilterEstimate>>> = vec![None; self.backends.len()];
         let mut verdicts: Vec<Option<AtomVerdicts>> = self.backends.iter().map(|_| None).collect();
         for group in &st.decode_groups {
@@ -148,14 +165,16 @@ impl SharedStreamPlan<'_> {
             // A group of one runs the backend's own batch path, which for a
             // learned filter is the decode step over itself; a backend that
             // reads no raster is always alone.
-            if let [b] = group[..] {
-                let batch = self.backends[b].estimate_batch_sharded(frames, workers);
+            let batches = match group[..] {
+                [b] => vec![self.backends[b].estimate_batch_sharded(frames, workers)],
+                _ => {
+                    let filters: Vec<&dyn FrameFilter> = group.iter().map(|&b| self.backends[b]).collect();
+                    vmq_filters::estimate_shared(&filters, frames, workers)
+                }
+            };
+            for (&b, batch) in group.iter().zip(batches) {
                 verdicts[b] = Some(self.atoms[b].evaluate(&batch));
-                estimates[b] = Some(batch);
-            } else {
-                let filters: Vec<&dyn FrameFilter> = group.iter().map(|&b| self.backends[b]).collect();
-                for (&b, batch) in group.iter().zip(vmq_filters::estimate_shared(&filters, frames, workers)) {
-                    verdicts[b] = Some(self.atoms[b].evaluate(&batch));
+                if st.monitored[b] {
                     estimates[b] = Some(batch);
                 }
             }
@@ -199,10 +218,19 @@ impl SharedStreamPlan<'_> {
                 }
             }
         }
+        StagedBatch { frames: n, escalations, audits }
+    }
 
-        // Phase 4 (first half) — probe the deduplicated detection cache:
-        // frames already annotated resolve here (recording every escalator
-        // as a sharing user); the rest become the batch's missing set.
+    /// The shared half of [`SharedStreamPlan::prepare_batch`], phase 4's
+    /// first half: probes the detection cache for the escalations of
+    /// `staged`, the batch [`SharedStreamPlan::stage_batch`] ran over
+    /// `frames`. Frames already annotated resolve here (recording every
+    /// escalator as a sharing user); the rest become the batch's missing set.
+    /// The cache's recency order and user sets depend on the order of
+    /// probes, so plans sharing a cache probe in a fixed order.
+    pub fn probe_batch<'f>(&mut self, staged: StagedBatch, frames: &'f [Frame]) -> PreparedBatch<'f> {
+        let StagedBatch { frames: n, escalations, audits } = staged;
+        assert_eq!(n, frames.len(), "probe the frames that were staged");
         // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds only the
         // `detect_ms` wall attribution stat.
         let start = Instant::now();
@@ -218,6 +246,7 @@ impl SharedStreamPlan<'_> {
                 None => missing.push(i),
             }
         }
+        let st = self.exec.as_mut().expect("stage_batch before probe_batch");
         st.wall.detect_ms += start.elapsed().as_secs_f64() * 1000.0;
         PreparedBatch { frames, escalations, audits, resolved, missing }
     }

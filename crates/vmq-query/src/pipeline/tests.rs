@@ -413,6 +413,22 @@ fn registering_a_select_mid_pass_panics() {
     plan.register_select(Query::paper_q4(), CascadeConfig::tolerant(), Some(b), CostLedger::paper());
 }
 
+/// A plan runs one pass: `finish` resets no select's matches and no
+/// aggregate's windows, so a second pass of a brute-force q3 over 90 frames
+/// would report 180 detected frames and every true frame twice. It panics
+/// instead.
+#[test]
+#[should_panic(expected = "a plan runs one pass")]
+fn pushing_after_finish_panics() {
+    let (ds, _filter, oracle) = setup();
+    let mut plan =
+        SharedStreamPlan::new(&oracle, DetectionCache::new(), CostLedger::paper(), PipelineConfig::default());
+    plan.register_select(Query::paper_q3(), CascadeConfig::strict(), None, CostLedger::paper());
+    let runs = plan.execute_slice(ds.test());
+    assert_eq!((runs[0].frames_total, runs[0].frames_detected), (90, 90));
+    plan.execute_slice(ds.test());
+}
+
 /// Two overlapping selects on one backend: the filter runs once per
 /// frame, the detector once per frame in the escalation union, yet each
 /// query's run stays bit-identical to its isolated execution.

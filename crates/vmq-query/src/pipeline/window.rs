@@ -194,7 +194,10 @@ impl WindowCharge {
 /// plain / CV / MCV estimates. The estimator must *not* charge the ledger
 /// itself; it reports its detector work in the returned [`WindowCharge`] and
 /// the plan does the charging.
-pub trait WindowEstimator {
+///
+/// `Send`, because a plan moves to a pool thread while a fleet scheduler
+/// stages its batch (the estimator is only called back on the caller).
+pub trait WindowEstimator: Send {
     /// Processes one completed window, using `detector` for sampled (and
     /// calibration) inference and `ledger` for cost-model prices only.
     fn estimate_window(&mut self, window: WindowData<'_>, detector: &dyn Detector, ledger: &CostLedger)
