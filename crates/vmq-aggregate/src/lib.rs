@@ -16,7 +16,6 @@
 //! * [`cv`] — the single-control-variate estimator with the optimal `β*`.
 //! * [`mcv`] — multiple control variates (`β* = Σ_ZZ⁻¹ Σ_YZ`, variance
 //!   `(1 − R²)·Var(Ȳ)`).
-//! * [`window`] — hopping windows (the `WINDOW HOPPING` clause).
 //! * [`queries`] — the per-window [`AggregateReport`] (one Table IV row).
 //! * [`streaming`] — the per-window estimator that plugs into the executor's
 //!   aggregate statements (one [`AggregateReport`] per completed hopping
@@ -33,7 +32,6 @@ pub mod mcv;
 pub mod queries;
 pub mod sampler;
 pub mod streaming;
-pub mod window;
 
 pub use cv::CvEstimate;
 pub use estimate::SampleStats;
@@ -42,4 +40,3 @@ pub use mcv::McvEstimate;
 pub use queries::AggregateReport;
 pub use sampler::{FrameSampler, SampleScratch};
 pub use streaming::WindowedAggregator;
-pub use window::HoppingWindow;

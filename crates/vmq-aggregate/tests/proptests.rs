@@ -4,9 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vmq_aggregate::linalg::covariance;
-use vmq_aggregate::{
-    CvEstimate, FrameSampler, HoppingWindow, Matrix, McvEstimate, Moments, SampleScratch, SampleStats,
-};
+use vmq_aggregate::{CvEstimate, FrameSampler, Matrix, McvEstimate, Moments, SampleScratch, SampleStats};
 
 /// The estimators as first written — one serial `covariance` pass per
 /// moment — kept as the reference the fused moment pass must match bit for
@@ -268,20 +266,6 @@ proptest! {
         prop_assert_eq!(covariance(&y, &x).to_bits(), reference::covariance(&y, &x).to_bits());
     }
 
-    /// Hopping windows never overflow the stream and respect the advance.
-    #[test]
-    fn window_invariants(size in 1usize..50, advance in 1usize..50, n in 0usize..500) {
-        let w = HoppingWindow::new(size, advance);
-        let windows = w.windows(n);
-        for (start, end) in &windows {
-            prop_assert_eq!(end - start, size);
-            prop_assert!(*end <= n);
-        }
-        for pair in windows.windows(2) {
-            prop_assert_eq!(pair[1].0 - pair[0].0, advance);
-        }
-    }
-
     /// On a synthetic population of correlated binary indicators (control
     /// `Z ~ Bern(p)`, target `Y = Z` flipped with a small noise rate), the
     /// CV and MCV estimators stay unbiased: the mean of the per-trial
@@ -344,47 +328,6 @@ proptest! {
         let lhs = szz.matvec(&est.beta);
         for (l, r) in lhs.iter().zip(&syz) {
             prop_assert!((l - r).abs() < 1e-8, "normal equations violated: {l} vs {r} (beta {:?})", est.beta);
-        }
-    }
-
-    /// Hopping-window segmentation coverage: with `advance` dividing `size`
-    /// every steady-state frame is covered exactly `size / advance ==
-    /// ceil(size/advance)` times; with an arbitrary advance the steady-state
-    /// coverage is `floor` or `ceil` of `size/advance`, and total coverage
-    /// is always `windows × size`.
-    #[test]
-    fn window_coverage_is_ceil_size_over_advance(advance in 1usize..20, m in 1usize..6, extra in 0usize..40, raw_size in 1usize..80) {
-        // Divisible case: size = m × advance.
-        let size = advance * m;
-        let n = size + extra;
-        let windows = HoppingWindow::new(size, advance).windows(n);
-        prop_assert!(!windows.is_empty());
-        let mut coverage = vec![0usize; n];
-        for (s, e) in &windows {
-            for slot in &mut coverage[*s..*e] {
-                *slot += 1;
-            }
-        }
-        prop_assert_eq!(coverage.iter().sum::<usize>(), windows.len() * size);
-        let last_start = windows.last().unwrap().0;
-        for (i, &c) in coverage.iter().enumerate().take((last_start + advance).min(n)).skip(size - 1) {
-            prop_assert_eq!(c, m, "steady-state frame {i} covered {c} times, expected {m}");
-        }
-
-        // General case: floor ≤ steady-state coverage ≤ ceil.
-        let size = raw_size.max(advance);
-        let n = size + extra;
-        let windows = HoppingWindow::new(size, advance).windows(n);
-        let mut coverage = vec![0usize; n];
-        for (s, e) in &windows {
-            for slot in &mut coverage[*s..*e] {
-                *slot += 1;
-            }
-        }
-        let (floor, ceil) = (size / advance, size.div_ceil(advance));
-        let last_start = windows.last().unwrap().0;
-        for (i, &c) in coverage.iter().enumerate().take((last_start + advance).min(n)).skip(size - 1) {
-            prop_assert!(c >= floor && c <= ceil, "frame {i} covered {c} times, expected in [{floor}, {ceil}]");
         }
     }
 }

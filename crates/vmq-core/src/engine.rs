@@ -202,7 +202,6 @@ mod tests {
     use super::*;
     use crate::config::CalibrationConfig;
     use crate::runtime::{RuntimeQuery, StatementOutcome};
-    use vmq_aggregate::HoppingWindow;
     use vmq_filters::CalibrationProfile;
     use vmq_query::{CascadeConfig, Query};
     use vmq_video::DatasetProfile;
@@ -345,7 +344,7 @@ mod tests {
             RuntimeQuery::Aggregate {
                 query: Query::paper_a1(),
                 choice: FilterChoice::Calibrated(CalibrationProfile::od_like()),
-                window: HoppingWindow::tumbling(200),
+                window: (200, 200),
                 sample_size: 25,
                 trials: 30,
             },
@@ -365,7 +364,7 @@ mod tests {
             RuntimeQuery::Aggregate {
                 query: Query::paper_a1(),
                 choice: FilterChoice::Calibrated(CalibrationProfile::od_like()),
-                window: HoppingWindow::new(100, 50),
+                window: (100, 50),
                 sample_size: 20,
                 trials: 15,
             },
@@ -401,7 +400,7 @@ mod tests {
             RuntimeQuery::AggregateAdaptive {
                 query: Query::paper_a1(),
                 calibration,
-                window: HoppingWindow::tumbling(100),
+                window: (100, 100),
                 sample_size: 20,
                 trials: 10,
             },

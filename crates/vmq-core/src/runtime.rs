@@ -17,7 +17,7 @@
 //! * adaptive statements are planned off one shared calibration pass per
 //!   backend (`plan_cascade_from_profiles`), so N adaptive queries annotate
 //!   the prefix once, not N times;
-//! * the detect stage shards across a scoped-thread worker pool with a
+//! * a learned backend's decode shards across the whole machine with a
 //!   deterministic merge.
 //!
 //! Every statement keeps a private as-if-isolated [`CostLedger`], which is
@@ -28,7 +28,7 @@
 
 use crate::config::{CalibrationConfig, FilterChoice};
 use crate::engine::{AdaptiveOutcome, QueryOutcome, VmqEngine, WindowedAggregateOutcome};
-use vmq_aggregate::{HoppingWindow, WindowedAggregator};
+use vmq_aggregate::WindowedAggregator;
 use vmq_detect::{CachedDetector, CostLedger, CostModel, DetectionCache, Detector, SharedCost, Stage};
 use vmq_filters::{FilterProfile, FrameFilter};
 use vmq_query::planner::plan_cascade_from_profiles;
@@ -75,8 +75,9 @@ pub enum RuntimeQuery {
         query: Query,
         /// The control-variate filter backend.
         choice: FilterChoice,
-        /// Hopping window geometry.
-        window: HoppingWindow,
+        /// Hopping window `(size, advance)` in frames, as the parser's
+        /// `WINDOW HOPPING (SIZE n, ADVANCE BY m)` clause gives it.
+        window: (usize, usize),
         /// Detector-sampled frames per trial.
         sample_size: usize,
         /// Estimation trials per window.
@@ -91,8 +92,9 @@ pub enum RuntimeQuery {
         query: Query,
         /// Candidate backends and per-window calibration prefix.
         calibration: CalibrationConfig,
-        /// Hopping window geometry.
-        window: HoppingWindow,
+        /// Hopping window `(size, advance)` in frames, as the parser's
+        /// `WINDOW HOPPING (SIZE n, ADVANCE BY m)` clause gives it.
+        window: (usize, usize),
         /// Detector-sampled frames per trial.
         sample_size: usize,
         /// Estimation trials per window.
@@ -190,7 +192,6 @@ pub struct MultiQueryOutcome {
 pub struct StreamRuntime<'e> {
     engine: &'e VmqEngine,
     statements: Vec<RuntimeQuery>,
-    workers: usize,
 }
 
 /// A resolved filter-backend instance of the shared pass. Statements with an
@@ -210,16 +211,7 @@ struct ResolvedBackend<'e> {
 impl<'e> StreamRuntime<'e> {
     /// A runtime over the engine's test split with no statements yet.
     pub fn new(engine: &'e VmqEngine) -> Self {
-        StreamRuntime { engine, statements: Vec::new(), workers: 1 }
-    }
-
-    /// Sets the worker count the shared detect stage shards over; learned
-    /// filters decode over it or the whole machine, whichever is wider
-    /// ([`SharedStreamPlan::with_workers`]). Purely a wall-clock knob:
-    /// results are bit-identical for any value.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
+        StreamRuntime { engine, statements: Vec::new() }
     }
 
     /// Registers a statement; returns its index (= position of its outcome).
@@ -240,13 +232,9 @@ impl<'e> StreamRuntime<'e> {
         trials: usize,
     ) -> usize {
         let statement = match statement.window {
-            Some((size, advance)) => RuntimeQuery::Aggregate {
-                query: statement.query.clone(),
-                choice,
-                window: HoppingWindow::new(size, advance),
-                sample_size,
-                trials,
-            },
+            Some(window) => {
+                RuntimeQuery::Aggregate { query: statement.query.clone(), choice, window, sample_size, trials }
+            }
             None => RuntimeQuery::Select { query: statement.query.clone(), choice, cascade },
         };
         self.register(statement)
@@ -378,8 +366,7 @@ impl<'e> StreamRuntime<'e> {
             })
             .collect();
 
-        let mut plan = SharedStreamPlan::new(&engine.oracle, cache.clone(), global.clone(), PipelineConfig::default())
-            .with_workers(self.workers);
+        let mut plan = SharedStreamPlan::new(&engine.oracle, cache.clone(), global.clone(), PipelineConfig::default());
         let plan_backends: Vec<usize> = backends.iter().map(|b| plan.add_backend(b.filter.as_ref())).collect();
         for (q, ((statement, ledger), estimator)) in
             self.statements.iter().zip(&ledgers).zip(estimators.iter_mut()).enumerate()
@@ -430,20 +417,20 @@ impl<'e> StreamRuntime<'e> {
                         }
                     }
                 }
-                RuntimeQuery::Aggregate { query, window, .. } => {
+                RuntimeQuery::Aggregate { query, window: (size, advance), .. } => {
                     plan.register_aggregate(
                         query.clone(),
-                        AggregateSpec::new(window.size, window.advance),
+                        AggregateSpec::new(*size, *advance),
                         &[plan_backends[backend_indices[0]]],
                         estimator.as_mut().expect("aggregate statements carry an estimator"),
                         ledger.clone(),
                     );
                 }
-                RuntimeQuery::AggregateAdaptive { query, window, .. } => {
+                RuntimeQuery::AggregateAdaptive { query, window: (size, advance), .. } => {
                     let candidate_backends: Vec<usize> = backend_indices.iter().map(|&b| plan_backends[b]).collect();
                     plan.register_aggregate(
                         query.clone(),
-                        AggregateSpec::new(window.size, window.advance),
+                        AggregateSpec::new(*size, *advance),
                         &candidate_backends,
                         estimator.as_mut().expect("aggregate statements carry an estimator"),
                         ledger.clone(),
@@ -568,9 +555,9 @@ mod tests {
         VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(30, 150))
     }
 
-    /// Runs `statements` in one shared pass over `workers` workers.
-    fn run_all(engine: &VmqEngine, statements: &[RuntimeQuery], workers: usize) -> MultiQueryOutcome {
-        let mut runtime = engine.runtime().with_workers(workers);
+    /// Runs `statements` in one shared pass.
+    fn run_all(engine: &VmqEngine, statements: &[RuntimeQuery]) -> MultiQueryOutcome {
+        let mut runtime = engine.runtime();
         for statement in statements {
             runtime.register(statement.clone());
         }
@@ -619,15 +606,9 @@ mod tests {
                 calibration: CalibrationConfig::calibrated(vec![CalibrationProfile::od_like()]).with_prefix(24),
                 drift: None,
             },
-            RuntimeQuery::Aggregate {
-                query: Query::paper_a1(),
-                choice,
-                window: HoppingWindow::new(75, 75),
-                sample_size: 15,
-                trials: 10,
-            },
+            RuntimeQuery::Aggregate { query: Query::paper_a1(), choice, window: (75, 75), sample_size: 15, trials: 10 },
         ];
-        let outcome = run_all(&engine, &statements, 1);
+        let outcome = run_all(&engine, &statements);
         assert_eq!(outcome.outcomes.len(), 3);
         assert_eq!(outcome.frames_total, 150);
         assert!(outcome.outcomes[0].as_select().is_some());
@@ -657,26 +638,6 @@ mod tests {
         assert!(outcome.detector_invocations <= 150);
         assert!(outcome.cache_hits > 0);
         assert!(outcome.shared.summary().contains("q3"));
-    }
-
-    /// Worker sharding of a shared run is a pure wall-clock knob.
-    #[test]
-    fn run_many_sharded_is_worker_count_invariant() {
-        let engine = engine();
-        let choice = FilterChoice::Calibrated(CalibrationProfile::od_like());
-        let statements = vec![
-            RuntimeQuery::Select { query: Query::paper_q3(), choice, cascade: CascadeConfig::strict() },
-            RuntimeQuery::Select { query: Query::paper_q5(), choice, cascade: CascadeConfig::tolerant() },
-        ];
-        let baseline = run_all(&engine, &statements, 1);
-        for workers in [2usize, 4] {
-            let outcome = run_all(&engine, &statements, workers);
-            assert_eq!(outcome.detector_invocations, baseline.detector_invocations, "workers {workers}");
-            for (a, b) in outcome.outcomes.iter().zip(&baseline.outcomes) {
-                assert_eq!(a.run().matched_frames, b.run().matched_frames, "workers {workers}");
-                assert_eq!(a.run().virtual_ms.to_bits(), b.run().virtual_ms.to_bits(), "workers {workers}");
-            }
-        }
     }
 
     /// Parsed statements register as selects or aggregates by window clause.

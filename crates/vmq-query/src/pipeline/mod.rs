@@ -14,12 +14,12 @@
 //! prepare_batch                       detect_pending          complete_batch
 //! 1 decode charge                     the detector over       4b install detections (cache insert,
 //! 2 backend inference once per          the batch's missing      one global charge per fresh frame)
-//!   (backend, frame) + one atom-       frames, sharded        5 exact evaluation of each frame's
-//!   table evaluation into per-atom      across the worker        subscribers: each distinct predicate
-//!   frame bit-words                     pool (a fleet            once per frame, a statement ANDs
-//! 3 per-statement fan-out: a select     scheduler pools          its ids
-//!   ANDs its atoms' words and walks     many plans' frames    6 aggregates emit completed hopping
-//!   the set bits, aggregates append     into one dispatch)       windows to their WindowEstimator
+//!   (backend, frame) + one atom-       frames, on the         5 exact evaluation of each frame's
+//!   table evaluation into per-atom      calling thread (a        subscribers: each distinct predicate
+//!   frame bit-words                     fleet scheduler          once per frame, a statement ANDs
+//! 3 per-statement fan-out: a select     pools many plans'        its ids
+//!   ANDs its atoms' words and walks     frames into one       6 aggregates emit completed hopping
+//!   the set bits, aggregates append     sharded dispatch)        windows to their WindowEstimator
 //!   indicator columns                                         · drift monitors replan at the batch
 //! 4a detection-cache probe                                       boundary
 //! ```
@@ -44,7 +44,7 @@
 //! ledger while the global ledger charges shared work once and splits it in
 //! a [`SharedCost`](vmq_detect::SharedCost) attribution, so a statement's
 //! [`QueryRun`] is bit-identical whether it ran alone or among N others, and
-//! for any worker count. A run reports per-operator [`StageMetrics`] rows
+//! for any decode width. A run reports per-operator [`StageMetrics`] rows
 //! (frames in/out, virtual and wall-clock milliseconds) under the operator
 //! names of the logical plan:
 //!
@@ -184,9 +184,12 @@ struct Select {
 /// [`FilterEstimate`](vmq_filters::FilterEstimate)s. The expensive detector
 /// runs once per frame in the union any select query escalates (plus
 /// whatever aggregate estimators sample), deduplicated through the
-/// [`DetectionCache`] and sharded across `workers` pool tasks with a
-/// deterministic, position-keyed merge; learned backends' network decode
-/// shards across the whole machine ([`SharedStreamPlan::with_workers`]).
+/// [`DetectionCache`]. Widths are derived, not set: a learned backend's
+/// network decode shards across the whole machine
+/// ([`vmq_exec::parallelism`]) with a deterministic, position-keyed merge,
+/// while a backend that reads no raster and the plan's own
+/// [`SharedStreamPlan::detect_pending`] run on the calling thread (a fleet
+/// scheduler dispatches many plans' detector work itself).
 ///
 /// The fan-out itself is shared too. Registration compiles each statement's
 /// cascade into ids in its backend's [`AtomTable`], keyed by what a check
@@ -208,7 +211,6 @@ pub struct SharedStreamPlan<'a> {
     cache: DetectionCache,
     global: CostLedger,
     config: PipelineConfig,
-    workers: usize,
     backends: Vec<&'a dyn FrameFilter>,
     /// Per backend: the compiled atoms of every statement reading it.
     atoms: Vec<AtomTable>,
@@ -253,7 +255,6 @@ impl<'a> SharedStreamPlan<'a> {
             // `batch_size` is a public field, so a literal can bypass
             // `PipelineConfig::with_batch_size`'s clamp.
             config: PipelineConfig::with_batch_size(config.batch_size),
-            workers: 1,
             backends: Vec::new(),
             atoms: Vec::new(),
             exact: ExactTable::default(),
@@ -264,21 +265,6 @@ impl<'a> SharedStreamPlan<'a> {
             exec: None,
             finished: false,
         }
-    }
-
-    /// Sets the worker count the detect stage shards over (clamped to at
-    /// least one; default 1), which backends that read no raster are also
-    /// handed. A backend whose network reads a raster decodes over
-    /// [`vmq_exec::parallelism`] tasks, or over `workers` if that is wider:
-    /// its per-frame inference pays for a pool scope, while a µs-scale
-    /// detection or calibrated estimate does not. Results are bit-identical
-    /// for any value — detections and filter inference are pure per-frame
-    /// functions (the calibrated backend keeps its noise stream sequential)
-    /// and the merges are position-keyed — so this is purely a wall-clock
-    /// knob.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
     }
 
     /// Registers a filter backend and returns its index. Queries referencing

@@ -161,7 +161,7 @@ impl SharedStreamPlan<'_> {
             let start = Instant::now();
             // A group's backends all read one raster or (alone) none, so the
             // first one names the group's width.
-            let workers = self.network_width(group[0]).unwrap_or(self.workers);
+            let workers = self.decode_width(group[0]);
             // A group of one runs the backend's own batch path, which for a
             // learned filter is the decode step over itself; a backend that
             // reads no raster is always alone.
@@ -401,27 +401,21 @@ impl SharedStreamPlan<'_> {
         }
     }
 
-    /// The width backend `b`'s network decode shards its frames over: the
-    /// whole machine ([`vmq_exec::parallelism`]), or `workers` if that is
-    /// wider. Per-frame inference (tens to hundreds of µs) pays for a pool
-    /// scope many times over. `None` for a backend that reads no raster,
-    /// such as the calibrated filter, whose µs-scale estimates cost less
-    /// than a scope.
-    pub(super) fn network_width(&self, b: usize) -> Option<usize> {
-        self.backends[b].raster().map(|_| self.workers.max(vmq_exec::parallelism()))
+    /// The width backend `b`'s inference shards its frames over: the whole
+    /// machine ([`vmq_exec::parallelism`]) for a network, whose per-frame
+    /// inference (tens to hundreds of µs) pays for a pool scope many times
+    /// over, and 1 for a backend that reads no raster, such as the calibrated
+    /// filter, whose µs-scale estimates cost less than a scope.
+    pub(super) fn decode_width(&self, b: usize) -> usize {
+        self.backends[b].raster().map_or(1, |_| vmq_exec::parallelism())
     }
 
-    /// Detects a prepared batch's missing frames — the detector work
-    /// [`SharedStreamPlan::push_batch`] runs between
-    /// [`SharedStreamPlan::prepare_batch`] and
-    /// [`SharedStreamPlan::complete_batch`] — chunked across the persistent
-    /// worker pool. The output is keyed by the missing positions, so the
-    /// merge — and with the per-frame detector, every detection — is
-    /// identical for any worker count.
+    /// Detects a prepared batch's missing frames, in batch order, on the
+    /// calling thread: the detector work [`SharedStreamPlan::push_batch`]
+    /// runs between [`SharedStreamPlan::prepare_batch`] and
+    /// [`SharedStreamPlan::complete_batch`]. A fleet scheduler skips it and
+    /// detects many plans' missing frames in one sharded dispatch.
     pub fn detect_pending(&self, pending: &PreparedBatch<'_>) -> Vec<FrameDetections> {
-        let (detector, frames) = (self.detector, pending.frames);
-        vmq_exec::shard_map(&pending.missing, self.workers, |part| {
-            part.iter().map(|&i| detector.detect(&frames[i])).collect()
-        })
+        pending.missing.iter().map(|&i| self.detector.detect(&pending.frames[i])).collect()
     }
 }

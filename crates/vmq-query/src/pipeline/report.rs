@@ -32,11 +32,14 @@ pub struct StageMetrics {
     /// max-over-workers wall span, never the sum of per-worker CPU time.
     pub wall_ms: f64,
     /// Worker threads the operator actually sharded its work over: the
-    /// decode width for a learned backend's `cascade-filter`,
-    /// `window-filter` and `drift-monitor` rows, the plan's `workers` for
-    /// `detect`, and 1 for a backend that reads no raster (the calibrated
-    /// filter never shards) and for sequential operators. Speedup arithmetic
-    /// on `wall_ms` stays honest: dividing by a baseline compares elapsed
+    /// decode width ([`vmq_exec::parallelism`]) for a learned backend's
+    /// `cascade-filter`, `window-filter` and `drift-monitor` rows, and 1 for
+    /// a backend that reads no raster (the calibrated filter never shards)
+    /// and for every other operator. A plan detects on the calling thread,
+    /// so `detect` reads 1; so does a fleet camera's `detect` row, because
+    /// the fleet's coalesced dispatch is described by
+    /// `FleetOutcome`'s coalescing counters instead. Speedup arithmetic on
+    /// `wall_ms` stays honest: dividing by a baseline compares elapsed
     /// spans, not CPU time.
     pub workers: usize,
     /// The compute kernel backend the operator's inference ran on (`"avx2"`,
@@ -120,7 +123,7 @@ impl SharedStreamPlan<'_> {
         let backend_row = |operator: &str, b: usize, frames_out: usize| {
             let stage = Some(self.backends[b].kind().stage());
             StageMetrics {
-                workers: self.network_width(b).unwrap_or(1),
+                workers: self.decode_width(b),
                 kernel_backend: Some(self.backends[b].kernel_backend().to_string()),
                 ..row(operator, stage, frames_total, frames_out, frames_total as u64, st.backend_wall[b])
             }
@@ -168,10 +171,8 @@ impl SharedStreamPlan<'_> {
             for &mb in monitored.filter(|&&mb| Some(mb) != select.backend) {
                 stage_metrics.push(backend_row("drift-monitor", mb, frames_total));
             }
-            stage_metrics.push(StageMetrics {
-                workers: self.workers,
-                ..row("detect", Some(detector_stage), detected, detected, detected as u64, st.wall.detect_ms)
-            });
+            let detect = row("detect", Some(detector_stage), detected, detected, detected as u64, st.wall.detect_ms);
+            stage_metrics.push(detect);
             stage_metrics.push(row("predicate-eval", None, detected, matched, 0, st.wall.eval_ms));
             stage_metrics.push(row("sink", None, matched, matched, 0, 0.0));
             let run = QueryRun {

@@ -94,30 +94,6 @@ fn filtered_plan_metrics_are_consistent() {
     assert!((sum - run.virtual_ms).abs() < 1e-9);
 }
 
-#[test]
-fn batch_size_does_not_change_results() {
-    let (ds, _filter, oracle) = setup();
-    let query = Query::paper_q4();
-    let runs: Vec<QueryRun> = [1usize, 8, 64, 1000]
-        .iter()
-        .map(|&bs| {
-            let filter =
-                CalibratedFilter::new(DatasetProfile::jackson().class_list(), 14, CalibrationProfile::perfect(), 5);
-            QueryExecutor::new(query.clone()).with_batch_size(bs).run_filtered(
-                ds.test(),
-                &filter,
-                &oracle,
-                CascadeConfig::tolerant(),
-            )
-        })
-        .collect();
-    for run in &runs[1..] {
-        assert_eq!(run.matched_frames, runs[0].matched_frames);
-        assert_eq!(run.frames_detected, runs[0].frames_detected);
-        assert_eq!(run.virtual_ms.to_bits(), runs[0].virtual_ms.to_bits());
-    }
-}
-
 /// Records every window it sees and pretends to sample
 /// `samples_per_window` frames with the detector.
 struct RecordingEstimator {
@@ -430,21 +406,13 @@ fn pushing_after_finish_panics() {
 }
 
 /// Two overlapping selects on one backend: the filter runs once per
-/// frame, the detector once per frame in the escalation union, yet each
-/// query's run stays bit-identical to its isolated execution.
+/// frame and the detector once per frame in the escalation union. (That
+/// each query's run equals its isolated execution is the statement
+/// differential's business.)
 #[test]
 fn shared_plan_dedupes_filter_and_detector_across_queries() {
     let (ds, _filter, oracle) = setup();
     let queries = [Query::paper_q3(), Query::paper_q4()];
-    let isolated: Vec<QueryRun> = queries
-        .iter()
-        .map(|query| {
-            let filter = fresh_filter(5);
-            let exec = QueryExecutor::new(query.clone());
-            exec.run_filtered(ds.test(), &filter, &oracle, CascadeConfig::tolerant())
-        })
-        .collect();
-
     let shared_filter = fresh_filter(5);
     let global = CostLedger::paper();
     let mut plan =
@@ -455,11 +423,6 @@ fn shared_plan_dedupes_filter_and_detector_across_queries() {
     }
     let runs = plan.execute_slice(ds.test());
 
-    for (run, reference) in runs.iter().zip(&isolated) {
-        assert_eq!(run.matched_frames, reference.matched_frames, "{}", reference.query);
-        assert_eq!(run.frames_detected, reference.frames_detected, "{}", reference.query);
-        assert_eq!(run.virtual_ms.to_bits(), reference.virtual_ms.to_bits(), "{}", reference.query);
-    }
     // Globally: one filter pass, one decode pass, |union| detections.
     assert_eq!(global.invocations(Stage::OdFilter), ds.test().len() as u64);
     assert_eq!(global.invocations(Stage::Decode), ds.test().len() as u64);
@@ -471,42 +434,6 @@ fn shared_plan_dedupes_filter_and_detector_across_queries() {
     // Attribution covers the whole global bill.
     let attributed: f64 = (0..2).map(|q| global.attributed_ms(q)).sum();
     assert!((attributed - global.total_ms()).abs() < 1e-6, "attributed {attributed} vs {}", global.total_ms());
-}
-
-/// The worker pool is a pure wall-clock knob: any worker count yields
-/// bit-identical runs and the same global dedup accounting.
-#[test]
-fn shared_plan_results_are_worker_count_invariant() {
-    let (ds, _filter, oracle) = setup();
-    let queries = [Query::paper_q3(), Query::paper_q4(), Query::paper_q5()];
-    let mut baseline: Option<(Vec<QueryRun>, u64)> = None;
-    for workers in [1usize, 2, 4] {
-        let shared_filter = fresh_filter(11);
-        let global = CostLedger::paper();
-        let mut plan = SharedStreamPlan::new(
-            &oracle,
-            vmq_detect::DetectionCache::new(),
-            global.clone(),
-            PipelineConfig::with_batch_size(9),
-        )
-        .with_workers(workers);
-        let backend = plan.add_backend(&shared_filter);
-        for query in &queries {
-            plan.register_select(query.clone(), CascadeConfig::strict(), Some(backend), CostLedger::paper());
-        }
-        let runs = plan.execute_slice(ds.test());
-        let detected = global.invocations(Stage::MaskRcnn);
-        match &baseline {
-            None => baseline = Some((runs, detected)),
-            Some((reference, ref_detected)) => {
-                assert_eq!(detected, *ref_detected, "workers {workers}");
-                for (run, r) in runs.iter().zip(reference) {
-                    assert_eq!(run.matched_frames, r.matched_frames, "workers {workers}");
-                    assert_eq!(run.virtual_ms.to_bits(), r.virtual_ms.to_bits(), "workers {workers}");
-                }
-            }
-        }
-    }
 }
 
 /// A select and an aggregate sharing one backend: the indicator columns
@@ -808,8 +735,7 @@ fn backends_reading_one_raster_share_a_render_per_frame() {
             vmq_detect::DetectionCache::new(),
             CostLedger::paper(),
             PipelineConfig::with_batch_size(16),
-        )
-        .with_workers(2);
+        );
         for (&filter, query) in filters.iter().zip(&queries) {
             let b = plan.add_backend(filter);
             plan.register_select(query.clone(), CascadeConfig::tolerant(), Some(b), CostLedger::paper());

@@ -445,7 +445,7 @@ impl<'a> Windows<'a> {
 
 impl SharedStreamPlan<'_> {
     /// Phase 6: hands every completed hopping window of every aggregate
-    /// query to its estimator (the `HoppingWindow::windows` semantics:
+    /// query to its estimator (the segmentation [`AggregateSpec`] documents:
     /// partial trailing windows never emit), charging the reported detector
     /// work to the query's private ledger.
     pub(super) fn emit_ready_windows(&mut self) {

@@ -10,7 +10,6 @@
 //! cargo run --release --example aggregate_monitoring
 //! ```
 
-use vmq::aggregate::HoppingWindow;
 use vmq::engine::{EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};
 use vmq::filters::CalibrationProfile;
 use vmq::query::Query;
@@ -31,7 +30,7 @@ fn main() {
         runtime.register(RuntimeQuery::Aggregate {
             query,
             choice,
-            window: HoppingWindow::tumbling(split),
+            window: (split, split),
             sample_size: 40, // frames evaluated by the expensive detector per trial
             trials: 100,     // independent trials
         });
@@ -39,7 +38,7 @@ fn main() {
     runtime.register(RuntimeQuery::Aggregate {
         query: Query::paper_a1(),
         choice,
-        window: HoppingWindow::new(200, 100),
+        window: (200, 100),
         sample_size: 40,
         trials: 100,
     });

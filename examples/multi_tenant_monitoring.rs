@@ -12,7 +12,6 @@
 //! cargo run --release --example multi_tenant_monitoring
 //! ```
 
-use vmq::aggregate::HoppingWindow;
 use vmq::engine::{CalibrationConfig, EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};
 use vmq::filters::CalibrationProfile;
 use vmq::query::{CascadeConfig, Query};
@@ -34,18 +33,12 @@ fn main() {
             calibration: CalibrationConfig::calibrated(vec![CalibrationProfile::od_like()]).with_prefix(40),
             drift: None,
         },
-        RuntimeQuery::Aggregate {
-            query: Query::paper_a1(),
-            choice,
-            window: HoppingWindow::new(100, 50),
-            sample_size: 20,
-            trials: 15,
-        },
+        RuntimeQuery::Aggregate { query: Query::paper_a1(), choice, window: (100, 50), sample_size: 20, trials: 15 },
     ];
 
-    // One shared pass, detection sharded across 4 workers (the calibrated
-    // filter runs sequentially; a learned one would decode on max(4, cores)).
-    let mut runtime = engine.runtime().with_workers(4);
+    // One shared pass (the calibrated filter runs sequentially; a learned
+    // one would decode on every core).
+    let mut runtime = engine.runtime();
     for statement in statements {
         runtime.register(statement);
     }

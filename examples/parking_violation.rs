@@ -14,7 +14,7 @@
 //! cargo run --release --example parking_violation
 //! ```
 
-use vmq::aggregate::{HoppingWindow, WindowedAggregator};
+use vmq::aggregate::WindowedAggregator;
 use vmq::detect::OracleDetector;
 use vmq::filters::{CalibratedFilter, CalibrationProfile};
 use vmq::query::{AggregateSpec, ObjectRef, Query, QueryExecutor, RegionCatalog};
@@ -32,11 +32,12 @@ fn main() {
         .in_region(ObjectRef::class(ObjectClass::Car), "no-parking-zone", 1)
         .with_catalog(catalog);
 
-    // 4 minutes of simulated video at 30 fps, split into 30-second windows.
+    // 4 minutes of simulated video at 30 fps, split into 30-second windows of
+    // stream time. A time window closes when a frame at or past its end
+    // arrives, so the stream runs one frame past the four minutes.
     let scene = Scene::new(SceneConfig::from_profile(&profile), 4242);
-    let frames: Vec<_> = FrameStream::with_length(scene, 7200).collect();
-    let window = HoppingWindow::from_duration(30.0, 30.0, profile.fps);
-    println!("stream: {} frames, window = {} frames (30 s)", frames.len(), window.size);
+    let frames: Vec<_> = FrameStream::with_length(scene, 7201).collect();
+    println!("stream: {} frames, window = 30 s of stream time", frames.len());
 
     let filter = CalibratedFilter::new(profile.class_list(), 28, CalibrationProfile::od_like(), 3);
     let oracle = OracleDetector::perfect();
@@ -44,7 +45,7 @@ fn main() {
 
     // 60 detector-sampled frames per window, one estimate per window.
     let mut estimator = WindowedAggregator::new(query.clone(), 60, 1, 1000);
-    let spec = AggregateSpec::new(window.size, window.advance);
+    let spec = AggregateSpec::hopping_seconds(30.0, 30.0);
     QueryExecutor::new(query).run_aggregate(&frames, spec, &[&filter], &oracle, &mut estimator);
 
     println!("{:<10} {:>16} {:>14} {:>10}", "window", "est. occupancy", "true occupancy", "flag");

@@ -163,14 +163,14 @@ pub fn scenario_drift_config() -> DriftConfig {
 /// like the adaptive runtime, execute the committed plan over the whole
 /// stream through the shared pipeline — with the drift monitor attached
 /// when `drift` is enabled — and score recall and net speedup.
-pub fn run_drift_scenario(workers: usize, drift: Option<DriftConfig>) -> DriftOutcome {
-    run_drift_scenario_seeded(workers, drift, DRIFT_STREAM_SEED)
+pub fn run_drift_scenario(drift: Option<DriftConfig>) -> DriftOutcome {
+    run_drift_scenario_seeded(drift, DRIFT_STREAM_SEED)
 }
 
 /// [`run_drift_scenario`] over a caller-chosen stream seed — the property
 /// tests sweep seeds to check invariants that must hold on *every* stream,
 /// not just the canonical one.
-pub fn run_drift_scenario_seeded(workers: usize, drift: Option<DriftConfig>, seed: u64) -> DriftOutcome {
+pub fn run_drift_scenario_seeded(drift: Option<DriftConfig>, seed: u64) -> DriftOutcome {
     let frames = drift_stream(DRIFT_TOTAL_FRAMES, DRIFT_FLIP_AT, seed);
     let query = drift_query();
     let filter = RegimeShiftFilter::scenario();
@@ -194,7 +194,7 @@ pub fn run_drift_scenario_seeded(workers: usize, drift: Option<DriftConfig>, see
 
     let global = CostLedger::paper();
     let cache = DetectionCache::new();
-    let mut plan = SharedStreamPlan::new(&oracle, cache, global, PipelineConfig::default()).with_workers(workers);
+    let mut plan = SharedStreamPlan::new(&oracle, cache, global, PipelineConfig::default());
     let b0 = plan.add_backend(&filter);
     let mode_label = format!("adaptive {}", report.choice.label);
     let calibrate_row = Some(vmq::query::StageMetrics::calibrate(&report));

@@ -18,7 +18,7 @@ use vmq::query::DriftConfig;
 /// and the run still beats brute force net of calibration/audit/replan.
 #[test]
 fn monitor_recovers_recall_after_regime_flip() {
-    let outcome = run_drift_scenario(1, Some(scenario_drift_config()));
+    let outcome = run_drift_scenario(Some(scenario_drift_config()));
 
     // The one-shot prefix calibration certified a cascade (drift matters
     // only because the committed plan is a filter plan).
@@ -61,7 +61,7 @@ fn monitor_recovers_recall_after_regime_flip() {
 /// the post-flip regime and no replan events are recorded.
 #[test]
 fn stale_plan_loses_recall_without_monitor() {
-    let outcome = run_drift_scenario(1, None);
+    let outcome = run_drift_scenario(None);
     assert!(outcome.run.replans.is_empty());
     assert_eq!(outcome.run.audit_frames, 0);
     assert!(
@@ -71,27 +71,12 @@ fn stale_plan_loses_recall_without_monitor() {
     );
 }
 
-/// The monitored run is bit-reproducible: worker count must not change the
-/// matched set, the replan schedule, the audit count or the virtual bill.
-#[test]
-fn drifted_run_is_bit_identical_across_worker_counts() {
-    let base = run_drift_scenario(1, Some(scenario_drift_config()));
-    for workers in [2, 4] {
-        let other = run_drift_scenario(workers, Some(scenario_drift_config()));
-        assert_eq!(base.run.matched_frames, other.run.matched_frames, "workers={workers}");
-        assert_eq!(base.run.replans, other.run.replans, "workers={workers}");
-        assert_eq!(base.run.audit_frames, other.run.audit_frames, "workers={workers}");
-        assert_eq!(base.run.frames_detected, other.run.frames_detected, "workers={workers}");
-        assert!((base.run.virtual_ms - other.run.virtual_ms).abs() < 1e-9, "workers={workers}");
-    }
-}
-
 /// Re-running the identical scenario reproduces the identical outcome —
 /// the audit schedule is a pure function of (seed, camera, frame).
 #[test]
 fn drifted_run_is_reproducible_across_reruns() {
-    let a = run_drift_scenario(2, Some(scenario_drift_config()));
-    let b = run_drift_scenario(2, Some(scenario_drift_config()));
+    let a = run_drift_scenario(Some(scenario_drift_config()));
+    let b = run_drift_scenario(Some(scenario_drift_config()));
     assert_eq!(a.run.matched_frames, b.run.matched_frames);
     assert_eq!(a.run.replans, b.run.replans);
     assert_eq!(a.run.audit_frames, b.run.audit_frames);
@@ -102,8 +87,8 @@ fn drifted_run_is_reproducible_across_reruns() {
 /// bit-identical to a plain one-shot registration, not merely similar.
 #[test]
 fn audit_off_is_bit_identical_to_one_shot() {
-    let off = run_drift_scenario(1, Some(DriftConfig::new(0.0)));
-    let none = run_drift_scenario(1, None);
+    let off = run_drift_scenario(Some(DriftConfig::new(0.0)));
+    let none = run_drift_scenario(None);
     assert_eq!(off.run.matched_frames, none.run.matched_frames);
     assert_eq!(off.run.frames_detected, none.run.frames_detected);
     assert_eq!(off.run.replans, none.run.replans);
@@ -115,12 +100,12 @@ fn audit_off_is_bit_identical_to_one_shot() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// On any stream and worker count, `audit_fraction = 0` attaches no
-    /// monitor at all: the run is bit-identical to a one-shot registration.
+    /// On any stream, `audit_fraction = 0` attaches no monitor at all: the
+    /// run is bit-identical to a one-shot registration.
     #[test]
-    fn audit_off_equals_one_shot_on_any_stream(seed in 0u64..1_000_000, workers in 1usize..=4) {
-        let off = run_drift_scenario_seeded(workers, Some(DriftConfig::new(0.0)), seed);
-        let none = run_drift_scenario_seeded(workers, None, seed);
+    fn audit_off_equals_one_shot_on_any_stream(seed in 0u64..1_000_000) {
+        let off = run_drift_scenario_seeded(Some(DriftConfig::new(0.0)), seed);
+        let none = run_drift_scenario_seeded(None, seed);
         prop_assert_eq!(&off.run.matched_frames, &none.run.matched_frames);
         prop_assert_eq!(off.run.frames_detected, none.run.frames_detected);
         prop_assert_eq!(off.run.audit_frames, 0u64);
@@ -133,7 +118,7 @@ proptest! {
     /// corrections and catch-up repair insert only true frames).
     #[test]
     fn monitored_matches_are_always_true_matches(seed in 0u64..1_000_000) {
-        let outcome = run_drift_scenario_seeded(1, Some(scenario_drift_config()), seed);
+        let outcome = run_drift_scenario_seeded(Some(scenario_drift_config()), seed);
         for id in &outcome.run.matched_frames {
             prop_assert!(outcome.truth.contains(id), "frame {} is a false positive", id);
         }

@@ -1,7 +1,6 @@
 //! End-to-end integration tests: dataset generation → filter training →
 //! query execution → aggregate estimation, across all workspace crates.
 
-use vmq::aggregate::HoppingWindow;
 use vmq::detect::{OracleDetector, Stage};
 use vmq::engine::{EngineConfig, FilterChoice, QueryOutcome, RuntimeQuery, StatementOutcome, VmqEngine};
 use vmq::filters::{CalibrationProfile, CountMetrics, TrainedFilters};
@@ -90,7 +89,7 @@ fn aggregate_estimation_end_to_end() {
     let statement = RuntimeQuery::Aggregate {
         query: Query::paper_a1(),
         choice: FilterChoice::Calibrated(CalibrationProfile::od_like()),
-        window: HoppingWindow::tumbling(400),
+        window: (400, 400),
         sample_size: 40,
         trials: 80,
     };

@@ -1,198 +1,24 @@
-//! Parity tests of the batched operator pipeline against the eager,
-//! frame-at-a-time execution semantics the original executor implemented
-//! (one decode + filter charge per frame, detector charge per surviving
-//! frame, answers in stream order), plus a property test that recall is
-//! monotone in the cascade tolerances.
+//! Tests of the shared plan's bookkeeping that no statement answer shows:
+//! recall is monotone in the cascade tolerances, and the detection cache,
+//! the global ledger and the attribution split record exactly the work a
+//! pass shares. (What each statement answers is pinned against the naive
+//! reference in `statement_differential.rs`.)
 
-#[path = "common/sequential.rs"]
-mod sequential;
+#[path = "common/family.rs"]
+mod family;
 
+use family::overlapping_family;
 use proptest::prelude::*;
-use sequential::Sequential;
 use std::collections::BTreeSet;
 use vmq::aggregate::{FrameSampler, WindowedAggregator};
 use vmq::detect::{CostLedger, DetectionCache, Detector, Stage};
-use vmq::filters::{CalibratedFilter, CalibrationProfile, FilterConfig, FilterKind, FrameFilter, OdFilter};
+use vmq::engine::{EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};
+use vmq::filters::{CalibratedFilter, CalibrationProfile, FrameFilter};
 use vmq::query::plan::FilterCascade;
-use vmq::query::planner::PlanChoice;
 use vmq::query::{
     AggregateSpec, CascadeConfig, PipelineConfig, Query, QueryAccuracy, QueryExecutor, QueryRun, SharedStreamPlan,
 };
-use vmq::video::{Dataset, DatasetKind, DatasetProfile, Frame};
-
-/// The eager reference semantics: the per-frame loop the seed's
-/// `run_filtered` / `run_brute_force` implemented, charging every stage one
-/// frame at a time. Returns `(matched_frames, frames_detected, virtual_ms)`.
-fn eager_reference(
-    query: &Query,
-    frames: &[Frame],
-    filter: Option<&dyn FrameFilter>,
-    detector: &dyn Detector,
-    cascade: Option<CascadeConfig>,
-) -> (Vec<u64>, usize, f64) {
-    let ledger = CostLedger::paper();
-    let cascade = cascade.map(|config| FilterCascade::new(query.clone(), config));
-    let mut matched = Vec::new();
-    let mut detected = 0usize;
-    for frame in frames {
-        ledger.charge(Stage::Decode, 1);
-        if let (Some(filter), Some(cascade)) = (filter, cascade.as_ref()) {
-            ledger.charge(filter.kind().stage(), 1);
-            let estimate = filter.estimate(frame);
-            if !cascade.passes(&estimate, filter.threshold()) {
-                continue;
-            }
-        }
-        ledger.charge(detector.stage(), 1);
-        detected += 1;
-        if query.matches_detections(&detector.detect(frame)) {
-            matched.push(frame.frame_id);
-        }
-    }
-    (matched, detected, ledger.total_ms())
-}
-
-fn scenario(kind: DatasetKind) -> (Dataset, Query) {
-    // The same dataset-to-query pairing end_to_end.rs exercises.
-    let query = match kind {
-        DatasetKind::Coral => Query::paper_q1(),
-        DatasetKind::Jackson => Query::paper_q3(),
-        DatasetKind::Detrac => Query::paper_q6(),
-    };
-    (Dataset::generate(&DatasetProfile::for_kind(kind), 40, 120, 17), query)
-}
-
-/// Filtered execution through the operator pipeline is byte-identical to the
-/// eager per-frame semantics — matched frame ids, detector invocations and
-/// the virtual-time total — on the end-to-end scenarios, for every batch
-/// size, with both a perfect and a noisy (stochastic) filter.
-#[test]
-fn filtered_pipeline_matches_eager_semantics_exactly() {
-    let oracle = vmq::detect::OracleDetector::perfect();
-    for kind in [DatasetKind::Coral, DatasetKind::Jackson, DatasetKind::Detrac] {
-        let (ds, query) = scenario(kind);
-        let classes = ds.profile().class_list();
-        for profile in [CalibrationProfile::perfect(), CalibrationProfile::od_like()] {
-            // The calibrated filter draws from a sequential RNG, so reference
-            // and pipeline runs each get their own identically seeded copy.
-            let fresh = || CalibratedFilter::new(classes.clone(), 16, profile, 99);
-            let reference_filter = fresh();
-            let (matched, detected, virtual_ms) =
-                eager_reference(&query, ds.test(), Some(&reference_filter), &oracle, Some(CascadeConfig::strict()));
-            for batch_size in [1usize, 7, 32, 1024] {
-                let filter = fresh();
-                let exec = QueryExecutor::new(query.clone()).with_batch_size(batch_size);
-                let run = exec.run_filtered(ds.test(), &filter, &oracle, CascadeConfig::strict());
-                assert_eq!(run.matched_frames, matched, "{kind:?} batch {batch_size}");
-                assert_eq!(run.frames_detected, detected, "{kind:?} batch {batch_size}");
-                assert_eq!(
-                    run.virtual_ms.to_bits(),
-                    virtual_ms.to_bits(),
-                    "{kind:?} batch {batch_size}: {} vs {}",
-                    run.virtual_ms,
-                    virtual_ms
-                );
-            }
-        }
-    }
-}
-
-/// Brute-force execution through the pipeline matches the eager per-frame
-/// semantics exactly as well.
-#[test]
-fn brute_force_pipeline_matches_eager_semantics_exactly() {
-    let oracle = vmq::detect::OracleDetector::perfect();
-    for kind in [DatasetKind::Coral, DatasetKind::Jackson, DatasetKind::Detrac] {
-        let (ds, query) = scenario(kind);
-        let (matched, detected, virtual_ms) = eager_reference(&query, ds.test(), None, &oracle, None);
-        for batch_size in [1usize, 13, 64] {
-            let exec = QueryExecutor::new(query.clone()).with_batch_size(batch_size);
-            let run = exec.run_brute_force(ds.test(), &oracle);
-            assert_eq!(run.matched_frames, matched);
-            assert_eq!(run.frames_detected, detected);
-            assert_eq!(run.virtual_ms.to_bits(), virtual_ms.to_bits());
-        }
-    }
-}
-
-/// Same seed ⇒ identical `PlanChoice`, whatever the pipeline batch size.
-/// The planner profiles candidates through `estimate_batch` in
-/// pipeline-sized chunks, and chunking is covered by the batch parity
-/// guarantee, so the plan must not depend on the batch size — even for the
-/// stochastic calibrated filter (identically seeded copies per run).
-#[test]
-fn plan_choice_is_identical_across_batch_sizes() {
-    let oracle = vmq::detect::OracleDetector::perfect();
-    for kind in [DatasetKind::Coral, DatasetKind::Jackson, DatasetKind::Detrac] {
-        let (ds, query) = scenario(kind);
-        let classes = ds.profile().class_list();
-        let choices: Vec<PlanChoice> = [1usize, 7, 64]
-            .iter()
-            .map(|&batch_size| {
-                let od = CalibratedFilter::new(classes.clone(), 16, CalibrationProfile::od_like(), 31);
-                let ic = CalibratedFilter::new(classes.clone(), 16, CalibrationProfile::ic_like(), 32);
-                let backends: Vec<&dyn FrameFilter> = vec![&od, &ic];
-                let exec = QueryExecutor::new(query.clone()).with_batch_size(batch_size);
-                let (_run, report) = exec.run_adaptive(ds.test(), 40, &backends, &CascadeConfig::lattice(), &oracle);
-                report.choice
-            })
-            .collect();
-        for choice in &choices[1..] {
-            assert_eq!(choice.label, choices[0].label, "{kind:?}");
-            assert_eq!(choice.cascade, choices[0].cascade, "{kind:?}");
-            assert_eq!(choice.backend_index, choices[0].backend_index, "{kind:?}");
-            assert_eq!(choice.expected_cost.to_bits(), choices[0].expected_cost.to_bits(), "{kind:?}");
-            assert_eq!(choice.expected_selectivity.to_bits(), choices[0].expected_selectivity.to_bits(), "{kind:?}");
-        }
-    }
-}
-
-/// Adaptive execution is the chosen fixed pipeline plus a calibration bill:
-/// its matched frame ids are byte-identical to running the chosen
-/// `(backend, cascade)` through the fixed pipeline, and its virtual time is
-/// exactly the fixed run's plus the reported calibration cost.
-/// (Deterministic filters — the perfect calibrated backend — make the
-/// comparison exact regardless of the extra calibration-time RNG draws.)
-#[test]
-fn adaptive_execution_matches_fixed_pipeline_with_chosen_config() {
-    let oracle = vmq::detect::OracleDetector::perfect();
-    for kind in [DatasetKind::Coral, DatasetKind::Jackson, DatasetKind::Detrac] {
-        let (ds, query) = scenario(kind);
-        let classes = ds.profile().class_list();
-        let fresh = |fk: FilterKind| {
-            CalibratedFilter::new(classes.clone(), 16, CalibrationProfile::perfect().emulating(fk), 77)
-        };
-
-        let od = fresh(FilterKind::Od);
-        let ic = fresh(FilterKind::Ic);
-        let backends: Vec<&dyn FrameFilter> = vec![&od, &ic];
-        let exec = QueryExecutor::new(query.clone());
-        let (adaptive, report) = exec.run_adaptive(ds.test(), 32, &backends, &CascadeConfig::lattice(), &oracle);
-
-        // The planner may pick the brute-force floor; the adaptive execution
-        // must then match a plain brute-force run plus the calibration bill.
-        let fixed_exec = QueryExecutor::new(query.clone());
-        let fixed = if report.choice.brute_force {
-            fixed_exec.run_brute_force(ds.test(), &oracle)
-        } else {
-            let chosen_filter = fresh(if report.choice.backend == "IC" { FilterKind::Ic } else { FilterKind::Od });
-            fixed_exec.run_filtered(ds.test(), &chosen_filter, &oracle, report.choice.cascade)
-        };
-
-        assert_eq!(adaptive.matched_frames, fixed.matched_frames, "{kind:?}");
-        assert_eq!(adaptive.frames_detected, fixed.frames_detected, "{kind:?}");
-        assert_eq!(adaptive.frames_passed_filter, fixed.frames_passed_filter, "{kind:?}");
-        assert!(
-            (fixed.virtual_ms + report.calibration_ms - adaptive.virtual_ms).abs() < 1e-6,
-            "{kind:?}: adaptive must cost exactly fixed + calibration: {} + {} vs {}",
-            fixed.virtual_ms,
-            report.calibration_ms,
-            adaptive.virtual_ms
-        );
-        assert!(adaptive.mode.starts_with("adaptive "), "{}", adaptive.mode);
-        assert_eq!(adaptive.stage_metrics[0].operator, "calibrate");
-    }
-}
+use vmq::video::{Dataset, DatasetProfile};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -313,100 +139,6 @@ fn shared_aggregates_look_up_each_sampled_frame_once() {
     assert!(distinct_samples < aggregates.len() * windows * trials * sample_size, "some frames are sampled twice");
 }
 
-// ---------------------------------------------------------------------------
-// Shared multi-query runtime parity
-// ---------------------------------------------------------------------------
-
-use vmq::engine::{EngineConfig, FilterChoice, MultiQueryOutcome, RuntimeQuery, VmqEngine};
-use vmq::query::plan::CascadeConfig as SharedCascade;
-
-/// Runs `statements` in one shared pass of the engine's runtime over
-/// `workers` workers; a statement run "in isolation" is a runtime of one.
-fn run_shared(engine: &VmqEngine, statements: &[RuntimeQuery], workers: usize) -> MultiQueryOutcome {
-    let mut runtime = engine.runtime().with_workers(workers);
-    for statement in statements {
-        runtime.register(statement.clone());
-    }
-    runtime.run()
-}
-
-/// Filter-stage sharding through a plan of one is a pure wall-clock knob: for every worker count the cascade keeps the same
-/// survivors, the detector sees the same frames and the virtual bill is
-/// bit-identical (the calibrated backend's sequential RNG stream included).
-/// The calibrated backend never shards, so its row reports one worker while
-/// the detect row reports the knob.
-#[test]
-fn filter_stage_workers_are_a_pure_wall_clock_knob() {
-    let (ds, query) = scenario(DatasetKind::Jackson);
-    let oracle = vmq::detect::OracleDetector::perfect();
-    let classes = ds.profile().class_list();
-    let mut baseline: Option<QueryRun> = None;
-    for workers in [1usize, 2, 4] {
-        let filter = CalibratedFilter::new(classes.clone(), 16, CalibrationProfile::od_like(), 99);
-        let run = filtered_on_workers(&query, ds.test(), &filter, &oracle, workers);
-        assert_eq!(row_workers(&run, "cascade-filter"), 1, "the calibrated filter runs sequentially");
-        assert_eq!(row_workers(&run, "detect"), workers, "stage metrics must report the shard width");
-        match &baseline {
-            None => baseline = Some(run),
-            Some(reference) => {
-                assert_eq!(run.matched_frames, reference.matched_frames, "workers {workers}");
-                assert_eq!(run.frames_passed_filter, reference.frames_passed_filter, "workers {workers}");
-                assert_eq!(run.frames_detected, reference.frames_detected, "workers {workers}");
-                assert_eq!(run.virtual_ms.to_bits(), reference.virtual_ms.to_bits(), "workers {workers}");
-            }
-        }
-    }
-}
-
-/// [`QueryExecutor::run_filtered`]'s plan of one (batch 13, tolerant
-/// cascade), sharded over `workers`.
-fn filtered_on_workers(
-    query: &Query,
-    frames: &[Frame],
-    filter: &dyn FrameFilter,
-    detector: &dyn Detector,
-    workers: usize,
-) -> QueryRun {
-    let config = PipelineConfig::with_batch_size(13);
-    let mut plan =
-        SharedStreamPlan::new(detector, DetectionCache::new(), CostLedger::paper(), config).with_workers(workers);
-    let backend = plan.add_backend(filter);
-    plan.register_select(query.clone(), CascadeConfig::tolerant(), Some(backend), CostLedger::paper());
-    plan.execute_slice(frames).remove(0)
-}
-
-fn row_workers(run: &QueryRun, operator: &str) -> usize {
-    run.stage_metrics.iter().find(|m| m.operator == operator).expect("stage row").workers
-}
-
-/// A learned filter decodes on the whole machine whatever the knob says
-/// (or on the knob, when it is wider), and its row reports that width;
-/// answers and bills stay bit-identical to the sequential decode.
-#[test]
-fn learned_filter_rows_report_the_decode_width() {
-    let (ds, query) = scenario(DatasetKind::Jackson);
-    let oracle = vmq::detect::OracleDetector::perfect();
-    let od = OdFilter::new(FilterConfig::fast_test(ds.profile().class_list()));
-    let frames = &ds.test()[..40];
-    let reference = QueryExecutor::new(query.clone()).with_batch_size(13).run_filtered(
-        frames,
-        &Sequential(&od),
-        &oracle,
-        CascadeConfig::tolerant(),
-    );
-    assert_eq!(row_workers(&reference, "cascade-filter"), 1);
-    for workers in [1usize, 2, 4] {
-        let run = filtered_on_workers(&query, frames, &od, &oracle, workers);
-        let width = workers.max(vmq::exec::parallelism());
-        assert_eq!(row_workers(&run, "cascade-filter"), width, "workers {workers}");
-        assert_eq!(row_workers(&run, "detect"), workers, "workers {workers}");
-        assert_eq!(run.matched_frames, reference.matched_frames, "workers {workers}");
-        assert_eq!(run.frames_passed_filter, reference.frames_passed_filter, "workers {workers}");
-        assert_eq!(run.frames_detected, reference.frames_detected, "workers {workers}");
-        assert_eq!(run.virtual_ms.to_bits(), reference.virtual_ms.to_bits(), "workers {workers}");
-    }
-}
-
 fn paper_selects() -> Vec<Query> {
     vec![
         Query::paper_q1(),
@@ -417,41 +149,6 @@ fn paper_selects() -> Vec<Query> {
         Query::paper_q6(),
         Query::paper_q7(),
     ]
-}
-
-fn paper_aggregates() -> Vec<Query> {
-    vec![Query::paper_a1(), Query::paper_a2(), Query::paper_a3(), Query::paper_a4(), Query::paper_a5()]
-}
-
-/// A q3/q5-shaped family whose members overlap atom by atom: every pairing
-/// of two car-count and two person-count predicates, alone or with one of
-/// four spatial predicates — 20 statements over 8 distinct predicates.
-fn overlapping_family() -> Vec<Query> {
-    use vmq::query::ast::CountOp;
-    use vmq::query::{ObjectRef, SpatialRelation};
-    use vmq::video::ObjectClass::{Car, Person};
-    let mut family = Vec::new();
-    for (car_op, cars) in [(CountOp::Exactly, 1), (CountOp::AtMost, 1)] {
-        for (person_op, people) in [(CountOp::AtLeast, 1), (CountOp::AtMost, 2)] {
-            let base =
-                |name: String| Query::new(&name).class_count(Car, car_op, cars).class_count(Person, person_op, people);
-            let tag = format!("fam-{car_op:?}{cars}-{person_op:?}{people}");
-            family.push(base(tag.clone()));
-            family.push(base(format!("{tag}-left")).spatial(
-                ObjectRef::class(Car),
-                SpatialRelation::LeftOf,
-                ObjectRef::class(Person),
-            ));
-            family.push(base(format!("{tag}-above")).spatial(
-                ObjectRef::class(Car),
-                SpatialRelation::Above,
-                ObjectRef::class(Person),
-            ));
-            family.push(base(format!("{tag}-car-lr")).in_region(ObjectRef::class(Car), "lower-right", 1));
-            family.push(base(format!("{tag}-person-ul")).in_region(ObjectRef::class(Person), "upper-left", 1));
-        }
-    }
-    family
 }
 
 /// The acceptance criterion of the shared runtime: one pass over q1–q7
@@ -467,9 +164,13 @@ fn run_many_invokes_detector_once_per_escalation_union() {
     let queries = paper_selects();
     let statements: Vec<RuntimeQuery> = queries
         .iter()
-        .map(|query| RuntimeQuery::Select { query: query.clone(), choice, cascade: SharedCascade::tolerant() })
+        .map(|query| RuntimeQuery::Select { query: query.clone(), choice, cascade: CascadeConfig::tolerant() })
         .collect();
-    let outcome = run_shared(&engine, &statements, 1);
+    let mut runtime = engine.runtime();
+    for statement in statements {
+        runtime.register(statement);
+    }
+    let outcome = runtime.run();
 
     // Replicate the one shared filter pass: same classes/grid/seed as the
     // engine resolves, estimates over the full stream (batch invariant).
@@ -480,7 +181,7 @@ fn run_many_invokes_detector_once_per_escalation_union() {
     let mut union = std::collections::BTreeSet::new();
     let mut per_query = vec![0usize; queries.len()];
     for (i, query) in queries.iter().enumerate() {
-        let cascade = FilterCascade::new(query.clone(), SharedCascade::tolerant());
+        let cascade = FilterCascade::new(query.clone(), CascadeConfig::tolerant());
         for (frame, estimate) in frames.iter().zip(&estimates) {
             if cascade.passes(estimate, filter.threshold()) {
                 union.insert(frame.frame_id);
@@ -631,131 +332,5 @@ fn starved_caches_cost_detector_work_but_change_no_answer() {
         assert_eq!(global.invocations(Stage::MaskRcnn), starved_cache.misses());
         let attributed: f64 = (0..runs.len()).map(|user| global.attributed_frames(Stage::MaskRcnn, user)).sum();
         assert!((attributed - starved_cache.misses() as f64).abs() < 1e-6, "{attributed} units attributed");
-    }
-}
-
-/// Regression pin for the worker knob: whatever width the runtime's
-/// `with_workers` hands the detect stage and the backends, the outcomes —
-/// selects with a cascade in front, an adaptively planned select and a
-/// windowed aggregate — must stay bit-identical to the single-worker pass
-/// for every worker count.
-#[test]
-fn run_many_sharded_outcomes_are_unchanged_by_filter_stage_workers() {
-    use vmq::engine::CalibrationConfig;
-    let engine = VmqEngine::new(EngineConfig::small(DatasetProfile::jackson()).with_sizes(30, 180));
-    let choice = FilterChoice::Calibrated(CalibrationProfile::od_like());
-    let statements = vec![
-        RuntimeQuery::Select { query: Query::paper_q3(), choice, cascade: SharedCascade::tolerant() },
-        RuntimeQuery::Select { query: Query::paper_q4(), choice, cascade: SharedCascade::strict() },
-        RuntimeQuery::SelectAdaptive {
-            query: Query::paper_q5(),
-            calibration: CalibrationConfig {
-                prefix_frames: 32,
-                candidate_backends: vec![choice],
-                candidate_tolerances: SharedCascade::lattice(),
-            },
-            drift: None,
-        },
-        RuntimeQuery::Aggregate {
-            query: Query::paper_a1(),
-            choice,
-            window: vmq::aggregate::HoppingWindow::new(60, 30),
-            sample_size: 10,
-            trials: 5,
-        },
-    ];
-    let baseline = run_shared(&engine, &statements, 1);
-    for workers in [2usize, 4] {
-        let outcome = run_shared(&engine, &statements, workers);
-        assert_eq!(outcome.detector_invocations, baseline.detector_invocations, "workers {workers}");
-        assert_eq!(outcome.cache_hits, baseline.cache_hits, "workers {workers}");
-        for (a, b) in outcome.outcomes.iter().zip(&baseline.outcomes) {
-            assert_eq!(a.run().mode, b.run().mode, "workers {workers}");
-            assert_eq!(a.run().matched_frames, b.run().matched_frames, "workers {workers}");
-            assert_eq!(a.run().frames_detected, b.run().frames_detected, "workers {workers}");
-            assert_eq!(a.run().virtual_ms.to_bits(), b.run().virtual_ms.to_bits(), "workers {workers}");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// One shared pass over a random subset of q1–q7 selects and a1–a5
-    /// windowed aggregates, plus members of an overlapping atom family at
-    /// mixed tolerances (so statements share atoms, and equal predicates at
-    /// different tolerances do not), yields per-query matches / estimates /
-    /// virtual totals bit-identical to isolated runs (a runtime of one), for
-    /// every worker count in {1, 2, 4}.
-    #[test]
-    fn run_many_is_bit_identical_to_isolated_runs(
-        seed in 0u64..40,
-        subset in 1u32..4096,
-        members in prop::collection::vec((0usize..20, 0usize..3), 0..10),
-        workers_idx in 0usize..3,
-    ) {
-        let engine = VmqEngine::new(
-            EngineConfig::small(DatasetProfile::jackson()).with_sizes(20, 120).with_seed(seed),
-        );
-        let choice = FilterChoice::Calibrated(CalibrationProfile::od_like());
-        let mut statements = Vec::new();
-        for (i, query) in paper_selects().into_iter().enumerate() {
-            if subset & (1 << i) != 0 {
-                statements.push(RuntimeQuery::Select { query, choice, cascade: SharedCascade::tolerant() });
-            }
-        }
-        for (i, query) in paper_aggregates().into_iter().enumerate() {
-            if subset & (1 << (7 + i)) != 0 {
-                statements.push(RuntimeQuery::Aggregate {
-                    query,
-                    choice,
-                    window: vmq::aggregate::HoppingWindow::new(60, 30),
-                    sample_size: 10,
-                    trials: 5,
-                });
-            }
-        }
-        let family = overlapping_family();
-        for &(member, tolerance) in &members {
-            let cascade = [SharedCascade::strict(), SharedCascade::tolerant(), SharedCascade::loose()][tolerance];
-            statements.push(RuntimeQuery::Select { query: family[member].clone(), choice, cascade });
-        }
-        // `subset ∈ 1..4096` always sets at least one of the 12 bits, so
-        // there is always at least one statement.
-        prop_assert!(!statements.is_empty());
-        let workers = [1usize, 2, 4][workers_idx];
-        let outcome = run_shared(&engine, &statements, workers);
-
-        for (statement, out) in statements.iter().zip(&outcome.outcomes) {
-            let alone = run_shared(&engine, std::slice::from_ref(statement), 1).outcomes.remove(0);
-            match statement {
-                RuntimeQuery::Select { query, .. } => {
-                    let isolated = alone.as_select().expect("select outcome");
-                    let shared = out.as_select().expect("select outcome");
-                    prop_assert_eq!(&shared.run.matched_frames, &isolated.run.matched_frames, "{}", query.name);
-                    prop_assert_eq!(shared.run.frames_detected, isolated.run.frames_detected);
-                    prop_assert_eq!(shared.run.virtual_ms.to_bits(), isolated.run.virtual_ms.to_bits());
-                    prop_assert_eq!(shared.speedup.speedup.to_bits(), isolated.speedup.speedup.to_bits());
-                }
-                RuntimeQuery::Aggregate { query, .. } => {
-                    let isolated = alone.as_aggregate().expect("aggregate outcome");
-                    let shared = out.as_aggregate().expect("aggregate outcome");
-                    prop_assert_eq!(shared.reports.len(), isolated.reports.len(), "{}", query.name);
-                    for (s, i) in shared.reports.iter().zip(&isolated.reports) {
-                        prop_assert_eq!(s.plain_mean.to_bits(), i.plain_mean.to_bits(), "{}", query.name);
-                        prop_assert_eq!(s.cv_mean.to_bits(), i.cv_mean.to_bits());
-                        prop_assert_eq!(s.mcv_mean.to_bits(), i.mcv_mean.to_bits());
-                        prop_assert_eq!(s.plain_variance.to_bits(), i.plain_variance.to_bits());
-                        prop_assert_eq!(s.cv_variance.to_bits(), i.cv_variance.to_bits());
-                        prop_assert_eq!(s.mcv_variance.to_bits(), i.mcv_variance.to_bits());
-                        prop_assert_eq!(s.true_fraction.to_bits(), i.true_fraction.to_bits());
-                        prop_assert_eq!(s.window_start, i.window_start);
-                    }
-                    prop_assert_eq!(shared.run.frames_detected, isolated.run.frames_detected);
-                    prop_assert_eq!(shared.run.virtual_ms.to_bits(), isolated.run.virtual_ms.to_bits());
-                }
-                _ => unreachable!("only fixed selects and aggregates are registered here"),
-            }
-        }
     }
 }
