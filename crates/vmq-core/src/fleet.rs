@@ -43,7 +43,8 @@
 //! any statement computes, and the order cameras stage in on the pool
 //! changes no bit (see [`FleetRuntime::poll`]). The workspace's statement
 //! differential pins every fleet statement against a naive per-camera
-//! reference; the tests below pin the shared bill against a per-camera
+//! reference; the tests below pin it against isolated runs and the shared
+//! bill against a per-camera
 //! [`push_batch`](SharedStreamPlan::push_batch) replay, at several widths.
 
 use std::collections::VecDeque;
@@ -714,6 +715,58 @@ mod tests {
             }
         }
         assert_reports_bit_identical(estimators, &replayed);
+    }
+
+    /// Runs camera `c`'s two statements (q3 select + a1 time-windowed
+    /// aggregate) through an isolated single-camera plan and returns the
+    /// runs plus the estimator.
+    fn isolated_run(camera: u32) -> (Vec<QueryRun>, WindowedAggregator) {
+        let oracle = OracleDetector::perfect();
+        let filter = filter_for(camera, CalibrationProfile::od_like());
+        let mut estimator = estimator_for(camera);
+        let mut scene = scene_for(camera);
+        let frames: Vec<Frame> = (0..FRAMES_PER_CAMERA).map(|_| scene.step()).collect();
+        let mut plan = SharedStreamPlan::new(
+            &oracle,
+            DetectionCache::new(),
+            CostLedger::paper(),
+            PipelineConfig::with_batch_size(24),
+        );
+        let b = plan.add_backend(&filter);
+        plan.register_select(Query::paper_q3(), CascadeConfig::strict(), Some(b), CostLedger::paper());
+        plan.register_aggregate(
+            Query::paper_a1(),
+            AggregateSpec::hopping_seconds(1.0, 1.0),
+            &[b],
+            &mut estimator,
+            CostLedger::paper(),
+        );
+        let runs = plan.execute_slice(&frames);
+        (runs, estimator)
+    }
+
+    #[test]
+    fn fleet_statements_are_bit_identical_to_isolated_single_camera_runs() {
+        let (outcome, estimators) = run_fleet(FleetConfig { workers: 3, ..test_config() }, TWO_CAMERAS);
+        assert_eq!(outcome.statements.len(), 4);
+        assert_eq!(outcome.frames_ingested, 2 * FRAMES_PER_CAMERA as u64);
+        assert_eq!(outcome.frames_dropped, 0);
+        for (c, fleet_estimator) in estimators.iter().enumerate() {
+            // The fleet's detect dispatch runs on 3 workers, the isolated
+            // plan's detect at 1: bit-identity must hold across any sharding.
+            let (isolated, isolated_estimator) = isolated_run(c as u32);
+            for (s, isolated_run) in isolated.iter().enumerate() {
+                let statement = &outcome.statements[2 * c + s];
+                assert_eq!(statement.camera, c);
+                assert_run_bit_identical(&statement.run, isolated_run, &format!("camera {c} statement {s}"));
+            }
+            // Time-based windows line up with the camera's own clock: the
+            // 30 fps camera completes 2 one-second windows over 80 frames,
+            // the 15 fps camera 5 — and every per-window estimate matches
+            // the isolated pass to the bit.
+            assert_eq!(fleet_estimator.reports().len(), if c == 0 { 2 } else { 5 });
+            assert_reports_bit_identical(std::slice::from_ref(fleet_estimator), &[isolated_estimator]);
+        }
     }
 
     /// The fleet settles detector attribution once per finish; its

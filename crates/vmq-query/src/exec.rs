@@ -227,6 +227,18 @@ mod tests {
     }
 
     #[test]
+    fn brute_force_matches_ground_truth_exactly() {
+        let (ds, _filter, oracle) = setup();
+        let exec = QueryExecutor::new(Query::paper_q4());
+        let run = exec.run_brute_force(ds.test(), &oracle);
+        assert_eq!(run.matched_frames, exec.ground_truth(ds.test()));
+        assert_eq!(run.frames_detected, ds.test().len());
+        let acc = exec.accuracy(&run, ds.test());
+        assert_eq!(acc.recall, 1.0);
+        assert_eq!(acc.precision, 1.0);
+    }
+
+    #[test]
     fn filtered_run_is_cheaper_and_still_correct_with_perfect_filter() {
         let (ds, filter, oracle) = setup();
         let exec_bf = QueryExecutor::new(Query::paper_q3());
@@ -305,5 +317,25 @@ mod tests {
                 assert_eq!(run.virtual_ms.to_bits(), retaining_run.virtual_ms.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn custom_batch_sizes_reach_identical_answers() {
+        let (ds, _filter, oracle) = setup();
+        let classes = DatasetProfile::jackson().class_list();
+        let reference = QueryExecutor::new(Query::paper_q3()).with_batch_size(1).run_filtered(
+            ds.test(),
+            &CalibratedFilter::new(classes.clone(), 14, CalibrationProfile::perfect(), 5),
+            &oracle,
+            CascadeConfig::strict(),
+        );
+        let wide = QueryExecutor::new(Query::paper_q3()).with_batch_size(512).run_filtered(
+            ds.test(),
+            &CalibratedFilter::new(classes, 14, CalibrationProfile::perfect(), 5),
+            &oracle,
+            CascadeConfig::strict(),
+        );
+        assert_eq!(reference.matched_frames, wide.matched_frames);
+        assert_eq!(reference.virtual_ms.to_bits(), wide.virtual_ms.to_bits());
     }
 }

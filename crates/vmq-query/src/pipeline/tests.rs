@@ -94,6 +94,30 @@ fn filtered_plan_metrics_are_consistent() {
     assert!((sum - run.virtual_ms).abs() < 1e-9);
 }
 
+#[test]
+fn batch_size_does_not_change_results() {
+    let (ds, _filter, oracle) = setup();
+    let query = Query::paper_q4();
+    let runs: Vec<QueryRun> = [1usize, 8, 64, 1000]
+        .iter()
+        .map(|&bs| {
+            let filter =
+                CalibratedFilter::new(DatasetProfile::jackson().class_list(), 14, CalibrationProfile::perfect(), 5);
+            QueryExecutor::new(query.clone()).with_batch_size(bs).run_filtered(
+                ds.test(),
+                &filter,
+                &oracle,
+                CascadeConfig::tolerant(),
+            )
+        })
+        .collect();
+    for run in &runs[1..] {
+        assert_eq!(run.matched_frames, runs[0].matched_frames);
+        assert_eq!(run.frames_detected, runs[0].frames_detected);
+        assert_eq!(run.virtual_ms.to_bits(), runs[0].virtual_ms.to_bits());
+    }
+}
+
 /// Records every window it sees and pretends to sample
 /// `samples_per_window` frames with the detector.
 struct RecordingEstimator {

@@ -1,8 +1,12 @@
-//! Tests of the shared plan's bookkeeping that no statement answer shows:
-//! recall is monotone in the cascade tolerances, and the detection cache,
-//! the global ledger and the attribution split record exactly the work a
-//! pass shares. (What each statement answers is pinned against the naive
-//! reference in `statement_differential.rs`.)
+//! Parity tests of the batched operator pipeline against the eager,
+//! frame-at-a-time execution semantics the original executor implemented
+//! (one decode + filter charge per frame, detector charge per surviving
+//! frame, answers in stream order); shared passes against runtimes of one;
+//! and tests of the shared plan's bookkeeping that no statement answer
+//! shows: recall is monotone in the cascade tolerances, and the detection
+//! cache, the global ledger and the attribution split record exactly the
+//! work a pass shares. (Every driver is also pinned against the naive
+//! statement reference in `statement_differential.rs`.)
 
 #[path = "common/family.rs"]
 mod family;
@@ -12,13 +16,188 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use vmq::aggregate::{FrameSampler, WindowedAggregator};
 use vmq::detect::{CostLedger, DetectionCache, Detector, Stage};
-use vmq::engine::{EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};
-use vmq::filters::{CalibratedFilter, CalibrationProfile, FrameFilter};
+use vmq::engine::{EngineConfig, FilterChoice, MultiQueryOutcome, RuntimeQuery, VmqEngine};
+use vmq::filters::{CalibratedFilter, CalibrationProfile, FilterConfig, FilterKind, FrameFilter, OdFilter};
 use vmq::query::plan::FilterCascade;
+use vmq::query::planner::PlanChoice;
 use vmq::query::{
     AggregateSpec, CascadeConfig, PipelineConfig, Query, QueryAccuracy, QueryExecutor, QueryRun, SharedStreamPlan,
 };
-use vmq::video::{Dataset, DatasetProfile};
+use vmq::video::{Dataset, DatasetKind, DatasetProfile, Frame};
+
+/// The eager reference semantics: the per-frame loop the seed's
+/// `run_filtered` / `run_brute_force` implemented, charging every stage one
+/// frame at a time. Returns `(matched_frames, frames_detected, virtual_ms)`.
+fn eager_reference(
+    query: &Query,
+    frames: &[Frame],
+    filter: Option<&dyn FrameFilter>,
+    detector: &dyn Detector,
+    cascade: Option<CascadeConfig>,
+) -> (Vec<u64>, usize, f64) {
+    let ledger = CostLedger::paper();
+    let cascade = cascade.map(|config| FilterCascade::new(query.clone(), config));
+    let mut matched = Vec::new();
+    let mut detected = 0usize;
+    for frame in frames {
+        ledger.charge(Stage::Decode, 1);
+        if let (Some(filter), Some(cascade)) = (filter, cascade.as_ref()) {
+            ledger.charge(filter.kind().stage(), 1);
+            let estimate = filter.estimate(frame);
+            if !cascade.passes(&estimate, filter.threshold()) {
+                continue;
+            }
+        }
+        ledger.charge(detector.stage(), 1);
+        detected += 1;
+        if query.matches_detections(&detector.detect(frame)) {
+            matched.push(frame.frame_id);
+        }
+    }
+    (matched, detected, ledger.total_ms())
+}
+
+fn scenario(kind: DatasetKind) -> (Dataset, Query) {
+    // The same dataset-to-query pairing end_to_end.rs exercises.
+    let query = match kind {
+        DatasetKind::Coral => Query::paper_q1(),
+        DatasetKind::Jackson => Query::paper_q3(),
+        DatasetKind::Detrac => Query::paper_q6(),
+    };
+    (Dataset::generate(&DatasetProfile::for_kind(kind), 40, 120, 17), query)
+}
+
+/// Filtered execution through the operator pipeline is byte-identical to the
+/// eager per-frame semantics — matched frame ids, detector invocations and
+/// the virtual-time total — on the end-to-end scenarios, for every batch
+/// size, with both a perfect and a noisy (stochastic) filter.
+#[test]
+fn filtered_pipeline_matches_eager_semantics_exactly() {
+    let oracle = vmq::detect::OracleDetector::perfect();
+    for kind in [DatasetKind::Coral, DatasetKind::Jackson, DatasetKind::Detrac] {
+        let (ds, query) = scenario(kind);
+        let classes = ds.profile().class_list();
+        for profile in [CalibrationProfile::perfect(), CalibrationProfile::od_like()] {
+            // The calibrated filter draws from a sequential RNG, so reference
+            // and pipeline runs each get their own identically seeded copy.
+            let fresh = || CalibratedFilter::new(classes.clone(), 16, profile, 99);
+            let reference_filter = fresh();
+            let (matched, detected, virtual_ms) =
+                eager_reference(&query, ds.test(), Some(&reference_filter), &oracle, Some(CascadeConfig::strict()));
+            for batch_size in [1usize, 7, 32, 1024] {
+                let filter = fresh();
+                let exec = QueryExecutor::new(query.clone()).with_batch_size(batch_size);
+                let run = exec.run_filtered(ds.test(), &filter, &oracle, CascadeConfig::strict());
+                assert_eq!(run.matched_frames, matched, "{kind:?} batch {batch_size}");
+                assert_eq!(run.frames_detected, detected, "{kind:?} batch {batch_size}");
+                assert_eq!(
+                    run.virtual_ms.to_bits(),
+                    virtual_ms.to_bits(),
+                    "{kind:?} batch {batch_size}: {} vs {}",
+                    run.virtual_ms,
+                    virtual_ms
+                );
+            }
+        }
+    }
+}
+
+/// Brute-force execution through the pipeline matches the eager per-frame
+/// semantics exactly as well.
+#[test]
+fn brute_force_pipeline_matches_eager_semantics_exactly() {
+    let oracle = vmq::detect::OracleDetector::perfect();
+    for kind in [DatasetKind::Coral, DatasetKind::Jackson, DatasetKind::Detrac] {
+        let (ds, query) = scenario(kind);
+        let (matched, detected, virtual_ms) = eager_reference(&query, ds.test(), None, &oracle, None);
+        for batch_size in [1usize, 13, 64] {
+            let exec = QueryExecutor::new(query.clone()).with_batch_size(batch_size);
+            let run = exec.run_brute_force(ds.test(), &oracle);
+            assert_eq!(run.matched_frames, matched);
+            assert_eq!(run.frames_detected, detected);
+            assert_eq!(run.virtual_ms.to_bits(), virtual_ms.to_bits());
+        }
+    }
+}
+
+/// Same seed ⇒ identical `PlanChoice`, whatever the pipeline batch size.
+/// The planner profiles candidates through `estimate_batch` in
+/// pipeline-sized chunks, and chunking is covered by the batch parity
+/// guarantee, so the plan must not depend on the batch size — even for the
+/// stochastic calibrated filter (identically seeded copies per run).
+#[test]
+fn plan_choice_is_identical_across_batch_sizes() {
+    let oracle = vmq::detect::OracleDetector::perfect();
+    for kind in [DatasetKind::Coral, DatasetKind::Jackson, DatasetKind::Detrac] {
+        let (ds, query) = scenario(kind);
+        let classes = ds.profile().class_list();
+        let choices: Vec<PlanChoice> = [1usize, 7, 64]
+            .iter()
+            .map(|&batch_size| {
+                let od = CalibratedFilter::new(classes.clone(), 16, CalibrationProfile::od_like(), 31);
+                let ic = CalibratedFilter::new(classes.clone(), 16, CalibrationProfile::ic_like(), 32);
+                let backends: Vec<&dyn FrameFilter> = vec![&od, &ic];
+                let exec = QueryExecutor::new(query.clone()).with_batch_size(batch_size);
+                let (_run, report) = exec.run_adaptive(ds.test(), 40, &backends, &CascadeConfig::lattice(), &oracle);
+                report.choice
+            })
+            .collect();
+        for choice in &choices[1..] {
+            assert_eq!(choice.label, choices[0].label, "{kind:?}");
+            assert_eq!(choice.cascade, choices[0].cascade, "{kind:?}");
+            assert_eq!(choice.backend_index, choices[0].backend_index, "{kind:?}");
+            assert_eq!(choice.expected_cost.to_bits(), choices[0].expected_cost.to_bits(), "{kind:?}");
+            assert_eq!(choice.expected_selectivity.to_bits(), choices[0].expected_selectivity.to_bits(), "{kind:?}");
+        }
+    }
+}
+
+/// Adaptive execution is the chosen fixed pipeline plus a calibration bill:
+/// its matched frame ids are byte-identical to running the chosen
+/// `(backend, cascade)` through the fixed pipeline, and its virtual time is
+/// exactly the fixed run's plus the reported calibration cost.
+/// (Deterministic filters — the perfect calibrated backend — make the
+/// comparison exact regardless of the extra calibration-time RNG draws.)
+#[test]
+fn adaptive_execution_matches_fixed_pipeline_with_chosen_config() {
+    let oracle = vmq::detect::OracleDetector::perfect();
+    for kind in [DatasetKind::Coral, DatasetKind::Jackson, DatasetKind::Detrac] {
+        let (ds, query) = scenario(kind);
+        let classes = ds.profile().class_list();
+        let fresh = |fk: FilterKind| {
+            CalibratedFilter::new(classes.clone(), 16, CalibrationProfile::perfect().emulating(fk), 77)
+        };
+
+        let od = fresh(FilterKind::Od);
+        let ic = fresh(FilterKind::Ic);
+        let backends: Vec<&dyn FrameFilter> = vec![&od, &ic];
+        let exec = QueryExecutor::new(query.clone());
+        let (adaptive, report) = exec.run_adaptive(ds.test(), 32, &backends, &CascadeConfig::lattice(), &oracle);
+
+        // The planner may pick the brute-force floor; the adaptive execution
+        // must then match a plain brute-force run plus the calibration bill.
+        let fixed_exec = QueryExecutor::new(query.clone());
+        let fixed = if report.choice.brute_force {
+            fixed_exec.run_brute_force(ds.test(), &oracle)
+        } else {
+            let chosen_filter = fresh(if report.choice.backend == "IC" { FilterKind::Ic } else { FilterKind::Od });
+            fixed_exec.run_filtered(ds.test(), &chosen_filter, &oracle, report.choice.cascade)
+        };
+
+        assert_eq!(adaptive.matched_frames, fixed.matched_frames, "{kind:?}");
+        assert_eq!(adaptive.frames_detected, fixed.frames_detected, "{kind:?}");
+        assert_eq!(adaptive.frames_passed_filter, fixed.frames_passed_filter, "{kind:?}");
+        assert!(
+            (fixed.virtual_ms + report.calibration_ms - adaptive.virtual_ms).abs() < 1e-6,
+            "{kind:?}: adaptive must cost exactly fixed + calibration: {} + {} vs {}",
+            fixed.virtual_ms,
+            report.calibration_ms,
+            adaptive.virtual_ms
+        );
+        assert!(adaptive.mode.starts_with("adaptive "), "{}", adaptive.mode);
+        assert_eq!(adaptive.stage_metrics[0].operator, "calibrate");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -139,6 +318,32 @@ fn shared_aggregates_look_up_each_sampled_frame_once() {
     assert!(distinct_samples < aggregates.len() * windows * trials * sample_size, "some frames are sampled twice");
 }
 
+fn row_workers(run: &QueryRun, operator: &str) -> usize {
+    run.stage_metrics.iter().find(|m| m.operator == operator).expect("stage row").workers
+}
+
+/// A learned filter decodes on the whole machine ([`vmq::exec::parallelism`])
+/// and its row reports that width, while the plan's own detect runs at 1;
+/// answers and bills stay bit-identical to the eager per-frame decode.
+#[test]
+fn learned_filter_rows_report_the_decode_width() {
+    let (ds, query) = scenario(DatasetKind::Jackson);
+    let oracle = vmq::detect::OracleDetector::perfect();
+    let od = OdFilter::new(FilterConfig::fast_test(ds.profile().class_list()));
+    let frames = &ds.test()[..40];
+    let (matched, detected, virtual_ms) =
+        eager_reference(&query, frames, Some(&od), &oracle, Some(CascadeConfig::tolerant()));
+    for batch_size in [1usize, 13] {
+        let exec = QueryExecutor::new(query.clone()).with_batch_size(batch_size);
+        let run = exec.run_filtered(frames, &od, &oracle, CascadeConfig::tolerant());
+        assert_eq!(row_workers(&run, "cascade-filter"), vmq::exec::parallelism(), "batch {batch_size}");
+        assert_eq!(row_workers(&run, "detect"), 1, "batch {batch_size}");
+        assert_eq!(run.matched_frames, matched, "batch {batch_size}");
+        assert_eq!(run.frames_detected, detected, "batch {batch_size}");
+        assert_eq!(run.virtual_ms.to_bits(), virtual_ms.to_bits(), "batch {batch_size}");
+    }
+}
+
 fn paper_selects() -> Vec<Query> {
     vec![
         Query::paper_q1(),
@@ -149,6 +354,10 @@ fn paper_selects() -> Vec<Query> {
         Query::paper_q6(),
         Query::paper_q7(),
     ]
+}
+
+fn paper_aggregates() -> Vec<Query> {
+    vec![Query::paper_a1(), Query::paper_a2(), Query::paper_a3(), Query::paper_a4(), Query::paper_a5()]
 }
 
 /// The acceptance criterion of the shared runtime: one pass over q1–q7
@@ -332,5 +541,94 @@ fn starved_caches_cost_detector_work_but_change_no_answer() {
         assert_eq!(global.invocations(Stage::MaskRcnn), starved_cache.misses());
         let attributed: f64 = (0..runs.len()).map(|user| global.attributed_frames(Stage::MaskRcnn, user)).sum();
         assert!((attributed - starved_cache.misses() as f64).abs() < 1e-6, "{attributed} units attributed");
+    }
+}
+
+/// Runs `statements` in one shared pass of the engine's runtime; a
+/// statement run "in isolation" is a runtime of one.
+fn run_shared(engine: &VmqEngine, statements: &[RuntimeQuery]) -> MultiQueryOutcome {
+    let mut runtime = engine.runtime();
+    for statement in statements {
+        runtime.register(statement.clone());
+    }
+    runtime.run()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// One shared pass over a random subset of q1–q7 selects and a1–a5
+    /// windowed aggregates, plus members of an overlapping atom family at
+    /// mixed tolerances (so statements share atoms, and equal predicates at
+    /// different tolerances do not), yields per-query matches / estimates /
+    /// virtual totals bit-identical to isolated runs (a runtime of one).
+    #[test]
+    fn run_many_is_bit_identical_to_isolated_runs(
+        seed in 0u64..40,
+        subset in 1u32..4096,
+        members in prop::collection::vec((0usize..20, 0usize..3), 0..10),
+    ) {
+        let engine = VmqEngine::new(
+            EngineConfig::small(DatasetProfile::jackson()).with_sizes(20, 120).with_seed(seed),
+        );
+        let choice = FilterChoice::Calibrated(CalibrationProfile::od_like());
+        let mut statements = Vec::new();
+        for (i, query) in paper_selects().into_iter().enumerate() {
+            if subset & (1 << i) != 0 {
+                statements.push(RuntimeQuery::Select { query, choice, cascade: CascadeConfig::tolerant() });
+            }
+        }
+        for (i, query) in paper_aggregates().into_iter().enumerate() {
+            if subset & (1 << (7 + i)) != 0 {
+                statements.push(RuntimeQuery::Aggregate {
+                    query,
+                    choice,
+                    window: (60, 30),
+                    sample_size: 10,
+                    trials: 5,
+                });
+            }
+        }
+        let family = overlapping_family();
+        for &(member, tolerance) in &members {
+            let cascade = [CascadeConfig::strict(), CascadeConfig::tolerant(), CascadeConfig::loose()][tolerance];
+            statements.push(RuntimeQuery::Select { query: family[member].clone(), choice, cascade });
+        }
+        // `subset ∈ 1..4096` always sets at least one of the 12 bits, so
+        // there is always at least one statement.
+        prop_assert!(!statements.is_empty());
+        let outcome = run_shared(&engine, &statements);
+
+        for (statement, out) in statements.iter().zip(&outcome.outcomes) {
+            let alone = run_shared(&engine, std::slice::from_ref(statement)).outcomes.remove(0);
+            match statement {
+                RuntimeQuery::Select { query, .. } => {
+                    let isolated = alone.as_select().expect("select outcome");
+                    let shared = out.as_select().expect("select outcome");
+                    prop_assert_eq!(&shared.run.matched_frames, &isolated.run.matched_frames, "{}", query.name);
+                    prop_assert_eq!(shared.run.frames_detected, isolated.run.frames_detected);
+                    prop_assert_eq!(shared.run.virtual_ms.to_bits(), isolated.run.virtual_ms.to_bits());
+                    prop_assert_eq!(shared.speedup.speedup.to_bits(), isolated.speedup.speedup.to_bits());
+                }
+                RuntimeQuery::Aggregate { query, .. } => {
+                    let isolated = alone.as_aggregate().expect("aggregate outcome");
+                    let shared = out.as_aggregate().expect("aggregate outcome");
+                    prop_assert_eq!(shared.reports.len(), isolated.reports.len(), "{}", query.name);
+                    for (s, i) in shared.reports.iter().zip(&isolated.reports) {
+                        prop_assert_eq!(s.plain_mean.to_bits(), i.plain_mean.to_bits(), "{}", query.name);
+                        prop_assert_eq!(s.cv_mean.to_bits(), i.cv_mean.to_bits());
+                        prop_assert_eq!(s.mcv_mean.to_bits(), i.mcv_mean.to_bits());
+                        prop_assert_eq!(s.plain_variance.to_bits(), i.plain_variance.to_bits());
+                        prop_assert_eq!(s.cv_variance.to_bits(), i.cv_variance.to_bits());
+                        prop_assert_eq!(s.mcv_variance.to_bits(), i.mcv_variance.to_bits());
+                        prop_assert_eq!(s.true_fraction.to_bits(), i.true_fraction.to_bits());
+                        prop_assert_eq!(s.window_start, i.window_start);
+                    }
+                    prop_assert_eq!(shared.run.frames_detected, isolated.run.frames_detected);
+                    prop_assert_eq!(shared.run.virtual_ms.to_bits(), isolated.run.virtual_ms.to_bits());
+                }
+                _ => unreachable!("only fixed selects and aggregates are registered here"),
+            }
+        }
     }
 }

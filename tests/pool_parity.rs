@@ -2,15 +2,21 @@
 //! and their int8 twins, alone and decoded as one group — must be bit
 //! identical at every width to the width-1 run, which opens no pool scope at
 //! all, across batch sizes {1, 7, 32} × widths {2, 4}. (The calibrated
-//! filter runs on the calling thread and never reaches the pool.) Plans and
-//! fleets, whose widths are derived, are pinned against the naive reference
-//! in `statement_differential.rs`.
+//! filter runs on the calling thread and never reaches the pool.) The
+//! fleet's coalesced cross-camera detect dispatch, whose width
+//! `FleetConfig::workers` sets, gets the same treatment: a fleet on two
+//! workers and the same fleet on one must agree on every statement outcome.
+//! (Plans, whose widths are derived, are pinned against the naive reference
+//! in `statement_differential.rs`.)
 
 use proptest::prelude::*;
+use vmq::detect::OracleDetector;
+use vmq::engine::{FleetConfig, FleetRuntime};
 use vmq::filters::{
-    estimate_shared, CofFilter, FilterConfig, FilterEstimate, FrameFilter, IcFilter, OdFilter, QuantizedCofFilter,
-    QuantizedIcFilter, QuantizedOdFilter,
+    estimate_shared, CalibratedFilter, CalibrationProfile, CofFilter, FilterConfig, FilterEstimate, FrameFilter,
+    IcFilter, OdFilter, QuantizedCofFilter, QuantizedIcFilter, QuantizedOdFilter,
 };
+use vmq::query::{CascadeConfig, Query, QueryRun};
 use vmq::video::{DatasetProfile, Frame, ObjectClass, Scene, SceneConfig};
 
 fn scene_frames(camera: u32, seed: u64, n: usize) -> Vec<Frame> {
@@ -28,6 +34,39 @@ fn assert_estimates_bit_identical(a: &[FilterEstimate], b: &[FilterEstimate], ct
             assert_eq!(ga.cells(), gb.cells(), "{ctx} frame {i} grid");
         }
     }
+}
+
+fn assert_runs_bit_identical(a: &[QueryRun], b: &[QueryRun], ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}");
+    for (ra, rb) in a.iter().zip(b) {
+        assert_eq!(ra.matched_frames, rb.matched_frames, "{ctx} {}", ra.query);
+        assert_eq!(ra.frames_passed_filter, rb.frames_passed_filter, "{ctx} {}", ra.query);
+        assert_eq!(ra.frames_detected, rb.frames_detected, "{ctx} {}", ra.query);
+        assert_eq!(ra.virtual_ms.to_bits(), rb.virtual_ms.to_bits(), "{ctx} {}", ra.query);
+    }
+}
+
+/// A three-camera select-only fleet over identically seeded scenes.
+fn fleet_run(workers: usize, frames_per_camera: usize) -> Vec<QueryRun> {
+    let oracle = OracleDetector::perfect();
+    let classes = DatasetProfile::jackson().class_list();
+    let filters: Vec<CalibratedFilter> =
+        (0..3).map(|c| CalibratedFilter::new(classes.clone(), 14, CalibrationProfile::od_like(), 77 + c)).collect();
+    let mut fleet = FleetRuntime::new(
+        &oracle,
+        FleetConfig { batch_size: 16, workers, queue_capacity: 512, ..FleetConfig::default() },
+    );
+    for (c, filter) in filters.iter().enumerate() {
+        let config = SceneConfig::from_profile(&DatasetProfile::jackson()).with_camera(c as u32);
+        let cam = fleet.add_camera(Scene::new(config, 4000 + c as u64));
+        let b = fleet.add_backend(cam, filter);
+        fleet.register_select(cam, "acme", Query::paper_q3(), CascadeConfig::strict(), Some(b));
+    }
+    for _ in 0..3 {
+        fleet.ingest(frames_per_camera / 3);
+        fleet.poll();
+    }
+    fleet.finish().statements.into_iter().map(|s| s.run).collect()
 }
 
 proptest! {
@@ -97,4 +136,12 @@ proptest! {
             }
         }
     }
+}
+
+/// Coalesced fleet sweeps sharded over two pool workers vs the same sweeps
+/// on one: every statement outcome must be bit-identical, because the
+/// worker count is a pure wall-clock knob.
+#[test]
+fn fleet_on_two_workers_matches_the_one_worker_fleet() {
+    assert_runs_bit_identical(&fleet_run(2, 60), &fleet_run(1, 60), "fleet");
 }

@@ -10,6 +10,24 @@ use vmq::video::{DatasetProfile, Scene, SceneConfig};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// For any simulated Jackson segment and any paper query on that dataset,
+    /// a perfect calibrated filter with a tolerant cascade reports exactly
+    /// the brute-force answer set (no false drops, no spurious matches).
+    #[test]
+    fn filtered_equals_brute_force_with_perfect_filter(seed in 0u64..500, query_idx in 0usize..3) {
+        let profile = DatasetProfile::jackson();
+        let mut scene = Scene::new(SceneConfig::from_profile(&profile), seed);
+        let frames: Vec<_> = (0..60).map(|_| scene.step()).collect();
+        let query = [Query::paper_q3(), Query::paper_q4(), Query::paper_q5()][query_idx].clone();
+        let filter = CalibratedFilter::new(profile.class_list(), 16, CalibrationProfile::perfect(), seed);
+        let oracle = OracleDetector::perfect();
+
+        let brute = QueryExecutor::new(query.clone()).run_brute_force(&frames, &oracle);
+        let filtered = QueryExecutor::new(query).run_filtered(&frames, &filter, &oracle, CascadeConfig::tolerant());
+        prop_assert_eq!(brute.matched_frames, filtered.matched_frames);
+        prop_assert!(filtered.frames_detected <= brute.frames_detected);
+    }
+
     /// The oracle detector is exactly faithful to the simulator's ground
     /// truth for every frame the scene produces.
     #[test]
