@@ -4,7 +4,8 @@
 //! detector and the trained filters. It executes nothing itself: every
 //! statement — select, adaptive select, windowed aggregate — is registered
 //! on the [`StreamRuntime`] that [`VmqEngine::runtime`] returns and runs in
-//! its one shared pass, alone or among N others.
+//! its one shared pass, alone or among N others, on a one-camera
+//! [`FleetRuntime`](crate::FleetRuntime) fed the test split.
 
 use crate::config::{EngineConfig, FilterChoice};
 use crate::report::Report;

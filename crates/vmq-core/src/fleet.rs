@@ -1,12 +1,11 @@
 //! The multi-camera fleet runtime: M cameras × N standing statements in one
-//! process.
+//! process, and the one driver every statement runs on.
 //!
-//! [`StreamRuntime`](crate::StreamRuntime) answers the paper's monitoring
-//! setting for a *single* camera — N standing queries share one stream pass.
-//! [`FleetRuntime`] scales that to a camera fleet: every camera brings its
-//! own [`Scene`] (seed, frame rate, regime profile) and its own
+//! Every camera brings its own stream — a live [`Scene`] (seed, frame rate,
+//! regime profile) or a recorded frame slice — and its own
 //! [`SharedStreamPlan`] of standing statements, while the fleet provides the
-//! shared substrate those plans plug into:
+//! shared substrate those plans plug into. [`StreamRuntime`](crate::StreamRuntime)
+//! is a fleet of one camera fed from the engine's test split.
 //!
 //! * **one fleet-global [`DetectionCache`]** with a byte budget — detections
 //!   are deduplicated *across* plans (cache keys carry the camera id, so
@@ -14,9 +13,15 @@
 //!   eviction accounting;
 //! * **one fleet-global [`CostLedger`]** — each statement is aliased to a
 //!   fleet-unique attribution id ([`SharedStreamPlan::alias_user`]), so the
-//!   deduplicated bill splits per statement exactly as in the single-camera
-//!   runtime, and [`SharedCost::rollup`] folds it into per-camera and
-//!   per-tenant totals;
+//!   deduplicated bill splits per statement, and [`SharedCost::rollup`]
+//!   folds it into per-camera and per-tenant totals;
+//! * **adaptive selects** — [`FleetRuntime::register_select_drifted`] plans
+//!   a select on its camera's first frames, optionally with a drift monitor.
+//!   The rule is hold, plan, release: the camera's queue is held until the
+//!   calibration prefix has arrived, every candidate backend is profiled
+//!   once on it, each held select is planned and registered, and the queue
+//!   is released, prefix frames included. [`FleetRuntime::finish`] plans a
+//!   still-held camera on whatever did arrive;
 //! * **bounded per-camera ingest queues** — producers enqueue frames up to a
 //!   capacity; overflow is *dropped at the edge* and counted, never silently
 //!   absorbed;
@@ -43,17 +48,18 @@
 //! any statement computes, and the order cameras stage in on the pool
 //! changes no bit (see [`FleetRuntime::poll`]). The workspace's statement
 //! differential pins every fleet statement against a naive per-camera
-//! reference; the tests below pin it against isolated runs and the shared
-//! bill against a per-camera
+//! reference; the tests below pin the shared bill against a per-camera
 //! [`push_batch`](SharedStreamPlan::push_batch) replay, at several widths.
 
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use vmq_detect::{CostLedger, DetectionCache, Detector, FrameDetections, GroupCost, SharedCost};
-use vmq_filters::FrameFilter;
+use vmq_detect::{CachedDetector, CostLedger, DetectionCache, Detector, FrameDetections, GroupCost, SharedCost};
+use vmq_filters::{FilterProfile, FrameFilter};
+use vmq_query::planner::plan_cascade_from_profiles;
 use vmq_query::{
-    AggregateSpec, CascadeConfig, PipelineConfig, Query, QueryRun, SharedStreamPlan, StagedBatch, WindowEstimator,
+    AggregateSpec, CalibrationReport, CascadeConfig, DriftSetup, PipelineConfig, Query, QueryRun, SharedStreamPlan,
+    StageMetrics, StagedBatch, WindowEstimator,
 };
 use vmq_video::{Frame, Scene};
 
@@ -104,16 +110,45 @@ impl Default for FleetConfig {
 struct StatementInfo {
     name: String,
     camera: usize,
-    camera_id: u32,
     tenant: String,
     ledger: CostLedger,
+    calibration: Option<Box<CalibrationReport>>,
 }
 
-/// One registered camera: its scene, its standing-statement plan, its
-/// bounded ingest queue, and the batch a poll has in flight.
+/// Where a camera's frames come from.
+enum Feed<'a> {
+    /// A live scene, stepped once per ingested frame.
+    Scene(Scene),
+    /// A recorded stream, replayed in order; it ends with its slice.
+    Slice(std::slice::Iter<'a, Frame>),
+}
+
+impl Feed<'_> {
+    fn next(&mut self) -> Option<Frame> {
+        match self {
+            Feed::Scene(scene) => Some(scene.step()),
+            Feed::Slice(frames) => frames.next().cloned(),
+        }
+    }
+}
+
+/// An adaptive select waiting for its camera's calibration prefix.
+struct HeldSelect {
+    gid: usize,
+    query: Query,
+    prefix_frames: usize,
+    setup: DriftSetup,
+}
+
+/// One registered camera: its feed, its standing-statement plan and the
+/// filters registered on it, the adaptive selects it holds its queue for,
+/// its bounded ingest queue, and the batch a poll has in flight.
 struct CameraState<'a> {
-    scene: Scene,
+    feed: Feed<'a>,
+    camera_id: u32,
     plan: SharedStreamPlan<'a>,
+    backends: Vec<&'a dyn FrameFilter>,
+    held: Vec<HeldSelect>,
     queue: VecDeque<Frame>,
     ingested: u64,
     dropped: u64,
@@ -135,6 +170,10 @@ pub struct FleetStatementOutcome {
     pub tenant: String,
     /// The statement's execution report.
     pub run: QueryRun,
+    /// How an adaptive select's plan was chosen (`None` for every other
+    /// statement; boxed, since most statements have none and a fleet
+    /// holds thousands).
+    pub calibration: Option<Box<CalibrationReport>>,
 }
 
 /// Everything one fleet pass produced.
@@ -182,8 +221,6 @@ pub struct FleetRuntime<'a> {
     config: FleetConfig,
     cameras: Vec<CameraState<'a>>,
     statements: Vec<StatementInfo>,
-    /// Every registered backend's address and camera.
-    backends: Vec<(usize, usize)>,
     /// Whether one backend object serves several cameras.
     shared_backend: bool,
     shed_level: u32,
@@ -206,7 +243,6 @@ impl<'a> FleetRuntime<'a> {
             config: FleetConfig { batch_size: config.batch_size.max(1), ..config },
             cameras: Vec::new(),
             statements: Vec::new(),
-            backends: Vec::new(),
             shared_backend: false,
             shed_level: 0,
             shed_events: 0,
@@ -217,18 +253,41 @@ impl<'a> FleetRuntime<'a> {
         }
     }
 
-    /// Registers a camera; returns its fleet index. The camera's plan shares
-    /// the fleet cache and global ledger but keeps its own statement set and
-    /// ingest queue.
+    /// Registers a camera fed by a live scene; returns its fleet index. The
+    /// camera's plan shares the fleet cache and global ledger but keeps its
+    /// own statement set and ingest queue.
     pub fn add_camera(&mut self, scene: Scene) -> usize {
+        let camera_id = scene.config().camera_id;
+        self.push_camera(Feed::Scene(scene), camera_id)
+    }
+
+    /// Registers a camera fed by a recorded stream, replayed in order by
+    /// [`FleetRuntime::ingest`] until the slice ends; returns its fleet
+    /// index. Its stream id is its first frame's.
+    pub fn add_camera_frames(&mut self, frames: &'a [Frame]) -> usize {
+        let camera_id = frames.first().map_or(0, |f| f.camera_id);
+        self.push_camera(Feed::Slice(frames.iter()), camera_id)
+    }
+
+    fn push_camera(&mut self, feed: Feed<'a>, camera_id: u32) -> usize {
         let plan = SharedStreamPlan::new(
             self.detector,
             self.cache.clone(),
             self.global.clone(),
             PipelineConfig::with_batch_size(self.config.batch_size),
         );
-        let queue = VecDeque::new();
-        self.cameras.push(CameraState { scene, plan, queue, ingested: 0, dropped: 0, batch: Vec::new(), staged: None });
+        self.cameras.push(CameraState {
+            feed,
+            camera_id,
+            plan,
+            backends: Vec::new(),
+            held: Vec::new(),
+            queue: VecDeque::new(),
+            ingested: 0,
+            dropped: 0,
+            batch: Vec::new(),
+            staged: None,
+        });
         self.cameras.len() - 1
     }
 
@@ -239,10 +298,15 @@ impl<'a> FleetRuntime<'a> {
     /// one after another: a stateful one, such as the calibrated filter's
     /// sequential noise stream, must see their frames in camera order.
     pub fn add_backend(&mut self, camera: usize, filter: &'a dyn FrameFilter) -> usize {
-        let address = (filter as *const dyn FrameFilter).cast::<()>() as usize;
-        self.shared_backend |= self.backends.iter().any(|&(a, c)| a == address && c != camera);
-        self.backends.push((address, camera));
-        self.cameras[camera].plan.add_backend(filter)
+        let address = |f: &dyn FrameFilter| (f as *const dyn FrameFilter).cast::<()>();
+        self.shared_backend |= self
+            .cameras
+            .iter()
+            .enumerate()
+            .any(|(c, state)| c != camera && state.backends.iter().any(|&f| address(f) == address(filter)));
+        let state = &mut self.cameras[camera];
+        state.backends.push(filter);
+        state.plan.add_backend(filter)
     }
 
     /// Registers a standing select on `camera` for `tenant`; returns the
@@ -255,10 +319,40 @@ impl<'a> FleetRuntime<'a> {
         cascade: CascadeConfig,
         backend: Option<usize>,
     ) -> usize {
-        let ledger = CostLedger::paper();
-        let name = query.name.clone();
-        let q = self.cameras[camera].plan.register_select(query, cascade, backend, ledger.clone());
-        self.finish_registration(camera, tenant, q, name, ledger)
+        let (gid, ledger) = self.add_statement(camera, tenant, &query);
+        let plan = &mut self.cameras[camera].plan;
+        let q = plan.register_select(query, cascade, backend, ledger);
+        plan.alias_user(q, gid);
+        gid
+    }
+
+    /// Registers a standing select on `camera` for `tenant` whose cascade
+    /// the adaptive planner picks among every `(backend × tolerance)` of
+    /// `setup.candidate_backends × setup.tolerances` on the camera's first
+    /// `prefix_frames` frames; returns the statement's fleet-global id. The
+    /// run's virtual time includes the calibration, and its outcome carries
+    /// the [`CalibrationReport`]. `setup.config` attaches a drift monitor
+    /// over the same candidates; a disabled config (`DriftConfig::new(0.0)`)
+    /// keeps the first plan for good.
+    ///
+    /// The camera's queue is held until the prefix has arrived (or filled
+    /// the queue); [`FleetRuntime::finish`] plans on whatever did. A
+    /// candidate is profiled once however many selects read it, so they
+    /// must all name the same prefix (the planner panics on a profile that
+    /// does not cover a select's prefix). A stateful candidate, such as a
+    /// calibrated filter, has drawn its noise for the prefix before the
+    /// pass, so it should serve only selects calibrating on it.
+    pub fn register_select_drifted(
+        &mut self,
+        camera: usize,
+        tenant: &str,
+        query: Query,
+        prefix_frames: usize,
+        setup: DriftSetup,
+    ) -> usize {
+        let (gid, _) = self.add_statement(camera, tenant, &query);
+        self.cameras[camera].held.push(HeldSelect { gid, query, prefix_frames, setup });
+        gid
     }
 
     /// Registers a standing windowed aggregate on `camera` for `tenant`;
@@ -274,42 +368,29 @@ impl<'a> FleetRuntime<'a> {
         backends: &[usize],
         estimator: &'a mut dyn WindowEstimator,
     ) -> usize {
-        let ledger = CostLedger::paper();
-        let name = query.name.clone();
-        let q = self.cameras[camera].plan.register_aggregate(query, spec, backends, estimator, ledger.clone());
-        self.finish_registration(camera, tenant, q, name, ledger)
-    }
-
-    /// Assigns the statement its fleet-global attribution id.
-    fn finish_registration(
-        &mut self,
-        camera: usize,
-        tenant: &str,
-        q: usize,
-        name: String,
-        ledger: CostLedger,
-    ) -> usize {
-        let gid = self.statements.len();
-        let state = &mut self.cameras[camera];
-        state.plan.alias_user(q, gid);
-        self.statements.push(StatementInfo {
-            name,
-            camera,
-            camera_id: state.scene.config().camera_id,
-            tenant: tenant.to_string(),
-            ledger,
-        });
+        let (gid, ledger) = self.add_statement(camera, tenant, &query);
+        let plan = &mut self.cameras[camera].plan;
+        let q = plan.register_aggregate(query, spec, backends, estimator, ledger);
+        plan.alias_user(q, gid);
         gid
     }
 
-    /// Steps every camera's scene `frames` times, enqueueing into its
+    /// Adds a statement's fleet-level identity; returns its fleet-global id
+    /// (the attribution id its plan registration is aliased to) and its
+    /// private ledger.
+    fn add_statement(&mut self, camera: usize, tenant: &str, query: &Query) -> (usize, CostLedger) {
+        let (name, tenant, ledger) = (query.name.clone(), tenant.to_string(), CostLedger::paper());
+        self.statements.push(StatementInfo { name, camera, tenant, ledger: ledger.clone(), calibration: None });
+        (self.statements.len() - 1, ledger)
+    }
+
+    /// Takes up to `frames` frames from every camera's feed into its
     /// bounded ingest queue; overflow frames are dropped and counted.
     /// Returns the number of frames dropped by this call.
     pub fn ingest(&mut self, frames: usize) -> u64 {
         let mut dropped = 0;
         for state in &mut self.cameras {
-            for _ in 0..frames {
-                let frame = state.scene.step();
+            for frame in (0..frames).map_while(|_| state.feed.next()) {
                 if state.queue.len() < self.config.queue_capacity {
                     state.queue.push_back(frame);
                     state.ingested += 1;
@@ -338,8 +419,9 @@ impl<'a> FleetRuntime<'a> {
     }
 
     /// One scheduler sweep: re-evaluates the shed level against the current
-    /// backlog, then takes up to one batch per camera through its plan in
-    /// four stages:
+    /// backlog, plans every held camera whose calibration prefix has arrived
+    /// (see [`FleetRuntime::register_select_drifted`]), then takes up to one
+    /// batch per camera that holds nothing through its plan in four stages:
     ///
     /// 1. every camera's batch runs its plan's own phases
     ///    ([`SharedStreamPlan::stage_batch`]: decode charge, backend
@@ -369,14 +451,27 @@ impl<'a> FleetRuntime<'a> {
     ///    attributed to cameras proportional to their share of the
     ///    coalesced work.
     ///
+    /// A camera with no statement has its batch taken and discarded. A held
+    /// camera keeps its frames queued and in [`FleetRuntime::backlog`], so
+    /// a sweep over held cameras only returns 0.
+    ///
     /// Returns the number of frames processed.
     pub fn poll(&mut self) -> usize {
         self.update_shed();
+        for c in 0..self.cameras.len() {
+            let state = &self.cameras[c];
+            let prefix = state.held.iter().map(|held| held.prefix_frames).max();
+            if prefix.is_some_and(|prefix| state.queue.len() >= prefix.min(self.config.queue_capacity)) {
+                self.calibrate(c);
+            }
+        }
         let mut processed = 0;
-        for state in &mut self.cameras {
-            let take = state.queue.len().min(self.config.batch_size);
-            state.batch.extend(state.queue.drain(..take));
-            processed += take;
+        for state in self.cameras.iter_mut().filter(|state| state.held.is_empty()) {
+            let batch = state.queue.drain(..state.queue.len().min(self.config.batch_size));
+            processed += batch.len();
+            if !state.plan.user_ids().is_empty() {
+                state.batch.extend(batch);
+            }
         }
         let width = if self.shared_backend { 1 } else { vmq_exec::parallelism() };
         vmq_exec::shard_each(&mut self.cameras, &mut vec![(); width], |cameras, ()| {
@@ -451,45 +546,111 @@ impl<'a> FleetRuntime<'a> {
         self.shed_level = level;
     }
 
-    /// Ends the fleet pass: drains the queues, finishes every camera's plan,
-    /// settles the fleet-global detector attribution once, assembles
-    /// per-statement outcomes in fleet registration order, and rolls the
-    /// shared bill up per camera and per tenant. A fleet with no statement
-    /// runs nothing and returns an empty outcome.
+    /// Plans camera `c`'s held selects on the head of its queue and
+    /// releases the queue. Each candidate is profiled once on its selects'
+    /// prefix, billed once on the global ledger and split among them; each
+    /// select's private ledger pays its whole calibration as if it ran alone:
+    /// the detector's annotation of its prefix (served through the fleet
+    /// cache) and one profile per candidate.
+    fn calibrate(&mut self, c: usize) {
+        let FleetRuntime { detector, cache, global, config, cameras, statements, .. } = self;
+        let state = &mut cameras[c];
+        let held = std::mem::take(&mut state.held);
+        let frames: &[Frame] = state.queue.make_contiguous();
+        let (model, stage) = (global.model(), detector.stage());
+        let profiles: Vec<Option<FilterProfile>> = (state.backends.iter().enumerate())
+            .map(|(b, filter)| {
+                let readers: Vec<&HeldSelect> =
+                    held.iter().filter(|h| h.setup.candidate_backends.contains(&b)).collect();
+                let prefix = readers.first()?.prefix_frames.min(frames.len());
+                let users: Vec<usize> = readers.iter().map(|h| h.gid).collect();
+                global.charge_shared(filter.kind().stage(), prefix as u64, &users);
+                Some(filter.profile(&frames[..prefix], model, config.batch_size))
+            })
+            .collect();
+        for HeldSelect { gid, query, prefix_frames, setup } in held {
+            // vmq-lint: allow(no-wallclock-in-result-paths) -- the span
+            // feeds only the report's `calibration_wall_ms`; thresholds
+            // come from the virtual ledger and the calibration prefix.
+            let wall_start = Instant::now();
+            let prefix = &frames[..prefix_frames.min(frames.len())];
+            let info = &mut statements[gid];
+            let truth: Vec<bool> = if prefix.is_empty() {
+                Vec::new()
+            } else {
+                info.ledger.charge_calibration(stage, prefix.len() as u64);
+                let cached = CachedDetector::new(*detector, cache, gid, Some(global.clone()));
+                prefix.iter().map(|f| query.matches_detections(&cached.detect_shared(f))).collect()
+            };
+            let candidates = &setup.candidate_backends;
+            let filters: Vec<&dyn FrameFilter> = candidates.iter().map(|&b| state.backends[b]).collect();
+            let profiles: Vec<FilterProfile> = (candidates.iter())
+                .map(|&b| {
+                    info.ledger.charge_calibration(state.backends[b].kind().stage(), prefix.len() as u64);
+                    profiles[b].clone().expect("every candidate is profiled")
+                })
+                .collect();
+            let wall_ms = wall_start.elapsed().as_secs_f64() * 1000.0;
+            let report = plan_cascade_from_profiles(
+                &query,
+                &truth,
+                &filters,
+                &profiles,
+                &setup.tolerances,
+                stage,
+                model,
+                wall_ms,
+            );
+            let choice = &report.choice;
+            let backend = (!choice.brute_force).then(|| candidates[choice.backend_index]);
+            let (cascade, mode) = (choice.cascade, format!("adaptive {}", choice.label));
+            let row = Some(StageMetrics::calibrate(&report));
+            let q = state.plan.register_select_drifted(query, cascade, backend, info.ledger.clone(), mode, row, setup);
+            state.plan.alias_user(q, gid);
+            info.calibration = Some(Box::new(report));
+        }
+    }
+
+    /// Ends the fleet pass: plans every still-held camera on the frames it
+    /// has, drains the queues, finishes every camera's plan, settles the
+    /// fleet-global detector attribution once, assembles per-statement
+    /// outcomes in fleet registration order, and rolls the shared bill up
+    /// per camera and per tenant. A fleet with no statement runs nothing
+    /// and returns an empty outcome.
     pub fn finish(mut self) -> FleetOutcome {
-        let mut runs: Vec<Option<QueryRun>> = (0..self.statements.len()).map(|_| None).collect();
-        let shared = if self.statements.is_empty() {
-            SharedCost { queries: Vec::new(), shared_total_ms: 0.0, isolated_total_ms: 0.0 }
-        } else {
-            self.drain();
-            for state in &mut self.cameras {
-                let gids: Vec<usize> = state.plan.user_ids().to_vec();
-                for (q, run) in state.plan.finish_unsettled().into_iter().enumerate() {
-                    runs[gids[q]] = Some(run);
-                }
+        for c in 0..self.cameras.len() {
+            if !self.cameras[c].held.is_empty() {
+                self.calibrate(c);
             }
-            // Every plan shares the one cache and ledger, and a settlement
-            // replaces the previous one, so one walk over the cache here
-            // equals a walk per camera.
-            self.cache.attribute_detections(&self.global, self.detector.stage());
-            let shares: Vec<(String, f64)> =
-                self.statements.iter().map(|info| (info.name.clone(), info.ledger.total_ms())).collect();
-            self.global.shared_cost(&shares)
-        };
-        let statements: Vec<FleetStatementOutcome> = self
-            .statements
-            .iter()
-            .zip(runs)
+        }
+        self.drain();
+        let mut runs: Vec<Option<QueryRun>> = vec![None; self.statements.len()];
+        for state in self.cameras.iter_mut().filter(|state| !state.plan.user_ids().is_empty()) {
+            let gids: Vec<usize> = state.plan.user_ids().to_vec();
+            for (q, run) in state.plan.finish_unsettled().into_iter().enumerate() {
+                runs[gids[q]] = Some(run);
+            }
+        }
+        // Every plan shares the one cache and ledger, and a settlement
+        // replaces the previous one, so one walk over the cache here equals
+        // a walk per camera.
+        self.cache.attribute_detections(&self.global, self.detector.stage());
+        let shares: Vec<(String, f64)> =
+            self.statements.iter().map(|info| (info.name.clone(), info.ledger.total_ms())).collect();
+        let shared = self.global.shared_cost(&shares);
+        let cameras = &self.cameras;
+        let statements: Vec<FleetStatementOutcome> = (self.statements.iter_mut().zip(runs))
             .map(|(info, run)| FleetStatementOutcome {
                 name: info.name.clone(),
                 camera: info.camera,
-                camera_id: info.camera_id,
+                camera_id: cameras[info.camera].camera_id,
                 tenant: info.tenant.clone(),
                 run: run.expect("every registered statement produced a run"),
+                calibration: info.calibration.take(),
             })
             .collect();
         let infos = &self.statements;
-        let by_camera = shared.rollup(|i| format!("camera-{:04}", infos[i].camera_id));
+        let by_camera = shared.rollup(|i| format!("camera-{:04}", cameras[infos[i].camera].camera_id));
         let by_tenant = shared.rollup(|i| infos[i].tenant.clone());
         FleetOutcome {
             statements,
@@ -717,58 +878,6 @@ mod tests {
         assert_reports_bit_identical(estimators, &replayed);
     }
 
-    /// Runs camera `c`'s two statements (q3 select + a1 time-windowed
-    /// aggregate) through an isolated single-camera plan and returns the
-    /// runs plus the estimator.
-    fn isolated_run(camera: u32) -> (Vec<QueryRun>, WindowedAggregator) {
-        let oracle = OracleDetector::perfect();
-        let filter = filter_for(camera, CalibrationProfile::od_like());
-        let mut estimator = estimator_for(camera);
-        let mut scene = scene_for(camera);
-        let frames: Vec<Frame> = (0..FRAMES_PER_CAMERA).map(|_| scene.step()).collect();
-        let mut plan = SharedStreamPlan::new(
-            &oracle,
-            DetectionCache::new(),
-            CostLedger::paper(),
-            PipelineConfig::with_batch_size(24),
-        );
-        let b = plan.add_backend(&filter);
-        plan.register_select(Query::paper_q3(), CascadeConfig::strict(), Some(b), CostLedger::paper());
-        plan.register_aggregate(
-            Query::paper_a1(),
-            AggregateSpec::hopping_seconds(1.0, 1.0),
-            &[b],
-            &mut estimator,
-            CostLedger::paper(),
-        );
-        let runs = plan.execute_slice(&frames);
-        (runs, estimator)
-    }
-
-    #[test]
-    fn fleet_statements_are_bit_identical_to_isolated_single_camera_runs() {
-        let (outcome, estimators) = run_fleet(FleetConfig { workers: 3, ..test_config() }, TWO_CAMERAS);
-        assert_eq!(outcome.statements.len(), 4);
-        assert_eq!(outcome.frames_ingested, 2 * FRAMES_PER_CAMERA as u64);
-        assert_eq!(outcome.frames_dropped, 0);
-        for (c, fleet_estimator) in estimators.iter().enumerate() {
-            // The fleet's detect dispatch runs on 3 workers, the isolated
-            // plan's detect at 1: bit-identity must hold across any sharding.
-            let (isolated, isolated_estimator) = isolated_run(c as u32);
-            for (s, isolated_run) in isolated.iter().enumerate() {
-                let statement = &outcome.statements[2 * c + s];
-                assert_eq!(statement.camera, c);
-                assert_run_bit_identical(&statement.run, isolated_run, &format!("camera {c} statement {s}"));
-            }
-            // Time-based windows line up with the camera's own clock: the
-            // 30 fps camera completes 2 one-second windows over 80 frames,
-            // the 15 fps camera 5 — and every per-window estimate matches
-            // the isolated pass to the bit.
-            assert_eq!(fleet_estimator.reports().len(), if c == 0 { 2 } else { 5 });
-            assert_reports_bit_identical(std::slice::from_ref(fleet_estimator), &[isolated_estimator]);
-        }
-    }
-
     /// The fleet settles detector attribution once per finish; its
     /// per-camera replay, where every plan settles the shared cache for
     /// itself as `SharedStreamPlan::finish` does, produces the identical
@@ -897,6 +1006,73 @@ mod tests {
         assert_eq!(outcome.shared.shared_total_ms, 0.0);
         assert_eq!(outcome.shared.isolated_total_ms, 0.0);
         assert_eq!((outcome.frames_ingested, outcome.frames_dropped), (16, 4));
+    }
+
+    /// A camera with no statement next to one with a select: every poll
+    /// takes the idle camera's batch without staging it, and the select
+    /// answers as in a fleet without the idle camera.
+    #[test]
+    fn an_idle_camera_is_drained_without_changing_its_neighbour() {
+        let oracle = OracleDetector::perfect();
+        let run = |idle: bool| {
+            let filter = filter_for(1, CalibrationProfile::od_like());
+            let mut fleet = FleetRuntime::new(&oracle, test_config());
+            if idle {
+                fleet.add_camera(scene_for(0));
+            }
+            let cam = fleet.add_camera(scene_for(1));
+            let b = fleet.add_backend(cam, &filter);
+            fleet.register_select(cam, "acme", Query::paper_q3(), CascadeConfig::strict(), Some(b));
+            for _ in 0..4 {
+                fleet.ingest(FRAMES_PER_CAMERA / 4);
+                fleet.poll();
+                assert_eq!(fleet.backlog(), 0, "one poll takes a whole round from every camera");
+            }
+            fleet.finish()
+        };
+        let (with_idle, alone) = (run(true), run(false));
+        assert_eq!(with_idle.frames_ingested, 2 * FRAMES_PER_CAMERA as u64);
+        assert_eq!(with_idle.statements.len(), 1);
+        assert_run_bit_identical(&with_idle.statements[0].run, &alone.statements[0].run, "q3 beside an idle camera");
+        assert_eq!(with_idle.shared.shared_total_ms.to_bits(), alone.shared.shared_total_ms.to_bits());
+    }
+
+    /// An adaptive select holds its camera's queue until the calibration
+    /// prefix has arrived, then plans on it and releases the queue, prefix
+    /// included; `finish` plans a camera still held on what did arrive.
+    #[test]
+    fn an_adaptive_select_holds_its_camera_until_the_prefix_arrives() {
+        let oracle = OracleDetector::perfect();
+        let run = |prefix_frames: usize, rounds: usize| {
+            let filter = filter_for(0, CalibrationProfile::perfect());
+            let mut fleet = FleetRuntime::new(&oracle, test_config());
+            let cam = fleet.add_camera(scene_for(0));
+            let b = fleet.add_backend(cam, &filter);
+            let setup = DriftSetup {
+                config: vmq_query::DriftConfig::new(0.0),
+                candidate_backends: vec![b],
+                tolerances: CascadeConfig::lattice(),
+            };
+            fleet.register_select_drifted(cam, "acme", Query::paper_q3(), prefix_frames, setup);
+            let polled: Vec<(usize, usize)> = (0..rounds)
+                .map(|_| {
+                    fleet.ingest(20);
+                    (fleet.poll(), fleet.backlog())
+                })
+                .collect();
+            (polled, fleet.finish().statements.remove(0))
+        };
+        let (polled, outcome) = run(30, 3);
+        assert_eq!(polled, [(0, 20), (24, 16), (24, 12)], "held at 20 frames, released at 40");
+        let calibration = outcome.calibration.expect("an adaptive select reports its calibration");
+        assert_eq!(calibration.prefix_frames, 30);
+        assert!(outcome.run.mode.starts_with("adaptive "), "{}", outcome.run.mode);
+        assert_eq!(outcome.run.frames_total, 60);
+
+        let (polled, outcome) = run(100, 2);
+        assert_eq!(polled, [(0, 20), (0, 40)]);
+        assert_eq!(outcome.calibration.expect("planned at finish").prefix_frames, 40);
+        assert_eq!(outcome.run.frames_total, 40);
     }
 
     #[test]

@@ -5,9 +5,15 @@
 //! 1. register a video source (a dataset profile → simulated stream),
 //! 2. train the approximate filters on its training split (labels produced by
 //!    the expensive oracle detector, as in the paper),
-//! 3. register standing statements (selects behind a filter cascade,
-//!    windowed aggregates with control variates) on [`VmqEngine::runtime`],
+//! 3. register standing statements (selects behind a fixed or adaptively
+//!    planned filter cascade, windowed aggregates with control variates) on
+//!    [`VmqEngine::runtime`],
 //! 4. and run them all in one shared pass over the stream.
+//!
+//! One driver runs every statement: [`FleetRuntime`], M cameras (live
+//! scenes or recorded frame slices) × N standing statements over one
+//! detection cache and cost ledger. [`StreamRuntime`] is a fleet of one
+//! camera fed the engine's test split.
 //!
 //! ```no_run
 //! use vmq_core::{EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};

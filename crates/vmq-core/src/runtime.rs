@@ -1,40 +1,46 @@
-//! The shared multi-query stream runtime: one stream pass, N statements.
+//! The engine's statement runtime: one stream pass, N statements.
 //!
 //! The paper's setting is *monitoring* — many standing queries (q1–q7,
 //! a1–a5) watch the same camera stream. [`StreamRuntime`] is the engine's
 //! one way to run statements: it registers N statements (selects with fixed
 //! or adaptively planned cascades, plus windowed aggregates; parsed SQL via
-//! [`StreamRuntime::register_statement`]), plans each, and drives all of
-//! them through **one** pass of the engine's stream:
+//! [`StreamRuntime::register_statement`]) and runs them on a
+//! [`FleetRuntime`] of one camera fed the engine's test split. What stays
+//! here is what only the engine knows: the filter instance each
+//! [`FilterChoice`] resolves to, each aggregate's estimator, and the
+//! outcomes, with accuracy and speedup against a synthesised brute-force
+//! run. The fleet does the rest, as for any camera:
 //!
 //! * queries naming the same filter backend share one inference per
 //!   `(backend, frame)`, and each distinct tolerance check of their cascades
 //!   is evaluated once per frame and fanned out to the queries sharing it;
 //! * the expensive detector runs at most once per frame, deduplicated
-//!   through a [`DetectionCache`] — a frame escalated by query A and reused
-//!   by query B (or re-sampled by an aggregate trial) is detected once and
-//!   its cost split between them in the [`SharedCost`] attribution;
-//! * adaptive statements are planned off one shared calibration pass per
-//!   backend (`plan_cascade_from_profiles`), so N adaptive queries annotate
-//!   the prefix once, not N times;
+//!   through the fleet's [`DetectionCache`](vmq_detect::DetectionCache) — a
+//!   frame escalated by query A and reused by query B (or re-sampled by an
+//!   aggregate trial) is detected once and its cost split between them in
+//!   the [`SharedCost`] attribution;
+//! * adaptive statements are planned off one calibration pass per backend
+//!   over the stream's first frames, so N adaptive queries annotate the
+//!   prefix once, not N times;
 //! * a learned backend's decode shards across the whole machine with a
 //!   deterministic merge.
 //!
-//! Every statement keeps a private as-if-isolated [`CostLedger`], which is
-//! what makes the headline guarantee checkable: each per-query outcome is
-//! **bit-identical** to running that statement alone — on a runtime of one,
-//! just as [`QueryExecutor`](vmq_query::QueryExecutor)'s `run_*` are
-//! registrations on a [`SharedStreamPlan`] of one.
+//! Every statement keeps a private as-if-isolated
+//! [`CostLedger`](vmq_detect::CostLedger), which is what makes the headline
+//! guarantee checkable: each per-query outcome is **bit-identical** to
+//! running that statement alone — on a runtime of one, just as
+//! [`QueryExecutor`](vmq_query::QueryExecutor)'s `run_*` are registrations
+//! on a [`SharedStreamPlan`](vmq_query::SharedStreamPlan) of one.
 
 use crate::config::{CalibrationConfig, FilterChoice};
 use crate::engine::{AdaptiveOutcome, QueryOutcome, VmqEngine, WindowedAggregateOutcome};
+use crate::fleet::{FleetConfig, FleetRuntime};
 use vmq_aggregate::WindowedAggregator;
-use vmq_detect::{CachedDetector, CostLedger, CostModel, DetectionCache, Detector, SharedCost, Stage};
-use vmq_filters::{FilterProfile, FrameFilter};
-use vmq_query::planner::plan_cascade_from_profiles;
+use vmq_detect::{CostModel, SharedCost, Stage};
+use vmq_filters::FrameFilter;
 use vmq_query::{
-    AggregateSpec, CascadeConfig, DriftConfig, DriftSetup, ParsedStatement, PipelineConfig, Query, QueryAccuracy,
-    QueryRun, ReplanEvent, SharedStreamPlan, SpeedupReport, StageMetrics,
+    AggregateSpec, CascadeConfig, DriftConfig, DriftSetup, ParsedStatement, Query, QueryAccuracy, QueryRun,
+    ReplanEvent, SpeedupReport, StageMetrics,
 };
 use vmq_video::Frame;
 
@@ -103,13 +109,13 @@ pub enum RuntimeQuery {
 }
 
 impl RuntimeQuery {
-    /// The statement's query name.
-    pub fn name(&self) -> &str {
+    /// The statement's query.
+    pub fn query(&self) -> &Query {
         match self {
             RuntimeQuery::Select { query, .. }
             | RuntimeQuery::SelectAdaptive { query, .. }
             | RuntimeQuery::Aggregate { query, .. }
-            | RuntimeQuery::AggregateAdaptive { query, .. } => &query.name,
+            | RuntimeQuery::AggregateAdaptive { query, .. } => query,
         }
     }
 }
@@ -194,20 +200,6 @@ pub struct StreamRuntime<'e> {
     statements: Vec<RuntimeQuery>,
 }
 
-/// A resolved filter-backend instance of the shared pass. Statements with an
-/// equal `(choice, calibration-prefix)` key share the instance — and with it
-/// one inference per frame. The prefix is part of the key because a
-/// stochastic backend profiled over a calibration prefix has consumed that
-/// many per-frame noise draws before the main pass; mixing it with an
-/// uncalibrated consumer would change someone's estimates.
-struct ResolvedBackend<'e> {
-    choice: FilterChoice,
-    calibration_prefix: Option<usize>,
-    filter: Box<dyn FrameFilter + 'e>,
-    /// Memoised calibration profile (adaptive backends only).
-    profile: Option<FilterProfile>,
-}
-
 impl<'e> StreamRuntime<'e> {
     /// A runtime over the engine's test split with no statements yet.
     pub fn new(engine: &'e VmqEngine) -> Self {
@@ -240,250 +232,111 @@ impl<'e> StreamRuntime<'e> {
         self.register(statement)
     }
 
-    /// Runs every registered statement through one shared stream pass. With
-    /// no statement registered nothing runs: no outcomes, no detector
-    /// invocation, no cost.
+    /// Runs every registered statement through one shared stream pass: a
+    /// [`FleetRuntime`] of one camera fed the engine's test split. Statements
+    /// with an equal `(choice, calibration prefix)` share one filter
+    /// instance, and with it one inference per frame. The prefix is part of
+    /// the key because a stochastic backend profiled over a calibration
+    /// prefix has drawn that many per-frame noise values before the pass;
+    /// sharing it with an uncalibrated reader would change someone's
+    /// estimates. With no statement registered nothing runs: no outcomes,
+    /// no detector invocation, no cost.
     pub fn run(&self) -> MultiQueryOutcome {
         let engine = self.engine;
         let frames = engine.dataset.test();
-        let model = CostLedger::paper().model().clone();
-        let cache = DetectionCache::new();
-        let global = CostLedger::paper();
-
-        // 1. Resolve backend instances, deduplicated by (choice, prefix).
-        let mut backends: Vec<ResolvedBackend<'e>> = Vec::new();
-        let backend_of = |backends: &mut Vec<ResolvedBackend<'e>>, choice: FilterChoice, prefix: Option<usize>| {
-            if let Some(i) = backends.iter().position(|b| b.choice == choice && b.calibration_prefix == prefix) {
-                return i;
-            }
-            backends.push(ResolvedBackend {
-                choice,
-                calibration_prefix: prefix,
-                filter: engine.resolve_filter(choice),
-                profile: None,
-            });
-            backends.len() - 1
+        let mut keys: Vec<(FilterChoice, Option<usize>)> = Vec::new();
+        let mut backend_of = |choice: FilterChoice, prefix: Option<usize>| {
+            keys.iter().position(|&key| key == (choice, prefix)).unwrap_or_else(|| {
+                keys.push((choice, prefix));
+                keys.len() - 1
+            })
         };
-        // Per-statement backend indices (selects: one; adaptive/aggregates:
-        // the candidate list).
-        let statement_backends: Vec<Vec<usize>> = self
-            .statements
-            .iter()
+        let statement_backends: Vec<Vec<usize>> = (self.statements.iter())
             .map(|statement| match statement {
                 RuntimeQuery::Select { choice, .. } | RuntimeQuery::Aggregate { choice, .. } => {
-                    vec![backend_of(&mut backends, *choice, None)]
+                    vec![backend_of(*choice, None)]
                 }
                 RuntimeQuery::SelectAdaptive { calibration, .. } => {
-                    let prefix = calibration.prefix_frames.min(frames.len());
-                    calibration
-                        .candidate_backends
-                        .iter()
-                        .map(|&choice| backend_of(&mut backends, choice, Some(prefix)))
-                        .collect()
+                    let prefix = Some(calibration.prefix_frames.min(frames.len()));
+                    calibration.candidate_backends.iter().map(|&choice| backend_of(choice, prefix)).collect()
                 }
-                RuntimeQuery::AggregateAdaptive { calibration, .. } => calibration
-                    .candidate_backends
-                    .iter()
-                    .map(|&choice| backend_of(&mut backends, choice, None))
-                    .collect(),
+                RuntimeQuery::AggregateAdaptive { calibration, .. } => {
+                    calibration.candidate_backends.iter().map(|&choice| backend_of(choice, None)).collect()
+                }
             })
             .collect();
-
-        // 2. Shared calibration: profile each adaptive backend exactly once
-        //    over its prefix (charging the one pass globally, split across
-        //    the adaptive statements consuming it), then plan every adaptive
-        //    statement off the shared profiles. Private ledgers pay the full
-        //    as-if-isolated calibration bill.
-        let ledgers: Vec<CostLedger> = self.statements.iter().map(|_| CostLedger::paper()).collect();
-        for (b, backend) in backends.iter_mut().enumerate() {
-            let Some(prefix) = backend.calibration_prefix else { continue };
-            let users: Vec<usize> =
-                statement_backends.iter().enumerate().filter(|(_, bs)| bs.contains(&b)).map(|(q, _)| q).collect();
-            global.charge_shared(backend.filter.kind().stage(), prefix as u64, &users);
-            backend.profile =
-                Some(backend.filter.profile(&frames[..prefix], &model, PipelineConfig::DEFAULT_BATCH_SIZE));
-        }
-        let mut plans: Vec<Option<(vmq_query::CalibrationReport, usize)>> = Vec::with_capacity(self.statements.len());
-        for (q, statement) in self.statements.iter().enumerate() {
-            let RuntimeQuery::SelectAdaptive { query, calibration, .. } = statement else {
-                plans.push(None);
-                continue;
-            };
-            // vmq-lint: allow(no-wallclock-in-result-paths) -- the span
-            // feeds only the report's `calibration_wall_ms`; thresholds
-            // come from the virtual ledger and the calibration prefix.
-            let wall_start = std::time::Instant::now();
-            let prefix = calibration.prefix_frames.min(frames.len());
-            let ledger = &ledgers[q];
-            // Detector annotation of the prefix: cached globally (the frame
-            // may already be annotated for another statement), charged in
-            // full on the private ledger.
-            let truth: Vec<bool> = if prefix > 0 {
-                ledger.charge_calibration(Stage::MaskRcnn, prefix as u64);
-                let cached = CachedDetector::new(&engine.oracle, &cache, q, Some(global.clone()));
-                frames[..prefix].iter().map(|f| query.matches_detections(&cached.detect_shared(f))).collect()
-            } else {
-                Vec::new()
-            };
-            let backend_indices = &statement_backends[q];
-            let backend_refs: Vec<&dyn FrameFilter> =
-                backend_indices.iter().map(|&b| backends[b].filter.as_ref()).collect();
-            let profiles: Vec<FilterProfile> = backend_indices
-                .iter()
-                .map(|&b| {
-                    ledger.charge_calibration(backends[b].filter.kind().stage(), prefix as u64);
-                    backends[b].profile.clone().expect("adaptive backends are profiled")
-                })
-                .collect();
-            let report = plan_cascade_from_profiles(
-                query,
-                &truth,
-                &backend_refs,
-                &profiles,
-                &calibration.candidate_tolerances,
-                Stage::MaskRcnn,
-                &model,
-                wall_start.elapsed().as_secs_f64() * 1000.0,
-            );
-            let chosen = backend_indices[report.choice.backend_index];
-            plans.push(Some((report, chosen)));
-        }
-
-        // 3. Build and run the shared plan: every statement registers
-        //    against the shared backends; aggregates bring their estimator.
-        let mut estimators: Vec<Option<WindowedAggregator>> = self
-            .statements
-            .iter()
+        let filters: Vec<Box<dyn FrameFilter + 'e>> =
+            keys.iter().map(|&(choice, _)| engine.resolve_filter(choice)).collect();
+        let seed = engine.config.seed ^ 0xA66;
+        let mut estimators: Vec<Option<WindowedAggregator>> = (self.statements.iter())
             .map(|statement| match statement {
                 RuntimeQuery::Aggregate { query, sample_size, trials, .. } => {
-                    Some(WindowedAggregator::new(query.clone(), *sample_size, *trials, engine.config.seed ^ 0xA66))
+                    Some(WindowedAggregator::new(query.clone(), *sample_size, *trials, seed))
                 }
                 RuntimeQuery::AggregateAdaptive { query, calibration, sample_size, trials, .. } => Some(
-                    WindowedAggregator::new(query.clone(), *sample_size, *trials, engine.config.seed ^ 0xA66)
+                    WindowedAggregator::new(query.clone(), *sample_size, *trials, seed)
                         .with_adaptive_backend(calibration.prefix_frames),
                 ),
                 _ => None,
             })
             .collect();
 
-        let mut plan = SharedStreamPlan::new(&engine.oracle, cache.clone(), global.clone(), PipelineConfig::default());
-        let plan_backends: Vec<usize> = backends.iter().map(|b| plan.add_backend(b.filter.as_ref())).collect();
-        for (q, ((statement, ledger), estimator)) in
-            self.statements.iter().zip(&ledgers).zip(estimators.iter_mut()).enumerate()
-        {
-            let backend_indices = &statement_backends[q];
+        let config = FleetConfig { queue_capacity: frames.len(), cache_bytes: usize::MAX, ..FleetConfig::default() };
+        let mut fleet = FleetRuntime::new(&engine.oracle, config);
+        let camera = fleet.add_camera_frames(frames);
+        for filter in &filters {
+            fleet.add_backend(camera, filter.as_ref());
+        }
+        for ((statement, backends), estimator) in self.statements.iter().zip(statement_backends).zip(&mut estimators) {
+            let query = statement.query().clone();
             match statement {
-                RuntimeQuery::Select { query, cascade, .. } => {
-                    plan.register_select(
-                        query.clone(),
-                        *cascade,
-                        Some(plan_backends[backend_indices[0]]),
-                        ledger.clone(),
-                    );
+                RuntimeQuery::Select { cascade, .. } => {
+                    fleet.register_select(camera, "", query, *cascade, Some(backends[0]));
                 }
-                RuntimeQuery::SelectAdaptive { query, calibration, drift } => {
-                    let (report, chosen) = plans[q].as_ref().expect("adaptive statements are planned");
-                    // A brute-force plan choice registers with no backend:
-                    // every frame escalates to the (shared, deduplicated)
-                    // detector, exactly like an isolated brute run.
-                    let backend = if report.choice.brute_force { None } else { Some(plan_backends[*chosen]) };
-                    let mode_label = format!("adaptive {}", report.choice.label);
-                    let calibrate_row = Some(StageMetrics::calibrate(report));
-                    match drift.as_ref().filter(|config| config.enabled()) {
-                        Some(config) => {
-                            plan.register_select_drifted(
-                                query.clone(),
-                                report.choice.cascade,
-                                backend,
-                                ledger.clone(),
-                                mode_label,
-                                calibrate_row,
-                                DriftSetup {
-                                    config: config.clone(),
-                                    candidate_backends: backend_indices.iter().map(|&b| plan_backends[b]).collect(),
-                                    tolerances: calibration.candidate_tolerances.clone(),
-                                },
-                            );
-                        }
-                        None => {
-                            plan.register_select_with(
-                                query.clone(),
-                                report.choice.cascade,
-                                backend,
-                                ledger.clone(),
-                                mode_label,
-                                calibrate_row,
-                            );
-                        }
-                    }
+                RuntimeQuery::SelectAdaptive { calibration, drift, .. } => {
+                    let setup = DriftSetup {
+                        config: drift.clone().unwrap_or_else(|| DriftConfig::new(0.0)),
+                        candidate_backends: backends,
+                        tolerances: calibration.candidate_tolerances.clone(),
+                    };
+                    fleet.register_select_drifted(camera, "", query, calibration.prefix_frames, setup);
                 }
-                RuntimeQuery::Aggregate { query, window: (size, advance), .. } => {
-                    plan.register_aggregate(
-                        query.clone(),
-                        AggregateSpec::new(*size, *advance),
-                        &[plan_backends[backend_indices[0]]],
-                        estimator.as_mut().expect("aggregate statements carry an estimator"),
-                        ledger.clone(),
-                    );
-                }
-                RuntimeQuery::AggregateAdaptive { query, window: (size, advance), .. } => {
-                    let candidate_backends: Vec<usize> = backend_indices.iter().map(|&b| plan_backends[b]).collect();
-                    plan.register_aggregate(
-                        query.clone(),
-                        AggregateSpec::new(*size, *advance),
-                        &candidate_backends,
-                        estimator.as_mut().expect("aggregate statements carry an estimator"),
-                        ledger.clone(),
-                    );
+                RuntimeQuery::Aggregate { window: (size, advance), .. }
+                | RuntimeQuery::AggregateAdaptive { window: (size, advance), .. } => {
+                    let (spec, estimator) = (AggregateSpec::new(*size, *advance), estimator.as_mut());
+                    let estimator = estimator.expect("aggregate statements carry an estimator");
+                    fleet.register_aggregate(camera, "", query, spec, &backends, estimator);
                 }
             }
         }
-        let runs = if self.statements.is_empty() { Vec::new() } else { plan.execute_slice(frames) };
-        drop(plan);
+        fleet.ingest(frames.len());
+        let fleet = fleet.finish();
 
-        // 4. Assemble per-statement outcomes.
-        let outcomes: Vec<StatementOutcome> = self
-            .statements
-            .iter()
-            .zip(runs)
-            .zip(estimators)
-            .zip(plans)
-            .map(|(((statement, run), estimator), planned)| match statement {
+        let model = CostModel::paper();
+        let outcomes: Vec<StatementOutcome> = (self.statements.iter().zip(fleet.statements).zip(estimators))
+            .map(|((statement, outcome), estimator)| match statement {
                 RuntimeQuery::Select { query, .. } => {
-                    StatementOutcome::Select(select_outcome(query, frames, run, &model))
+                    StatementOutcome::Select(select_outcome(query, frames, outcome.run, &model))
                 }
-                RuntimeQuery::SelectAdaptive { query, .. } => {
-                    let (calibration, _) = planned.expect("adaptive statements are planned");
-                    StatementOutcome::Adaptive(AdaptiveOutcome {
-                        outcome: select_outcome(query, frames, run, &model),
-                        calibration,
-                    })
-                }
+                RuntimeQuery::SelectAdaptive { query, .. } => StatementOutcome::Adaptive(AdaptiveOutcome {
+                    outcome: select_outcome(query, frames, outcome.run, &model),
+                    calibration: *outcome.calibration.expect("adaptive selects are planned"),
+                }),
                 RuntimeQuery::Aggregate { .. } | RuntimeQuery::AggregateAdaptive { .. } => {
                     let estimator = estimator.expect("aggregate statements carry an estimator");
-                    let selections = estimator.selections().to_vec();
                     StatementOutcome::Aggregate(WindowedAggregateOutcome {
-                        selections,
+                        selections: estimator.selections().to_vec(),
                         reports: estimator.into_reports(),
-                        run,
+                        run: outcome.run,
                     })
                 }
             })
             .collect();
-
-        // 5. Global accounting: pair each statement's attributed share with
-        //    its private as-if-isolated bill.
-        let shares: Vec<(String, f64)> = self
-            .statements
-            .iter()
-            .zip(&ledgers)
-            .map(|(statement, ledger)| (statement.name().to_string(), ledger.total_ms()))
-            .collect();
         MultiQueryOutcome {
             outcomes,
-            shared: global.shared_cost(&shares),
-            detector_invocations: global.invocations(Stage::MaskRcnn),
-            cache_hits: cache.hits(),
+            shared: fleet.shared,
+            detector_invocations: fleet.detector_invocations,
+            cache_hits: fleet.cache_hits,
             frames_total: frames.len(),
         }
     }
@@ -574,7 +427,7 @@ mod tests {
         for query in [Query::paper_q1(), Query::paper_q3(), Query::paper_q5(), Query::paper_q7()] {
             let exec = QueryExecutor::new(query.clone());
             let actual = exec.run_brute_force(frames, &engine.oracle);
-            let synthetic = synthetic_brute_force(&query, frames, CostLedger::paper().model());
+            let synthetic = synthetic_brute_force(&query, frames, &CostModel::paper());
             assert_eq!(synthetic.matched_frames, actual.matched_frames, "{}", query.name);
             assert_eq!(synthetic.frames_detected, actual.frames_detected);
             assert_eq!(synthetic.frames_total, actual.frames_total);

@@ -9,9 +9,14 @@
 #[path = "common/drift.rs"]
 mod drift;
 
-use drift::{run_drift_scenario, run_drift_scenario_seeded, scenario_drift_config, DRIFT_FLIP_AT};
+use drift::{
+    drift_query, drift_stream, run_drift_scenario, run_drift_scenario_seeded, scenario_drift_config, RegimeShiftFilter,
+    DRIFT_FLIP_AT, DRIFT_PREFIX, DRIFT_STREAM_SEED, DRIFT_TOTAL_FRAMES,
+};
 use proptest::prelude::*;
-use vmq::query::DriftConfig;
+use vmq::detect::OracleDetector;
+use vmq::engine::{FleetConfig, FleetRuntime};
+use vmq::query::{CascadeConfig, DriftConfig, DriftSetup};
 
 /// With the monitor attached, the regime flip is detected, the plan is
 /// swapped mid-stream (to a cascade, not brute force), recall is perfect,
@@ -95,6 +100,42 @@ fn audit_off_is_bit_identical_to_one_shot() {
     assert_eq!(off.run.audit_frames, none.run.audit_frames);
     assert!((off.run.virtual_ms - none.run.virtual_ms).abs() < f64::EPSILON);
     assert_eq!(off.run.mode, none.run.mode);
+}
+
+/// The scenario's drift-monitored select on a one-camera fleet fed the
+/// scenario's stream 30 frames a round: the camera is held until the
+/// calibration prefix has arrived, then the fleet plans, audits, replans
+/// and answers exactly as the scenario's own plan does, to the bit.
+#[test]
+fn a_fleet_camera_replans_exactly_as_the_scenario_plan() {
+    let expected = run_drift_scenario(Some(scenario_drift_config()));
+    let frames = drift_stream(DRIFT_TOTAL_FRAMES, DRIFT_FLIP_AT, DRIFT_STREAM_SEED);
+    let filter = RegimeShiftFilter::scenario();
+    let oracle = OracleDetector::perfect();
+    let config = FleetConfig { queue_capacity: DRIFT_TOTAL_FRAMES, ..FleetConfig::default() };
+    let mut fleet = FleetRuntime::new(&oracle, config);
+    let camera = fleet.add_camera_frames(&frames);
+    let backend = fleet.add_backend(camera, &filter);
+    let setup = DriftSetup {
+        config: scenario_drift_config(),
+        candidate_backends: vec![backend],
+        tolerances: CascadeConfig::lattice(),
+    };
+    fleet.register_select_drifted(camera, "tenant", drift_query(), DRIFT_PREFIX, setup);
+    fleet.ingest(30);
+    assert_eq!(fleet.poll(), 0, "held until the calibration prefix has arrived");
+    for _ in 1..DRIFT_TOTAL_FRAMES / 30 {
+        fleet.ingest(30);
+        fleet.poll();
+    }
+    let outcome = fleet.finish().statements.remove(0);
+    assert!(!expected.run.replans.is_empty(), "the scenario replans");
+    let choice = outcome.calibration.expect("an adaptive select").choice;
+    assert_eq!(format!("{choice:?}"), format!("{:?}", expected.calibration.choice));
+    assert_eq!(outcome.run.replans, expected.run.replans);
+    assert_eq!(outcome.run.audit_frames, expected.run.audit_frames);
+    assert_eq!(outcome.run.matched_frames, expected.run.matched_frames);
+    assert_eq!(outcome.run.virtual_ms.to_bits(), expected.run.virtual_ms.to_bits());
 }
 
 proptest! {

@@ -1,11 +1,10 @@
 //! Parity tests of the batched operator pipeline against the eager,
 //! frame-at-a-time execution semantics the original executor implemented
 //! (one decode + filter charge per frame, detector charge per surviving
-//! frame, answers in stream order); shared passes against runtimes of one;
-//! and tests of the shared plan's bookkeeping that no statement answer
-//! shows: recall is monotone in the cascade tolerances, and the detection
-//! cache, the global ledger and the attribution split record exactly the
-//! work a pass shares. (Every driver is also pinned against the naive
+//! frame, answers in stream order), and tests of the shared plan's
+//! bookkeeping that no statement answer shows: recall is monotone in the
+//! cascade tolerances, and the detection cache, the global ledger and the
+//! attribution split record exactly the work a pass shares. (Every driver is also pinned against the naive
 //! statement reference in `statement_differential.rs`.)
 
 #[path = "common/family.rs"]
@@ -16,7 +15,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use vmq::aggregate::{FrameSampler, WindowedAggregator};
 use vmq::detect::{CostLedger, DetectionCache, Detector, Stage};
-use vmq::engine::{EngineConfig, FilterChoice, MultiQueryOutcome, RuntimeQuery, VmqEngine};
+use vmq::engine::{EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};
 use vmq::filters::{CalibratedFilter, CalibrationProfile, FilterConfig, FilterKind, FrameFilter, OdFilter};
 use vmq::query::plan::FilterCascade;
 use vmq::query::planner::PlanChoice;
@@ -356,10 +355,6 @@ fn paper_selects() -> Vec<Query> {
     ]
 }
 
-fn paper_aggregates() -> Vec<Query> {
-    vec![Query::paper_a1(), Query::paper_a2(), Query::paper_a3(), Query::paper_a4(), Query::paper_a5()]
-}
-
 /// The acceptance criterion of the shared runtime: one pass over q1–q7
 /// invokes the expensive detector exactly `|union of frames any query
 /// escalates|` times. The union is recomputed independently from an
@@ -541,94 +536,5 @@ fn starved_caches_cost_detector_work_but_change_no_answer() {
         assert_eq!(global.invocations(Stage::MaskRcnn), starved_cache.misses());
         let attributed: f64 = (0..runs.len()).map(|user| global.attributed_frames(Stage::MaskRcnn, user)).sum();
         assert!((attributed - starved_cache.misses() as f64).abs() < 1e-6, "{attributed} units attributed");
-    }
-}
-
-/// Runs `statements` in one shared pass of the engine's runtime; a
-/// statement run "in isolation" is a runtime of one.
-fn run_shared(engine: &VmqEngine, statements: &[RuntimeQuery]) -> MultiQueryOutcome {
-    let mut runtime = engine.runtime();
-    for statement in statements {
-        runtime.register(statement.clone());
-    }
-    runtime.run()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// One shared pass over a random subset of q1–q7 selects and a1–a5
-    /// windowed aggregates, plus members of an overlapping atom family at
-    /// mixed tolerances (so statements share atoms, and equal predicates at
-    /// different tolerances do not), yields per-query matches / estimates /
-    /// virtual totals bit-identical to isolated runs (a runtime of one).
-    #[test]
-    fn run_many_is_bit_identical_to_isolated_runs(
-        seed in 0u64..40,
-        subset in 1u32..4096,
-        members in prop::collection::vec((0usize..20, 0usize..3), 0..10),
-    ) {
-        let engine = VmqEngine::new(
-            EngineConfig::small(DatasetProfile::jackson()).with_sizes(20, 120).with_seed(seed),
-        );
-        let choice = FilterChoice::Calibrated(CalibrationProfile::od_like());
-        let mut statements = Vec::new();
-        for (i, query) in paper_selects().into_iter().enumerate() {
-            if subset & (1 << i) != 0 {
-                statements.push(RuntimeQuery::Select { query, choice, cascade: CascadeConfig::tolerant() });
-            }
-        }
-        for (i, query) in paper_aggregates().into_iter().enumerate() {
-            if subset & (1 << (7 + i)) != 0 {
-                statements.push(RuntimeQuery::Aggregate {
-                    query,
-                    choice,
-                    window: (60, 30),
-                    sample_size: 10,
-                    trials: 5,
-                });
-            }
-        }
-        let family = overlapping_family();
-        for &(member, tolerance) in &members {
-            let cascade = [CascadeConfig::strict(), CascadeConfig::tolerant(), CascadeConfig::loose()][tolerance];
-            statements.push(RuntimeQuery::Select { query: family[member].clone(), choice, cascade });
-        }
-        // `subset ∈ 1..4096` always sets at least one of the 12 bits, so
-        // there is always at least one statement.
-        prop_assert!(!statements.is_empty());
-        let outcome = run_shared(&engine, &statements);
-
-        for (statement, out) in statements.iter().zip(&outcome.outcomes) {
-            let alone = run_shared(&engine, std::slice::from_ref(statement)).outcomes.remove(0);
-            match statement {
-                RuntimeQuery::Select { query, .. } => {
-                    let isolated = alone.as_select().expect("select outcome");
-                    let shared = out.as_select().expect("select outcome");
-                    prop_assert_eq!(&shared.run.matched_frames, &isolated.run.matched_frames, "{}", query.name);
-                    prop_assert_eq!(shared.run.frames_detected, isolated.run.frames_detected);
-                    prop_assert_eq!(shared.run.virtual_ms.to_bits(), isolated.run.virtual_ms.to_bits());
-                    prop_assert_eq!(shared.speedup.speedup.to_bits(), isolated.speedup.speedup.to_bits());
-                }
-                RuntimeQuery::Aggregate { query, .. } => {
-                    let isolated = alone.as_aggregate().expect("aggregate outcome");
-                    let shared = out.as_aggregate().expect("aggregate outcome");
-                    prop_assert_eq!(shared.reports.len(), isolated.reports.len(), "{}", query.name);
-                    for (s, i) in shared.reports.iter().zip(&isolated.reports) {
-                        prop_assert_eq!(s.plain_mean.to_bits(), i.plain_mean.to_bits(), "{}", query.name);
-                        prop_assert_eq!(s.cv_mean.to_bits(), i.cv_mean.to_bits());
-                        prop_assert_eq!(s.mcv_mean.to_bits(), i.mcv_mean.to_bits());
-                        prop_assert_eq!(s.plain_variance.to_bits(), i.plain_variance.to_bits());
-                        prop_assert_eq!(s.cv_variance.to_bits(), i.cv_variance.to_bits());
-                        prop_assert_eq!(s.mcv_variance.to_bits(), i.mcv_variance.to_bits());
-                        prop_assert_eq!(s.true_fraction.to_bits(), i.true_fraction.to_bits());
-                        prop_assert_eq!(s.window_start, i.window_start);
-                    }
-                    prop_assert_eq!(shared.run.frames_detected, isolated.run.frames_detected);
-                    prop_assert_eq!(shared.run.virtual_ms.to_bits(), isolated.run.virtual_ms.to_bits());
-                }
-                _ => unreachable!("only fixed selects and aggregates are registered here"),
-            }
-        }
     }
 }

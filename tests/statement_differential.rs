@@ -23,7 +23,8 @@ use vmq::engine::{CalibrationConfig, EngineConfig, FilterChoice, FleetConfig, Fl
 use vmq::filters::{CalibratedFilter, CalibrationProfile, FilterConfig, FrameFilter, OdFilter};
 use vmq::query::planner::{plan_cascade, PlanChoice};
 use vmq::query::{
-    AggregateSpec, CascadeConfig, PipelineConfig, Query, QueryExecutor, QueryRun, SharedStreamPlan, StageMetrics,
+    AggregateSpec, CascadeConfig, DriftConfig, DriftSetup, PipelineConfig, Query, QueryExecutor, QueryRun,
+    SharedStreamPlan, StageMetrics,
 };
 use vmq::video::{DatasetProfile, Frame, Scene, SceneConfig};
 
@@ -353,9 +354,11 @@ fn stream_runtime(engine: &VmqEngine, case: &Case, backends: &Backends, expected
 }
 
 /// A `FleetRuntime` of `case.cameras` cameras at different frame rates,
-/// each registering every select and aggregate with its own backend
-/// instances, fed by interleaved `ingest` and `poll`, at one and at two
-/// detect workers.
+/// each registering every statement with its own backend instances (an
+/// adaptive select with fresh instances of its candidates, as the shared
+/// plan gives it), fed by interleaved `ingest` and `poll`, at one and at
+/// two detect workers. A quarter of the stream arrives per round, so a
+/// camera whose longest prefix is longer stays held for the first polls.
 fn fleet(case: &Case, backends: &Backends) {
     let oracle = OracleDetector::perfect();
     let scene = |c: u32| {
@@ -363,24 +366,27 @@ fn fleet(case: &Case, backends: &Backends) {
             SceneConfig::from_profile(&DatasetProfile::jackson()).with_camera(c).with_fps(CAMERA_FPS[c as usize]);
         Scene::new(config, case.seed + 100 * u64::from(c))
     };
-    let statements: Vec<&Statement> =
-        case.statements.iter().filter(|s| !matches!(s, Statement::Adaptive { .. })).collect();
-    if statements.is_empty() {
-        return;
-    }
     let fresh = |b| backends.fresh(b);
     let expected: Vec<Vec<Expected>> = (0..case.cameras)
         .map(|c| {
             let mut scene = scene(c);
             let frames: Vec<Frame> = (0..case.frames).map(|_| scene.step()).collect();
-            statements.iter().map(|s| reference(s, &frames, &fresh, &oracle)).collect()
+            case.statements.iter().map(|s| reference(s, &frames, &fresh, &oracle)).collect()
         })
         .collect();
     for workers in [1, 2] {
         let filters: Vec<Vec<_>> = (0..case.cameras).map(|_| backends.fresh_all(&[0, 1, 2, OD])).collect();
+        let candidates: Vec<Vec<_>> = (0..case.cameras)
+            .flat_map(|_| {
+                case.statements.iter().filter_map(|s| match s {
+                    Statement::Adaptive { backends: ids, .. } => Some(backends.fresh_all(ids)),
+                    _ => None,
+                })
+            })
+            .collect();
         let mut estimators: Vec<_> = (0..case.cameras)
             .flat_map(|_| {
-                statements.iter().filter_map(|s| match s {
+                case.statements.iter().filter_map(|s| match s {
                     Statement::Aggregate { query, estimator, .. } => Some(estimator.build(query)),
                     _ => None,
                 })
@@ -389,11 +395,11 @@ fn fleet(case: &Case, backends: &Backends) {
         let batch_size = case.batch_sizes[2];
         let config = FleetConfig { batch_size, workers, queue_capacity: case.frames, ..FleetConfig::default() };
         let mut runtime = FleetRuntime::new(&oracle, config);
-        let mut aggregates = estimators.iter_mut();
+        let (mut adaptive, mut aggregates) = (candidates.iter(), estimators.iter_mut());
         for (c, filters) in filters.iter().enumerate() {
             let camera = runtime.add_camera(scene(c as u32));
             let ids: Vec<usize> = filters.iter().map(|f| runtime.add_backend(camera, f.as_ref())).collect();
-            for statement in &statements {
+            for statement in &case.statements {
                 match statement {
                     Statement::Select { query, backend, cascade } => {
                         runtime.register_select(camera, "tenant", query.clone(), *cascade, backend.map(|b| ids[b]));
@@ -403,7 +409,14 @@ fn fleet(case: &Case, backends: &Backends) {
                         let estimator = aggregates.next().expect("one estimator per camera and aggregate");
                         runtime.register_aggregate(camera, "tenant", query.clone(), *spec, &listed, estimator);
                     }
-                    Statement::Adaptive { .. } => unreachable!("the fleet registers no adaptive select"),
+                    Statement::Adaptive { query, tolerances, prefix, .. } => {
+                        let filters = adaptive.next().expect("one candidate set per camera and adaptive select");
+                        let candidate_backends =
+                            filters.iter().map(|f| runtime.add_backend(camera, f.as_ref())).collect();
+                        let config = DriftConfig::new(0.0);
+                        let setup = DriftSetup { config, candidate_backends, tolerances: tolerances.clone() };
+                        runtime.register_select_drifted(camera, "tenant", query.clone(), *prefix, setup);
+                    }
                 }
             }
         }
@@ -414,15 +427,16 @@ fn fleet(case: &Case, backends: &Backends) {
         let outcome = runtime.finish();
         let (mut outcomes, mut reports) = (outcome.statements.iter(), estimators.iter());
         for (c, expected) in expected.iter().enumerate() {
-            for (statement, expected) in statements.iter().zip(expected) {
-                let run = &outcomes.next().expect("one outcome per registration").run;
-                assert_widths(run, "fleet");
+            for (statement, expected) in case.statements.iter().zip(expected) {
+                let outcome = outcomes.next().expect("one outcome per registration");
+                assert_widths(&outcome.run, "fleet");
                 let reports = match statement {
                     Statement::Aggregate { .. } => reports.next().expect("estimator").reports(),
                     _ => &[],
                 };
+                let plan = outcome.calibration.as_ref().map(|report| &report.choice);
                 let entry = format!("fleet camera {c} at {workers} workers");
-                check(&entry, statement, observed(run, None, reports), expected);
+                check(&entry, statement, observed(&outcome.run, plan, reports), expected);
             }
         }
     }
