@@ -26,15 +26,16 @@
 //!   capacity; overflow is *dropped at the edge* and counted, never silently
 //!   absorbed;
 //! * **a round-robin scheduler** — [`FleetRuntime::poll`] drains one batch
-//!   per camera per sweep through the plans' incremental halves: every
-//!   camera's [`stage_batch`](SharedStreamPlan::stage_batch) (decode charge,
-//!   filter inference, fan-out) at once over the whole machine, then in
-//!   camera order each [`probe_batch`](SharedStreamPlan::probe_batch) of the
-//!   shared cache, one fleet-wide detector dispatch for every camera's
-//!   escalations, and each
-//!   [`complete_batch`](SharedStreamPlan::complete_batch). So every camera's
-//!   statements make progress and all per-batch machinery (drift replans,
-//!   window emission, sharded decode) runs exactly as it would stand-alone;
+//!   per camera per sweep as a camera-ordered
+//!   [`push_batch`](SharedStreamPlan::push_batch) replay with its first half
+//!   overlapped: pool tasks run the cameras'
+//!   [`stage_batch`](SharedStreamPlan::stage_batch) (decode charge, filter
+//!   inference, fan-out) ahead of the calling thread, which probes the
+//!   shared cache, detects the camera's misses and completes each camera in
+//!   order ([`push_staged`](SharedStreamPlan::push_staged)). So every
+//!   camera's statements make progress and all per-batch machinery (drift
+//!   replans, window emission, sharded decode) runs exactly as it would
+//!   stand-alone;
 //! * **graceful overload shedding** — when the total backlog crosses the
 //!   configured threshold the scheduler raises the shed level, which halves
 //!   aggregate detector *sampling* per level (wider confidence intervals,
@@ -48,13 +49,14 @@
 //! any statement computes, and the order cameras stage in on the pool
 //! changes no bit (see [`FleetRuntime::poll`]). The workspace's statement
 //! differential pins every fleet statement against a naive per-camera
-//! reference; the tests below pin the shared bill against a per-camera
-//! [`push_batch`](SharedStreamPlan::push_batch) replay, at several widths.
+//! reference; the tests below pin the shared bill against a camera-ordered
+//! [`push_batch`](SharedStreamPlan::push_batch) replay, with and without a
+//! shared filter, an evicting cache and a held adaptive select.
 
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use vmq_detect::{CachedDetector, CostLedger, DetectionCache, Detector, FrameDetections, GroupCost, SharedCost};
+use vmq_detect::{CachedDetector, CostLedger, DetectionCache, Detector, GroupCost, SharedCost};
 use vmq_filters::{FilterProfile, FrameFilter};
 use vmq_query::planner::plan_cascade_from_profiles;
 use vmq_query::{
@@ -63,23 +65,14 @@ use vmq_query::{
 };
 use vmq_video::{Frame, Scene};
 
-/// Upper bound on frames per fleet-wide coalesced detector dispatch: each
-/// [`FleetRuntime::poll`] sweep gathers every camera's cache-missing
-/// escalations into batches of at most this many frames and runs each batch
-/// once through the persistent pool, instead of one under-filled sharded
-/// detect per camera.
-const COALESCE_BUDGET: usize = 1024;
-
 /// Tuning knobs of a [`FleetRuntime`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Frames per scheduler batch per camera (0 is treated as 1).
     pub batch_size: usize,
-    /// Pool worker count the coalesced detect dispatch shards over, the
-    /// runtime's only width knob. Camera staging (every plan's decode
-    /// charge, filter inference and fan-out) and learned-filter decode are
-    /// derived: they use the whole machine ([`vmq_exec::parallelism`]).
-    /// Bit-identical for any value.
+    /// Ignored: [`FleetRuntime::poll`] derives its width from the machine
+    /// ([`vmq_exec::parallelism`]), and each camera detects its own misses
+    /// on the calling thread. Kept only so existing configurations build.
     pub workers: usize,
     /// Per-camera ingest queue capacity; frames arriving at a full queue are
     /// dropped at the edge and counted.
@@ -203,11 +196,13 @@ pub struct FleetOutcome {
     pub shed_events: u64,
     /// Highest shed level reached.
     pub max_shed_level: u32,
-    /// Fleet-wide coalesced detector dispatches.
+    /// Per-camera detector dispatches: camera batches in which the detector
+    /// ran on at least one cache-missing escalation.
     pub coalesced_dispatches: u64,
-    /// Frames detected through coalesced dispatches.
+    /// Frames detected through those per-camera dispatches (escalations
+    /// only; aggregate window sampling detects separately).
     pub coalesced_frames: u64,
-    /// Largest single coalesced dispatch, in frames.
+    /// Largest single per-camera dispatch, in frames.
     pub max_coalesced_batch: usize,
 }
 
@@ -421,39 +416,40 @@ impl<'a> FleetRuntime<'a> {
     /// One scheduler sweep: re-evaluates the shed level against the current
     /// backlog, plans every held camera whose calibration prefix has arrived
     /// (see [`FleetRuntime::register_select_drifted`]), then takes up to one
-    /// batch per camera that holds nothing through its plan in four stages:
+    /// batch per camera that holds nothing through its plan in two
+    /// overlapped stages ([`vmq_exec::pipeline`] over the whole machine,
+    /// [`vmq_exec::parallelism`]):
     ///
-    /// 1. every camera's batch runs its plan's own phases
+    /// 1. *stage*: pool tasks claim cameras one at a time in camera order
+    ///    and run each batch's own phases
     ///    ([`SharedStreamPlan::stage_batch`]: decode charge, backend
-    ///    inference, fan-out) through [`vmq_exec::shard_each`], all cameras
-    ///    at once over the whole machine ([`vmq_exec::parallelism`]). No two
-    ///    cameras share a statement, a private ledger or a global attribution
-    ///    row, and the global ledger's shared counts are integers, so the
-    ///    order cameras stage in changes no bit.
-    ///    Only a backend object registered on several cameras can tell the
-    ///    order apart (a calibrated filter draws its noise from one
-    ///    sequential stream); such a fleet stages one camera after another;
-    /// 2. in camera order, each batch probes the shared cache
-    ///    ([`SharedStreamPlan::probe_batch`]), leaving per-camera missing
-    ///    sets: the cache's recency order, user sets and evictions depend on
-    ///    the order of probes;
-    /// 3. the missing frames of *all* cameras are concatenated (camera
-    ///    order, batch order within a camera) and detected in dispatches of
-    ///    at most `COALESCE_BUDGET` (1 024) frames, each sharded once across
-    ///    `workers` pool tasks with a position-keyed merge;
-    /// 4. results fan back in camera order through
-    ///    [`SharedStreamPlan::complete_batch`], which installs them in the
-    ///    `(camera_id, frame_id)`-keyed cache and charges the global ledger
-    ///    per fresh frame — the same per-camera charges, in the same cache
-    ///    order, as each camera's own [`SharedStreamPlan::push_batch`], so
-    ///    ledger totals, attribution and every statement outcome stay
-    ///    bit-identical to that per-camera replay. Detector wall is
-    ///    attributed to cameras proportional to their share of the
-    ///    coalesced work.
+    ///    inference, fan-out). These touch no detection cache, and no two
+    ///    cameras share a statement, a private ledger or a global
+    ///    attribution row; the global ledger's shared counts are integers.
+    ///    So neither the order cameras stage in nor which thread stages them
+    ///    changes a bit. Only a backend object registered on several cameras
+    ///    can tell the order apart (a calibrated filter draws its noise from
+    ///    one sequential stream); such a fleet stages and completes one
+    ///    camera after another on the calling thread;
+    /// 2. *complete*: the calling thread takes each camera in camera order as
+    ///    soon as its batch is staged (staging one itself whenever the next
+    ///    is not) and runs the rest of its
+    ///    [`push_batch`](SharedStreamPlan::push_batch)
+    ///    ([`SharedStreamPlan::push_staged`]): the cache probe, the detector
+    ///    on the camera's misses, and completion, which installs detections
+    ///    in the `(camera_id, frame_id)`-keyed cache, charges the global
+    ///    ledger per fresh frame, evaluates, emits windows and replans.
+    ///
+    /// So the shared cache sees every camera's probe and completion in
+    /// camera order, exactly as in a camera-ordered `push_batch` replay of
+    /// the same batches, and ledger totals, attribution and every statement
+    /// outcome equal that replay's bit for bit.
     ///
     /// A camera with no statement has its batch taken and discarded. A held
     /// camera keeps its frames queued and in [`FleetRuntime::backlog`], so
-    /// a sweep over held cameras only returns 0.
+    /// a sweep over held cameras only returns 0. A panic in any camera's
+    /// stage or completion resumes here once every pool task has returned;
+    /// the fleet is not usable after it.
     ///
     /// Returns the number of frames processed.
     pub fn poll(&mut self) -> usize {
@@ -466,60 +462,31 @@ impl<'a> FleetRuntime<'a> {
             }
         }
         let mut processed = 0;
+        let mut polled: Vec<&mut CameraState<'a>> = Vec::new();
         for state in self.cameras.iter_mut().filter(|state| state.held.is_empty()) {
             let batch = state.queue.drain(..state.queue.len().min(self.config.batch_size));
             processed += batch.len();
             if !state.plan.user_ids().is_empty() {
                 state.batch.extend(batch);
+                polled.push(state);
             }
         }
         let width = if self.shared_backend { 1 } else { vmq_exec::parallelism() };
-        vmq_exec::shard_each(&mut self.cameras, &mut vec![(); width], |cameras, ()| {
-            for state in cameras.iter_mut().filter(|state| !state.batch.is_empty()) {
-                state.staged = Some(state.plan.stage_batch(&state.batch));
-            }
-        });
-        let mut plans = Vec::new();
-        let mut prepared = Vec::new();
-        for CameraState { plan, batch, staged, .. } in &mut self.cameras {
-            if let Some(staged) = staged.take() {
-                prepared.push(plan.probe_batch(staged, batch));
-                plans.push(plan);
-            }
-        }
-        // The fleet-wide work list: (prepared index, missing position).
-        let jobs: Vec<(usize, usize)> = prepared
-            .iter()
-            .enumerate()
-            .flat_map(|(p, pending)| (0..pending.missing_len()).map(move |j| (p, j)))
-            .collect();
-        // vmq-lint: allow(no-wallclock-in-result-paths) -- the span feeds
-        // only the `detect_wall_ms` attribution stat; detector outputs and
-        // their position-keyed merge are unaffected by timing.
-        let detect_start = Instant::now();
-        let mut results = Vec::with_capacity(jobs.len());
-        let detector = self.detector;
-        for chunk_jobs in jobs.chunks(COALESCE_BUDGET) {
-            let m = chunk_jobs.len();
-            self.coalesced_dispatches += 1;
-            self.coalesced_frames += m as u64;
-            self.max_coalesced_batch = self.max_coalesced_batch.max(m);
-            results.extend(vmq_exec::shard_map(chunk_jobs, self.config.workers, |part| {
-                part.iter().map(|&(p, j)| detector.detect(prepared[p].missing_frame(j))).collect()
-            }));
-        }
-        let detect_ms = detect_start.elapsed().as_secs_f64() * 1000.0;
-        let total_missing = jobs.len();
-        let mut results = results.into_iter();
-        for (plan, pending) in plans.into_iter().zip(prepared) {
-            let k = pending.missing_len();
-            let detections: Vec<FrameDetections> = results.by_ref().take(k).collect();
-            let share = if total_missing == 0 { 0.0 } else { detect_ms * k as f64 / total_missing as f64 };
-            plan.complete_batch(pending, detections, share);
-        }
-        for state in &mut self.cameras {
-            state.batch.clear();
-        }
+        vmq_exec::pipeline(
+            &mut polled,
+            width,
+            |state| state.staged = Some(state.plan.stage_batch(&state.batch)),
+            |state| {
+                let staged = state.staged.take().expect("staged before completion");
+                let frames = state.plan.push_staged(staged, &state.batch);
+                if frames > 0 {
+                    self.coalesced_dispatches += 1;
+                    self.coalesced_frames += frames as u64;
+                    self.max_coalesced_batch = self.max_coalesced_batch.max(frames);
+                }
+                state.batch.clear();
+            },
+        );
         processed
     }
 
@@ -707,7 +674,7 @@ mod tests {
     }
 
     fn test_config() -> FleetConfig {
-        FleetConfig { batch_size: 24, workers: 2, queue_capacity: 512, ..FleetConfig::default() }
+        FleetConfig { batch_size: 24, queue_capacity: 512, ..FleetConfig::default() }
     }
 
     /// A test fleet: every camera registers the same statements and gets
@@ -773,9 +740,9 @@ mod tests {
     /// The per-camera reference for [`run_fleet`]: one plan per camera over
     /// one cache and one ledger, fed the same batches in the same
     /// interleaving through `push_batch` and finished through the settling
-    /// `finish` — the fleet without its scheduler, coalesced dispatch or
-    /// single settlement. Returns the runs, the shared bill, the estimators
-    /// and the detector invocations.
+    /// `finish` — the fleet without its scheduler, pool or single
+    /// settlement. Returns the runs, the shared bill, the estimators and the
+    /// detector invocations.
     fn replay(config: &FleetConfig, workload: Workload) -> (Vec<QueryRun>, SharedCost, Vec<WindowedAggregator>, u64) {
         assert!(workload.frames_per_round <= config.batch_size, "one fleet poll takes a whole round");
         let oracle = OracleDetector::perfect();
@@ -843,15 +810,17 @@ mod tests {
     }
 
     /// Asserts a fleet outcome equals the per-camera [`replay`] of its
-    /// workload bit for bit: every statement run, the shared bill and its
-    /// per-camera / per-tenant rollups, and every aggregate window report.
+    /// workload bit for bit: the detector invocations, every statement run,
+    /// the shared bill and its per-camera / per-tenant rollups, and every
+    /// aggregate window report.
     fn assert_matches_replay(
         config: &FleetConfig,
         workload: Workload,
         outcome: &FleetOutcome,
         estimators: &[WindowedAggregator],
     ) {
-        let (runs, shared, replayed, _) = replay(config, workload);
+        let (runs, shared, replayed, invocations) = replay(config, workload);
+        assert_eq!(outcome.detector_invocations, invocations, "the fleet detects no frame more or less");
         assert_eq!(outcome.statements.len(), runs.len());
         for (statement, run) in outcome.statements.iter().zip(&runs) {
             assert_run_bit_identical(&statement.run, run, &statement.name);
@@ -889,60 +858,265 @@ mod tests {
         assert_matches_replay(&config, TWO_CAMERAS, &outcome, &estimators);
     }
 
-    /// The fleet unions every camera's escalations into one detector
-    /// dispatch per poll; the per-camera replay, where every plan detects
-    /// its own escalations, is the uncoalesced reference. Both detect the
-    /// same frames and answer identically to the bit.
-    #[test]
-    fn coalesced_detect_is_bit_identical_to_uncoalesced() {
-        let config = test_config();
-        let (coalesced, est_c) = run_fleet(config.clone(), TWO_CAMERAS);
-        assert!(coalesced.coalesced_dispatches > 0, "every poll with escalations dispatches");
-        // Escalation-union detections flow through the coalescer; aggregate
-        // window sampling detects separately, so the totals need not match.
-        assert!(coalesced.coalesced_frames > 0);
-        assert!(coalesced.coalesced_frames <= coalesced.detector_invocations);
-        let (runs, _, est_u, invocations) = replay(&config, TWO_CAMERAS);
-        assert_eq!(coalesced.detector_invocations, invocations, "coalescing detects no frame more or less");
-        assert_eq!(coalesced.statements.len(), runs.len());
-        for (statement, run) in coalesced.statements.iter().zip(&runs) {
-            assert_run_bit_identical(&statement.run, run, &statement.name);
-        }
-        assert_reports_bit_identical(&est_c, &est_u);
-    }
-
-    /// 48 cameras × a 24-frame batch of filterless selects put 1 152
-    /// cache-missing frames into each poll, more than one dispatch may
-    /// carry: every poll splits into 1 024 + 128 frames and the fleet still
-    /// answers exactly as its per-camera replay.
-    #[test]
-    fn a_poll_past_the_dispatch_bound_splits_without_changing_outcomes() {
-        let workload = Workload { cameras: 48, brute_force: true, rounds: 2, frames_per_round: 24, ..TWO_CAMERAS };
-        let config = test_config();
-        let (outcome, estimators) = run_fleet(config.clone(), workload);
-        assert_eq!(outcome.max_coalesced_batch, COALESCE_BUDGET);
-        assert_eq!(outcome.coalesced_dispatches, 4, "two dispatches per poll");
-        assert_eq!(outcome.coalesced_frames, 2 * 48 * 24);
-        assert_matches_replay(&config, workload, &outcome, &estimators);
-    }
-
-    /// Every camera stages its batch on the pool, at `workers` 1 to 4 and
-    /// again on a repeat, and the fleet answers as its per-camera replay to
-    /// the bit. With one calibrated filter object on all three cameras the
-    /// cameras stage one after another instead, since its noise stream is
-    /// drawn in camera order; that fleet answers as its replay too.
+    /// Every camera stages its batch on the pool at the machine's width
+    /// (width 1 on one CPU) while the calling thread completes them in
+    /// order, on repeat after repeat, and the fleet answers as its
+    /// per-camera replay to the bit. With one calibrated filter object on
+    /// all three cameras each camera is staged and completed in turn on the
+    /// calling thread instead, since its noise stream is drawn in camera
+    /// order; that fleet answers as its replay too.
     #[test]
     fn sharded_staging_is_bit_identical_at_every_width_and_repeat() {
         for shared_filter in [false, true] {
             let workload = Workload { cameras: 3, shared_filter, ..TWO_CAMERAS };
-            for workers in 1..=4 {
-                for _ in 0..2 {
-                    let config = FleetConfig { workers, ..test_config() };
-                    let (outcome, estimators) = run_fleet(config.clone(), workload);
-                    assert_matches_replay(&config, workload, &outcome, &estimators);
-                }
+            for _ in 0..3 {
+                let (outcome, estimators) = run_fleet(test_config(), workload);
+                assert_matches_replay(&test_config(), workload, &outcome, &estimators);
             }
         }
+    }
+
+    const HELD_PREFIX: usize = 30;
+    const HELD_GID: usize = 4;
+
+    /// A cache a few frames deep, so the held camera's calibration prefix
+    /// is evicted by whatever the cameras completed before it insert.
+    fn evicting_config() -> FleetConfig {
+        FleetConfig { cache_bytes: 4096, ..test_config() }
+    }
+
+    fn held_setup(backend: usize) -> DriftSetup {
+        DriftSetup {
+            config: vmq_query::DriftConfig::new(0.0),
+            candidate_backends: vec![backend],
+            tolerances: CascadeConfig::lattice(),
+        }
+    }
+
+    /// Cameras 0 and 1 run q3 through their own filters and a brute-force
+    /// q4; camera 2 holds an adaptive q3 until its 30-frame prefix arrives
+    /// in the second of four 20-frame rounds.
+    fn run_held_fleet() -> FleetOutcome {
+        let oracle = OracleDetector::perfect();
+        let filters: Vec<CalibratedFilter> = (0..3).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
+        let mut fleet = FleetRuntime::new(&oracle, evicting_config());
+        for (c, filter) in filters.iter().enumerate() {
+            let cam = fleet.add_camera(scene_for(c as u32));
+            let b = fleet.add_backend(cam, filter);
+            if c == 2 {
+                fleet.register_select_drifted(cam, "acme", Query::paper_q3(), HELD_PREFIX, held_setup(b));
+            } else {
+                fleet.register_select(cam, tenant_for(c), Query::paper_q3(), CascadeConfig::strict(), Some(b));
+                fleet.register_select(cam, tenant_for(c), Query::paper_q4(), CascadeConfig::strict(), None);
+            }
+        }
+        for _ in 0..4 {
+            fleet.ingest(20);
+            fleet.poll();
+        }
+        fleet.finish()
+    }
+
+    /// [`run_held_fleet`] as a camera-ordered `push_batch` replay over one
+    /// cache and one ledger, the held camera's calibration done by hand at
+    /// the start of the round its prefix arrives. Returns the runs, the
+    /// shared bill, the detector invocations and the cache evictions.
+    fn replay_held() -> (Vec<QueryRun>, SharedCost, u64, u64) {
+        let config = evicting_config();
+        let oracle = OracleDetector::perfect();
+        let filters: Vec<CalibratedFilter> = (0..3).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
+        let cache = DetectionCache::with_byte_budget(config.cache_bytes);
+        let global = CostLedger::paper();
+        let mut ledgers: Vec<(&str, CostLedger)> = Vec::new();
+        let mut plans: Vec<SharedStreamPlan> = Vec::new();
+        for filter in &filters {
+            let batch = PipelineConfig::with_batch_size(config.batch_size);
+            let mut plan = SharedStreamPlan::new(&oracle, cache.clone(), global.clone(), batch);
+            let b = plan.add_backend(filter);
+            if plans.len() < 2 {
+                for (name, query, backend) in [("q3", Query::paper_q3(), Some(b)), ("q4", Query::paper_q4(), None)] {
+                    let ledger = CostLedger::paper();
+                    let q = plan.register_select(query, CascadeConfig::strict(), backend, ledger.clone());
+                    plan.alias_user(q, ledgers.len());
+                    ledgers.push((name, ledger));
+                }
+            }
+            plans.push(plan);
+        }
+        let mut scenes: Vec<Scene> = (0..3).map(scene_for).collect();
+        let mut queues: Vec<VecDeque<Frame>> = vec![VecDeque::new(); 3];
+        let mut held = true;
+        let sweep = |plans: &mut [SharedStreamPlan], queues: &mut [VecDeque<Frame>], held: bool| {
+            for (plan, queue) in plans.iter_mut().zip(queues).take(if held { 2 } else { 3 }) {
+                let batch: Vec<Frame> = queue.drain(..queue.len().min(config.batch_size)).collect();
+                if !batch.is_empty() {
+                    plan.push_batch(&batch);
+                }
+            }
+        };
+        for _ in 0..4 {
+            for (queue, scene) in queues.iter_mut().zip(&mut scenes) {
+                queue.extend((0..20).map(|_| scene.step()));
+            }
+            if held && queues[2].len() >= HELD_PREFIX {
+                held = false;
+                let (query, filter) = (Query::paper_q3(), &filters[2]);
+                let prefix: Vec<Frame> = queues[2].iter().take(HELD_PREFIX).cloned().collect();
+                global.charge_shared(filter.kind().stage(), HELD_PREFIX as u64, &[HELD_GID]);
+                let profile = FrameFilter::profile(filter, &prefix, global.model(), config.batch_size);
+                let ledger = CostLedger::paper();
+                ledger.charge_calibration(oracle.stage(), HELD_PREFIX as u64);
+                let cached = CachedDetector::new(&oracle, &cache, HELD_GID, Some(global.clone()));
+                let truth: Vec<bool> =
+                    prefix.iter().map(|f| query.matches_detections(&cached.detect_shared(f))).collect();
+                ledger.charge_calibration(filter.kind().stage(), HELD_PREFIX as u64);
+                let filters: [&dyn FrameFilter; 1] = [filter];
+                let (model, tolerances) = (global.model(), CascadeConfig::lattice());
+                let report = plan_cascade_from_profiles(
+                    &query,
+                    &truth,
+                    &filters,
+                    &[profile],
+                    &tolerances,
+                    oracle.stage(),
+                    model,
+                    0.0,
+                );
+                let choice = &report.choice;
+                let (cascade, backend, mode) =
+                    (choice.cascade, (!choice.brute_force).then_some(0), format!("adaptive {}", choice.label));
+                let row = Some(StageMetrics::calibrate(&report));
+                let q =
+                    plans[2].register_select_drifted(query, cascade, backend, ledger.clone(), mode, row, held_setup(0));
+                plans[2].alias_user(q, HELD_GID);
+                ledgers.push(("q3", ledger));
+            }
+            sweep(&mut plans, &mut queues, held);
+        }
+        while queues.iter().any(|queue| !queue.is_empty()) {
+            sweep(&mut plans, &mut queues, held);
+        }
+        let runs: Vec<QueryRun> = plans.iter_mut().flat_map(|plan| plan.finish()).collect();
+        let shares: Vec<(String, f64)> =
+            ledgers.iter().map(|(name, ledger)| (name.to_string(), ledger.total_ms())).collect();
+        (runs, global.shared_cost(&shares), global.invocations(oracle.stage()), cache.evictions())
+    }
+
+    /// The one case where a poll's cache probe can hit: a held camera's
+    /// calibration detects its prefix into an evicting cache, and its first
+    /// batch then probes those frames. The fleet probes and completes each
+    /// camera in turn, so the cameras before the held one evict its prefix
+    /// first, exactly as in a camera-ordered `push_batch` replay; the fleet
+    /// equals that replay bit for bit, its detector bill included.
+    #[test]
+    fn an_evicting_fleet_with_a_held_camera_equals_its_camera_ordered_replay() {
+        let outcome = run_held_fleet();
+        let (runs, shared, invocations, evictions) = replay_held();
+        assert!(outcome.cache_evictions > 0, "the cache must evict");
+        assert_eq!((outcome.detector_invocations, outcome.cache_evictions), (invocations, evictions));
+        let calibration = outcome.statements[HELD_GID].calibration.as_ref().expect("the held select calibrated");
+        assert_eq!(calibration.prefix_frames, HELD_PREFIX);
+        assert_eq!(outcome.statements.len(), runs.len());
+        for (statement, run) in outcome.statements.iter().zip(&runs) {
+            assert_run_bit_identical(&statement.run, run, &statement.name);
+            assert_eq!(statement.run.mode, run.mode, "{}", statement.name);
+        }
+        assert_eq!(outcome.shared.shared_total_ms.to_bits(), shared.shared_total_ms.to_bits());
+        for (a, b) in outcome.shared.queries.iter().zip(&shared.queries) {
+            assert_eq!(a.attributed_ms.to_bits(), b.attributed_ms.to_bits(), "{}", a.query);
+        }
+    }
+
+    /// A calibrated filter, or a perfect oracle, that panics on one
+    /// camera's frame.
+    struct Faulty<T> {
+        inner: T,
+        camera: u32,
+        frame_id: u64,
+    }
+
+    impl<T> Faulty<T> {
+        fn check(&self, frames: &[Frame]) {
+            let hit = frames.iter().any(|f| (f.camera_id, f.frame_id) == (self.camera, self.frame_id));
+            assert!(!hit, "camera {} fails", self.camera);
+        }
+    }
+
+    impl FrameFilter for Faulty<CalibratedFilter> {
+        fn estimate(&self, frame: &Frame) -> vmq_filters::FilterEstimate {
+            self.check(std::slice::from_ref(frame));
+            self.inner.estimate(frame)
+        }
+        fn estimate_batch(&self, frames: &[Frame]) -> Vec<vmq_filters::FilterEstimate> {
+            self.check(frames);
+            self.inner.estimate_batch(frames)
+        }
+        fn kind(&self) -> vmq_filters::FilterKind {
+            self.inner.kind()
+        }
+        fn grid_size(&self) -> usize {
+            self.inner.grid_size()
+        }
+        fn threshold(&self) -> f32 {
+            self.inner.threshold()
+        }
+        fn classes(&self) -> &[vmq_video::ObjectClass] {
+            self.inner.classes()
+        }
+    }
+
+    impl Detector for Faulty<OracleDetector> {
+        fn detect(&self, frame: &Frame) -> vmq_detect::FrameDetections {
+            self.check(std::slice::from_ref(frame));
+            self.inner.detect(frame)
+        }
+        fn stage(&self) -> vmq_detect::Stage {
+            self.inner.stage()
+        }
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    /// Fault injection: a filter that panics on one camera's batch (a stage,
+    /// on a pool task or the calling thread) and a detector that panics on
+    /// one camera's frame (a completion, on the calling thread) each make
+    /// `poll` panic with their message, whichever of four cameras fails:
+    /// no poll waits for a camera that will never be staged, and every pool
+    /// task is joined first. The pool serves the next fleet, which answers
+    /// as its replay.
+    #[test]
+    fn a_panicking_filter_or_detector_fails_the_poll_and_leaves_the_pool_serving() {
+        for camera in 0..4 {
+            for filter_fails in [true, false] {
+                let caught = std::panic::catch_unwind(|| {
+                    // Frame 30 of the camera arrives in the second round.
+                    let fails = |fault: bool| if fault { 30 } else { u64::MAX };
+                    let detector = Faulty { inner: OracleDetector::perfect(), camera, frame_id: fails(!filter_fails) };
+                    let filters: Vec<Faulty<CalibratedFilter>> = (0..4)
+                        .map(|c| {
+                            let inner = filter_for(c, CalibrationProfile::od_like());
+                            Faulty { inner, camera, frame_id: fails(filter_fails && c == camera) }
+                        })
+                        .collect();
+                    let mut fleet = FleetRuntime::new(&detector, test_config());
+                    for (c, filter) in filters.iter().enumerate() {
+                        let cam = fleet.add_camera(scene_for(c as u32));
+                        let b = fleet.add_backend(cam, filter);
+                        fleet.register_select(cam, "acme", Query::paper_q4(), CascadeConfig::strict(), None);
+                        fleet.register_select(cam, "acme", Query::paper_q3(), CascadeConfig::strict(), Some(b));
+                    }
+                    for _ in 0..4 {
+                        fleet.ingest(20);
+                        fleet.poll();
+                    }
+                });
+                let payload = caught.expect_err("the fault fails the poll");
+                assert_eq!(payload.downcast_ref::<String>(), Some(&format!("camera {camera} fails")));
+            }
+        }
+        let (outcome, estimators) = run_fleet(test_config(), TWO_CAMERAS);
+        assert_matches_replay(&test_config(), TWO_CAMERAS, &outcome, &estimators);
     }
 
     /// Fault injection: `cache_bytes: 0` starves the fleet-global cache down

@@ -9,7 +9,9 @@
 //! closures to those workers and whose exit joins them. The sharded stages
 //! all go through [`shard_each`], the one chunk loop on top (contiguous
 //! chunks, one task each, width 1 on the caller), or through [`shard_map`],
-//! its position-keyed map form.
+//! its position-keyed map form. [`pipeline`] is the one ordered loop: pool
+//! tasks stage items ahead of a calling thread that completes them in index
+//! order (the fleet poll).
 //!
 //! # Determinism contract
 //!
@@ -19,7 +21,10 @@
 //! every task has finished. [`shard_map`] merges its chunks by position, so
 //! a per-item computation comes out bit-identical at every width, and width
 //! 1 opens no scope at all: that run is the sequential reference every
-//! pooled width is tested against.
+//! pooled width is tested against. [`pipeline`] runs every `complete` on the
+//! calling thread in index order; only its `stage` calls move between
+//! threads, so a stage that touches nothing another item's stage or
+//! completion reads gives the same bits at every width.
 //!
 //! # Safety
 //!
@@ -297,6 +302,180 @@ where
     }
 }
 
+/// Runs `stage` over every item and `complete` over every item in index
+/// order, the two overlapped: `min(workers, items) − 1` pool tasks claim
+/// items one at a time in index order and stage them, while the calling
+/// thread completes each item as soon as it is staged and, whenever the
+/// next one is not, claims and stages one itself. So `complete` sees item
+/// `i` only after its `stage`, and always after item `i − 1`'s `complete`;
+/// `stage` calls on different items may run at once, on any threads. A
+/// pool scope opened inside `stage` runs inline on whichever thread
+/// stages, the caller included, so a stage never queues behind a sibling.
+///
+/// Width 1 (or at most one item) opens no scope: each item is staged and
+/// completed on the calling thread before the next. A panic in either
+/// closure stops all further claims; `pipeline` re-raises it once every
+/// pool task has returned, and never waits for an item whose stage failed.
+pub fn pipeline<I, S, C>(items: &mut [I], workers: usize, stage: S, mut complete: C)
+where
+    I: Send,
+    S: Fn(&mut I) + Sync,
+    C: FnMut(&mut I),
+{
+    let width = workers.min(items.len());
+    if width <= 1 {
+        for item in items {
+            stage(&mut *item);
+            complete(item);
+        }
+        return;
+    }
+    let n = items.len();
+    let line = Line {
+        board: Mutex::new(Board {
+            slots: items.iter_mut().map(Some).collect(),
+            next: 0,
+            waiting: false,
+            stopped: false,
+        }),
+        staged: Condvar::new(),
+    };
+    let (line, stage) = (&line, &stage);
+    scope(width - 1, |s| {
+        for _ in 1..width {
+            s.spawn(move || {
+                let _stop = StopOnUnwind(line);
+                while let Some((k, item)) = line.claim() {
+                    stage(&mut *item);
+                    line.put_staged(k, item);
+                }
+            });
+        }
+        let _stop = StopOnUnwind(line);
+        for i in 0..n {
+            let item = loop {
+                match line.step(i) {
+                    Step::Complete(item) => break item,
+                    Step::Stage(k, item) => {
+                        inline_nested(|| stage(&mut *item));
+                        line.put_staged(k, item);
+                    }
+                    // A pool task's stage panicked: `scope` re-raises it.
+                    Step::Stop => return,
+                }
+            };
+            complete(item);
+        }
+    });
+}
+
+/// The shared state of one [`pipeline`] call: each item's `&mut` parks in
+/// its slot while unclaimed or staged and travels with whoever stages it.
+struct Line<'a, I> {
+    board: Mutex<Board<'a, I>>,
+    /// Signalled when an item comes back staged (or the line stops) while
+    /// the caller waits.
+    staged: Condvar,
+}
+
+struct Board<'a, I> {
+    /// `slots[k]` is `Some` before item `k` is claimed (`k >= next`) and
+    /// again once it is staged; `None` while it is staged or completed.
+    slots: Vec<Option<&'a mut I>>,
+    next: usize,
+    waiting: bool,
+    stopped: bool,
+}
+
+enum Step<'a, I> {
+    Complete(&'a mut I),
+    Stage(usize, &'a mut I),
+    Stop,
+}
+
+impl<'a, I> Line<'a, I> {
+    /// The board; no closure of the caller's ever runs under its lock, so it
+    /// is never poisoned.
+    fn board(&self) -> std::sync::MutexGuard<'_, Board<'a, I>> {
+        self.board.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// What the caller does next for item `i`: complete it once staged,
+    /// else stage the next unclaimed item, else wait for a pool task.
+    fn step(&self, i: usize) -> Step<'a, I> {
+        let mut board = self.board();
+        loop {
+            if board.stopped {
+                return Step::Stop;
+            }
+            if i < board.next {
+                if let Some(item) = board.slots[i].take() {
+                    return Step::Complete(item);
+                }
+            }
+            if let Some((k, item)) = board.claim() {
+                return Step::Stage(k, item);
+            }
+            board.waiting = true;
+            board = self.staged.wait(board).unwrap_or_else(std::sync::PoisonError::into_inner);
+            board.waiting = false;
+        }
+    }
+
+    fn put_staged(&self, k: usize, item: &'a mut I) {
+        let mut board = self.board();
+        board.slots[k] = Some(item);
+        if board.waiting {
+            self.staged.notify_one();
+        }
+    }
+
+    /// Claims the next item for a pool task (the board's lock is released
+    /// before the caller stages it).
+    fn claim(&self) -> Option<(usize, &'a mut I)> {
+        self.board().claim()
+    }
+}
+
+/// Stops the line if its thread unwinds: no item is claimed after, and a
+/// waiting caller wakes to return.
+struct StopOnUnwind<'l, 'a, I>(&'l Line<'a, I>);
+
+impl<I> Drop for StopOnUnwind<'_, '_, I> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.board().stopped = true;
+            self.0.staged.notify_one();
+        }
+    }
+}
+
+impl<'a, I> Board<'a, I> {
+    /// Claims the next item in index order, unless the line has stopped.
+    fn claim(&mut self) -> Option<(usize, &'a mut I)> {
+        if self.stopped || self.next == self.slots.len() {
+            return None;
+        }
+        let k = self.next;
+        self.next += 1;
+        Some((k, self.slots[k].take().expect("an unclaimed item is parked")))
+    }
+}
+
+/// Runs `f` with this thread counted as a pool worker, so a scope opened
+/// inside runs its spawns inline rather than queueing them behind
+/// [`pipeline`]'s own tasks.
+fn inline_nested<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_WORKER.with(|flag| flag.replace(true)));
+    f()
+}
+
 /// The chunk length both shard loops cut `len` items into for `workers`.
 fn chunk_len(len: usize, workers: usize) -> usize {
     len.div_ceil(workers.clamp(1, len.max(1))).max(1)
@@ -347,6 +526,32 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_completes_in_index_order_after_each_stage() {
+        let caller = std::thread::current().id();
+        for workers in 1..=4 {
+            for n in [0, 1, 2, 23] {
+                let mut items: Vec<(usize, bool, Option<std::thread::ThreadId>)> =
+                    (0..n).map(|i| (i, false, None)).collect();
+                let mut order = Vec::new();
+                pipeline(
+                    &mut items,
+                    workers,
+                    |(_, staged, thread)| (*staged, *thread) = (true, Some(std::thread::current().id())),
+                    |&mut (i, staged, _)| {
+                        assert!(staged, "width {workers}: item {i} completed before its stage");
+                        order.push(i);
+                    },
+                );
+                assert_eq!(order, (0..n).collect::<Vec<_>>(), "width {workers}, {n} items");
+                if workers == 1 || n <= 1 {
+                    // No scope: every stage ran on the calling thread.
+                    assert!(items.iter().all(|&(_, _, thread)| thread == Some(caller)), "width {workers}, {n} items");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_scope_and_zero_workers_are_fine() {
         let out: i32 = scope(0, |_| 41) + 1;
         assert_eq!(out, 42);
@@ -393,12 +598,15 @@ mod tests {
         pool().ensure_workers(8);
         assert!(stats().workers >= 8);
         let warm = stats();
+        let mut items = input.clone();
         for _ in 0..50 {
             shard_map(&input, 4, square_all);
+            pipeline(&mut items, 4, |x| *x += 1, |x| *x -= 1);
         }
+        assert_eq!(items, input);
         let steady = stats();
         assert_eq!(steady.threads_spawned, warm.threads_spawned, "warm pool must not spawn in steady state");
-        assert!(steady.tasks_executed >= warm.tasks_executed + 200);
+        assert!(steady.tasks_executed >= warm.tasks_executed + 350);
     }
 
     #[test]

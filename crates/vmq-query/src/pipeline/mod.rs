@@ -513,13 +513,26 @@ impl<'a> SharedStreamPlan<'a> {
     /// boundary); call [`SharedStreamPlan::finish`] to settle attribution and
     /// collect the per-query runs.
     pub fn push_batch(&mut self, frames: &[Frame]) {
-        let pending = self.prepare_batch(frames);
+        let staged = self.stage_batch(frames);
+        self.push_staged(staged, frames);
+    }
+
+    /// The rest of [`SharedStreamPlan::push_batch`] for a batch
+    /// [`SharedStreamPlan::stage_batch`] already staged over `frames`:
+    /// [`SharedStreamPlan::probe_batch`] →
+    /// [`SharedStreamPlan::detect_pending`] →
+    /// [`SharedStreamPlan::complete_batch`]. Returns the number of frames
+    /// the detector ran on.
+    pub fn push_staged(&mut self, staged: StagedBatch, frames: &[Frame]) -> usize {
+        let pending = self.probe_batch(staged, frames);
+        let detected = pending.missing_len();
         // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds only the
         // `detect_ms` wall attribution stat.
         let start = Instant::now();
         let detections = self.detect_pending(&pending);
         let detect_ms = start.elapsed().as_secs_f64() * 1000.0;
         self.complete_batch(pending, detections, detect_ms);
+        detected
     }
 
     /// First half of [`SharedStreamPlan::push_batch`]: runs the cheap shared
@@ -527,9 +540,7 @@ impl<'a> SharedStreamPlan<'a> {
     /// detection-cache probe, returning a [`PreparedBatch`] whose `missing`
     /// frames still need the detector. It is exactly
     /// [`SharedStreamPlan::stage_batch`] then
-    /// [`SharedStreamPlan::probe_batch`], the two halves a fleet scheduler
-    /// calls apart to stage many per-camera plans at once and gather their
-    /// detector work into one coalesced dispatch; `push_batch` is exactly
+    /// [`SharedStreamPlan::probe_batch`]; `push_batch` is exactly
     /// `prepare_batch` → [`SharedStreamPlan::detect_pending`] →
     /// [`SharedStreamPlan::complete_batch`].
     pub fn prepare_batch<'f>(&mut self, frames: &'f [Frame]) -> PreparedBatch<'f> {
@@ -543,8 +554,8 @@ impl<'a> SharedStreamPlan<'a> {
     /// global ledger it adds to the `u64` counts, which commute, and to this
     /// plan's users' attribution rows only. So a fleet scheduler whose plans
     /// have fleet-unique users ([`SharedStreamPlan::alias_user`]) and no
-    /// stateful backend in common may stage all of them at once, on any
-    /// threads, with the same bits.
+    /// stateful backend in common may stage them at once, and while other
+    /// plans complete, on any threads, with the same bits.
     pub fn stage_batch(&mut self, frames: &[Frame]) -> StagedBatch {
         self.ensure_exec();
         let mut st = self.exec.take().expect("exec state built");
@@ -561,7 +572,7 @@ impl<'a> SharedStreamPlan<'a> {
     /// window emission, and consults the drift monitors at the batch
     /// boundary. `detections` must hold one entry per missing frame in
     /// order; `detect_wall_ms` is the wall time the caller spent producing
-    /// them (a coalescing scheduler passes this plan's share).
+    /// them.
     pub fn complete_batch(
         &mut self,
         pending: PreparedBatch<'_>,

@@ -93,9 +93,8 @@ pub struct StagedBatch {
 /// charge, backend inference, per-query fan-out, detection-cache probe) have
 /// run, and the `missing` frames still await the detector. Produced by
 /// [`SharedStreamPlan::prepare_batch`] (or [`SharedStreamPlan::probe_batch`]),
-/// consumed by [`SharedStreamPlan::complete_batch`]; between the two, a fleet
-/// scheduler may pool many plans' missing frames into one coalesced detector
-/// dispatch.
+/// consumed by [`SharedStreamPlan::complete_batch`]; between the two, the
+/// caller detects the missing frames ([`SharedStreamPlan::detect_pending`]).
 pub struct PreparedBatch<'f> {
     frames: &'f [Frame],
     /// Batch position → the selects that escalated it.
@@ -113,11 +112,6 @@ impl PreparedBatch<'_> {
     /// Number of frames awaiting detection.
     pub fn missing_len(&self) -> usize {
         self.missing.len()
-    }
-
-    /// The `j`-th frame awaiting detection (batch order).
-    pub fn missing_frame(&self, j: usize) -> &Frame {
-        &self.frames[self.missing[j]]
     }
 }
 
@@ -413,8 +407,7 @@ impl SharedStreamPlan<'_> {
     /// Detects a prepared batch's missing frames, in batch order, on the
     /// calling thread: the detector work [`SharedStreamPlan::push_batch`]
     /// runs between [`SharedStreamPlan::prepare_batch`] and
-    /// [`SharedStreamPlan::complete_batch`]. A fleet scheduler skips it and
-    /// detects many plans' missing frames in one sharded dispatch.
+    /// [`SharedStreamPlan::complete_batch`], and a fleet poll per camera.
     pub fn detect_pending(&self, pending: &PreparedBatch<'_>) -> Vec<FrameDetections> {
         pending.missing.iter().map(|&i| self.detector.detect(&pending.frames[i])).collect()
     }

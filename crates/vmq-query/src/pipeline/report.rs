@@ -36,9 +36,7 @@ pub struct StageMetrics {
     /// `cascade-filter`, `window-filter` and `drift-monitor` rows, and 1 for
     /// a backend that reads no raster (the calibrated filter never shards)
     /// and for every other operator. A plan detects on the calling thread,
-    /// so `detect` reads 1; so does a fleet camera's `detect` row, because
-    /// the fleet's coalesced dispatch is described by
-    /// `FleetOutcome`'s coalescing counters instead. Speedup arithmetic on
+    /// a fleet camera's included, so `detect` reads 1. Speedup arithmetic on
     /// `wall_ms` stays honest: dividing by a baseline compares elapsed
     /// spans, not CPU time.
     pub workers: usize,

@@ -37,10 +37,8 @@ fn main() {
 
     // Three statements per camera: two selects and a wall-clock-windowed
     // aggregate, owned by round-robin tenants.
-    let mut fleet = FleetRuntime::new(
-        &oracle,
-        FleetConfig { batch_size: 32, workers: 2, queue_capacity: 64, ..FleetConfig::default() },
-    );
+    let mut fleet =
+        FleetRuntime::new(&oracle, FleetConfig { batch_size: 32, queue_capacity: 64, ..FleetConfig::default() });
     for ((c, scene), (filter, estimator)) in
         camera_fleet(&profiles, CAMERAS, 0xCA3).into_iter().enumerate().zip(filters.iter().zip(&mut estimators))
     {

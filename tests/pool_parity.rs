@@ -2,12 +2,13 @@
 //! and their int8 twins, alone and decoded as one group — must be bit
 //! identical at every width to the width-1 run, which opens no pool scope at
 //! all, across batch sizes {1, 7, 32} × widths {2, 4}. (The calibrated
-//! filter runs on the calling thread and never reaches the pool.) The
-//! fleet's coalesced cross-camera detect dispatch, whose width
-//! `FleetConfig::workers` sets, gets the same treatment: a fleet on two
-//! workers and the same fleet on one must agree on every statement outcome.
-//! (Plans, whose widths are derived, are pinned against the naive reference
-//! in `statement_differential.rs`.)
+//! filter runs on the calling thread and never reaches the pool.) A fleet
+//! poll stages cameras on the pool at the machine's width while the calling
+//! thread completes them in camera order; `FleetConfig::workers` no longer
+//! sets any width, so a fleet configured with two workers and the same
+//! fleet with one must agree on every statement outcome. (Plans and fleets,
+//! whose widths are derived, are pinned against the naive reference in
+//! `statement_differential.rs`.)
 
 use proptest::prelude::*;
 use vmq::detect::OracleDetector;
@@ -138,9 +139,10 @@ proptest! {
     }
 }
 
-/// Coalesced fleet sweeps sharded over two pool workers vs the same sweeps
-/// on one: every statement outcome must be bit-identical, because the
-/// worker count is a pure wall-clock knob.
+/// A fleet configured with two workers vs the same fleet with one: every
+/// statement outcome must be bit-identical, because `poll` ignores the
+/// field. This pins that the value `benchmark/` sets stays inert until the
+/// field is deleted.
 #[test]
 fn fleet_on_two_workers_matches_the_one_worker_fleet() {
     assert_runs_bit_identical(&fleet_run(2, 60), &fleet_run(1, 60), "fleet");
