@@ -10,10 +10,10 @@
 //!    [`VmqEngine::runtime`],
 //! 4. and run them all in one shared pass over the stream.
 //!
-//! One driver runs every statement: [`FleetRuntime`], M cameras (live
-//! scenes or recorded frame slices) × N standing statements over one
-//! detection cache and cost ledger. [`StreamRuntime`] is a fleet of one
-//! camera fed the engine's test split.
+//! One driver runs every statement: `vmq-query`'s [`FleetRuntime`], M
+//! cameras (live scenes or recorded frame slices) × N standing statements
+//! over one detection cache and cost ledger. [`StreamRuntime`] is a fleet of
+//! one camera fed the engine's test split.
 //!
 //! ```no_run
 //! use vmq_core::{EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};
@@ -37,13 +37,13 @@
 
 pub mod config;
 pub mod engine;
-pub mod fleet;
 pub mod report;
 pub mod runtime;
 
 pub use config::{CalibrationConfig, EngineConfig, FilterChoice};
 pub use engine::{AdaptiveOutcome, QueryOutcome, VmqEngine, WindowedAggregateOutcome};
-pub use fleet::{FleetConfig, FleetOutcome, FleetRuntime, FleetStatementOutcome};
 pub use report::Report;
 pub use runtime::{MultiQueryOutcome, RuntimeQuery, StatementOutcome, StreamRuntime};
 pub use vmq_query::{DriftConfig, ReplanEvent};
+/// The fleet lives in `vmq-query`; re-exported here for `benchmark/`.
+pub use vmq_query::{FleetConfig, FleetOutcome, FleetRuntime, FleetStatementOutcome};

@@ -34,13 +34,12 @@
 
 use crate::config::{CalibrationConfig, FilterChoice};
 use crate::engine::{AdaptiveOutcome, QueryOutcome, VmqEngine, WindowedAggregateOutcome};
-use crate::fleet::{FleetConfig, FleetRuntime};
 use vmq_aggregate::WindowedAggregator;
 use vmq_detect::{CostModel, SharedCost, Stage};
 use vmq_filters::FrameFilter;
 use vmq_query::{
-    AggregateSpec, CascadeConfig, DriftConfig, DriftSetup, ParsedStatement, Query, QueryAccuracy, QueryRun,
-    ReplanEvent, SpeedupReport, StageMetrics,
+    AggregateSpec, CascadeConfig, DriftConfig, DriftSetup, FleetConfig, FleetRuntime, ParsedStatement, Query,
+    QueryAccuracy, QueryRun, ReplanEvent, SpeedupReport, StageMetrics,
 };
 use vmq_video::Frame;
 

@@ -123,6 +123,14 @@ pub fn parallelism() -> usize {
     *WIDTH.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, MAX_WORKERS))
 }
 
+/// The threads a [`scope`] of `workers` tasks opened on this thread runs on:
+/// `workers`, or 1 on a pool task or inside a [`pipeline`] stage, where
+/// every spawn runs inline on the spawning thread. So a sharded stage can
+/// report the width it actually ran at.
+pub fn scope_width(workers: usize) -> usize {
+    IN_WORKER.with(|inline| if inline.get() { 1 } else { workers })
+}
+
 /// Counters exposed for benches and regression gates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolStats {
@@ -530,21 +538,26 @@ mod tests {
         let caller = std::thread::current().id();
         for workers in 1..=4 {
             for n in [0, 1, 2, 23] {
-                let mut items: Vec<(usize, bool, Option<std::thread::ThreadId>)> =
-                    (0..n).map(|i| (i, false, None)).collect();
+                let mut items: Vec<(usize, usize, Option<std::thread::ThreadId>)> =
+                    (0..n).map(|i| (i, 0, None)).collect();
                 let mut order = Vec::new();
                 pipeline(
                     &mut items,
                     workers,
-                    |(_, staged, thread)| (*staged, *thread) = (true, Some(std::thread::current().id())),
-                    |&mut (i, staged, _)| {
-                        assert!(staged, "width {workers}: item {i} completed before its stage");
+                    |(_, width, thread)| (*width, *thread) = (scope_width(7), Some(std::thread::current().id())),
+                    |&mut (i, width, _)| {
+                        assert!(width > 0, "width {workers}: item {i} completed before its stage");
                         order.push(i);
                     },
                 );
                 assert_eq!(order, (0..n).collect::<Vec<_>>(), "width {workers}, {n} items");
-                if workers == 1 || n <= 1 {
-                    // No scope: every stage ran on the calling thread.
+                // Without a scope every stage runs on the calling thread,
+                // and a scope opened there runs at its full width; inside
+                // one, a nested scope runs inline.
+                let alone = workers == 1 || n <= 1;
+                let expected = if alone { 7 } else { 1 };
+                assert!(items.iter().all(|&(_, width, _)| width == expected), "width {workers}, {n} items");
+                if alone {
                     assert!(items.iter().all(|&(_, _, thread)| thread == Some(caller)), "width {workers}, {n} items");
                 }
             }
@@ -561,11 +574,13 @@ mod tests {
     fn nested_scope_runs_inline_without_deadlock() {
         let input: Vec<u64> = (0..32).collect();
         let mut out = vec![0u64; 32];
+        assert_eq!(scope_width(2), 2);
         scope(2, |s| {
             for (slots, part) in out.chunks_mut(16).zip(input.chunks(16)) {
                 s.spawn(move || {
                     // A scope opened on a pool worker: its spawns must run
                     // inline rather than queue behind the enclosing tasks.
+                    assert_eq!(scope_width(2), 1);
                     let inner = shard_map(part, 2, square_all);
                     slots.copy_from_slice(&inner);
                 });

@@ -4,17 +4,20 @@
 //! Every camera brings its own stream — a live [`Scene`] (seed, frame rate,
 //! regime profile) or a recorded frame slice — and its own
 //! [`SharedStreamPlan`] of standing statements, while the fleet provides the
-//! shared substrate those plans plug into. [`StreamRuntime`](crate::StreamRuntime)
-//! is a fleet of one camera fed from the engine's test split.
+//! shared substrate those plans plug into. `vmq-core`'s `StreamRuntime` is a
+//! fleet of one camera fed from the engine's test split. The fleet sits
+//! beside the plan because it decides how plans share that substrate:
+//! which attribution id each statement charges under, when a camera's
+//! batch is staged, and the one settlement at the end.
 //!
 //! * **one fleet-global [`DetectionCache`]** with a byte budget — detections
 //!   are deduplicated *across* plans (cache keys carry the camera id, so
 //!   streams never collide) and evicted under memory pressure with exact
 //!   eviction accounting;
-//! * **one fleet-global [`CostLedger`]** — each statement is aliased to a
-//!   fleet-unique attribution id ([`SharedStreamPlan::alias_user`]), so the
-//!   deduplicated bill splits per statement, and [`SharedCost::rollup`]
-//!   folds it into per-camera and per-tenant totals;
+//! * **one fleet-global [`CostLedger`]** — each statement registers on its
+//!   camera's plan under a fleet-unique attribution id, so the deduplicated
+//!   bill splits per statement, and [`SharedCost::rollup`] folds it into
+//!   per-camera and per-tenant totals;
 //! * **adaptive selects** — [`FleetRuntime::register_select_drifted`] plans
 //!   a select on its camera's first frames, optionally with a drift monitor.
 //!   The rule is hold, plan, release: the camera's queue is held until the
@@ -28,14 +31,12 @@
 //! * **a round-robin scheduler** — [`FleetRuntime::poll`] drains one batch
 //!   per camera per sweep as a camera-ordered
 //!   [`push_batch`](SharedStreamPlan::push_batch) replay with its first half
-//!   overlapped: pool tasks run the cameras'
-//!   [`stage_batch`](SharedStreamPlan::stage_batch) (decode charge, filter
-//!   inference, fan-out) ahead of the calling thread, which probes the
-//!   shared cache, detects the camera's misses and completes each camera in
-//!   order ([`push_staged`](SharedStreamPlan::push_staged)). So every
-//!   camera's statements make progress and all per-batch machinery (drift
-//!   replans, window emission, sharded decode) runs exactly as it would
-//!   stand-alone;
+//!   overlapped: pool tasks stage the cameras' batches (decode charge,
+//!   filter inference, fan-out) ahead of the calling thread, which probes
+//!   the shared cache, detects the camera's misses and completes each
+//!   camera in order. So every camera's statements make progress and all
+//!   per-batch machinery (drift replans, window emission, sharded decode)
+//!   runs exactly as it would stand-alone;
 //! * **graceful overload shedding** — when the total backlog crosses the
 //!   configured threshold the scheduler raises the shed level, which halves
 //!   aggregate detector *sampling* per level (wider confidence intervals,
@@ -56,13 +57,14 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
+use crate::pipeline::StagedBatch;
+use crate::planner::plan_cascade_from_profiles;
+use crate::{
+    AggregateSpec, CalibrationReport, CascadeConfig, DriftSetup, PipelineConfig, Query, QueryRun, SharedStreamPlan,
+    StageMetrics, WindowEstimator,
+};
 use vmq_detect::{CachedDetector, CostLedger, DetectionCache, Detector, GroupCost, SharedCost};
 use vmq_filters::{FilterProfile, FrameFilter};
-use vmq_query::planner::plan_cascade_from_profiles;
-use vmq_query::{
-    AggregateSpec, CalibrationReport, CascadeConfig, DriftSetup, PipelineConfig, Query, QueryRun, SharedStreamPlan,
-    StageMetrics, StagedBatch, WindowEstimator,
-};
 use vmq_video::{Frame, Scene};
 
 /// Tuning knobs of a [`FleetRuntime`].
@@ -98,13 +100,12 @@ impl Default for FleetConfig {
     }
 }
 
-/// One standing statement's fleet-level identity.
+/// What a statement's plan does not know about it: whose it is, and how an
+/// adaptive select's plan was chosen. Its fleet-global id is its index.
 #[derive(Debug, Clone)]
 struct StatementInfo {
-    name: String,
     camera: usize,
     tenant: String,
-    ledger: CostLedger,
     calibration: Option<Box<CalibrationReport>>,
 }
 
@@ -133,14 +134,13 @@ struct HeldSelect {
     setup: DriftSetup,
 }
 
-/// One registered camera: its feed, its standing-statement plan and the
-/// filters registered on it, the adaptive selects it holds its queue for,
-/// its bounded ingest queue, and the batch a poll has in flight.
+/// One registered camera: its feed, its standing-statement plan, the
+/// adaptive selects it holds its queue for, its bounded ingest queue, and
+/// the batch a poll has in flight.
 struct CameraState<'a> {
     feed: Feed<'a>,
     camera_id: u32,
     plan: SharedStreamPlan<'a>,
-    backends: Vec<&'a dyn FrameFilter>,
     held: Vec<HeldSelect>,
     queue: VecDeque<Frame>,
     ingested: u64,
@@ -275,7 +275,6 @@ impl<'a> FleetRuntime<'a> {
             feed,
             camera_id,
             plan,
-            backends: Vec::new(),
             held: Vec::new(),
             queue: VecDeque::new(),
             ingested: 0,
@@ -298,10 +297,8 @@ impl<'a> FleetRuntime<'a> {
             .cameras
             .iter()
             .enumerate()
-            .any(|(c, state)| c != camera && state.backends.iter().any(|&f| address(f) == address(filter)));
-        let state = &mut self.cameras[camera];
-        state.backends.push(filter);
-        state.plan.add_backend(filter)
+            .any(|(c, state)| c != camera && state.plan.backends.iter().any(|&f| address(f) == address(filter)));
+        self.cameras[camera].plan.add_backend(filter)
     }
 
     /// Registers a standing select on `camera` for `tenant`; returns the
@@ -314,10 +311,9 @@ impl<'a> FleetRuntime<'a> {
         cascade: CascadeConfig,
         backend: Option<usize>,
     ) -> usize {
-        let (gid, ledger) = self.add_statement(camera, tenant, &query);
+        let gid = self.add_statement(camera, tenant);
         let plan = &mut self.cameras[camera].plan;
-        let q = plan.register_select(query, cascade, backend, ledger);
-        plan.alias_user(q, gid);
+        plan.register_as(gid, |plan| plan.register_select(query, cascade, backend, CostLedger::paper()));
         gid
     }
 
@@ -345,7 +341,7 @@ impl<'a> FleetRuntime<'a> {
         prefix_frames: usize,
         setup: DriftSetup,
     ) -> usize {
-        let (gid, _) = self.add_statement(camera, tenant, &query);
+        let gid = self.add_statement(camera, tenant);
         self.cameras[camera].held.push(HeldSelect { gid, query, prefix_frames, setup });
         gid
     }
@@ -363,20 +359,17 @@ impl<'a> FleetRuntime<'a> {
         backends: &[usize],
         estimator: &'a mut dyn WindowEstimator,
     ) -> usize {
-        let (gid, ledger) = self.add_statement(camera, tenant, &query);
+        let gid = self.add_statement(camera, tenant);
         let plan = &mut self.cameras[camera].plan;
-        let q = plan.register_aggregate(query, spec, backends, estimator, ledger);
-        plan.alias_user(q, gid);
+        plan.register_as(gid, |plan| plan.register_aggregate(query, spec, backends, estimator, CostLedger::paper()));
         gid
     }
 
-    /// Adds a statement's fleet-level identity; returns its fleet-global id
-    /// (the attribution id its plan registration is aliased to) and its
-    /// private ledger.
-    fn add_statement(&mut self, camera: usize, tenant: &str, query: &Query) -> (usize, CostLedger) {
-        let (name, tenant, ledger) = (query.name.clone(), tenant.to_string(), CostLedger::paper());
-        self.statements.push(StatementInfo { name, camera, tenant, ledger: ledger.clone(), calibration: None });
-        (self.statements.len() - 1, ledger)
+    /// Adds a statement's fleet-level identity; returns its fleet-global id,
+    /// the attribution id it registers on its camera's plan under.
+    fn add_statement(&mut self, camera: usize, tenant: &str) -> usize {
+        self.statements.push(StatementInfo { camera, tenant: tenant.to_string(), calibration: None });
+        self.statements.len() - 1
     }
 
     /// Takes up to `frames` frames from every camera's feed into its
@@ -421,8 +414,7 @@ impl<'a> FleetRuntime<'a> {
     /// [`vmq_exec::parallelism`]):
     ///
     /// 1. *stage*: pool tasks claim cameras one at a time in camera order
-    ///    and run each batch's own phases
-    ///    ([`SharedStreamPlan::stage_batch`]: decode charge, backend
+    ///    and run each batch's own phases (decode charge, backend
     ///    inference, fan-out). These touch no detection cache, and no two
     ///    cameras share a statement, a private ledger or a global
     ///    attribution row; the global ledger's shared counts are integers.
@@ -434,8 +426,7 @@ impl<'a> FleetRuntime<'a> {
     /// 2. *complete*: the calling thread takes each camera in camera order as
     ///    soon as its batch is staged (staging one itself whenever the next
     ///    is not) and runs the rest of its
-    ///    [`push_batch`](SharedStreamPlan::push_batch)
-    ///    ([`SharedStreamPlan::push_staged`]): the cache probe, the detector
+    ///    [`push_batch`](SharedStreamPlan::push_batch): the cache probe, the detector
     ///    on the camera's misses, and completion, which installs detections
     ///    in the `(camera_id, frame_id)`-keyed cache, charges the global
     ///    ledger per fresh frame, evaluates, emits windows and replans.
@@ -466,7 +457,7 @@ impl<'a> FleetRuntime<'a> {
         for state in self.cameras.iter_mut().filter(|state| state.held.is_empty()) {
             let batch = state.queue.drain(..state.queue.len().min(self.config.batch_size));
             processed += batch.len();
-            if !state.plan.user_ids().is_empty() {
+            if !state.plan.user_ids.is_empty() {
                 state.batch.extend(batch);
                 polled.push(state);
             }
@@ -525,7 +516,7 @@ impl<'a> FleetRuntime<'a> {
         let held = std::mem::take(&mut state.held);
         let frames: &[Frame] = state.queue.make_contiguous();
         let (model, stage) = (global.model(), detector.stage());
-        let profiles: Vec<Option<FilterProfile>> = (state.backends.iter().enumerate())
+        let profiles: Vec<Option<FilterProfile>> = (state.plan.backends.iter().enumerate())
             .map(|(b, filter)| {
                 let readers: Vec<&HeldSelect> =
                     held.iter().filter(|h| h.setup.candidate_backends.contains(&b)).collect();
@@ -541,19 +532,19 @@ impl<'a> FleetRuntime<'a> {
             // come from the virtual ledger and the calibration prefix.
             let wall_start = Instant::now();
             let prefix = &frames[..prefix_frames.min(frames.len())];
-            let info = &mut statements[gid];
+            let ledger = CostLedger::paper();
             let truth: Vec<bool> = if prefix.is_empty() {
                 Vec::new()
             } else {
-                info.ledger.charge_calibration(stage, prefix.len() as u64);
+                ledger.charge_calibration(stage, prefix.len() as u64);
                 let cached = CachedDetector::new(*detector, cache, gid, Some(global.clone()));
                 prefix.iter().map(|f| query.matches_detections(&cached.detect_shared(f))).collect()
             };
             let candidates = &setup.candidate_backends;
-            let filters: Vec<&dyn FrameFilter> = candidates.iter().map(|&b| state.backends[b]).collect();
+            let filters: Vec<&dyn FrameFilter> = candidates.iter().map(|&b| state.plan.backends[b]).collect();
             let profiles: Vec<FilterProfile> = (candidates.iter())
                 .map(|&b| {
-                    info.ledger.charge_calibration(state.backends[b].kind().stage(), prefix.len() as u64);
+                    ledger.charge_calibration(state.plan.backends[b].kind().stage(), prefix.len() as u64);
                     profiles[b].clone().expect("every candidate is profiled")
                 })
                 .collect();
@@ -572,9 +563,10 @@ impl<'a> FleetRuntime<'a> {
             let backend = (!choice.brute_force).then(|| candidates[choice.backend_index]);
             let (cascade, mode) = (choice.cascade, format!("adaptive {}", choice.label));
             let row = Some(StageMetrics::calibrate(&report));
-            let q = state.plan.register_select_drifted(query, cascade, backend, info.ledger.clone(), mode, row, setup);
-            state.plan.alias_user(q, gid);
-            info.calibration = Some(Box::new(report));
+            state.plan.register_as(gid, |plan| {
+                plan.register_select_drifted(query, cascade, backend, ledger, mode, row, setup)
+            });
+            statements[gid].calibration = Some(Box::new(report));
         }
     }
 
@@ -592,27 +584,28 @@ impl<'a> FleetRuntime<'a> {
         }
         self.drain();
         let mut runs: Vec<Option<QueryRun>> = vec![None; self.statements.len()];
-        for state in self.cameras.iter_mut().filter(|state| !state.plan.user_ids().is_empty()) {
-            let gids: Vec<usize> = state.plan.user_ids().to_vec();
-            for (q, run) in state.plan.finish_unsettled().into_iter().enumerate() {
-                runs[gids[q]] = Some(run);
+        for state in self.cameras.iter_mut().filter(|state| !state.plan.user_ids.is_empty()) {
+            for (run, &gid) in state.plan.finish_unsettled().into_iter().zip(&state.plan.user_ids) {
+                runs[gid] = Some(run);
             }
         }
+        let runs: Vec<QueryRun> =
+            runs.into_iter().map(|run| run.expect("every registered statement produced a run")).collect();
         // Every plan shares the one cache and ledger, and a settlement
         // replaces the previous one, so one walk over the cache here equals
-        // a walk per camera.
+        // a walk per camera. A run's virtual time is its private ledger's
+        // total, which the settlement does not touch.
         self.cache.attribute_detections(&self.global, self.detector.stage());
-        let shares: Vec<(String, f64)> =
-            self.statements.iter().map(|info| (info.name.clone(), info.ledger.total_ms())).collect();
+        let shares: Vec<(String, f64)> = runs.iter().map(|run| (run.query.clone(), run.virtual_ms)).collect();
         let shared = self.global.shared_cost(&shares);
         let cameras = &self.cameras;
         let statements: Vec<FleetStatementOutcome> = (self.statements.iter_mut().zip(runs))
             .map(|(info, run)| FleetStatementOutcome {
-                name: info.name.clone(),
+                name: run.query.clone(),
                 camera: info.camera,
                 camera_id: cameras[info.camera].camera_id,
                 tenant: info.tenant.clone(),
-                run: run.expect("every registered statement produced a run"),
+                run,
                 calibration: info.calibration.take(),
             })
             .collect();
@@ -642,10 +635,62 @@ impl<'a> FleetRuntime<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmq_aggregate::WindowedAggregator;
+    use crate::{DriftConfig, WindowCharge, WindowData};
     use vmq_detect::OracleDetector;
     use vmq_filters::{CalibratedFilter, CalibrationProfile};
     use vmq_video::{DatasetProfile, SceneConfig};
+
+    /// A window estimator that samples as `vmq-aggregate`'s does: `trials`
+    /// seeded draws of `sample_size` frames per window (halved per shed
+    /// level, floored at 2), each detected through the plan's cached
+    /// detector, so repeated draws hit the shared cache, an evicting cache
+    /// re-detects, and every draw counts in the aggregate's attribution.
+    /// Each window reports the share of draws that match the query.
+    struct Sampler {
+        query: Query,
+        sample_size: usize,
+        trials: usize,
+        seed: u64,
+        shed_level: u32,
+        shed_windows: usize,
+        /// Per window: its index, start and frames, and the matching
+        /// share's bits.
+        reports: Vec<(usize, usize, usize, u64)>,
+    }
+
+    impl Sampler {
+        fn new(query: Query, sample_size: usize, trials: usize, seed: u64) -> Self {
+            Sampler { query, sample_size, trials, seed, shed_level: 0, shed_windows: 0, reports: Vec::new() }
+        }
+    }
+
+    impl WindowEstimator for Sampler {
+        fn estimate_window(&mut self, window: WindowData<'_>, detector: &dyn Detector, _: &CostLedger) -> WindowCharge {
+            if window.frames.is_empty() {
+                return WindowCharge::default();
+            }
+            self.shed_windows += usize::from(self.shed_level > 0);
+            let draws = self.trials * (self.sample_size >> self.shed_level.min(31)).max(2);
+            let key = self.seed ^ (window.index as u64) << 32;
+            let matches = (0..draws as u64)
+                .filter(|&k| {
+                    // splitmix64 of the window's key and the draw.
+                    let mut z = key.wrapping_add((k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    z = (z ^ z >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ z >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    let frame = &window.frames[((z ^ z >> 31) % window.frames.len() as u64) as usize];
+                    self.query.matches_detections(&detector.detect_shared(frame))
+                })
+                .count();
+            let share = matches as f64 / draws as f64;
+            self.reports.push((window.index, window.start, window.frames.len(), share.to_bits()));
+            WindowCharge { estimation_frames: draws as u64, calibration_frames: 0 }
+        }
+
+        fn set_shed_level(&mut self, level: u32) {
+            self.shed_level = level;
+        }
+    }
 
     const CAMERA_FPS: [f32; 2] = [30.0, 15.0];
     const FRAMES_PER_CAMERA: usize = 80;
@@ -661,8 +706,8 @@ mod tests {
         CalibratedFilter::new(DatasetProfile::jackson().class_list(), 14, profile, 500 + camera as u64)
     }
 
-    fn estimator_for(camera: u32) -> WindowedAggregator {
-        WindowedAggregator::new(Query::paper_a1(), 6, 4, 90 + camera as u64)
+    fn estimator_for(camera: u32) -> Sampler {
+        Sampler::new(Query::paper_a1(), 6, 4, 90 + camera as u64)
     }
 
     fn tenant_for(camera: usize) -> &'static str {
@@ -712,11 +757,11 @@ mod tests {
 
     /// Runs `workload` through a fleet; returns its outcome and the
     /// per-camera estimators (left unregistered on brute-force workloads).
-    fn run_fleet(config: FleetConfig, workload: Workload) -> (FleetOutcome, Vec<WindowedAggregator>) {
+    fn run_fleet(config: FleetConfig, workload: Workload) -> (FleetOutcome, Vec<Sampler>) {
         let oracle = OracleDetector::perfect();
         let filters: Vec<CalibratedFilter> =
             (0..workload.cameras).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
-        let mut estimators: Vec<WindowedAggregator> = (0..workload.cameras).map(estimator_for).collect();
+        let mut estimators: Vec<Sampler> = (0..workload.cameras).map(estimator_for).collect();
         let mut fleet = FleetRuntime::new(&oracle, config);
         for (c, estimator) in estimators.iter_mut().enumerate() {
             let cam = fleet.add_camera(scene_for(c as u32));
@@ -743,12 +788,12 @@ mod tests {
     /// `finish` — the fleet without its scheduler, pool or single
     /// settlement. Returns the runs, the shared bill, the estimators and the
     /// detector invocations.
-    fn replay(config: &FleetConfig, workload: Workload) -> (Vec<QueryRun>, SharedCost, Vec<WindowedAggregator>, u64) {
+    fn replay(config: &FleetConfig, workload: Workload) -> (Vec<QueryRun>, SharedCost, Vec<Sampler>, u64) {
         assert!(workload.frames_per_round <= config.batch_size, "one fleet poll takes a whole round");
         let oracle = OracleDetector::perfect();
         let filters: Vec<CalibratedFilter> =
             (0..workload.cameras).map(|c| filter_for(c, CalibrationProfile::od_like())).collect();
-        let mut estimators: Vec<WindowedAggregator> = (0..workload.cameras).map(estimator_for).collect();
+        let mut estimators: Vec<Sampler> = (0..workload.cameras).map(estimator_for).collect();
         let cache = DetectionCache::with_byte_budget(config.cache_bytes);
         let global = CostLedger::paper();
         let mut ledgers: Vec<(&str, CostLedger)> = Vec::new();
@@ -763,14 +808,15 @@ mod tests {
             );
             let backend = (!workload.brute_force).then(|| plan.add_backend(filter));
             let ledger = CostLedger::paper();
-            let q = plan.register_select(Query::paper_q3(), CascadeConfig::strict(), backend, ledger.clone());
-            plan.alias_user(q, ledgers.len());
+            let (q3, strict) = (Query::paper_q3(), CascadeConfig::strict());
+            plan.register_as(ledgers.len(), |plan| plan.register_select(q3, strict, backend, ledger.clone()));
             ledgers.push(("q3", ledger));
             if let Some(b) = backend {
                 let ledger = CostLedger::paper();
-                let spec = AggregateSpec::hopping_seconds(1.0, 1.0);
-                let q = plan.register_aggregate(Query::paper_a1(), spec, &[b], estimator, ledger.clone());
-                plan.alias_user(q, ledgers.len());
+                let (a1, spec) = (Query::paper_a1(), AggregateSpec::hopping_seconds(1.0, 1.0));
+                plan.register_as(ledgers.len(), |plan| {
+                    plan.register_aggregate(a1, spec, &[b], estimator, ledger.clone())
+                });
                 ledgers.push(("a1", ledger));
             }
             plans.push(plan);
@@ -795,17 +841,10 @@ mod tests {
         assert_eq!(a.virtual_ms.to_bits(), b.virtual_ms.to_bits(), "{ctx}: {} vs {}", a.virtual_ms, b.virtual_ms);
     }
 
-    fn assert_reports_bit_identical(a: &[WindowedAggregator], b: &[WindowedAggregator]) {
+    fn assert_reports_bit_identical(a: &[Sampler], b: &[Sampler]) {
         assert_eq!(a.len(), b.len());
         for (ea, eb) in a.iter().zip(b) {
-            assert_eq!(ea.reports().len(), eb.reports().len());
-            for (ra, rb) in ea.reports().iter().zip(eb.reports()) {
-                assert_eq!(ra.window_index, rb.window_index);
-                assert_eq!(ra.window_start, rb.window_start);
-                assert_eq!(ra.window_frames, rb.window_frames);
-                assert_eq!(ra.plain_mean.to_bits(), rb.plain_mean.to_bits());
-                assert_eq!(ra.mcv_mean.to_bits(), rb.mcv_mean.to_bits());
-            }
+            assert_eq!(ea.reports, eb.reports);
         }
     }
 
@@ -813,12 +852,7 @@ mod tests {
     /// workload bit for bit: the detector invocations, every statement run,
     /// the shared bill and its per-camera / per-tenant rollups, and every
     /// aggregate window report.
-    fn assert_matches_replay(
-        config: &FleetConfig,
-        workload: Workload,
-        outcome: &FleetOutcome,
-        estimators: &[WindowedAggregator],
-    ) {
+    fn assert_matches_replay(config: &FleetConfig, workload: Workload, outcome: &FleetOutcome, estimators: &[Sampler]) {
         let (runs, shared, replayed, invocations) = replay(config, workload);
         assert_eq!(outcome.detector_invocations, invocations, "the fleet detects no frame more or less");
         assert_eq!(outcome.statements.len(), runs.len());
@@ -887,7 +921,7 @@ mod tests {
 
     fn held_setup(backend: usize) -> DriftSetup {
         DriftSetup {
-            config: vmq_query::DriftConfig::new(0.0),
+            config: DriftConfig::new(0.0),
             candidate_backends: vec![backend],
             tolerances: CascadeConfig::lattice(),
         }
@@ -936,8 +970,10 @@ mod tests {
             if plans.len() < 2 {
                 for (name, query, backend) in [("q3", Query::paper_q3(), Some(b)), ("q4", Query::paper_q4(), None)] {
                     let ledger = CostLedger::paper();
-                    let q = plan.register_select(query, CascadeConfig::strict(), backend, ledger.clone());
-                    plan.alias_user(q, ledgers.len());
+                    let strict = CascadeConfig::strict();
+                    plan.register_as(ledgers.len(), |plan| {
+                        plan.register_select(query, strict, backend, ledger.clone())
+                    });
                     ledgers.push((name, ledger));
                 }
             }
@@ -986,9 +1022,9 @@ mod tests {
                 let (cascade, backend, mode) =
                     (choice.cascade, (!choice.brute_force).then_some(0), format!("adaptive {}", choice.label));
                 let row = Some(StageMetrics::calibrate(&report));
-                let q =
-                    plans[2].register_select_drifted(query, cascade, backend, ledger.clone(), mode, row, held_setup(0));
-                plans[2].alias_user(q, HELD_GID);
+                plans[2].register_as(HELD_GID, |plan| {
+                    plan.register_select_drifted(query, cascade, backend, ledger.clone(), mode, row, held_setup(0))
+                });
                 ledgers.push(("q3", ledger));
             }
             sweep(&mut plans, &mut queues, held);
@@ -1119,6 +1155,35 @@ mod tests {
         assert_matches_replay(&test_config(), TWO_CAMERAS, &outcome, &estimators);
     }
 
+    /// A learned filter's rows report the width its decode ran at: the
+    /// machine's for a camera polled alone, whose stage opens its decode
+    /// scope on the calling thread, and 1 for cameras staged together on
+    /// the pool, where that scope runs inline.
+    #[test]
+    fn learned_rows_report_the_width_their_decode_ran_at() {
+        let oracle = OracleDetector::perfect();
+        let config = vmq_filters::FilterConfig::fast_test(DatasetProfile::jackson().class_list());
+        let widths = |cameras: u32| -> Vec<usize> {
+            let filters: Vec<vmq_filters::OdFilter> =
+                (0..cameras).map(|_| vmq_filters::OdFilter::new(config.clone())).collect();
+            let mut fleet = FleetRuntime::new(&oracle, test_config());
+            for (c, filter) in filters.iter().enumerate() {
+                let cam = fleet.add_camera(scene_for(c as u32));
+                let b = fleet.add_backend(cam, filter);
+                fleet.register_select(cam, "acme", Query::paper_q3(), CascadeConfig::strict(), Some(b));
+            }
+            fleet.ingest(48);
+            let outcome = fleet.finish();
+            let filter_width = |s: &FleetStatementOutcome| {
+                let row = s.run.stage_metrics.iter().find(|m| m.operator == "cascade-filter");
+                row.expect("a cascade-filter row").workers
+            };
+            outcome.statements.iter().map(filter_width).collect()
+        };
+        assert_eq!(widths(1), [vmq_exec::parallelism()]);
+        assert_eq!(widths(2), [1, 1], "staged on the pool, the decode ran inline");
+    }
+
     /// Fault injection: `cache_bytes: 0` starves the fleet-global cache down
     /// to its most recent frame. Sampled frames are re-detected instead of
     /// served, yet every statement and window answers as under the default
@@ -1223,7 +1288,7 @@ mod tests {
             let cam = fleet.add_camera(scene_for(0));
             let b = fleet.add_backend(cam, &filter);
             let setup = DriftSetup {
-                config: vmq_query::DriftConfig::new(0.0),
+                config: DriftConfig::new(0.0),
                 candidate_backends: vec![b],
                 tolerances: CascadeConfig::lattice(),
             };
@@ -1313,8 +1378,8 @@ mod tests {
         // A perfect filter makes expected recall exactly 1.0, so any shed
         // leakage into the select path would show up as a missed frame.
         let filter = filter_for(0, CalibrationProfile::perfect());
-        let mut estimator = WindowedAggregator::new(Query::paper_a1(), 8, 4, 90);
-        let mut unshed = WindowedAggregator::new(Query::paper_a1(), 8, 4, 90);
+        let mut estimator = Sampler::new(Query::paper_a1(), 8, 4, 90);
+        let mut unshed = Sampler::new(Query::paper_a1(), 8, 4, 90);
         let mut fleet = FleetRuntime::new(
             &oracle,
             FleetConfig { batch_size: 16, queue_capacity: 512, shed_backlog_per_level: 24, ..FleetConfig::default() },
@@ -1332,7 +1397,7 @@ mod tests {
         let outcome = fleet.finish();
         assert!(outcome.shed_events >= 1, "overload must be reported");
         assert!(outcome.max_shed_level >= 1);
-        assert!(estimator.shed_windows() > 0, "some windows ran degraded");
+        assert!(estimator.shed_windows > 0, "some windows ran degraded");
 
         // Degraded means *fewer detector samples*, not different answers to
         // the select: recall against ground truth stays exactly 1.0.
@@ -1361,6 +1426,6 @@ mod tests {
             shed_run.frames_detected,
             unshed_runs[0].frames_detected
         );
-        assert_eq!(estimator.reports().len(), unshed.reports().len(), "every window still reports");
+        assert_eq!(estimator.reports.len(), unshed.reports.len(), "every window still reports");
     }
 }

@@ -25,6 +25,12 @@
 //!   (`execute_slice`) or batch by batch (`push_batch` / `finish`), with
 //!   per-operator [`StageMetrics`] (`source → cascade-filter → detect →
 //!   predicate-eval → sink`).
+//! * [`fleet`] — [`FleetRuntime`], the one driver every statement runs on:
+//!   M cameras × N standing statements, one plan per camera over one
+//!   fleet-global detection cache and cost ledger, polled on the worker
+//!   pool. It sits beside the plan because it decides how plans share that
+//!   cache and ledger: the attribution id each statement registers under,
+//!   when a camera's batch is staged, and the one settlement.
 //! * [`exec`] — the single-statement front-ends over a frame slice
 //!   (brute-force, filtered, adaptive, aggregate), each a registration on a
 //!   plan of one, with every stage charged to the virtual-time cost ledger.
@@ -38,6 +44,7 @@ pub mod ast;
 pub mod catalog;
 pub mod drift;
 pub mod exec;
+pub mod fleet;
 pub mod metrics;
 pub mod parser;
 pub mod pipeline;
@@ -49,11 +56,12 @@ pub use ast::{CountTarget, ObjectRef, Predicate, Query};
 pub use catalog::RegionCatalog;
 pub use drift::{DriftConfig, DriftSetup, ReplanEvent};
 pub use exec::{QueryExecutor, QueryRun};
+pub use fleet::{FleetConfig, FleetOutcome, FleetRuntime, FleetStatementOutcome};
 pub use metrics::{QueryAccuracy, SpeedupReport};
 pub use parser::{format_statement, format_where_clause, parse_statement, ParseError, ParsedStatement};
 pub use pipeline::{
-    AggregateSpec, PipelineConfig, PreparedBatch, SharedStreamPlan, StageMetrics, StagedBatch, WindowBackendColumns,
-    WindowCharge, WindowData, WindowEstimator,
+    AggregateSpec, PipelineConfig, PreparedBatch, SharedStreamPlan, StageMetrics, WindowBackendColumns, WindowCharge,
+    WindowData, WindowEstimator,
 };
 pub use plan::{CascadeConfig, FilterCascade};
 pub use planner::{

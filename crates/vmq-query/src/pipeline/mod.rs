@@ -5,21 +5,22 @@
 //! statement ([`QueryExecutor`](crate::exec::QueryExecutor)) is the plan of
 //! one. Frames arrive in batches of [`PipelineConfig::batch_size`] (chunked
 //! from a slice by [`SharedStreamPlan::execute_slice`], or pushed one batch
-//! at a time through [`SharedStreamPlan::push_batch`], as a fleet scheduler
-//! does) and every batch goes through three calls, the first of them in two
-//! halves (`stage_batch`, which touches only the plan's own state and may run
-//! on a pool thread, then the serial `probe_batch`):
+//! at a time through [`SharedStreamPlan::push_batch`], as the
+//! [`FleetRuntime`](crate::FleetRuntime) does) and every batch goes through
+//! three calls, the first of them in two halves (`stage_batch`, which
+//! touches only the plan's own state and may run on a pool thread, then the
+//! serial `probe_batch`):
 //!
 //! ```text
 //! prepare_batch                       detect_pending          complete_batch
 //! 1 decode charge                     the detector over       4b install detections (cache insert,
 //! 2 backend inference once per          the batch's missing      one global charge per fresh frame)
 //!   (backend, frame) + one atom-       frames, on the         5 exact evaluation of each frame's
-//!   table evaluation into per-atom      calling thread (a        subscribers: each distinct predicate
-//!   frame bit-words                     fleet scheduler          once per frame, a statement ANDs
-//! 3 per-statement fan-out: a select     pools many plans'        its ids
-//!   ANDs its atoms' words and walks     frames into one       6 aggregates emit completed hopping
-//!   the set bits, aggregates append     sharded dispatch)        windows to their WindowEstimator
+//!   table evaluation into per-atom      calling thread           subscribers: each distinct predicate
+//!   frame bit-words                                              once per frame, a statement ANDs
+//! 3 per-statement fan-out: a select                              its ids
+//!   ANDs its atoms' words and walks                           6 aggregates emit completed hopping
+//!   the set bits, aggregates append                              windows to their WindowEstimator
 //!   indicator columns                                         · drift monitors replan at the batch
 //! 4a detection-cache probe                                       boundary
 //! ```
@@ -76,7 +77,8 @@ mod report;
 mod tests;
 mod window;
 
-pub use operators::{PreparedBatch, StagedBatch};
+pub use operators::PreparedBatch;
+pub(crate) use operators::StagedBatch;
 pub use report::StageMetrics;
 pub use window::{AggregateSpec, WindowBackendColumns, WindowCharge, WindowData, WindowEstimator};
 
@@ -139,6 +141,8 @@ struct ExecState {
     /// decode group is timed once and its wall split evenly across its
     /// backends.
     backend_wall: Vec<f64>,
+    /// Per backend: the widest width any batch decoded it at.
+    backend_width: Vec<usize>,
     /// Per backend: whether a drift monitor reads its estimates (everyone
     /// else reads only the atom verdicts).
     monitored: Vec<bool>,
@@ -186,10 +190,10 @@ struct Select {
 /// whatever aggregate estimators sample), deduplicated through the
 /// [`DetectionCache`]. Widths are derived, not set: a learned backend's
 /// network decode shards across the whole machine
-/// ([`vmq_exec::parallelism`]) with a deterministic, position-keyed merge,
-/// while a backend that reads no raster and the plan's own
-/// [`SharedStreamPlan::detect_pending`] run on the calling thread (a fleet
-/// scheduler dispatches many plans' detector work itself).
+/// ([`vmq_exec::parallelism`]) with a deterministic, position-keyed merge
+/// (inline, on one thread, where a fleet poll stages the plan among
+/// others), while a backend that reads no raster and the plan's own
+/// [`SharedStreamPlan::detect_pending`] run on the calling thread.
 ///
 /// The fan-out itself is shared too. Registration compiles each statement's
 /// cascade into ids in its backend's [`AtomTable`], keyed by what a check
@@ -211,7 +215,7 @@ pub struct SharedStreamPlan<'a> {
     cache: DetectionCache,
     global: CostLedger,
     config: PipelineConfig,
-    backends: Vec<&'a dyn FrameFilter>,
+    pub(crate) backends: Vec<&'a dyn FrameFilter>,
     /// Per backend: the compiled atoms of every statement reading it.
     atoms: Vec<AtomTable>,
     /// The distinct exact predicates of every select.
@@ -219,11 +223,11 @@ pub struct SharedStreamPlan<'a> {
     /// Every registered statement, by query index.
     queries: Vec<Statement>,
     /// Global attribution user id per query (parallel to `queries`).
-    /// Identity by default; a fleet scheduler running many plans against
-    /// one shared cache/ledger re-addresses each statement via
-    /// [`SharedStreamPlan::alias_user`] so fleet-wide attribution stays
-    /// per-statement exact.
-    user_ids: Vec<usize>,
+    /// Identity by default; the fleet, running many plans against one
+    /// shared cache and ledger, registers each statement under its
+    /// fleet-unique id ([`SharedStreamPlan::register_as`]) so fleet-wide
+    /// attribution stays per-statement exact.
+    pub(crate) user_ids: Vec<usize>,
     /// The select statements, in registration order.
     selects: Vec<Select>,
     /// The aggregate statements and the stream frames their windows read.
@@ -234,7 +238,7 @@ pub struct SharedStreamPlan<'a> {
     finished: bool,
 }
 
-// A fleet scheduler stages its cameras' plans on pool threads. A field that
+// The fleet stages its cameras' plans on pool threads. A field that
 // is not `Send` fails here, next to its cause, not in the fleet, where the
 // quick fix would be to stage the cameras on the caller again.
 const _: fn() = || {
@@ -406,24 +410,17 @@ impl<'a> SharedStreamPlan<'a> {
         &self.cache
     }
 
-    /// Re-addresses query `q`'s *global* attribution — shared-ledger charge
-    /// splits, cache consumer sets, sampled-detector dedup — to
-    /// `global_id`. A fleet scheduler driving many per-camera plans against
-    /// one shared cache and ledger assigns each statement a fleet-unique id
-    /// so per-statement attribution never collides across plans. Identity
-    /// by default; private ledgers and per-query results are untouched, so
-    /// aliasing cannot change any statement's outcome.
-    ///
-    /// Must be called before the first [`SharedStreamPlan::push_batch`].
-    pub fn alias_user(&mut self, q: usize, global_id: usize) {
-        assert!(self.exec.is_none(), "alias users before pushing batches");
-        self.user_ids[q] = global_id;
-    }
-
-    /// The global attribution user ids, indexed by query (identity unless
-    /// [`SharedStreamPlan::alias_user`]ed).
-    pub fn user_ids(&self) -> &[usize] {
-        &self.user_ids
+    /// Registers one statement through `register` (one of the public
+    /// registrations) with its *global* attribution — shared-ledger charge
+    /// splits, cache consumer sets, sampled-detector dedup — addressed to
+    /// `user` instead of its query index: the fleet, driving many per-camera
+    /// plans against one cache and ledger, registers each statement under
+    /// its fleet-unique id so attribution never collides across plans.
+    /// Private ledgers and per-query results do not read the id, so it
+    /// cannot change any statement's outcome.
+    pub(crate) fn register_as(&mut self, user: usize, register: impl FnOnce(&mut Self) -> usize) {
+        let q = register(self);
+        self.user_ids[q] = user;
     }
 
     /// Propagates an overload shed level to every registered aggregate
@@ -431,7 +428,7 @@ impl<'a> SharedStreamPlan<'a> {
     /// normal operation, higher levels shed detector *sampling* work so
     /// aggregates degrade gracefully (wider confidence intervals). Select
     /// queries are untouched — certified filter recall is never shed.
-    pub fn set_shed_level(&mut self, level: u32) {
+    pub(crate) fn set_shed_level(&mut self, level: u32) {
         self.windows.set_shed_level(level);
     }
 
@@ -502,13 +499,13 @@ impl<'a> SharedStreamPlan<'a> {
             frames_total: 0,
             wall: SharedWall::default(),
             backend_wall: vec![0.0; self.backends.len()],
+            backend_width: vec![1; self.backends.len()],
             monitored,
         });
     }
 
     /// Pushes one batch of frames through every phase of the shared pass —
-    /// the incremental entry point a fleet scheduler interleaves across
-    /// many per-camera plans, and what [`SharedStreamPlan::execute_slice`]
+    /// the incremental entry point, and what [`SharedStreamPlan::execute_slice`]
     /// does per chunk (including drift-replan consultation at the batch
     /// boundary); call [`SharedStreamPlan::finish`] to settle attribution and
     /// collect the per-query runs.
@@ -523,7 +520,7 @@ impl<'a> SharedStreamPlan<'a> {
     /// [`SharedStreamPlan::detect_pending`] →
     /// [`SharedStreamPlan::complete_batch`]. Returns the number of frames
     /// the detector ran on.
-    pub fn push_staged(&mut self, staged: StagedBatch, frames: &[Frame]) -> usize {
+    pub(crate) fn push_staged(&mut self, staged: StagedBatch, frames: &[Frame]) -> usize {
         let pending = self.probe_batch(staged, frames);
         let detected = pending.missing_len();
         // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds only the
@@ -538,9 +535,7 @@ impl<'a> SharedStreamPlan<'a> {
     /// First half of [`SharedStreamPlan::push_batch`]: runs the cheap shared
     /// phases (decode charge, backend inference, per-query fan-out) and the
     /// detection-cache probe, returning a [`PreparedBatch`] whose `missing`
-    /// frames still need the detector. It is exactly
-    /// [`SharedStreamPlan::stage_batch`] then
-    /// [`SharedStreamPlan::probe_batch`]; `push_batch` is exactly
+    /// frames still need the detector. `push_batch` is exactly
     /// `prepare_batch` → [`SharedStreamPlan::detect_pending`] →
     /// [`SharedStreamPlan::complete_batch`].
     pub fn prepare_batch<'f>(&mut self, frames: &'f [Frame]) -> PreparedBatch<'f> {
@@ -552,11 +547,11 @@ impl<'a> SharedStreamPlan<'a> {
     /// charge, backend inference and per-query fan-out. It reads no other
     /// plan's state and never touches the detection cache; of the shared
     /// global ledger it adds to the `u64` counts, which commute, and to this
-    /// plan's users' attribution rows only. So a fleet scheduler whose plans
-    /// have fleet-unique users ([`SharedStreamPlan::alias_user`]) and no
-    /// stateful backend in common may stage them at once, and while other
+    /// plan's users' attribution rows only. So the fleet, whose plans have
+    /// fleet-unique users ([`SharedStreamPlan::register_as`]) and no
+    /// stateful backend in common, may stage them at once, and while other
     /// plans complete, on any threads, with the same bits.
-    pub fn stage_batch(&mut self, frames: &[Frame]) -> StagedBatch {
+    pub(crate) fn stage_batch(&mut self, frames: &[Frame]) -> StagedBatch {
         self.ensure_exec();
         let mut st = self.exec.take().expect("exec state built");
         st.frames_total += frames.len();
@@ -605,11 +600,11 @@ impl<'a> SharedStreamPlan<'a> {
     }
 
     /// [`SharedStreamPlan::finish`] without the attribution settlement, for
-    /// a scheduler that runs many plans against one cache and global ledger:
-    /// settling walks the whole cache, so such a scheduler finishes every
-    /// plan through this and settles once
+    /// the fleet, which runs many plans against one cache and global ledger:
+    /// settling walks the whole cache, so the fleet finishes every plan
+    /// through this and settles once
     /// ([`DetectionCache::attribute_detections`]).
-    pub fn finish_unsettled(&mut self) -> Vec<QueryRun> {
+    pub(crate) fn finish_unsettled(&mut self) -> Vec<QueryRun> {
         self.ensure_exec();
         let st = self.exec.take().expect("exec state built");
         self.finished = true;

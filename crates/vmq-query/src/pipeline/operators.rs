@@ -78,10 +78,10 @@ pub(super) fn escalate(
 /// A batch whose per-plan phases have run (decode charge, backend inference,
 /// per-query fan-out): which selects escalate which frames. Produced by
 /// [`SharedStreamPlan::stage_batch`], consumed by
-/// [`SharedStreamPlan::probe_batch`]. It holds no filter estimate, so a fleet
-/// scheduler that stages every camera's batch before probing the cache holds
-/// a few bit-words per camera, not a batch of estimates.
-pub struct StagedBatch {
+/// [`SharedStreamPlan::probe_batch`]. It holds no filter estimate, so a
+/// fleet poll that stages cameras ahead of their completion holds a few
+/// bit-words per camera, not a batch of estimates.
+pub(crate) struct StagedBatch {
     frames: usize,
     /// Batch position → the selects that escalated it.
     escalations: Subscribers,
@@ -92,8 +92,8 @@ pub struct StagedBatch {
 /// A batch mid-flight through the shared pass: the cheap phases (decode
 /// charge, backend inference, per-query fan-out, detection-cache probe) have
 /// run, and the `missing` frames still await the detector. Produced by
-/// [`SharedStreamPlan::prepare_batch`] (or [`SharedStreamPlan::probe_batch`]),
-/// consumed by [`SharedStreamPlan::complete_batch`]; between the two, the
+/// [`SharedStreamPlan::prepare_batch`], consumed by
+/// [`SharedStreamPlan::complete_batch`]; between the two, the
 /// caller detects the missing frames ([`SharedStreamPlan::detect_pending`]).
 pub struct PreparedBatch<'f> {
     frames: &'f [Frame],
@@ -154,8 +154,12 @@ impl SharedStreamPlan<'_> {
             // are already fixed.
             let start = Instant::now();
             // A group's backends all read one raster or (alone) none, so the
-            // first one names the group's width.
-            let workers = self.decode_width(group[0]);
+            // first one names the group's width: the whole machine for a
+            // network, whose per-frame inference (tens to hundreds of µs)
+            // pays for a pool scope many times over, and 1 for a backend
+            // that reads no raster, such as the calibrated filter, whose
+            // µs-scale estimates cost less than a scope.
+            let workers = self.backends[group[0]].raster().map_or(1, |_| vmq_exec::parallelism());
             // A group of one runs the backend's own batch path, which for a
             // learned filter is the decode step over itself; a backend that
             // reads no raster is always alone.
@@ -173,8 +177,11 @@ impl SharedStreamPlan<'_> {
                 }
             }
             let share_ms = start.elapsed().as_secs_f64() * 1000.0 / group.len() as f64;
+            // Inside a fleet poll's pool stage the decode scope runs inline.
+            let ran = vmq_exec::scope_width(workers);
             for &b in group {
                 st.backend_wall[b] += share_ms;
+                st.backend_width[b] = st.backend_width[b].max(ran);
             }
         }
 
@@ -222,7 +229,7 @@ impl SharedStreamPlan<'_> {
     /// escalator as a sharing user); the rest become the batch's missing set.
     /// The cache's recency order and user sets depend on the order of
     /// probes, so plans sharing a cache probe in a fixed order.
-    pub fn probe_batch<'f>(&mut self, staged: StagedBatch, frames: &'f [Frame]) -> PreparedBatch<'f> {
+    pub(super) fn probe_batch<'f>(&mut self, staged: StagedBatch, frames: &'f [Frame]) -> PreparedBatch<'f> {
         let StagedBatch { frames: n, escalations, audits } = staged;
         assert_eq!(n, frames.len(), "probe the frames that were staged");
         // vmq-lint: allow(no-wallclock-in-result-paths) -- feeds only the
@@ -393,15 +400,6 @@ impl SharedStreamPlan<'_> {
                 self.atoms[b].compile_select(&select.query, choice.cascade, self.backends[b].threshold())
             });
         }
-    }
-
-    /// The width backend `b`'s inference shards its frames over: the whole
-    /// machine ([`vmq_exec::parallelism`]) for a network, whose per-frame
-    /// inference (tens to hundreds of µs) pays for a pool scope many times
-    /// over, and 1 for a backend that reads no raster, such as the calibrated
-    /// filter, whose µs-scale estimates cost less than a scope.
-    pub(super) fn decode_width(&self, b: usize) -> usize {
-        self.backends[b].raster().map_or(1, |_| vmq_exec::parallelism())
     }
 
     /// Detects a prepared batch's missing frames, in batch order, on the

@@ -31,12 +31,15 @@ pub struct StageMetrics {
     /// pool joins before the stage returns, so the figure is the
     /// max-over-workers wall span, never the sum of per-worker CPU time.
     pub wall_ms: f64,
-    /// Worker threads the operator actually sharded its work over: the
-    /// decode width ([`vmq_exec::parallelism`]) for a learned backend's
-    /// `cascade-filter`, `window-filter` and `drift-monitor` rows, and 1 for
-    /// a backend that reads no raster (the calibrated filter never shards)
-    /// and for every other operator. A plan detects on the calling thread,
-    /// a fleet camera's included, so `detect` reads 1. Speedup arithmetic on
+    /// Worker threads the operator actually sharded its work over, the
+    /// widest any batch of the pass ran at: for a learned backend's
+    /// `cascade-filter`, `window-filter` and `drift-monitor` rows the decode
+    /// width ([`vmq_exec::parallelism`]), or 1 where every batch decoded
+    /// inline (a fleet poll staging two or more cameras on the pool, see
+    /// [`vmq_exec::scope_width`]); 1 for a backend that reads no raster (the
+    /// calibrated filter never shards) and for every other operator. A plan
+    /// detects on the calling thread, a fleet camera's included, so `detect`
+    /// reads 1. Speedup arithmetic on
     /// `wall_ms` stays honest: dividing by a baseline compares elapsed
     /// spans, not CPU time.
     pub workers: usize,
@@ -115,13 +118,12 @@ impl SharedStreamPlan<'_> {
         let row = |operator: &str, stage: Option<Stage>, fin: usize, fout: usize, charged: u64, w: f64| {
             StageMetrics::charged_row(operator, stage, fin, fout, charged, &model, w)
         };
-        // A backend's row reports the width its inference ran on (the decode
-        // width for a network, 1 for a backend that reads no raster) and the
-        // kernels it ran.
+        // A backend's row reports the widest width its inference ran on and
+        // the kernels it ran.
         let backend_row = |operator: &str, b: usize, frames_out: usize| {
             let stage = Some(self.backends[b].kind().stage());
             StageMetrics {
-                workers: self.decode_width(b),
+                workers: st.backend_width[b],
                 kernel_backend: Some(self.backends[b].kernel_backend().to_string()),
                 ..row(operator, stage, frames_total, frames_out, frames_total as u64, st.backend_wall[b])
             }

@@ -2,7 +2,7 @@
 //!
 //! Scales the multi-tenant example out to a camera fleet: every camera gets
 //! its own simulated scene (seed, frame rate) and its own standing
-//! statements, while the [`FleetRuntime`](vmq::engine::FleetRuntime)
+//! statements, while the [`FleetRuntime`](vmq::query::FleetRuntime)
 //! provides the shared substrate — one byte-budgeted detection cache, one
 //! fleet-global cost ledger with per-camera/per-tenant rollups, bounded
 //! per-camera ingest queues and a round-robin scheduler that sheds
@@ -14,9 +14,8 @@
 
 use vmq::aggregate::WindowedAggregator;
 use vmq::detect::OracleDetector;
-use vmq::engine::{FleetConfig, FleetRuntime};
 use vmq::filters::{CalibratedFilter, CalibrationProfile};
-use vmq::query::{AggregateSpec, CascadeConfig, Query};
+use vmq::query::{AggregateSpec, CascadeConfig, FleetConfig, FleetRuntime, Query};
 use vmq::video::{camera_fleet, DatasetProfile};
 
 const CAMERAS: usize = 12;

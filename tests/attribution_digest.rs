@@ -19,12 +19,11 @@
 
 use vmq::aggregate::WindowedAggregator;
 use vmq::detect::{CostLedger, DetectionCache, GroupCost, OracleDetector, SharedCost, StageCost};
-use vmq::engine::{FleetConfig, FleetRuntime};
 use vmq::filters::{CalibratedFilter, CalibrationProfile, FrameFilter};
 use vmq::query::ast::CountOp;
 use vmq::query::{
-    plan_cascade, AggregateSpec, CascadeConfig, DriftConfig, DriftSetup, ObjectRef, PipelineConfig, Query, QueryRun,
-    RegionCatalog, SharedStreamPlan, SpatialRelation, StageMetrics, WindowEstimator,
+    plan_cascade, AggregateSpec, CascadeConfig, DriftConfig, DriftSetup, FleetConfig, FleetRuntime, ObjectRef,
+    PipelineConfig, Query, QueryRun, RegionCatalog, SharedStreamPlan, SpatialRelation, StageMetrics, WindowEstimator,
 };
 use vmq::video::{BoundingBox, Color, Dataset, DatasetProfile, ObjectClass, Scene, SceneConfig};
 

@@ -15,8 +15,7 @@ use drift::{
 };
 use proptest::prelude::*;
 use vmq::detect::OracleDetector;
-use vmq::engine::{FleetConfig, FleetRuntime};
-use vmq::query::{CascadeConfig, DriftConfig, DriftSetup};
+use vmq::query::{CascadeConfig, DriftConfig, DriftSetup, FleetConfig, FleetRuntime};
 
 /// With the monitor attached, the regime flip is detected, the plan is
 /// swapped mid-stream (to a cascade, not brute force), recall is perfect,

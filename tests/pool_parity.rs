@@ -12,12 +12,11 @@
 
 use proptest::prelude::*;
 use vmq::detect::OracleDetector;
-use vmq::engine::{FleetConfig, FleetRuntime};
 use vmq::filters::{
     estimate_shared, CalibratedFilter, CalibrationProfile, CofFilter, FilterConfig, FilterEstimate, FrameFilter,
     IcFilter, OdFilter, QuantizedCofFilter, QuantizedIcFilter, QuantizedOdFilter,
 };
-use vmq::query::{CascadeConfig, Query, QueryRun};
+use vmq::query::{CascadeConfig, FleetConfig, FleetRuntime, Query, QueryRun};
 use vmq::video::{DatasetProfile, Frame, ObjectClass, Scene, SceneConfig};
 
 fn scene_frames(camera: u32, seed: u64, n: usize) -> Vec<Frame> {

@@ -1,7 +1,6 @@
 //! The statement differential: every entry point — the executor's `run_*` one
 //! statement at a time, one `SharedStreamPlan` holding all of them,
-//! `StreamRuntime` and a 2–3-camera `FleetRuntime` at one and two detect
-//! workers — must report for every statement exactly what the naive
+//! `StreamRuntime` and a 2–3-camera `FleetRuntime` — must report for every statement exactly what the naive
 //! reference (`common/reference.rs`) computes over that camera's frames:
 //! the matched ids, passed and detected counts, the virtual-time bits, the
 //! mode label, an adaptive select's plan and every window report. Statement
@@ -19,12 +18,12 @@ use proptest::prelude::*;
 use reference::{reference, EstimatorSpec, Expected, Statement};
 use vmq::aggregate::AggregateReport;
 use vmq::detect::{CostLedger, DetectionCache, OracleDetector};
-use vmq::engine::{CalibrationConfig, EngineConfig, FilterChoice, FleetConfig, FleetRuntime, RuntimeQuery, VmqEngine};
+use vmq::engine::{CalibrationConfig, EngineConfig, FilterChoice, RuntimeQuery, VmqEngine};
 use vmq::filters::{CalibratedFilter, CalibrationProfile, FilterConfig, FrameFilter, OdFilter};
 use vmq::query::planner::{plan_cascade, PlanChoice};
 use vmq::query::{
-    AggregateSpec, CascadeConfig, DriftConfig, DriftSetup, PipelineConfig, Query, QueryExecutor, QueryRun,
-    SharedStreamPlan, StageMetrics,
+    AggregateSpec, CascadeConfig, DriftConfig, DriftSetup, FleetConfig, FleetRuntime, PipelineConfig, Query,
+    QueryExecutor, QueryRun, SharedStreamPlan, StageMetrics,
 };
 use vmq::video::{DatasetProfile, Frame, Scene, SceneConfig};
 
@@ -170,12 +169,12 @@ fn observed(run: &QueryRun, plan: Option<&PlanChoice>, reports: &[AggregateRepor
     }
 }
 
-/// A learned backend's rows report the machine's decode width, every other
-/// row one worker.
-fn assert_widths(run: &QueryRun, ctx: &str) {
+/// A learned backend's rows report `decoded`, the width its decode ran at,
+/// every other row one worker.
+fn assert_widths(run: &QueryRun, decoded: usize, ctx: &str) {
     for row in &run.stage_metrics {
         let learned = row.kernel_backend.as_deref().is_some_and(|k| k != "none");
-        let width = if learned { vmq::exec::parallelism() } else { 1 };
+        let width = if learned { decoded } else { 1 };
         assert_eq!(row.workers, width, "{ctx}: {} row of {}", row.operator, run.query);
     }
 }
@@ -197,14 +196,14 @@ fn executor(case: &Case, backends: &Backends, frames: &[Frame], expected: &[Expe
             Statement::Adaptive { backends: ids, tolerances, prefix, .. } => {
                 let filters = backends.fresh_all(ids);
                 let (run, report) = exec.run_adaptive(frames, *prefix, &refs(&filters), tolerances, &oracle);
-                assert_widths(&run, "executor");
+                assert_widths(&run, vmq::exec::parallelism(), "executor");
                 observed(&run, Some(&report.choice), &[])
             }
             Statement::Aggregate { query, backends: ids, spec, estimator } => {
                 let mut aggregator = estimator.build(query);
                 let filters = backends.fresh_all(ids);
                 let run = exec.run_aggregate(frames, *spec, &refs(&filters), &oracle, &mut aggregator);
-                assert_widths(&run, "executor");
+                assert_widths(&run, vmq::exec::parallelism(), "executor");
                 observed(&run, None, aggregator.reports())
             }
         };
@@ -262,7 +261,7 @@ fn shared_plan(case: &Case, backends: &Backends, frames: &[Frame], expected: &[E
     drop(plan);
     let (mut plans, mut estimators) = (plans.iter(), estimators.iter());
     for ((statement, run), expected) in case.statements.iter().zip(&runs).zip(expected) {
-        assert_widths(run, "shared plan");
+        assert_widths(run, vmq::exec::parallelism(), "shared plan");
         let actual = match statement {
             Statement::Select { .. } => observed(run, None, &[]),
             Statement::Adaptive { .. } => observed(run, plans.next().map(|(report, _)| &report.choice), &[]),
@@ -356,9 +355,9 @@ fn stream_runtime(engine: &VmqEngine, case: &Case, backends: &Backends, expected
 /// A `FleetRuntime` of `case.cameras` cameras at different frame rates,
 /// each registering every statement with its own backend instances (an
 /// adaptive select with fresh instances of its candidates, as the shared
-/// plan gives it), fed by interleaved `ingest` and `poll`, at one and at
-/// two detect workers. A quarter of the stream arrives per round, so a
-/// camera whose longest prefix is longer stays held for the first polls.
+/// plan gives it), fed by interleaved `ingest` and `poll`. A quarter of the
+/// stream arrives per round, so a camera whose longest prefix is longer
+/// stays held for the first polls.
 fn fleet(case: &Case, backends: &Backends) {
     let oracle = OracleDetector::perfect();
     let scene = |c: u32| {
@@ -374,70 +373,69 @@ fn fleet(case: &Case, backends: &Backends) {
             case.statements.iter().map(|s| reference(s, &frames, &fresh, &oracle)).collect()
         })
         .collect();
-    for workers in [1, 2] {
-        let filters: Vec<Vec<_>> = (0..case.cameras).map(|_| backends.fresh_all(&[0, 1, 2, OD])).collect();
-        let candidates: Vec<Vec<_>> = (0..case.cameras)
-            .flat_map(|_| {
-                case.statements.iter().filter_map(|s| match s {
-                    Statement::Adaptive { backends: ids, .. } => Some(backends.fresh_all(ids)),
-                    _ => None,
-                })
+    let filters: Vec<Vec<_>> = (0..case.cameras).map(|_| backends.fresh_all(&[0, 1, 2, OD])).collect();
+    let candidates: Vec<Vec<_>> = (0..case.cameras)
+        .flat_map(|_| {
+            case.statements.iter().filter_map(|s| match s {
+                Statement::Adaptive { backends: ids, .. } => Some(backends.fresh_all(ids)),
+                _ => None,
             })
-            .collect();
-        let mut estimators: Vec<_> = (0..case.cameras)
-            .flat_map(|_| {
-                case.statements.iter().filter_map(|s| match s {
-                    Statement::Aggregate { query, estimator, .. } => Some(estimator.build(query)),
-                    _ => None,
-                })
+        })
+        .collect();
+    let mut estimators: Vec<_> = (0..case.cameras)
+        .flat_map(|_| {
+            case.statements.iter().filter_map(|s| match s {
+                Statement::Aggregate { query, estimator, .. } => Some(estimator.build(query)),
+                _ => None,
             })
-            .collect();
-        let batch_size = case.batch_sizes[2];
-        let config = FleetConfig { batch_size, workers, queue_capacity: case.frames, ..FleetConfig::default() };
-        let mut runtime = FleetRuntime::new(&oracle, config);
-        let (mut adaptive, mut aggregates) = (candidates.iter(), estimators.iter_mut());
-        for (c, filters) in filters.iter().enumerate() {
-            let camera = runtime.add_camera(scene(c as u32));
-            let ids: Vec<usize> = filters.iter().map(|f| runtime.add_backend(camera, f.as_ref())).collect();
-            for statement in &case.statements {
-                match statement {
-                    Statement::Select { query, backend, cascade } => {
-                        runtime.register_select(camera, "tenant", query.clone(), *cascade, backend.map(|b| ids[b]));
-                    }
-                    Statement::Aggregate { query, backends: listed, spec, .. } => {
-                        let listed: Vec<usize> = listed.iter().map(|&b| ids[b]).collect();
-                        let estimator = aggregates.next().expect("one estimator per camera and aggregate");
-                        runtime.register_aggregate(camera, "tenant", query.clone(), *spec, &listed, estimator);
-                    }
-                    Statement::Adaptive { query, tolerances, prefix, .. } => {
-                        let filters = adaptive.next().expect("one candidate set per camera and adaptive select");
-                        let candidate_backends =
-                            filters.iter().map(|f| runtime.add_backend(camera, f.as_ref())).collect();
-                        let config = DriftConfig::new(0.0);
-                        let setup = DriftSetup { config, candidate_backends, tolerances: tolerances.clone() };
-                        runtime.register_select_drifted(camera, "tenant", query.clone(), *prefix, setup);
-                    }
+        })
+        .collect();
+    let batch_size = case.batch_sizes[2];
+    let config = FleetConfig { batch_size, queue_capacity: case.frames, ..FleetConfig::default() };
+    let mut runtime = FleetRuntime::new(&oracle, config);
+    let (mut adaptive, mut aggregates) = (candidates.iter(), estimators.iter_mut());
+    for (c, filters) in filters.iter().enumerate() {
+        let camera = runtime.add_camera(scene(c as u32));
+        let ids: Vec<usize> = filters.iter().map(|f| runtime.add_backend(camera, f.as_ref())).collect();
+        for statement in &case.statements {
+            match statement {
+                Statement::Select { query, backend, cascade } => {
+                    runtime.register_select(camera, "tenant", query.clone(), *cascade, backend.map(|b| ids[b]));
+                }
+                Statement::Aggregate { query, backends: listed, spec, .. } => {
+                    let listed: Vec<usize> = listed.iter().map(|&b| ids[b]).collect();
+                    let estimator = aggregates.next().expect("one estimator per camera and aggregate");
+                    runtime.register_aggregate(camera, "tenant", query.clone(), *spec, &listed, estimator);
+                }
+                Statement::Adaptive { query, tolerances, prefix, .. } => {
+                    let filters = adaptive.next().expect("one candidate set per camera and adaptive select");
+                    let candidate_backends = filters.iter().map(|f| runtime.add_backend(camera, f.as_ref())).collect();
+                    let config = DriftConfig::new(0.0);
+                    let setup = DriftSetup { config, candidate_backends, tolerances: tolerances.clone() };
+                    runtime.register_select_drifted(camera, "tenant", query.clone(), *prefix, setup);
                 }
             }
         }
-        for _ in 0..4 {
-            assert_eq!(runtime.ingest(case.frames / 4), 0, "the queues hold a whole stream");
-            runtime.poll();
-        }
-        let outcome = runtime.finish();
-        let (mut outcomes, mut reports) = (outcome.statements.iter(), estimators.iter());
-        for (c, expected) in expected.iter().enumerate() {
-            for (statement, expected) in case.statements.iter().zip(expected) {
-                let outcome = outcomes.next().expect("one outcome per registration");
-                assert_widths(&outcome.run, "fleet");
-                let reports = match statement {
-                    Statement::Aggregate { .. } => reports.next().expect("estimator").reports(),
-                    _ => &[],
-                };
-                let plan = outcome.calibration.as_ref().map(|report| &report.choice);
-                let entry = format!("fleet camera {c} at {workers} workers");
-                check(&entry, statement, observed(&outcome.run, plan, reports), expected);
-            }
+    }
+    for _ in 0..4 {
+        assert_eq!(runtime.ingest(case.frames / 4), 0, "the queues hold a whole stream");
+        runtime.poll();
+    }
+    let outcome = runtime.finish();
+    let (mut outcomes, mut reports) = (outcome.statements.iter(), estimators.iter());
+    for (c, expected) in expected.iter().enumerate() {
+        for (statement, expected) in case.statements.iter().zip(expected) {
+            let outcome = outcomes.next().expect("one outcome per registration");
+            // Every camera holds and releases in step, so each poll stages
+            // all of them on the pool, where a decode scope runs inline.
+            assert_widths(&outcome.run, 1, "fleet");
+            let reports = match statement {
+                Statement::Aggregate { .. } => reports.next().expect("estimator").reports(),
+                _ => &[],
+            };
+            let plan = outcome.calibration.as_ref().map(|report| &report.choice);
+            let entry = format!("fleet camera {c}");
+            check(&entry, statement, observed(&outcome.run, plan, reports), expected);
         }
     }
 }
